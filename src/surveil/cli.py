@@ -14,13 +14,15 @@ import json
 import sys
 from importlib import resources
 
+from .abstraction import PartitionError
 from .belief import (
     BudgetExceeded,
+    PredicateError,
     build_belief_game,
     check_observable,
     predicates_from_grid,
 )
-from .cegar import IterationBudgetExceeded, cegar_loop
+from .cegar import IterationBudgetExceeded, RefinementError, cegar_loop
 from .grid import MapError, build_game_structure, parse_config, parse_grid
 from .objective import SpecError, parse_spec
 from .simulate import (
@@ -34,7 +36,7 @@ from .simulate import (
     simulate,
     trace_jsonl,
 )
-from .solver import export_strategy, make_arena, solve
+from .solver import SolverError, export_strategy, make_arena, solve
 from .structure import validate_assumptions
 
 EXIT_OK = 0
@@ -310,6 +312,10 @@ def main(argv=None) -> int:
         MapError,
         SpecError,
         SimulationError,
+        SolverError,
+        RefinementError,
+        PartitionError,
+        PredicateError,
         FileNotFoundError,
         json.JSONDecodeError,
     ) as exc:

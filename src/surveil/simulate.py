@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .abstraction import Partition, abstract_successors
+from .belief import belief_key
 from .grid import GridWorld
 from .solver import Arena, StrategyData
 from .structure import SurveillanceGameStructure
@@ -76,8 +77,6 @@ def load_runner(
     so a controller synthesized for a different map is rejected before it
     can produce nonsense moves.
     """
-    from .solver import choice_key
-
     if expected_digest is not None and payload.get("digest") != expected_digest:
         raise SimulationError(
             "strategy file was synthesized for a different map or config"
@@ -97,7 +96,7 @@ def load_runner(
             states=states,
             index={},
             moves=[
-                tuple((c, ()) for c in sorted(available.get(i, ()), key=choice_key))
+                tuple((c, ()) for c in sorted(available.get(i, ()), key=belief_key))
                 for i in range(len(states))
             ],
             initial=payload["initial"],

@@ -4,12 +4,17 @@ Arenas are turn-expanded explicit games: in every state the target picks
 a belief-level choice, then the agent picks a reply.  Safety conjuncts
 are solved by a greatest fixpoint over the controllable predecessor;
 recurrence conjuncts by a generalized-Buchi nested fixpoint with a
-memory index cycling through the recurrence atoms.
+memory index cycling through the recurrence atoms.  Every fixpoint and
+attractor is a counter-based worklist over a reverse-edge index of the
+arena, so it touches each edge a bounded number of times.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 from .belief import (
@@ -25,11 +30,6 @@ from .objective import Atom, Objective, SurvAtom, TaskAtom
 
 class SolverError(RuntimeError):
     pass
-
-
-def choice_key(choice):
-    """Canonical order: visible (concrete) choices first, then belief sets."""
-    return belief_key(choice)
 
 
 @dataclass
@@ -67,7 +67,7 @@ def make_arena(
     index = {s: i for i, s in enumerate(states)}
     moves = []
     for s in states:
-        out = sorted(game.moves[s], key=lambda cr: choice_key(cr[0]))
+        out = sorted(game.moves[s], key=lambda cr: belief_key(cr[0]))
         moves.append(
             [(c, tuple(index[r] for r in replies)) for c, replies in out]
         )
@@ -92,66 +92,229 @@ def make_arena(
     return Arena(states, index, moves, index[game.initial], atom_sets)
 
 
+# rank of a state outside an attractor; above every real rank
+_UNRANKED = 2**31 - 1
+
+
+class _Index:
+    """Reverse-edge index of an arena, built once per :func:`solve` call.
+
+    Choice ``ci`` of state ``i`` has the global id ``start[i] + ci``;
+    ``owner[id]`` is its state and ``width[id]`` its number of replies.
+    ``preds[pred_off[j]:pred_off[j + 1]]`` lists the ids of the choices
+    that can reply ``j``, once per occurrence of ``j`` among their
+    replies, so every counter below counts a repeated reply as often as
+    it occurs and reaches zero exactly when the last copy goes.  The
+    tables are flat ``array('i')`` so that they stay small next to the
+    arena itself, and every fixpoint below touches each edge a bounded
+    number of times.
+    """
+
+    def __init__(self, arena: Arena):
+        n = len(arena)
+        start = array("i", [0]) * (n + 1)
+        owner, width = array("i"), array("i")
+        indegree = array("i", [0]) * n
+        for i, choices in enumerate(arena.moves):
+            start[i] = len(owner)
+            for _, replies in choices:
+                owner.append(i)
+                width.append(len(replies))
+                for r in replies:
+                    indegree[r] += 1
+        start[n] = len(owner)
+        pred_off = array("i", accumulate(indegree, initial=0))
+        fill = array("i", pred_off)
+        preds = array("i", [0]) * pred_off[n]
+        c = 0
+        for choices in arena.moves:
+            for _, replies in choices:
+                for r in replies:
+                    preds[fill[r]] = c
+                    fill[r] += 1
+                c += 1
+        self.n = n
+        self.start, self.owner, self.width = start, owner, width
+        self.pred_off, self.preds = pred_off, preds
+        self.degree = array("i", (start[i + 1] - start[i] for i in range(n)))
+        self.sinks = [i for i in range(n) if not self.degree[i]]
+
+    def preds_of(self, j: int) -> array:
+        return self.preds[self.pred_off[j] : self.pred_off[j + 1]]
+
+    def cpre(self, W) -> frozenset[int]:
+        """States where, whatever the target picks, some agent reply
+        stays in W."""
+        answered = bytearray(len(self.owner))
+        for j in W:
+            for c in self.preds_of(j):
+                answered[c] = 1
+        start = self.start
+        return frozenset(
+            i for i in range(self.n) if answered.find(0, start[i], start[i + 1]) < 0
+        )
+
+
 def cpre(arena: Arena, W: frozenset[int] | set[int]) -> frozenset[int]:
     """States where, whatever the target picks, some agent reply stays in W."""
-    out = []
-    for i, choices in enumerate(arena.moves):
-        if all(any(r in W for r in replies) for _, replies in choices):
-            out.append(i)
-    return frozenset(out)
+    return _Index(arena).cpre(W)
 
 
-def _gfp_safe(arena: Arena, safe: frozenset[int]) -> frozenset[int]:
-    W = safe
+def _mask(n: int, states) -> bytearray:
+    m = bytearray(n)
+    for i in states:
+        m[i] = 1
+    return m
+
+
+def _gfp_safe(ix: _Index, safe: frozenset[int]) -> frozenset[int]:
+    """Greatest W inside ``safe`` with W = safe & cpre(W), by removal.
+
+    ``count[c]`` is the number of replies of choice ``c`` still in W; a
+    state leaves W when one of its choices runs out of them.
+    """
+    start, owner = ix.start, ix.owner
+    inside = _mask(ix.n, safe)
+    count = array("i", [0]) * len(owner)
+    for j in safe:
+        for c in ix.preds_of(j):
+            count[c] += 1
+    removed = [i for i in safe if 0 in count[start[i] : start[i + 1]]]
+    for i in removed:
+        inside[i] = 0
+    while removed:
+        for c in ix.preds_of(removed.pop()):
+            count[c] -= 1
+            if not count[c]:
+                i = owner[c]
+                if inside[i]:
+                    inside[i] = 0
+                    removed.append(i)
+    return frozenset(i for i in safe if inside[i])
+
+
+def _attractor(ix: _Index, target: frozenset[int], domain: bytearray) -> array:
+    """Agent attractor toward ``target`` inside the ``domain`` mask.
+
+    Returns each state's rank, the BFS level at which every target
+    choice has a reply of lower rank (``_UNRANKED`` outside).  A choice
+    is covered once one of its replies is ranked; a choice without
+    replies never is, and a domain state without choices joins at 1.
+    """
+    owner = ix.owner
+    rank = array("i", [_UNRANKED]) * ix.n
+    uncovered = array("i", ix.degree)
+    covered = bytearray(len(owner))
+    frontier = list(target)
+    for i in frontier:
+        rank[i] = 0
+    added = [i for i in ix.sinks if domain[i] and rank[i] == _UNRANKED]
+    level = 1
     while True:
-        W2 = safe & cpre(arena, W)
-        if W2 == W:
-            return W
-        W = W2
-
-
-def _attractor(arena, target: frozenset[int], domain: frozenset[int]):
-    """Agent attractor toward ``target`` inside ``domain``; returns ranks."""
-    rank = {i: 0 for i in target}
-    current = set(target)
-    level = 0
-    while True:
-        level += 1
-        added = set()
-        for i in domain:
-            if i in rank:
-                continue
-            if all(
-                any(r in current for r in replies) for _, replies in arena.moves[i]
-            ):
-                added.add(i)
+        for j in frontier:
+            for c in ix.preds_of(j):
+                if not covered[c]:
+                    covered[c] = 1
+                    i = owner[c]
+                    uncovered[i] -= 1
+                    if not uncovered[i] and domain[i] and rank[i] == _UNRANKED:
+                        added.append(i)
         if not added:
             return rank
         for i in added:
             rank[i] = level
-        current |= added
-
-
-def _target_attractor(arena, base: dict, domain: frozenset[int]):
-    """Target attractor: states where some choice forces every reply into
-    the attracted set.  Returns ``{state: (rank, choice)}``."""
-    info = dict(base)
-    current = set(info)
-    level = max((r for r, _ in info.values()), default=0)
-    while True:
+        frontier, added = added, []
         level += 1
-        added = {}
-        for i in domain:
-            if i in info:
+
+
+def _target_attractor(ix: _Index, arena: Arena, won: bytearray, level: int) -> list:
+    """Target attractor toward the ``won`` mask, which it extends.
+
+    A state joins at the first level where one of its choices has all
+    its (non-empty) replies attracted at lower levels; it records the
+    first such choice in canonical order.  Levels continue after
+    ``level``.  Returns ``[(state, rank, choice)]``.
+    """
+    start, owner, width = ix.start, ix.owner, ix.width
+    missing = array("i", width)
+    candidates = []
+    for j in range(ix.n):
+        if won[j]:
+            for c in ix.preds_of(j):
+                missing[c] -= 1
+                if not missing[c]:
+                    candidates.append(owner[c])
+    out = []
+    while candidates:
+        level += 1
+        added = []
+        for i in candidates:
+            if won[i]:
                 continue
-            for c, replies in arena.moves[i]:
-                if replies and all(r in current for r in replies):
-                    added[i] = (level, c)
+            for c, (choice, _) in enumerate(arena.moves[i], start[i]):
+                if width[c] and not missing[c]:
                     break
-        if not added:
-            return info
-        info.update(added)
-        current |= added.keys()
+            won[i] = 1
+            added.append(i)
+            out.append((i, level, choice))
+        candidates = []
+        for j in added:
+            for c in ix.preds_of(j):
+                missing[c] -= 1
+                if not missing[c]:
+                    candidates.append(owner[c])
+    return out
+
+
+def _avoid_trap(ix: _Index, arena: Arena, won: bytearray, avoid: frozenset[int]) -> list:
+    """Greatest Y outside ``won`` and ``avoid`` where the target has a
+    choice whose (non-empty) replies all stay in Y or ``won``.
+
+    States leave Y when their last such choice dies.  Y joins ``won``;
+    returns ``[(state, choice)]`` with the first such choice in
+    canonical order, by state.
+    """
+    n, start, owner, width = ix.n, ix.start, ix.owner, ix.width
+    inside = bytearray(n)
+    for i in range(n):
+        if not won[i] and i not in avoid:
+            inside[i] = 1
+    # replies of each choice outside both Y and won
+    escapes = array("i", [0]) * len(owner)
+    for j in range(n):
+        if not inside[j] and not won[j]:
+            for c in ix.preds_of(j):
+                escapes[c] += 1
+    viable = array("i", [0]) * n
+    removed = []
+    for i in range(n):
+        if inside[i]:
+            viable[i] = sum(
+                1 for c in range(start[i], start[i + 1]) if width[c] and not escapes[c]
+            )
+            if not viable[i]:
+                inside[i] = 0
+                removed.append(i)
+    while removed:
+        for c in ix.preds_of(removed.pop()):
+            i = owner[c]
+            if inside[i]:
+                escapes[c] += 1
+                if escapes[c] == 1:
+                    viable[i] -= 1
+                    if not viable[i]:
+                        inside[i] = 0
+                        removed.append(i)
+    out = []
+    for i in range(n):
+        if inside[i]:
+            for c, (choice, _) in enumerate(arena.moves[i], start[i]):
+                if width[c] and not escapes[c]:
+                    out.append((i, choice))
+                    break
+    for i, _ in out:
+        won[i] = 1
+    return out
 
 
 @dataclass
@@ -159,7 +322,7 @@ class StrategyData:
     """Finite-memory agent controller on arena states.
 
     Memory is an index into the recurrence atoms (a single mode for pure
-    safety).  ``moves[(state, memory, choice_key)] = (reply, memory')``.
+    safety).  ``moves[(state, memory, choice)] = (reply, memory')``.
     """
 
     memory_count: int
@@ -190,19 +353,20 @@ class SolveResult:
     target_strategy: Optional[TargetStrategyData] = None
 
 
-def _canonical_reply(replies, allowed):
+def _canonical_reply(i, replies, allowed):
     for r in replies:
         if r in allowed:
             return r
-    return None
+    raise SolverError(f"no winning reply from state {i}")
 
 
 def solve(arena: Arena, objective: Objective) -> SolveResult:
+    ix = _Index(arena)
     everything = frozenset(range(len(arena)))
     safe = everything
     for atom in objective.safety_terms:
         safe &= arena.atom_sets[atom]
-    w_safe = _gfp_safe(arena, safe)
+    w_safe = _gfp_safe(ix, safe)
 
     rec = objective.recurrence_terms
     if not rec:
@@ -210,24 +374,26 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
         if arena.initial in win:
             strat = _safety_strategy(arena, win)
             return SolveResult(True, win, agent_strategy=strat)
-        tstrat = _target_strategy(arena, objective, win, safe)
+        tstrat = _target_strategy(ix, arena, objective, win, safe)
         return SolveResult(False, win, target_strategy=tstrat)
 
     targets = [arena.atom_sets[a] & w_safe for a in rec]
+    domain = _mask(len(arena), w_safe)
     Z = w_safe
     while True:
-        attrs = []
-        for F in targets:
-            core = F & cpre(arena, Z) & w_safe
-            attrs.append(_attractor(arena, core, w_safe))
-        Z2 = frozenset.intersection(*(frozenset(a) for a in attrs)) & w_safe
+        cpre_z = ix.cpre(Z)
+        cores = [F & cpre_z for F in targets]
+        ranks = [_attractor(ix, core, domain) for core in cores]
+        Z2 = w_safe
+        for rank in ranks:
+            Z2 = frozenset(i for i in Z2 if rank[i] != _UNRANKED)
         if Z2 == Z:
             break
         Z = Z2
     if arena.initial in Z:
-        strat = _buchi_strategy(arena, objective, Z, w_safe, targets)
+        strat = _buchi_strategy(arena, Z, cores, ranks)
         return SolveResult(True, Z, agent_strategy=strat)
-    tstrat = _target_strategy(arena, objective, Z, safe)
+    tstrat = _target_strategy(ix, arena, objective, Z, safe)
     return SolveResult(False, Z, target_strategy=tstrat)
 
 
@@ -235,37 +401,33 @@ def _safety_strategy(arena, win) -> StrategyData:
     moves = {}
     for i in win:
         for c, replies in arena.moves[i]:
-            r = _canonical_reply(replies, win)
-            assert r is not None
-            moves[(i, 0, c)] = (r, 0)
+            moves[(i, 0, c)] = (_canonical_reply(i, replies, win), 0)
     return StrategyData(1, win, moves)
 
 
-def _buchi_strategy(arena, objective, Z, w_safe, targets) -> StrategyData:
-    m = len(objective.recurrence_terms)
-    cpre_z = cpre(arena, Z)
+def _buchi_strategy(arena, Z, cores, ranks) -> StrategyData:
+    """Controller from the final round of the Buchi fixpoint: in memory
+    ``j``, descend ``ranks[j]`` to ``cores[j]``, then move on to ``j + 1``."""
+    m = len(cores)
     moves = {}
-    for j in range(m):
-        core = targets[j] & cpre_z & w_safe
-        rank = _attractor(arena, core, w_safe)
+    for j, (core, rank) in enumerate(zip(cores, ranks)):
         for i in Z:
-            hit = i in core
+            if i in core:
+                for c, replies in arena.moves[i]:
+                    moves[(i, j, c)] = (_canonical_reply(i, replies, Z), (j + 1) % m)
+                continue
+            level = rank[i]
             for c, replies in arena.moves[i]:
-                if hit:
-                    r = _canonical_reply(replies, Z)
-                    assert r is not None
-                    moves[(i, j, c)] = (r, (j + 1) % m)
+                for r in replies:
+                    if rank[r] < level:
+                        break
                 else:
-                    level = rank[i]
-                    r = _canonical_reply(
-                        replies, {s for s, v in rank.items() if v < level}
-                    )
-                    assert r is not None
-                    moves[(i, j, c)] = (r, j)
+                    raise SolverError(f"no rank-decreasing reply from state {i}")
+                moves[(i, j, c)] = (r, j)
     return StrategyData(m, Z, moves)
 
 
-def _target_strategy(arena, objective, agent_win, safe) -> TargetStrategyData:
+def _target_strategy(ix, arena, objective, agent_win, safe) -> TargetStrategyData:
     """Layered positional strategy on the complement of the agent region.
 
     The unsafe core and its target attractor come first; then traps in
@@ -276,51 +438,29 @@ def _target_strategy(arena, objective, agent_win, safe) -> TargetStrategyData:
     """
     everything = frozenset(range(len(arena)))
     complement = everything - agent_win
-    unsafe = everything - safe
     mode: dict[int, tuple] = {}
     choice: dict = {}
-    info = {i: (0, None) for i in unsafe}
-    for i in unsafe:
+    won = bytearray(len(arena))
+    for i in everything - safe:
+        won[i] = 1
         mode[i] = ("unsafe",)
         choice[i] = arena.moves[i][0][0] if arena.moves[i] else None
-    rec = objective.recurrence_terms
+    top = 0
     while True:
         grown = False
-        info2 = _target_attractor(arena, info, everything)
-        for i, (rank, c) in info2.items():
-            if i not in info:
-                info[i] = (rank, c)
-                mode[i] = ("reach", rank)
+        for i, rank, c in _target_attractor(ix, arena, won, top):
+            mode[i] = ("reach", rank)
+            choice[i] = c
+            top = rank
+            grown = True
+        for j, atom in enumerate(objective.recurrence_terms):
+            for i, c in _avoid_trap(ix, arena, won, arena.atom_sets[atom]):
+                mode[i] = ("avoid", j)
                 choice[i] = c
                 grown = True
-        for j, atom in enumerate(rec):
-            avoid = arena.atom_sets[atom]
-            won = set(info)
-            # greatest fixpoint: stay outside atom j, inside trap or won
-            Y = {i for i in everything - won if i not in avoid}
-            while True:
-                Y2 = set()
-                for i in Y:
-                    for c, replies in arena.moves[i]:
-                        if replies and all(r in Y or r in won for r in replies):
-                            Y2.add(i)
-                            break
-                if Y2 == Y:
-                    break
-                Y = Y2
-            for i in sorted(Y):
-                if i in info:
-                    continue
-                for c, replies in arena.moves[i]:
-                    if replies and all(r in Y or r in set(info) for r in replies):
-                        info[i] = (0, c)
-                        mode[i] = ("avoid", j)
-                        choice[i] = c
-                        grown = True
-                        break
         if not grown:
             break
-    region = frozenset(info)
+    region = frozenset(mode)
     if region != complement:
         raise SolverError(
             "determinacy check failed: target region does not match the "
@@ -350,6 +490,14 @@ class CounterexampleTree:
             stack.extend(reversed(n.children))
 
 
+def _replies_of(arena: Arena, i: int, choice):
+    """The agent replies to the target's ``choice`` in state ``i``."""
+    for c, replies in arena.moves[i]:
+        if c == choice:
+            return replies
+    raise SolverError(f"state {i} has no target choice {choice!r}")
+
+
 def extract_cex_tree(arena: Arena, result: SolveResult, objective: Objective) -> CounterexampleTree:
     """Unfold the target's safety-spoiling strategy into a finite tree.
 
@@ -373,7 +521,7 @@ def extract_cex_tree(arena: Arena, result: SolveResult, objective: Objective) ->
             raise SolverError("counterexample tree extraction did not terminate")
         c = ts.choice[i]
         node.choice = c
-        replies = dict(arena.moves[i])[c]
+        replies = _replies_of(arena, i, c)
         node.children = [build(r, depth + 1) for r in replies]
         return node
 
@@ -396,10 +544,10 @@ def extract_cex_graph(arena: Arena, result: SolveResult) -> CounterexampleGraph:
         raise SolverError("no target strategy to extract a counterexample from")
     ts = result.target_strategy
     choice, edges, mode = {}, {}, {}
-    queue = [arena.initial]
+    queue = deque([arena.initial])
     seen = {arena.initial}
     while queue:
-        i = queue.pop(0)
+        i = queue.popleft()
         s = arena.states[i]
         c = ts.choice.get(i)
         if c is None:
@@ -411,7 +559,7 @@ def extract_cex_graph(arena: Arena, result: SolveResult) -> CounterexampleGraph:
             # decided, so the node is a sink of the counterexample
             edges[s] = ()
             continue
-        replies = dict(arena.moves[i])[c]
+        replies = _replies_of(arena, i, c)
         edges[s] = tuple(arena.states[r] for r in replies)
         for r in replies:
             if r not in seen:
@@ -431,7 +579,7 @@ def export_strategy(
     states = [[s[0], belief_json(s[1])] for s in arena.states]
     moves = []
     for (i, mem, c), (r, mem2) in sorted(
-        strat.moves.items(), key=lambda kv: (kv[0][0], kv[0][1], choice_key(kv[0][2]))
+        strat.moves.items(), key=lambda kv: (kv[0][0], kv[0][1], belief_key(kv[0][2]))
     ):
         moves.append([i, mem, belief_json(c), r, mem2])
     blocks = None

@@ -1,7 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
+import surveil.cegar
+import surveil.cli
+from surveil import SolverError
 from surveil.cli import main
 
 MAP = """\
@@ -184,3 +188,37 @@ def test_determinism(paths, capsys):
     first = capsys.readouterr().out
     run(argv)
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("command", ["synth", "oracle"])
+def test_solver_error_exit_one(paths, monkeypatch, capsys, command):
+    def broken(arena, objective):
+        raise SolverError("determinacy check failed")
+
+    monkeypatch.setattr(surveil.cegar, "solve", broken)
+    monkeypatch.setattr(surveil.cli, "solve", broken)
+    assert run([command, "--map", paths["map"], "--spec", paths["p3"]]) == 1
+    assert capsys.readouterr().err.strip() == "error: determinacy check failed"
+
+
+# sha256 of `surveil synth` output on the bundled paper5x5 map, pinned so
+# that solver changes cannot alter a controller or counterexample unseen
+GOLDEN = {
+    "G p<=3": (0, "1318cb29c805c6cbf8937593c5d2af942a3cc7475f5b1e6f74cc0aecfcb61f89"),
+    "GF p<=2": (0, "1afe5e03254da6e3f4d885e612a61fa59d38cdfa8c8e0f2df872b2fb1c395113"),
+    "G p<=5 & GF p<=2": (
+        0, "3b1ddb6adf2b10afd2f8631c5ebec6dcfae6f280817c4a8ccd1a4d255737b6e9"
+    ),
+    "G p<=2": (10, "9b9ed1d2a76a9b8818f02f76bdfd4cb6fd43086014100581575fc1d4069f8aff"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN))
+def test_synth_output_golden_digest(spec, tmp_path, capsys):
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(spec + "\n")
+    out = tmp_path / "out.json"
+    code = run(["synth", "--map", "bundled:paper5x5.txt",
+                "--config", "bundled:paper5x5.cfg",
+                "--spec", str(spec_file), "--out", str(out)])
+    assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == GOLDEN[spec]

@@ -2,7 +2,9 @@ import json
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_solver
 from surveil import (
     SolverError,
     build_abstract_game,
@@ -14,7 +16,8 @@ from surveil import (
     parse_spec,
     solve,
 )
-from surveil.solver import cpre
+from surveil.objective import Objective, TaskAtom
+from surveil.solver import Arena, cpre
 
 
 def _product_graph(arena, strat):
@@ -211,3 +214,73 @@ def test_export_strategy_deterministic(exact_arena_factory):
         export_strategy(arena, solve(arena, obj).agent_strategy, "d"), sort_keys=True
     )
     assert a == b
+
+
+@st.composite
+def random_games(draw):
+    """Small arenas with sinks, choices without replies and repeated
+    replies, plus random safety and recurrence atoms."""
+    n = draw(st.integers(1, 40))
+    state = st.integers(0, n - 1)
+
+    def replies():
+        # one choice in sixteen has no reply at all
+        empty = draw(st.integers(0, 15)) == 0
+        return tuple(draw(st.lists(state, min_size=0 if empty else 1, max_size=4)))
+
+    moves = [
+        [(c, replies()) for c in range(k)]
+        for k in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    ]
+    everything = frozenset(range(n))
+    safety = [TaskAtom(f"s{k}") for k in range(draw(st.integers(0, 2)))]
+    recurrence = [TaskAtom(f"r{k}") for k in range(draw(st.integers(0, 2)))]
+    if not safety and not recurrence:
+        safety = [TaskAtom("s0")]
+    atom_sets = {a: everything - draw(st.frozensets(state, max_size=8)) for a in safety}
+    atom_sets.update({a: draw(st.frozensets(state)) for a in recurrence})
+    arena = Arena(
+        states=list(range(n)),
+        index={i: i for i in range(n)},
+        moves=moves,
+        initial=draw(state),
+        atom_sets=atom_sets,
+    )
+    return arena, Objective(frozenset(safety), tuple(recurrence))
+
+
+def _solve_or_error(solver, arena, obj):
+    # a choice without replies is lost by the agent but never forced by
+    # the target, so such arenas can fail the determinacy check
+    try:
+        return solver(arena, obj)
+    except SolverError:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_games())
+def test_solver_matches_naive_reference(game):
+    arena, obj = game
+    got = _solve_or_error(solve, arena, obj)
+    want = _solve_or_error(reference_solver.solve, arena, obj)
+    if want is None:
+        assert got is None
+        return
+    assert got.agent_wins == want.agent_wins
+    assert got.winning_region == want.winning_region
+    if want.agent_wins:
+        assert got.agent_strategy.memory_count == want.agent_strategy.memory_count
+        assert got.agent_strategy.moves == want.agent_strategy.moves
+    else:
+        assert got.target_strategy.region == want.target_strategy.region
+        assert got.target_strategy.choice == want.target_strategy.choice
+        assert got.target_strategy.mode == want.target_strategy.mode
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_games(), st.data())
+def test_cpre_matches_naive_reference(game, data):
+    arena, _ = game
+    W = data.draw(st.frozensets(st.integers(0, len(arena) - 1)))
+    assert cpre(arena, W) == reference_solver.cpre(arena, W)
