@@ -19,12 +19,11 @@ from .belief import (
     BudgetExceeded,
     PredicateDef,
     PredicateError,
+    atom_holds,
     belief_successors,
     build_belief_game,
     check_observable,
     concretize,
-    eval_surveillance_pred,
-    eval_task_pred,
     invisible_count,
     predicates_from_grid,
 )
@@ -38,11 +37,9 @@ from .cegar import (
     build_analysis_graph,
     cegar_loop,
     find_good_lasso,
-    graph_eliminated,
     refine_liveness,
     refine_safety,
     split_along,
-    tree_eliminated,
 )
 from .grid import (
     GridWorld,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .belief import PredicateDef, TurnGame, _explore
+from .belief import PredicateDef, TurnGame, _explore, target_moves
 from .structure import SurveillanceGameStructure
 
 
@@ -140,36 +140,20 @@ def initial_partition(
 def abstract_successors(G: SurveillanceGameStructure, Q: Partition, state):
     """Abstract choices and agent replies from an abstract state.
 
-    One concrete choice per visible successor of the concretized belief,
-    plus at most one block-set choice covering all invisible successors.
+    The target moves of the concretized belief: one concrete choice per
+    visible successor, plus at most one block-set choice covering all
+    invisible successors.
     """
     l_a, abstract = state
-    belief = Q.gamma(abstract)
-    visible: dict[int, set[int]] = {}
-    invisible: set[int] = set()
-    inv_pair = None
-    for l_t in sorted(belief):
-        for l_t2 in G.target_succ[(l_a, l_t)]:
-            if G.vis(l_a, l_t2):
-                visible.setdefault(l_t2, set()).update(G.succ_a(l_a, l_t, l_t2))
-            else:
-                invisible.add(l_t2)
-                if inv_pair is None:
-                    inv_pair = (l_t, l_t2)
-    choices = [
-        (l_t2, tuple(sorted(replies))) for l_t2, replies in sorted(visible.items())
-    ]
-    if invisible:
-        replies = G.succ_a(l_a, *inv_pair)
-        choices.append((Q.alpha(invisible), tuple(replies)))
-    return choices
+    visible, invisible = target_moves(G, l_a, Q.gamma(abstract))
+    if invisible is not None:
+        locs, replies = invisible
+        visible.append((Q.alpha(locs), replies))
+    return visible
 
 
 def build_abstract_game(
     G: SurveillanceGameStructure, Q: Partition, max_states: int = 1_000_000
 ) -> TurnGame:
     """Enumerate the reachable abstract game for partition ``Q``."""
-    game = _explore(
-        G.initial, lambda s: abstract_successors(G, Q, s), max_states
-    )
-    return game
+    return _explore(G.initial, lambda s: abstract_successors(G, Q, s), max_states)

@@ -7,16 +7,12 @@ belief is either a visible singleton or a set of all-invisible locations.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .objective import SurvAtom
 from .structure import SurveillanceGameStructure
-
-# A belief inside a game state: a frozenset of target locations in the
-# exact game, or a concrete location (int) / frozenset of partition block
-# ids in the abstract game.  A state is (agent_location, belief).
-Belief = "int | frozenset[int]"
-State = "tuple[int, int | frozenset[int]]"
 
 
 class BudgetExceeded(RuntimeError):
@@ -87,30 +83,30 @@ def invisible_count(G: SurveillanceGameStructure, l_a: int, locs: Iterable[int])
     return sum(1 for l in locs if not G.vis(l_a, l))
 
 
-def eval_surveillance_pred(G, state, k: int, partition=None) -> bool:
-    """``p_k``: at most ``k`` invisible locations in the (concretized) belief."""
-    if k < 1:
-        raise ValueError("surveillance threshold k must be >= 1")
-    l_a, belief = state
-    return invisible_count(G, l_a, concretize(belief, partition)) <= k
+def atom_holds(G, l_a: int, locs, atom, predicates) -> bool:
+    """A spec atom on the agent cell ``l_a`` and a concrete set of target
+    cells: ``p<=k`` bounds the number of invisible cells, and a task
+    predicate must hold for every cell.  Abstract labels are turned into
+    cells with :func:`concretize` first."""
+    if isinstance(atom, SurvAtom):
+        if atom.k < 1:
+            raise ValueError("surveillance threshold k must be >= 1")
+        return invisible_count(G, l_a, locs) <= atom.k
+    pred = predicates[atom.name]
+    return all(pred.holds(l_a, l_t) for l_t in locs)
 
 
-def eval_task_pred(G, state, pred: PredicateDef, partition=None) -> bool:
-    """Task predicate on a belief/abstract state: true iff it holds for
-    every location in the concretized belief."""
-    l_a, belief = state
-    return all(pred.holds(l_a, l_t) for l_t in concretize(belief, partition))
+def target_moves(G: SurveillanceGameStructure, l_a: int, belief):
+    """The target's moves from a concrete belief, with the agent's replies.
 
-
-def belief_successors(G: SurveillanceGameStructure, state):
-    """Target belief choices and agent replies from an exact belief state.
-
-    Returns a list of ``(new_belief, replies)`` pairs: one visible
-    singleton per observable successor location, plus at most one
-    all-invisible set.  Sorted canonically (visible by location, invisible
-    set last).
+    Returns ``(visible, invisible)``: ``visible`` lists
+    ``(location, replies)`` for every successor the agent on ``l_a``
+    sees, by location; ``invisible`` is ``(locations, replies)`` for the
+    set of all invisible successors, or None when there are none.  Its
+    replies come from one representative move, which is enough under
+    invisible-independence.  Both the exact and the abstract game expand
+    their states through this function.
     """
-    l_a, belief = state
     if not belief:
         raise ValueError("empty belief")
     visible: dict[int, set[int]] = {}
@@ -124,14 +120,36 @@ def belief_successors(G: SurveillanceGameStructure, state):
                 invisible.add(l_t2)
                 if inv_pair is None:
                     inv_pair = (l_t, l_t2)
-    choices = [
-        (frozenset({l_t2}), tuple(sorted(replies)))
-        for l_t2, replies in sorted(visible.items())
+    moves = [
+        (l_t2, tuple(sorted(replies))) for l_t2, replies in sorted(visible.items())
     ]
-    if invisible:
-        # any representative works under invisible-independence
-        replies = G.succ_a(l_a, *inv_pair)
-        choices.append((frozenset(invisible), tuple(replies)))
+    if not invisible:
+        return moves, None
+    return moves, (frozenset(invisible), tuple(G.succ_a(l_a, *inv_pair)))
+
+
+def next_belief(G: SurveillanceGameStructure, l_a: int, belief, seen) -> frozenset[int]:
+    """Exact belief after one target move from ``belief``: ``{seen}`` when
+    the agent on ``l_a`` sees the target land on cell ``seen``, else
+    (``seen`` is None) every invisible successor of ``belief``."""
+    if seen is not None:
+        return frozenset({seen})
+    return G.invisible_succ(l_a, belief)
+
+
+def belief_successors(G: SurveillanceGameStructure, state):
+    """Target belief choices and agent replies from an exact belief state.
+
+    Returns a list of ``(new_belief, replies)`` pairs: one visible
+    singleton per observable successor location, plus at most one
+    all-invisible set.  Sorted canonically (visible by location, invisible
+    set last).
+    """
+    l_a, belief = state
+    visible, invisible = target_moves(G, l_a, belief)
+    choices = [(frozenset({l_t2}), replies) for l_t2, replies in visible]
+    if invisible is not None:
+        choices.append(invisible)
     return choices
 
 
@@ -167,10 +185,10 @@ def state_key(state):
 
 def _explore(initial, successors, max_states):
     game = TurnGame(initial=initial)
-    queue = [initial]
+    queue = deque([initial])
     game.moves[initial] = None
     while queue:
-        state = queue.pop(0)
+        state = queue.popleft()
         out = []
         for new_belief, replies in successors(state):
             reply_states = tuple((l_a2, new_belief) for l_a2 in replies)
@@ -195,10 +213,4 @@ def build_belief_game(G: SurveillanceGameStructure, max_states: int = 2_000_000)
     """
     l_a0, l_t0 = G.initial
     initial = (l_a0, frozenset({l_t0}))
-    game = _explore(initial, lambda s: belief_successors(G, s), max_states)
-    # shape invariant: beliefs are nonempty, and multi-element ones were
-    # all-invisible from the agent location they were formed at (checked
-    # at formation time in belief_successors, not against the new l_a)
-    for _, belief in game.moves:
-        assert belief, "empty belief reached"
-    return game
+    return _explore(initial, lambda s: belief_successors(G, s), max_states)

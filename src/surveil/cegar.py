@@ -10,17 +10,17 @@ spuriousness.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .abstraction import Partition, build_abstract_game, refines
-from .belief import BudgetExceeded, PredicateDef, invisible_count
-from .objective import Atom, Objective, SurvAtom, TaskAtom
+from .abstraction import Partition, build_abstract_game, initial_partition, refines
+from .belief import PredicateDef, atom_holds, concretize, next_belief
+from .objective import Objective
 from .solver import (
     Arena,
     CounterexampleGraph,
     CounterexampleTree,
-    SolveResult,
     extract_cex_graph,
     extract_cex_tree,
     make_arena,
@@ -41,16 +41,8 @@ def _concrete_step(G, Q, l_a, belief, abstract_label):
     Visible moves give singletons; a block-set move collects the belief's
     invisible successors lying under the abstract label.
     """
-    if isinstance(abstract_label, int):
-        return frozenset({abstract_label})
-    return G.invisible_succ(l_a, belief) & Q.gamma(abstract_label)
-
-
-def _sat_concrete(G, l_a, belief, atom, predicates):
-    if isinstance(atom, SurvAtom):
-        return invisible_count(G, l_a, belief) <= atom.k
-    pred = predicates[atom.name]
-    return all(pred.holds(l_a, l_t) for l_t in belief)
+    seen = abstract_label if isinstance(abstract_label, int) else None
+    return next_belief(G, l_a, belief, seen) & concretize(abstract_label, Q)
 
 
 def annotate_tree(
@@ -77,7 +69,7 @@ def annotate_tree(
         l_a, _ = node.state
         if not node.children:
             if all(
-                _sat_concrete(G, l_a, node.annotation, a, predicates)
+                atom_holds(G, l_a, node.annotation, a, predicates)
                 for a in tree.safety
             ):
                 good_path = list(path)
@@ -85,7 +77,6 @@ def annotate_tree(
         for child in node.children:
             l_a2, label = child.state
             child.annotation = _concrete_step(G, Q, l_a, node.annotation, label)
-            assert child.annotation <= Q.gamma(label)
             walk(child, path + [child])
 
     walk(tree.root, [tree.root])
@@ -103,10 +94,7 @@ def split_along(G: SurveillanceGameStructure, Q: Partition, pairs) -> Partition:
     backward separating the locations whose invisible successors stay
     inside the precise region, stopping at concrete labels.
     """
-    gammas = [
-        Q.gamma(label) if not isinstance(label, int) else frozenset({label})
-        for _, label, _ in pairs
-    ]
+    gammas = [concretize(label, Q) for _, label, _ in pairs]
     n = len(pairs) - 1
     l_a_n, label_n, belief_n = pairs[n]
     result = Q
@@ -127,20 +115,29 @@ def split_along(G: SurveillanceGameStructure, Q: Partition, pairs) -> Partition:
     return result
 
 
+def _grown(Q: Partition, refined: Partition, pairs) -> Optional[Partition]:
+    """``refined`` if it has more blocks than ``Q``; else, as a fallback,
+    ``refined`` with every abstract label along ``pairs`` split against
+    its exact belief.  None when that adds no block either."""
+    if len(refined) <= len(Q):
+        for l_a, label, belief in pairs:
+            if not isinstance(label, int):
+                refined = refined.split(Q.gamma(label), belief)
+    if len(refined) <= len(Q):
+        return None
+    if not refines(refined, Q):
+        raise RefinementError("refined partition does not refine its parent")
+    return refined
+
+
 def refine_safety(G: SurveillanceGameStructure, Q: Partition, path) -> Partition:
     """Refine ``Q`` to eliminate a spurious safety counterexample path."""
     if any(node.annotation is None for node in path):
         raise RefinementError("path is not annotated")
     pairs = [(node.state[0], node.state[1], node.annotation) for node in path]
-    refined = split_along(G, Q, pairs)
-    if len(refined) <= len(Q):
-        # direct fallback: make every annotation along the path expressible
-        for l_a, label, belief in pairs:
-            if not isinstance(label, int):
-                refined = refined.split(Q.gamma(label), belief)
-    if len(refined) <= len(Q):
+    refined = _grown(Q, split_along(G, Q, pairs), pairs)
+    if refined is None:
         raise RefinementError("safety refinement produced no new blocks")
-    assert refines(refined, Q)
     return refined
 
 
@@ -172,16 +169,15 @@ def build_analysis_graph(
     beliefs, cex_states, modes = [d0[0]], [d0[1]], [cex.mode[cex.initial]]
     index = {d0: 0}
     edges: dict[int, tuple[int, ...]] = {}
-    queue = [d0]
+    queue = deque([d0])
     while queue:
-        key = queue.pop(0)
+        key = queue.popleft()
         (l_a, belief), v = key
         i = index[key]
         label = cex.choice[v]
         belief2 = _concrete_step(G, Q, l_a, belief, label)
         out = []
         for v2 in cex.edges[v]:
-            assert belief2 <= Q.gamma(v2[1])
             key2 = ((v2[0], belief2), v2)
             if key2 not in index:
                 index[key2] = len(beliefs)
@@ -194,47 +190,31 @@ def build_analysis_graph(
     return AnalysisGraphD(beliefs, cex_states, modes, edges, 0, index)
 
 
-def _bfs_path(edges, start, goals, allowed=None):
-    """Shortest path (canonical neighbour order) from start into goals."""
-    if start in goals:
-        return [start]
-    prev = {start: None}
-    queue = [start]
+def _shortest_path(edges, sources, goals, allowed=None):
+    """Shortest path from one of ``sources`` into ``goals``, breadth first
+    in canonical neighbour order, through nodes of ``allowed`` only when
+    it is given.  Returns the node list, or None."""
+    prev = {}
+    queue = deque()
+    for s in sources:
+        if allowed is not None and s not in allowed:
+            continue
+        if s in goals:
+            return [s]
+        if s not in prev:
+            prev[s] = None
+            queue.append(s)
     while queue:
-        i = queue.pop(0)
+        i = queue.popleft()
         for j in edges.get(i, ()):
             if allowed is not None and j not in allowed:
                 continue
-            if j not in prev:
-                prev[j] = i
-                if j in goals:
-                    path = [j]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])
-                    return path[::-1]
-                queue.append(j)
-    return None
-
-
-def _cycle_through(D, g, allowed):
-    """Shortest cycle g -> ... -> g, optionally confined to ``allowed``."""
-    prev = {}
-    queue = []
-    for j in D.edges.get(g, ()):
-        if j == g:
-            return [g, g]
-        if (allowed is None or j in allowed) and j not in prev:
-            prev[j] = None
-            queue.append(j)
-    while queue:
-        i = queue.pop(0)
-        for j in D.edges.get(i, ()):
-            if j == g:
-                path = [i]
+            if j in goals:
+                path = [j, i]
                 while prev[path[-1]] is not None:
                     path.append(prev[path[-1]])
-                return [g] + path[::-1] + [g]
-            if (allowed is None or j in allowed) and j not in prev:
+                return path[::-1]
+            if j not in prev:
                 prev[j] = i
                 queue.append(j)
     return None
@@ -243,34 +223,34 @@ def _cycle_through(D, g, allowed):
 def find_good_lasso(
     G: SurveillanceGameStructure,
     D: AnalysisGraphD,
-    k: int,
+    atom,
+    predicates: Optional[dict[str, PredicateDef]] = None,
     restrict_mode=None,
-    good=None,
 ):
-    """Search for a lasso whose cycle contains a belief satisfying p_k.
+    """Search for a lasso whose cycle contains a belief satisfying ``atom``.
 
     Returns ``(stem, cycle)`` as node index lists with the cycle anchored
     at the good node (the stem ends there, the cycle returns there), or
     None when no such lasso exists and D is a concrete counterexample.
     """
-    if good is None:
-        good = {
-            i
-            for i, (l_a, b) in enumerate(D.beliefs)
-            if invisible_count(G, l_a, b) <= k
-        }
+    good = {
+        i
+        for i, (l_a, b) in enumerate(D.beliefs)
+        if atom_holds(G, l_a, b, atom, predicates)
+    }
     allowed = None
     if restrict_mode is not None:
         allowed = {i for i, m in enumerate(D.modes) if m == restrict_mode}
         good = good & allowed
     for g in sorted(good):
-        cycle = _cycle_through(D, g, allowed)
-        if cycle is None:
+        # a cycle through g is a path from g's successors back to g
+        back = _shortest_path(D.edges, D.edges.get(g, ()), {g}, allowed)
+        if back is None:
             continue
-        stem = _bfs_path(D.edges, D.initial, {g})
+        stem = _shortest_path(D.edges, (D.initial,), {g})
         if stem is None:
             continue
-        return stem, cycle
+        return stem, [g] + back
     return None
 
 
@@ -289,27 +269,12 @@ def refine_liveness(
     """Refine along a spurious lasso: split along stem+cycle and along the
     stem alone, then take the common refinement of the two results."""
     stem, cycle = lasso
-    full = split_along(G, Q, _d_pairs(D, stem + cycle[1:]))
+    pairs = _d_pairs(D, stem + cycle[1:])
     prefix = split_along(G, Q, _d_pairs(D, stem))
-    refined = full.meet(prefix)
-    if len(refined) <= len(Q):
-        # direct fallback as in refine_safety
-        for l_a, label, belief in _d_pairs(D, stem + cycle[1:]):
-            if not isinstance(label, int):
-                refined = refined.split(Q.gamma(label), belief)
-    if len(refined) <= len(Q):
+    refined = _grown(Q, split_along(G, Q, pairs).meet(prefix), pairs)
+    if refined is None:
         raise RefinementError("liveness refinement produced no new blocks")
-    assert refines(refined, Q)
     return refined
-
-
-def _abstract_sat(G, Q, state, atom, predicates):
-    if isinstance(atom, SurvAtom):
-        l_a, label = state
-        return invisible_count(G, l_a, Q.gamma(label)) <= atom.k
-    pred = predicates[atom.name]
-    l_a, label = state
-    return all(pred.holds(l_a, l_t) for l_t in Q.gamma(label))
 
 
 def analyze_general(
@@ -329,60 +294,34 @@ def analyze_general(
     """
     predicates = predicates or {}
     safety = sorted(objective.safety_terms, key=str)
-    for i in range(len(D)):
+
+    def holds(l_a, locs):
+        return all(atom_holds(G, l_a, locs, a, predicates) for a in safety)
+
+    def refine_to(i):
+        pairs = _d_pairs(D, _shortest_path(D.edges, (D.initial,), {i}))
+        return _grown(Q, split_along(G, Q, pairs), pairs)
+
+    for i in range(len(D) if safety else 0):
         l_a, belief = D.beliefs[i]
-        s_abs = D.cex_states[i]
-        if not safety:
-            break
-        abs_bad = [a for a in safety if not _abstract_sat(G, Q, s_abs, a, predicates)]
-        if not abs_bad:
-            continue
-        if all(_sat_concrete(G, l_a, belief, a, predicates) for a in safety):
-            path = _bfs_path(D.edges, D.initial, {i})
-            refined = _refine_d_path(G, Q, D, path)
+        label = D.cex_states[i][1]
+        if not holds(l_a, concretize(label, Q)) and holds(l_a, belief):
+            refined = refine_to(i)
             if refined is not None:
                 return refined
     for j, atom in enumerate(objective.recurrence_terms):
-        if isinstance(atom, SurvAtom):
-            good = None
-            k = atom.k
-        else:
-            k = 1  # unused when an explicit good set is given
-            good = {
-                i
-                for i, (l_a, b) in enumerate(D.beliefs)
-                if _sat_concrete(G, l_a, b, atom, predicates)
-            }
-        lasso = find_good_lasso(
-            G, D, k, restrict_mode=("avoid", j), good=good
-        )
+        lasso = find_good_lasso(G, D, atom, predicates, restrict_mode=("avoid", j))
         if lasso is not None:
             return refine_liveness(G, Q, D, lasso)
     for i in range(len(D)):
-        l_a, belief = D.beliefs[i]
         label = D.cex_states[i][1]
         if isinstance(label, int):
             continue
-        if belief < Q.gamma(label):
-            path = _bfs_path(D.edges, D.initial, {i})
-            refined = _refine_d_path(G, Q, D, path)
+        if D.beliefs[i][1] < Q.gamma(label):
+            refined = refine_to(i)
             if refined is not None:
                 return refined
     return CONCRETIZABLE
-
-
-def _refine_d_path(G, Q, D, path):
-    """Split along a D path; None when no split results (keep scanning)."""
-    pairs = _d_pairs(D, path)
-    refined = split_along(G, Q, pairs)
-    if len(refined) <= len(Q):
-        for l_a, label, belief in pairs:
-            if not isinstance(label, int):
-                refined = refined.split(Q.gamma(label), belief)
-    if len(refined) <= len(Q):
-        return None
-    assert refines(refined, Q)
-    return refined
 
 
 @dataclass
@@ -396,7 +335,8 @@ class CegarOutcome:
     counterexample: object = None
 
     def __post_init__(self):
-        assert self.verdict in ("realizable", "unrealizable")
+        if self.verdict not in ("realizable", "unrealizable"):
+            raise ValueError(f"unknown verdict {self.verdict!r}")
 
 
 class IterationBudgetExceeded(RuntimeError):
@@ -416,8 +356,6 @@ def cegar_loop(
     Terminates because every refinement strictly grows the partition,
     which is bounded by the partition into singletons.
     """
-    from .abstraction import initial_partition
-
     predicates = predicates or {}
     if Q is None:
         Q = initial_partition(G, predicates.values())
@@ -469,97 +407,3 @@ def cegar_loop(
         Q = refined
     raise IterationBudgetExceeded(f"no verdict after {max_iters} iterations")
 
-
-def tree_eliminated(
-    G: SurveillanceGameStructure,
-    Qold: Partition,
-    Qnew: Partition,
-    tree,
-    predicates=None,
-) -> bool:
-    """Structural check of counterexample elimination for trees.
-
-    Replays the old tree's target choices in the game refined from
-    ``Qold`` to ``Qnew``; the old counterexample survives only if the
-    replay keeps every new abstract belief gamma-contained in the old
-    one, reproduces the branching, and still violates the safety
-    conjunction at every leaf.  Returns True when it is eliminated.
-    """
-    from .abstraction import abstract_successors
-
-    predicates = predicates or {}
-
-    def walk(node, new_state):
-        if not node.children:
-            still_violates = any(
-                not _abstract_sat(G, Qnew, new_state, a, predicates)
-                for a in tree.safety
-            )
-            return not still_violates
-        choices = dict(abstract_successors(G, Qnew, new_state))
-        old_choice = node.choice
-        if isinstance(old_choice, int):
-            if old_choice not in choices:
-                return True
-            new_label = old_choice
-        else:
-            sets = [c for c in choices if not isinstance(c, int)]
-            if not sets:
-                return True
-            new_label = sets[0]
-        old_child_label = node.children[0].state[1]
-        if not Qnew.gamma(new_label) <= Qold.gamma(old_child_label):
-            return True
-        replies = set(choices[new_label])
-        old_replies = {ch.state[0] for ch in node.children}
-        if replies != old_replies:
-            return True
-        return any(walk(ch, (ch.state[0], new_label)) for ch in node.children)
-
-    return walk(tree.root, G.initial)
-
-
-def graph_eliminated(
-    G: SurveillanceGameStructure,
-    Qold: Partition,
-    Qnew: Partition,
-    cex: CounterexampleGraph,
-) -> bool:
-    """Structural elimination check for counterexample graphs.
-
-    Replays the graph's positional target choices under ``Qnew``.  The
-    old counterexample survives only if every old node maps to a single
-    gamma-contained new label and the replay closes.  Label conflicts,
-    missing choices, or containment failures all mean elimination.
-    """
-    from .abstraction import abstract_successors
-
-    new_label_of = {cex.initial: G.initial[1]}
-    queue = [cex.initial]
-    seen = {cex.initial}
-    while queue:
-        v = queue.pop(0)
-        state = (v[0], new_label_of[v])
-        choices = dict(abstract_successors(G, Qnew, state))
-        old_choice = cex.choice[v]
-        if isinstance(old_choice, int):
-            if old_choice not in choices:
-                return True
-            new_label = old_choice
-        else:
-            sets = [c for c in choices if not isinstance(c, int)]
-            if not sets:
-                return True
-            new_label = sets[0]
-        for v2 in cex.edges[v]:
-            if not Qnew.gamma(new_label) <= Qold.gamma(v2[1]):
-                return True
-            if v2 in new_label_of:
-                if new_label_of[v2] != new_label:
-                    return True
-            else:
-                new_label_of[v2] = new_label
-            if v2 not in seen:
-                seen.add(v2)
-                queue.append(v2)
-    return False

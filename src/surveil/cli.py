@@ -180,67 +180,50 @@ def cmd_oracle(args) -> int:
     return EXIT_UNREALIZABLE
 
 
-def _synthesize_runner(args, grid, G, objective, predicates):
-    outcome = cegar_loop(
-        G,
-        objective,
-        predicates=predicates,
-        max_states=args.max_states,
-        max_iters=args.max_iters,
-    )
-    if outcome.verdict != "realizable":
-        return None
-    return StrategyRunner(
-        G, outcome.arena, outcome.strategy, outcome.final_partition
-    )
-
-
-def _run_simulation(args):
+def _simulate_and_write(args, render) -> int:
+    """Body of ``simulate`` and ``render``, which differ only in how
+    ``render`` turns the trace into text."""
     grid, G, objective, predicates, digest = _load_problem(args)
-    if getattr(args, "strategy", None):
+    if args.strategy:
         with open(args.strategy) as fh:
             payload = json.load(fh)
         runner = load_runner(G, payload, expected_digest=digest)
     elif objective is None:
         raise SimulationError("either --spec or --strategy is required")
     else:
-        runner = _synthesize_runner(args, grid, G, objective, predicates)
-    if runner is None:
-        return None, None
+        try:
+            outcome = cegar_loop(
+                G,
+                objective,
+                predicates=predicates,
+                max_states=args.max_states,
+                max_iters=args.max_iters,
+            )
+        except (BudgetExceeded, IterationBudgetExceeded) as exc:
+            print(f"budget exceeded: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        if outcome.verdict != "realizable":
+            print("unrealizable", file=sys.stderr)
+            return EXIT_UNREALIZABLE
+        runner = StrategyRunner(
+            G, outcome.arena, outcome.strategy, outcome.final_partition
+        )
     if args.policy == "random":
         policy = RandomPolicy(args.seed)
     elif args.policy == "evasive":
         policy = EvasivePolicy(grid)
     else:
         policy = GoalSeekingPolicy(grid)
-    trace = simulate(G, grid, runner, policy, args.steps)
-    return grid, trace
+    _write_out(args, render(simulate(G, grid, runner, policy, args.steps)))
+    return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    try:
-        grid, trace = _run_simulation(args)
-    except (BudgetExceeded, IterationBudgetExceeded) as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    if trace is None:
-        print("unrealizable", file=sys.stderr)
-        return EXIT_UNREALIZABLE
-    _write_out(args, trace_jsonl(trace))
-    return EXIT_OK
+    return _simulate_and_write(args, trace_jsonl)
 
 
 def cmd_render(args) -> int:
-    try:
-        grid, trace = _run_simulation(args)
-    except (BudgetExceeded, IterationBudgetExceeded) as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    if trace is None:
-        print("unrealizable", file=sys.stderr)
-        return EXIT_UNREALIZABLE
-    _write_out(args, render_trace(trace, args.format))
-    return EXIT_OK
+    return _simulate_and_write(args, lambda trace: render_trace(trace, args.format))
 
 
 def cmd_validate(args) -> int:

@@ -14,8 +14,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .abstraction import Partition, abstract_successors
-from .belief import belief_key
+from .abstraction import Partition
+from .belief import belief_key, concretize, next_belief
 from .grid import GridWorld
 from .solver import Arena, StrategyData
 from .structure import SurveillanceGameStructure
@@ -215,9 +215,10 @@ def simulate(
 ) -> Trace:
     """Run the closed loop for ``steps`` rounds, recording every state.
 
-    Checks after every round that the target's true location is inside
-    the exact belief and the exact belief inside the concretized
-    abstract belief.
+    Checks every round that both moves are legal in the game structure,
+    that the target's true location is inside the exact belief and that
+    the exact belief is inside the concretized abstract belief; raises
+    :class:`SimulationError` otherwise.
     """
     l_a, l_t = G.initial
     belief = frozenset({l_t})
@@ -226,26 +227,21 @@ def simulate(
         l_t2 = policy.choose(G, l_a, l_t)
         if l_t2 not in G.target_succ[(l_a, l_t)]:
             raise SimulationError(f"target move {l_t} -> {l_t2} is illegal")
-        if G.vis(l_a, l_t2):
-            belief = frozenset({l_t2})
-        else:
-            belief = G.invisible_succ(l_a, belief)
-        l_a = runner.step(l_t2)
+        belief = next_belief(G, l_a, belief, l_t2 if G.vis(l_a, l_t2) else None)
+        l_a2 = runner.step(l_t2)
+        if l_a2 not in G.succ_a(l_a, l_t, l_t2):
+            raise SimulationError(
+                f"controller moved the agent {l_a} -> {l_a2}, which is illegal "
+                f"after the target move {l_t} -> {l_t2}"
+            )
         label = runner.abstract_state[1]
-        gamma = (
-            runner.partition.gamma(label)
-            if runner.partition is not None
-            else (frozenset({label}) if isinstance(label, int) else label)
-        )
-        assert l_t2 in belief, "true target location left the exact belief"
-        assert belief <= gamma, "exact belief left the abstract belief"
-        l_t = l_t2
+        if l_t2 not in belief:
+            raise SimulationError("true target location left the exact belief")
+        if not belief <= concretize(label, runner.partition):
+            raise SimulationError("exact belief left the abstract belief")
+        l_a, l_t = l_a2, l_t2
         trace.append(TraceStep(n, l_t, l_a, belief, label))
-    return trace_obj(grid, trace)
-
-
-def trace_obj(grid, steps) -> Trace:
-    return Trace(grid, steps)
+    return Trace(grid, trace)
 
 
 def render_trace(trace: Trace, fmt: str = "text") -> str:

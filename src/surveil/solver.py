@@ -17,15 +17,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional
 
-from .belief import (
-    PredicateDef,
-    TurnGame,
-    belief_key,
-    eval_surveillance_pred,
-    eval_task_pred,
-    state_key,
-)
-from .objective import Atom, Objective, SurvAtom, TaskAtom
+from .belief import PredicateDef, TurnGame, atom_holds, belief_key, concretize
+from .objective import Atom, Objective, SurvAtom
 
 
 class SolverError(RuntimeError):
@@ -61,34 +54,38 @@ def make_arena(
     predicates: Optional[dict[str, PredicateDef]] = None,
     partition=None,
 ) -> Arena:
-    """Index a belief or abstract game and evaluate the objective's atoms."""
+    """Index a belief or abstract game and evaluate the objective's atoms.
+
+    Raises :class:`SolverError` for an undeclared task predicate and for
+    a target choice without any agent reply, which a game structure that
+    is not total produces.
+    """
     predicates = predicates or {}
     states = game.states
     index = {s: i for i, s in enumerate(states)}
     moves = []
     for s in states:
         out = sorted(game.moves[s], key=lambda cr: belief_key(cr[0]))
+        for c, replies in out:
+            if not replies:
+                raise SolverError(
+                    f"choice {c!r} of state {s!r} has no agent reply: "
+                    "the game structure is not total"
+                )
         moves.append(
             [(c, tuple(index[r] for r in replies)) for c, replies in out]
         )
     atom_sets = {}
     for atom in objective.atoms:
-        if isinstance(atom, SurvAtom):
-            sat = [
-                i
-                for i, s in enumerate(states)
-                if eval_surveillance_pred(structure, s, atom.k, partition)
-            ]
-        else:
-            if atom.name not in predicates:
-                raise SolverError(f"undeclared task predicate {atom.name!r}")
-            pred = predicates[atom.name]
-            sat = [
-                i
-                for i, s in enumerate(states)
-                if eval_task_pred(structure, s, pred, partition)
-            ]
-        atom_sets[atom] = frozenset(sat)
+        if not isinstance(atom, SurvAtom) and atom.name not in predicates:
+            raise SolverError(f"undeclared task predicate {atom.name!r}")
+        atom_sets[atom] = frozenset(
+            i
+            for i, (l_a, label) in enumerate(states)
+            if atom_holds(
+                structure, l_a, concretize(label, partition), atom, predicates
+            )
+        )
     return Arena(states, index, moves, index[game.initial], atom_sets)
 
 
@@ -361,6 +358,13 @@ def _canonical_reply(i, replies, allowed):
 
 
 def solve(arena: Arena, objective: Objective) -> SolveResult:
+    """Solve the arena for the objective and build the winner's strategy.
+
+    Assumes every target choice has at least one agent reply, as
+    :func:`make_arena` ensures; on a choice without replies the target's
+    attractors and the controllable predecessor disagree, and the result
+    can end in a :class:`SolverError`.
+    """
     ix = _Index(arena)
     everything = frozenset(range(len(arena)))
     safe = everything

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 
@@ -48,7 +48,8 @@ class SuccessorReport:
     violations: tuple = ()
 
     def __post_init__(self):
-        assert (not self.violations) == (self.total and self.invisible_independent)
+        if (not self.violations) != (self.total and self.invisible_independent):
+            raise ValueError("violations must be listed exactly when a check fails")
 
     @property
     def ok(self) -> bool:
@@ -59,16 +60,14 @@ def reachable_states(G: SurveillanceGameStructure) -> list[tuple[int, int]]:
     """Concrete states reachable from the initial one, in BFS order."""
     seen = {G.initial}
     order = [G.initial]
-    queue = [G.initial]
-    while queue:
-        l_a, l_t = queue.pop(0)
+    # ``order`` is its own queue: the loop reaches the states it appends
+    for l_a, l_t in order:
         for l_t2 in G.target_succ[(l_a, l_t)]:
             for l_a2 in G.agent_succ[(l_a, l_t, l_t2)]:
                 s = (l_a2, l_t2)
                 if s not in seen:
                     seen.add(s)
                     order.append(s)
-                    queue.append(s)
     return order
 
 

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from surveil import (
@@ -5,9 +7,13 @@ from surveil import (
     Partition,
     PredicateDef,
     VisionConfig,
+    abstract_successors,
+    atom_holds,
     build_game_structure,
+    concretize,
     parse_grid,
 )
+from surveil.solver import CounterexampleGraph
 
 # 5x5 arena: agent top-right, target bottom middle, a wall of three
 # obstacles in the middle row
@@ -61,6 +67,14 @@ def goal_pred():
     return {"goal": PredicateDef("goal", frozenset({0}))}
 
 
+def set_choice(choices):
+    """The block-set choice among abstract choices, or None.  The target
+    has at most one: all invisible successors form a single move."""
+    sets = [c for c in choices if not isinstance(c, int)]
+    assert len(sets) <= 1
+    return sets[0] if sets else None
+
+
 def build_hide_reveal_cex(game, partition):
     """Finite-memory target strategy as a counterexample graph.
 
@@ -70,34 +84,96 @@ def build_hide_reveal_cex(game, partition):
     forever.  The single reveal lets the pursuing agent's belief collapse
     to one cell, so the graph is a spurious recurrence counterexample.
     """
-    from surveil.abstraction import abstract_successors
-    from surveil.solver import CounterexampleGraph
-
     full = frozenset(partition.blocks)
-
-    def hiding_move(state):
-        moves = dict(abstract_successors(game, partition, state))
-        sets = [c for c in moves if not isinstance(c, int)]
-        assert len(sets) == 1
-        return sets[0], moves[sets[0]]
-
     init = (game.initial[0], game.initial[1], "hide")
     choice, edges, mode = {}, {}, {}
-    queue = [init]
+    queue = deque([init])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         if v in choice:
             continue
         l_a, label, phase = v
+        moves = dict(abstract_successors(game, partition, (l_a, label)))
         if phase == "hide" and l_a == 19 and label == full:
-            moves = dict(abstract_successors(game, partition, (l_a, label)))
-            lab, replies, phase2 = 15, moves[15], "settle"
+            lab, phase2 = 15, "settle"
         else:
-            lab, replies = hiding_move((l_a, label))
-            phase2 = phase
+            lab, phase2 = set_choice(moves), phase
+            assert lab is not None
         choice[v] = lab
-        kids = tuple((r, lab, phase2) for r in replies)
+        kids = tuple((r, lab, phase2) for r in moves[lab])
         edges[v] = kids
         mode[v] = ("avoid", 0)
         queue.extend(k for k in kids if k not in choice)
     return CounterexampleGraph(initial=init, choice=choice, edges=edges, mode=mode)
+
+
+def _replayed_label(choices, old_choice):
+    """The new partition's label for an old target choice: the same
+    visible location, or the block-set move; None when it has gone."""
+    if isinstance(old_choice, int):
+        return old_choice if old_choice in choices else None
+    return set_choice(choices)
+
+
+def tree_eliminated(G, Qold, Qnew, tree, predicates=None) -> bool:
+    """Structural check of counterexample elimination for trees.
+
+    Replays the old tree's target choices in the game refined from
+    ``Qold`` to ``Qnew``; the old counterexample survives only if the
+    replay keeps every new abstract belief gamma-contained in the old
+    one, reproduces the branching, and still violates the safety
+    conjunction at every leaf.  Returns True when it is eliminated.
+    """
+    predicates = predicates or {}
+
+    def walk(node, new_state):
+        if not node.children:
+            l_a, label = new_state
+            locs = concretize(label, Qnew)
+            return all(atom_holds(G, l_a, locs, a, predicates) for a in tree.safety)
+        choices = dict(abstract_successors(G, Qnew, new_state))
+        new_label = _replayed_label(choices, node.choice)
+        if new_label is None:
+            return True
+        old_child_label = node.children[0].state[1]
+        if not Qnew.gamma(new_label) <= Qold.gamma(old_child_label):
+            return True
+        replies = set(choices[new_label])
+        old_replies = {ch.state[0] for ch in node.children}
+        if replies != old_replies:
+            return True
+        return any(walk(ch, (ch.state[0], new_label)) for ch in node.children)
+
+    return walk(tree.root, G.initial)
+
+
+def graph_eliminated(G, Qold, Qnew, cex) -> bool:
+    """Structural elimination check for counterexample graphs.
+
+    Replays the graph's positional target choices under ``Qnew``.  The
+    old counterexample survives only if every old node maps to a single
+    gamma-contained new label and the replay closes.  Label conflicts,
+    missing choices, or containment failures all mean elimination.
+    """
+    new_label_of = {cex.initial: G.initial[1]}
+    queue = deque([cex.initial])
+    seen = {cex.initial}
+    while queue:
+        v = queue.popleft()
+        state = (v[0], new_label_of[v])
+        choices = dict(abstract_successors(G, Qnew, state))
+        new_label = _replayed_label(choices, cex.choice[v])
+        if new_label is None:
+            return True
+        for v2 in cex.edges[v]:
+            if not Qnew.gamma(new_label) <= Qold.gamma(v2[1]):
+                return True
+            if v2 in new_label_of:
+                if new_label_of[v2] != new_label:
+                    return True
+            else:
+                new_label_of[v2] = new_label
+            if v2 not in seen:
+                seen.add(v2)
+                queue.append(v2)
+    return False

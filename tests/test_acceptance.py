@@ -8,11 +8,12 @@ import random
 
 import pytest
 
-from conftest import build_hide_reveal_cex
+from conftest import build_hide_reveal_cex, graph_eliminated
 from surveil import (
     CONCRETIZABLE,
     BudgetExceeded,
     Partition,
+    SurvAtom,
     abstract_successors,
     annotate_tree,
     belief_successors,
@@ -23,7 +24,6 @@ from surveil import (
     cegar_loop,
     extract_cex_tree,
     find_good_lasso,
-    graph_eliminated,
     invisible_count,
     make_arena,
     parse_config,
@@ -95,7 +95,7 @@ def test_criterion_3_liveness_analysis_and_refinement(game5, two_col_partition):
     cex = build_hide_reveal_cex(game5, two_col_partition)
     D = build_analysis_graph(game5, two_col_partition, cex)
     assert (19, frozenset({10})) in D.beliefs
-    lasso = find_good_lasso(game5, D, 2)
+    lasso = find_good_lasso(game5, D, SurvAtom(2))
     assert lasso is not None
     refined = refine_liveness(game5, two_col_partition, D, lasso)
     assert graph_eliminated(game5, two_col_partition, refined, cex)

@@ -7,12 +7,13 @@ from surveil import (
     BudgetExceeded,
     PredicateDef,
     PredicateError,
+    SurvAtom,
+    TaskAtom,
+    atom_holds,
     belief_successors,
     build_belief_game,
     check_observable,
     concretize,
-    eval_surveillance_pred,
-    eval_task_pred,
     invisible_count,
     predicates_from_grid,
 )
@@ -113,11 +114,11 @@ def test_budget_exceeded(game5):
 
 
 def test_surveillance_predicate(game5):
-    assert eval_surveillance_pred(game5, (4, frozenset({19})), 1)
-    assert not eval_surveillance_pred(game5, (4, frozenset({17, 23})), 1)
-    assert eval_surveillance_pred(game5, (4, frozenset({17, 23})), 2)
+    assert atom_holds(game5, 4, frozenset({19}), SurvAtom(1), {})
+    assert not atom_holds(game5, 4, frozenset({17, 23}), SurvAtom(1), {})
+    assert atom_holds(game5, 4, frozenset({17, 23}), SurvAtom(2), {})
     with pytest.raises(ValueError):
-        eval_surveillance_pred(game5, (4, frozenset({19})), 0)
+        atom_holds(game5, 4, frozenset({19}), SurvAtom(0), {})
 
 
 def test_invisible_count(game5):
@@ -125,12 +126,15 @@ def test_invisible_count(game5):
 
 
 def test_task_predicate_universal_over_belief(game5):
-    goal = PredicateDef("goal", frozenset({0}))
-    assert eval_task_pred(game5, (0, frozenset({17, 23})), goal)
-    assert not eval_task_pred(game5, (3, frozenset({17, 23})), goal)
-    on_t = PredicateDef("zone", frozenset({17}), on_target=True)
-    assert not eval_task_pred(game5, (0, frozenset({17, 23})), on_t)
-    assert eval_task_pred(game5, (0, frozenset({17})), on_t)
+    preds = {
+        "goal": PredicateDef("goal", frozenset({0})),
+        "zone": PredicateDef("zone", frozenset({17}), on_target=True),
+    }
+    goal, zone = TaskAtom("goal"), TaskAtom("zone")
+    assert atom_holds(game5, 0, frozenset({17, 23}), goal, preds)
+    assert not atom_holds(game5, 3, frozenset({17, 23}), goal, preds)
+    assert not atom_holds(game5, 0, frozenset({17, 23}), zone, preds)
+    assert atom_holds(game5, 0, frozenset({17}), zone, preds)
 
 
 def test_concretize_with_partition(two_col_partition):

@@ -3,11 +3,13 @@ import re
 import networkx as nx
 import pytest
 
-from conftest import build_hide_reveal_cex
+from conftest import build_hide_reveal_cex, graph_eliminated, tree_eliminated
 from surveil import (
     CONCRETIZABLE,
     BudgetExceeded,
+    CegarOutcome,
     IterationBudgetExceeded,
+    SurvAtom,
     annotate_tree,
     build_abstract_game,
     build_analysis_graph,
@@ -16,7 +18,7 @@ from surveil import (
     extract_cex_graph,
     extract_cex_tree,
     find_good_lasso,
-    graph_eliminated,
+    initial_partition,
     invisible_count,
     make_arena,
     parse_spec,
@@ -24,7 +26,6 @@ from surveil import (
     refine_safety,
     refines,
     solve,
-    tree_eliminated,
 )
 
 
@@ -117,7 +118,7 @@ def test_analysis_graph_beliefs_contained_in_labels(game5, two_col_partition):
 def test_good_lasso_and_liveness_refinement(game5, two_col_partition):
     cex = build_hide_reveal_cex(game5, two_col_partition)
     D = build_analysis_graph(game5, two_col_partition, cex)
-    lasso = find_good_lasso(game5, D, 2)
+    lasso = find_good_lasso(game5, D, SurvAtom(2))
     assert lasso is not None
     stem, cycle = lasso
     assert stem[0] == D.initial
@@ -140,7 +141,7 @@ def test_extracted_liveness_counterexample_also_refines(game5, two_col_partition
     assert not result.agent_wins
     cex = extract_cex_graph(arena, result)
     D = build_analysis_graph(game5, two_col_partition, cex)
-    lasso = find_good_lasso(game5, D, 2)
+    lasso = find_good_lasso(game5, D, SurvAtom(2))
     assert lasso is not None
     refined = refine_liveness(game5, two_col_partition, D, lasso)
     assert graph_eliminated(game5, two_col_partition, refined, cex)
@@ -201,6 +202,11 @@ def test_unrealizable_outcome_carries_counterexample(game5):
     out = cegar_loop(game5, parse_spec("G p<=2"))
     assert out.strategy is None
     assert out.counterexample is not None
+
+
+def test_outcome_rejects_unknown_verdict(game5):
+    with pytest.raises(ValueError, match="unknown verdict 'maybe'"):
+        CegarOutcome("maybe", 1, initial_partition(game5), [])
 
 
 def test_iteration_budget(game5):

@@ -151,6 +151,20 @@ def test_foreign_strategy_rejected(paths, tmp_path, capsys):
     assert "different map" in capsys.readouterr().err
 
 
+def test_simulate_rejects_illegal_agent_move(paths, capsys):
+    strat = paths["tmp"] / "strat.json"
+    assert run(["synth", "--map", paths["map"], "--spec", paths["p3"],
+                "--out", str(strat)]) == 0
+    payload = json.loads(strat.read_text())
+    payload["states"][265][0] = 23  # the agent jumps from 9 to 23
+    strat.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = run(["simulate", "--map", paths["map"], "--strategy", str(strat),
+                "--seed", "1", "--steps", "30"])
+    assert code == 1
+    assert "illegal" in capsys.readouterr().err
+
+
 def test_simulate_needs_spec_or_strategy(paths):
     assert run(["simulate", "--map", paths["map"]]) == 1
 

@@ -1,0 +1,51 @@
+"""Checks on the package as a whole: its source and the bundled demos."""
+
+import ast
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+# demo 05 synthesizes on bigroom and takes tens of seconds; its imports
+# are still checked below
+QUICK_DEMOS = [d for d in DEMOS if not d.name.startswith("05")]
+
+
+def test_no_assert_statements_in_package():
+    """Runtime invariants raise explicit errors; ``assert`` vanishes
+    under ``python -O``."""
+    found = []
+    for path in sorted((SRC / "surveil").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
+def test_demo_imports_resolve(demo):
+    for node in ast.walk(ast.parse(demo.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("surveil"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), (node.module, alias.name)
+
+
+@pytest.mark.parametrize("demo", QUICK_DEMOS, ids=lambda d: d.name)
+def test_demo_runs(demo):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(demo)],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

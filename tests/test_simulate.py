@@ -10,6 +10,8 @@ from surveil import (
     SimulationError,
     StrategyRunner,
     cegar_loop,
+    export_strategy,
+    load_runner,
     parse_spec,
     render_trace,
     simulate,
@@ -28,6 +30,18 @@ def make_runner(game5, controller):
     return StrategyRunner(
         game5, controller.arena, controller.strategy, controller.final_partition
     )
+
+
+def test_tampered_controller_with_illegal_agent_move_rejected(game5, grid5):
+    """A controller whose digest matches but whose state 265 puts the
+    agent on cell 23, which no agent move reaches from cell 9."""
+    out = cegar_loop(game5, parse_spec("G p<=3"))
+    payload = export_strategy(out.arena, out.strategy, "d", out.final_partition)
+    assert payload["states"][265] == [4, [9]]
+    payload["states"][265][0] = 23
+    runner = load_runner(game5, payload, expected_digest="d")
+    with pytest.raises(SimulationError, match="agent 9 -> 23"):
+        simulate(game5, grid5, runner, RandomPolicy(1), 30)
 
 
 def test_simulation_checks_hold_for_random_target(game5, grid5, controller):

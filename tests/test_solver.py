@@ -1,4 +1,5 @@
 import json
+import re
 
 import networkx as nx
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import reference_solver
 from surveil import (
     SolverError,
+    SurveillanceGameStructure,
     build_abstract_game,
     build_belief_game,
     export_strategy,
@@ -15,6 +17,7 @@ from surveil import (
     make_arena,
     parse_spec,
     solve,
+    validate_assumptions,
 )
 from surveil.objective import Objective, TaskAtom
 from surveil.solver import Arena, cpre
@@ -203,6 +206,31 @@ def test_no_target_strategy_error(exact_arena_factory):
     result = solve(arena, obj)
     with pytest.raises(SolverError):
         extract_cex_tree(arena, result, obj)
+
+
+def test_make_arena_rejects_choice_without_reply():
+    """A structure that is not total: once the target moves from cell 1
+    to cell 2 the agent has no move.  The arena is refused with the state
+    and the choice named, before the solver can misread the game."""
+    G = SurveillanceGameStructure(
+        agent_locations=frozenset({0}),
+        target_locations=frozenset({1, 2}),
+        initial=(0, 1),
+        target_succ={(0, 1): (2,), (0, 2): (1,)},
+        agent_succ={(0, 1, 2): (), (0, 2, 1): (0,)},
+        visibility={(0, 1): True, (0, 2): True},
+    )
+    assert not validate_assumptions(G).total
+    game = build_belief_game(G)
+    msg = "choice frozenset({2}) of state (0, frozenset({1})) has no agent reply"
+    with pytest.raises(SolverError, match=re.escape(msg)):
+        make_arena(game, G, parse_spec("G p<=1"))
+
+
+def test_make_arena_rejects_undeclared_predicate(game5):
+    game = build_belief_game(game5)
+    with pytest.raises(SolverError, match="undeclared task predicate 'goal'"):
+        make_arena(game, game5, parse_spec("GF goal"))
 
 
 def test_export_strategy_deterministic(exact_arena_factory):

@@ -9,6 +9,7 @@ from surveil import (
     reachable_states,
     validate_assumptions,
 )
+from surveil.structure import SuccessorReport
 
 
 def test_transitions_from_initial_state(game5):
@@ -68,6 +69,13 @@ def test_totality_violation_detected(game5):
     report = validate_assumptions(G)
     assert not report.ok
     assert ("no_target_move", game5.initial) in report.violations
+
+
+def test_report_violations_must_match_flags():
+    with pytest.raises(ValueError):
+        SuccessorReport(True, True, (("no_target_move", (0, 0)),))
+    with pytest.raises(ValueError):
+        SuccessorReport(False, True)
 
 
 def test_independence_violation_detected(game5):
