@@ -25,7 +25,7 @@ def main():
 
     print("transitions from the initial state (4, 18):")
     for l_t2 in G.target_succ[(4, 18)]:
-        replies = G.agent_succ[(4, 18, l_t2)]
+        replies = G.succ_a(4, l_t2)
         print(f"  target -> {l_t2:2d}, agent replies {sorted(replies)}")
 
 

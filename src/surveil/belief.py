@@ -56,14 +56,12 @@ def check_observable(G: SurveillanceGameStructure, pred: PredicateDef) -> None:
     if not pred.on_target:
         return
     for l_a in G.agent_locations:
-        invisible = [t for t in G.target_locations if not G.vis(l_a, t)]
-        if invisible:
-            vals = {t in pred.cells for t in invisible}
-            if len(vals) > 1:
-                raise PredicateError(
-                    f"predicate {pred.name!r} is not observable: invisible "
-                    f"locations from agent cell {l_a} disagree"
-                )
+        invisible = G.target_locations - G.visibility[l_a]
+        if invisible & pred.cells and invisible - pred.cells:
+            raise PredicateError(
+                f"predicate {pred.name!r} is not observable: invisible "
+                f"locations from agent cell {l_a} disagree"
+            )
 
 
 def concretize(belief, partition=None) -> frozenset[int]:
@@ -80,7 +78,8 @@ def concretize(belief, partition=None) -> frozenset[int]:
 
 
 def invisible_count(G: SurveillanceGameStructure, l_a: int, locs: Iterable[int]) -> int:
-    return sum(1 for l in locs if not G.vis(l_a, l))
+    visible = G.visibility[l_a]
+    return sum(1 for l in locs if l not in visible)
 
 
 def atom_holds(G, l_a: int, locs, atom, predicates) -> bool:
@@ -109,23 +108,21 @@ def target_moves(G: SurveillanceGameStructure, l_a: int, belief):
     """
     if not belief:
         raise ValueError("empty belief")
-    visible: dict[int, set[int]] = {}
-    invisible: set[int] = set()
-    inv_pair = None
-    for l_t in sorted(belief):
-        for l_t2 in G.target_succ[(l_a, l_t)]:
-            if G.vis(l_a, l_t2):
-                visible.setdefault(l_t2, set()).update(G.succ_a(l_a, l_t, l_t2))
-            else:
-                invisible.add(l_t2)
-                if inv_pair is None:
-                    inv_pair = (l_t, l_t2)
-    moves = [
-        (l_t2, tuple(sorted(replies))) for l_t2, replies in sorted(visible.items())
-    ]
+    target_succ, agent_succ = G.target_succ, G.agent_succ
+    succs = set().union(*[target_succ[(l_a, l_t)] for l_t in belief])
+    visible = G.visibility[l_a]
+    moves = [(l_t2, agent_succ[(l_a, l_t2)]) for l_t2 in sorted(succs & visible)]
+    invisible = succs - visible
     if not invisible:
         return moves, None
-    return moves, (frozenset(invisible), tuple(G.succ_a(l_a, *inv_pair)))
+    # the representative is the first invisible move in belief order
+    first = next(
+        l_t2
+        for l_t in sorted(belief)
+        for l_t2 in target_succ[(l_a, l_t)]
+        if l_t2 not in visible
+    )
+    return moves, (frozenset(invisible), agent_succ[(l_a, first)])
 
 
 def next_belief(G: SurveillanceGameStructure, l_a: int, belief, seen) -> frozenset[int]:

@@ -7,9 +7,7 @@ target start, ``G`` goal cell, and lowercase letters for labelled cells.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 
 class MapError(ValueError):
@@ -215,7 +213,7 @@ def line_of_sight(g: GridWorld, v: VisionConfig, src: int, dst: int) -> bool:
     lo_r, hi_r = min(r0, r1), max(r0, r1)
     lo_c, hi_c = min(c0, c1), max(c0, c1)
     for o in g.obstacles:
-        orr, oc = g.rc(o)
+        orr, oc = divmod(o, g.cols)
         # obstacles outside the bounding box of the segment cannot occlude
         if orr < lo_r - 1 or orr > hi_r + 1 or oc < lo_c - 1 or oc > hi_c + 1:
             continue
@@ -259,58 +257,83 @@ def reachable_moves(
     return frozenset(result)
 
 
+def _visible_sets(g: GridWorld, v: VisionConfig) -> dict[int, frozenset[int]]:
+    """Per free cell, the free cells visible from it (itself included).
+
+    With a vision range only cells inside the range's bounding box are
+    tested; without one each unordered pair is tested once.
+    """
+    free = sorted(g.free_cells)
+    visible = {a: {a} for a in free}
+    if v.range is None:
+        for i, a in enumerate(free):
+            for t in free[i + 1 :]:
+                if line_of_sight(g, v, a, t):
+                    visible[a].add(t)
+                    visible[t].add(a)
+    else:
+        # an infinite or NaN range cuts nothing off: box the whole grid
+        reach = int(v.range) if v.range < g.rows + g.cols else g.rows + g.cols
+        for a in free:
+            r0, c0 = g.rc(a)
+            lo_c, hi_c = max(0, c0 - reach), min(g.cols, c0 + reach + 1)
+            for r in range(max(0, r0 - reach), min(g.rows, r0 + reach + 1)):
+                for t in range(r * g.cols + lo_c, r * g.cols + hi_c):
+                    if t != a and t in visible and line_of_sight(g, v, a, t):
+                        visible[a].add(t)
+    return {a: frozenset(cells) for a, cells in visible.items()}
+
+
 def build_game_structure(g: GridWorld, m: MotionConfig, v: VisionConfig):
     """Instantiate the turn-based game: target moves first, agent replies.
 
     The target may not move onto the agent's current cell; the agent may
     not move onto the target's new cell.  With
     ``restrict_agent_to_visible`` the agent is additionally confined to
-    cells visible from its current location.
+    cells visible from its current location.  Each cell's move ball is
+    computed once per radius; a move that must avoid a cell subtracts it
+    from the ball.  An agent reply depends on the target's new cell only,
+    so replies are stored once per ``(l_a, l_t')``.
     """
     from .structure import SurveillanceGameStructure
 
     free = sorted(g.free_cells)
-    vis = {}
-    for a in free:
-        for t in free:
-            if a <= t:
-                val = line_of_sight(g, v, a, t)
-                vis[(a, t)] = val
-                vis[(t, a)] = val if v.range is None else line_of_sight(g, v, t, a)
+    visibility = _visible_sets(g, v)
+    t_ball = {c: reachable_moves(g, c, m.target_radius, m.allow_stay) for c in free}
+    a_ball = {c: reachable_moves(g, c, m.agent_radius, m.allow_stay) for c in free}
+    t_moves = {c: tuple(sorted(cells)) for c, cells in t_ball.items()}
+    landing = frozenset().union(*t_ball.values())
 
-    @lru_cache(maxsize=None)
-    def moves(start: int, radius: int, forbid: int) -> frozenset[int]:
-        return reachable_moves(g, start, radius, m.allow_stay, {forbid})
+    def replies(l_a: int, cells: frozenset[int]) -> tuple[int, ...]:
+        cells = cells or frozenset({l_a})
+        if m.restrict_agent_to_visible:
+            cells = cells & visibility[l_a] or frozenset({l_a})
+        return tuple(sorted(cells))
 
     target_succ: dict[tuple[int, int], tuple[int, ...]] = {}
-    agent_succ: dict[tuple[int, int, int], tuple[int, ...]] = {}
+    agent_succ: dict[tuple[int, int], tuple[int, ...]] = {}
     for l_a in free:
-        visible_from = None
-        if m.restrict_agent_to_visible:
-            visible_from = {c for c in free if vis[(l_a, c)]}
+        # cells the target can land on while the agent stands on l_a
+        targets = set(landing)
+        targets.discard(l_a)
         for l_t in free:
-            succs = tuple(sorted(moves(l_t, m.target_radius, l_a)))
+            succs = t_moves[l_t]
+            if l_a in t_ball[l_t]:
+                succs = tuple(c for c in succs if c != l_a) or (l_t,)
+                targets.update(succs)
             target_succ[(l_a, l_t)] = succs
-            for l_t2 in succs:
-                key = (l_a, l_t2)
-                if key in agent_succ:
-                    agent_succ[(l_a, l_t, l_t2)] = agent_succ[key]  # type: ignore[index]
-                    continue
-                replies = moves(l_a, m.agent_radius, l_t2)
-                if visible_from is not None:
-                    replies = replies & visible_from
-                    if not replies:
-                        replies = frozenset({l_a})
-                reply_t = tuple(sorted(replies))
-                agent_succ[key] = reply_t  # type: ignore[index]
-                agent_succ[(l_a, l_t, l_t2)] = reply_t
-    # drop the (l_a, l_t') cache entries, keep only full keys
-    agent_succ = {k: v2 for k, v2 in agent_succ.items() if len(k) == 3}
+        ball = a_ball[l_a]
+        unblocked = replies(l_a, ball)
+        for l_t2 in sorted(targets):
+            if l_t2 in ball:
+                agent_succ[(l_a, l_t2)] = replies(l_a, ball - {l_t2})
+            else:
+                agent_succ[(l_a, l_t2)] = unblocked
     return SurveillanceGameStructure(
         agent_locations=frozenset(free),
         target_locations=frozenset(free),
         initial=(g.agent_init, g.target_init),
         target_succ=target_succ,
         agent_succ=agent_succ,
-        visibility=vis,
+        visibility=visibility,
     )

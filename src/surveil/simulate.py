@@ -75,7 +75,8 @@ def load_runner(
 
     With ``expected_digest`` the payload's embedded map digest must match,
     so a controller synthesized for a different map is rejected before it
-    can produce nonsense moves.
+    can produce nonsense moves.  So is a controller whose initial state,
+    winning region or moves name a state index it does not list.
     """
     if expected_digest is not None and payload.get("digest") != expected_digest:
         raise SimulationError(
@@ -107,6 +108,14 @@ def load_runner(
             winning_region=frozenset(payload["winning_region"]),
             moves=moves,
         )
+        n = len(states)
+        used = [arena.initial, *strategy.winning_region]
+        used += [i for i, _, _ in moves] + [r for r, _ in moves.values()]
+        bad = [i for i in used if not (isinstance(i, int) and 0 <= i < n)]
+        if bad:
+            raise SimulationError(
+                f"strategy file refers to state {bad[0]!r}, but lists {n} states"
+            )
         partition = None
         if payload.get("blocks"):
             blocks = {
@@ -229,7 +238,7 @@ def simulate(
             raise SimulationError(f"target move {l_t} -> {l_t2} is illegal")
         belief = next_belief(G, l_a, belief, l_t2 if G.vis(l_a, l_t2) else None)
         l_a2 = runner.step(l_t2)
-        if l_a2 not in G.succ_a(l_a, l_t, l_t2):
+        if l_a2 not in G.succ_a(l_a, l_t2):
             raise SimulationError(
                 f"controller moved the agent {l_a} -> {l_a2}, which is illegal "
                 f"after the target move {l_t} -> {l_t2}"

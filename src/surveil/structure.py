@@ -16,13 +16,14 @@ class SurveillanceGameStructure:
     initial: tuple[int, int]
     # (l_a, l_t) -> sorted target successor locations
     target_succ: dict[tuple[int, int], tuple[int, ...]]
-    # (l_a, l_t, l_t') -> sorted agent reply locations
-    agent_succ: dict[tuple[int, int, int], tuple[int, ...]]
-    # (l_a, l_t) -> bool
-    visibility: dict[tuple[int, int], bool]
+    # (l_a, l_t') -> sorted agent reply locations; a reply depends on the
+    # target's new cell, not on the cell it came from
+    agent_succ: dict[tuple[int, int], tuple[int, ...]]
+    # l_a -> cells visible from l_a
+    visibility: dict[int, frozenset[int]]
 
     def vis(self, l_a: int, l_t: int) -> bool:
-        return self.visibility[(l_a, l_t)]
+        return l_t in self.visibility[l_a]
 
     def succ_t(self, l_a: int, belief: Iterable[int]) -> frozenset[int]:
         """Union of target successors over all locations in the belief."""
@@ -31,14 +32,12 @@ class SurveillanceGameStructure:
             out.update(self.target_succ[(l_a, l_t)])
         return frozenset(out)
 
-    def succ_a(self, l_a: int, l_t: int, l_t2: int) -> tuple[int, ...]:
-        return self.agent_succ[(l_a, l_t, l_t2)]
+    def succ_a(self, l_a: int, l_t2: int) -> tuple[int, ...]:
+        return self.agent_succ[(l_a, l_t2)]
 
     def invisible_succ(self, l_a: int, belief: Iterable[int]) -> frozenset[int]:
         """Target successors of the belief that are invisible from ``l_a``."""
-        return frozenset(
-            l for l in self.succ_t(l_a, belief) if not self.visibility[(l_a, l)]
-        )
+        return self.succ_t(l_a, belief) - self.visibility[l_a]
 
 
 @dataclass(frozen=True)
@@ -58,12 +57,13 @@ class SuccessorReport:
 
 def reachable_states(G: SurveillanceGameStructure) -> list[tuple[int, int]]:
     """Concrete states reachable from the initial one, in BFS order."""
+    target_succ, agent_succ = G.target_succ, G.agent_succ
     seen = {G.initial}
     order = [G.initial]
     # ``order`` is its own queue: the loop reaches the states it appends
     for l_a, l_t in order:
-        for l_t2 in G.target_succ[(l_a, l_t)]:
-            for l_a2 in G.agent_succ[(l_a, l_t, l_t2)]:
+        for l_t2 in target_succ[(l_a, l_t)]:
+            for l_a2 in agent_succ[(l_a, l_t2)]:
                 s = (l_a2, l_t2)
                 if s not in seen:
                     seen.add(s)
@@ -76,28 +76,31 @@ def validate_assumptions(G: SurveillanceGameStructure) -> SuccessorReport:
 
     Invisible-independence: for a fixed agent location, the agent's reply
     set may not depend on which invisible successor the target chose.
+    Replies are keyed by the target's new cell, so only replies to
+    different invisible cells can disagree.
     """
     total = True
     independent = True
     violations = []
-    # reference reply set per agent location: the condition quantifies over
-    # every reachable source state sharing l_a, not just a single one
-    reference: dict[int, tuple[tuple[int, ...], tuple[int, int], int]] = {}
+    # reference reply set per agent location: the first one met in BFS
+    # order, over every reachable source state sharing l_a
+    reference: dict[int, tuple[int, ...]] = {}
     for l_a, l_t in reachable_states(G):
         succs = G.target_succ[(l_a, l_t)]
         if not succs:
             total = False
             violations.append(("no_target_move", (l_a, l_t)))
             continue
+        visible = G.visibility[l_a]
         for l_t2 in succs:
-            replies = G.agent_succ[(l_a, l_t, l_t2)]
+            replies = G.agent_succ[(l_a, l_t2)]
             if not replies:
                 total = False
                 violations.append(("no_agent_reply", (l_a, l_t), l_t2))
-            if not G.visibility[(l_a, l_t2)]:
+            if l_t2 not in visible:
                 if l_a not in reference:
-                    reference[l_a] = (replies, (l_a, l_t), l_t2)
-                elif replies != reference[l_a][0]:
+                    reference[l_a] = replies
+                elif replies != reference[l_a]:
                     independent = False
                     violations.append(("invisible_dependence", (l_a, l_t), l_t2))
     return SuccessorReport(total, independent, tuple(violations))

@@ -24,7 +24,6 @@ from surveil import (
     cegar_loop,
     extract_cex_tree,
     find_good_lasso,
-    invisible_count,
     make_arena,
     parse_config,
     parse_grid,
@@ -35,7 +34,6 @@ from surveil import (
     solve,
     trace_jsonl,
 )
-from surveil.belief import PredicateDef
 from surveil.cli import bundled_map
 
 
@@ -45,7 +43,7 @@ def test_criterion_1_fixture_fidelity(game5, rows_partition):
     pairs = {
         (l_a2, l_t2)
         for l_t2 in game5.target_succ[(4, 18)]
-        for l_a2 in game5.agent_succ[(4, 18, l_t2)]
+        for l_a2 in game5.agent_succ[(4, l_t2)]
     }
     assert pairs == {(3, 17), (3, 19), (3, 23), (9, 17), (9, 19), (9, 23)}
     # belief-set successors of the initial belief state

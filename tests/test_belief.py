@@ -37,7 +37,7 @@ def oracle_belief_transitions(G, state):
         for l_t in B:
             for l in B2:
                 if l in G.target_succ[(l_a, l_t)]:
-                    replies.update(G.succ_a(l_a, l_t, l))
+                    replies.update(G.succ_a(l_a, l))
         out[B2] = frozenset(replies)
     return out
 

@@ -165,6 +165,23 @@ def test_simulate_rejects_illegal_agent_move(paths, capsys):
     assert "illegal" in capsys.readouterr().err
 
 
+def test_simulate_rejects_out_of_range_state_index(paths, capsys):
+    strat = paths["tmp"] / "strat.json"
+    assert run(["synth", "--map", paths["map"], "--spec", paths["p3"],
+                "--out", str(strat)]) == 0
+    payload = json.loads(strat.read_text())
+    bad = len(payload["states"]) + 7
+    for move in payload["moves"]:
+        if move[0] == payload["initial"]:
+            move[3] = bad  # the initial state's replies lead past the table
+    strat.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = run(["simulate", "--map", paths["map"], "--strategy", str(strat),
+                "--seed", "1", "--steps", "30"])
+    assert code == 1
+    assert f"error: strategy file refers to state {bad}," in capsys.readouterr().err
+
+
 def test_simulate_needs_spec_or_strategy(paths):
     assert run(["simulate", "--map", paths["map"]]) == 1
 

@@ -28,6 +28,26 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_no_unused_imports_in_package():
+    """Every name a module imports is used in it; ``__init__`` only
+    re-exports."""
+    found = []
+    for path in sorted((SRC / "surveil").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.relative_to(SRC)}:{node.lineno} {name}")
+    assert found == []
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
 def test_demo_imports_resolve(demo):
     for node in ast.walk(ast.parse(demo.read_text())):

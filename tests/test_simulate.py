@@ -44,6 +44,33 @@ def test_tampered_controller_with_illegal_agent_move_rejected(game5, grid5):
         simulate(game5, grid5, runner, RandomPolicy(1), 30)
 
 
+def _initial(payload):
+    payload["initial"] = len(payload["states"])
+
+
+def _move_source(payload):
+    payload["moves"][0][0] = -1
+
+
+def _move_reply(payload):
+    payload["moves"][-1][3] = len(payload["states"]) + 7
+
+
+def _winning_region(payload):
+    payload["winning_region"].append(len(payload["states"]))
+
+
+@pytest.mark.parametrize("tamper", [_initial, _move_source, _move_reply, _winning_region])
+def test_controller_with_out_of_range_state_index_rejected(game5, controller, tamper):
+    payload = export_strategy(
+        controller.arena, controller.strategy, "d", controller.final_partition
+    )
+    load_runner(game5, payload, expected_digest="d")
+    tamper(payload)
+    with pytest.raises(SimulationError, match="refers to state"):
+        load_runner(game5, payload, expected_digest="d")
+
+
 def test_simulation_checks_hold_for_random_target(game5, grid5, controller):
     runner = make_runner(game5, controller)
     trace = simulate(game5, grid5, runner, RandomPolicy(seed=1), steps=40)

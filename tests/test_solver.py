@@ -217,8 +217,8 @@ def test_make_arena_rejects_choice_without_reply():
         target_locations=frozenset({1, 2}),
         initial=(0, 1),
         target_succ={(0, 1): (2,), (0, 2): (1,)},
-        agent_succ={(0, 1, 2): (), (0, 2, 1): (0,)},
-        visibility={(0, 1): True, (0, 2): True},
+        agent_succ={(0, 2): (), (0, 1): (0,)},
+        visibility={0: frozenset({1, 2})},
     )
     assert not validate_assumptions(G).total
     game = build_belief_game(G)

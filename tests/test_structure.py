@@ -1,14 +1,19 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_structure
 from surveil import (
+    GridWorld,
     MotionConfig,
     SurveillanceGameStructure,
     VisionConfig,
     build_game_structure,
+    parse_config,
     parse_grid,
     reachable_states,
     validate_assumptions,
 )
+from surveil.cli import bundled_map
 from surveil.structure import SuccessorReport
 
 
@@ -18,7 +23,7 @@ def test_transitions_from_initial_state(game5):
     pairs = set()
     l_a, l_t = game5.initial
     for l_t2 in game5.target_succ[(l_a, l_t)]:
-        for l_a2 in game5.succ_a(l_a, l_t, l_t2):
+        for l_a2 in game5.succ_a(l_a, l_t2):
             pairs.add((l_a2, l_t2))
     assert pairs == {(3, 17), (3, 19), (3, 23), (9, 17), (9, 19), (9, 23)}
 
@@ -44,7 +49,7 @@ def test_occupancy_constraints(game5):
     # target may not move onto the agent's cell
     assert 4 not in game5.target_succ[(4, 9)]
     # agent may not move onto the target's new cell
-    for (l_a, l_t, l_t2), replies in game5.agent_succ.items():
+    for (l_a, l_t2), replies in game5.agent_succ.items():
         assert l_t2 not in replies or replies == (l_a,)
 
 
@@ -80,9 +85,9 @@ def test_report_violations_must_match_flags():
 
 def test_independence_violation_detected(game5):
     # give one invisible successor a different reply set than its peers
-    l_a, l_t = game5.initial
+    l_a, _ = game5.initial
     broken = dict(game5.agent_succ)
-    broken[(l_a, l_t, 17)] = (3,)
+    broken[(l_a, 17)] = (3,)
     G = SurveillanceGameStructure(
         game5.agent_locations,
         game5.target_locations,
@@ -117,3 +122,84 @@ def test_fast_agent_needs_visibility_restriction():
     assert validate_assumptions(G2).invisible_independent
     # the restriction must never be *less* independent
     assert validate_assumptions(G2).ok or not ok_either_way
+
+
+def assert_same_structure(G, R):
+    """``G`` from ``build_game_structure`` and ``R`` from the reference
+    builder denote the same game and get the same assumption report."""
+    assert (G.agent_locations, G.target_locations, G.initial) == (
+        R.agent_locations,
+        R.target_locations,
+        R.initial,
+    )
+    assert G.target_succ == R.target_succ
+    assert set(G.agent_succ) == {(l_a, l_t2) for l_a, _, l_t2 in R.agent_succ}
+    for (l_a, l_t, l_t2), replies in R.agent_succ.items():
+        assert G.succ_a(l_a, l_t2) == replies, (l_a, l_t, l_t2)
+    for l_a in R.agent_locations:
+        for l_t in R.target_locations:
+            assert G.vis(l_a, l_t) == R.vis(l_a, l_t), (l_a, l_t)
+    assert validate_assumptions(G) == reference_structure.validate_assumptions(R)
+
+
+@st.composite
+def random_problems(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    cells = list(range(rows * cols))
+    agent, target = draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2, unique=True))
+    others = [c for c in cells if c not in (agent, target)]
+    obstacles = draw(st.frozensets(st.sampled_from(others))) if others else frozenset()
+    grid = GridWorld(rows, cols, obstacles, agent, target)
+    motion = MotionConfig(
+        agent_radius=draw(st.integers(1, 2)),
+        target_radius=draw(st.integers(1, 2)),
+        allow_stay=draw(st.booleans()),
+        restrict_agent_to_visible=draw(st.booleans()),
+    )
+    vision_range = draw(st.none() | st.floats(0.5, 6.0))
+    return grid, motion, VisionConfig(range=vision_range)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_problems())
+def test_structure_matches_reference_builder(problem):
+    assert_same_structure(
+        build_game_structure(*problem), reference_structure.build_game_structure(*problem)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_problems(), st.data())
+def test_assumption_report_matches_reference_on_broken_tables(problem, data):
+    """Empty a target move set and change one reply set in both tables:
+    the two checks report the same violations, in the same order."""
+    G = build_game_structure(*problem)
+    R = reference_structure.build_game_structure(*problem)
+    states = reachable_states(G)
+    l_a, l_t = data.draw(st.sampled_from(states))
+    target_succ = dict(G.target_succ)
+    target_succ[(l_a, l_t)] = ()
+    key = data.draw(st.sampled_from(sorted(G.agent_succ)))
+    replies = data.draw(st.sampled_from([(), (key[0],), tuple(sorted(G.agent_locations))]))
+    agent_succ = dict(G.agent_succ)
+    agent_succ[key] = replies
+    ref_agent_succ = {
+        k: replies if (k[0], k[2]) == key else v for k, v in R.agent_succ.items()
+    }
+    broken = SurveillanceGameStructure(
+        G.agent_locations, G.target_locations, G.initial, target_succ, agent_succ, G.visibility
+    )
+    ref_broken = reference_structure.SurveillanceGameStructure(
+        R.agent_locations, R.target_locations, R.initial, target_succ, ref_agent_succ, R.visibility
+    )
+    assert_same_structure(broken, ref_broken)
+
+
+@pytest.mark.parametrize("name", ["paper5x5", "bigroom", "liveness10x15"])
+def test_bundled_structures_match_reference_builder(name):
+    grid = parse_grid(bundled_map(f"{name}.txt"))
+    motion, vision = parse_config(bundled_map(f"{name}.cfg"))
+    assert_same_structure(
+        build_game_structure(grid, motion, vision),
+        reference_structure.build_game_structure(grid, motion, vision),
+    )
