@@ -24,7 +24,7 @@ def main():
     print()
 
     print("transitions from the initial state (4, 18):")
-    for l_t2 in G.target_succ[(4, 18)]:
+    for l_t2 in G.target_step(4, 18):
         replies = G.succ_a(4, l_t2)
         print(f"  target -> {l_t2:2d}, agent replies {sorted(replies)}")
 

@@ -9,7 +9,7 @@ beliefs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .belief import PredicateDef, TurnGame, _explore, target_moves
 from .structure import SurveillanceGameStructure
@@ -25,13 +25,11 @@ class Partition:
 
     Block ids are stable across refinement: a split retires the old id
     and allocates fresh ids for the parts, everything else keeps its id.
-    ``parent`` records the partition a refinement came from.
     """
 
     blocks: dict[int, frozenset[int]]
     universe: frozenset[int]
     next_id: int = 0
-    parent: Optional["Partition"] = None
     block_of: dict[int, int] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -101,7 +99,7 @@ class Partition:
                 changed = True
         if not changed:
             return self
-        return Partition(new_blocks, self.universe, nid, parent=self)
+        return Partition(new_blocks, self.universe, nid)
 
     def meet(self, other: "Partition") -> "Partition":
         """Coarsest common refinement of two partitions of the same set."""

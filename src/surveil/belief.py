@@ -108,10 +108,9 @@ def target_moves(G: SurveillanceGameStructure, l_a: int, belief):
     """
     if not belief:
         raise ValueError("empty belief")
-    target_succ, agent_succ = G.target_succ, G.agent_succ
-    succs = set().union(*[target_succ[(l_a, l_t)] for l_t in belief])
+    succs = G.succ_t(l_a, belief)
     visible = G.visibility[l_a]
-    moves = [(l_t2, agent_succ[(l_a, l_t2)]) for l_t2 in sorted(succs & visible)]
+    moves = [(l_t2, G.succ_a(l_a, l_t2)) for l_t2 in sorted(succs & visible)]
     invisible = succs - visible
     if not invisible:
         return moves, None
@@ -119,10 +118,10 @@ def target_moves(G: SurveillanceGameStructure, l_a: int, belief):
     first = next(
         l_t2
         for l_t in sorted(belief)
-        for l_t2 in target_succ[(l_a, l_t)]
+        for l_t2 in G.target_step(l_a, l_t)
         if l_t2 not in visible
     )
-    return moves, (frozenset(invisible), agent_succ[(l_a, first)])
+    return moves, (invisible, G.succ_a(l_a, first))
 
 
 def next_belief(G: SurveillanceGameStructure, l_a: int, belief, seen) -> frozenset[int]:

@@ -299,7 +299,8 @@ def main(argv=None) -> int:
         RefinementError,
         PartitionError,
         PredicateError,
-        FileNotFoundError,
+        OSError,
+        UnicodeDecodeError,
         json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -157,7 +157,10 @@ def parse_config(text: str) -> tuple[MotionConfig, VisionConfig]:
                 raise MapError(f"config line {i}: boolean expected for {key}")
             values[key] = val.lower() in ("true", "1")
         else:
-            values[key] = conv(val)
+            try:
+                values[key] = conv(val)
+            except ValueError:
+                raise MapError(f"config line {i}: {conv.__name__} expected for {key}")
     vision = VisionConfig(range=values.pop("vision_range", None))
     motion = MotionConfig(**values)  # type: ignore[arg-type]
     return motion, vision
@@ -241,7 +244,7 @@ def reachable_moves(
         raise MapError(f"reachable_moves from non-free cell {start}")
     seen = {start}
     frontier = [start]
-    for _ in range(radius):
+    for _ in range(min(radius, g.rows * g.cols)):
         nxt = []
         for cell in frontier:
             for n in g.neighbors(cell):
@@ -287,51 +290,24 @@ def _visible_sets(g: GridWorld, v: VisionConfig) -> dict[int, frozenset[int]]:
 def build_game_structure(g: GridWorld, m: MotionConfig, v: VisionConfig):
     """Instantiate the turn-based game: target moves first, agent replies.
 
-    The target may not move onto the agent's current cell; the agent may
-    not move onto the target's new cell.  With
-    ``restrict_agent_to_visible`` the agent is additionally confined to
-    cells visible from its current location.  Each cell's move ball is
-    computed once per radius; a move that must avoid a cell subtracts it
-    from the ball.  An agent reply depends on the target's new cell only,
-    so replies are stored once per ``(l_a, l_t')``.
+    Each free cell gets one move ball per player.  With
+    ``restrict_agent_to_visible`` the agent's ball is confined to cells
+    visible from its current location.  The structure applies the rule
+    that neither player may move onto the other's cell on lookup.
     """
     from .structure import SurveillanceGameStructure
 
     free = sorted(g.free_cells)
     visibility = _visible_sets(g, v)
-    t_ball = {c: reachable_moves(g, c, m.target_radius, m.allow_stay) for c in free}
-    a_ball = {c: reachable_moves(g, c, m.agent_radius, m.allow_stay) for c in free}
-    t_moves = {c: tuple(sorted(cells)) for c, cells in t_ball.items()}
-    landing = frozenset().union(*t_ball.values())
-
-    def replies(l_a: int, cells: frozenset[int]) -> tuple[int, ...]:
-        cells = cells or frozenset({l_a})
+    target_succ, agent_succ = {}, {}
+    for c in free:
+        ball = reachable_moves(g, c, m.target_radius, m.allow_stay)
+        target_succ[c] = tuple(sorted(ball))
+        ball = reachable_moves(g, c, m.agent_radius, m.allow_stay)
         if m.restrict_agent_to_visible:
-            cells = cells & visibility[l_a] or frozenset({l_a})
-        return tuple(sorted(cells))
-
-    target_succ: dict[tuple[int, int], tuple[int, ...]] = {}
-    agent_succ: dict[tuple[int, int], tuple[int, ...]] = {}
-    for l_a in free:
-        # cells the target can land on while the agent stands on l_a
-        targets = set(landing)
-        targets.discard(l_a)
-        for l_t in free:
-            succs = t_moves[l_t]
-            if l_a in t_ball[l_t]:
-                succs = tuple(c for c in succs if c != l_a) or (l_t,)
-                targets.update(succs)
-            target_succ[(l_a, l_t)] = succs
-        ball = a_ball[l_a]
-        unblocked = replies(l_a, ball)
-        for l_t2 in sorted(targets):
-            if l_t2 in ball:
-                agent_succ[(l_a, l_t2)] = replies(l_a, ball - {l_t2})
-            else:
-                agent_succ[(l_a, l_t2)] = unblocked
+            ball = ball & visibility[c] or frozenset({c})
+        agent_succ[c] = tuple(sorted(ball))
     return SurveillanceGameStructure(
-        agent_locations=frozenset(free),
-        target_locations=frozenset(free),
         initial=(g.agent_init, g.target_init),
         target_succ=target_succ,
         agent_succ=agent_succ,

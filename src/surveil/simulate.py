@@ -78,6 +78,8 @@ def load_runner(
     can produce nonsense moves.  So is a controller whose initial state,
     winning region or moves name a state index it does not list.
     """
+    if not isinstance(payload, dict):
+        raise SimulationError("strategy file must hold a JSON object")
     if expected_digest is not None and payload.get("digest") != expected_digest:
         raise SimulationError(
             "strategy file was synthesized for a different map or config"
@@ -141,7 +143,7 @@ class RandomPolicy(TargetPolicy):
         self.rng = random.Random(seed)
 
     def choose(self, G, l_a, l_t):
-        return self.rng.choice(sorted(G.target_succ[(l_a, l_t)]))
+        return self.rng.choice(G.target_step(l_a, l_t))
 
 
 class ScriptedPolicy(TargetPolicy):
@@ -154,7 +156,7 @@ class ScriptedPolicy(TargetPolicy):
         if not self.moves:
             raise SimulationError("scripted target ran out of moves")
         l_t2 = self.moves.popleft()
-        if l_t2 not in G.target_succ[(l_a, l_t)]:
+        if l_t2 not in G.target_step(l_a, l_t):
             raise SimulationError(f"scripted move {l_t} -> {l_t2} is illegal")
         return l_t2
 
@@ -172,7 +174,7 @@ class EvasivePolicy(TargetPolicy):
             r, c = self.grid.rc(l_t2)
             return (G.vis(l_a, l_t2), -((r - ar) ** 2 + (c - ac) ** 2), l_t2)
 
-        return min(G.target_succ[(l_a, l_t)], key=score)
+        return min(G.target_step(l_a, l_t), key=score)
 
 
 class GoalSeekingPolicy(TargetPolicy):
@@ -195,7 +197,7 @@ class GoalSeekingPolicy(TargetPolicy):
     def choose(self, G, l_a, l_t):
         big = len(self.dist) + 1
         return min(
-            G.target_succ[(l_a, l_t)],
+            G.target_step(l_a, l_t),
             key=lambda l: (self.dist.get(l, big), l),
         )
 
@@ -234,7 +236,7 @@ def simulate(
     trace = [TraceStep(0, l_t, l_a, belief, runner.abstract_state[1])]
     for n in range(1, steps + 1):
         l_t2 = policy.choose(G, l_a, l_t)
-        if l_t2 not in G.target_succ[(l_a, l_t)]:
+        if l_t2 not in G.target_step(l_a, l_t):
             raise SimulationError(f"target move {l_t} -> {l_t2} is illegal")
         belief = next_belief(G, l_a, belief, l_t2 if G.vis(l_a, l_t2) else None)
         l_a2 = runner.step(l_t2)

@@ -9,31 +9,54 @@ from typing import Iterable
 @dataclass(frozen=True)
 class SurveillanceGameStructure:
     """Turn-based game: from ``(l_a, l_t)`` the target moves first, then
-    the agent replies knowing the target's move (when visible)."""
+    the agent replies knowing the target's move (when visible).  Neither
+    may move onto the other: see :meth:`target_step` and :meth:`succ_a`."""
 
-    agent_locations: frozenset[int]
-    target_locations: frozenset[int]
     initial: tuple[int, int]
-    # (l_a, l_t) -> sorted target successor locations
-    target_succ: dict[tuple[int, int], tuple[int, ...]]
-    # (l_a, l_t') -> sorted agent reply locations; a reply depends on the
-    # target's new cell, not on the cell it came from
-    agent_succ: dict[tuple[int, int], tuple[int, ...]]
+    # l_t -> sorted cells the target can move to from l_t
+    target_succ: dict[int, tuple[int, ...]]
+    # l_a -> sorted cells the agent can move to from l_a
+    agent_succ: dict[int, tuple[int, ...]]
     # l_a -> cells visible from l_a
     visibility: dict[int, frozenset[int]]
+
+    @property
+    def agent_locations(self) -> frozenset[int]:
+        return frozenset(self.agent_succ)
+
+    @property
+    def target_locations(self) -> frozenset[int]:
+        return frozenset(self.target_succ)
 
     def vis(self, l_a: int, l_t: int) -> bool:
         return l_t in self.visibility[l_a]
 
-    def succ_t(self, l_a: int, belief: Iterable[int]) -> frozenset[int]:
-        """Union of target successors over all locations in the belief."""
-        out: set[int] = set()
-        for l_t in belief:
-            out.update(self.target_succ[(l_a, l_t)])
-        return frozenset(out)
+    def target_step(self, l_a: int, l_t: int) -> tuple[int, ...]:
+        """The target's moves from ``l_t`` avoiding ``l_a``, else ``(l_t,)``."""
+        moves = self.target_succ[l_t]
+        if l_a not in moves:
+            return moves
+        i = moves.index(l_a)
+        return moves[:i] + moves[i + 1 :] or (l_t,)
 
     def succ_a(self, l_a: int, l_t2: int) -> tuple[int, ...]:
-        return self.agent_succ[(l_a, l_t2)]
+        """The agent's replies from ``l_a`` avoiding ``l_t2``, else ``(l_a,)``."""
+        moves = self.agent_succ[l_a]
+        if l_t2 not in moves:
+            return moves
+        i = moves.index(l_t2)
+        return moves[:i] + moves[i + 1 :] or (l_a,)
+
+    def succ_t(self, l_a: int, belief: Iterable[int]) -> frozenset[int]:
+        """Union of target successors over all locations in the belief."""
+        target_succ = self.target_succ
+        out = frozenset().union(*[target_succ[l_t] for l_t in belief])
+        if l_a not in out:
+            return out
+        # the cells that could move onto the agent step around it instead
+        return (out - {l_a}).union(
+            *[self.target_step(l_a, l_t) for l_t in belief if l_a in target_succ[l_t]]
+        )
 
     def invisible_succ(self, l_a: int, belief: Iterable[int]) -> frozenset[int]:
         """Target successors of the belief that are invisible from ``l_a``."""
@@ -57,13 +80,13 @@ class SuccessorReport:
 
 def reachable_states(G: SurveillanceGameStructure) -> list[tuple[int, int]]:
     """Concrete states reachable from the initial one, in BFS order."""
-    target_succ, agent_succ = G.target_succ, G.agent_succ
+    target_step, succ_a = G.target_step, G.succ_a
     seen = {G.initial}
     order = [G.initial]
     # ``order`` is its own queue: the loop reaches the states it appends
     for l_a, l_t in order:
-        for l_t2 in target_succ[(l_a, l_t)]:
-            for l_a2 in agent_succ[(l_a, l_t2)]:
+        for l_t2 in target_step(l_a, l_t):
+            for l_a2 in succ_a(l_a, l_t2):
                 s = (l_a2, l_t2)
                 if s not in seen:
                     seen.add(s)
@@ -76,7 +99,7 @@ def validate_assumptions(G: SurveillanceGameStructure) -> SuccessorReport:
 
     Invisible-independence: for a fixed agent location, the agent's reply
     set may not depend on which invisible successor the target chose.
-    Replies are keyed by the target's new cell, so only replies to
+    A reply depends on the target's new cell only, so only replies to
     different invisible cells can disagree.
     """
     total = True
@@ -86,14 +109,14 @@ def validate_assumptions(G: SurveillanceGameStructure) -> SuccessorReport:
     # order, over every reachable source state sharing l_a
     reference: dict[int, tuple[int, ...]] = {}
     for l_a, l_t in reachable_states(G):
-        succs = G.target_succ[(l_a, l_t)]
+        succs = G.target_step(l_a, l_t)
         if not succs:
             total = False
             violations.append(("no_target_move", (l_a, l_t)))
             continue
         visible = G.visibility[l_a]
         for l_t2 in succs:
-            replies = G.agent_succ[(l_a, l_t2)]
+            replies = G.succ_a(l_a, l_t2)
             if not replies:
                 total = False
                 violations.append(("no_agent_reply", (l_a, l_t), l_t2))

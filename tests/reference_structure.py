@@ -153,3 +153,23 @@ def build_game_structure(g: GridWorld, m: MotionConfig, v: VisionConfig):
         agent_succ=agent_succ,
         visibility=vis,
     )
+
+
+def target_moves(G: SurveillanceGameStructure, l_a: int, belief):
+    """The successor kernel over the triple-keyed tables, in the form of
+    ``surveil.belief.target_moves``: the union of the belief's moves, each
+    visible move with its replies, by location, and the invisible moves
+    with the replies to the first invisible move in sorted-belief order."""
+    visible: dict[int, tuple[int, ...]] = {}
+    invisible = []
+    for l_t in sorted(belief):
+        for l_t2 in G.target_succ[(l_a, l_t)]:
+            replies = G.agent_succ[(l_a, l_t, l_t2)]
+            if G.vis(l_a, l_t2):
+                visible.setdefault(l_t2, replies)
+            else:
+                invisible.append((l_t2, replies))
+    moves = sorted(visible.items())
+    if not invisible:
+        return moves, None
+    return moves, (frozenset(l for l, _ in invisible), invisible[0][1])

@@ -47,7 +47,6 @@ def test_split_retires_ids(rows_partition):
     assert frozenset({17}) in refined.blocks.values()
     assert scope - {17} in refined.blocks.values()
     assert refines(refined, rows_partition)
-    assert refined.parent is rows_partition
 
 
 def test_split_noop_returns_self(rows_partition):

@@ -39,11 +39,11 @@ from surveil.cli import bundled_map
 
 def test_criterion_1_fixture_fidelity(game5, rows_partition):
     # turn-based transitions out of the initial state
-    assert set(game5.target_succ[(4, 18)]) == {17, 19, 23}
+    assert set(game5.target_step(4, 18)) == {17, 19, 23}
     pairs = {
         (l_a2, l_t2)
-        for l_t2 in game5.target_succ[(4, 18)]
-        for l_a2 in game5.agent_succ[(4, l_t2)]
+        for l_t2 in game5.target_step(4, 18)
+        for l_a2 in game5.succ_a(4, l_t2)
     }
     assert pairs == {(3, 17), (3, 19), (3, 23), (9, 17), (9, 19), (9, 23)}
     # belief-set successors of the initial belief state

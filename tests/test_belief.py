@@ -26,7 +26,7 @@ def oracle_belief_transitions(G, state):
     l_a, B = state
     succ_all = set()
     for l_t in B:
-        succ_all.update(G.target_succ[(l_a, l_t)])
+        succ_all.update(G.target_step(l_a, l_t))
     out = {}
     for l_t2 in succ_all:
         if G.vis(l_a, l_t2):
@@ -36,7 +36,7 @@ def oracle_belief_transitions(G, state):
         replies = set()
         for l_t in B:
             for l in B2:
-                if l in G.target_succ[(l_a, l_t)]:
+                if l in G.target_step(l_a, l_t):
                     replies.update(G.succ_a(l_a, l))
         out[B2] = frozenset(replies)
     return out

@@ -186,6 +186,36 @@ def test_simulate_needs_spec_or_strategy(paths):
     assert run(["simulate", "--map", paths["map"]]) == 1
 
 
+def test_non_numeric_config_value_exit_one(paths, capsys):
+    cfg = paths["tmp"] / "bad.cfg"
+    cfg.write_text("allow_stay=false\nagent_radius=abc\n")
+    code = run(["synth", "--map", paths["map"], "--config", str(cfg),
+                "--spec", paths["p3"]])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config line 1: int expected for agent_radius")
+
+
+def test_strategy_file_not_an_object_exit_one(paths, capsys):
+    strat = paths["tmp"] / "list.json"
+    strat.write_text("[]")
+    code = run(["simulate", "--map", paths["map"], "--strategy", str(strat)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: strategy file must hold a JSON object\n"
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_map_exit_one(paths, capsys, kind):
+    if kind == "directory":
+        bad = paths["tmp"]
+    else:
+        bad = paths["tmp"] / "latin1.map"
+        bad.write_bytes(b"....A\n.\xe9...\n...T.\n")
+    code = run(["synth", "--map", str(bad), "--spec", paths["p3"]])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_render_frame_count_matches_steps(paths, capsys):
     code = run(["render", "--map", paths["map"], "--spec", paths["p3"],
                 "--steps", "5", "--format", "text"])

@@ -143,6 +143,8 @@ def test_reachable_moves_radius(grid5):
     assert reachable_moves(grid5, 18, 1, True) == {17, 18, 19, 23}
     # the obstacle wall blocks upward movement from 18
     assert 13 not in reachable_moves(grid5, 18, 2, False)
+    # a radius beyond the grid's size returns at once with every free cell
+    assert reachable_moves(grid5, 18, 10**20, False) == grid5.free_cells - {18}
 
 
 def test_reachable_moves_forbidden_and_fallback(grid5):

@@ -209,15 +209,14 @@ def test_no_target_strategy_error(exact_arena_factory):
 
 
 def test_make_arena_rejects_choice_without_reply():
-    """A structure that is not total: once the target moves from cell 1
-    to cell 2 the agent has no move.  The arena is refused with the state
-    and the choice named, before the solver can misread the game."""
+    """A structure that is not total: the agent on cell 0 has no move, so
+    once the target moves from cell 1 to cell 2 there is no reply.  The
+    arena is refused with the state and the choice named, before the
+    solver can misread the game."""
     G = SurveillanceGameStructure(
-        agent_locations=frozenset({0}),
-        target_locations=frozenset({1, 2}),
         initial=(0, 1),
-        target_succ={(0, 1): (2,), (0, 2): (1,)},
-        agent_succ={(0, 2): (), (0, 1): (0,)},
+        target_succ={1: (2,), 2: (1,)},
+        agent_succ={0: ()},
         visibility={0: frozenset({1, 2})},
     )
     assert not validate_assumptions(G).total

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from surveil import (
     reachable_states,
     validate_assumptions,
 )
+from surveil.belief import target_moves
 from surveil.cli import bundled_map
 from surveil.structure import SuccessorReport
 
@@ -22,7 +25,7 @@ def test_transitions_from_initial_state(game5):
     may step to 17, 19 or 23, the agent then to 3 or 9."""
     pairs = set()
     l_a, l_t = game5.initial
-    for l_t2 in game5.target_succ[(l_a, l_t)]:
+    for l_t2 in game5.target_step(l_a, l_t):
         for l_a2 in game5.succ_a(l_a, l_t2):
             pairs.add((l_a2, l_t2))
     assert pairs == {(3, 17), (3, 19), (3, 23), (9, 17), (9, 19), (9, 23)}
@@ -38,7 +41,7 @@ def test_visibility_from_initial(game5):
 def test_succ_t_is_union(game5):
     assert game5.succ_t(4, {18}) == {17, 19, 23}
     both = game5.succ_t(4, {17, 23})
-    assert both == set(game5.target_succ[(4, 17)]) | set(game5.target_succ[(4, 23)])
+    assert both == set(game5.target_step(4, 17)) | set(game5.target_step(4, 23))
 
 
 def test_invisible_succ(game5):
@@ -47,10 +50,12 @@ def test_invisible_succ(game5):
 
 def test_occupancy_constraints(game5):
     # target may not move onto the agent's cell
-    assert 4 not in game5.target_succ[(4, 9)]
+    assert 4 not in game5.target_step(4, 9)
     # agent may not move onto the target's new cell
-    for (l_a, l_t2), replies in game5.agent_succ.items():
-        assert l_t2 not in replies or replies == (l_a,)
+    for l_a in game5.agent_locations:
+        for l_t2 in game5.target_locations:
+            replies = game5.succ_a(l_a, l_t2)
+            assert l_t2 not in replies or replies == (l_a,)
 
 
 def test_assumptions_hold(game5):
@@ -61,15 +66,11 @@ def test_assumptions_hold(game5):
 
 
 def test_totality_violation_detected(game5):
+    _, l_t0 = game5.initial
     broken = dict(game5.target_succ)
-    broken[game5.initial] = ()
+    broken[l_t0] = ()
     G = SurveillanceGameStructure(
-        game5.agent_locations,
-        game5.target_locations,
-        game5.initial,
-        broken,
-        game5.agent_succ,
-        game5.visibility,
+        game5.initial, broken, game5.agent_succ, game5.visibility
     )
     report = validate_assumptions(G)
     assert not report.ok
@@ -84,17 +85,14 @@ def test_report_violations_must_match_flags():
 
 
 def test_independence_violation_detected(game5):
-    # give one invisible successor a different reply set than its peers
+    # let the agent reach the invisible cell 17: a reply then depends on
+    # whether the target landed there, and 23 is invisible as well
     l_a, _ = game5.initial
+    assert not game5.vis(l_a, 17) and not game5.vis(l_a, 23)
     broken = dict(game5.agent_succ)
-    broken[(l_a, 17)] = (3,)
+    broken[l_a] = tuple(sorted(broken[l_a] + (17,)))
     G = SurveillanceGameStructure(
-        game5.agent_locations,
-        game5.target_locations,
-        game5.initial,
-        game5.target_succ,
-        broken,
-        game5.visibility,
+        game5.initial, game5.target_succ, broken, game5.visibility
     )
     report = validate_assumptions(G)
     assert not report.invisible_independent
@@ -132,8 +130,8 @@ def assert_same_structure(G, R):
         R.target_locations,
         R.initial,
     )
-    assert G.target_succ == R.target_succ
-    assert set(G.agent_succ) == {(l_a, l_t2) for l_a, _, l_t2 in R.agent_succ}
+    for (l_a, l_t), succs in R.target_succ.items():
+        assert G.target_step(l_a, l_t) == succs, (l_a, l_t)
     for (l_a, l_t, l_t2), replies in R.agent_succ.items():
         assert G.succ_a(l_a, l_t2) == replies, (l_a, l_t, l_t2)
     for l_a in R.agent_locations:
@@ -161,36 +159,47 @@ def random_problems(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(random_problems())
-def test_structure_matches_reference_builder(problem):
-    assert_same_structure(
-        build_game_structure(*problem), reference_structure.build_game_structure(*problem)
+@given(random_problems(), st.data())
+def test_structure_matches_reference_builder(problem, data):
+    """Same game as the reference builder, and the same successor kernel
+    on a drawn agent cell and belief."""
+    G = build_game_structure(*problem)
+    R = reference_structure.build_game_structure(*problem)
+    assert_same_structure(G, R)
+    l_a = data.draw(st.sampled_from(sorted(G.agent_locations)))
+    belief = data.draw(
+        st.frozensets(st.sampled_from(sorted(G.target_locations - {l_a})), min_size=1)
     )
+    assert target_moves(G, l_a, belief) == reference_structure.target_moves(R, l_a, belief)
 
 
 @settings(max_examples=100, deadline=None)
 @given(random_problems(), st.data())
 def test_assumption_report_matches_reference_on_broken_tables(problem, data):
-    """Empty a target move set and change one reply set in both tables:
-    the two checks report the same violations, in the same order."""
+    """Empty a target move set and change one agent move set: the check
+    reports the same violations, in the same order, as the reference
+    check on the triple-keyed tables that the broken ones denote."""
     G = build_game_structure(*problem)
     R = reference_structure.build_game_structure(*problem)
-    states = reachable_states(G)
-    l_a, l_t = data.draw(st.sampled_from(states))
+    _, l_t = data.draw(st.sampled_from(reachable_states(G)))
     target_succ = dict(G.target_succ)
-    target_succ[(l_a, l_t)] = ()
-    key = data.draw(st.sampled_from(sorted(G.agent_succ)))
-    replies = data.draw(st.sampled_from([(), (key[0],), tuple(sorted(G.agent_locations))]))
+    target_succ[l_t] = ()
+    l_a = data.draw(st.sampled_from(sorted(G.agent_succ)))
     agent_succ = dict(G.agent_succ)
-    agent_succ[key] = replies
-    ref_agent_succ = {
-        k: replies if (k[0], k[2]) == key else v for k, v in R.agent_succ.items()
-    }
-    broken = SurveillanceGameStructure(
-        G.agent_locations, G.target_locations, G.initial, target_succ, agent_succ, G.visibility
+    agent_succ[l_a] = data.draw(
+        st.sampled_from([(), (l_a,), tuple(sorted(G.agent_locations))])
     )
+    broken = SurveillanceGameStructure(G.initial, target_succ, agent_succ, G.visibility)
+    ref_target_succ = {
+        (a, t): broken.target_step(a, t) for a in R.agent_locations for t in R.target_locations
+    }
+    ref_agent_succ = {
+        (a, t, t2): broken.succ_a(a, t2)
+        for (a, t), succs in ref_target_succ.items()
+        for t2 in succs
+    }
     ref_broken = reference_structure.SurveillanceGameStructure(
-        R.agent_locations, R.target_locations, R.initial, target_succ, ref_agent_succ, R.visibility
+        R.agent_locations, R.target_locations, R.initial, ref_target_succ, ref_agent_succ, R.visibility
     )
     assert_same_structure(broken, ref_broken)
 
@@ -203,3 +212,61 @@ def test_bundled_structures_match_reference_builder(name):
         build_game_structure(grid, motion, vision),
         reference_structure.build_game_structure(grid, motion, vision),
     )
+
+
+# each arm's only move is onto the centre, where the agent starts
+CROSS = "#T#\n.A.\n#.#\n"
+
+
+@pytest.mark.parametrize("text", [CROSS, bundled_map("paper5x5.txt")], ids=["cross", "paper5x5"])
+def test_option_combinations_match_reference_builder(text):
+    """Every combination of the motion options with a vision range that
+    hides even the neighbours, so each fallback move is taken: the same
+    game, and the same kernel on the largest belief of every agent cell."""
+    grid = parse_grid(text)
+    for radius, allow_stay, restrict, vision_range in itertools.product(
+        (1, 2), (False, True), (False, True), (None, 0.5, 1.5)
+    ):
+        motion = MotionConfig(radius, 1, allow_stay, restrict)
+        vision = VisionConfig(vision_range)
+        G = build_game_structure(grid, motion, vision)
+        R = reference_structure.build_game_structure(grid, motion, vision)
+        assert_same_structure(G, R)
+        for l_a in sorted(G.agent_locations):
+            belief = G.target_locations - {l_a}
+            assert target_moves(G, l_a, belief) == reference_structure.target_moves(
+                R, l_a, belief
+            ), (motion, vision, l_a)
+
+
+# perfbench's scale-gen map pillars20 at seed 1: 375 free cells
+PILLARS20 = """\
+A...................
+.............#......
+.#...#...#.......#..
+....................
+....................
+..............#.....
+..#...#..#........#.
+....................
+....................
+..............#..#..
+.#...#....#.........
+....................
+....................
+..#...............#.
+......#...#...#.....
+....................
+....................
+....................
+.#....#..#...#...#..
+...................T
+"""
+
+
+def test_tables_hold_one_entry_per_cell():
+    grid = parse_grid(PILLARS20)
+    motion, vision = parse_config("vision_range=3\n")
+    G = build_game_structure(grid, motion, vision)
+    assert len(grid.free_cells) == 375
+    assert len(G.target_succ) == len(G.agent_succ) == len(G.visibility) == 375
