@@ -7,8 +7,9 @@ belief is either a visible singleton or a set of all-invisible locations.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable
 
 from .objective import SurvAtom
@@ -78,8 +79,7 @@ def concretize(belief, partition=None) -> frozenset[int]:
 
 
 def invisible_count(G: SurveillanceGameStructure, l_a: int, locs: Iterable[int]) -> int:
-    visible = G.visibility[l_a]
-    return sum(1 for l in locs if l not in visible)
+    return len(frozenset(locs) - G.visibility[l_a])
 
 
 def atom_holds(G, l_a: int, locs, atom, predicates) -> bool:
@@ -153,20 +153,53 @@ def belief_successors(G: SurveillanceGameStructure, state):
 class TurnGame:
     """Explicit reachable game with target-then-agent turn structure.
 
-    ``moves[s]`` lists ``(choice, reply_states)`` pairs in canonical
-    order, where ``choice`` is the target's successor belief and the reply
-    states are the agent's possible follow-up states.
+    The game is flat.  States are numbered in canonical order (agent
+    cell, then :func:`belief_key`), and ``initial`` is a state number.
+    The target's choices in state ``i`` have the ids ``choice_off[i]`` up
+    to ``choice_off[i + 1]``, in canonical order.  Choice ``c`` moves the
+    target to the belief ``labels[choice_label[c]]``, and the agent's
+    replies to it are the states ``replies[reply_off[c]:reply_off[c + 1]]``.
+    ``labels`` holds each distinct belief once, in canonical order, and
+    the states share these objects.
     """
 
-    initial: tuple
-    moves: dict = field(default_factory=dict)
-
-    @property
-    def states(self) -> list:
-        return sorted(self.moves, key=state_key)
+    states: list
+    initial: int
+    labels: list
+    choice_off: array
+    choice_label: array
+    reply_off: array
+    replies: array
 
     def __len__(self) -> int:
-        return len(self.moves)
+        return len(self.states)
+
+    def choices(self, i: int) -> list:
+        """``(choice, replies)`` pairs of state ``i`` in canonical order,
+        with the replies as an array of state numbers."""
+        labels, label, off, replies = self.labels, self.choice_label, self.reply_off, self.replies
+        return [
+            (labels[label[c]], replies[off[c] : off[c + 1]])
+            for c in range(self.choice_off[i], self.choice_off[i + 1])
+        ]
+
+    @classmethod
+    def from_moves(cls, states, initial, moves, **fields):
+        """A flat game from ``moves[i]``, the ``(choice, replies)`` pairs
+        of state ``i`` in canonical order."""
+        labels = sorted({c for out in moves for c, _ in out}, key=belief_key)
+        label_id = {c: k for k, c in enumerate(labels)}
+        flat = [cr for out in moves for cr in out]
+        return cls(
+            list(states),
+            initial,
+            labels,
+            array("i", accumulate(map(len, moves), initial=0)),
+            array("i", [label_id[c] for c, _ in flat]),
+            array("i", accumulate((len(r) for _, r in flat), initial=0)),
+            array("i", [r for _, replies in flat for r in replies]),
+            **fields,
+        )
 
 
 def belief_key(belief):
@@ -175,30 +208,76 @@ def belief_key(belief):
     return (1, tuple(sorted(belief)))
 
 
-def state_key(state):
-    return (state[0],) + belief_key(state[1])
+def _explore(initial, successors, max_states) -> TurnGame:
+    """Enumerate the game reachable from ``initial`` breadth first.
 
+    A state gets a number when it is first found, each distinct belief
+    is interned once, and replies are appended as numbers to one flat
+    array.  One permutation at the end puts states and beliefs in
+    canonical order; choices keep the order ``successors`` gives them.
+    """
+    l_a0, label0 = initial
+    labels = [label0]
+    label_id = {label0: 0}
+    # per belief id: agent cell -> number of the state (cell, belief)
+    numbered = [{l_a0: 0}]
+    found = [initial]
+    found_label = array("i", [0])
+    n_choices, choice_label, widths, replies = (array("i") for _ in range(4))
+    # ``found`` is its own queue: the loop reaches the states it appends
+    for state in found:
+        out = successors(state)
+        n_choices.append(len(out))
+        for label, agent_cells in out:
+            lid = label_id.get(label)
+            if lid is None:
+                lid = label_id[label] = len(labels)
+                labels.append(label)
+                numbered.append({})
+            # the interned object, which the new states share
+            label, at = labels[lid], numbered[lid]
+            choice_label.append(lid)
+            widths.append(len(agent_cells))
+            for l_a2 in agent_cells:
+                j = at.get(l_a2)
+                if j is None:
+                    if len(found) >= max_states:
+                        raise BudgetExceeded(f"state budget of {max_states} exceeded")
+                    j = at[l_a2] = len(found)
+                    found.append((l_a2, label))
+                    found_label.append(lid)
+                replies.append(j)
 
-def _explore(initial, successors, max_states):
-    game = TurnGame(initial=initial)
-    queue = deque([initial])
-    game.moves[initial] = None
-    while queue:
-        state = queue.popleft()
-        out = []
-        for new_belief, replies in successors(state):
-            reply_states = tuple((l_a2, new_belief) for l_a2 in replies)
-            for s2 in reply_states:
-                if s2 not in game.moves:
-                    if len(game.moves) >= max_states:
-                        raise BudgetExceeded(
-                            f"state budget of {max_states} exceeded"
-                        )
-                    game.moves[s2] = None
-                    queue.append(s2)
-            out.append((new_belief, reply_states))
-        game.moves[state] = out
-    return game
+    # canonical order: beliefs by belief_key, states by (cell, belief)
+    by_key = sorted(range(len(labels)), key=lambda k: belief_key(labels[k]))
+    rank = array("i", [0]) * len(labels)
+    for r, k in enumerate(by_key):
+        rank[k] = r
+    keys = [s[0] * len(labels) + rank[k] for s, k in zip(found, found_label)]
+    order = sorted(range(len(found)), key=keys.__getitem__)
+    number = array("i", [0]) * len(order)
+    for i, d in enumerate(order):
+        number[d] = i
+    replies = array("i", map(number.__getitem__, replies))
+    choice_label = array("i", map(rank.__getitem__, choice_label))
+    choice_at = array("i", accumulate(n_choices, initial=0))
+    reply_at = array("i", accumulate(widths, initial=0))
+    counts, labels_out, widths_out, replies_out = (array("i") for _ in range(4))
+    for d in order:
+        a, b = choice_at[d], choice_at[d + 1]
+        counts.append(b - a)
+        labels_out += choice_label[a:b]
+        widths_out += widths[a:b]
+        replies_out += replies[reply_at[a] : reply_at[b]]
+    return TurnGame(
+        [found[d] for d in order],
+        number[0],
+        [labels[k] for k in by_key],
+        array("i", accumulate(counts, initial=0)),
+        labels_out,
+        array("i", accumulate(widths_out, initial=0)),
+        replies_out,
+    )
 
 
 def build_belief_game(G: SurveillanceGameStructure, max_states: int = 2_000_000) -> TurnGame:
@@ -209,4 +288,9 @@ def build_belief_game(G: SurveillanceGameStructure, max_states: int = 2_000_000)
     """
     l_a0, l_t0 = G.initial
     initial = (l_a0, frozenset({l_t0}))
-    return _explore(initial, lambda s: belief_successors(G, s), max_states)
+
+    def successors(state):
+        # an invisible set can sort before a visible singleton
+        return sorted(belief_successors(G, state), key=lambda cr: belief_key(cr[0]))
+
+    return _explore(initial, successors, max_states)

@@ -79,21 +79,25 @@ class VisionConfig:
     range: float | None = None
 
     def __post_init__(self):
-        if self.range is not None and self.range <= 0:
+        # ``not range > 0`` also holds for NaN, which compares false
+        if self.range is not None and not self.range > 0:
             raise MapError("vision range must be positive")
 
 
 def parse_grid(text: str) -> GridWorld:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse a map; blank lines are skipped, and error messages count
+    lines and columns from 1."""
+    # (line number, text) of each non-blank line
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise MapError("empty map")
-    cols = len(lines[0])
+    cols = len(lines[0][1])
     obstacles, goals = set(), set()
     labels: dict[str, set[int]] = {}
     agent = target = None
-    for r, ln in enumerate(lines):
+    for r, (n, ln) in enumerate(lines):
         if len(ln) != cols:
-            raise MapError(f"ragged map: line {r} has length {len(ln)}, expected {cols}")
+            raise MapError(f"ragged map: line {n} has length {len(ln)}, expected {cols}")
         for c, ch in enumerate(ln):
             cell = r * cols + c
             if ch == ".":
@@ -113,7 +117,7 @@ def parse_grid(text: str) -> GridWorld:
             elif ch.islower() and ch.isalpha():
                 labels.setdefault(ch, set()).add(cell)
             else:
-                raise MapError(f"unknown map character {ch!r} at line {r}, column {c}")
+                raise MapError(f"unknown map character {ch!r} at line {n}, column {c + 1}")
     if agent is None:
         raise MapError("missing 'A' (agent start)")
     if target is None:
@@ -139,9 +143,10 @@ _CONFIG_KEYS = {
 
 
 def parse_config(text: str) -> tuple[MotionConfig, VisionConfig]:
-    """Parse ``key=value`` lines into motion and vision configs."""
+    """Parse ``key=value`` lines into motion and vision configs; error
+    messages count lines from 1."""
     values: dict[str, object] = {}
-    for i, raw in enumerate(text.splitlines()):
+    for i, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -275,8 +280,8 @@ def _visible_sets(g: GridWorld, v: VisionConfig) -> dict[int, frozenset[int]]:
                     visible[a].add(t)
                     visible[t].add(a)
     else:
-        # an infinite or NaN range cuts nothing off: box the whole grid
-        reach = int(v.range) if v.range < g.rows + g.cols else g.rows + g.cols
+        # an infinite range cuts nothing off: box the whole grid
+        reach = int(min(v.range, g.rows + g.cols))
         for a in free:
             r0, c0 = g.rc(a)
             lo_c, hi_c = max(0, c0 - reach), min(g.cols, c0 + reach + 1)

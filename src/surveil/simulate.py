@@ -53,7 +53,7 @@ class StrategyRunner:
             choice = target_loc
         else:
             sets = [
-                c for c, _ in self.arena.moves[self.state] if not isinstance(c, int)
+                c for c, _ in self.arena.choices(self.state) if not isinstance(c, int)
             ]
             if not sets:
                 raise SimulationError(
@@ -95,15 +95,13 @@ def load_runner(
             key = c if isinstance(c, int) else frozenset(c)
             moves[(i, mem, key)] = (r, mem2)
             available.setdefault(i, set()).add(key)
-        arena = Arena(
-            states=states,
-            index={},
-            moves=[
-                tuple((c, ()) for c in sorted(available.get(i, ()), key=belief_key))
+        arena = Arena.from_moves(
+            states,
+            payload["initial"],
+            [
+                [(c, ()) for c in sorted(available.get(i, ()), key=belief_key)]
                 for i in range(len(states))
             ],
-            initial=payload["initial"],
-            atom_sets={},
         )
         strategy = StrategyData(
             memory_count=payload["memory_count"],

@@ -12,12 +12,14 @@ arena, so it touches each edge a bounded number of times.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
+from operator import sub
 from typing import Optional
 
-from .belief import PredicateDef, TurnGame, atom_holds, belief_key, concretize
+from .belief import PredicateDef, TurnGame, atom_holds, concretize
 from .objective import Atom, Objective, SurvAtom
 
 
@@ -26,25 +28,19 @@ class SolverError(RuntimeError):
 
 
 @dataclass
-class Arena:
-    """Indexed turn game plus atom valuations.
+class Arena(TurnGame):
+    """A flat turn game plus atom valuations: ``atom_sets`` maps each
+    objective atom to the set of state numbers satisfying it."""
 
-    ``moves[i]`` lists ``(choice, reply_indices)`` in canonical choice
-    order; ``atom_sets`` maps each objective atom to the set of state
-    indices satisfying it.
-    """
-
-    states: list
-    index: dict
-    moves: list
-    initial: int
-    atom_sets: dict[Atom, frozenset[int]]
-
-    def __len__(self) -> int:
-        return len(self.states)
+    atom_sets: dict[Atom, frozenset[int]] = field(default_factory=dict)
 
     def sat(self, atom: Atom, i: int) -> bool:
         return i in self.atom_sets[atom]
+
+
+def _widths(off: array) -> array:
+    """Lengths of the ranges that the offsets ``off`` delimit."""
+    return array("i", map(sub, off[1:], off))
 
 
 def make_arena(
@@ -54,39 +50,36 @@ def make_arena(
     predicates: Optional[dict[str, PredicateDef]] = None,
     partition=None,
 ) -> Arena:
-    """Index a belief or abstract game and evaluate the objective's atoms.
+    """Evaluate the objective's atoms on a belief or abstract game.
 
-    Raises :class:`SolverError` for an undeclared task predicate and for
-    a target choice without any agent reply, which a game structure that
-    is not total produces.
+    The arena shares the game's arrays.  Raises :class:`SolverError` for
+    an undeclared task predicate and for a target choice without any
+    agent reply, which a game structure that is not total produces.
     """
     predicates = predicates or {}
-    states = game.states
-    index = {s: i for i, s in enumerate(states)}
-    moves = []
-    for s in states:
-        out = sorted(game.moves[s], key=lambda cr: belief_key(cr[0]))
-        for c, replies in out:
-            if not replies:
-                raise SolverError(
-                    f"choice {c!r} of state {s!r} has no agent reply: "
-                    "the game structure is not total"
-                )
-        moves.append(
-            [(c, tuple(index[r] for r in replies)) for c, replies in out]
+    widths = _widths(game.reply_off)
+    if 0 in widths:
+        c = widths.index(0)
+        s = game.states[bisect_right(game.choice_off, c) - 1]
+        raise SolverError(
+            f"choice {game.labels[game.choice_label[c]]!r} of state {s!r} has "
+            "no agent reply: the game structure is not total"
         )
+    # states share their label objects; concretize each one once
+    cells = {label: concretize(label, partition) for _, label in game.states}
     atom_sets = {}
     for atom in objective.atoms:
         if not isinstance(atom, SurvAtom) and atom.name not in predicates:
             raise SolverError(f"undeclared task predicate {atom.name!r}")
         atom_sets[atom] = frozenset(
             i
-            for i, (l_a, label) in enumerate(states)
-            if atom_holds(
-                structure, l_a, concretize(label, partition), atom, predicates
-            )
+            for i, (l_a, label) in enumerate(game.states)
+            if atom_holds(structure, l_a, cells[label], atom, predicates)
         )
-    return Arena(states, index, moves, index[game.initial], atom_sets)
+    return Arena(
+        game.states, game.initial, game.labels, game.choice_off,
+        game.choice_label, game.reply_off, game.replies, atom_sets,
+    )
 
 
 # rank of a state outside an attractor; above every real rank
@@ -96,44 +89,36 @@ _UNRANKED = 2**31 - 1
 class _Index:
     """Reverse-edge index of an arena, built once per :func:`solve` call.
 
-    Choice ``ci`` of state ``i`` has the global id ``start[i] + ci``;
-    ``owner[id]`` is its state and ``width[id]`` its number of replies.
+    Choice ids are the arena's: the choices of state ``i`` run from
+    ``start[i]`` to ``start[i + 1]``; ``owner[c]`` is the state of choice
+    ``c`` and ``width[c]`` its number of replies.
     ``preds[pred_off[j]:pred_off[j + 1]]`` lists the ids of the choices
     that can reply ``j``, once per occurrence of ``j`` among their
     replies, so every counter below counts a repeated reply as often as
     it occurs and reaches zero exactly when the last copy goes.  The
-    tables are flat ``array('i')`` so that they stay small next to the
-    arena itself, and every fixpoint below touches each edge a bounded
-    number of times.
+    tables are flat ``array('i')``, and every fixpoint below touches each
+    edge a bounded number of times.
     """
 
     def __init__(self, arena: Arena):
         n = len(arena)
-        start = array("i", [0]) * (n + 1)
-        owner, width = array("i"), array("i")
+        start, replies = arena.choice_off, arena.replies
+        self.degree = _widths(start)
+        self.width = _widths(arena.reply_off)
+        owner = array("i", chain.from_iterable(map(repeat, range(n), self.degree)))
         indegree = array("i", [0]) * n
-        for i, choices in enumerate(arena.moves):
-            start[i] = len(owner)
-            for _, replies in choices:
-                owner.append(i)
-                width.append(len(replies))
-                for r in replies:
-                    indegree[r] += 1
-        start[n] = len(owner)
+        for r in replies:
+            indegree[r] += 1
         pred_off = array("i", accumulate(indegree, initial=0))
         fill = array("i", pred_off)
-        preds = array("i", [0]) * pred_off[n]
-        c = 0
-        for choices in arena.moves:
-            for _, replies in choices:
-                for r in replies:
-                    preds[fill[r]] = c
-                    fill[r] += 1
-                c += 1
+        preds = array("i", [0]) * len(replies)
+        choice_of_reply = chain.from_iterable(map(repeat, range(len(owner)), self.width))
+        for r, c in zip(replies, choice_of_reply):
+            preds[fill[r]] = c
+            fill[r] += 1
         self.n = n
-        self.start, self.owner, self.width = start, owner, width
+        self.start, self.owner = start, owner
         self.pred_off, self.preds = pred_off, preds
-        self.degree = array("i", (start[i + 1] - start[i] for i in range(n)))
         self.sinks = [i for i in range(n) if not self.degree[i]]
 
     def preds_of(self, j: int) -> array:
@@ -224,23 +209,26 @@ def _attractor(ix: _Index, target: frozenset[int], domain: bytearray) -> array:
         level += 1
 
 
-def _target_attractor(ix: _Index, arena: Arena, won: bytearray, level: int) -> list:
+def _target_attractor(
+    ix: _Index, arena: Arena, won: bytearray, fresh: list, missing: array, level: int
+) -> list:
     """Target attractor toward the ``won`` mask, which it extends.
 
-    A state joins at the first level where one of its choices has all
-    its (non-empty) replies attracted at lower levels; it records the
-    first such choice in canonical order.  Levels continue after
-    ``level``.  Returns ``[(state, rank, choice)]``.
+    ``missing[c]`` counts the replies of choice ``c`` outside ``won``
+    before the states of ``fresh`` joined it; the call brings the counts
+    up to date.  A state joins at the first level where one of its
+    choices has all its (non-empty) replies attracted at lower levels;
+    it records the first such choice in canonical order.  Levels
+    continue after ``level``.  Returns ``[(state, rank, choice)]``.
     """
     start, owner, width = ix.start, ix.owner, ix.width
-    missing = array("i", width)
+    labels, choice_label = arena.labels, arena.choice_label
     candidates = []
-    for j in range(ix.n):
-        if won[j]:
-            for c in ix.preds_of(j):
-                missing[c] -= 1
-                if not missing[c]:
-                    candidates.append(owner[c])
+    for j in fresh:
+        for c in ix.preds_of(j):
+            missing[c] -= 1
+            if not missing[c]:
+                candidates.append(owner[c])
     out = []
     while candidates:
         level += 1
@@ -248,12 +236,12 @@ def _target_attractor(ix: _Index, arena: Arena, won: bytearray, level: int) -> l
         for i in candidates:
             if won[i]:
                 continue
-            for c, (choice, _) in enumerate(arena.moves[i], start[i]):
+            for c in range(start[i], start[i + 1]):
                 if width[c] and not missing[c]:
                     break
             won[i] = 1
             added.append(i)
-            out.append((i, level, choice))
+            out.append((i, level, labels[choice_label[c]]))
         candidates = []
         for j in added:
             for c in ix.preds_of(j):
@@ -305,9 +293,9 @@ def _avoid_trap(ix: _Index, arena: Arena, won: bytearray, avoid: frozenset[int])
     out = []
     for i in range(n):
         if inside[i]:
-            for c, (choice, _) in enumerate(arena.moves[i], start[i]):
+            for c in range(start[i], start[i + 1]):
                 if width[c] and not escapes[c]:
-                    out.append((i, choice))
+                    out.append((i, arena.labels[arena.choice_label[c]]))
                     break
     for i, _ in out:
         won[i] = 1
@@ -402,32 +390,38 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
 
 
 def _safety_strategy(arena, win) -> StrategyData:
+    labels, label, start = arena.labels, arena.choice_label, arena.choice_off
+    off, replies = arena.reply_off, arena.replies
     moves = {}
     for i in win:
-        for c, replies in arena.moves[i]:
-            moves[(i, 0, c)] = (_canonical_reply(i, replies, win), 0)
+        for c in range(start[i], start[i + 1]):
+            reply = _canonical_reply(i, replies[off[c] : off[c + 1]], win)
+            moves[(i, 0, labels[label[c]])] = (reply, 0)
     return StrategyData(1, win, moves)
 
 
 def _buchi_strategy(arena, Z, cores, ranks) -> StrategyData:
     """Controller from the final round of the Buchi fixpoint: in memory
     ``j``, descend ``ranks[j]`` to ``cores[j]``, then move on to ``j + 1``."""
+    labels, label, start = arena.labels, arena.choice_label, arena.choice_off
+    off, replies = arena.reply_off, arena.replies
     m = len(cores)
     moves = {}
     for j, (core, rank) in enumerate(zip(cores, ranks)):
         for i in Z:
             if i in core:
-                for c, replies in arena.moves[i]:
-                    moves[(i, j, c)] = (_canonical_reply(i, replies, Z), (j + 1) % m)
+                for c in range(start[i], start[i + 1]):
+                    reply = _canonical_reply(i, replies[off[c] : off[c + 1]], Z)
+                    moves[(i, j, labels[label[c]])] = (reply, (j + 1) % m)
                 continue
             level = rank[i]
-            for c, replies in arena.moves[i]:
-                for r in replies:
+            for c in range(start[i], start[i + 1]):
+                for r in replies[off[c] : off[c + 1]]:
                     if rank[r] < level:
                         break
                 else:
                     raise SolverError(f"no rank-decreasing reply from state {i}")
-                moves[(i, j, c)] = (r, j)
+                moves[(i, j, labels[label[c]])] = (r, j)
     return StrategyData(m, Z, moves)
 
 
@@ -445,22 +439,28 @@ def _target_strategy(ix, arena, objective, agent_win, safe) -> TargetStrategyDat
     mode: dict[int, tuple] = {}
     choice: dict = {}
     won = bytearray(len(arena))
-    for i in everything - safe:
+    # replies of each choice outside ``won``, before the states of
+    # ``fresh`` joined it
+    missing = array("i", ix.width)
+    fresh = list(everything - safe)
+    for i in fresh:
         won[i] = 1
         mode[i] = ("unsafe",)
-        choice[i] = arena.moves[i][0][0] if arena.moves[i] else None
+        choice[i] = _first_choice(arena, i)
     top = 0
     while True:
         grown = False
-        for i, rank, c in _target_attractor(ix, arena, won, top):
+        for i, rank, c in _target_attractor(ix, arena, won, fresh, missing, top):
             mode[i] = ("reach", rank)
             choice[i] = c
             top = rank
             grown = True
+        fresh = []
         for j, atom in enumerate(objective.recurrence_terms):
             for i, c in _avoid_trap(ix, arena, won, arena.atom_sets[atom]):
                 mode[i] = ("avoid", j)
                 choice[i] = c
+                fresh.append(i)
                 grown = True
         if not grown:
             break
@@ -494,9 +494,15 @@ class CounterexampleTree:
             stack.extend(reversed(n.children))
 
 
+def _first_choice(arena: Arena, i: int):
+    """The first target choice of state ``i`` in canonical order, or None."""
+    c = arena.choice_off[i]
+    return arena.labels[arena.choice_label[c]] if c < arena.choice_off[i + 1] else None
+
+
 def _replies_of(arena: Arena, i: int, choice):
     """The agent replies to the target's ``choice`` in state ``i``."""
-    for c, replies in arena.moves[i]:
+    for c, replies in arena.choices(i):
         if c == choice:
             return replies
     raise SolverError(f"state {i} has no target choice {choice!r}")
@@ -555,7 +561,7 @@ def extract_cex_graph(arena: Arena, result: SolveResult) -> CounterexampleGraph:
         s = arena.states[i]
         c = ts.choice.get(i)
         if c is None:
-            c = arena.moves[i][0][0]
+            c = _first_choice(arena, i)
         choice[s] = c
         mode[s] = ts.mode.get(i, ("unsafe",))
         if mode[s] == ("unsafe",):
@@ -581,9 +587,11 @@ def export_strategy(
         return b if isinstance(b, int) else sorted(b)
 
     states = [[s[0], belief_json(s[1])] for s in arena.states]
+    # the arena's labels are in canonical (belief_key) order
+    rank = {c: k for k, c in enumerate(arena.labels)}
     moves = []
     for (i, mem, c), (r, mem2) in sorted(
-        strat.moves.items(), key=lambda kv: (kv[0][0], kv[0][1], belief_key(kv[0][2]))
+        strat.moves.items(), key=lambda kv: (kv[0][0], kv[0][1], rank[kv[0][2]])
     ):
         moves.append([i, mem, belief_json(c), r, mem2])
     blocks = None

@@ -94,14 +94,64 @@ def reachable_states(G: SurveillanceGameStructure) -> list[tuple[int, int]]:
     return order
 
 
+def _reached_cells(G: SurveillanceGameStructure) -> dict[int, set[int]]:
+    """The reachable states grouped by agent cell: ``l_a`` -> the target
+    cells of the reachable states ``(l_a, l_t)``.
+
+    Target cells travel in sets.  Every landing cell outside the agent's
+    move ball gets that whole ball as replies, so those cells move on
+    together; only the few inside it are looked up one by one.
+    """
+    l_a0, l_t0 = G.initial
+    reached = {l_a0: {l_t0}}
+    pending = {l_a0: {l_t0}}
+    while pending:
+        l_a, cells = pending.popitem()
+        landing = G.succ_t(l_a, cells)
+        ball = G.agent_succ[l_a]
+        steps = [(ball, landing.difference(ball))]
+        steps += [(G.succ_a(l_a, l_t2), {l_t2}) for l_t2 in landing.intersection(ball)]
+        for replies, targets in steps:
+            for l_a2 in replies:
+                known = reached.setdefault(l_a2, set())
+                new = targets - known
+                if new:
+                    known |= new
+                    pending.setdefault(l_a2, set()).update(new)
+    return reached
+
+
+def _replies_agree(G: SurveillanceGameStructure, l_a: int, cells) -> bool:
+    """From the agent cell ``l_a`` and the target cells ``cells``: every
+    landing cell has a reply, and the invisible ones all get the same."""
+    if not G.agent_succ[l_a]:
+        return False
+    invisible = G.succ_t(l_a, cells) - G.visibility[l_a]
+    return len({G.succ_a(l_a, l_t2) for l_t2 in invisible}) <= 1
+
+
 def validate_assumptions(G: SurveillanceGameStructure) -> SuccessorReport:
     """Check totality and invisible-independence over reachable states.
 
     Invisible-independence: for a fixed agent location, the agent's reply
     set may not depend on which invisible successor the target chose.
-    A reply depends on the target's new cell only, so only replies to
-    different invisible cells can disagree.
+    A reply depends on the agent cell and the target's new cell only, so
+    each target cell and each such pair is checked once, over the cells
+    reached from each agent cell.  The reachable states are walked one by
+    one only to name the violations, when there are some.
     """
+    reached = _reached_cells(G)
+    target_cells = set().union(*reached.values())
+    if all(G.target_succ[l_t] for l_t in target_cells) and all(
+        _replies_agree(G, l_a, cells) for l_a, cells in reached.items()
+    ):
+        return SuccessorReport(True, True)
+    return _name_violations(G)
+
+
+def _name_violations(G: SurveillanceGameStructure) -> SuccessorReport:
+    """The assumption report from a walk over every reachable state, with
+    each violation named in breadth-first order."""
     total = True
     independent = True
     violations = []

@@ -1,8 +1,10 @@
 from collections import deque
 
 import pytest
+from hypothesis import strategies as st
 
 from surveil import (
+    GridWorld,
     MotionConfig,
     Partition,
     PredicateDef,
@@ -65,6 +67,26 @@ def two_col_partition(game5):
 def goal_pred():
     """Task predicate: the agent stands on cell 0."""
     return {"goal": PredicateDef("goal", frozenset({0}))}
+
+
+@st.composite
+def random_problems(draw):
+    """A random grid of up to 6x6 cells with obstacles, motion options and
+    a vision range or none."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    cells = list(range(rows * cols))
+    agent, target = draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2, unique=True))
+    others = [c for c in cells if c not in (agent, target)]
+    obstacles = draw(st.frozensets(st.sampled_from(others))) if others else frozenset()
+    grid = GridWorld(rows, cols, obstacles, agent, target)
+    motion = MotionConfig(
+        agent_radius=draw(st.integers(1, 2)),
+        target_radius=draw(st.integers(1, 2)),
+        allow_stay=draw(st.booleans()),
+        restrict_agent_to_visible=draw(st.booleans()),
+    )
+    vision_range = draw(st.none() | st.floats(0.5, 6.0))
+    return grid, motion, VisionConfig(range=vision_range)
 
 
 def set_choice(choices):

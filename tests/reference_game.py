@@ -1,0 +1,153 @@
+"""The game as tuples, the reference for the flat game of ``surveil``.
+
+``_explore`` builds a dict from each state to its ``(choice, reply
+states)`` pairs, and ``make_arena`` sorts every state and re-indexes it
+into lists of ``(choice, reply numbers)``.  ``surveil`` builds the same
+game in one flat pass; both must give the same states, initial state,
+choices, replies and atom valuations, and so the same solutions.
+"""
+
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Optional
+
+from surveil.abstraction import abstract_successors
+from surveil.belief import (
+    BudgetExceeded,
+    PredicateDef,
+    atom_holds,
+    belief_key,
+    belief_successors,
+    concretize,
+)
+from surveil.objective import Atom, Objective, SurvAtom
+from surveil.solver import SolverError
+
+
+@dataclass
+class TurnGame:
+    """Explicit reachable game with target-then-agent turn structure.
+
+    ``moves[s]`` lists ``(choice, reply_states)`` pairs in canonical
+    order, where ``choice`` is the target's successor belief and the reply
+    states are the agent's possible follow-up states.
+    """
+
+    initial: tuple
+    moves: dict = field(default_factory=dict)
+
+    @property
+    def states(self) -> list:
+        return sorted(self.moves, key=state_key)
+
+    def __len__(self) -> int:
+        return len(self.moves)
+
+
+def state_key(state):
+    return (state[0],) + belief_key(state[1])
+
+
+def _explore(initial, successors, max_states):
+    game = TurnGame(initial=initial)
+    queue = deque([initial])
+    game.moves[initial] = None
+    while queue:
+        state = queue.popleft()
+        out = []
+        for new_belief, replies in successors(state):
+            reply_states = tuple((l_a2, new_belief) for l_a2 in replies)
+            for s2 in reply_states:
+                if s2 not in game.moves:
+                    if len(game.moves) >= max_states:
+                        raise BudgetExceeded(
+                            f"state budget of {max_states} exceeded"
+                        )
+                    game.moves[s2] = None
+                    queue.append(s2)
+            out.append((new_belief, reply_states))
+        game.moves[state] = out
+    return game
+
+
+def build_belief_game(G, max_states: int = 2_000_000) -> TurnGame:
+    l_a0, l_t0 = G.initial
+    initial = (l_a0, frozenset({l_t0}))
+    return _explore(initial, lambda s: belief_successors(G, s), max_states)
+
+
+def build_abstract_game(G, Q, max_states: int = 1_000_000) -> TurnGame:
+    return _explore(G.initial, lambda s: abstract_successors(G, Q, s), max_states)
+
+
+@dataclass
+class Arena:
+    """Indexed turn game plus atom valuations.
+
+    ``moves[i]`` lists ``(choice, reply_indices)`` in canonical choice
+    order; ``atom_sets`` maps each objective atom to the set of state
+    indices satisfying it.
+    """
+
+    states: list
+    index: dict
+    moves: list
+    initial: int
+    atom_sets: dict[Atom, frozenset[int]]
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def sat(self, atom: Atom, i: int) -> bool:
+        return i in self.atom_sets[atom]
+
+
+def make_arena(
+    game: TurnGame,
+    structure,
+    objective: Objective,
+    predicates: Optional[dict[str, PredicateDef]] = None,
+    partition=None,
+) -> Arena:
+    """Index a belief or abstract game and evaluate the objective's atoms.
+
+    Raises :class:`SolverError` for an undeclared task predicate and for
+    a target choice without any agent reply, which a game structure that
+    is not total produces.
+    """
+    predicates = predicates or {}
+    states = game.states
+    index = {s: i for i, s in enumerate(states)}
+    moves = []
+    for s in states:
+        out = sorted(game.moves[s], key=lambda cr: belief_key(cr[0]))
+        for c, replies in out:
+            if not replies:
+                raise SolverError(
+                    f"choice {c!r} of state {s!r} has no agent reply: "
+                    "the game structure is not total"
+                )
+        moves.append(
+            [(c, tuple(index[r] for r in replies)) for c, replies in out]
+        )
+    atom_sets = {}
+    for atom in objective.atoms:
+        if not isinstance(atom, SurvAtom) and atom.name not in predicates:
+            raise SolverError(f"undeclared task predicate {atom.name!r}")
+        atom_sets[atom] = frozenset(
+            i
+            for i, (l_a, label) in enumerate(states)
+            if atom_holds(
+                structure, l_a, concretize(label, partition), atom, predicates
+            )
+        )
+    return Arena(states, index, moves, index[game.initial], atom_sets)
+
+
+def tuple_moves(game) -> dict:
+    """A flat game's moves as the reference keeps them: each state's
+    ``(choice, reply states)`` pairs, keyed by state."""
+    return {
+        s: [(c, tuple(game.states[r] for r in replies)) for c, replies in game.choices(i)]
+        for i, s in enumerate(game.states)
+    }

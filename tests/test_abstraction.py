@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_game import tuple_moves
 from surveil import (
     Partition,
     PartitionError,
@@ -100,8 +101,9 @@ def test_abstract_game_overapproximates(game5, rows_partition):
     abstract = build_abstract_game(game5, rows_partition)
     # pair exact and abstract states along matched transitions
     seen = set()
-    init_e = exact.initial
-    init_a = abstract.initial
+    init_e = exact.states[exact.initial]
+    init_a = abstract.states[abstract.initial]
+    exact_moves, abstract_moves = tuple_moves(exact), tuple_moves(abstract)
     queue = [(init_e, init_a)]
     seen.add((init_e, init_a))
     while queue:
@@ -109,8 +111,8 @@ def test_abstract_game_overapproximates(game5, rows_partition):
         assert l_a == l_a2
         gamma = rows_partition.gamma(A)
         assert B <= gamma, ((l_a, B), (l_a2, A))
-        amoves = dict(abstract.moves[(l_a2, A)])
-        for B2, replies in exact.moves[(l_a, B)]:
+        amoves = dict(abstract_moves[(l_a2, A)])
+        for B2, replies in exact_moves[(l_a, B)]:
             if len(B2) == 1 and game5.vis(l_a, next(iter(B2))):
                 (loc,) = B2
                 key = loc

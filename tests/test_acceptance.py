@@ -9,6 +9,7 @@ import random
 import pytest
 
 from conftest import build_hide_reveal_cex, graph_eliminated
+from reference_game import tuple_moves
 from surveil import (
     CONCRETIZABLE,
     BudgetExceeded,
@@ -140,7 +141,7 @@ def test_criterion_6_invariant_suites(game5, grid5, rows_partition):
     # belief shape on every reachable exact state: a visible singleton or
     # a set formed entirely of cells invisible from the forming location
     exact = build_belief_game(game5)
-    for (l_a, B), moves in exact.moves.items():
+    for (l_a, B), moves in tuple_moves(exact).items():
         for B2, _ in moves:
             if len(B2) > 1:
                 assert all(not game5.vis(l_a, l) for l in B2)
@@ -177,8 +178,8 @@ def test_criterion_7_scale_sanity():
     )
     assert len(Q) == 7
     game = build_abstract_game(G, Q)
-    agents = {s[0] for s in game.moves}
-    set_beliefs = {s[1] for s in game.moves if not isinstance(s[1], int)}
+    agents = {s[0] for s in game.states}
+    set_beliefs = {s[1] for s in game.states if not isinstance(s[1], int)}
     assert len(agents) + len(set_beliefs) <= 150 + 2**7
     with pytest.raises(BudgetExceeded):
         build_belief_game(G, max_states=50_000)

@@ -3,6 +3,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_game import tuple_moves
 from surveil import (
     BudgetExceeded,
     PredicateDef,
@@ -88,7 +89,7 @@ def test_belief_successors_match_oracle(game5):
 
 def test_belief_game_states_match_oracle(game5):
     game = build_belief_game(game5)
-    assert set(game.moves) == oracle_belief_reach(game5)
+    assert set(game.states) == oracle_belief_reach(game5)
 
 
 def test_belief_game_state_count_regression(game5):
@@ -100,9 +101,10 @@ def test_belief_shape_invariant(game5):
     """Multi-element beliefs were all-invisible from the agent location
     they were formed at."""
     game = build_belief_game(game5)
-    for l_a, B in game.moves:
+    moves = tuple_moves(game)
+    for l_a, B in game.states:
         assert B
-        for choice, _ in game.moves[(l_a, B)]:
+        for choice, _ in moves[(l_a, B)]:
             if len(choice) == 1:
                 continue
             assert all(not game5.vis(l_a, l) for l in choice)
@@ -111,6 +113,12 @@ def test_belief_shape_invariant(game5):
 def test_budget_exceeded(game5):
     with pytest.raises(BudgetExceeded):
         build_belief_game(game5, max_states=10)
+
+
+def test_budget_counts_states_exactly(game5):
+    assert len(build_belief_game(game5, max_states=444)) == 444
+    with pytest.raises(BudgetExceeded, match="state budget of 443 exceeded"):
+        build_belief_game(game5, max_states=443)
 
 
 def test_surveillance_predicate(game5):

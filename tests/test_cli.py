@@ -193,7 +193,16 @@ def test_non_numeric_config_value_exit_one(paths, capsys):
                 "--spec", paths["p3"]])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: config line 1: int expected for agent_radius")
+    assert err.startswith("error: config line 2: int expected for agent_radius")
+
+
+def test_nan_vision_range_exit_one(paths, capsys):
+    cfg = paths["tmp"] / "nan.cfg"
+    cfg.write_text("vision_range=nan\n")
+    code = run(["synth", "--map", paths["map"], "--config", str(cfg),
+                "--spec", paths["p3"]])
+    assert code == 1
+    assert capsys.readouterr().err == "error: vision range must be positive\n"
 
 
 def test_strategy_file_not_an_object_exit_one(paths, capsys):

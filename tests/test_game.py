@@ -1,0 +1,179 @@
+"""The flat game against the game as tuples (``tests/reference_game.py``).
+
+Both must give the same states, initial state, choices, replies and atom
+valuations, the same errors, and so the same solutions: for the exact
+belief game and for abstract games under initial and refined partitions.
+"""
+
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_game
+import reference_solver
+from conftest import random_problems
+from surveil import (
+    BudgetExceeded,
+    PredicateDef,
+    SolverError,
+    SurveillanceGameStructure,
+    build_abstract_game,
+    build_belief_game,
+    build_game_structure,
+    cegar_loop,
+    initial_partition,
+    make_arena,
+    parse_config,
+    parse_grid,
+    parse_spec,
+    predicates_from_grid,
+    solve,
+)
+from surveil.cli import bundled_map
+
+SPECS = ("G p<=1", "G p<=2", "GF p<=1", "G p<=3 & GF p<=1", "GF p<=2 & GF goal")
+
+
+def _outcome(fn, *args, **kwargs):
+    """The result of ``fn``, or the type and message of the game error
+    it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (BudgetExceeded, SolverError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_game(G, build, ref_build, objectives, predicates, partition=None):
+    """Build the game both ways; then for every objective require the
+    same arena (or the same error) and the same solution."""
+    game = _outcome(build)
+    ref_game = _outcome(ref_build)
+    if isinstance(ref_game, tuple):
+        assert game == ref_game
+        return
+    assert len(game) == len(ref_game)
+    for objective in objectives:
+        arena = _outcome(make_arena, game, G, objective, predicates, partition)
+        ref = _outcome(reference_game.make_arena, ref_game, G, objective, predicates, partition)
+        if isinstance(ref, tuple):
+            assert arena == ref
+            continue
+        assert arena.states == ref.states
+        assert arena.initial == ref.initial
+        assert [
+            [(c, tuple(replies)) for c, replies in arena.choices(i)]
+            for i in range(len(arena))
+        ] == ref.moves
+        assert arena.atom_sets == ref.atom_sets
+        assert_same_solution(arena, ref, objective)
+
+
+def assert_same_solution(arena, ref, objective):
+    got = _outcome(solve, arena, objective)
+    want = _outcome(reference_solver.solve, ref, objective)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert isinstance(got, tuple) and isinstance(want, tuple)
+        return
+    assert got.agent_wins == want.agent_wins
+    assert got.winning_region == want.winning_region
+    if want.agent_wins:
+        assert got.agent_strategy.memory_count == want.agent_strategy.memory_count
+        assert got.agent_strategy.moves == want.agent_strategy.moves
+    else:
+        assert got.target_strategy.region == want.target_strategy.region
+        assert got.target_strategy.choice == want.target_strategy.choice
+        assert got.target_strategy.mode == want.target_strategy.mode
+
+
+def assert_same_games(G, partitions, objectives, predicates, exact_states):
+    """The exact game, built up to ``exact_states`` states, and the
+    abstract game under each partition."""
+    assert_same_game(
+        G,
+        lambda: build_belief_game(G, max_states=exact_states),
+        lambda: reference_game.build_belief_game(G, max_states=exact_states),
+        objectives,
+        predicates,
+    )
+    for Q in partitions:
+        assert_same_game(
+            G,
+            lambda: build_abstract_game(G, Q),
+            lambda: reference_game.build_abstract_game(G, Q),
+            objectives,
+            predicates,
+            Q,
+        )
+
+
+@st.composite
+def broken(draw, G):
+    """``G``, or ``G`` with one agent or target move set emptied, so that
+    the game is not total."""
+    kind = draw(st.sampled_from(["total", "agent", "target"]))
+    if kind == "total":
+        return G
+    agent_succ, target_succ = dict(G.agent_succ), dict(G.target_succ)
+    if kind == "agent":
+        agent_succ[draw(st.sampled_from(sorted(agent_succ)))] = ()
+    else:
+        target_succ[draw(st.sampled_from(sorted(target_succ)))] = ()
+    return SurveillanceGameStructure(G.initial, target_succ, agent_succ, G.visibility)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_problems(), st.data())
+def test_flat_game_matches_reference_on_random_problems(problem, data):
+    G = data.draw(broken(build_game_structure(*problem)))
+    cells = sorted(G.target_locations)
+    goal = data.draw(st.frozensets(st.sampled_from(sorted(G.agent_locations)), min_size=1))
+    predicates = {"goal": PredicateDef("goal", goal)}
+    Q = initial_partition(G, predicates.values())
+    refined = Q.split(Q.universe, data.draw(st.frozensets(st.sampled_from(cells))))
+    refined = refined.split(
+        data.draw(st.frozensets(st.sampled_from(cells))),
+        data.draw(st.frozensets(st.sampled_from(cells))),
+    )
+    objectives = [parse_spec(s) for s in data.draw(st.lists(st.sampled_from(SPECS), min_size=1, max_size=3))]
+    assert_same_games(G, [Q, refined], objectives, predicates, exact_states=1_000)
+
+
+def test_no_agent_reply_error_still_fires():
+    """The agent on cell 0 has no move: both builds refuse the arena with
+    the same state and choice named."""
+    G = SurveillanceGameStructure(
+        initial=(0, 1),
+        target_succ={1: (2,), 2: (1,)},
+        agent_succ={0: ()},
+        visibility={0: frozenset({1, 2})},
+    )
+    objective = parse_spec("G p<=1")
+    msg = "choice 2 of state (0, 1) has no agent reply"
+    with pytest.raises(SolverError, match=re.escape(msg)):
+        make_arena(build_abstract_game(G, initial_partition(G)), G, objective)
+    assert_same_games(G, [initial_partition(G)], [objective], {}, exact_states=100)
+
+
+# a refining spec per map, cheap enough to run to its verdict, and the
+# map's own specs to compare solutions on
+BUNDLED = {
+    "paper5x5": ("G p<=3", ("G p<=3", "GF p<=1", "G p<=5 & GF p<=2", "GF p<=1 & GF goal")),
+    "bigroom": ("G p<=2", ("G p<=2", "GF p<=10 & GF goal")),
+    "liveness10x15": ("G p<=3", ("G p<=3", "G p<=126")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_flat_game_matches_reference_on_bundled_maps(name):
+    grid = parse_grid(bundled_map(f"{name}.txt"))
+    G = build_game_structure(grid, *parse_config(bundled_map(f"{name}.cfg")))
+    predicates = predicates_from_grid(grid)
+    predicates.setdefault("goal", PredicateDef("goal", frozenset({0})))
+    refining, specs = BUNDLED[name]
+    Q = initial_partition(G, predicates.values())
+    refined = cegar_loop(G, parse_spec(refining), predicates=predicates).final_partition
+    assert len(refined) > len(Q)
+    # the exact game fits on paper5x5 only; elsewhere both builds stop at
+    # the same budget
+    assert_same_games(G, [Q, refined], [parse_spec(s) for s in specs], predicates, 5_000)

@@ -47,6 +47,29 @@ def test_parse_errors(text):
         parse_grid(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("A..\n\n.%T\n", "unknown map character '%' at line 3, column 2"),
+        ("A..\n.T\n", "ragged map: line 2 has length 2, expected 3"),
+    ],
+)
+def test_map_errors_count_lines_from_one(text, message):
+    with pytest.raises(MapError, match=f"^{message}$"):
+        parse_grid(text)
+
+
+def test_config_errors_count_lines_from_one():
+    with pytest.raises(MapError, match="^config line 3: unknown key 'speed'$"):
+        parse_config("agent_radius=1\n# comment\nspeed=3\n")
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+def test_vision_range_must_be_positive(value):
+    with pytest.raises(MapError, match="vision range must be positive"):
+        VisionConfig(range=value)
+
+
 def test_start_on_obstacle_rejected():
     with pytest.raises(MapError):
         GridWorld(2, 2, frozenset({0}), 0, 3)

@@ -48,6 +48,42 @@ def test_no_unused_imports_in_package():
     assert found == []
 
 
+def test_no_runtime_dependencies():
+    """The package runs on the standard library alone."""
+    lines = (ROOT / "pyproject.toml").read_text().splitlines()
+    assert [ln for ln in lines if ln.startswith("dependencies")] == ["dependencies = []"]
+
+
+def test_package_leaves_the_garbage_collector_alone():
+    """Memory is saved by making fewer objects, not by switching the
+    cyclic collector off or retuning it."""
+    switches = {"disable", "freeze", "set_threshold"}
+    found = []
+    for path in sorted((SRC / "surveil").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        # names the gc module is imported under
+        gc_names = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "gc"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                hit = any(alias.name in switches | {"*"} for alias in node.names)
+            else:
+                hit = (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in gc_names
+                    and node.attr in switches
+                )
+            if hit:
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
 def test_demo_imports_resolve(demo):
     for node in ast.walk(ast.parse(demo.read_text())):

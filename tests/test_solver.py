@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_game
 import reference_solver
 from surveil import (
     SolverError,
@@ -32,7 +33,7 @@ def _product_graph(arena, strat):
     g.add_node(start)
     while queue:
         i, mem = queue.pop(0)
-        for c, _ in arena.moves[i]:
+        for c, _ in arena.choices(i):
             reply, mem2 = strat.moves[(i, mem, c)]
             nxt = (reply, mem2)
             if nxt not in g:
@@ -62,7 +63,7 @@ def verify_agent_strategy(arena, objective, strat):
 def verify_target_strategy(arena, objective, result):
     """The extracted counterexample graph must defeat every agent play."""
     cex = extract_cex_graph(arena, result)
-    index = arena.index
+    index = {s: i for i, s in enumerate(arena.states)}
     safe = set(range(len(arena)))
     for atom in objective.safety_terms:
         safe &= arena.atom_sets[atom]
@@ -155,7 +156,7 @@ def test_cpre_definition(exact_arena_factory):
     got = cpre(arena, W)
     for i in range(len(arena)):
         expected = all(
-            any(r in W for r in replies) for _, replies in arena.moves[i]
+            any(r in W for r in replies) for _, replies in arena.choices(i)
         )
         assert (i in got) == expected
 
@@ -174,16 +175,17 @@ def test_cex_tree_leaves_violate_safety(game5, two_col_partition):
     result = solve(arena, obj)
     assert not result.agent_wins
     tree = extract_cex_tree(arena, result, obj)
+    index = {s: i for i, s in enumerate(arena.states)}
     leaves = [n for n in tree.nodes() if not n.children]
     assert leaves
     for leaf in leaves:
-        i = arena.index[leaf.state]
+        i = index[leaf.state]
         assert any(i not in arena.atom_sets[a] for a in obj.safety_terms)
     # internal nodes branch over every reply of the chosen move
     for n in tree.nodes():
         if n.children:
-            replies = dict(arena.moves[arena.index[n.state]])[n.choice]
-            assert [arena.index[c.state] for c in n.children] == list(replies)
+            replies = dict(arena.choices(index[n.state]))[n.choice]
+            assert [index[c.state] for c in n.children] == list(replies)
 
 
 def test_cex_graph_closed_under_replies(game5, two_col_partition):
@@ -193,9 +195,10 @@ def test_cex_graph_closed_under_replies(game5, two_col_partition):
     result = solve(arena, obj)
     assert not result.agent_wins
     cex = extract_cex_graph(arena, result)
+    index = {s: i for i, s in enumerate(arena.states)}
     for s, succs in cex.edges.items():
-        i = arena.index[s]
-        replies = dict(arena.moves[i])[cex.choice[s]]
+        i = index[s]
+        replies = dict(arena.choices(i))[cex.choice[s]]
         assert tuple(arena.states[r] for r in replies) == succs
         for s2 in succs:
             assert s2 in cex.edges
@@ -266,7 +269,7 @@ def random_games(draw):
         safety = [TaskAtom("s0")]
     atom_sets = {a: everything - draw(st.frozensets(state, max_size=8)) for a in safety}
     atom_sets.update({a: draw(st.frozensets(state)) for a in recurrence})
-    arena = Arena(
+    arena = reference_game.Arena(
         states=list(range(n)),
         index={i: i for i in range(n)},
         moves=moves,
@@ -274,6 +277,13 @@ def random_games(draw):
         atom_sets=atom_sets,
     )
     return arena, Objective(frozenset(safety), tuple(recurrence))
+
+
+def _flat(arena):
+    """The flat arena with the reference arena's moves."""
+    return Arena.from_moves(
+        arena.states, arena.initial, arena.moves, atom_sets=arena.atom_sets
+    )
 
 
 def _solve_or_error(solver, arena, obj):
@@ -289,7 +299,7 @@ def _solve_or_error(solver, arena, obj):
 @given(random_games())
 def test_solver_matches_naive_reference(game):
     arena, obj = game
-    got = _solve_or_error(solve, arena, obj)
+    got = _solve_or_error(solve, _flat(arena), obj)
     want = _solve_or_error(reference_solver.solve, arena, obj)
     if want is None:
         assert got is None
@@ -310,4 +320,4 @@ def test_solver_matches_naive_reference(game):
 def test_cpre_matches_naive_reference(game, data):
     arena, _ = game
     W = data.draw(st.frozensets(st.integers(0, len(arena) - 1)))
-    assert cpre(arena, W) == reference_solver.cpre(arena, W)
+    assert cpre(_flat(arena), W) == reference_solver.cpre(arena, W)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_structure
+from conftest import random_problems
 from surveil import (
-    GridWorld,
     MotionConfig,
     SurveillanceGameStructure,
     VisionConfig,
@@ -138,24 +138,6 @@ def assert_same_structure(G, R):
         for l_t in R.target_locations:
             assert G.vis(l_a, l_t) == R.vis(l_a, l_t), (l_a, l_t)
     assert validate_assumptions(G) == reference_structure.validate_assumptions(R)
-
-
-@st.composite
-def random_problems(draw):
-    rows, cols = draw(st.integers(1, 6)), draw(st.integers(2, 6))
-    cells = list(range(rows * cols))
-    agent, target = draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2, unique=True))
-    others = [c for c in cells if c not in (agent, target)]
-    obstacles = draw(st.frozensets(st.sampled_from(others))) if others else frozenset()
-    grid = GridWorld(rows, cols, obstacles, agent, target)
-    motion = MotionConfig(
-        agent_radius=draw(st.integers(1, 2)),
-        target_radius=draw(st.integers(1, 2)),
-        allow_stay=draw(st.booleans()),
-        restrict_agent_to_visible=draw(st.booleans()),
-    )
-    vision_range = draw(st.none() | st.floats(0.5, 6.0))
-    return grid, motion, VisionConfig(range=vision_range)
 
 
 @settings(max_examples=300, deadline=None)
