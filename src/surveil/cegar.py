@@ -11,7 +11,7 @@ spuriousness.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .abstraction import Partition, build_abstract_game, initial_partition, refines
@@ -146,18 +146,28 @@ class AnalysisGraphD:
     """Counterexample graph paired with exact forward beliefs.
 
     Node ``i`` carries the belief state, the abstract counterexample
-    state it tracks, and that state's winning mode.
+    state it tracks, and that state's winning mode.  Nodes are numbered
+    breadth first from ``initial``, and ``parent[i]`` is the node whose
+    expansion found node ``i`` (None for the root).
     """
 
     beliefs: list
     cex_states: list
     modes: list
     edges: dict
+    parent: list
     initial: int = 0
-    index: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.beliefs)
+
+    def stem(self, i: int) -> list:
+        """A shortest path from the root to node ``i``: the first one a
+        breadth-first search in canonical neighbour order finds."""
+        path = [i]
+        while self.parent[path[-1]] is not None:
+            path.append(self.parent[path[-1]])
+        return path[::-1]
 
 
 def build_analysis_graph(
@@ -167,6 +177,7 @@ def build_analysis_graph(
     l_a0, l_t0 = G.initial
     d0 = ((l_a0, frozenset({l_t0})), cex.initial)
     beliefs, cex_states, modes = [d0[0]], [d0[1]], [cex.mode[cex.initial]]
+    parent = [None]
     index = {d0: 0}
     edges: dict[int, tuple[int, ...]] = {}
     queue = deque([d0])
@@ -184,10 +195,11 @@ def build_analysis_graph(
                 beliefs.append(key2[0])
                 cex_states.append(v2)
                 modes.append(cex.mode[v2])
+                parent.append(i)
                 queue.append(key2)
             out.append(index[key2])
         edges[i] = tuple(out)
-    return AnalysisGraphD(beliefs, cex_states, modes, edges, 0, index)
+    return AnalysisGraphD(beliefs, cex_states, modes, edges, parent)
 
 
 def _shortest_path(edges, sources, goals, allowed=None):
@@ -245,12 +257,8 @@ def find_good_lasso(
     for g in sorted(good):
         # a cycle through g is a path from g's successors back to g
         back = _shortest_path(D.edges, D.edges.get(g, ()), {g}, allowed)
-        if back is None:
-            continue
-        stem = _shortest_path(D.edges, (D.initial,), {g})
-        if stem is None:
-            continue
-        return stem, [g] + back
+        if back is not None:
+            return D.stem(g), [g] + back
     return None
 
 
@@ -299,7 +307,7 @@ def analyze_general(
         return all(atom_holds(G, l_a, locs, a, predicates) for a in safety)
 
     def refine_to(i):
-        pairs = _d_pairs(D, _shortest_path(D.edges, (D.initial,), {i}))
+        pairs = _d_pairs(D, D.stem(i))
         return _grown(Q, split_along(G, Q, pairs), pairs)
 
     for i in range(len(D) if safety else 0):
@@ -346,20 +354,19 @@ class IterationBudgetExceeded(RuntimeError):
 def cegar_loop(
     G: SurveillanceGameStructure,
     objective: Objective,
-    Q: Optional[Partition] = None,
     predicates: Optional[dict[str, PredicateDef]] = None,
     max_states: int = 1_000_000,
     max_iters: int = 200,
 ) -> CegarOutcome:
-    """Abstract-solve / analyze / refine until a verdict is reached.
+    """Abstract-solve / analyze / refine from :func:`initial_partition`
+    until a verdict is reached.
 
     Terminates because every refinement strictly grows the partition,
     which is bounded by the partition into singletons.
     """
     predicates = predicates or {}
-    if Q is None:
-        Q = initial_partition(G, predicates.values())
-    Q.check_uniform(predicates.values())
+    # uniform for every target-kind predicate by construction
+    Q = initial_partition(G, predicates.values())
     transcript: list[str] = []
     for iteration in range(1, max_iters + 1):
         game = build_abstract_game(G, Q, max_states=max_states)
@@ -373,31 +380,23 @@ def cegar_loop(
                 "realizable", iteration, Q, transcript,
                 strategy=result.agent_strategy, arena=arena,
             )
+        # ``cex`` is the counterexample, ``refined`` the next partition or
+        # CONCRETIZABLE when the counterexample is real
         if objective.recurrence_terms:
-            cex = extract_cex_graph(arena, result)
-            D = build_analysis_graph(G, Q, cex)
-            analysis = analyze_general(G, Q, D, objective, predicates)
-            if analysis == CONCRETIZABLE:
-                transcript.append(
-                    f"iter={iteration} blocks={len(Q)} verdict=unrealizable action=stop"
-                )
-                return CegarOutcome(
-                    "unrealizable", iteration, Q, transcript,
-                    arena=arena, counterexample=D,
-                )
-            refined = analysis
+            cex = build_analysis_graph(G, Q, extract_cex_graph(arena, result))
+            refined = analyze_general(G, Q, cex, objective, predicates)
         else:
-            tree = extract_cex_tree(arena, result, objective)
-            analysis = annotate_tree(G, Q, tree, predicates)
-            if analysis == CONCRETIZABLE:
-                transcript.append(
-                    f"iter={iteration} blocks={len(Q)} verdict=unrealizable action=stop"
-                )
-                return CegarOutcome(
-                    "unrealizable", iteration, Q, transcript,
-                    arena=arena, counterexample=tree,
-                )
-            refined = refine_safety(G, Q, analysis)
+            cex = extract_cex_tree(arena, result, objective)
+            path = annotate_tree(G, Q, cex, predicates)
+            refined = path if path == CONCRETIZABLE else refine_safety(G, Q, path)
+        if refined == CONCRETIZABLE:
+            transcript.append(
+                f"iter={iteration} blocks={len(Q)} verdict=unrealizable action=stop"
+            )
+            return CegarOutcome(
+                "unrealizable", iteration, Q, transcript,
+                arena=arena, counterexample=cex,
+            )
         transcript.append(
             f"iter={iteration} blocks={len(Q)} verdict=continue "
             f"action=refine->{len(refined)}"

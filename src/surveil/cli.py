@@ -64,13 +64,19 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_problem(args):
+def _load_structure(args):
+    """The map and config text that the digest covers, the grid, its
+    game structure and the structure's assumption report."""
     map_text = _read(args.map)
     cfg_text = _read(args.config) if args.config else ""
     grid = parse_grid(map_text)
     motion, vision = parse_config(cfg_text)
     G = build_game_structure(grid, motion, vision)
-    report = validate_assumptions(G)
+    return map_text + "\n" + cfg_text, grid, G, validate_assumptions(G)
+
+
+def _load_problem(args):
+    text, grid, G, report = _load_structure(args)
     if not report.ok:
         raise MapError(
             "game structure assumptions violated: "
@@ -81,7 +87,7 @@ def _load_problem(args):
     predicates = predicates_from_grid(grid)
     for p in predicates.values():
         check_observable(G, p)
-    digest = hashlib.sha256((map_text + "\n" + cfg_text).encode()).hexdigest()
+    digest = hashlib.sha256(text.encode()).hexdigest()
     return grid, G, objective, predicates, digest
 
 
@@ -93,19 +99,19 @@ def _write_out(args, text: str):
         sys.stdout.write(text)
 
 
+def _synthesize(args, G, objective, predicates):
+    return cegar_loop(
+        G,
+        objective,
+        predicates=predicates,
+        max_states=args.max_states,
+        max_iters=args.max_iters,
+    )
+
+
 def cmd_synth(args) -> int:
     grid, G, objective, predicates, digest = _load_problem(args)
-    try:
-        outcome = cegar_loop(
-            G,
-            objective,
-            predicates=predicates,
-            max_states=args.max_states,
-            max_iters=args.max_iters,
-        )
-    except (BudgetExceeded, IterationBudgetExceeded) as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    outcome = _synthesize(args, G, objective, predicates)
     for line in outcome.transcript:
         print(line)
     if args.dump_partition:
@@ -164,11 +170,7 @@ def _counterexample_json(outcome) -> dict:
 
 def cmd_oracle(args) -> int:
     grid, G, objective, predicates, digest = _load_problem(args)
-    try:
-        game = build_belief_game(G, max_states=args.max_states)
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    game = build_belief_game(G, max_states=args.max_states)
     arena = make_arena(game, G, objective, predicates)
     result = solve(arena, objective)
     print(f"states={len(arena)} realizable={result.agent_wins}")
@@ -191,17 +193,7 @@ def _simulate_and_write(args, render) -> int:
     elif objective is None:
         raise SimulationError("either --spec or --strategy is required")
     else:
-        try:
-            outcome = cegar_loop(
-                G,
-                objective,
-                predicates=predicates,
-                max_states=args.max_states,
-                max_iters=args.max_iters,
-            )
-        except (BudgetExceeded, IterationBudgetExceeded) as exc:
-            print(f"budget exceeded: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
+        outcome = _synthesize(args, G, objective, predicates)
         if outcome.verdict != "realizable":
             print("unrealizable", file=sys.stderr)
             return EXIT_UNREALIZABLE
@@ -227,12 +219,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    map_text = _read(args.map)
-    cfg_text = _read(args.config) if args.config else ""
-    grid = parse_grid(map_text)
-    motion, vision = parse_config(cfg_text)
-    G = build_game_structure(grid, motion, vision)
-    report = validate_assumptions(G)
+    _, grid, G, report = _load_structure(args)
     print(
         f"cells={len(grid.free_cells)} total={report.total} "
         f"invisible_independent={report.invisible_independent}"
@@ -291,6 +278,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (BudgetExceeded, IterationBudgetExceeded) as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except (
         MapError,
         SpecError,

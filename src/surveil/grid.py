@@ -268,27 +268,25 @@ def reachable_moves(
 def _visible_sets(g: GridWorld, v: VisionConfig) -> dict[int, frozenset[int]]:
     """Per free cell, the free cells visible from it (itself included).
 
-    With a vision range only cells inside the range's bounding box are
-    tested; without one each unordered pair is tested once.
+    Each unordered pair of free cells inside the vision range's bounding
+    box is tested once, from its lower-numbered cell, since line of sight
+    is symmetric.  Without a range the box is the whole grid.
     """
     free = sorted(g.free_cells)
     visible = {a: {a} for a in free}
-    if v.range is None:
-        for i, a in enumerate(free):
-            for t in free[i + 1 :]:
-                if line_of_sight(g, v, a, t):
+    # a missing or infinite range cuts nothing off
+    reach = g.rows + g.cols
+    if v.range is not None:
+        reach = int(min(v.range, reach))
+    for a in free:
+        r0, c0 = g.rc(a)
+        lo_c, hi_c = max(0, c0 - reach), min(g.cols, c0 + reach + 1)
+        for r in range(r0, min(g.rows, r0 + reach + 1)):
+            first = a + 1 if r == r0 else r * g.cols + lo_c
+            for t in range(first, r * g.cols + hi_c):
+                if t in visible and line_of_sight(g, v, a, t):
                     visible[a].add(t)
                     visible[t].add(a)
-    else:
-        # an infinite range cuts nothing off: box the whole grid
-        reach = int(min(v.range, g.rows + g.cols))
-        for a in free:
-            r0, c0 = g.rc(a)
-            lo_c, hi_c = max(0, c0 - reach), min(g.cols, c0 + reach + 1)
-            for r in range(max(0, r0 - reach), min(g.rows, r0 + reach + 1)):
-                for t in range(r * g.cols + lo_c, r * g.cols + hi_c):
-                    if t != a and t in visible and line_of_sight(g, v, a, t):
-                        visible[a].add(t)
     return {a: frozenset(cells) for a, cells in visible.items()}
 
 

@@ -108,10 +108,6 @@ def parse_spec(text: str) -> Objective:
     while True:
         kind, val, pos = tokens[i] if i < len(tokens) else ("end", "", len(text))
         if kind != "ident" or val not in ("G", "GF"):
-            if kind == "ident" and val in _UNSUPPORTED:
-                raise SpecError(
-                    f"unsupported fragment: operator {_UNSUPPORTED[val]}", pos
-                )
             raise SpecError("expected temporal operator 'G' or 'GF'", pos)
         op = val
         i += 1
@@ -123,7 +119,7 @@ def parse_spec(text: str) -> Objective:
             if atom.k < 1:
                 raise SpecError("surveillance threshold must be >= 1", pos)
         elif kind == "ident":
-            if val in _UNSUPPORTED or val in ("G", "GF"):
+            if val in ("G", "GF"):
                 raise SpecError(f"expected atom, got {val!r}", pos)
             atom = TaskAtom(val)
         else:
@@ -138,8 +134,6 @@ def parse_spec(text: str) -> Objective:
         if i >= len(tokens):
             break
         kind, val, pos = tokens[i]
-        if kind == "ident" and val in _UNSUPPORTED:
-            raise SpecError(f"unsupported fragment: operator {_UNSUPPORTED[val]}", pos)
         if kind != "and":
             raise SpecError("expected '&' between terms", pos)
         i += 1

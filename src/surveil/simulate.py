@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .abstraction import Partition
-from .belief import belief_key, concretize, next_belief
+from .belief import concretize, next_belief
 from .grid import GridWorld
 from .solver import Arena, StrategyData
 from .structure import SurveillanceGameStructure
@@ -27,7 +27,12 @@ class SimulationError(RuntimeError):
 
 @dataclass
 class StrategyRunner:
-    """Steps a finite-memory controller along observed target moves."""
+    """Steps a finite-memory controller along observed target moves.
+
+    ``set_move[i]`` is the controller's block-set move in state ``i``,
+    which it plays while the agent does not see the target; a controller
+    with two block-set moves in one state is rejected.
+    """
 
     G: SurveillanceGameStructure
     arena: Arena
@@ -35,12 +40,17 @@ class StrategyRunner:
     partition: Optional[Partition] = None
     state: int = field(init=False)
     memory: int = field(init=False)
+    set_move: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.state = self.arena.initial
         self.memory = 0
         if self.state not in self.strategy.winning_region:
             raise SimulationError("initial state is not in the winning region")
+        self.set_move = {}
+        for i, _, c in self.strategy.moves:
+            if not isinstance(c, int) and self.set_move.setdefault(i, c) != c:
+                raise SimulationError(f"controller has two block-set moves in state {i}")
 
     @property
     def abstract_state(self):
@@ -52,14 +62,11 @@ class StrategyRunner:
         if self.G.vis(l_a, target_loc):
             choice = target_loc
         else:
-            sets = [
-                c for c, _ in self.arena.choices(self.state) if not isinstance(c, int)
-            ]
-            if not sets:
+            choice = self.set_move.get(self.state)
+            if choice is None:
                 raise SimulationError(
                     f"no invisible move available from state {self.state}"
                 )
-            choice = sets[0]
         key = (self.state, self.memory, choice)
         if key not in self.strategy.moves:
             raise SimulationError(f"controller has no move for {key}")
@@ -76,7 +83,9 @@ def load_runner(
     With ``expected_digest`` the payload's embedded map digest must match,
     so a controller synthesized for a different map is rejected before it
     can produce nonsense moves.  So is a controller whose initial state,
-    winning region or moves name a state index it does not list.
+    winning region or moves name a state index it does not list, whose
+    states name a cell or block id the map or its partition lacks, or
+    whose partition does not cover exactly the map's target cells.
     """
     if not isinstance(payload, dict):
         raise SimulationError("strategy file must hold a JSON object")
@@ -89,27 +98,17 @@ def load_runner(
             (l_a, label if isinstance(label, int) else frozenset(label))
             for l_a, label in payload["states"]
         ]
-        moves = {}
-        available: dict[int, set] = {}
-        for i, mem, c, r, mem2 in payload["moves"]:
-            key = c if isinstance(c, int) else frozenset(c)
-            moves[(i, mem, key)] = (r, mem2)
-            available.setdefault(i, set()).add(key)
-        arena = Arena.from_moves(
-            states,
-            payload["initial"],
-            [
-                [(c, ()) for c in sorted(available.get(i, ()), key=belief_key)]
-                for i in range(len(states))
-            ],
-        )
+        moves = {
+            (i, mem, c if isinstance(c, int) else frozenset(c)): (r, mem2)
+            for i, mem, c, r, mem2 in payload["moves"]
+        }
         strategy = StrategyData(
             memory_count=payload["memory_count"],
             winning_region=frozenset(payload["winning_region"]),
             moves=moves,
         )
         n = len(states)
-        used = [arena.initial, *strategy.winning_region]
+        used = [payload["initial"], *strategy.winning_region]
         used += [i for i, _, _ in moves] + [r for r, _ in moves.values()]
         bad = [i for i in used if not (isinstance(i, int) and 0 <= i < n)]
         if bad:
@@ -122,11 +121,39 @@ def load_runner(
                 int(bid): frozenset(cells)
                 for bid, cells in payload["blocks"].items()
             }
-            universe = frozenset().union(*blocks.values())
-            partition = Partition(blocks, universe)
+            partition = Partition(blocks, G.target_locations)
+        _check_cells(G, states, partition)
     except (KeyError, TypeError, ValueError) as exc:
         raise SimulationError(f"malformed strategy file: {exc}") from exc
+    arena = Arena.from_moves(states, payload["initial"], [()] * n)
     return StrategyRunner(G, arena, strategy, partition)
+
+
+def _check_cells(G: SurveillanceGameStructure, states, partition) -> None:
+    """Every state's agent and target cells must be cells of ``G``, and
+    every block-set label must name blocks of ``partition`` (target
+    cells of ``G`` without one)."""
+    agents, targets = G.agent_locations, G.target_locations
+    ids, kind = targets, "target cells of the map"
+    if partition is not None:
+        ids, kind = frozenset(partition.blocks), "blocks of its partition"
+    for i, (l_a, label) in enumerate(states):
+        if l_a not in agents:
+            raise SimulationError(
+                f"strategy file state {i} puts the agent on {l_a!r}, "
+                "which is not an agent cell of the map"
+            )
+        if isinstance(label, int):
+            if label not in targets:
+                raise SimulationError(
+                    f"strategy file state {i} puts the target on {label!r}, "
+                    "which is not a target cell of the map"
+                )
+        elif not label <= ids:
+            raise SimulationError(
+                f"strategy file state {i} names {sorted(label - ids)}, "
+                f"which are not {kind}"
+            )
 
 
 class TargetPolicy:

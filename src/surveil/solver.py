@@ -34,9 +34,6 @@ class Arena(TurnGame):
 
     atom_sets: dict[Atom, frozenset[int]] = field(default_factory=dict)
 
-    def sat(self, atom: Atom, i: int) -> bool:
-        return i in self.atom_sets[atom]
-
 
 def _widths(off: array) -> array:
     """Lengths of the ranges that the offsets ``off`` delimit."""
@@ -137,11 +134,6 @@ class _Index:
         )
 
 
-def cpre(arena: Arena, W: frozenset[int] | set[int]) -> frozenset[int]:
-    """States where, whatever the target picks, some agent reply stays in W."""
-    return _Index(arena).cpre(W)
-
-
 def _mask(n: int, states) -> bytearray:
     m = bytearray(n)
     for i in states:
@@ -210,7 +202,7 @@ def _attractor(ix: _Index, target: frozenset[int], domain: bytearray) -> array:
 
 
 def _target_attractor(
-    ix: _Index, arena: Arena, won: bytearray, fresh: list, missing: array, level: int
+    ix: _Index, won: bytearray, fresh: list, missing: array, level: int
 ) -> list:
     """Target attractor toward the ``won`` mask, which it extends.
 
@@ -222,7 +214,6 @@ def _target_attractor(
     continue after ``level``.  Returns ``[(state, rank, choice)]``.
     """
     start, owner, width = ix.start, ix.owner, ix.width
-    labels, choice_label = arena.labels, arena.choice_label
     candidates = []
     for j in fresh:
         for c in ix.preds_of(j):
@@ -241,7 +232,7 @@ def _target_attractor(
                     break
             won[i] = 1
             added.append(i)
-            out.append((i, level, labels[choice_label[c]]))
+            out.append((i, level, c))
         candidates = []
         for j in added:
             for c in ix.preds_of(j):
@@ -251,7 +242,7 @@ def _target_attractor(
     return out
 
 
-def _avoid_trap(ix: _Index, arena: Arena, won: bytearray, avoid: frozenset[int]) -> list:
+def _avoid_trap(ix: _Index, won: bytearray, avoid: frozenset[int]) -> list:
     """Greatest Y outside ``won`` and ``avoid`` where the target has a
     choice whose (non-empty) replies all stay in Y or ``won``.
 
@@ -295,7 +286,7 @@ def _avoid_trap(ix: _Index, arena: Arena, won: bytearray, avoid: frozenset[int])
         if inside[i]:
             for c in range(start[i], start[i + 1]):
                 if width[c] and not escapes[c]:
-                    out.append((i, arena.labels[arena.choice_label[c]]))
+                    out.append((i, c))
                     break
     for i, _ in out:
         won[i] = 1
@@ -323,6 +314,8 @@ class TargetStrategyData:
     ``("unsafe",)`` for a safety-atom violation at the state itself,
     ``("reach", rank)`` while forcing toward a violation, and
     ``("avoid", j)`` while trapping the play away from recurrence atom j.
+    ``choice[i]`` is the id of the arena choice the target picks in state
+    ``i``, or None for a state without choices.
     """
 
     region: frozenset[int]
@@ -360,19 +353,12 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
         safe &= arena.atom_sets[atom]
     w_safe = _gfp_safe(ix, safe)
 
-    rec = objective.recurrence_terms
-    if not rec:
-        win = w_safe
-        if arena.initial in win:
-            strat = _safety_strategy(arena, win)
-            return SolveResult(True, win, agent_strategy=strat)
-        tstrat = _target_strategy(ix, arena, objective, win, safe)
-        return SolveResult(False, win, target_strategy=tstrat)
-
-    targets = [arena.atom_sets[a] & w_safe for a in rec]
+    # without recurrence terms the loop is skipped: the one core is
+    # w_safe, which lies inside its own cpre, and no rank is read
+    Z, cores, ranks = w_safe, [w_safe], [None]
+    targets = [arena.atom_sets[a] & w_safe for a in objective.recurrence_terms]
     domain = _mask(len(arena), w_safe)
-    Z = w_safe
-    while True:
+    while targets:
         cpre_z = ix.cpre(Z)
         cores = [F & cpre_z for F in targets]
         ranks = [_attractor(ix, core, domain) for core in cores]
@@ -389,20 +375,10 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
     return SolveResult(False, Z, target_strategy=tstrat)
 
 
-def _safety_strategy(arena, win) -> StrategyData:
-    labels, label, start = arena.labels, arena.choice_label, arena.choice_off
-    off, replies = arena.reply_off, arena.replies
-    moves = {}
-    for i in win:
-        for c in range(start[i], start[i + 1]):
-            reply = _canonical_reply(i, replies[off[c] : off[c + 1]], win)
-            moves[(i, 0, labels[label[c]])] = (reply, 0)
-    return StrategyData(1, win, moves)
-
-
 def _buchi_strategy(arena, Z, cores, ranks) -> StrategyData:
     """Controller from the final round of the Buchi fixpoint: in memory
-    ``j``, descend ``ranks[j]`` to ``cores[j]``, then move on to ``j + 1``."""
+    ``j``, descend ``ranks[j]`` to ``cores[j]``, then move on to ``j + 1``.
+    Inside a core every reply stays in ``Z``."""
     labels, label, start = arena.labels, arena.choice_label, arena.choice_off
     off, replies = arena.reply_off, arena.replies
     m = len(cores)
@@ -446,18 +422,18 @@ def _target_strategy(ix, arena, objective, agent_win, safe) -> TargetStrategyDat
     for i in fresh:
         won[i] = 1
         mode[i] = ("unsafe",)
-        choice[i] = _first_choice(arena, i)
+        choice[i] = ix.start[i] if ix.degree[i] else None
     top = 0
     while True:
         grown = False
-        for i, rank, c in _target_attractor(ix, arena, won, fresh, missing, top):
+        for i, rank, c in _target_attractor(ix, won, fresh, missing, top):
             mode[i] = ("reach", rank)
             choice[i] = c
             top = rank
             grown = True
         fresh = []
         for j, atom in enumerate(objective.recurrence_terms):
-            for i, c in _avoid_trap(ix, arena, won, arena.atom_sets[atom]):
+            for i, c in _avoid_trap(ix, won, arena.atom_sets[atom]):
                 mode[i] = ("avoid", j)
                 choice[i] = c
                 fresh.append(i)
@@ -486,27 +462,6 @@ class CounterexampleTree:
     root: CexTreeNode
     safety: frozenset[Atom]
 
-    def nodes(self):
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            yield n
-            stack.extend(reversed(n.children))
-
-
-def _first_choice(arena: Arena, i: int):
-    """The first target choice of state ``i`` in canonical order, or None."""
-    c = arena.choice_off[i]
-    return arena.labels[arena.choice_label[c]] if c < arena.choice_off[i + 1] else None
-
-
-def _replies_of(arena: Arena, i: int, choice):
-    """The agent replies to the target's ``choice`` in state ``i``."""
-    for c, replies in arena.choices(i):
-        if c == choice:
-            return replies
-    raise SolverError(f"state {i} has no target choice {choice!r}")
-
 
 def extract_cex_tree(arena: Arena, result: SolveResult, objective: Objective) -> CounterexampleTree:
     """Unfold the target's safety-spoiling strategy into a finite tree.
@@ -519,20 +474,17 @@ def extract_cex_tree(arena: Arena, result: SolveResult, objective: Objective) ->
         raise SolverError("no target strategy to extract a counterexample from")
     ts = result.target_strategy
     safety = objective.safety_terms
-
-    def violates(i):
-        return frozenset(a for a in safety if not arena.sat(a, i))
+    off, replies = arena.reply_off, arena.replies
 
     def build(i, depth):
         node = CexTreeNode(state=arena.states[i])
-        if violates(i):
+        if any(i not in arena.atom_sets[a] for a in safety):
             return node
         if depth > len(arena) + 1:
             raise SolverError("counterexample tree extraction did not terminate")
         c = ts.choice[i]
-        node.choice = c
-        replies = _replies_of(arena, i, c)
-        node.children = [build(r, depth + 1) for r in replies]
+        node.choice = arena.labels[arena.choice_label[c]]
+        node.children = [build(r, depth + 1) for r in replies[off[c] : off[c + 1]]]
         return node
 
     root = build(arena.initial, 0)
@@ -553,25 +505,25 @@ def extract_cex_graph(arena: Arena, result: SolveResult) -> CounterexampleGraph:
     if result.target_strategy is None:
         raise SolverError("no target strategy to extract a counterexample from")
     ts = result.target_strategy
+    off, replies = arena.reply_off, arena.replies
     choice, edges, mode = {}, {}, {}
     queue = deque([arena.initial])
     seen = {arena.initial}
+    # every state reached lies in the target's region, where ``ts`` picks
     while queue:
         i = queue.popleft()
         s = arena.states[i]
-        c = ts.choice.get(i)
-        if c is None:
-            c = _first_choice(arena, i)
-        choice[s] = c
-        mode[s] = ts.mode.get(i, ("unsafe",))
+        c = ts.choice[i]
+        choice[s] = None if c is None else arena.labels[arena.choice_label[c]]
+        mode[s] = ts.mode[i]
         if mode[s] == ("unsafe",):
             # the safety violation already happened here; the play is
             # decided, so the node is a sink of the counterexample
             edges[s] = ()
             continue
-        replies = _replies_of(arena, i, c)
-        edges[s] = tuple(arena.states[r] for r in replies)
-        for r in replies:
+        out = replies[off[c] : off[c + 1]]
+        edges[s] = tuple(arena.states[r] for r in out)
+        for r in out:
             if r not in seen:
                 seen.add(r)
                 queue.append(r)

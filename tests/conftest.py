@@ -137,6 +137,15 @@ def _replayed_label(choices, old_choice):
     return set_choice(choices)
 
 
+def choice_labels(arena, target_strategy) -> dict:
+    """The target strategy's choices as labels: each state's choice id
+    looked up in the arena, None where the state has no choice."""
+    return {
+        i: None if c is None else arena.labels[arena.choice_label[c]]
+        for i, c in target_strategy.choice.items()
+    }
+
+
 def tree_eliminated(G, Qold, Qnew, tree, predicates=None) -> bool:
     """Structural check of counterexample elimination for trees.
 

@@ -182,6 +182,60 @@ def test_simulate_rejects_out_of_range_state_index(paths, capsys):
     assert f"error: strategy file refers to state {bad}," in capsys.readouterr().err
 
 
+def _labels_to_999(payload):
+    for state in payload["states"]:
+        if isinstance(state[1], list):
+            state[1] = [999]
+
+
+def _initial_agent_to_999(payload):
+    payload["states"][payload["initial"]][0] = 999
+
+
+def _int_label_to_999(payload):
+    next(s for s in payload["states"] if isinstance(s[1], int))[1] = 999
+
+
+def _obstacle_in_block(payload):
+    first = min(payload["blocks"], key=int)
+    payload["blocks"][first].append(12)  # an obstacle of MAP
+
+
+@pytest.mark.parametrize("tamper, message", [
+    pytest.param(_labels_to_999, "names [999], which are not blocks of its partition",
+                 id="set-label"),
+    pytest.param(_initial_agent_to_999, "puts the agent on 999", id="agent-cell"),
+    pytest.param(_int_label_to_999, "puts the target on 999", id="int-label"),
+    pytest.param(_obstacle_in_block, "blocks do not cover the target locations",
+                 id="partition"),
+])
+def test_simulate_rejects_tampered_cells(paths, capsys, tamper, message):
+    """A controller that names a cell or block the map does not have
+    ends in an error, not a traceback, before the agent moves."""
+    strat = paths["tmp"] / "strat.json"
+    assert run(["synth", "--map", paths["map"], "--spec", paths["p3"],
+                "--out", str(strat)]) == 0
+    payload = json.loads(strat.read_text())
+    tamper(payload)
+    strat.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = run(["simulate", "--map", paths["map"], "--strategy", str(strat)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--max-states", "10"],
+    ["simulate", "--max-iters", "1"],
+    ["render", "--max-iters", "1"],
+])
+def test_budget_exit_twenty_names_budget(paths, capsys, argv):
+    code = run([argv[0], "--map", paths["map"], "--spec", paths["p3"], *argv[1:]])
+    assert code == 20
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
 def test_simulate_needs_spec_or_strategy(paths):
     assert run(["simulate", "--map", paths["map"]]) == 1
 

@@ -71,6 +71,17 @@ def test_controller_with_out_of_range_state_index_rejected(game5, controller, ta
         load_runner(game5, payload, expected_digest="d")
 
 
+def test_controller_with_two_set_moves_in_one_state_rejected(game5, controller):
+    payload = export_strategy(
+        controller.arena, controller.strategy, "d", controller.final_partition
+    )
+    i, mem, c, r, mem2 = next(m for m in payload["moves"] if isinstance(m[2], list))
+    other = next([int(b)] for b in payload["blocks"] if [int(b)] != c)
+    payload["moves"].append([i, mem, other, r, mem2])
+    with pytest.raises(SimulationError, match=f"two block-set moves in state {i}"):
+        load_runner(game5, payload, expected_digest="d")
+
+
 def test_simulation_checks_hold_for_random_target(game5, grid5, controller):
     runner = make_runner(game5, controller)
     trace = simulate(game5, grid5, runner, RandomPolicy(seed=1), steps=40)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_game
 import reference_solver
+from conftest import choice_labels
 from surveil import (
     SolverError,
     SurveillanceGameStructure,
@@ -21,7 +22,16 @@ from surveil import (
     validate_assumptions,
 )
 from surveil.objective import Objective, TaskAtom
-from surveil.solver import Arena, cpre
+from surveil.solver import Arena, _Index
+
+
+def _tree_nodes(tree):
+    """The nodes of a counterexample tree, depth first in child order."""
+    stack = [tree.root]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(reversed(n.children))
 
 
 def _product_graph(arena, strat):
@@ -153,7 +163,7 @@ def test_winning_regions_partition_states(exact_arena_factory):
 def test_cpre_definition(exact_arena_factory):
     obj, arena = exact_arena_factory("G p<=3")
     W = arena.atom_sets[next(iter(obj.safety_terms))]
-    got = cpre(arena, W)
+    got = _Index(arena).cpre(W)
     for i in range(len(arena)):
         expected = all(
             any(r in W for r in replies) for _, replies in arena.choices(i)
@@ -165,7 +175,7 @@ def test_cpre_monotone(exact_arena_factory):
     obj, arena = exact_arena_factory("G p<=3")
     small = frozenset(range(0, len(arena), 3))
     large = small | frozenset(range(0, len(arena), 2))
-    assert cpre(arena, small) <= cpre(arena, large)
+    assert _Index(arena).cpre(small) <= _Index(arena).cpre(large)
 
 
 def test_cex_tree_leaves_violate_safety(game5, two_col_partition):
@@ -176,13 +186,13 @@ def test_cex_tree_leaves_violate_safety(game5, two_col_partition):
     assert not result.agent_wins
     tree = extract_cex_tree(arena, result, obj)
     index = {s: i for i, s in enumerate(arena.states)}
-    leaves = [n for n in tree.nodes() if not n.children]
+    leaves = [n for n in _tree_nodes(tree) if not n.children]
     assert leaves
     for leaf in leaves:
         i = index[leaf.state]
         assert any(i not in arena.atom_sets[a] for a in obj.safety_terms)
     # internal nodes branch over every reply of the chosen move
-    for n in tree.nodes():
+    for n in _tree_nodes(tree):
         if n.children:
             replies = dict(arena.choices(index[n.state]))[n.choice]
             assert [index[c.state] for c in n.children] == list(replies)
@@ -299,7 +309,8 @@ def _solve_or_error(solver, arena, obj):
 @given(random_games())
 def test_solver_matches_naive_reference(game):
     arena, obj = game
-    got = _solve_or_error(solve, _flat(arena), obj)
+    flat = _flat(arena)
+    got = _solve_or_error(solve, flat, obj)
     want = _solve_or_error(reference_solver.solve, arena, obj)
     if want is None:
         assert got is None
@@ -311,7 +322,7 @@ def test_solver_matches_naive_reference(game):
         assert got.agent_strategy.moves == want.agent_strategy.moves
     else:
         assert got.target_strategy.region == want.target_strategy.region
-        assert got.target_strategy.choice == want.target_strategy.choice
+        assert choice_labels(flat, got.target_strategy) == want.target_strategy.choice
         assert got.target_strategy.mode == want.target_strategy.mode
 
 
@@ -320,4 +331,4 @@ def test_solver_matches_naive_reference(game):
 def test_cpre_matches_naive_reference(game, data):
     arena, _ = game
     W = data.draw(st.frozensets(st.integers(0, len(arena) - 1)))
-    assert cpre(_flat(arena), W) == reference_solver.cpre(arena, W)
+    assert _Index(_flat(arena)).cpre(W) == reference_solver.cpre(arena, W)
