@@ -65,18 +65,6 @@ class Partition:
             out |= self.blocks[bid]
         return frozenset(out)
 
-    def check_uniform(self, predicates: Iterable[PredicateDef]) -> None:
-        """Every target-kind predicate must be constant on each block."""
-        for pred in predicates:
-            if not pred.on_target:
-                continue
-            for bid, cells in self.blocks.items():
-                vals = {c in pred.cells for c in cells}
-                if len(vals) > 1:
-                    raise PartitionError(
-                        f"predicate {pred.name!r} is not uniform on block {bid}"
-                    )
-
     def split(self, scope: frozenset[int], separator: frozenset[int]) -> "Partition":
         """Split every block inside ``scope`` against ``separator``.
 

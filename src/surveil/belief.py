@@ -174,15 +174,6 @@ class TurnGame:
     def __len__(self) -> int:
         return len(self.states)
 
-    def choices(self, i: int) -> list:
-        """``(choice, replies)`` pairs of state ``i`` in canonical order,
-        with the replies as an array of state numbers."""
-        labels, label, off, replies = self.labels, self.choice_label, self.reply_off, self.replies
-        return [
-            (labels[label[c]], replies[off[c] : off[c + 1]])
-            for c in range(self.choice_off[i], self.choice_off[i + 1])
-        ]
-
     @classmethod
     def from_moves(cls, states, initial, moves, **fields):
         """A flat game from ``moves[i]``, the ``(choice, replies)`` pairs
@@ -206,6 +197,11 @@ def belief_key(belief):
     if isinstance(belief, int):
         return (0, (belief,))
     return (1, tuple(sorted(belief)))
+
+
+def label_json(label):
+    """A belief as JSON: a cell stays an int, a set becomes a sorted list."""
+    return label if isinstance(label, int) else sorted(label)
 
 
 def _explore(initial, successors, max_states) -> TurnGame:

@@ -20,6 +20,7 @@ from .belief import (
     PredicateError,
     build_belief_game,
     check_observable,
+    label_json,
     predicates_from_grid,
 )
 from .cegar import IterationBudgetExceeded, RefinementError, cegar_loop
@@ -134,10 +135,6 @@ def _counterexample_json(outcome) -> dict:
     """JSON dump of the concrete counterexample behind an unrealizable
     verdict: a target strategy tree (safety) or a belief-annotated graph
     (recurrence objectives)."""
-
-    def label_json(label):
-        return label if isinstance(label, int) else sorted(label)
-
     cex = outcome.counterexample
     if hasattr(cex, "root"):  # tree
         def node_json(n):

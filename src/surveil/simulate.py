@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .abstraction import Partition
-from .belief import concretize, next_belief
+from .belief import concretize, label_json, next_belief
 from .grid import GridWorld
 from .solver import Arena, StrategyData
 from .structure import SurveillanceGameStructure
@@ -31,7 +31,10 @@ class StrategyRunner:
 
     ``set_move[i]`` is the controller's block-set move in state ``i``,
     which it plays while the agent does not see the target; a controller
-    with two block-set moves in one state is rejected.
+    with two block-set moves in one state is rejected.  Without a
+    partition the controller is one of the exact game, where every move
+    is a set: the singleton of a cell that the agent sees is that cell's
+    visible move.
     """
 
     G: SurveillanceGameStructure
@@ -49,8 +52,17 @@ class StrategyRunner:
             raise SimulationError("initial state is not in the winning region")
         self.set_move = {}
         for i, _, c in self.strategy.moves:
-            if not isinstance(c, int) and self.set_move.setdefault(i, c) != c:
+            if not self._visible(i, c) and self.set_move.setdefault(i, c) != c:
                 raise SimulationError(f"controller has two block-set moves in state {i}")
+
+    def _visible(self, i: int, c) -> bool:
+        """Whether the move ``c`` of state ``i`` is a visible move."""
+        if isinstance(c, int):
+            return True
+        if self.partition is not None or len(c) != 1:
+            return False
+        (cell,) = c
+        return self.G.vis(self.arena.states[i][0], cell)
 
     @property
     def abstract_state(self):
@@ -60,7 +72,7 @@ class StrategyRunner:
         """Feed the target's observation; returns the agent's next cell."""
         l_a, _ = self.arena.states[self.state]
         if self.G.vis(l_a, target_loc):
-            choice = target_loc
+            choice = target_loc if self.partition is not None else frozenset({target_loc})
         else:
             choice = self.set_move.get(self.state)
             if choice is None:
@@ -363,9 +375,6 @@ def trace_jsonl(trace: Trace) -> str:
     """One JSON object per line, one line per simulation step."""
     lines = []
     for ts in trace.steps:
-        abstract = (
-            ts.abstract if isinstance(ts.abstract, int) else sorted(ts.abstract)
-        )
         lines.append(
             json.dumps(
                 {
@@ -373,7 +382,7 @@ def trace_jsonl(trace: Trace) -> str:
                     "target": ts.target,
                     "agent": ts.agent,
                     "belief": sorted(ts.belief),
-                    "abstract": abstract,
+                    "abstract": label_json(ts.abstract),
                 },
                 sort_keys=True,
             )

@@ -1,12 +1,15 @@
 """Turn-based game solving for the supported objective fragment.
 
 Arenas are turn-expanded explicit games: in every state the target picks
-a belief-level choice, then the agent picks a reply.  Safety conjuncts
-are solved by a greatest fixpoint over the controllable predecessor;
-recurrence conjuncts by a generalized-Buchi nested fixpoint with a
-memory index cycling through the recurrence atoms.  Every fixpoint and
-attractor is a counter-based worklist over a reverse-edge index of the
-arena, so it touches each edge a bounded number of times.
+a belief-level choice, then the agent picks a reply.  The solver has two
+attractors, one per player, over a reverse-edge index of the arena; each
+is a counter-based worklist that touches every edge a bounded number of
+times.  By attractor duality the agent's safe region is the complement
+of the target's attractor to the unsafe states, and the target's trap
+away from a recurrence atom is the complement of the agent's attractor
+to that atom.  Recurrence conjuncts are solved by a generalized-Buchi
+nested fixpoint over the agent's attractor and the controllable
+predecessor, with a memory index cycling through the recurrence atoms.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
-from operator import sub
+from itertools import accumulate, chain, compress, repeat
+from operator import lt, not_, sub
 from typing import Optional
 
-from .belief import PredicateDef, TurnGame, atom_holds, concretize
+from .belief import PredicateDef, TurnGame, atom_holds, concretize, label_json
 from .objective import Atom, Objective, SurvAtom
 
 
@@ -88,13 +91,15 @@ class _Index:
 
     Choice ids are the arena's: the choices of state ``i`` run from
     ``start[i]`` to ``start[i + 1]``; ``owner[c]`` is the state of choice
-    ``c`` and ``width[c]`` its number of replies.
+    ``c`` and ``width[c]`` its number of replies.  ``answered[i]`` counts
+    the choices of state ``i`` that have replies, and ``sinks`` lists the
+    states without such a choice.
     ``preds[pred_off[j]:pred_off[j + 1]]`` lists the ids of the choices
     that can reply ``j``, once per occurrence of ``j`` among their
     replies, so every counter below counts a repeated reply as often as
     it occurs and reaches zero exactly when the last copy goes.  The
-    tables are flat ``array('i')``, and every fixpoint below touches each
-    edge a bounded number of times.
+    tables are flat ``array('i')``, and every attractor below touches
+    each edge a bounded number of times.
     """
 
     def __init__(self, arena: Arena):
@@ -102,6 +107,9 @@ class _Index:
         start, replies = arena.choice_off, arena.replies
         self.degree = _widths(start)
         self.width = _widths(arena.reply_off)
+        # choices with replies before each state's first choice
+        before = array("i", accumulate(map(bool, self.width), initial=0))
+        self.answered = _widths(array("i", map(before.__getitem__, start)))
         owner = array("i", chain.from_iterable(map(repeat, range(n), self.degree)))
         indegree = array("i", [0]) * n
         for r in replies:
@@ -116,7 +124,7 @@ class _Index:
         self.n = n
         self.start, self.owner = start, owner
         self.pred_off, self.preds = pred_off, preds
-        self.sinks = [i for i in range(n) if not self.degree[i]]
+        self.sinks = [i for i in range(n) if not self.answered[i]]
 
     def preds_of(self, j: int) -> array:
         return self.preds[self.pred_off[j] : self.pred_off[j + 1]]
@@ -124,60 +132,29 @@ class _Index:
     def cpre(self, W) -> frozenset[int]:
         """States where, whatever the target picks, some agent reply
         stays in W."""
-        answered = bytearray(len(self.owner))
+        hit = bytearray(len(self.owner))
         for j in W:
             for c in self.preds_of(j):
-                answered[c] = 1
+                hit[c] = 1
         start = self.start
         return frozenset(
-            i for i in range(self.n) if answered.find(0, start[i], start[i + 1]) < 0
+            i for i in range(self.n) if hit.find(0, start[i], start[i + 1]) < 0
         )
 
 
-def _mask(n: int, states) -> bytearray:
-    m = bytearray(n)
-    for i in states:
-        m[i] = 1
-    return m
-
-
-def _gfp_safe(ix: _Index, safe: frozenset[int]) -> frozenset[int]:
-    """Greatest W inside ``safe`` with W = safe & cpre(W), by removal.
-
-    ``count[c]`` is the number of replies of choice ``c`` still in W; a
-    state leaves W when one of its choices runs out of them.
-    """
-    start, owner = ix.start, ix.owner
-    inside = _mask(ix.n, safe)
-    count = array("i", [0]) * len(owner)
-    for j in safe:
-        for c in ix.preds_of(j):
-            count[c] += 1
-    removed = [i for i in safe if 0 in count[start[i] : start[i + 1]]]
-    for i in removed:
-        inside[i] = 0
-    while removed:
-        for c in ix.preds_of(removed.pop()):
-            count[c] -= 1
-            if not count[c]:
-                i = owner[c]
-                if inside[i]:
-                    inside[i] = 0
-                    removed.append(i)
-    return frozenset(i for i in safe if inside[i])
-
-
-def _attractor(ix: _Index, target: frozenset[int], domain: bytearray) -> array:
-    """Agent attractor toward ``target`` inside the ``domain`` mask.
+def _attractor(ix: _Index, target, domain: bytearray) -> array:
+    """Agent attractor toward the ``target`` states inside the ``domain``
+    mask.
 
     Returns each state's rank, the BFS level at which every target
-    choice has a reply of lower rank (``_UNRANKED`` outside).  A choice
-    is covered once one of its replies is ranked; a choice without
-    replies never is, and a domain state without choices joins at 1.
+    choice with replies has a reply of lower rank (``_UNRANKED``
+    outside).  A choice is covered once one of its replies is ranked.
+    Choices without replies are left out, so a domain state without a
+    choice that has replies joins at 1.
     """
     owner = ix.owner
     rank = array("i", [_UNRANKED]) * ix.n
-    uncovered = array("i", ix.degree)
+    uncovered = array("i", ix.answered)
     covered = bytearray(len(owner))
     frontier = list(target)
     for i in frontier:
@@ -242,54 +219,30 @@ def _target_attractor(
     return out
 
 
-def _avoid_trap(ix: _Index, won: bytearray, avoid: frozenset[int]) -> list:
-    """Greatest Y outside ``won`` and ``avoid`` where the target has a
-    choice whose (non-empty) replies all stay in Y or ``won``.
+def _avoid_trap(ix: _Index, arena: Arena, won: bytearray, avoid) -> list:
+    """The target's trap away from the ``avoid`` states: the states
+    outside ``won`` that the agent's attractor to ``avoid``, run outside
+    ``won``, leaves unranked.
 
-    States leave Y when their last such choice dies.  Y joins ``won``;
-    returns ``[(state, choice)]`` with the first such choice in
-    canonical order, by state.
+    In each trap state the target has a choice with replies of which
+    none is ranked, so the play stays in the trap or in ``won``.  The
+    trap joins ``won``; returns ``[(state, choice)]`` by state, with the
+    first such choice in canonical order.
     """
-    n, start, owner, width = ix.n, ix.start, ix.owner, ix.width
-    inside = bytearray(n)
-    for i in range(n):
-        if not won[i] and i not in avoid:
-            inside[i] = 1
-    # replies of each choice outside both Y and won
-    escapes = array("i", [0]) * len(owner)
-    for j in range(n):
-        if not inside[j] and not won[j]:
-            for c in ix.preds_of(j):
-                escapes[c] += 1
-    viable = array("i", [0]) * n
-    removed = []
-    for i in range(n):
-        if inside[i]:
-            viable[i] = sum(
-                1 for c in range(start[i], start[i + 1]) if width[c] and not escapes[c]
-            )
-            if not viable[i]:
-                inside[i] = 0
-                removed.append(i)
-    while removed:
-        for c in ix.preds_of(removed.pop()):
-            i = owner[c]
-            if inside[i]:
-                escapes[c] += 1
-                if escapes[c] == 1:
-                    viable[i] -= 1
-                    if not viable[i]:
-                        inside[i] = 0
-                        removed.append(i)
+    start, width = ix.start, ix.width
+    off, replies = arena.reply_off, arena.replies
+    domain = bytearray(map(not_, won))
+    rank = _attractor(ix, [i for i in avoid if domain[i]], domain)
     out = []
-    for i in range(n):
-        if inside[i]:
+    for i in compress(range(ix.n), domain):
+        if rank[i] == _UNRANKED:
             for c in range(start[i], start[i + 1]):
-                if width[c] and not escapes[c]:
+                if width[c] and all(
+                    rank[r] == _UNRANKED for r in replies[off[c] : off[c + 1]]
+                ):
                     out.append((i, c))
+                    won[i] = 1
                     break
-    for i, _ in out:
-        won[i] = 1
     return out
 
 
@@ -341,23 +294,29 @@ def _canonical_reply(i, replies, allowed):
 def solve(arena: Arena, objective: Objective) -> SolveResult:
     """Solve the arena for the objective and build the winner's strategy.
 
-    Assumes every target choice has at least one agent reply, as
-    :func:`make_arena` ensures; on a choice without replies the target's
-    attractors and the controllable predecessor disagree, and the result
-    can end in a :class:`SolverError`.
+    The agent's safe region is the complement of the target's attractor
+    to the states it wins at once: the unsafe ones, and those where it
+    has a choice without replies.  :func:`make_arena` rejects such
+    choices; the target strategy does not force through them, so on an
+    arena that has them the result can end in a :class:`SolverError`.
     """
     ix = _Index(arena)
-    everything = frozenset(range(len(arena)))
+    n = len(arena)
+    everything = frozenset(range(n))
     safe = everything
     for atom in objective.safety_terms:
         safe &= arena.atom_sets[atom]
-    w_safe = _gfp_safe(ix, safe)
+    won = bytearray(map(lt, ix.answered, ix.degree))
+    for i in everything - safe:
+        won[i] = 1
+    _target_attractor(ix, won, list(compress(range(n), won)), array("i", ix.width), 0)
+    domain = bytearray(map(not_, won))
+    w_safe = frozenset(compress(range(n), domain))
 
     # without recurrence terms the loop is skipped: the one core is
     # w_safe, which lies inside its own cpre, and no rank is read
     Z, cores, ranks = w_safe, [w_safe], [None]
     targets = [arena.atom_sets[a] & w_safe for a in objective.recurrence_terms]
-    domain = _mask(len(arena), w_safe)
     while targets:
         cpre_z = ix.cpre(Z)
         cores = [F & cpre_z for F in targets]
@@ -433,7 +392,7 @@ def _target_strategy(ix, arena, objective, agent_win, safe) -> TargetStrategyDat
             grown = True
         fresh = []
         for j, atom in enumerate(objective.recurrence_terms):
-            for i, c in _avoid_trap(ix, won, arena.atom_sets[atom]):
+            for i, c in _avoid_trap(ix, arena, won, arena.atom_sets[atom]):
                 mode[i] = ("avoid", j)
                 choice[i] = c
                 fresh.append(i)
@@ -534,18 +493,14 @@ def export_strategy(
     arena: Arena, strat: StrategyData, digest: str = "", partition=None
 ) -> dict:
     """JSON-ready dump of a finite-memory controller with stable ordering."""
-
-    def belief_json(b):
-        return b if isinstance(b, int) else sorted(b)
-
-    states = [[s[0], belief_json(s[1])] for s in arena.states]
+    states = [[s[0], label_json(s[1])] for s in arena.states]
     # the arena's labels are in canonical (belief_key) order
     rank = {c: k for k, c in enumerate(arena.labels)}
     moves = []
     for (i, mem, c), (r, mem2) in sorted(
         strat.moves.items(), key=lambda kv: (kv[0][0], kv[0][1], rank[kv[0][2]])
     ):
-        moves.append([i, mem, belief_json(c), r, mem2])
+        moves.append([i, mem, label_json(c), r, mem2])
     blocks = None
     if partition is not None:
         blocks = {

@@ -137,6 +137,16 @@ def _replayed_label(choices, old_choice):
     return set_choice(choices)
 
 
+def choices(game, i: int) -> list:
+    """``(choice, replies)`` pairs of state ``i`` of a flat game in
+    canonical order, with the replies as an array of state numbers."""
+    labels, label, off, replies = game.labels, game.choice_label, game.reply_off, game.replies
+    return [
+        (labels[label[c]], replies[off[c] : off[c + 1]])
+        for c in range(game.choice_off[i], game.choice_off[i + 1])
+    ]
+
+
 def choice_labels(arena, target_strategy) -> dict:
     """The target strategy's choices as labels: each state's choice id
     looked up in the arena, None where the state has no choice."""

@@ -11,6 +11,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
+from conftest import choices
 from surveil.abstraction import abstract_successors
 from surveil.belief import (
     BudgetExceeded,
@@ -148,6 +149,6 @@ def tuple_moves(game) -> dict:
     """A flat game's moves as the reference keeps them: each state's
     ``(choice, reply states)`` pairs, keyed by state."""
     return {
-        s: [(c, tuple(game.states[r] for r in replies)) for c, replies in game.choices(i)]
+        s: [(c, tuple(game.states[r] for r in replies)) for c, replies in choices(game, i)]
         for i, s in enumerate(game.states)
     }

@@ -139,6 +139,24 @@ def test_synth_then_simulate_with_strategy_file(paths, capsys):
     assert len([ln for ln in lines if ln.startswith("{")]) == 5
 
 
+@pytest.mark.parametrize("policy", ["random", "evasive"])
+def test_oracle_controller_replays(paths, capsys, policy):
+    """Every move of the exact game is a set; the runner plays the
+    singleton of a cell the agent sees as that cell's visible move."""
+    strat = paths["tmp"] / "oracle.json"
+    assert run(["oracle", "--map", paths["map"], "--spec", paths["live"],
+                "--out", str(strat)]) == 0
+    capsys.readouterr()
+    code = run(["simulate", "--map", paths["map"], "--strategy", str(strat),
+                "--policy", policy, "--steps", "30"])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    recs = [json.loads(ln) for ln in lines if ln.startswith("{")]
+    assert len(recs) == 31
+    # the exact game's label is the belief itself
+    assert all(r["abstract"] == r["belief"] for r in recs)
+
+
 def test_foreign_strategy_rejected(paths, tmp_path, capsys):
     other = tmp_path / "other.map"
     other.write_text("......\nA....T\n")

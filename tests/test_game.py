@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_game
 import reference_solver
-from conftest import choice_labels, random_problems
+from conftest import choice_labels, choices, random_problems
 from surveil import (
     BudgetExceeded,
     PredicateDef,
@@ -62,7 +62,7 @@ def assert_same_game(G, build, ref_build, objectives, predicates, partition=None
         assert arena.states == ref.states
         assert arena.initial == ref.initial
         assert [
-            [(c, tuple(replies)) for c, replies in arena.choices(i)]
+            [(c, tuple(replies)) for c, replies in choices(arena, i)]
             for i in range(len(arena))
         ] == ref.moves
         assert arena.atom_sets == ref.atom_sets

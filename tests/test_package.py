@@ -48,6 +48,32 @@ def test_no_unused_imports_in_package():
     assert found == []
 
 
+def test_no_unreferenced_private_helpers():
+    """Every private function or class defined in the package is used
+    somewhere in it; a helper that only tests call belongs in the tests."""
+    paths = sorted((SRC / "surveil").rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert found == []
+
+
 def test_no_runtime_dependencies():
     """The package runs on the standard library alone."""
     lines = (ROOT / "pyproject.toml").read_text().splitlines()

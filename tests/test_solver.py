@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_game
 import reference_solver
-from conftest import choice_labels
+from conftest import choice_labels, choices
 from surveil import (
     SolverError,
     SurveillanceGameStructure,
@@ -43,7 +43,7 @@ def _product_graph(arena, strat):
     g.add_node(start)
     while queue:
         i, mem = queue.pop(0)
-        for c, _ in arena.choices(i):
+        for c, _ in choices(arena, i):
             reply, mem2 = strat.moves[(i, mem, c)]
             nxt = (reply, mem2)
             if nxt not in g:
@@ -166,7 +166,7 @@ def test_cpre_definition(exact_arena_factory):
     got = _Index(arena).cpre(W)
     for i in range(len(arena)):
         expected = all(
-            any(r in W for r in replies) for _, replies in arena.choices(i)
+            any(r in W for r in replies) for _, replies in choices(arena, i)
         )
         assert (i in got) == expected
 
@@ -194,7 +194,7 @@ def test_cex_tree_leaves_violate_safety(game5, two_col_partition):
     # internal nodes branch over every reply of the chosen move
     for n in _tree_nodes(tree):
         if n.children:
-            replies = dict(arena.choices(index[n.state]))[n.choice]
+            replies = dict(choices(arena, index[n.state]))[n.choice]
             assert [index[c.state] for c in n.children] == list(replies)
 
 
@@ -208,7 +208,7 @@ def test_cex_graph_closed_under_replies(game5, two_col_partition):
     index = {s: i for i, s in enumerate(arena.states)}
     for s, succs in cex.edges.items():
         i = index[s]
-        replies = dict(arena.choices(i))[cex.choice[s]]
+        replies = dict(choices(arena, i))[cex.choice[s]]
         assert tuple(arena.states[r] for r in replies) == succs
         for s2 in succs:
             assert s2 in cex.edges
@@ -324,6 +324,38 @@ def test_solver_matches_naive_reference(game):
         assert got.target_strategy.region == want.target_strategy.region
         assert choice_labels(flat, got.target_strategy) == want.target_strategy.choice
         assert got.target_strategy.mode == want.target_strategy.mode
+
+
+def test_choices_without_replies_fail_as_in_the_reference():
+    """States 3, 4, 6 and 7 have a choice without replies, so they lie
+    outside the safe region, but the target strategy does not force
+    through such a choice and cannot cover them: both solvers fail the
+    determinacy check.  An agent attractor that counted reply-less
+    choices would return a target strategy here instead; the Hypothesis
+    test above took about 6,000 examples to find this arena."""
+    moves = [
+        [(0, (7,))],
+        [],
+        [],
+        [(0, ()), (1, (0,))],
+        [(0, ()), (1, ()), (2, (0,))],
+        [],
+        [(0, ()), (1, ()), (2, (0,))],
+        [(0, ()), (1, ()), (2, (3,))],
+    ]
+    r0 = TaskAtom("r0")
+    arena = reference_game.Arena(
+        states=list(range(8)),
+        index={i: i for i in range(8)},
+        moves=moves,
+        initial=0,
+        atom_sets={r0: frozenset({0})},
+    )
+    obj = Objective(frozenset(), (r0,))
+    with pytest.raises(SolverError, match="determinacy check failed"):
+        reference_solver.solve(arena, obj)
+    with pytest.raises(SolverError, match="determinacy check failed"):
+        solve(_flat(arena), obj)
 
 
 @settings(max_examples=100, deadline=None)
