@@ -158,9 +158,12 @@ class TurnGame:
     The target's choices in state ``i`` have the ids ``choice_off[i]`` up
     to ``choice_off[i + 1]``, in canonical order.  Choice ``c`` moves the
     target to the belief ``labels[choice_label[c]]``, and the agent's
-    replies to it are the states ``replies[reply_off[c]:reply_off[c + 1]]``.
-    ``labels`` holds each distinct belief once, in canonical order, and
-    the states share these objects.
+    replies to it are the members of the reply set ``choice_set[c]``.
+    Reply set ``s`` holds the states ``replies[reply_off[s]:reply_off[s +
+    1]]``; choices with the same label and the same replies (in the
+    abstract game, the same agent cells after the same target move) share
+    one set, stored once.  ``labels`` holds each distinct belief once, in
+    canonical order, and the states share these objects.
     """
 
     states: list
@@ -168,27 +171,45 @@ class TurnGame:
     labels: list
     choice_off: array
     choice_label: array
+    choice_set: array
     reply_off: array
     replies: array
 
     def __len__(self) -> int:
         return len(self.states)
 
+    def replies_of(self, c: int) -> array:
+        """The agent's replies to choice ``c``, as state numbers."""
+        s = self.choice_set[c]
+        return self.replies[self.reply_off[s] : self.reply_off[s + 1]]
+
     @classmethod
     def from_moves(cls, states, initial, moves, **fields):
         """A flat game from ``moves[i]``, the ``(choice, replies)`` pairs
-        of state ``i`` in canonical order."""
+        of state ``i`` in canonical order.  Choices with the same label
+        and equal replies share a reply set."""
         labels = sorted({c for out in moves for c, _ in out}, key=belief_key)
         label_id = {c: k for k, c in enumerate(labels)}
-        flat = [cr for out in moves for cr in out]
+        set_id = {}
+        choice_label, choice_set, widths, replies = (array("i") for _ in range(4))
+        for c, r in (cr for out in moves for cr in out):
+            key = (label_id[c], tuple(r))
+            s = set_id.get(key)
+            if s is None:
+                s = set_id[key] = len(set_id)
+                widths.append(len(r))
+                replies.extend(r)
+            choice_label.append(key[0])
+            choice_set.append(s)
         return cls(
             list(states),
             initial,
             labels,
             array("i", accumulate(map(len, moves), initial=0)),
-            array("i", [label_id[c] for c, _ in flat]),
-            array("i", accumulate((len(r) for _, r in flat), initial=0)),
-            array("i", [r for _, replies in flat for r in replies]),
+            choice_label,
+            choice_set,
+            array("i", accumulate(widths, initial=0)),
+            replies,
             **fields,
         )
 
@@ -207,19 +228,24 @@ def label_json(label):
 def _explore(initial, successors, max_states) -> TurnGame:
     """Enumerate the game reachable from ``initial`` breadth first.
 
-    A state gets a number when it is first found, each distinct belief
-    is interned once, and replies are appended as numbers to one flat
-    array.  One permutation at the end puts states and beliefs in
-    canonical order; choices keep the order ``successors`` gives them.
+    A state gets a number when it is first found, and each distinct
+    belief is interned once.  Each distinct pair of a belief and a tuple
+    of agent cells is interned once too, as a reply set, whose members
+    are numbered and appended to one flat array.  One permutation at the
+    end puts states and beliefs in canonical order and renumbers the set
+    members; choices keep the order ``successors`` gives them, and sets
+    keep the order they were found in.
     """
     l_a0, label0 = initial
     labels = [label0]
     label_id = {label0: 0}
-    # per belief id: agent cell -> number of the state (cell, belief)
+    # per belief id: agent cell -> number of the state (cell, belief),
+    # and agent-cell tuple -> reply set id
     numbered = [{l_a0: 0}]
+    set_ids = [{}]
     found = [initial]
     found_label = array("i", [0])
-    n_choices, choice_label, widths, replies = (array("i") for _ in range(4))
+    n_choices, choice_label, choice_set, widths, replies = (array("i") for _ in range(5))
     # ``found`` is its own queue: the loop reaches the states it appends
     for state in found:
         out = successors(state)
@@ -230,19 +256,25 @@ def _explore(initial, successors, max_states) -> TurnGame:
                 lid = label_id[label] = len(labels)
                 labels.append(label)
                 numbered.append({})
-            # the interned object, which the new states share
-            label, at = labels[lid], numbered[lid]
+                set_ids.append({})
             choice_label.append(lid)
-            widths.append(len(agent_cells))
-            for l_a2 in agent_cells:
-                j = at.get(l_a2)
-                if j is None:
-                    if len(found) >= max_states:
-                        raise BudgetExceeded(f"state budget of {max_states} exceeded")
-                    j = at[l_a2] = len(found)
-                    found.append((l_a2, label))
-                    found_label.append(lid)
-                replies.append(j)
+            sets = set_ids[lid]
+            s = sets.get(agent_cells)
+            if s is None:
+                s = sets[agent_cells] = len(widths)
+                widths.append(len(agent_cells))
+                # the interned object, which the new states share
+                label, at = labels[lid], numbered[lid]
+                for l_a2 in agent_cells:
+                    j = at.get(l_a2)
+                    if j is None:
+                        if len(found) >= max_states:
+                            raise BudgetExceeded(f"state budget of {max_states} exceeded")
+                        j = at[l_a2] = len(found)
+                        found.append((l_a2, label))
+                        found_label.append(lid)
+                    replies.append(j)
+            choice_set.append(s)
 
     # canonical order: beliefs by belief_key, states by (cell, belief)
     by_key = sorted(range(len(labels)), key=lambda k: belief_key(labels[k]))
@@ -257,22 +289,21 @@ def _explore(initial, successors, max_states) -> TurnGame:
     replies = array("i", map(number.__getitem__, replies))
     choice_label = array("i", map(rank.__getitem__, choice_label))
     choice_at = array("i", accumulate(n_choices, initial=0))
-    reply_at = array("i", accumulate(widths, initial=0))
-    counts, labels_out, widths_out, replies_out = (array("i") for _ in range(4))
+    counts, labels_out, sets_out = (array("i") for _ in range(3))
     for d in order:
         a, b = choice_at[d], choice_at[d + 1]
         counts.append(b - a)
         labels_out += choice_label[a:b]
-        widths_out += widths[a:b]
-        replies_out += replies[reply_at[a] : reply_at[b]]
+        sets_out += choice_set[a:b]
     return TurnGame(
         [found[d] for d in order],
         number[0],
         [labels[k] for k in by_key],
         array("i", accumulate(counts, initial=0)),
         labels_out,
-        array("i", accumulate(widths_out, initial=0)),
-        replies_out,
+        sets_out,
+        array("i", accumulate(widths, initial=0)),
+        replies,
     )
 
 

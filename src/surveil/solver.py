@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, repeat
 from operator import lt, not_, sub
@@ -43,6 +43,19 @@ def _widths(off: array) -> array:
     return array("i", map(sub, off[1:], off))
 
 
+def _group(keys: array, n: int, values) -> tuple[array, array]:
+    """``values`` grouped by their ``keys``, which lie in ``range(n)``:
+    a CSR table whose row ``k`` lists, in their order, the values whose
+    key is ``k``.  Returns the offsets and the rows."""
+    off = array("i", accumulate(map(Counter(keys).get, range(n), repeat(0)), initial=0))
+    fill = array("i", off)
+    rows = array("i", [0]) * len(keys)
+    for k, v in zip(keys, values):
+        rows[fill[k]] = v
+        fill[k] += 1
+    return off, rows
+
+
 def make_arena(
     game: TurnGame,
     structure,
@@ -59,7 +72,9 @@ def make_arena(
     predicates = predicates or {}
     widths = _widths(game.reply_off)
     if 0 in widths:
-        c = widths.index(0)
+        # the first choice in canonical order whose reply set is empty
+        empty = {k for k, w in enumerate(widths) if not w}
+        c = next(c for c, k in enumerate(game.choice_set) if k in empty)
         s = game.states[bisect_right(game.choice_off, c) - 1]
         raise SolverError(
             f"choice {game.labels[game.choice_label[c]]!r} of state {s!r} has "
@@ -78,7 +93,8 @@ def make_arena(
         )
     return Arena(
         game.states, game.initial, game.labels, game.choice_off,
-        game.choice_label, game.reply_off, game.replies, atom_sets,
+        game.choice_label, game.choice_set, game.reply_off, game.replies,
+        atom_sets,
     )
 
 
@@ -91,51 +107,51 @@ class _Index:
 
     Choice ids are the arena's: the choices of state ``i`` run from
     ``start[i]`` to ``start[i + 1]``; ``owner[c]`` is the state of choice
-    ``c`` and ``width[c]`` its number of replies.  ``answered[i]`` counts
-    the choices of state ``i`` that have replies, and ``sinks`` lists the
-    states without such a choice.
-    ``preds[pred_off[j]:pred_off[j + 1]]`` lists the ids of the choices
-    that can reply ``j``, once per occurrence of ``j`` among their
-    replies, so every counter below counts a repeated reply as often as
-    it occurs and reaches zero exactly when the last copy goes.  The
-    tables are flat ``array('i')``, and every attractor below touches
-    each edge a bounded number of times.
+    ``c`` and ``cset[c]`` its reply set.  Set ids are the arena's too:
+    ``width[k]`` is the number of members of set ``k``, and
+    ``users[user_off[k]:user_off[k + 1]]`` lists the choices whose set it
+    is, in increasing order.  ``answered[i]`` counts the choices of state
+    ``i`` that have replies, and ``sinks`` lists the states without such
+    a choice.  ``preds[pred_off[j]:pred_off[j + 1]]`` lists the ids of
+    the sets that hold ``j``, once per occurrence of ``j`` among their
+    members, so every counter below counts a repeated reply as often as
+    it occurs and reaches zero exactly when the last copy goes.  A set is
+    covered or emptied once, whatever the number of choices that use it.
+    The tables are flat ``array('i')``, and every attractor below touches
+    each set member and each choice a bounded number of times.
     """
 
     def __init__(self, arena: Arena):
         n = len(arena)
-        start, replies = arena.choice_off, arena.replies
+        start, cset, replies = arena.choice_off, arena.choice_set, arena.replies
         self.degree = _widths(start)
-        self.width = _widths(arena.reply_off)
+        self.width = width = _widths(arena.reply_off)
         # choices with replies before each state's first choice
-        before = array("i", accumulate(map(bool, self.width), initial=0))
+        before = array("i", accumulate(map(bool, map(width.__getitem__, cset)), initial=0))
         self.answered = _widths(array("i", map(before.__getitem__, start)))
-        owner = array("i", chain.from_iterable(map(repeat, range(n), self.degree)))
-        indegree = array("i", [0]) * n
-        for r in replies:
-            indegree[r] += 1
-        pred_off = array("i", accumulate(indegree, initial=0))
-        fill = array("i", pred_off)
-        preds = array("i", [0]) * len(replies)
-        choice_of_reply = chain.from_iterable(map(repeat, range(len(owner)), self.width))
-        for r, c in zip(replies, choice_of_reply):
-            preds[fill[r]] = c
-            fill[r] += 1
+        self.owner = array("i", chain.from_iterable(map(repeat, range(n), self.degree)))
+        self.user_off, self.users = _group(cset, len(width), range(len(cset)))
+        set_of_member = chain.from_iterable(map(repeat, range(len(width)), width))
+        self.pred_off, self.preds = _group(replies, n, set_of_member)
         self.n = n
-        self.start, self.owner = start, owner
-        self.pred_off, self.preds = pred_off, preds
+        self.start, self.cset = start, cset
         self.sinks = [i for i in range(n) if not self.answered[i]]
 
     def preds_of(self, j: int) -> array:
         return self.preds[self.pred_off[j] : self.pred_off[j + 1]]
 
+    def users_of(self, k: int) -> array:
+        return self.users[self.user_off[k] : self.user_off[k + 1]]
+
     def cpre(self, W) -> frozenset[int]:
         """States where, whatever the target picks, some agent reply
         stays in W."""
-        hit = bytearray(len(self.owner))
+        hit = bytearray(len(self.width))
         for j in W:
-            for c in self.preds_of(j):
-                hit[c] = 1
+            for k in self.preds_of(j):
+                hit[k] = 1
+        # per choice: whether its set is hit
+        hit = bytes(map(hit.__getitem__, self.cset))
         start = self.start
         return frozenset(
             i for i in range(self.n) if hit.find(0, start[i], start[i + 1]) < 0
@@ -148,14 +164,14 @@ def _attractor(ix: _Index, target, domain: bytearray) -> array:
 
     Returns each state's rank, the BFS level at which every target
     choice with replies has a reply of lower rank (``_UNRANKED``
-    outside).  A choice is covered once one of its replies is ranked.
-    Choices without replies are left out, so a domain state without a
-    choice that has replies joins at 1.
+    outside).  A reply set, and every choice that uses it, is covered
+    once one of its members is ranked.  Choices without replies are left
+    out, so a domain state without a choice that has replies joins at 1.
     """
     owner = ix.owner
     rank = array("i", [_UNRANKED]) * ix.n
     uncovered = array("i", ix.answered)
-    covered = bytearray(len(owner))
+    covered = bytearray(len(ix.width))
     frontier = list(target)
     for i in frontier:
         rank[i] = 0
@@ -163,13 +179,14 @@ def _attractor(ix: _Index, target, domain: bytearray) -> array:
     level = 1
     while True:
         for j in frontier:
-            for c in ix.preds_of(j):
-                if not covered[c]:
-                    covered[c] = 1
-                    i = owner[c]
-                    uncovered[i] -= 1
-                    if not uncovered[i] and domain[i] and rank[i] == _UNRANKED:
-                        added.append(i)
+            for k in ix.preds_of(j):
+                if not covered[k]:
+                    covered[k] = 1
+                    for c in ix.users_of(k):
+                        i = owner[c]
+                        uncovered[i] -= 1
+                        if not uncovered[i] and domain[i] and rank[i] == _UNRANKED:
+                            added.append(i)
         if not added:
             return rank
         for i in added:
@@ -183,20 +200,26 @@ def _target_attractor(
 ) -> list:
     """Target attractor toward the ``won`` mask, which it extends.
 
-    ``missing[c]`` counts the replies of choice ``c`` outside ``won``
+    ``missing[k]`` counts the members of reply set ``k`` outside ``won``
     before the states of ``fresh`` joined it; the call brings the counts
     up to date.  A state joins at the first level where one of its
     choices has all its (non-empty) replies attracted at lower levels;
     it records the first such choice in canonical order.  Levels
     continue after ``level``.  Returns ``[(state, rank, choice)]``.
     """
-    start, owner, width = ix.start, ix.owner, ix.width
-    candidates = []
-    for j in fresh:
-        for c in ix.preds_of(j):
-            missing[c] -= 1
-            if not missing[c]:
-                candidates.append(owner[c])
+    start, cset, width = ix.start, ix.cset, ix.width
+    owners = ix.owner.__getitem__
+
+    def emptied(states):
+        out = []
+        for j in states:
+            for k in ix.preds_of(j):
+                missing[k] -= 1
+                if not missing[k]:
+                    out.extend(map(owners, ix.users_of(k)))
+        return out
+
+    candidates = emptied(fresh)
     out = []
     while candidates:
         level += 1
@@ -205,17 +228,13 @@ def _target_attractor(
             if won[i]:
                 continue
             for c in range(start[i], start[i + 1]):
-                if width[c] and not missing[c]:
+                k = cset[c]
+                if width[k] and not missing[k]:
                     break
             won[i] = 1
             added.append(i)
             out.append((i, level, c))
-        candidates = []
-        for j in added:
-            for c in ix.preds_of(j):
-                missing[c] -= 1
-                if not missing[c]:
-                    candidates.append(owner[c])
+        candidates = emptied(added)
     return out
 
 
@@ -229,7 +248,7 @@ def _avoid_trap(ix: _Index, arena: Arena, won: bytearray, avoid) -> list:
     trap joins ``won``; returns ``[(state, choice)]`` by state, with the
     first such choice in canonical order.
     """
-    start, width = ix.start, ix.width
+    start, cset, width = ix.start, ix.cset, ix.width
     off, replies = arena.reply_off, arena.replies
     domain = bytearray(map(not_, won))
     rank = _attractor(ix, [i for i in avoid if domain[i]], domain)
@@ -237,8 +256,9 @@ def _avoid_trap(ix: _Index, arena: Arena, won: bytearray, avoid) -> list:
     for i in compress(range(ix.n), domain):
         if rank[i] == _UNRANKED:
             for c in range(start[i], start[i + 1]):
-                if width[c] and all(
-                    rank[r] == _UNRANKED for r in replies[off[c] : off[c + 1]]
+                k = cset[c]
+                if width[k] and all(
+                    rank[r] == _UNRANKED for r in replies[off[k] : off[k + 1]]
                 ):
                     out.append((i, c))
                     won[i] = 1
@@ -307,9 +327,13 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
     for atom in objective.safety_terms:
         safe &= arena.atom_sets[atom]
     won = bytearray(map(lt, ix.answered, ix.degree))
+    # without reply-less choices the seeds are the unsafe states alone,
+    # and this attractor is the first layer of the target strategy
+    total = not any(won)
     for i in everything - safe:
         won[i] = 1
-    _target_attractor(ix, won, list(compress(range(n), won)), array("i", ix.width), 0)
+    missing = array("i", ix.width)
+    layer = _target_attractor(ix, won, list(compress(range(n), won)), missing, 0)
     domain = bytearray(map(not_, won))
     w_safe = frozenset(compress(range(n), domain))
 
@@ -330,7 +354,8 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
     if arena.initial in Z:
         strat = _buchi_strategy(arena, Z, cores, ranks)
         return SolveResult(True, Z, agent_strategy=strat)
-    tstrat = _target_strategy(ix, arena, objective, Z, safe)
+    first = (won, missing, layer) if total else None
+    tstrat = _target_strategy(ix, arena, objective, Z, safe, first)
     return SolveResult(False, Z, target_strategy=tstrat)
 
 
@@ -339,19 +364,19 @@ def _buchi_strategy(arena, Z, cores, ranks) -> StrategyData:
     ``j``, descend ``ranks[j]`` to ``cores[j]``, then move on to ``j + 1``.
     Inside a core every reply stays in ``Z``."""
     labels, label, start = arena.labels, arena.choice_label, arena.choice_off
-    off, replies = arena.reply_off, arena.replies
+    replies_of = arena.replies_of
     m = len(cores)
     moves = {}
     for j, (core, rank) in enumerate(zip(cores, ranks)):
         for i in Z:
             if i in core:
                 for c in range(start[i], start[i + 1]):
-                    reply = _canonical_reply(i, replies[off[c] : off[c + 1]], Z)
+                    reply = _canonical_reply(i, replies_of(c), Z)
                     moves[(i, j, labels[label[c]])] = (reply, (j + 1) % m)
                 continue
             level = rank[i]
             for c in range(start[i], start[i + 1]):
-                for r in replies[off[c] : off[c + 1]]:
+                for r in replies_of(c):
                     if rank[r] < level:
                         break
                 else:
@@ -360,32 +385,41 @@ def _buchi_strategy(arena, Z, cores, ranks) -> StrategyData:
     return StrategyData(m, Z, moves)
 
 
-def _target_strategy(ix, arena, objective, agent_win, safe) -> TargetStrategyData:
+def _target_strategy(
+    ix, arena, objective, agent_win, safe, first=None
+) -> TargetStrategyData:
     """Layered positional strategy on the complement of the agent region.
 
     The unsafe core and its target attractor come first; then traps in
     which the target confines the play away from one recurrence atom,
     iterated with further attractors until the region is closed.  The
     layering keeps ranks well-founded, so counterexample trees stay
-    finite and every cycle lies inside a single trap.
+    finite and every cycle lies inside a single trap.  ``first`` is the
+    first layer when :func:`solve` already has it: the ``won`` mask, the
+    ``missing`` counts and the states of the attractor from the unsafe
+    states, as :func:`_target_attractor` leaves them.
     """
     everything = frozenset(range(len(arena)))
     complement = everything - agent_win
+    unsafe = everything - safe
     mode: dict[int, tuple] = {}
     choice: dict = {}
-    won = bytearray(len(arena))
-    # replies of each choice outside ``won``, before the states of
-    # ``fresh`` joined it
-    missing = array("i", ix.width)
-    fresh = list(everything - safe)
-    for i in fresh:
-        won[i] = 1
+    if first is None:
+        won = bytearray(len(arena))
+        for i in unsafe:
+            won[i] = 1
+        # members of each reply set outside ``won``
+        missing = array("i", ix.width)
+        layer = _target_attractor(ix, won, list(unsafe), missing, 0)
+    else:
+        won, missing, layer = first
+    for i in unsafe:
         mode[i] = ("unsafe",)
         choice[i] = ix.start[i] if ix.degree[i] else None
     top = 0
     while True:
         grown = False
-        for i, rank, c in _target_attractor(ix, won, fresh, missing, top):
+        for i, rank, c in layer:
             mode[i] = ("reach", rank)
             choice[i] = c
             top = rank
@@ -399,6 +433,7 @@ def _target_strategy(ix, arena, objective, agent_win, safe) -> TargetStrategyDat
                 grown = True
         if not grown:
             break
+        layer = _target_attractor(ix, won, fresh, missing, top)
     region = frozenset(mode)
     if region != complement:
         raise SolverError(
@@ -433,7 +468,6 @@ def extract_cex_tree(arena: Arena, result: SolveResult, objective: Objective) ->
         raise SolverError("no target strategy to extract a counterexample from")
     ts = result.target_strategy
     safety = objective.safety_terms
-    off, replies = arena.reply_off, arena.replies
 
     def build(i, depth):
         node = CexTreeNode(state=arena.states[i])
@@ -443,7 +477,7 @@ def extract_cex_tree(arena: Arena, result: SolveResult, objective: Objective) ->
             raise SolverError("counterexample tree extraction did not terminate")
         c = ts.choice[i]
         node.choice = arena.labels[arena.choice_label[c]]
-        node.children = [build(r, depth + 1) for r in replies[off[c] : off[c + 1]]]
+        node.children = [build(r, depth + 1) for r in arena.replies_of(c)]
         return node
 
     root = build(arena.initial, 0)
@@ -464,7 +498,6 @@ def extract_cex_graph(arena: Arena, result: SolveResult) -> CounterexampleGraph:
     if result.target_strategy is None:
         raise SolverError("no target strategy to extract a counterexample from")
     ts = result.target_strategy
-    off, replies = arena.reply_off, arena.replies
     choice, edges, mode = {}, {}, {}
     queue = deque([arena.initial])
     seen = {arena.initial}
@@ -480,7 +513,7 @@ def extract_cex_graph(arena: Arena, result: SolveResult) -> CounterexampleGraph:
             # decided, so the node is a sink of the counterexample
             edges[s] = ()
             continue
-        out = replies[off[c] : off[c + 1]]
+        out = arena.replies_of(c)
         edges[s] = tuple(arena.states[r] for r in out)
         for r in out:
             if r not in seen:

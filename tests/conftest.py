@@ -139,10 +139,11 @@ def _replayed_label(choices, old_choice):
 
 def choices(game, i: int) -> list:
     """``(choice, replies)`` pairs of state ``i`` of a flat game in
-    canonical order, with the replies as an array of state numbers."""
-    labels, label, off, replies = game.labels, game.choice_label, game.reply_off, game.replies
+    canonical order, with the replies as an array of state numbers read
+    through each choice's reply set."""
+    labels, label = game.labels, game.choice_label
     return [
-        (labels[label[c]], replies[off[c] : off[c + 1]])
+        (labels[label[c]], game.replies_of(c))
         for c in range(game.choice_off[i], game.choice_off[i + 1])
     ]
 

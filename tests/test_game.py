@@ -177,3 +177,36 @@ def test_flat_game_matches_reference_on_bundled_maps(name):
     # the exact game fits on paper5x5 only; elsewhere both builds stop at
     # the same budget
     assert_same_games(G, [Q, refined], [parse_spec(s) for s in specs], predicates, 5_000)
+
+
+def _reply_sets(game):
+    """Each reply set of a flat game as ``(label, members)``, with the
+    labels of the choices that use it; every set must have one."""
+    labels = [set() for _ in range(len(game.reply_off) - 1)]
+    for c, k in enumerate(game.choice_set):
+        labels[k].add(game.choice_label[c])
+    assert all(len(used) == 1 for used in labels), "a set unused or under two labels"
+    off, replies = game.reply_off, game.replies
+    return [(used.pop(), tuple(replies[off[k] : off[k + 1]])) for k, used in enumerate(labels)]
+
+
+@pytest.mark.parametrize(
+    "name, refining", [("paper5x5", None), ("paper5x5", "G p<=3"), ("bigroom", None)]
+)
+def test_abstract_game_stores_each_reply_set_once(name, refining):
+    """Choices with the same label and agent cells share one reply set:
+    no set is unused or stored twice, the choices read through their
+    sets are the reference game's, and the sets hold fewer members than
+    the choices have replies."""
+    grid = parse_grid(bundled_map(f"{name}.txt"))
+    G = build_game_structure(grid, *parse_config(bundled_map(f"{name}.cfg")))
+    predicates = predicates_from_grid(grid)
+    Q = initial_partition(G, predicates.values())
+    if refining:
+        Q = cegar_loop(G, parse_spec(refining), predicates=predicates).final_partition
+    game = build_abstract_game(G, Q)
+    sets = _reply_sets(game)
+    assert len(set(sets)) == len(sets)
+    assert reference_game.tuple_moves(game) == reference_game.build_abstract_game(G, Q).moves
+    expanded = sum(len(game.replies_of(c)) for c in range(len(game.choice_set)))
+    assert len(game.replies) < expanded
