@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .belief import PredicateDef, TurnGame, _explore, target_moves
+from .belief import PredicateDef, TurnGame, _explore, belief_moves, target_moves
 from .structure import SurveillanceGameStructure
 
 
@@ -54,7 +54,7 @@ class Partition:
 
     def alpha(self, locs: Iterable[int]) -> frozenset[int]:
         """Abstract a set of locations to the set of blocks touching it."""
-        return frozenset(self.block_of[l] for l in locs)
+        return frozenset(map(self.block_of.__getitem__, locs))
 
     def gamma(self, abstract) -> frozenset[int]:
         """Concretize an abstract belief (block-id set or location)."""
@@ -123,15 +123,22 @@ def initial_partition(
     return Partition(blocks, frozenset(G.target_locations))
 
 
-def abstract_successors(G: SurveillanceGameStructure, Q: Partition, state):
+def abstract_successors(G: SurveillanceGameStructure, Q: Partition, state, records=None):
     """Abstract choices and agent replies from an abstract state.
 
     The target moves of the concretized belief: one concrete choice per
     visible successor, plus at most one block-set choice covering all
-    invisible successors.
+    invisible successors.  ``records`` maps labels to the
+    :class:`~surveil.belief.BeliefMoves` records of their concretizations;
+    a missing record is made and added to it.
     """
-    l_a, abstract = state
-    visible, invisible = target_moves(G, l_a, Q.gamma(abstract))
+    l_a, label = state
+    if records is None:
+        records = {}
+    moves = records.get(label)
+    if moves is None:
+        moves = records[label] = belief_moves(G, Q.gamma(label))
+    visible, invisible = target_moves(G, l_a, moves)
     if invisible is not None:
         locs, replies = invisible
         visible.append((Q.alpha(locs), replies))
@@ -141,5 +148,13 @@ def abstract_successors(G: SurveillanceGameStructure, Q: Partition, state):
 def build_abstract_game(
     G: SurveillanceGameStructure, Q: Partition, max_states: int = 1_000_000
 ) -> TurnGame:
-    """Enumerate the reachable abstract game for partition ``Q``."""
-    return _explore(G.initial, lambda s: abstract_successors(G, Q, s), max_states)
+    """Enumerate the reachable abstract game for partition ``Q``.
+
+    Each label is concretized and its moves collected into one
+    :class:`~surveil.belief.BeliefMoves` record, kept for this
+    exploration only; every state with that label is expanded from it.
+    """
+    records: dict = {}
+    return _explore(
+        G.initial, lambda s: abstract_successors(G, Q, s, records), max_states
+    )

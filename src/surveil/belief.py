@@ -95,33 +95,66 @@ def atom_holds(G, l_a: int, locs, atom, predicates) -> bool:
     return all(pred.holds(l_a, l_t) for l_t in locs)
 
 
-def target_moves(G: SurveillanceGameStructure, l_a: int, belief):
-    """The target's moves from a concrete belief, with the agent's replies.
+@dataclass(frozen=True, slots=True)
+class BeliefMoves:
+    """The target's moves from a belief, as far as they do not depend on
+    the agent's cell: the belief's ``cells`` in sorted order, the
+    ``union`` of their moves, and the cells ``stuck`` on a cell, whose
+    only move is onto it (an agent there blocks them, so they stay put).
+    A game keeps one record per belief and expands every state with that
+    belief from it through :func:`target_moves`."""
 
-    Returns ``(visible, invisible)``: ``visible`` lists
-    ``(location, replies)`` for every successor the agent on ``l_a``
-    sees, by location; ``invisible`` is ``(locations, replies)`` for the
-    set of all invisible successors, or None when there are none.  Its
-    replies come from one representative move, which is enough under
-    invisible-independence.  Both the exact and the abstract game expand
-    their states through this function.
-    """
-    if not belief:
+    cells: tuple[int, ...]
+    union: frozenset[int]
+    stuck: dict[int, list[int]]
+
+
+def belief_moves(G: SurveillanceGameStructure, belief: Iterable[int]) -> BeliefMoves:
+    """The :class:`BeliefMoves` record of a nonempty set of target cells."""
+    cells = tuple(sorted(belief))
+    if not cells:
         raise ValueError("empty belief")
-    succs = G.succ_t(l_a, belief)
+    target_succ = G.target_succ
+    moves = list(map(target_succ.__getitem__, cells))
+    stuck: dict[int, list[int]] = {}
+    for l_t, out in zip(cells, moves):
+        if len(out) == 1:
+            stuck.setdefault(out[0], []).append(l_t)
+    # a frozenset copied from a set is sized for its contents, not for its growth
+    return BeliefMoves(cells, frozenset(set().union(*moves)), stuck)
+
+
+def target_moves(G: SurveillanceGameStructure, l_a: int, belief: BeliefMoves):
+    """The target's moves from a belief, with the agent's replies.
+
+    ``belief`` is the belief's :class:`BeliefMoves` record: the moves of
+    its cells are its union, except that no cell moves onto ``l_a`` and
+    the cells stuck on ``l_a`` stay put.  Returns ``(visible,
+    invisible)``: ``visible`` lists ``(location, replies)`` for every
+    successor the agent on ``l_a`` sees, by location; ``invisible`` is
+    ``(locations, replies)`` for the set of all invisible successors, or
+    None when there are none.  Its replies come from one representative
+    move, the first invisible one in sorted-belief order, which is enough
+    under invisible-independence.  Both the exact and the abstract game
+    expand their states through this function.
+    """
+    succs = belief.union
+    if l_a in succs:
+        succs = (succs - {l_a}).union(belief.stuck.get(l_a, ()))
     visible = G.visibility[l_a]
-    moves = [(l_t2, G.succ_a(l_a, l_t2)) for l_t2 in sorted(succs & visible)]
+    succ_a = G.succ_a
+    moves = [(l_t2, succ_a(l_a, l_t2)) for l_t2 in sorted(succs & visible)]
     invisible = succs - visible
     if not invisible:
         return moves, None
-    # the representative is the first invisible move in belief order
+    target_step = G.target_step
     first = next(
         l_t2
-        for l_t in sorted(belief)
-        for l_t2 in G.target_step(l_a, l_t)
+        for l_t in belief.cells
+        for l_t2 in target_step(l_a, l_t)
         if l_t2 not in visible
     )
-    return moves, (invisible, G.succ_a(l_a, first))
+    return moves, (invisible, succ_a(l_a, first))
 
 
 def next_belief(G: SurveillanceGameStructure, l_a: int, belief, seen) -> frozenset[int]:
@@ -133,16 +166,22 @@ def next_belief(G: SurveillanceGameStructure, l_a: int, belief, seen) -> frozens
     return G.invisible_succ(l_a, belief)
 
 
-def belief_successors(G: SurveillanceGameStructure, state):
+def belief_successors(G: SurveillanceGameStructure, state, records=None):
     """Target belief choices and agent replies from an exact belief state.
 
     Returns a list of ``(new_belief, replies)`` pairs: one visible
     singleton per observable successor location, plus at most one
     all-invisible set.  Sorted canonically (visible by location, invisible
-    set last).
+    set last).  ``records`` maps beliefs to their :class:`BeliefMoves`
+    records; a missing record is made and added to it.
     """
     l_a, belief = state
-    visible, invisible = target_moves(G, l_a, belief)
+    if records is None:
+        records = {}
+    moves = records.get(belief)
+    if moves is None:
+        moves = records[belief] = belief_moves(G, belief)
+    visible, invisible = target_moves(G, l_a, moves)
     choices = [(frozenset({l_t2}), replies) for l_t2, replies in visible]
     if invisible is not None:
         choices.append(invisible)
@@ -234,7 +273,8 @@ def _explore(initial, successors, max_states) -> TurnGame:
     are numbered and appended to one flat array.  One permutation at the
     end puts states and beliefs in canonical order and renumbers the set
     members; choices keep the order ``successors`` gives them, and sets
-    keep the order they were found in.
+    keep the order they were found in.  Every set belongs to one belief,
+    so a choice's belief is read off its set.
     """
     l_a0, label0 = initial
     labels = [label0]
@@ -245,23 +285,26 @@ def _explore(initial, successors, max_states) -> TurnGame:
     set_ids = [{}]
     found = [initial]
     found_label = array("i", [0])
-    n_choices, choice_label, choice_set, widths, replies = (array("i") for _ in range(5))
+    # per reply set: its belief id and its width
+    set_label, widths = array("i"), array("i")
+    n_choices, choice_set, replies = array("i"), array("i"), array("i")
+    get_label, add_choice, add_reply = label_id.get, choice_set.append, replies.append
     # ``found`` is its own queue: the loop reaches the states it appends
     for state in found:
         out = successors(state)
         n_choices.append(len(out))
         for label, agent_cells in out:
-            lid = label_id.get(label)
+            lid = get_label(label)
             if lid is None:
                 lid = label_id[label] = len(labels)
                 labels.append(label)
                 numbered.append({})
                 set_ids.append({})
-            choice_label.append(lid)
             sets = set_ids[lid]
             s = sets.get(agent_cells)
             if s is None:
                 s = sets[agent_cells] = len(widths)
+                set_label.append(lid)
                 widths.append(len(agent_cells))
                 # the interned object, which the new states share
                 label, at = labels[lid], numbered[lid]
@@ -273,37 +316,35 @@ def _explore(initial, successors, max_states) -> TurnGame:
                         j = at[l_a2] = len(found)
                         found.append((l_a2, label))
                         found_label.append(lid)
-                    replies.append(j)
-            choice_set.append(s)
+                    add_reply(j)
+            add_choice(s)
 
     # canonical order: beliefs by belief_key, states by (cell, belief)
-    by_key = sorted(range(len(labels)), key=lambda k: belief_key(labels[k]))
-    rank = array("i", [0]) * len(labels)
+    n_labels = len(labels)
+    by_key = sorted(range(n_labels), key=lambda k: belief_key(labels[k]))
+    rank = [0] * n_labels
     for r, k in enumerate(by_key):
         rank[k] = r
-    keys = [s[0] * len(labels) + rank[k] for s, k in zip(found, found_label)]
+    keys = [s[0] * n_labels + rank[k] for s, k in zip(found, found_label)]
     order = sorted(range(len(found)), key=keys.__getitem__)
-    number = array("i", [0]) * len(order)
+    number = [0] * len(order)
     for i, d in enumerate(order):
         number[d] = i
-    replies = array("i", map(number.__getitem__, replies))
-    choice_label = array("i", map(rank.__getitem__, choice_label))
+    set_rank = list(map(rank.__getitem__, set_label))
     choice_at = array("i", accumulate(n_choices, initial=0))
-    counts, labels_out, sets_out = (array("i") for _ in range(3))
+    sets_out = array("i")
     for d in order:
-        a, b = choice_at[d], choice_at[d + 1]
-        counts.append(b - a)
-        labels_out += choice_label[a:b]
-        sets_out += choice_set[a:b]
+        sets_out += choice_set[choice_at[d] : choice_at[d + 1]]
+    # an array fills about twice as fast from a list as from an iterator
     return TurnGame(
         [found[d] for d in order],
         number[0],
         [labels[k] for k in by_key],
-        array("i", accumulate(counts, initial=0)),
-        labels_out,
+        array("i", accumulate(map(n_choices.__getitem__, order), initial=0)),
+        array("i", list(map(set_rank.__getitem__, sets_out))),
         sets_out,
         array("i", accumulate(widths, initial=0)),
-        replies,
+        array("i", list(map(number.__getitem__, replies))),
     )
 
 
@@ -315,9 +356,13 @@ def build_belief_game(G: SurveillanceGameStructure, max_states: int = 2_000_000)
     """
     l_a0, l_t0 = G.initial
     initial = (l_a0, frozenset({l_t0}))
+    # one BeliefMoves record per belief, for the whole exploration
+    records: dict = {}
 
     def successors(state):
         # an invisible set can sort before a visible singleton
-        return sorted(belief_successors(G, state), key=lambda cr: belief_key(cr[0]))
+        return sorted(
+            belief_successors(G, state, records), key=lambda cr: belief_key(cr[0])
+        )
 
     return _explore(initial, successors, max_states)

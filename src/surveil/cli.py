@@ -53,6 +53,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _at_least(least: int):
+    """An argparse type: an int no smaller than ``least``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return count
+
+
 def bundled_map(name: str):
     """Text of a bundled data file (``paper5x5.txt`` and friends)."""
     return resources.files("surveil.maps").joinpath(name).read_text()
@@ -231,8 +243,8 @@ def _add_common(p, spec_required=True):
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--spec", required=spec_required, help="specification file")
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--max-states", type=int, default=1_000_000)
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--max-states", type=_at_least(1), default=1_000_000)
+    p.add_argument("--max-iters", type=_at_least(1), default=200)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--strategy", help="controller JSON from synth (else synthesize here)"
         )
-        p.add_argument("--steps", type=int, default=20)
+        p.add_argument("--steps", type=_at_least(0), default=20)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--policy", choices=("random", "evasive", "goal"), default="random"

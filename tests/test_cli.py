@@ -364,3 +364,24 @@ def test_synth_output_golden_digest(spec, tmp_path, capsys):
                 "--config", "bundled:paper5x5.cfg",
                 "--spec", str(spec_file), "--out", str(out)])
     assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == GOLDEN[spec]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--max-states", "-1"], "argument --max-states: must be at least 1, got -1"),
+    (["oracle", "--max-states", "0"], "argument --max-states: must be at least 1, got 0"),
+    (["synth", "--max-iters", "0"], "argument --max-iters: must be at least 1, got 0"),
+    (["simulate", "--steps", "-2"], "argument --steps: must be at least 0, got -2"),
+    (["render", "--steps", "two"], "argument --steps: invalid count value: 'two'"),
+])
+def test_impossible_counts_are_usage_errors(paths, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run([argv[0], "--map", paths["map"], "--spec", paths["p3"], *argv[1:]])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}\n" in err
+
+
+def test_zero_steps_simulate_only_the_start(paths, capsys):
+    assert run(["simulate", "--map", paths["map"], "--spec", paths["p3"],
+                "--steps", "0"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1

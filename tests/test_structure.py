@@ -15,7 +15,7 @@ from surveil import (
     reachable_states,
     validate_assumptions,
 )
-from surveil.belief import target_moves
+from surveil.belief import belief_moves, target_moves
 from surveil.cli import bundled_map
 from surveil.structure import SuccessorReport
 
@@ -144,7 +144,8 @@ def assert_same_structure(G, R):
 @given(random_problems(), st.data())
 def test_structure_matches_reference_builder(problem, data):
     """Same game as the reference builder, and the same successor kernel
-    on a drawn agent cell and belief."""
+    on a drawn agent cell and belief.  One record of a second drawn belief
+    serves every agent cell, those inside the belief too."""
     G = build_game_structure(*problem)
     R = reference_structure.build_game_structure(*problem)
     assert_same_structure(G, R)
@@ -152,7 +153,15 @@ def test_structure_matches_reference_builder(problem, data):
     belief = data.draw(
         st.frozensets(st.sampled_from(sorted(G.target_locations - {l_a})), min_size=1)
     )
-    assert target_moves(G, l_a, belief) == reference_structure.target_moves(R, l_a, belief)
+    assert target_moves(G, l_a, belief_moves(G, belief)) == reference_structure.target_moves(
+        R, l_a, belief
+    )
+    shared = data.draw(st.frozensets(st.sampled_from(sorted(G.target_locations)), min_size=1))
+    record = belief_moves(G, shared)
+    for l_a in sorted(G.agent_locations):
+        assert target_moves(G, l_a, record) == reference_structure.target_moves(
+            R, l_a, shared
+        ), l_a
 
 
 @settings(max_examples=100, deadline=None)
@@ -204,8 +213,11 @@ CROSS = "#T#\n.A.\n#.#\n"
 def test_option_combinations_match_reference_builder(text):
     """Every combination of the motion options with a vision range that
     hides even the neighbours, so each fallback move is taken: the same
-    game, and the same kernel on the largest belief of every agent cell."""
+    game, and the same kernel on the largest belief of every agent cell.
+    One record of the whole target set serves every agent cell; on the
+    cross, the arms are stuck on the centre when the agent stands there."""
     grid = parse_grid(text)
+    stuck_on_agent = False
     for radius, allow_stay, restrict, vision_range in itertools.product(
         (1, 2), (False, True), (False, True), (None, 0.5, 1.5)
     ):
@@ -214,11 +226,17 @@ def test_option_combinations_match_reference_builder(text):
         G = build_game_structure(grid, motion, vision)
         R = reference_structure.build_game_structure(grid, motion, vision)
         assert_same_structure(G, R)
+        everywhere = belief_moves(G, G.target_locations)
         for l_a in sorted(G.agent_locations):
             belief = G.target_locations - {l_a}
-            assert target_moves(G, l_a, belief) == reference_structure.target_moves(
-                R, l_a, belief
+            assert target_moves(G, l_a, belief_moves(G, belief)) == (
+                reference_structure.target_moves(R, l_a, belief)
             ), (motion, vision, l_a)
+            assert target_moves(G, l_a, everywhere) == reference_structure.target_moves(
+                R, l_a, G.target_locations
+            ), (motion, vision, l_a)
+            stuck_on_agent |= l_a in everywhere.stuck
+    assert stuck_on_agent == (text == CROSS)
 
 
 # perfbench's scale-gen map pillars20 at seed 1: 375 free cells
