@@ -124,29 +124,41 @@ def belief_moves(G: SurveillanceGameStructure, belief: Iterable[int]) -> BeliefM
     return BeliefMoves(cells, frozenset(set().union(*moves)), stuck)
 
 
-def target_moves(G: SurveillanceGameStructure, l_a: int, belief: BeliefMoves):
-    """The target's moves from a belief, with the agent's replies.
+def landing_cells(G: SurveillanceGameStructure, l_a: int, belief: BeliefMoves):
+    """The cells the target can land on from a belief, split by what the
+    agent on ``l_a`` sees: ``(visible, invisible)``.
 
     ``belief`` is the belief's :class:`BeliefMoves` record: the moves of
     its cells are its union, except that no cell moves onto ``l_a`` and
-    the cells stuck on ``l_a`` stay put.  Returns ``(visible,
-    invisible)``: ``visible`` lists ``(location, replies)`` for every
-    successor the agent on ``l_a`` sees, by location; ``invisible`` is
-    ``(locations, replies)`` for the set of all invisible successors, or
-    None when there are none.  Its replies come from one representative
-    move, the first invisible one in sorted-belief order, which is enough
-    under invisible-independence.  Both the exact and the abstract game
-    expand their states through this function.
+    the cells stuck on ``l_a`` stay put.  ``invisible`` is the exact
+    belief after a move the agent does not see.
     """
     succs = belief.union
     if l_a in succs:
         succs = (succs - {l_a}).union(belief.stuck.get(l_a, ()))
     visible = G.visibility[l_a]
+    return succs & visible, succs - visible
+
+
+def target_moves(G: SurveillanceGameStructure, l_a: int, belief: BeliefMoves):
+    """The target's moves from a belief, with the agent's replies.
+
+    ``belief`` is the belief's :class:`BeliefMoves` record, whose landing
+    cells :func:`landing_cells` gives.  Returns ``(visible, invisible)``:
+    ``visible`` lists ``(location, replies)`` for every successor the
+    agent on ``l_a`` sees, by location; ``invisible`` is ``(locations,
+    replies)`` for the set of all invisible successors, or None when
+    there are none.  Its replies come from one representative move, the
+    first invisible one in sorted-belief order, which is enough under
+    invisible-independence.  Both the exact and the abstract game expand
+    their states through this function.
+    """
+    seen, invisible = landing_cells(G, l_a, belief)
     succ_a = G.succ_a
-    moves = [(l_t2, succ_a(l_a, l_t2)) for l_t2 in sorted(succs & visible)]
-    invisible = succs - visible
+    moves = [(l_t2, succ_a(l_a, l_t2)) for l_t2 in sorted(seen)]
     if not invisible:
         return moves, None
+    visible = G.visibility[l_a]
     target_step = G.target_step
     first = next(
         l_t2
@@ -155,15 +167,6 @@ def target_moves(G: SurveillanceGameStructure, l_a: int, belief: BeliefMoves):
         if l_t2 not in visible
     )
     return moves, (invisible, succ_a(l_a, first))
-
-
-def next_belief(G: SurveillanceGameStructure, l_a: int, belief, seen) -> frozenset[int]:
-    """Exact belief after one target move from ``belief``: ``{seen}`` when
-    the agent on ``l_a`` sees the target land on cell ``seen``, else
-    (``seen`` is None) every invisible successor of ``belief``."""
-    if seen is not None:
-        return frozenset({seen})
-    return G.invisible_succ(l_a, belief)
 
 
 def belief_successors(G: SurveillanceGameStructure, state, records=None):

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from .abstraction import Partition, build_abstract_game, initial_partition, refines
-from .belief import PredicateDef, atom_holds, concretize, next_belief
+from .belief import PredicateDef, atom_holds, belief_moves, concretize, landing_cells
 from .objective import Objective
 from .solver import (
     Arena,
@@ -35,14 +36,34 @@ class RefinementError(RuntimeError):
     """Refinement failed to make progress (internal invariant violation)."""
 
 
-def _concrete_step(G, Q, l_a, belief, abstract_label):
-    """Exact belief after the target's abstract move ``abstract_label``.
+def _belief_step(G, Q, gamma):
+    """The exact belief step of counterexample analysis, as a function
+    ``(l_a, belief, label) -> belief'``: the target's abstract move
+    ``label`` from ``belief`` with the agent on ``l_a``.
 
-    Visible moves give singletons; a block-set move collects the belief's
-    invisible successors lying under the abstract label.
+    A visible move gives its cell; a block-set move gives the belief's
+    invisible landing cells that lie under the label.  The step keeps
+    one :class:`~surveil.belief.BeliefMoves` record per belief for as
+    long as it lives, and ``gamma`` maps each label to its cells; a
+    missing one is concretized and added to it.
     """
-    seen = abstract_label if isinstance(abstract_label, int) else None
-    return next_belief(G, l_a, belief, seen) & concretize(abstract_label, Q)
+    records: dict = {}
+
+    def step(l_a, belief, label):
+        if isinstance(label, int):
+            return frozenset({label})
+        if not belief:
+            # a spurious move can empty a belief, which then stays empty
+            return belief
+        moves = records.get(belief)
+        if moves is None:
+            moves = records[belief] = belief_moves(G, belief)
+        cells = gamma.get(label)
+        if cells is None:
+            cells = gamma[label] = Q.gamma(label)
+        return landing_cells(G, l_a, moves)[1] & cells
+
+    return step
 
 
 def annotate_tree(
@@ -60,6 +81,7 @@ def annotate_tree(
     predicates = predicates or {}
     l_a0, l_t0 = G.initial
     tree.root.annotation = frozenset({l_t0})
+    step = _belief_step(G, Q, {})
     good_path = None
 
     def walk(node, path):
@@ -76,7 +98,7 @@ def annotate_tree(
             return
         for child in node.children:
             l_a2, label = child.state
-            child.annotation = _concrete_step(G, Q, l_a, node.annotation, label)
+            child.annotation = step(l_a, node.annotation, label)
             walk(child, path + [child])
 
     walk(tree.root, [tree.root])
@@ -148,7 +170,8 @@ class AnalysisGraphD:
     Node ``i`` carries the belief state, the abstract counterexample
     state it tracks, and that state's winning mode.  Nodes are numbered
     breadth first from ``initial``, and ``parent[i]`` is the node whose
-    expansion found node ``i`` (None for the root).
+    expansion found node ``i`` (None for the root).  ``gamma`` maps every
+    abstract label of the counterexample graph to its cells.
     """
 
     beliefs: list
@@ -156,6 +179,7 @@ class AnalysisGraphD:
     modes: list
     edges: dict
     parent: list
+    gamma: dict
     initial: int = 0
 
     def __len__(self):
@@ -173,7 +197,15 @@ class AnalysisGraphD:
 def build_analysis_graph(
     G: SurveillanceGameStructure, Q: Partition, cex: CounterexampleGraph
 ) -> AnalysisGraphD:
-    """Close the counterexample graph under exact belief propagation."""
+    """Close the counterexample graph under exact belief propagation.
+
+    Each label is concretized once, and each belief expanded from one
+    :class:`~surveil.belief.BeliefMoves` record, for the whole walk.
+    """
+    labels = {v[1] for v in cex.edges}.union(cex.choice.values())
+    labels.discard(None)
+    gamma = {label: concretize(label, Q) for label in labels}
+    step = _belief_step(G, Q, gamma)
     l_a0, l_t0 = G.initial
     d0 = ((l_a0, frozenset({l_t0})), cex.initial)
     beliefs, cex_states, modes = [d0[0]], [d0[1]], [cex.mode[cex.initial]]
@@ -185,10 +217,13 @@ def build_analysis_graph(
         key = queue.popleft()
         (l_a, belief), v = key
         i = index[key]
-        label = cex.choice[v]
-        belief2 = _concrete_step(G, Q, l_a, belief, label)
+        succs = cex.edges[v]
+        if not succs:
+            edges[i] = ()
+            continue
+        belief2 = step(l_a, belief, cex.choice[v])
         out = []
-        for v2 in cex.edges[v]:
+        for v2 in succs:
             key2 = ((v2[0], belief2), v2)
             if key2 not in index:
                 index[key2] = len(beliefs)
@@ -199,7 +234,7 @@ def build_analysis_graph(
                 queue.append(key2)
             out.append(index[key2])
         edges[i] = tuple(out)
-    return AnalysisGraphD(beliefs, cex_states, modes, edges, parent)
+    return AnalysisGraphD(beliefs, cex_states, modes, edges, parent, gamma)
 
 
 def _shortest_path(edges, sources, goals, allowed=None):
@@ -232,6 +267,63 @@ def _shortest_path(edges, sources, goals, allowed=None):
     return None
 
 
+def _on_cycle(edges, n: int, allowed=None) -> bytearray:
+    """Mask of the nodes of ``range(n)`` that lie on a cycle of the graph
+    ``edges``, or of its subgraph induced by ``allowed`` when that is
+    given: the nodes whose strongly connected component has more than
+    one node, or a self-loop.
+
+    Tarjan's algorithm, with an explicit stack in place of recursion,
+    which the depth of these graphs would overflow.
+    """
+    order = [0] * n  # discovery number from 1; 0 while unvisited
+    low = [0] * n
+    on_stack = bytearray(n)
+    cyclic = bytearray(n)
+    stack: list[int] = []
+    count = 0
+    for root in range(n):
+        if order[root] or (allowed is not None and root not in allowed):
+            continue
+        count += 1
+        order[root] = low[root] = count
+        stack.append(root)
+        on_stack[root] = 1
+        work = [(root, iter(edges.get(root, ())))]
+        while work:
+            v, succs = work[-1]
+            for w in succs:
+                if allowed is not None and w not in allowed:
+                    continue
+                if not order[w]:
+                    count += 1
+                    order[w] = low[w] = count
+                    stack.append(w)
+                    on_stack[w] = 1
+                    work.append((w, iter(edges.get(w, ()))))
+                    break
+                if on_stack[w]:
+                    if w == v:
+                        cyclic[v] = 1
+                    if order[w] < low[v]:
+                        low[v] = order[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == order[v]:
+                    # v is the root of a component: pop it off the stack
+                    w = stack.pop()
+                    on_stack[w] = 0
+                    while w != v:
+                        cyclic[w] = cyclic[v] = 1
+                        w = stack.pop()
+                        on_stack[w] = 0
+    return cyclic
+
+
 def find_good_lasso(
     G: SurveillanceGameStructure,
     D: AnalysisGraphD,
@@ -244,20 +336,17 @@ def find_good_lasso(
     Returns ``(stem, cycle)`` as node index lists with the cycle anchored
     at the good node (the stem ends there, the cycle returns there), or
     None when no such lasso exists and D is a concrete counterexample.
+    The good node is the first, by index, that lies on a cycle through
+    nodes of mode ``restrict_mode`` (of any mode when it is None), and
+    the cycle is the shortest one back to it, breadth first.
     """
-    good = {
-        i
-        for i, (l_a, b) in enumerate(D.beliefs)
-        if atom_holds(G, l_a, b, atom, predicates)
-    }
     allowed = None
     if restrict_mode is not None:
         allowed = {i for i, m in enumerate(D.modes) if m == restrict_mode}
-        good = good & allowed
-    for g in sorted(good):
-        # a cycle through g is a path from g's successors back to g
-        back = _shortest_path(D.edges, D.edges.get(g, ()), {g}, allowed)
-        if back is not None:
+    for g in compress(range(len(D)), _on_cycle(D.edges, len(D), allowed)):
+        l_a, b = D.beliefs[g]
+        if atom_holds(G, l_a, b, atom, predicates):
+            back = _shortest_path(D.edges, D.edges.get(g, ()), {g}, allowed)
             return D.stem(g), [g] + back
     return None
 
@@ -310,10 +399,10 @@ def analyze_general(
         pairs = _d_pairs(D, D.stem(i))
         return _grown(Q, split_along(G, Q, pairs), pairs)
 
+    gamma = D.gamma
     for i in range(len(D) if safety else 0):
         l_a, belief = D.beliefs[i]
-        label = D.cex_states[i][1]
-        if not holds(l_a, concretize(label, Q)) and holds(l_a, belief):
+        if not holds(l_a, gamma[D.cex_states[i][1]]) and holds(l_a, belief):
             refined = refine_to(i)
             if refined is not None:
                 return refined
@@ -325,7 +414,7 @@ def analyze_general(
         label = D.cex_states[i][1]
         if isinstance(label, int):
             continue
-        if D.beliefs[i][1] < Q.gamma(label):
+        if D.beliefs[i][1] < gamma[label]:
             refined = refine_to(i)
             if refined is not None:
                 return refined

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .abstraction import Partition
-from .belief import concretize, label_json, next_belief
+from .belief import belief_moves, concretize, label_json, landing_cells
 from .grid import GridWorld
 from .solver import Arena, StrategyData
 from .structure import SurveillanceGameStructure
@@ -271,11 +271,19 @@ def simulate(
     l_a, l_t = G.initial
     belief = frozenset({l_t})
     trace = [TraceStep(0, l_t, l_a, belief, runner.abstract_state[1])]
+    # one BeliefMoves record per belief, for the whole run
+    records: dict = {}
     for n in range(1, steps + 1):
         l_t2 = policy.choose(G, l_a, l_t)
         if l_t2 not in G.target_step(l_a, l_t):
             raise SimulationError(f"target move {l_t} -> {l_t2} is illegal")
-        belief = next_belief(G, l_a, belief, l_t2 if G.vis(l_a, l_t2) else None)
+        if G.vis(l_a, l_t2):
+            belief = frozenset({l_t2})
+        else:
+            moves = records.get(belief)
+            if moves is None:
+                moves = records[belief] = belief_moves(G, belief)
+            belief = landing_cells(G, l_a, moves)[1]
         l_a2 = runner.step(l_t2)
         if l_a2 not in G.succ_a(l_a, l_t2):
             raise SimulationError(

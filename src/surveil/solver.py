@@ -80,8 +80,10 @@ def make_arena(
             f"choice {game.labels[game.choice_label[c]]!r} of state {s!r} has "
             "no agent reply: the game structure is not total"
         )
-    # states share their label objects; concretize each one once
-    cells = {label: concretize(label, partition) for _, label in game.states}
+    # concretize each distinct label once; the initial state's label need
+    # not be a choice's, so the labels are read off the states
+    labels = {label for _, label in game.states}
+    cells = {label: concretize(label, partition) for label in labels}
     atom_sets = {}
     for atom in objective.atoms:
         if not isinstance(atom, SurvAtom) and atom.name not in predicates:
@@ -158,20 +160,23 @@ class _Index:
         )
 
 
-def _attractor(ix: _Index, target, domain: bytearray) -> array:
+def _attractor(ix: _Index, target, domain: bytearray, covered=None) -> array:
     """Agent attractor toward the ``target`` states inside the ``domain``
     mask.
 
     Returns each state's rank, the BFS level at which every target
     choice with replies has a reply of lower rank (``_UNRANKED``
     outside).  A reply set, and every choice that uses it, is covered
-    once one of its members is ranked.  Choices without replies are left
-    out, so a domain state without a choice that has replies joins at 1.
+    once one of its members is ranked; ``covered``, a zeroed mask over
+    the reply sets when given, is left marking those sets.  Choices
+    without replies are left out, so a domain state without a choice
+    that has replies joins at 1.
     """
     owner = ix.owner
     rank = array("i", [_UNRANKED]) * ix.n
     uncovered = array("i", ix.answered)
-    covered = bytearray(len(ix.width))
+    if covered is None:
+        covered = bytearray(len(ix.width))
     frontier = list(target)
     for i in frontier:
         rank[i] = 0
@@ -238,7 +243,7 @@ def _target_attractor(
     return out
 
 
-def _avoid_trap(ix: _Index, arena: Arena, won: bytearray, avoid) -> list:
+def _avoid_trap(ix: _Index, won: bytearray, avoid) -> list:
     """The target's trap away from the ``avoid`` states: the states
     outside ``won`` that the agent's attractor to ``avoid``, run outside
     ``won``, leaves unranked.
@@ -249,17 +254,16 @@ def _avoid_trap(ix: _Index, arena: Arena, won: bytearray, avoid) -> list:
     first such choice in canonical order.
     """
     start, cset, width = ix.start, ix.cset, ix.width
-    off, replies = arena.reply_off, arena.replies
     domain = bytearray(map(not_, won))
-    rank = _attractor(ix, [i for i in avoid if domain[i]], domain)
+    # a set is covered exactly when one of its members is ranked
+    covered = bytearray(len(width))
+    rank = _attractor(ix, [i for i in avoid if domain[i]], domain, covered)
     out = []
     for i in compress(range(ix.n), domain):
         if rank[i] == _UNRANKED:
             for c in range(start[i], start[i + 1]):
                 k = cset[c]
-                if width[k] and all(
-                    rank[r] == _UNRANKED for r in replies[off[k] : off[k + 1]]
-                ):
+                if width[k] and not covered[k]:
                     out.append((i, c))
                     won[i] = 1
                     break
@@ -426,7 +430,7 @@ def _target_strategy(
             grown = True
         fresh = []
         for j, atom in enumerate(objective.recurrence_terms):
-            for i, c in _avoid_trap(ix, arena, won, arena.atom_sets[atom]):
+            for i, c in _avoid_trap(ix, won, arena.atom_sets[atom]):
                 mode[i] = ("avoid", j)
                 choice[i] = c
                 fresh.append(i)

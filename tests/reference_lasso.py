@@ -1,0 +1,29 @@
+"""Lasso search by one breadth-first search per good node, the reference
+for ``surveil.cegar.find_good_lasso``.
+
+Here every good node gets a search from its successors back to itself;
+``find_good_lasso`` finds the nodes that lie on a cycle with one pass
+over the strongly connected components and searches from one node only.
+Both must return the same lasso.
+"""
+
+from surveil.belief import atom_holds
+from surveil.cegar import _shortest_path
+
+
+def find_good_lasso(G, D, atom, predicates=None, restrict_mode=None):
+    good = {
+        i
+        for i, (l_a, b) in enumerate(D.beliefs)
+        if atom_holds(G, l_a, b, atom, predicates)
+    }
+    allowed = None
+    if restrict_mode is not None:
+        allowed = {i for i, m in enumerate(D.modes) if m == restrict_mode}
+        good = good & allowed
+    for g in sorted(good):
+        # a cycle through g is a path from g's successors back to g
+        back = _shortest_path(D.edges, D.edges.get(g, ()), {g}, allowed)
+        if back is not None:
+            return D.stem(g), [g] + back
+    return None

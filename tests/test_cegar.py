@@ -2,13 +2,16 @@ import re
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference_lasso
 from conftest import build_hide_reveal_cex, graph_eliminated, tree_eliminated
 from surveil import (
     CONCRETIZABLE,
     BudgetExceeded,
     CegarOutcome,
     IterationBudgetExceeded,
+    PredicateDef,
     SurvAtom,
     annotate_tree,
     build_abstract_game,
@@ -27,6 +30,8 @@ from surveil import (
     refines,
     solve,
 )
+from surveil.cegar import AnalysisGraphD
+from surveil.objective import TaskAtom
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +134,82 @@ def test_good_lasso_and_liveness_refinement(game5, two_col_partition):
     assert len(refined) == 10
     assert refines(refined, two_col_partition)
     assert graph_eliminated(game5, two_col_partition, refined, cex)
+
+
+# the agent cells and target cells of the random analysis graphs below,
+# all of them free cells of the 5x5 map
+CELLS = (0, 4, 16, 17, 18, 22, 23)
+MODES = (("avoid", 0), ("avoid", 1), ("reach", 1))
+# a task atom that holds on agent cells 0 and 4; it holds vacuously on
+# an empty belief, so the beliefs of TOP and SIDE are not empty
+ON_TOP = {"top": PredicateDef("top", frozenset({0, 4}))}
+TOP, SIDE = (0, frozenset({18})), (16, frozenset({18}))
+
+
+def _graph(beliefs, edges, modes=None):
+    """An analysis graph over the given beliefs, with every node's parent
+    the node before it, and every node of mode ``("avoid", 0)`` unless
+    ``modes`` says otherwise."""
+    n = len(beliefs)
+    modes = modes or [("avoid", 0)] * n
+    return AnalysisGraphD(beliefs, list(beliefs), modes, edges, [None, *range(n - 1)], {})
+
+
+@st.composite
+def lasso_problems(draw):
+    """A random analysis graph, an atom and a restricting mode or None.
+    A node's edges may be missing, empty, repeated or a self-loop."""
+    n = draw(st.integers(1, 9))
+    cells = st.sampled_from(CELLS)
+    beliefs = [(draw(cells), draw(st.frozensets(cells, max_size=4))) for _ in range(n)]
+    modes = draw(st.lists(st.sampled_from(MODES), min_size=n, max_size=n))
+    edges = {}
+    for i in range(n):
+        out = draw(st.none() | st.lists(st.integers(0, n - 1), max_size=3))
+        if out is not None:
+            edges[i] = tuple(out)
+    parent = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    D = AnalysisGraphD(beliefs, list(beliefs), modes, edges, parent, {})
+    atom = draw(st.sampled_from((SurvAtom(1), SurvAtom(2), TaskAtom("top"))))
+    return D, atom, draw(st.sampled_from((None, *MODES)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(problem=lasso_problems())
+@example(problem=(_graph([TOP], {0: (0,)}), TaskAtom("top"), None))
+@example(problem=(_graph([TOP] * 3, {}), TaskAtom("top"), ("avoid", 0)))
+@example(
+    problem=(
+        _graph([TOP, SIDE, SIDE], {0: (1,), 1: (2,), 2: (1,)}),
+        TaskAtom("top"),
+        None,
+    )
+)
+def test_find_good_lasso_matches_per_node_search(game5, problem):
+    """One pass over the strongly connected components finds exactly the
+    lasso that one breadth-first search per good node finds."""
+    D, atom, mode = problem
+    want = reference_lasso.find_good_lasso(game5, D, atom, ON_TOP, mode)
+    assert find_good_lasso(game5, D, atom, ON_TOP, mode) == want
+
+
+def test_find_good_lasso_cases(game5):
+    # a self-loop is a cycle of one node
+    D = _graph([SIDE, TOP], {0: (1,), 1: (1,)})
+    assert find_good_lasso(game5, D, TaskAtom("top"), ON_TOP) == ([0, 1], [1, 1])
+    # nodes without edges lie on no cycle
+    assert find_good_lasso(game5, _graph([TOP, TOP], {}), TaskAtom("top"), ON_TOP) is None
+    # the cycle holds no good node; the good node leads into it
+    D = _graph([TOP, SIDE, SIDE], {0: (1,), 1: (2,), 2: (1,)})
+    assert find_good_lasso(game5, D, TaskAtom("top"), ON_TOP) is None
+    # the first good node on a cycle, and the shortest way back to it
+    D = _graph([SIDE, TOP, TOP, SIDE], {0: (1,), 1: (2,), 2: (3, 1), 3: (1, 2)})
+    assert find_good_lasso(game5, D, TaskAtom("top"), ON_TOP) == ([0, 1], [1, 2, 1])
+    # a cycle through a node of another mode does not count under a mode
+    modes = [("avoid", 0), ("avoid", 0), ("avoid", 1)]
+    D = _graph([SIDE, TOP, SIDE], {0: (1,), 1: (2,), 2: (1,)}, modes)
+    assert find_good_lasso(game5, D, TaskAtom("top"), ON_TOP) == ([0, 1], [1, 2, 1])
+    assert find_good_lasso(game5, D, TaskAtom("top"), ON_TOP, ("avoid", 0)) is None
 
 
 def test_extracted_liveness_counterexample_also_refines(game5, two_col_partition):

@@ -2,14 +2,18 @@
 
 ``perfbench/tracing.py`` rebinds library functions by name to count the
 work of each layer, and drops a metric silently when its function is
-missing.  This test loads the tracer as the benchmark does and checks
-that one synthesis run gives it every metric it looks for.
+missing.  These tests load the tracer as the benchmark does and check
+that synthesis runs give it every metric it looks for.
 """
 
+import contextlib
 import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+import surveil.cegar
 from surveil import build_game_structure, cegar_loop, parse_config, parse_grid, parse_spec
 from surveil.belief import predicates_from_grid
 from surveil.cli import bundled_map
@@ -24,10 +28,11 @@ def _load_tracing():
     return module
 
 
-def test_traced_run_counts_every_successor_call():
+@contextlib.contextmanager
+def _traced(label):
+    """The tracer installed for one case; yields the tracer and the case,
+    and restores every rebound function on the way out."""
     tracing = _load_tracing()
-    grid = parse_grid(bundled_map("paper5x5.txt"))
-    G = build_game_structure(grid, *parse_config(bundled_map("paper5x5.cfg")))
     bound = [
         (module, attr, getattr(module, attr))
         for module, attr in {
@@ -37,14 +42,61 @@ def test_traced_run_counts_every_successor_call():
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer)
-        tracer.current = case = tracing.CaseTrace("paper5x5 G p<=3")
-        outcome = cegar_loop(G, parse_spec("G p<=3"), predicates=predicates_from_grid(grid))
+        tracer.current = case = tracing.CaseTrace(label)
+        yield tracer, case
     finally:
         for module, attr, fn in bound:
             setattr(module, attr, fn)
+
+
+def _synth(spec):
+    grid = parse_grid(bundled_map("paper5x5.txt"))
+    G = build_game_structure(grid, *parse_config(bundled_map("paper5x5.cfg")))
+    return cegar_loop(G, parse_spec(spec), predicates=predicates_from_grid(grid))
+
+
+def test_traced_run_counts_every_successor_call():
+    with _traced("paper5x5 G p<=3") as (tracer, case):
+        outcome = _synth("G p<=3")
     assert outcome.verdict == "realizable"
     assert tracer.absent == set()
     counts = case.counts
     assert counts["cegar.iterations"] >= 1
     assert counts["abstraction.abstract_states"] > 0
     assert counts["abstraction.successor_calls"] == counts["abstraction.abstract_states"]
+
+
+def test_traced_liveness_run_counts_analysis_nodes():
+    with _traced("paper5x5 GF p<=2") as (tracer, case):
+        outcome = _synth("GF p<=2")
+    assert outcome.verdict == "realizable"
+    assert tracer.absent == set()
+    assert case.counts["cegar.analysis_nodes"] > 0
+
+
+class _WallLimit(BaseException):
+    """Stands for the benchmark's wall limit, which interrupts a run."""
+
+
+def test_interrupted_analysis_counts_the_nodes_reached(monkeypatch):
+    """An interrupt inside ``build_analysis_graph`` leaves the graph's
+    nodes so far in its frame, where the tracer's hook counts them."""
+    with _traced("paper5x5 GF p<=2") as (_, case):
+        _synth("GF p<=2")
+    whole = case.counts["cegar.analysis_nodes"]
+    steps = []
+    landing_cells = surveil.cegar.landing_cells
+
+    def interrupted(*args):
+        steps.append(args)
+        if len(steps) == 20:
+            raise _WallLimit
+        return landing_cells(*args)
+
+    monkeypatch.setattr(surveil.cegar, "landing_cells", interrupted)
+    with _traced("paper5x5 GF p<=2, interrupted") as (tracer, case):
+        with pytest.raises(_WallLimit):
+            _synth("GF p<=2")
+    assert tracer.absent == set()
+    # the nodes expanded before the interrupt and the one it stopped
+    assert 20 <= case.counts["cegar.analysis_nodes"] < whole
