@@ -96,8 +96,10 @@ def load_runner(
     so a controller synthesized for a different map is rejected before it
     can produce nonsense moves.  So is a controller whose initial state,
     winning region or moves name a state index it does not list, whose
-    states name a cell or block id the map or its partition lacks, or
-    whose partition does not cover exactly the map's target cells.
+    ``memory_count`` is not a positive int, whose moves use a memory
+    outside ``range(memory_count)``, whose states name a cell or block id
+    the map or its partition lacks, or whose partition does not cover
+    exactly the map's target cells.
     """
     if not isinstance(payload, dict):
         raise SimulationError("strategy file must hold a JSON object")
@@ -126,6 +128,17 @@ def load_runner(
         if bad:
             raise SimulationError(
                 f"strategy file refers to state {bad[0]!r}, but lists {n} states"
+            )
+        count = strategy.memory_count
+        if not (isinstance(count, int) and count > 0):
+            raise SimulationError(
+                f"strategy file has memory_count {count!r}, not a positive int"
+            )
+        mems = [mem for _, mem, _ in moves] + [mem2 for _, mem2 in moves.values()]
+        bad = [m for m in mems if not (isinstance(m, int) and 0 <= m < count)]
+        if bad:
+            raise SimulationError(
+                f"strategy file uses memory {bad[0]!r}, but has memory_count {count}"
             )
         partition = None
         if payload.get("blocks"):

@@ -529,15 +529,43 @@ def extract_cex_graph(arena: Arena, result: SolveResult) -> CounterexampleGraph:
 def export_strategy(
     arena: Arena, strat: StrategyData, digest: str = "", partition=None
 ) -> dict:
-    """JSON-ready dump of a finite-memory controller with stable ordering."""
-    states = [[s[0], label_json(s[1])] for s in arena.states]
-    # the arena's labels are in canonical (belief_key) order
-    rank = {c: k for k, c in enumerate(arena.labels)}
-    moves = []
-    for (i, mem, c), (r, mem2) in sorted(
-        strat.moves.items(), key=lambda kv: (kv[0][0], kv[0][1], rank[kv[0][2]])
-    ):
-        moves.append([i, mem, label_json(c), r, mem2])
+    """JSON-ready dump of the part of a finite-memory controller that a
+    run from ``(arena.initial, 0)`` can reach.
+
+    The walk follows the controller's move for every choice of every
+    reached ``(state, memory)`` pair.  Only the states those pairs use
+    are written, renumbered in increasing arena order, and
+    ``winning_region`` lists them all; moves are written for the reached
+    pairs only, sorted by state, memory and the choice's canonical rank.
+    Raises :class:`SolverError` when a reached pair lacks a move.
+    """
+    labels, label, start = arena.labels, arena.choice_label, arena.choice_off
+    # (state, memory, label id) -> (reply, memory'); label ids follow the
+    # arena's canonical (belief_key) order
+    reached = {}
+    seen = {(arena.initial, 0)}
+    stack = [(arena.initial, 0)]
+    while stack:
+        i, mem = stack.pop()
+        for c in range(start[i], start[i + 1]):
+            k = label[c]
+            move = strat.moves.get((i, mem, labels[k]))
+            if move is None:
+                raise SolverError(
+                    f"controller has no move in state {i}, memory {mem} for "
+                    f"choice {label_json(labels[k])!r}"
+                )
+            reached[(i, mem, k)] = move
+            if move not in seen:
+                seen.add(move)
+                stack.append(move)
+    used = sorted({i for i, _ in seen})
+    new = {i: n for n, i in enumerate(used)}
+    states = [[arena.states[i][0], label_json(arena.states[i][1])] for i in used]
+    moves = [
+        [new[i], mem, label_json(labels[k]), new[r], mem2]
+        for (i, mem, k), (r, mem2) in sorted(reached.items())
+    ]
     blocks = None
     if partition is not None:
         blocks = {
@@ -546,8 +574,8 @@ def export_strategy(
     return {
         "digest": digest,
         "memory_count": strat.memory_count,
-        "initial": arena.initial,
-        "winning_region": sorted(strat.winning_region),
+        "initial": new[arena.initial],
+        "winning_region": list(range(len(used))),
         "states": states,
         "moves": moves,
         "blocks": blocks,

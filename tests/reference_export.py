@@ -1,0 +1,64 @@
+"""Export of the whole controller, the reference for
+``surveil.solver.export_strategy``.
+
+Here every arena state is written, with a move for every winning
+``(state, memory, choice)``; ``export_strategy`` writes only the part a
+run from ``(initial, 0)`` can reach, renumbered.  Restricted to that
+part and renumbered, this payload must equal ``export_strategy``'s.
+"""
+
+from surveil.belief import label_json
+
+
+def export_strategy(arena, strat, digest="", partition=None) -> dict:
+    states = [[s[0], label_json(s[1])] for s in arena.states]
+    # the arena's labels are in canonical (belief_key) order
+    rank = {c: k for k, c in enumerate(arena.labels)}
+    moves = []
+    for (i, mem, c), (r, mem2) in sorted(
+        strat.moves.items(), key=lambda kv: (kv[0][0], kv[0][1], rank[kv[0][2]])
+    ):
+        moves.append([i, mem, label_json(c), r, mem2])
+    blocks = None
+    if partition is not None:
+        blocks = {
+            str(bid): sorted(cells) for bid, cells in partition.blocks.items()
+        }
+    return {
+        "digest": digest,
+        "memory_count": strat.memory_count,
+        "initial": arena.initial,
+        "winning_region": sorted(strat.winning_region),
+        "states": states,
+        "moves": moves,
+        "blocks": blocks,
+    }
+
+
+def restrict_to_reachable(payload) -> dict:
+    """The payload cut down to the ``(state, memory)`` pairs that its own
+    moves reach from ``(initial, 0)``, with the states they use
+    renumbered in increasing order."""
+    out = {}
+    for i, mem, c, r, mem2 in payload["moves"]:
+        out.setdefault((i, mem), []).append((r, mem2))
+    start = (payload["initial"], 0)
+    seen, stack = {start}, [start]
+    while stack:
+        for nxt in out.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    used = sorted({i for i, _ in seen})
+    new = {i: n for n, i in enumerate(used)}
+    return {
+        **payload,
+        "initial": new[payload["initial"]],
+        "winning_region": list(range(len(used))),
+        "states": [payload["states"][i] for i in used],
+        "moves": [
+            [new[i], mem, c, new[r], mem2]
+            for i, mem, c, r, mem2 in payload["moves"]
+            if (i, mem) in seen
+        ],
+    }

@@ -157,6 +157,26 @@ def test_oracle_controller_replays(paths, capsys, policy):
     assert all(r["abstract"] == r["belief"] for r in recs)
 
 
+@pytest.mark.parametrize("policy", ["random", "evasive"])
+@pytest.mark.parametrize("spec", ["G p<=3", "GF p<=2"])
+def test_file_replay_equals_in_process_replay(tmp_path, capsys, spec, policy):
+    """The controller file holds only the part reachable from its
+    initial state, and that part is all a run needs: replaying the file
+    prints what the in-process controller prints."""
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(spec + "\n")
+    problem = ["--map", "bundled:paper5x5.txt", "--config", "bundled:paper5x5.cfg"]
+    strat = tmp_path / "strat.json"
+    assert run(["synth", *problem, "--spec", str(spec_file), "--out", str(strat)]) == 0
+    capsys.readouterr()
+    sim = ["--policy", policy, "--seed", "7", "--steps", "200"]
+    assert run(["simulate", *problem, "--strategy", str(strat), *sim]) == 0
+    from_file = capsys.readouterr().out
+    assert run(["simulate", *problem, "--spec", str(spec_file), *sim]) == 0
+    assert capsys.readouterr().out == from_file
+    assert from_file.count("\n") == 201
+
+
 def test_foreign_strategy_rejected(paths, tmp_path, capsys):
     other = tmp_path / "other.map"
     other.write_text("......\nA....T\n")
@@ -174,7 +194,8 @@ def test_simulate_rejects_illegal_agent_move(paths, capsys):
     assert run(["synth", "--map", paths["map"], "--spec", paths["p3"],
                 "--out", str(strat)]) == 0
     payload = json.loads(strat.read_text())
-    payload["states"][265][0] = 23  # the agent jumps from 9 to 23
+    i = payload["states"].index([4, [9]])
+    payload["states"][i][0] = 23  # the agent jumps from 9 to 23
     strat.write_text(json.dumps(payload))
     capsys.readouterr()
     code = run(["simulate", "--map", paths["map"], "--strategy", str(strat),
@@ -346,10 +367,10 @@ def test_solver_error_exit_one(paths, monkeypatch, capsys, command):
 # sha256 of `surveil synth` output on the bundled paper5x5 map, pinned so
 # that solver changes cannot alter a controller or counterexample unseen
 GOLDEN = {
-    "G p<=3": (0, "1318cb29c805c6cbf8937593c5d2af942a3cc7475f5b1e6f74cc0aecfcb61f89"),
-    "GF p<=2": (0, "1afe5e03254da6e3f4d885e612a61fa59d38cdfa8c8e0f2df872b2fb1c395113"),
+    "G p<=3": (0, "1ea52d91dce7c307b8ba84655c200b18cfbf8bcfc4c09b907409a16961b7754b"),
+    "GF p<=2": (0, "2499f26da88f6365c2c493ff962c5f45f91378f5953c13e228d35ed12703925b"),
     "G p<=5 & GF p<=2": (
-        0, "3b1ddb6adf2b10afd2f8631c5ebec6dcfae6f280817c4a8ccd1a4d255737b6e9"
+        0, "ea1057b169b38f373150cd7767440ebad7ff87311bbb946388a60b73fa33e769"
     ),
     "G p<=2": (10, "9b9ed1d2a76a9b8818f02f76bdfd4cb6fd43086014100581575fc1d4069f8aff"),
 }

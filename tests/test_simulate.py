@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -33,12 +34,12 @@ def make_runner(game5, controller):
 
 
 def test_tampered_controller_with_illegal_agent_move_rejected(game5, grid5):
-    """A controller whose digest matches but whose state 265 puts the
-    agent on cell 23, which no agent move reaches from cell 9."""
+    """A controller whose digest matches but whose state ``[4, [9]]``
+    puts the agent on cell 23, which no agent move reaches from cell 9."""
     out = cegar_loop(game5, parse_spec("G p<=3"))
     payload = export_strategy(out.arena, out.strategy, "d", out.final_partition)
-    assert payload["states"][265] == [4, [9]]
-    payload["states"][265][0] = 23
+    i = payload["states"].index([4, [9]])
+    payload["states"][i][0] = 23
     runner = load_runner(game5, payload, expected_digest="d")
     with pytest.raises(SimulationError, match="agent 9 -> 23"):
         simulate(game5, grid5, runner, RandomPolicy(1), 30)
@@ -68,6 +69,40 @@ def test_controller_with_out_of_range_state_index_rejected(game5, controller, ta
     load_runner(game5, payload, expected_digest="d")
     tamper(payload)
     with pytest.raises(SimulationError, match="refers to state"):
+        load_runner(game5, payload, expected_digest="d")
+
+
+def _list_memory(payload):
+    for move in payload["moves"]:
+        move[4] = [0]
+
+
+def _memory_count_not_int(payload):
+    payload["memory_count"] = "many"
+
+
+def _memory_out_of_range(payload):
+    for move in payload["moves"]:
+        move[4] = 3
+
+
+@pytest.mark.parametrize("tamper, message", [
+    pytest.param(_list_memory, "uses memory [0]", id="list"),
+    pytest.param(_memory_count_not_int, "memory_count 'many', not a positive int",
+                 id="count"),
+    pytest.param(_memory_out_of_range, "uses memory 3, but has memory_count 1",
+                 id="range"),
+])
+def test_controller_with_bad_memory_rejected(game5, controller, tamper, message):
+    """A memory the controller does not have is rejected when the file
+    loads, before the agent moves."""
+    payload = export_strategy(
+        controller.arena, controller.strategy, "d", controller.final_partition
+    )
+    assert payload["memory_count"] == 1
+    load_runner(game5, payload, expected_digest="d")
+    tamper(payload)
+    with pytest.raises(SimulationError, match=re.escape(message)):
         load_runner(game5, payload, expected_digest="d")
 
 

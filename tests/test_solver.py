@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_export
 import reference_game
 import reference_solver
 from conftest import choice_labels, choices
@@ -13,6 +14,7 @@ from surveil import (
     SurveillanceGameStructure,
     build_abstract_game,
     build_belief_game,
+    cegar_loop,
     export_strategy,
     extract_cex_graph,
     extract_cex_tree,
@@ -21,6 +23,7 @@ from surveil import (
     solve,
     validate_assumptions,
 )
+from surveil.belief import label_json
 from surveil.objective import Objective, TaskAtom
 from surveil.solver import Arena, _Index
 
@@ -256,6 +259,54 @@ def test_export_strategy_deterministic(exact_arena_factory):
     assert a == b
 
 
+def check_export(arena, strat, partition=None):
+    """The export equals the full reference export restricted to the
+    pairs reachable from ``(initial, 0)`` and renumbered; its states lie
+    in the winning region, and every exported ``(state, memory)`` pair
+    has one move per distinct choice label of its arena state, in
+    canonical order."""
+    got = export_strategy(arena, strat, "d", partition)
+    want = reference_export.export_strategy(arena, strat, "d", partition)
+    assert got == reference_export.restrict_to_reachable(want)
+    index = {json.dumps([l_a, label_json(b)]): i for i, (l_a, b) in enumerate(arena.states)}
+    exported = [index[json.dumps(s)] for s in got["states"]]
+    assert set(exported) <= strat.winning_region
+    labels_of = {(got["initial"], 0): []}
+    for i, mem, c, r, mem2 in got["moves"]:
+        labels_of.setdefault((i, mem), []).append(c)
+        labels_of.setdefault((r, mem2), [])
+    for (k, mem), labels in labels_of.items():
+        distinct = dict.fromkeys(c for c, _ in choices(arena, exported[k]))
+        assert labels == [label_json(c) for c in distinct], (k, mem)
+
+
+# the paper5x5 specs of acceptance criterion 5 that are realizable
+REALIZABLE = (
+    [f"G p<={k}" for k in range(3, 7)]
+    + [f"GF p<={k}" for k in range(1, 7)]
+    + ["G p<=5 & GF p<=2"]
+)
+
+
+@pytest.mark.parametrize("spec", REALIZABLE)
+def test_export_is_the_reachable_part_of_the_reference(game5, exact_arena_factory, spec):
+    out = cegar_loop(game5, parse_spec(spec))
+    assert out.verdict == "realizable"
+    check_export(out.arena, out.strategy, out.final_partition)
+    obj, arena = exact_arena_factory(spec)
+    result = solve(arena, obj)
+    assert result.agent_wins
+    check_export(arena, result.agent_strategy)
+
+
+def test_export_of_a_reached_pair_without_a_move_fails(exact_arena_factory):
+    obj, arena = exact_arena_factory("G p<=3")
+    strat = solve(arena, obj).agent_strategy
+    del strat.moves[next(k for k in strat.moves if k[:2] == (arena.initial, 0))]
+    with pytest.raises(SolverError, match=f"no move in state {arena.initial}, memory 0"):
+        export_strategy(arena, strat)
+
+
 @st.composite
 def random_games(draw):
     """Small arenas with sinks, choices without replies and repeated
@@ -364,3 +415,17 @@ def test_cpre_matches_naive_reference(game, data):
     arena, _ = game
     W = data.draw(st.frozensets(st.integers(0, len(arena) - 1)))
     assert _Index(_flat(arena)).cpre(W) == reference_solver.cpre(arena, W)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_games())
+def test_export_matches_reference_on_random_games(game):
+    arena, obj = game
+    # the reference arena's states are bare numbers; export needs pairs
+    flat = Arena.from_moves(
+        [(i, i) for i in arena.states], arena.initial, arena.moves,
+        atom_sets=arena.atom_sets,
+    )
+    result = _solve_or_error(solve, flat, obj)
+    if result is not None and result.agent_wins:
+        check_export(flat, result.agent_strategy)
