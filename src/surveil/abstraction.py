@@ -4,14 +4,25 @@ A partition groups target locations into blocks; abstract beliefs are
 sets of block ids (or a concrete location while the target is visible).
 Coarser partitions give smaller games at the price of over-approximated
 beliefs.
+
+The abstract game is built for a specification's safety terms: a state
+whose concretized belief breaks one of them is a sink without choices,
+and is not expanded (:func:`build_abstract_game` gives the reason).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Optional
 
-from .belief import PredicateDef, TurnGame, _explore, belief_moves, target_moves
+from .belief import (
+    PredicateDef,
+    TurnGame,
+    _explore,
+    belief_moves,
+    safety_test,
+    target_moves,
+)
 from .structure import SurveillanceGameStructure
 
 
@@ -146,15 +157,62 @@ def abstract_successors(G: SurveillanceGameStructure, Q: Partition, state, recor
 
 
 def build_abstract_game(
-    G: SurveillanceGameStructure, Q: Partition, max_states: int = 1_000_000
+    G: SurveillanceGameStructure,
+    Q: Partition,
+    max_states: int = 1_000_000,
+    safety: frozenset = frozenset(),
+    predicates: Optional[dict[str, PredicateDef]] = None,
 ) -> TurnGame:
     """Enumerate the reachable abstract game for partition ``Q``.
 
-    Each label is concretized and its moves collected into one
+    Each label is concretized once, and its moves collected into one
     :class:`~surveil.belief.BeliefMoves` record, kept for this
     exploration only; every state with that label is expanded from it.
+
+    A state where the conjunction of the ``safety`` atoms fails on the
+    concretized label is not expanded: it gets its number, its atom
+    valuation in :func:`~surveil.solver.make_arena` and its count
+    against ``max_states``, but no choices, and a state reachable only
+    through such states is not built at all.  Nothing that the game is
+    used for changes:
+
+    * an unsafe state is a rank-0 seed of the target's attractor
+      whatever its choices are;
+    * for every other state, each quantity :func:`~surveil.solver.solve`
+      computes (attractor ranks, the first winning choice in canonical
+      order, traps, Buchi ranks and the controllable predecessor)
+      depends only on the states reachable from it through safe states,
+      and those keep their choices;
+    * :func:`~surveil.solver.extract_cex_tree` stops at unsafe leaves,
+      and :func:`~surveil.solver.extract_cex_graph` makes unsafe nodes
+      sinks;
+    * the controller lives in the agent's winning region, which lies
+      inside the safe states.
+
+    So verdicts, counterexamples and controllers are those of the full
+    game; only state numbers and reply-set ids differ.  Without safety
+    atoms the whole game is built.
     """
     records: dict = {}
-    return _explore(
-        G.initial, lambda s: abstract_successors(G, Q, s, records), max_states
-    )
+    if not safety:
+        return _explore(
+            G.initial, lambda s: abstract_successors(G, Q, s, records), max_states
+        )
+    test = safety_test(G, safety, predicates)
+    # per label: its safety test of the agent's cell, None when it needs none
+    tests: dict = {}
+
+    def successors(state):
+        l_a, label = state
+        if label not in records:
+            cells = Q.gamma(label)
+            records[label] = belief_moves(G, cells)
+            tests[label] = test(cells)
+        holds = tests[label]
+        if holds is None or holds(l_a):
+            return abstract_successors(G, Q, state, records)
+        return ()
+
+    game = _explore(G.initial, successors, max_states)
+    game.safety = frozenset(safety)
+    return game

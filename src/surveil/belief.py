@@ -3,6 +3,11 @@
 The belief game is the oracle semantics: agent location paired with the
 set of target locations considered possible.  After every transition a
 belief is either a visible singleton or a set of all-invisible locations.
+
+A game built for a specification's safety terms does not expand a state
+that breaks one of them: the target has won every play through it, so
+the state stays a sink without choices, and whatever is reachable only
+through such states is never built.
 """
 
 from __future__ import annotations
@@ -10,9 +15,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable
+from typing import Iterable, Optional
 
-from .objective import SurvAtom
+from .objective import SurvAtom, TaskAtom
 from .structure import SurveillanceGameStructure
 
 
@@ -86,13 +91,35 @@ def atom_holds(G, l_a: int, locs, atom, predicates) -> bool:
     """A spec atom on the agent cell ``l_a`` and a concrete set of target
     cells: ``p<=k`` bounds the number of invisible cells, and a task
     predicate must hold for every cell.  Abstract labels are turned into
-    cells with :func:`concretize` first."""
+    cells with :func:`concretize` first.  A set of at most ``k`` cells
+    satisfies ``p<=k`` whatever the agent sees, so it is not counted."""
     if isinstance(atom, SurvAtom):
         if atom.k < 1:
             raise ValueError("surveillance threshold k must be >= 1")
-        return invisible_count(G, l_a, locs) <= atom.k
+        return len(locs) <= atom.k or invisible_count(G, l_a, locs) <= atom.k
     pred = predicates[atom.name]
     return all(pred.holds(l_a, l_t) for l_t in locs)
+
+
+def safety_test(G, safety, predicates=None):
+    """The conjunction of the ``safety`` atoms, one set of target cells at
+    a time: ``test(cells)`` is None when it holds on ``cells`` whatever
+    the agent's cell, and otherwise a test ``l_a -> bool`` through
+    :func:`atom_holds`.  Only ``p<=k`` atoms on at most ``k`` cells are
+    taken to hold outright.  Raises :class:`PredicateError` for an
+    undeclared task predicate."""
+    predicates = predicates or {}
+    atoms = sorted(safety, key=str)
+    for atom in atoms:
+        if isinstance(atom, TaskAtom) and atom.name not in predicates:
+            raise PredicateError(f"undeclared task predicate {atom.name!r}")
+
+    def test(cells):
+        if all(isinstance(a, SurvAtom) and len(cells) <= a.k for a in atoms):
+            return None
+        return lambda l_a: all(atom_holds(G, l_a, cells, a, predicates) for a in atoms)
+
+    return test
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,6 +233,11 @@ class TurnGame:
     abstract game, the same agent cells after the same target move) share
     one set, stored once.  ``labels`` holds each distinct belief once, in
     canonical order, and the states share these objects.
+
+    ``safety`` holds the safety atoms the game was built for.  Each of
+    them holds on every state that has choices; a state that breaks one
+    was not expanded and has no choices, although it has its number and
+    counted against the state budget.
     """
 
     states: list
@@ -216,6 +248,7 @@ class TurnGame:
     choice_set: array
     reply_off: array
     replies: array
+    safety: frozenset = frozenset()
 
     def __len__(self) -> int:
         return len(self.states)
@@ -351,11 +384,20 @@ def _explore(initial, successors, max_states) -> TurnGame:
     )
 
 
-def build_belief_game(G: SurveillanceGameStructure, max_states: int = 2_000_000) -> TurnGame:
+def build_belief_game(
+    G: SurveillanceGameStructure,
+    max_states: int = 2_000_000,
+    safety: frozenset = frozenset(),
+    predicates: Optional[dict[str, PredicateDef]] = None,
+) -> TurnGame:
     """Enumerate the reachable exact belief game (the oracle).
 
-    Raises :class:`BudgetExceeded` past ``max_states``; the exponential
-    blow-up of the construction is the reason the abstraction exists.
+    A state whose belief breaks one of the ``safety`` atoms is not
+    expanded (see :func:`~surveil.abstraction.build_abstract_game` for
+    why no verdict or strategy changes); without them the whole game is
+    built.  Raises :class:`BudgetExceeded` past ``max_states``; the
+    exponential blow-up of the construction is the reason the
+    abstraction exists.
     """
     l_a0, l_t0 = G.initial
     initial = (l_a0, frozenset({l_t0}))
@@ -368,4 +410,15 @@ def build_belief_game(G: SurveillanceGameStructure, max_states: int = 2_000_000)
             belief_successors(G, state, records), key=lambda cr: belief_key(cr[0])
         )
 
-    return _explore(initial, successors, max_states)
+    if not safety:
+        return _explore(initial, successors, max_states)
+    test = safety_test(G, safety, predicates)
+
+    def safe_successors(state):
+        l_a, belief = state
+        holds = test(belief)
+        return successors(state) if holds is None or holds(l_a) else ()
+
+    game = _explore(initial, safe_successors, max_states)
+    game.safety = frozenset(safety)
+    return game

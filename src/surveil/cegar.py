@@ -458,7 +458,9 @@ def cegar_loop(
     Q = initial_partition(G, predicates.values())
     transcript: list[str] = []
     for iteration in range(1, max_iters + 1):
-        game = build_abstract_game(G, Q, max_states=max_states)
+        game = build_abstract_game(
+            G, Q, max_states, objective.safety_terms, predicates
+        )
         arena = make_arena(game, G, objective, predicates, partition=Q)
         result = solve(arena, objective)
         if result.agent_wins:

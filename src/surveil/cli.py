@@ -179,7 +179,9 @@ def _counterexample_json(outcome) -> dict:
 
 def cmd_oracle(args) -> int:
     grid, G, objective, predicates, digest = _load_problem(args)
-    game = build_belief_game(G, max_states=args.max_states)
+    game = build_belief_game(
+        G, args.max_states, objective.safety_terms, predicates
+    )
     arena = make_arena(game, G, objective, predicates)
     result = solve(arena, objective)
     print(f"states={len(arena)} realizable={result.agent_wins}")

@@ -65,9 +65,12 @@ def make_arena(
 ) -> Arena:
     """Evaluate the objective's atoms on a belief or abstract game.
 
-    The arena shares the game's arrays.  Raises :class:`SolverError` for
-    an undeclared task predicate and for a target choice without any
-    agent reply, which a game structure that is not total produces.
+    The arena shares the game's arrays.  A safety atom that the game was
+    built for holds on every state with choices, so it is evaluated only
+    on the states without; ``predicates`` must be those the game was
+    built with.  Raises :class:`SolverError` for an undeclared task
+    predicate and for a target choice without any agent reply, which a
+    game structure that is not total produces.
     """
     predicates = predicates or {}
     widths = _widths(game.reply_off)
@@ -84,19 +87,22 @@ def make_arena(
     # not be a choice's, so the labels are read off the states
     labels = {label for _, label in game.states}
     cells = {label: concretize(label, partition) for label in labels}
+    expanded = _widths(game.choice_off)
     atom_sets = {}
     for atom in objective.atoms:
         if not isinstance(atom, SurvAtom) and atom.name not in predicates:
             raise SolverError(f"undeclared task predicate {atom.name!r}")
+        checked = atom in game.safety
         atom_sets[atom] = frozenset(
             i
             for i, (l_a, label) in enumerate(game.states)
-            if atom_holds(structure, l_a, cells[label], atom, predicates)
+            if (checked and expanded[i])
+            or atom_holds(structure, l_a, cells[label], atom, predicates)
         )
     return Arena(
         game.states, game.initial, game.labels, game.choice_off,
         game.choice_label, game.choice_set, game.reply_off, game.replies,
-        atom_sets,
+        game.safety, atom_sets,
     )
 
 
@@ -292,7 +298,8 @@ class TargetStrategyData:
     ``("reach", rank)`` while forcing toward a violation, and
     ``("avoid", j)`` while trapping the play away from recurrence atom j.
     ``choice[i]`` is the id of the arena choice the target picks in state
-    ``i``, or None for a state without choices.
+    ``i``, or None for a state without choices, such as an unsafe state
+    of a game built for the safety terms.
     """
 
     region: frozenset[int]
@@ -323,6 +330,22 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
     has a choice without replies.  :func:`make_arena` rejects such
     choices; the target strategy does not force through them, so on an
     arena that has them the result can end in a :class:`SolverError`.
+
+    On a game built for the objective's safety terms, an unsafe state has
+    no choices.  The result is the same as on the full game, restricted
+    to the states the smaller game has:
+
+    * an unsafe state is a rank-0 seed of the target's attractor,
+      whatever its choices;
+    * every other state keeps its choices, and its attractor ranks, its
+      first winning choice in canonical order, its trap membership, its
+      Buchi ranks and its membership in the controllable predecessor
+      depend only on the states reachable from it through safe states;
+    * the agent's winning region ``Z`` lies inside the safe states, so
+      the controller is the same.
+
+    Only ``TargetStrategyData.choice`` of an unsafe state differs: it is
+    None where it was the state's first choice.
     """
     ix = _Index(arena)
     n = len(arena)

@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -67,6 +70,23 @@ def two_col_partition(game5):
 def goal_pred():
     """Task predicate: the agent stands on cell 0."""
     return {"goal": PredicateDef("goal", frozenset({0}))}
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def pillar_problem(n: int, seed: int):
+    """The map and config texts of the benchmark's ``pillars<n>`` at
+    ``seed``, from the benchmark's own generator, loaded by path."""
+    name = "perfbench_workloads"
+    workloads = sys.modules.get(name)
+    if workloads is None:
+        spec = importlib.util.spec_from_file_location(name, WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up while they are made
+        sys.modules[name] = workloads
+        spec.loader.exec_module(workloads)
+    return workloads.pillar_grid(n, seed), workloads.SCALE_CFG
 
 
 @st.composite

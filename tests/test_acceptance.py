@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import build_hide_reveal_cex, graph_eliminated
+from conftest import build_hide_reveal_cex, graph_eliminated, pillar_problem
 from reference_game import tuple_moves
 from surveil import (
     CONCRETIZABLE,
@@ -29,6 +29,7 @@ from surveil import (
     parse_config,
     parse_grid,
     parse_spec,
+    predicates_from_grid,
     refine_liveness,
     refine_safety,
     refines,
@@ -123,6 +124,29 @@ def test_criterion_5_oracle_equivalence(game5, goal_pred):
         oracle = solve(arena, obj).agent_wins
         out = cegar_loop(game5, obj, predicates=preds)
         assert (out.verdict == "realizable") == oracle, spec
+
+
+@pytest.mark.parametrize(
+    "problem, spec",
+    [("bigroom", "bigroom_liveness.spec"), ("bigroom", "bigroom_safety.spec")]
+    + [(f"pillars{n}", f"G p<={k}") for n in (12, 16) for k in (2, 4)],
+)
+def test_criterion_5_oracle_equivalence_beyond_paper5x5(problem, spec):
+    """The CEGAR verdict equals the exact oracle's, on bigroom and on
+    seed 1 of the benchmark's pillar maps.  Like ``surveil oracle``, the
+    exact game is built for the spec's safety terms."""
+    if problem == "bigroom":
+        map_text, cfg_text, spec = map(bundled_map, ("bigroom.txt", "bigroom.cfg", spec))
+    else:
+        map_text, cfg_text = pillar_problem(int(problem[len("pillars"):]), 1)
+    grid = parse_grid(map_text)
+    G = build_game_structure(grid, *parse_config(cfg_text))
+    preds = predicates_from_grid(grid)
+    obj = parse_spec(spec)
+    exact = build_belief_game(G, safety=obj.safety_terms, predicates=preds)
+    oracle = solve(make_arena(exact, G, obj, preds), obj).agent_wins
+    out = cegar_loop(G, obj, predicates=preds)
+    assert (out.verdict == "realizable") == oracle
 
 
 def test_criterion_6_invariant_suites(game5, grid5, rows_partition):

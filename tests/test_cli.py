@@ -1,12 +1,19 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import surveil.cegar
 import surveil.cli
+from conftest import pillar_problem
 from surveil import SolverError
 from surveil.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 MAP = """\
 ....A
@@ -109,6 +116,36 @@ def test_oracle_budget_exit_twenty(paths):
     code = run(["oracle", "--map", paths["map"], "--spec", paths["p3"],
                 "--max-states", "10"])
     assert code == 20
+
+
+def test_state_budget_counts_the_states_of_the_pruned_game(tmp_path, capsys):
+    """pillars16 at seed 1 with ``G p<=2``: the first full abstract game
+    has 7,675 states, but the states built for the safety term stay far
+    below a 5,000-state budget, which then changes nothing."""
+    map_text, cfg_text = pillar_problem(16, 1)
+    files = {"map": map_text, "cfg": cfg_text, "spec": "G p<=2\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = ["synth", "--map", str(tmp_path / "map"), "--config", str(tmp_path / "cfg"),
+            "--spec", str(tmp_path / "spec"), "--dump-partition"]
+    assert run(argv) == 10
+    unbudgeted = capsys.readouterr()
+    assert run(argv + ["--max-states", "5000"]) == 10
+    assert capsys.readouterr() == unbudgeted
+
+
+def test_python_dash_m_runs_the_cli():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "surveil", "validate",
+         "--map", "bundled:paper5x5.txt", "--config", "bundled:paper5x5.cfg"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("cells=")
 
 
 def test_synth_iteration_budget_exit_twenty(paths):

@@ -55,15 +55,40 @@ def _synth(spec):
     return cegar_loop(G, parse_spec(spec), predicates=predicates_from_grid(grid))
 
 
-def test_traced_run_counts_every_successor_call():
-    with _traced("paper5x5 G p<=3") as (tracer, case):
-        outcome = _synth("G p<=3")
-    assert outcome.verdict == "realizable"
-    assert tracer.absent == set()
-    counts = case.counts
-    assert counts["cegar.iterations"] >= 1
-    assert counts["abstraction.abstract_states"] > 0
-    assert counts["abstraction.successor_calls"] == counts["abstraction.abstract_states"]
+def _expanded(game) -> int:
+    """The number of states of a game that have choices: those whose
+    successors were asked for."""
+    return sum(map(bool, (b - a for a, b in zip(game.choice_off, game.choice_off[1:]))))
+
+
+def test_traced_run_counts_every_successor_call(monkeypatch):
+    """One successor call per expanded state.  A spec with a safety term
+    leaves the states that break it unexpanded; without one, every state
+    is expanded."""
+    games = []
+    build = surveil.cegar.build_abstract_game
+
+    def recorded(*args, **kwargs):
+        games.append(build(*args, **kwargs))
+        return games[-1]
+
+    # installed before the tracer, which then wraps it
+    monkeypatch.setattr(surveil.cegar, "build_abstract_game", recorded)
+    for spec, pruned in (("G p<=3", True), ("GF p<=2", False)):
+        games.clear()
+        with _traced(f"paper5x5 {spec}") as (tracer, case):
+            outcome = _synth(spec)
+        assert outcome.verdict == "realizable"
+        assert tracer.absent == set()
+        counts = case.counts
+        assert counts["cegar.iterations"] == len(games) >= 1
+        assert counts["abstraction.abstract_states"] == sum(map(len, games)) > 0
+        expanded = sum(map(_expanded, games))
+        assert counts["abstraction.successor_calls"] == expanded
+        if pruned:
+            assert expanded < counts["abstraction.abstract_states"]
+        else:
+            assert expanded == counts["abstraction.abstract_states"]
 
 
 def test_traced_liveness_run_counts_analysis_nodes():
