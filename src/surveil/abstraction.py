@@ -165,8 +165,9 @@ def build_abstract_game(
 ) -> TurnGame:
     """Enumerate the reachable abstract game for partition ``Q``.
 
-    Each label is concretized once, and its moves collected into one
-    :class:`~surveil.belief.BeliefMoves` record, kept for this
+    Each label's safety test is made once per game.  When a state with
+    the label is first expanded, the label's moves are collected into
+    one :class:`~surveil.belief.BeliefMoves` record, kept for this
     exploration only; every state with that label is expanded from it.
 
     A state where the conjunction of the ``safety`` atoms fails on the
@@ -191,28 +192,22 @@ def build_abstract_game(
 
     So verdicts, counterexamples and controllers are those of the full
     game; only state numbers and reply-set ids differ.  Without safety
-    atoms the whole game is built.
+    atoms every state is expanded.  ``predicates`` must declare each
+    task atom of ``safety``.
     """
     records: dict = {}
-    if not safety:
-        return _explore(
-            G.initial, lambda s: abstract_successors(G, Q, s, records), max_states
-        )
     test = safety_test(G, safety, predicates)
     # per label: its safety test of the agent's cell, None when it needs none
     tests: dict = {}
 
     def successors(state):
         l_a, label = state
-        if label not in records:
-            cells = Q.gamma(label)
-            records[label] = belief_moves(G, cells)
-            tests[label] = test(cells)
-        holds = tests[label]
+        if label in tests:
+            holds = tests[label]
+        else:
+            holds = tests[label] = test(Q.gamma(label))
         if holds is None or holds(l_a):
             return abstract_successors(G, Q, state, records)
         return ()
 
-    game = _explore(G.initial, successors, max_states)
-    game.safety = frozenset(safety)
-    return game
+    return _explore(G.initial, successors, max_states)

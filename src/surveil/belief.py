@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Optional
 
-from .objective import SurvAtom, TaskAtom
+from .objective import SurvAtom
 from .structure import SurveillanceGameStructure
 
 
@@ -106,13 +106,10 @@ def safety_test(G, safety, predicates=None):
     a time: ``test(cells)`` is None when it holds on ``cells`` whatever
     the agent's cell, and otherwise a test ``l_a -> bool`` through
     :func:`atom_holds`.  Only ``p<=k`` atoms on at most ``k`` cells are
-    taken to hold outright.  Raises :class:`PredicateError` for an
-    undeclared task predicate."""
+    taken to hold outright, so without atoms ``test`` is always None.
+    ``predicates`` must declare each task atom of ``safety``."""
     predicates = predicates or {}
     atoms = sorted(safety, key=str)
-    for atom in atoms:
-        if isinstance(atom, TaskAtom) and atom.name not in predicates:
-            raise PredicateError(f"undeclared task predicate {atom.name!r}")
 
     def test(cells):
         if all(isinstance(a, SurvAtom) and len(cells) <= a.k for a in atoms):
@@ -234,10 +231,9 @@ class TurnGame:
     one set, stored once.  ``labels`` holds each distinct belief once, in
     canonical order, and the states share these objects.
 
-    ``safety`` holds the safety atoms the game was built for.  Each of
-    them holds on every state that has choices; a state that breaks one
-    was not expanded and has no choices, although it has its number and
-    counted against the state budget.
+    A state may have no choices: a state of a game built for safety
+    atoms that breaks one of them is not expanded, although it has its
+    number and counts against the state budget.
     """
 
     states: list
@@ -248,7 +244,6 @@ class TurnGame:
     choice_set: array
     reply_off: array
     replies: array
-    safety: frozenset = frozenset()
 
     def __len__(self) -> int:
         return len(self.states)
@@ -394,8 +389,9 @@ def build_belief_game(
 
     A state whose belief breaks one of the ``safety`` atoms is not
     expanded (see :func:`~surveil.abstraction.build_abstract_game` for
-    why no verdict or strategy changes); without them the whole game is
-    built.  Raises :class:`BudgetExceeded` past ``max_states``; the
+    why no verdict or strategy changes); without them every state is
+    expanded.  ``predicates`` must declare each task atom of ``safety``.
+    Raises :class:`BudgetExceeded` past ``max_states``; the
     exponential blow-up of the construction is the reason the
     abstraction exists.
     """
@@ -404,21 +400,16 @@ def build_belief_game(
     # one BeliefMoves record per belief, for the whole exploration
     records: dict = {}
 
+    test = safety_test(G, safety, predicates)
+
     def successors(state):
+        l_a, belief = state
+        holds = test(belief)
+        if holds is not None and not holds(l_a):
+            return ()
         # an invisible set can sort before a visible singleton
         return sorted(
             belief_successors(G, state, records), key=lambda cr: belief_key(cr[0])
         )
 
-    if not safety:
-        return _explore(initial, successors, max_states)
-    test = safety_test(G, safety, predicates)
-
-    def safe_successors(state):
-        l_a, belief = state
-        holds = test(belief)
-        return successors(state) if holds is None or holds(l_a) else ()
-
-    game = _explore(initial, safe_successors, max_states)
-    game.safety = frozenset(safety)
-    return game
+    return _explore(initial, successors, max_states)

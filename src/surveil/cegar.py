@@ -22,6 +22,7 @@ from .solver import (
     Arena,
     CounterexampleGraph,
     CounterexampleTree,
+    check_predicates,
     extract_cex_graph,
     extract_cex_tree,
     make_arena,
@@ -454,6 +455,7 @@ def cegar_loop(
     which is bounded by the partition into singletons.
     """
     predicates = predicates or {}
+    check_predicates(objective, predicates)
     # uniform for every target-kind predicate by construction
     Q = initial_partition(G, predicates.values())
     transcript: list[str] = []

@@ -37,7 +37,13 @@ from .simulate import (
     simulate,
     trace_jsonl,
 )
-from .solver import SolverError, export_strategy, make_arena, solve
+from .solver import (
+    SolverError,
+    check_predicates,
+    export_strategy,
+    make_arena,
+    solve,
+)
 from .structure import validate_assumptions
 
 EXIT_OK = 0
@@ -179,6 +185,7 @@ def _counterexample_json(outcome) -> dict:
 
 def cmd_oracle(args) -> int:
     grid, G, objective, predicates, digest = _load_problem(args)
+    check_predicates(objective, predicates)
     game = build_belief_game(
         G, args.max_states, objective.safety_terms, predicates
     )

@@ -56,6 +56,17 @@ def _group(keys: array, n: int, values) -> tuple[array, array]:
     return off, rows
 
 
+def check_predicates(
+    objective: Objective, predicates: Optional[dict[str, PredicateDef]]
+) -> None:
+    """Raise :class:`SolverError` for a task atom of ``objective`` that
+    ``predicates`` does not declare.  The game builders need the safety
+    atoms' predicates, so callers check before building a game."""
+    for atom in objective.atoms:
+        if not isinstance(atom, SurvAtom) and atom.name not in (predicates or {}):
+            raise SolverError(f"undeclared task predicate {atom.name!r}")
+
+
 def make_arena(
     game: TurnGame,
     structure,
@@ -65,14 +76,13 @@ def make_arena(
 ) -> Arena:
     """Evaluate the objective's atoms on a belief or abstract game.
 
-    The arena shares the game's arrays.  A safety atom that the game was
-    built for holds on every state with choices, so it is evaluated only
-    on the states without; ``predicates`` must be those the game was
-    built with.  Raises :class:`SolverError` for an undeclared task
-    predicate and for a target choice without any agent reply, which a
-    game structure that is not total produces.
+    The arena shares the game's arrays.  Raises :class:`SolverError` for
+    an undeclared task predicate (:func:`check_predicates`) and for a
+    target choice without any agent reply, which a game structure that
+    is not total produces.
     """
     predicates = predicates or {}
+    check_predicates(objective, predicates)
     widths = _widths(game.reply_off)
     if 0 in widths:
         # the first choice in canonical order whose reply set is empty
@@ -87,22 +97,17 @@ def make_arena(
     # not be a choice's, so the labels are read off the states
     labels = {label for _, label in game.states}
     cells = {label: concretize(label, partition) for label in labels}
-    expanded = _widths(game.choice_off)
     atom_sets = {}
     for atom in objective.atoms:
-        if not isinstance(atom, SurvAtom) and atom.name not in predicates:
-            raise SolverError(f"undeclared task predicate {atom.name!r}")
-        checked = atom in game.safety
         atom_sets[atom] = frozenset(
             i
             for i, (l_a, label) in enumerate(game.states)
-            if (checked and expanded[i])
-            or atom_holds(structure, l_a, cells[label], atom, predicates)
+            if atom_holds(structure, l_a, cells[label], atom, predicates)
         )
     return Arena(
         game.states, game.initial, game.labels, game.choice_off,
         game.choice_label, game.choice_set, game.reply_off, game.replies,
-        game.safety, atom_sets,
+        atom_sets,
     )
 
 

@@ -12,6 +12,7 @@ from surveil import (
     CegarOutcome,
     IterationBudgetExceeded,
     PredicateDef,
+    SolverError,
     SurvAtom,
     annotate_tree,
     build_abstract_game,
@@ -243,6 +244,13 @@ def test_cegar_verdicts_match_exact_game(game5, goal_pred):
         oracle = solve(arena, obj).agent_wins
         out = cegar_loop(game5, obj, predicates=preds)
         assert (out.verdict == "realizable") == oracle, spec
+
+
+@pytest.mark.parametrize("spec", ["G goal", "GF goal", "G p<=5 & GF goal"])
+def test_cegar_rejects_undeclared_predicate_before_building(game5, spec):
+    # one exception type, whether the undeclared atom is a safety term or not
+    with pytest.raises(SolverError, match="undeclared task predicate 'goal'"):
+        cegar_loop(game5, parse_spec(spec))
 
 
 def test_transcript_format(game5):
