@@ -269,8 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_oracle, max_states=2_000_000)
 
-    for name, func in (("simulate", cmd_simulate), ("render", cmd_render)):
-        p = sub.add_parser(name)
+    for name, func, text in (
+        ("simulate", cmd_simulate, "run a controller against a target, as JSON lines"),
+        ("render", cmd_render, "draw a controller's run as text or SVG"),
+    ):
+        p = sub.add_parser(name, help=text)
         _add_common(p, spec_required=False)
         p.add_argument(
             "--strategy", help="controller JSON from synth (else synthesize here)"

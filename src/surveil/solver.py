@@ -286,7 +286,9 @@ class StrategyData:
     """Finite-memory agent controller on arena states.
 
     Memory is an index into the recurrence atoms (a single mode for pure
-    safety).  ``moves[(state, memory, choice)] = (reply, memory')``.
+    safety).  ``moves[(state, memory, choice)] = (reply, memory')``, for
+    every choice of every ``(state, memory)`` pair that a run from
+    ``(initial, 0)`` reaches, and for no other pair.
     """
 
     memory_count: int
@@ -329,6 +331,10 @@ def _canonical_reply(i, replies, allowed):
 
 def solve(arena: Arena, objective: Objective) -> SolveResult:
     """Solve the arena for the objective and build the winner's strategy.
+
+    The agent's controller holds moves only for the ``(state, memory)``
+    pairs reachable from ``(arena.initial, 0)``; ``winning_region`` is
+    still the whole of ``Z``.
 
     The agent's safe region is the complement of the target's attractor
     to the states it wins at once: the unsafe ones, and those where it
@@ -392,20 +398,36 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
 
 
 def _buchi_strategy(arena, Z, cores, ranks) -> StrategyData:
-    """Controller from the final round of the Buchi fixpoint: in memory
-    ``j``, descend ``ranks[j]`` to ``cores[j]``, then move on to ``j + 1``.
-    Inside a core every reply stays in ``Z``."""
+    """Controller from the final round of the Buchi fixpoint, built only
+    for the ``(state, memory)`` pairs that a run from ``(arena.initial,
+    0)`` reaches.
+
+    The walk pops a pair and writes the move for each choice of its
+    state: in memory ``j``, inside ``cores[j]`` the canonical reply in
+    ``Z`` with memory ``j + 1``; elsewhere the first reply that descends
+    ``ranks[j]``, keeping memory ``j``.  Each reply pair not seen yet is
+    walked in turn.  A rank-decreasing reply still lies in ``Z``: it can
+    force the play into the core, whence into ``Z`` and on to every
+    other core, so the walk never leaves ``Z``; a pair outside it raises
+    :class:`SolverError`.
+    """
     labels, label, start = arena.labels, arena.choice_label, arena.choice_off
     replies_of = arena.replies_of
     m = len(cores)
     moves = {}
-    for j, (core, rank) in enumerate(zip(cores, ranks)):
-        for i in Z:
-            if i in core:
-                for c in range(start[i], start[i + 1]):
-                    reply = _canonical_reply(i, replies_of(c), Z)
-                    moves[(i, j, labels[label[c]])] = (reply, (j + 1) % m)
-                continue
+    seen = {(arena.initial, 0)}
+    stack = [(arena.initial, 0)]
+    while stack:
+        i, j = stack.pop()
+        if i not in Z:
+            raise SolverError(f"controller reaches state {i} outside the winning region")
+        # one move per label; a later choice with the same label overrides
+        out = {}
+        if i in cores[j]:
+            for c in range(start[i], start[i + 1]):
+                out[labels[label[c]]] = (_canonical_reply(i, replies_of(c), Z), (j + 1) % m)
+        else:
+            rank = ranks[j]
             level = rank[i]
             for c in range(start[i], start[i + 1]):
                 for r in replies_of(c):
@@ -413,7 +435,12 @@ def _buchi_strategy(arena, Z, cores, ranks) -> StrategyData:
                         break
                 else:
                     raise SolverError(f"no rank-decreasing reply from state {i}")
-                moves[(i, j, labels[label[c]])] = (r, j)
+                out[labels[label[c]]] = (r, j)
+        for c, move in out.items():
+            moves[(i, j, c)] = move
+            if move not in seen:
+                seen.add(move)
+                stack.append(move)
     return StrategyData(m, Z, moves)
 
 
@@ -557,24 +584,22 @@ def extract_cex_graph(arena: Arena, result: SolveResult) -> CounterexampleGraph:
 def export_strategy(
     arena: Arena, strat: StrategyData, digest: str = "", partition=None
 ) -> dict:
-    """JSON-ready dump of the part of a finite-memory controller that a
-    run from ``(arena.initial, 0)`` can reach.
+    """JSON-ready dump of a finite-memory controller whose moves cover
+    the ``(state, memory)`` pairs that a run from ``(arena.initial, 0)``
+    can reach, as :func:`solve` builds them.
 
-    The walk follows the controller's move for every choice of every
-    reached ``(state, memory)`` pair.  Only the states those pairs use
-    are written, renumbered in increasing arena order, and
-    ``winning_region`` lists them all; moves are written for the reached
-    pairs only, sorted by state, memory and the choice's canonical rank.
-    Raises :class:`SolverError` when a reached pair lacks a move.
+    Only the states those pairs use are written, renumbered in increasing
+    arena order, and ``winning_region`` lists them all; moves are sorted
+    by state, memory and the choice's canonical rank.  Raises
+    :class:`SolverError` when ``(initial, 0)`` or a pair that a move
+    leads to lacks a move for one of its state's choices.
     """
     labels, label, start = arena.labels, arena.choice_label, arena.choice_off
+    pairs = sorted({(arena.initial, 0), *strat.moves.values()})
     # (state, memory, label id) -> (reply, memory'); label ids follow the
     # arena's canonical (belief_key) order
     reached = {}
-    seen = {(arena.initial, 0)}
-    stack = [(arena.initial, 0)]
-    while stack:
-        i, mem = stack.pop()
+    for i, mem in pairs:
         for c in range(start[i], start[i + 1]):
             k = label[c]
             move = strat.moves.get((i, mem, labels[k]))
@@ -584,10 +609,7 @@ def export_strategy(
                     f"choice {label_json(labels[k])!r}"
                 )
             reached[(i, mem, k)] = move
-            if move not in seen:
-                seen.add(move)
-                stack.append(move)
-    used = sorted({i for i, _ in seen})
+    used = sorted({i for i, _ in pairs})
     new = {i: n for n, i in enumerate(used)}
     states = [[arena.states[i][0], label_json(arena.states[i][1])] for i in used]
     moves = [

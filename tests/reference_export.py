@@ -1,12 +1,15 @@
 """Export of the whole controller, the reference for
 ``surveil.solver.export_strategy``.
 
-Here every arena state is written, with a move for every winning
-``(state, memory, choice)``; ``export_strategy`` writes only the part a
-run from ``(initial, 0)`` can reach, renumbered.  Restricted to that
-part and renumbered, this payload must equal ``export_strategy``'s.
+Here every arena state and every move of the controller is written.
+Given the controller of ``reference_solver.solve``, which has a move for
+every winning ``(state, memory, choice)``, and restricted to the part a
+run from ``(initial, 0)`` can reach and renumbered, this payload must
+equal ``export_strategy``'s of the controller ``surveil.solver.solve``
+builds.
 """
 
+from reference_solver import reached_pairs
 from surveil.belief import label_json
 
 
@@ -39,16 +42,12 @@ def restrict_to_reachable(payload) -> dict:
     """The payload cut down to the ``(state, memory)`` pairs that its own
     moves reach from ``(initial, 0)``, with the states they use
     renumbered in increasing order."""
-    out = {}
-    for i, mem, c, r, mem2 in payload["moves"]:
-        out.setdefault((i, mem), []).append((r, mem2))
-    start = (payload["initial"], 0)
-    seen, stack = {start}, [start]
-    while stack:
-        for nxt in out.get(stack.pop(), ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
+    # keyed by position, since JSON labels are lists
+    moves = {
+        (i, mem, n): (r, mem2)
+        for n, (i, mem, c, r, mem2) in enumerate(payload["moves"])
+    }
+    seen = reached_pairs(moves, payload["initial"])
     used = sorted({i for i, _ in seen})
     new = {i: n for n, i in enumerate(used)}
     return {

@@ -145,6 +145,17 @@ def make_arena(
     return Arena(states, index, moves, index[game.initial], atom_sets)
 
 
+def from_flat(arena) -> Arena:
+    """The reference arena with the states, choices, replies and atom
+    valuations of a flat arena."""
+    moves = [
+        [(c, tuple(replies)) for c, replies in choices(arena, i)]
+        for i in range(len(arena))
+    ]
+    index = {s: i for i, s in enumerate(arena.states)}
+    return Arena(arena.states, index, moves, arena.initial, arena.atom_sets)
+
+
 def tuple_moves(game) -> dict:
     """A flat game's moves as the reference keeps them: each state's
     ``(choice, reply states)`` pairs, keyed by state."""

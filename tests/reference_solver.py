@@ -4,6 +4,9 @@ Every fixpoint here rescans all states on every round, straight from the
 definitions; ``surveil.solver`` computes the same fixpoints with
 counter-based worklists.  Both must agree on winning regions, agent
 controllers and target strategies, including every canonical choice.
+Here the agent's controller has a move for every winning ``(state,
+memory, choice)``; ``surveil.solver`` builds only the part reachable
+from ``(initial, 0)``, which :func:`reachable_moves` cuts out.
 """
 
 from surveil.solver import (
@@ -12,6 +15,32 @@ from surveil.solver import (
     StrategyData,
     TargetStrategyData,
 )
+
+
+def reached_pairs(moves, initial) -> set:
+    """The ``(state, memory)`` pairs that ``moves``, keyed ``(state,
+    memory, choice)`` with ``(reply, memory')`` values, lead to from
+    ``(initial, 0)``, that pair included."""
+    after = {}
+    for (i, mem, _), nxt in moves.items():
+        after.setdefault((i, mem), []).append(nxt)
+    start = (initial, 0)
+    seen, stack = {start}, [start]
+    while stack:
+        for nxt in after.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def reachable_moves(strategy, initial) -> dict:
+    """The moves of a controller that has a move for every winning
+    ``(state, memory, choice)``, cut down to the pairs its own moves
+    reach from ``(initial, 0)``: the moves ``surveil.solver.solve``
+    builds."""
+    seen = reached_pairs(strategy.moves, initial)
+    return {key: move for key, move in strategy.moves.items() if key[:2] in seen}
 
 
 def cpre(arena, W):

@@ -194,15 +194,25 @@ def test_oracle_controller_replays(paths, capsys, policy):
     assert all(r["abstract"] == r["belief"] for r in recs)
 
 
+# the bundled map and config of each spec; paper5x5 by default
+PROBLEMS = {"GF p<=10 & GF goal": ("bundled:bigroom.txt", "bundled:bigroom.cfg")}
+
+
 @pytest.mark.parametrize("policy", ["random", "evasive"])
-@pytest.mark.parametrize("spec", ["G p<=3", "GF p<=2"])
+@pytest.mark.parametrize(
+    "spec",
+    # the last two have two memory modes, the first of them a safety term
+    # too; the last is bigroom's bundled liveness spec
+    ["G p<=3", "GF p<=2", "G p<=5 & GF p<=2", "GF p<=10 & GF goal"],
+)
 def test_file_replay_equals_in_process_replay(tmp_path, capsys, spec, policy):
-    """The controller file holds only the part reachable from its
-    initial state, and that part is all a run needs: replaying the file
-    prints what the in-process controller prints."""
+    """The controller holds only the part reachable from its initial
+    state, in the file and in process, and that part is all a run needs:
+    replaying the file prints what the in-process controller prints."""
     spec_file = tmp_path / "spec.txt"
     spec_file.write_text(spec + "\n")
-    problem = ["--map", "bundled:paper5x5.txt", "--config", "bundled:paper5x5.cfg"]
+    map_file, config = PROBLEMS.get(spec, ("bundled:paper5x5.txt", "bundled:paper5x5.cfg"))
+    problem = ["--map", map_file, "--config", config]
     strat = tmp_path / "strat.json"
     assert run(["synth", *problem, "--spec", str(spec_file), "--out", str(strat)]) == 0
     capsys.readouterr()
@@ -212,6 +222,19 @@ def test_file_replay_equals_in_process_replay(tmp_path, capsys, spec, policy):
     assert run(["simulate", *problem, "--spec", str(spec_file), *sim]) == 0
     assert capsys.readouterr().out == from_file
     assert from_file.count("\n") == 201
+
+
+def test_help_describes_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    # argparse lists a subcommand on a line of its own only with a help text
+    described = {
+        words[0]
+        for words in map(str.split, capsys.readouterr().out.splitlines())
+        if len(words) > 1
+    }
+    assert {"synth", "oracle", "simulate", "render", "validate"} <= described
 
 
 def test_foreign_strategy_rejected(paths, tmp_path, capsys):

@@ -259,14 +259,16 @@ def test_export_strategy_deterministic(exact_arena_factory):
     assert a == b
 
 
-def check_export(arena, strat, partition=None):
-    """The export equals the full reference export restricted to the
-    pairs reachable from ``(initial, 0)`` and renumbered; its states lie
-    in the winning region, and every exported ``(state, memory)`` pair
-    has one move per distinct choice label of its arena state, in
-    canonical order."""
+def check_export(arena, objective, strat, partition=None):
+    """The export equals the full reference export of the reference
+    solver's controller, which has every move, restricted to the pairs
+    reachable from ``(initial, 0)`` and renumbered; its states lie in the
+    winning region, and every exported ``(state, memory)`` pair has one
+    move per distinct choice label of its arena state, in canonical
+    order."""
     got = export_strategy(arena, strat, "d", partition)
-    want = reference_export.export_strategy(arena, strat, "d", partition)
+    full = reference_solver.solve(reference_game.from_flat(arena), objective)
+    want = reference_export.export_strategy(arena, full.agent_strategy, "d", partition)
     assert got == reference_export.restrict_to_reachable(want)
     index = {json.dumps([l_a, label_json(b)]): i for i, (l_a, b) in enumerate(arena.states)}
     exported = [index[json.dumps(s)] for s in got["states"]]
@@ -292,11 +294,11 @@ REALIZABLE = (
 def test_export_is_the_reachable_part_of_the_reference(game5, exact_arena_factory, spec):
     out = cegar_loop(game5, parse_spec(spec))
     assert out.verdict == "realizable"
-    check_export(out.arena, out.strategy, out.final_partition)
+    check_export(out.arena, parse_spec(spec), out.strategy, out.final_partition)
     obj, arena = exact_arena_factory(spec)
     result = solve(arena, obj)
     assert result.agent_wins
-    check_export(arena, result.agent_strategy)
+    check_export(arena, obj, result.agent_strategy)
 
 
 def test_export_of_a_reached_pair_without_a_move_fails(exact_arena_factory):
@@ -370,11 +372,35 @@ def test_solver_matches_naive_reference(game):
     assert got.winning_region == want.winning_region
     if want.agent_wins:
         assert got.agent_strategy.memory_count == want.agent_strategy.memory_count
-        assert got.agent_strategy.moves == want.agent_strategy.moves
+        assert got.agent_strategy.moves == reference_solver.reachable_moves(
+            want.agent_strategy, arena.initial
+        )
     else:
         assert got.target_strategy.region == want.target_strategy.region
         assert choice_labels(flat, got.target_strategy) == want.target_strategy.choice
         assert got.target_strategy.mode == want.target_strategy.mode
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_games())
+def test_moves_cover_exactly_the_reached_pairs(game):
+    """The controller has a move for each choice of every ``(state,
+    memory)`` pair that its moves reach from ``(initial, 0)``, following
+    every arena choice, and no move elsewhere; every reply is winning."""
+    arena, obj = game
+    flat = _flat(arena)
+    result = _solve_or_error(solve, flat, obj)
+    if result is None or not result.agent_wins:
+        return
+    strat = result.agent_strategy
+    labels_of = {}
+    for i, mem, c in strat.moves:
+        labels_of.setdefault((i, mem), []).append(c)
+    reached = _product_graph(flat, strat)
+    assert set(labels_of) == {(i, mem) for i, mem in reached if choices(flat, i)}
+    for i, mem in reached:
+        assert sorted(labels_of.get((i, mem), [])) == [c for c, _ in choices(flat, i)]
+    assert {r for r, _ in strat.moves.values()} <= strat.winning_region
 
 
 def test_choices_without_replies_fail_as_in_the_reference():
@@ -428,4 +454,4 @@ def test_export_matches_reference_on_random_games(game):
     )
     result = _solve_or_error(solve, flat, obj)
     if result is not None and result.agent_wins:
-        check_export(flat, result.agent_strategy)
+        check_export(flat, obj, result.agent_strategy)
