@@ -13,6 +13,7 @@ and is not expanded (:func:`build_abstract_game` gives the reason).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .belief import (
@@ -23,7 +24,7 @@ from .belief import (
     safety_test,
     target_moves,
 )
-from .structure import SurveillanceGameStructure
+from .structure import SurveillanceGameStructure, cell_mask
 
 
 class PartitionError(ValueError):
@@ -41,31 +42,47 @@ class Partition:
     blocks: dict[int, frozenset[int]]
     universe: frozenset[int]
     next_id: int = 0
-    block_of: dict[int, int] = field(default_factory=dict, compare=False)
+    # cell mask -> the ids of the blocks it touches, see alpha_mask
+    _alphas: dict[int, frozenset[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         covered: set[int] = set()
-        block_of = {}
         for bid, cells in self.blocks.items():
             if not cells:
                 raise PartitionError(f"empty block {bid}")
             if covered & cells:
                 raise PartitionError("blocks are not disjoint")
             covered |= cells
-            for c in cells:
-                block_of[c] = bid
         if covered != self.universe:
             raise PartitionError("blocks do not cover the target locations")
-        object.__setattr__(self, "block_of", block_of)
         if self.next_id <= (max(self.blocks) if self.blocks else -1):
             object.__setattr__(self, "next_id", max(self.blocks) + 1)
 
     def __len__(self) -> int:
         return len(self.blocks)
 
+    @cached_property
+    def masks(self) -> dict[int, int]:
+        """Block id -> the bit mask of its cells (see
+        :func:`~surveil.structure.cell_mask`)."""
+        return {bid: cell_mask(cells) for bid, cells in sorted(self.blocks.items())}
+
     def alpha(self, locs: Iterable[int]) -> frozenset[int]:
         """Abstract a set of locations to the set of blocks touching it."""
-        return frozenset(map(self.block_of.__getitem__, locs))
+        return self.alpha_mask(cell_mask(locs))
+
+    def alpha_mask(self, mask: int) -> frozenset[int]:
+        """:meth:`alpha` of the cells of a mask.  Each mask's blocks are
+        found once for as long as the partition lives, which in the CEGAR
+        loop is one game."""
+        out = self._alphas.get(mask)
+        if out is None:
+            out = self._alphas[mask] = frozenset(
+                [bid for bid, block in self.masks.items() if block & mask]
+            )
+        return out
 
     def gamma(self, abstract) -> frozenset[int]:
         """Concretize an abstract belief (block-id set or location)."""
@@ -139,7 +156,8 @@ def abstract_successors(G: SurveillanceGameStructure, Q: Partition, state, recor
 
     The target moves of the concretized belief: one concrete choice per
     visible successor, plus at most one block-set choice covering all
-    invisible successors.  ``records`` maps labels to the
+    invisible successors, read off their mask with
+    :meth:`Partition.alpha_mask`.  ``records`` maps labels to the
     :class:`~surveil.belief.BeliefMoves` records of their concretizations;
     a missing record is made and added to it.
     """
@@ -151,8 +169,8 @@ def abstract_successors(G: SurveillanceGameStructure, Q: Partition, state, recor
         moves = records[label] = belief_moves(G, Q.gamma(label))
     visible, invisible = target_moves(G, l_a, moves)
     if invisible is not None:
-        locs, replies = invisible
-        visible.append((Q.alpha(locs), replies))
+        unseen, replies = invisible
+        visible.append((Q.alpha_mask(unseen), replies))
     return visible
 
 

@@ -123,14 +123,16 @@ def safety_test(G, safety, predicates=None):
 class BeliefMoves:
     """The target's moves from a belief, as far as they do not depend on
     the agent's cell: the belief's ``cells`` in sorted order, the
-    ``union`` of their moves, and the cells ``stuck`` on a cell, whose
-    only move is onto it (an agent there blocks them, so they stay put).
-    A game keeps one record per belief and expands every state with that
-    belief from it through :func:`target_moves`."""
+    ``union`` of their moves as a bit mask (see
+    :class:`~surveil.structure.CellMasks`), and per cell the mask of the
+    cells ``stuck`` on it, whose only move is onto it (an agent there
+    blocks them, so they stay put).  A game keeps one record per belief
+    and expands every state with that belief from it through
+    :func:`target_moves`."""
 
     cells: tuple[int, ...]
-    union: frozenset[int]
-    stuck: dict[int, list[int]]
+    union: int
+    stuck: dict[int, int]
 
 
 def belief_moves(G: SurveillanceGameStructure, belief: Iterable[int]) -> BeliefMoves:
@@ -138,30 +140,33 @@ def belief_moves(G: SurveillanceGameStructure, belief: Iterable[int]) -> BeliefM
     cells = tuple(sorted(belief))
     if not cells:
         raise ValueError("empty belief")
-    target_succ = G.target_succ
-    moves = list(map(target_succ.__getitem__, cells))
-    stuck: dict[int, list[int]] = {}
-    for l_t, out in zip(cells, moves):
+    target_succ, moves = G.target_succ, G.masks.moves
+    union = 0
+    stuck: dict[int, int] = {}
+    for l_t in cells:
+        union |= moves[l_t]
+        out = target_succ[l_t]
         if len(out) == 1:
-            stuck.setdefault(out[0], []).append(l_t)
-    # a frozenset copied from a set is sized for its contents, not for its growth
-    return BeliefMoves(cells, frozenset(set().union(*moves)), stuck)
+            stuck[out[0]] = stuck.get(out[0], 0) | 1 << l_t
+    return BeliefMoves(cells, union, stuck)
 
 
 def landing_cells(G: SurveillanceGameStructure, l_a: int, belief: BeliefMoves):
     """The cells the target can land on from a belief, split by what the
-    agent on ``l_a`` sees: ``(visible, invisible)``.
+    agent on ``l_a`` sees: ``(seen, unseen)``, as bit masks.
 
     ``belief`` is the belief's :class:`BeliefMoves` record: the moves of
     its cells are its union, except that no cell moves onto ``l_a`` and
-    the cells stuck on ``l_a`` stay put.  ``invisible`` is the exact
-    belief after a move the agent does not see.
+    the cells stuck on ``l_a`` stay put.  ``unseen`` is the exact belief
+    after a move the agent does not see; ``G.cells_of`` turns it into
+    cells.
     """
     succs = belief.union
-    if l_a in succs:
-        succs = (succs - {l_a}).union(belief.stuck.get(l_a, ()))
-    visible = G.visibility[l_a]
-    return succs & visible, succs - visible
+    if succs >> l_a & 1:
+        succs ^= 1 << l_a
+        succs |= belief.stuck.get(l_a, 0)
+    seen = succs & G.masks.visible[l_a]
+    return seen, succs ^ seen
 
 
 def target_moves(G: SurveillanceGameStructure, l_a: int, belief: BeliefMoves):
@@ -170,27 +175,38 @@ def target_moves(G: SurveillanceGameStructure, l_a: int, belief: BeliefMoves):
     ``belief`` is the belief's :class:`BeliefMoves` record, whose landing
     cells :func:`landing_cells` gives.  Returns ``(visible, invisible)``:
     ``visible`` lists ``(location, replies)`` for every successor the
-    agent on ``l_a`` sees, by location; ``invisible`` is ``(locations,
-    replies)`` for the set of all invisible successors, or None when
+    agent on ``l_a`` sees, by location; ``invisible`` is ``(unseen,
+    replies)`` for the mask of all invisible successors, or None when
     there are none.  Its replies come from one representative move, the
     first invisible one in sorted-belief order, which is enough under
     invisible-independence.  Both the exact and the abstract game expand
     their states through this function.
     """
-    seen, invisible = landing_cells(G, l_a, belief)
-    succ_a = G.succ_a
-    moves = [(l_t2, succ_a(l_a, l_t2)) for l_t2 in sorted(seen)]
-    if not invisible:
+    seen, unseen = landing_cells(G, l_a, belief)
+    masks = G.masks
+    cell, replies = masks.cell, masks.replies[l_a]
+    ball = G.agent_succ[l_a]
+    moves = []
+    # the seen cells in ascending order, lowest bit first
+    while seen:
+        low = seen & -seen
+        l_t2 = cell[low.bit_length() - 1]
+        moves.append((l_t2, replies.get(l_t2, ball)))
+        seen ^= low
+    if not unseen:
         return moves, None
-    visible = G.visibility[l_a]
+    if not unseen & masks.ball[l_a]:
+        # every invisible move, the first one too, gets the whole ball
+        return moves, (unseen, ball)
+    visible = masks.visible[l_a]
     target_step = G.target_step
     first = next(
         l_t2
         for l_t in belief.cells
         for l_t2 in target_step(l_a, l_t)
-        if l_t2 not in visible
+        if not visible >> l_t2 & 1
     )
-    return moves, (invisible, succ_a(l_a, first))
+    return moves, (unseen, replies.get(first, ball))
 
 
 def belief_successors(G: SurveillanceGameStructure, state, records=None):
@@ -211,7 +227,8 @@ def belief_successors(G: SurveillanceGameStructure, state, records=None):
     visible, invisible = target_moves(G, l_a, moves)
     choices = [(frozenset({l_t2}), replies) for l_t2, replies in visible]
     if invisible is not None:
-        choices.append(invisible)
+        unseen, replies = invisible
+        choices.append((G.cells_of(unseen), replies))
     return choices
 
 

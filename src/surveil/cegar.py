@@ -28,7 +28,7 @@ from .solver import (
     make_arena,
     solve,
 )
-from .structure import SurveillanceGameStructure
+from .structure import SurveillanceGameStructure, cell_mask
 
 CONCRETIZABLE = "CONCRETIZABLE"
 
@@ -37,18 +37,20 @@ class RefinementError(RuntimeError):
     """Refinement failed to make progress (internal invariant violation)."""
 
 
-def _belief_step(G, Q, gamma):
+def _belief_step(G, Q):
     """The exact belief step of counterexample analysis, as a function
     ``(l_a, belief, label) -> belief'``: the target's abstract move
     ``label`` from ``belief`` with the agent on ``l_a``.
 
     A visible move gives its cell; a block-set move gives the belief's
     invisible landing cells that lie under the label.  The step keeps
-    one :class:`~surveil.belief.BeliefMoves` record per belief for as
-    long as it lives, and ``gamma`` maps each label to its cells; a
-    missing one is concretized and added to it.
+    one :class:`~surveil.belief.BeliefMoves` record per belief, one cell
+    mask per label and one belief per mask, which the steps to it share,
+    for as long as it lives.
     """
     records: dict = {}
+    masks: dict = {}
+    beliefs: dict = {}
 
     def step(l_a, belief, label):
         if isinstance(label, int):
@@ -59,10 +61,14 @@ def _belief_step(G, Q, gamma):
         moves = records.get(belief)
         if moves is None:
             moves = records[belief] = belief_moves(G, belief)
-        cells = gamma.get(label)
-        if cells is None:
-            cells = gamma[label] = Q.gamma(label)
-        return landing_cells(G, l_a, moves)[1] & cells
+        mask = masks.get(label)
+        if mask is None:
+            mask = masks[label] = cell_mask(Q.gamma(label))
+        unseen = landing_cells(G, l_a, moves)[1] & mask
+        out = beliefs.get(unseen)
+        if out is None:
+            out = beliefs[unseen] = G.cells_of(unseen)
+        return out
 
     return step
 
@@ -82,7 +88,7 @@ def annotate_tree(
     predicates = predicates or {}
     l_a0, l_t0 = G.initial
     tree.root.annotation = frozenset({l_t0})
-    step = _belief_step(G, Q, {})
+    step = _belief_step(G, Q)
     good_path = None
 
     def walk(node, path):
@@ -115,7 +121,9 @@ def split_along(G: SurveillanceGameStructure, Q: Partition, pairs) -> Partition:
     the root to a node whose exact belief is to be made expressible.
     Splits the final node's blocks against its belief, then walks
     backward separating the locations whose invisible successors stay
-    inside the precise region, stopping at concrete labels.
+    inside the precise region, stopping at concrete labels.  A
+    location's invisible successors are the unseen landing cells of its
+    singleton belief, as a mask.
     """
     gammas = [concretize(label, Q) for _, label, _ in pairs]
     n = len(pairs) - 1
@@ -128,10 +136,12 @@ def split_along(G: SurveillanceGameStructure, Q: Partition, pairs) -> Partition:
         l_a_j, label_j, _ = pairs[j]
         if isinstance(label_j, int):
             break
+        # the cells the next label holds beyond the precise region
+        outside = cell_mask(gammas[j + 1] - precise)
         keep = frozenset(
             l
             for l in gammas[j]
-            if (G.invisible_succ(l_a_j, (l,)) & gammas[j + 1]) <= precise
+            if not landing_cells(G, l_a_j, belief_moves(G, (l,)))[1] & outside
         )
         result = result.split(gammas[j], keep)
         precise = keep
@@ -206,7 +216,7 @@ def build_analysis_graph(
     labels = {v[1] for v in cex.edges}.union(cex.choice.values())
     labels.discard(None)
     gamma = {label: concretize(label, Q) for label in labels}
-    step = _belief_step(G, Q, gamma)
+    step = _belief_step(G, Q)
     l_a0, l_t0 = G.initial
     d0 = ((l_a0, frozenset({l_t0})), cex.initial)
     beliefs, cex_states, modes = [d0[0]], [d0[1]], [cex.mode[cex.initial]]

@@ -247,13 +247,30 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_USAGE
 
 
-def _add_common(p, spec_required=True):
+def _add_structure(p):
     p.add_argument("--map", required=True, help="map file (or bundled:NAME)")
     p.add_argument("--config", help="key=value config file")
+
+
+def _add_common(p, spec_required=True, oracle=False):
+    _add_structure(p)
     p.add_argument("--spec", required=spec_required, help="specification file")
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--max-states", type=_at_least(1), default=1_000_000)
-    p.add_argument("--max-iters", type=_at_least(1), default=200)
+    game = "the exact belief game" if oracle else "each abstract game"
+    p.add_argument(
+        "--max-states",
+        type=_at_least(1),
+        default=2_000_000 if oracle else 1_000_000,
+        help=f"state budget of {game} (default: %(default)s)",
+    )
+    p.add_argument(
+        "--max-iters",
+        type=_at_least(1),
+        default=200,
+        help="not used: the oracle does not refine"
+        if oracle
+        else "refinement iteration budget (default: %(default)s)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,12 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="synthesize a controller by refinement")
     _add_common(p)
-    p.add_argument("--dump-partition", action="store_true")
+    p.add_argument(
+        "--dump-partition",
+        action="store_true",
+        help="print the final partition's blocks after the transcript",
+    )
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("oracle", help="solve the exact belief game")
-    _add_common(p)
-    p.set_defaults(func=cmd_oracle, max_states=2_000_000)
+    _add_common(p, oracle=True)
+    p.set_defaults(func=cmd_oracle)
 
     for name, func, text in (
         ("simulate", cmd_simulate, "run a controller against a target, as JSON lines"),
@@ -278,18 +299,35 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--strategy", help="controller JSON from synth (else synthesize here)"
         )
-        p.add_argument("--steps", type=_at_least(0), default=20)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument(
-            "--policy", choices=("random", "evasive", "goal"), default="random"
+            "--steps",
+            type=_at_least(0),
+            default=20,
+            help="rounds to run (default: %(default)s)",
+        )
+        p.add_argument(
+            "--seed",
+            type=int,
+            default=0,
+            help="seed of the random target policy (default: %(default)s)",
+        )
+        p.add_argument(
+            "--policy",
+            choices=("random", "evasive", "goal"),
+            default="random",
+            help="how the target moves (default: %(default)s)",
         )
         if name == "render":
-            p.add_argument("--format", choices=("text", "svg"), default="text")
+            p.add_argument(
+                "--format",
+                choices=("text", "svg"),
+                default="text",
+                help="drawing format (default: %(default)s)",
+            )
         p.set_defaults(func=func)
 
     p = sub.add_parser("validate", help="check the game structure assumptions")
-    p.add_argument("--map", required=True)
-    p.add_argument("--config")
+    _add_structure(p)
     p.set_defaults(func=cmd_validate)
     return parser
 

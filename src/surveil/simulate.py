@@ -284,8 +284,10 @@ def simulate(
     l_a, l_t = G.initial
     belief = frozenset({l_t})
     trace = [TraceStep(0, l_t, l_a, belief, runner.abstract_state[1])]
-    # one BeliefMoves record per belief, for the whole run
+    # for the whole run: one BeliefMoves record per belief, and one
+    # belief per unseen mask, which the steps with that belief share
     records: dict = {}
+    beliefs: dict = {}
     for n in range(1, steps + 1):
         l_t2 = policy.choose(G, l_a, l_t)
         if l_t2 not in G.target_step(l_a, l_t):
@@ -296,7 +298,10 @@ def simulate(
             moves = records.get(belief)
             if moves is None:
                 moves = records[belief] = belief_moves(G, belief)
-            belief = landing_cells(G, l_a, moves)[1]
+            unseen = landing_cells(G, l_a, moves)[1]
+            belief = beliefs.get(unseen)
+            if belief is None:
+                belief = beliefs[unseen] = G.cells_of(unseen)
         l_a2 = runner.step(l_t2)
         if l_a2 not in G.succ_a(l_a, l_t2):
             raise SimulationError(

@@ -3,7 +3,36 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import Iterable
+
+# a mask's binary digits, lowest first, turned into bytes 0 and 1
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def cell_mask(cells: Iterable[int]) -> int:
+    """The bit mask of a set of cells: bit ``c`` stands for cell ``c``."""
+    return sum({1 << c for c in cells})
+
+
+@dataclass(frozen=True, slots=True)
+class CellMasks:
+    """A structure's tables for the successor kernel, indexed by cell id,
+    with cell sets as bit masks (see :func:`cell_mask`).
+
+    ``cell[c]`` is the structure's own int for the target cell ``c``;
+    ``visible[l_a]`` masks the cells visible from ``l_a``,
+    ``moves[l_t]`` the target's moves from ``l_t`` and ``ball[l_a]`` the
+    agent's.  ``replies[l_a]`` maps each cell ``l_t2`` of the agent's
+    ball to ``succ_a(l_a, l_t2)``; every other cell gets the whole ball.
+    """
+
+    cell: list
+    visible: list
+    moves: list
+    ball: list
+    replies: list
 
 
 @dataclass(frozen=True)
@@ -47,6 +76,29 @@ class SurveillanceGameStructure:
         i = moves.index(l_t2)
         return moves[:i] + moves[i + 1 :] or (l_a,)
 
+    @cached_property
+    def masks(self) -> CellMasks:
+        """The kernel's :class:`CellMasks`, made on first use."""
+        size = 1 + max(self.target_succ.keys() | self.agent_succ.keys())
+        cell = [None] * size
+        visible, moves, ball = [0] * size, [0] * size, [0] * size
+        replies = [None] * size
+        for l_t, out in self.target_succ.items():
+            cell[l_t] = l_t
+            moves[l_t] = cell_mask(out)
+        for l_a, out in self.agent_succ.items():
+            visible[l_a] = cell_mask(self.visibility[l_a])
+            ball[l_a] = cell_mask(out)
+            replies[l_a] = {l_t2: self.succ_a(l_a, l_t2) for l_t2 in out}
+        return CellMasks(cell, visible, moves, ball, replies)
+
+    def cells_of(self, mask: int) -> frozenset[int]:
+        """The target cells of a mask, as the structure's own ints: a
+        belief that leaves the kernel is made here."""
+        bits = bin(mask)[:1:-1].encode().translate(_BITS)
+        # a frozenset copied from a set is sized for its contents, not for its growth
+        return frozenset(set(compress(self.masks.cell, bits)))
+
     def succ_t(self, l_a: int, belief: Iterable[int]) -> frozenset[int]:
         """Union of target successors over all locations in the belief."""
         target_succ = self.target_succ
@@ -57,10 +109,6 @@ class SurveillanceGameStructure:
         return (out - {l_a}).union(
             *[self.target_step(l_a, l_t) for l_t in belief if l_a in target_succ[l_t]]
         )
-
-    def invisible_succ(self, l_a: int, belief: Iterable[int]) -> frozenset[int]:
-        """Target successors of the belief that are invisible from ``l_a``."""
-        return self.succ_t(l_a, belief) - self.visibility[l_a]
 
 
 @dataclass(frozen=True)

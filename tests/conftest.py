@@ -157,6 +157,11 @@ def _replayed_label(choices, old_choice):
     return set_choice(choices)
 
 
+def invisible_succ(G, l_a: int, belief) -> frozenset:
+    """Target successors of the belief that are invisible from ``l_a``."""
+    return G.succ_t(l_a, belief) - G.visibility[l_a]
+
+
 def choices(game, i: int) -> list:
     """``(choice, replies)`` pairs of state ``i`` of a flat game in
     canonical order, with the replies as an array of state numbers read

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import build_hide_reveal_cex, graph_eliminated, pillar_problem
+from conftest import build_hide_reveal_cex, graph_eliminated, invisible_succ, pillar_problem
 from reference_game import tuple_moves
 from surveil import (
     CONCRETIZABLE,
@@ -171,7 +171,7 @@ def test_criterion_6_invariant_suites(game5, grid5, rows_partition):
                 assert all(not game5.vis(l_a, l) for l in B2)
             else:
                 (loc,) = B2
-                assert game5.vis(l_a, loc) or B2 == game5.invisible_succ(l_a, B)
+                assert game5.vis(l_a, loc) or B2 == invisible_succ(game5, l_a, B)
     # replay soundness and byte determinism
     from surveil import RandomPolicy, StrategyRunner, simulate
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -235,6 +236,18 @@ def test_help_describes_every_subcommand(capsys):
         if len(words) > 1
     }
     assert {"synth", "oracle", "simulate", "render", "validate"} <= described
+    # and every option of every subcommand has a help text
+    (commands,) = [
+        a for a in surveil.cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    undescribed = [
+        (name, a.option_strings)
+        for name, p in commands.choices.items()
+        for a in p._actions
+        if not a.help
+    ]
+    assert undescribed == []
 
 
 def test_foreign_strategy_rejected(paths, tmp_path, capsys):

@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_structure
-from conftest import random_problems
+from conftest import invisible_succ, pillar_problem, random_problems
 from surveil import (
     MotionConfig,
     SurveillanceGameStructure,
@@ -45,7 +46,7 @@ def test_succ_t_is_union(game5):
 
 
 def test_invisible_succ(game5):
-    assert game5.invisible_succ(4, {18}) == {17, 23}
+    assert invisible_succ(game5, 4, {18}) == {17, 23}
 
 
 def test_occupancy_constraints(game5):
@@ -140,6 +141,16 @@ def assert_same_structure(G, R):
     assert validate_assumptions(G) == reference_structure.validate_assumptions(R)
 
 
+def kernel_moves(G, l_a, record):
+    """``target_moves`` with the mask of its invisible moves turned into
+    cells, the form ``reference_structure.target_moves`` returns."""
+    visible, invisible = target_moves(G, l_a, record)
+    if invisible is not None:
+        unseen, replies = invisible
+        invisible = (G.cells_of(unseen), replies)
+    return visible, invisible
+
+
 @settings(max_examples=300, deadline=None)
 @given(random_problems(), st.data())
 def test_structure_matches_reference_builder(problem, data):
@@ -153,13 +164,13 @@ def test_structure_matches_reference_builder(problem, data):
     belief = data.draw(
         st.frozensets(st.sampled_from(sorted(G.target_locations - {l_a})), min_size=1)
     )
-    assert target_moves(G, l_a, belief_moves(G, belief)) == reference_structure.target_moves(
+    assert kernel_moves(G, l_a, belief_moves(G, belief)) == reference_structure.target_moves(
         R, l_a, belief
     )
     shared = data.draw(st.frozensets(st.sampled_from(sorted(G.target_locations)), min_size=1))
     record = belief_moves(G, shared)
     for l_a in sorted(G.agent_locations):
-        assert target_moves(G, l_a, record) == reference_structure.target_moves(
+        assert kernel_moves(G, l_a, record) == reference_structure.target_moves(
             R, l_a, shared
         ), l_a
 
@@ -229,10 +240,10 @@ def test_option_combinations_match_reference_builder(text):
         everywhere = belief_moves(G, G.target_locations)
         for l_a in sorted(G.agent_locations):
             belief = G.target_locations - {l_a}
-            assert target_moves(G, l_a, belief_moves(G, belief)) == (
+            assert kernel_moves(G, l_a, belief_moves(G, belief)) == (
                 reference_structure.target_moves(R, l_a, belief)
             ), (motion, vision, l_a)
-            assert target_moves(G, l_a, everywhere) == reference_structure.target_moves(
+            assert kernel_moves(G, l_a, everywhere) == reference_structure.target_moves(
                 R, l_a, G.target_locations
             ), (motion, vision, l_a)
             stuck_on_agent |= l_a in everywhere.stuck
@@ -270,3 +281,32 @@ def test_tables_hold_one_entry_per_cell():
     G = build_game_structure(grid, motion, vision)
     assert len(grid.free_cells) == 375
     assert len(G.target_succ) == len(G.agent_succ) == len(G.visibility) == 375
+
+
+def test_kernel_matches_reference_builder_on_wide_masks():
+    """On pillars20 at seed 1 a mask has bits above 256, where Python
+    stops sharing small ints: the kernel agrees with the reference on
+    the whole-map belief and a few drawn ones, from every agent cell,
+    and the invisible cells it returns are the structure's own ints."""
+    map_text, cfg_text = pillar_problem(20, 1)
+    grid = parse_grid(map_text)
+    motion, vision = parse_config(cfg_text)
+    G = build_game_structure(grid, motion, vision)
+    R = reference_structure.build_game_structure(grid, motion, vision)
+    cells = sorted(G.target_locations)
+    assert len(cells) == 375 and cells[-1] > 256
+    rng = random.Random(1)
+    beliefs = [G.target_locations] + [frozenset(rng.sample(cells, k)) for k in (3, 40, 200)]
+    own = {id(l_t) for l_t in G.target_succ}
+    invisible_moves = 0
+    for belief in beliefs:
+        record = belief_moves(G, belief)
+        for l_a in sorted(G.agent_locations):
+            visible, invisible = kernel_moves(G, l_a, record)
+            assert (visible, invisible) == reference_structure.target_moves(
+                R, l_a, belief
+            ), (len(belief), l_a)
+            if invisible is not None:
+                invisible_moves += 1
+                assert {id(l_t) for l_t in invisible[0]} <= own
+    assert invisible_moves > len(cells)
