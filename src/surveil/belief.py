@@ -209,18 +209,21 @@ def target_moves(G: SurveillanceGameStructure, l_a: int, belief: BeliefMoves):
     return moves, (unseen, replies.get(first, ball))
 
 
-def belief_successors(G: SurveillanceGameStructure, state, records=None):
+def belief_successors(G: SurveillanceGameStructure, state, records=None, beliefs=None):
     """Target belief choices and agent replies from an exact belief state.
 
     Returns a list of ``(new_belief, replies)`` pairs: one visible
     singleton per observable successor location, plus at most one
     all-invisible set.  Sorted canonically (visible by location, invisible
     set last).  ``records`` maps beliefs to their :class:`BeliefMoves`
-    records; a missing record is made and added to it.
+    records, and ``beliefs`` maps the mask of invisible cells to its
+    belief; a missing entry is made and added to them.
     """
     l_a, belief = state
     if records is None:
         records = {}
+    if beliefs is None:
+        beliefs = {}
     moves = records.get(belief)
     if moves is None:
         moves = records[belief] = belief_moves(G, belief)
@@ -228,7 +231,10 @@ def belief_successors(G: SurveillanceGameStructure, state, records=None):
     choices = [(frozenset({l_t2}), replies) for l_t2, replies in visible]
     if invisible is not None:
         unseen, replies = invisible
-        choices.append((G.cells_of(unseen), replies))
+        out = beliefs.get(unseen)
+        if out is None:
+            out = beliefs[unseen] = G.cells_of(unseen)
+        choices.append((out, replies))
     return choices
 
 
@@ -414,8 +420,10 @@ def build_belief_game(
     """
     l_a0, l_t0 = G.initial
     initial = (l_a0, frozenset({l_t0}))
-    # one BeliefMoves record per belief, for the whole exploration
+    # one BeliefMoves record per belief and one belief per invisible
+    # mask, for the whole exploration
     records: dict = {}
+    beliefs: dict = {}
 
     test = safety_test(G, safety, predicates)
 
@@ -426,7 +434,7 @@ def build_belief_game(
             return ()
         # an invisible set can sort before a visible singleton
         return sorted(
-            belief_successors(G, state, records), key=lambda cr: belief_key(cr[0])
+            belief_successors(G, state, records, beliefs), key=lambda cr: belief_key(cr[0])
         )
 
     return _explore(initial, successors, max_states)

@@ -3,7 +3,7 @@
 Subcommands: ``synth`` (abstraction-refinement synthesis), ``oracle``
 (exact belief-game solving), ``simulate``, ``render``, and ``validate``.
 Exit codes: 0 realizable / ok, 10 unrealizable, 20 state or iteration
-budget exceeded, 1 usage or input error.
+budget exceeded or out of memory, 1 usage or input error.
 """
 
 from __future__ import annotations
@@ -339,6 +339,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (BudgetExceeded, IterationBudgetExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("budget exceeded: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except (
         MapError,

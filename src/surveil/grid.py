@@ -190,10 +190,42 @@ def _segment_hits_box(px, py, qx, qy, x0, y0, x1, y1, closed=False) -> bool:
             a, b = (lo - p) / d, (hi - p) / d
             if a > b:
                 a, b = b, a
-            t0, t1 = max(t0, a), min(t1, b)
+            if a > t0:
+                t0 = a
+            if b < t1:
+                t1 = b
     if closed:
         return t0 <= t1
     return t0 < t1
+
+
+def _occluded(r0: int, c0: int, r1: int, c1: int, obstacles) -> bool:
+    """True iff an obstacle blocks the sight line between the centres of
+    the cells at ``(r0, c0)`` and ``(r1, c1)``.
+
+    ``obstacles`` holds ``(row, col)`` pairs.  Only those inside the
+    rows and columns the segment spans are tested: the segment keeps
+    half a cell away from every other row and column.  Passing through
+    the interior of an obstacle square always occludes.  A segment that
+    merely grazes an obstacle corner occludes only when the sight line
+    runs at exactly 45 degrees: such a line steps corner-to-corner
+    between diagonal cells, and sight may not cut an obstacle corner,
+    whereas a line at any other slope passes the touched corner on its
+    way between different cells.
+    """
+    px, py = c0 + 0.5, r0 + 0.5
+    qx, qy = c1 + 0.5, r1 + 0.5
+    diagonal = abs(r1 - r0) == abs(c1 - c0)
+    lo_r, hi_r = (r0, r1) if r0 <= r1 else (r1, r0)
+    lo_c, hi_c = (c0, c1) if c0 <= c1 else (c1, c0)
+    for orr, oc in obstacles:
+        if (
+            lo_r <= orr <= hi_r
+            and lo_c <= oc <= hi_c
+            and _segment_hits_box(px, py, qx, qy, oc, orr, oc + 1.0, orr + 1.0, closed=diagonal)
+        ):
+            return True
+    return False
 
 
 def line_of_sight(g: GridWorld, v: VisionConfig, src: int, dst: int) -> bool:
@@ -201,35 +233,18 @@ def line_of_sight(g: GridWorld, v: VisionConfig, src: int, dst: int) -> bool:
 
     Visibility requires (a) centre distance within the vision range, if
     one is set, and (b) the straight segment between cell centres not
-    being occluded by any obstacle cell.  Passing through the interior of
-    an obstacle square always occludes.  A segment that merely grazes an
-    obstacle corner occludes only when the sight line runs at exactly 45
-    degrees: such a line steps corner-to-corner between diagonal cells,
-    and sight may not cut an obstacle corner, whereas a line at any other
-    slope passes the touched corner on its way between different cells.
+    being occluded by any obstacle cell (see :func:`_occluded`).  The
+    distance is tested on the integer row and column offsets, which are
+    exactly the differences of the centres.
     """
     if src == dst:
         return True
     r0, c0 = g.rc(src)
     r1, c1 = g.rc(dst)
-    px, py = c0 + 0.5, r0 + 0.5
-    qx, qy = c1 + 0.5, r1 + 0.5
-    if v.range is not None:
-        if (px - qx) ** 2 + (py - qy) ** 2 > v.range**2:
-            return False
-    diagonal = abs(r1 - r0) == abs(c1 - c0)
-    lo_r, hi_r = min(r0, r1), max(r0, r1)
-    lo_c, hi_c = min(c0, c1), max(c0, c1)
-    for o in g.obstacles:
-        orr, oc = divmod(o, g.cols)
-        # obstacles outside the bounding box of the segment cannot occlude
-        if orr < lo_r - 1 or orr > hi_r + 1 or oc < lo_c - 1 or oc > hi_c + 1:
-            continue
-        if _segment_hits_box(
-            px, py, qx, qy, oc, orr, oc + 1.0, orr + 1.0, closed=diagonal
-        ):
-            return False
-    return True
+    dr, dc = r1 - r0, c1 - c0
+    if v.range is not None and dr * dr + dc * dc > v.range**2:
+        return False
+    return not _occluded(r0, c0, r1, c1, map(g.rc, g.obstacles))
 
 
 def reachable_moves(
@@ -266,25 +281,42 @@ def reachable_moves(
 
 
 def _visible_sets(g: GridWorld, v: VisionConfig) -> dict[int, frozenset[int]]:
-    """Per free cell, the free cells visible from it (itself included).
+    """Per free cell, the free cells visible from it (itself included),
+    as :func:`line_of_sight` decides.
 
     Each unordered pair of free cells inside the vision range's bounding
     box is tested once, from its lower-numbered cell, since line of sight
-    is symmetric.  Without a range the box is the whole grid.
+    is symmetric.  Without a range the box is the whole grid.  Each
+    source cell tests its pairs against the obstacles inside the part of
+    the box that its pairs span, collected once: no other obstacle can
+    touch one of its sight lines.
     """
     free = sorted(g.free_cells)
     visible = {a: {a} for a in free}
     # a missing or infinite range cuts nothing off
     reach = g.rows + g.cols
+    limit = None
     if v.range is not None:
         reach = int(min(v.range, reach))
+        limit = v.range**2
+    cols = g.cols
+    obstacles = list(map(g.rc, g.obstacles))
     for a in free:
         r0, c0 = g.rc(a)
-        lo_c, hi_c = max(0, c0 - reach), min(g.cols, c0 + reach + 1)
-        for r in range(r0, min(g.rows, r0 + reach + 1)):
-            first = a + 1 if r == r0 else r * g.cols + lo_c
-            for t in range(first, r * g.cols + hi_c):
-                if t in visible and line_of_sight(g, v, a, t):
+        lo_c, hi_c = max(0, c0 - reach), min(cols, c0 + reach + 1)
+        hi_r = min(g.rows, r0 + reach + 1)
+        near = [
+            (orr, oc)
+            for orr, oc in obstacles
+            if r0 <= orr < hi_r and lo_c <= oc < hi_c
+        ]
+        for r in range(r0, hi_r):
+            dr2 = (r - r0) ** 2
+            for c in range(c0 + 1 if r == r0 else lo_c, hi_c):
+                t = r * cols + c
+                if t not in visible or limit is not None and dr2 + (c - c0) ** 2 > limit:
+                    continue
+                if not _occluded(r0, c0, r, c, near):
                     visible[a].add(t)
                     visible[t].add(a)
     return {a: frozenset(cells) for a, cells in visible.items()}

@@ -171,11 +171,31 @@ def _reached_cells(G: SurveillanceGameStructure) -> dict[int, set[int]]:
 
 def _replies_agree(G: SurveillanceGameStructure, l_a: int, cells) -> bool:
     """From the agent cell ``l_a`` and the target cells ``cells``: every
-    landing cell has a reply, and the invisible ones all get the same."""
-    if not G.agent_succ[l_a]:
+    landing cell has a reply, and the invisible ones all get the same.
+
+    With a nonempty ball a reply is never empty, and ``succ_a`` gives a
+    landing cell outside the ball the whole ball, and one inside it the
+    ball without that cell, or ``(l_a,)`` when that leaves nothing.  No
+    landing cell is ``l_a``: the target never moves onto the agent, and
+    the agent never onto the target.  So two inside cells get different
+    replies, and an inside cell's reply differs from the whole ball:
+    the replies agree exactly when at most one cell is invisible or no
+    invisible cell lies in the ball.
+    """
+    ball = G.agent_succ[l_a]
+    if not ball:
         return False
     invisible = G.succ_t(l_a, cells) - G.visibility[l_a]
-    return len({G.succ_a(l_a, l_t2) for l_t2 in invisible}) <= 1
+    return len(invisible) <= 1 or invisible.isdisjoint(ball)
+
+
+def _balls_visible(G: SurveillanceGameStructure) -> bool:
+    """Every target cell has a move, and every agent cell a nonempty
+    ball, inside the cells it sees."""
+    visibility = G.visibility
+    return all(G.target_succ.values()) and all(
+        ball and visibility[l_a].issuperset(ball) for l_a, ball in G.agent_succ.items()
+    )
 
 
 def validate_assumptions(G: SurveillanceGameStructure) -> SuccessorReport:
@@ -183,11 +203,28 @@ def validate_assumptions(G: SurveillanceGameStructure) -> SuccessorReport:
 
     Invisible-independence: for a fixed agent location, the agent's reply
     set may not depend on which invisible successor the target chose.
-    A reply depends on the agent cell and the target's new cell only, so
-    each target cell and each such pair is checked once, over the cells
-    reached from each agent cell.  The reachable states are walked one by
-    one only to name the violations, when there are some.
+
+    The check runs in tiers, each only when the one before cannot tell:
+
+    1. When every target cell has a move and every agent cell's ball is
+       nonempty and lies inside the cells it sees, both hold without a
+       walk.  ``target_step`` and ``succ_a`` fall back to the mover's own
+       cell rather than return ``()`` from a nonempty table, so every
+       state has a move and every move a reply.  An invisible landing
+       cell then lies outside the ball, and ``succ_a`` gives it the whole
+       ball: the replies to invisible moves are all the same.  Every
+       bundled map passes here: a neighbour is visible whenever the
+       vision range is at least 1, and ``restrict_agent_to_visible``
+       confines a ball to visible cells.
+    2. Otherwise the reachable states are grouped by agent cell.  A reply
+       depends on the agent cell and the target's new cell only, so each
+       reached target cell and each agent cell with its reached target
+       cells is checked once (see :func:`_replies_agree`).
+    3. The reachable states are walked one by one only to name the
+       violations, when there are some.
     """
+    if _balls_visible(G):
+        return SuccessorReport(True, True)
     reached = _reached_cells(G)
     target_cells = set().union(*reached.values())
     if all(G.target_succ[l_t] for l_t in target_cells) and all(

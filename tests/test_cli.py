@@ -348,6 +348,20 @@ def test_budget_exit_twenty_names_budget(paths, capsys, argv):
     assert capsys.readouterr().err.startswith("budget exceeded: ")
 
 
+def test_out_of_memory_exit_twenty(paths, monkeypatch, capsys):
+    """A run that exhausts memory ends in the budget exit with one line,
+    not in a traceback."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(surveil.cli, "cegar_loop", exhausted)
+    capsys.readouterr()
+    assert run(["synth", "--map", paths["map"], "--spec", paths["p3"]]) == 20
+    err = capsys.readouterr().err
+    assert err == "budget exceeded: out of memory\n"
+    assert "Traceback" not in err
+
+
 def test_simulate_needs_spec_or_strategy(paths):
     assert run(["simulate", "--map", paths["map"]]) == 1
 

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from surveil import (
     GridWorld,
@@ -13,7 +13,7 @@ from surveil import (
     parse_grid,
     reachable_moves,
 )
-from conftest import PAPER5X5
+from conftest import PAPER5X5, random_problems
 
 
 def test_parse_basic(grid5):
@@ -197,6 +197,19 @@ def test_visibility_symmetric_without_range(a, b):
         return
     v = VisionConfig()
     assert line_of_sight(g, v, a, b) == line_of_sight(g, v, b, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_problems())
+def test_visibility_symmetric_under_range(problem):
+    """The structure builder tests each pair of cells once and adds both
+    directions, which relies on line of sight being symmetric under a
+    vision range too."""
+    g, _, v = problem
+    free = sorted(g.free_cells)
+    for a in free:
+        for b in free:
+            assert line_of_sight(g, v, a, b) == line_of_sight(g, v, b, a), (a, b)
 
 
 def test_motion_config_validation():

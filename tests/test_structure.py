@@ -18,7 +18,7 @@ from surveil import (
 )
 from surveil.belief import belief_moves, target_moves
 from surveil.cli import bundled_map
-from surveil.structure import SuccessorReport
+from surveil.structure import SuccessorReport, _balls_visible, _name_violations
 
 
 def test_transitions_from_initial_state(game5):
@@ -214,6 +214,47 @@ def test_bundled_structures_match_reference_builder(name):
         build_game_structure(grid, motion, vision),
         reference_structure.build_game_structure(grid, motion, vision),
     )
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_pillar_structures_match_reference_builder(n, seed):
+    """perfbench's scale-gen maps: every ball is visible, so the report
+    comes from the first tier without a walk, and it and the tables are
+    the reference builder's."""
+    map_text, cfg_text = pillar_problem(n, seed)
+    grid = parse_grid(map_text)
+    motion, vision = parse_config(cfg_text)
+    G = build_game_structure(grid, motion, vision)
+    assert _balls_visible(G)
+    assert_same_structure(G, reference_structure.build_game_structure(grid, motion, vision))
+
+
+# two rooms with no way and no sight line between them, one pillar in each
+TWO_ROOMS = "A..#....\n.#.#...T\n...#....\n"
+
+
+@pytest.mark.parametrize("cfg", ["agent_radius=2\n", "vision_range=0.9\n"])
+@pytest.mark.parametrize(
+    "text",
+    [bundled_map("paper5x5.txt"), pillar_problem(12, 1)[0], TWO_ROOMS],
+    ids=["paper5x5", "pillars12", "two_rooms"],
+)
+def test_fallback_tiers_match_the_walk(text, cfg):
+    """A ball of radius 2 reaches cells behind an obstacle, and a range
+    below 1 hides every neighbour, so the first tier does not apply: the
+    grouped check gives the report of the walk over every reachable
+    state and of the reference.  In the two rooms the target never lands
+    in the agent's ball, so the grouped check passes on its own."""
+    grid = parse_grid(text)
+    motion, vision = parse_config(cfg)
+    G = build_game_structure(grid, motion, vision)
+    assert not _balls_visible(G)
+    report = validate_assumptions(G)
+    assert report == _name_violations(G)
+    R = reference_structure.build_game_structure(grid, motion, vision)
+    assert report == reference_structure.validate_assumptions(R)
+    assert report.ok == (text == TWO_ROOMS)
 
 
 # each arm's only move is onto the centre, where the agent starts
