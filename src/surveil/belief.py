@@ -216,8 +216,9 @@ def belief_successors(G: SurveillanceGameStructure, state, records=None, beliefs
     singleton per observable successor location, plus at most one
     all-invisible set.  Sorted canonically (visible by location, invisible
     set last).  ``records`` maps beliefs to their :class:`BeliefMoves`
-    records, and ``beliefs`` maps the mask of invisible cells to its
-    belief; a missing entry is made and added to them.
+    records, and ``beliefs`` maps a cell mask (a visible move's bit, or
+    the invisible cells) to its belief; a missing entry is made and added
+    to them.
     """
     l_a, belief = state
     if records is None:
@@ -228,7 +229,12 @@ def belief_successors(G: SurveillanceGameStructure, state, records=None, beliefs
     if moves is None:
         moves = records[belief] = belief_moves(G, belief)
     visible, invisible = target_moves(G, l_a, moves)
-    choices = [(frozenset({l_t2}), replies) for l_t2, replies in visible]
+    choices = []
+    for l_t2, replies in visible:
+        out = beliefs.get(1 << l_t2)
+        if out is None:
+            out = beliefs[1 << l_t2] = frozenset({l_t2})
+        choices.append((out, replies))
     if invisible is not None:
         unseen, replies = invisible
         out = beliefs.get(unseen)

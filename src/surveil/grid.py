@@ -338,7 +338,8 @@ def build_game_structure(g: GridWorld, m: MotionConfig, v: VisionConfig):
     for c in free:
         ball = reachable_moves(g, c, m.target_radius, m.allow_stay)
         target_succ[c] = tuple(sorted(ball))
-        ball = reachable_moves(g, c, m.agent_radius, m.allow_stay)
+        if m.agent_radius != m.target_radius:
+            ball = reachable_moves(g, c, m.agent_radius, m.allow_stay)
         if m.restrict_agent_to_visible:
             ball = ball & visibility[c] or frozenset({c})
         agent_succ[c] = tuple(sorted(ball))

@@ -4,12 +4,13 @@ Arenas are turn-expanded explicit games: in every state the target picks
 a belief-level choice, then the agent picks a reply.  The solver has two
 attractors, one per player, over a reverse-edge index of the arena; each
 is a counter-based worklist that touches every edge a bounded number of
-times.  By attractor duality the agent's safe region is the complement
-of the target's attractor to the unsafe states, and the target's trap
-away from a recurrence atom is the complement of the agent's attractor
-to that atom.  Recurrence conjuncts are solved by a generalized-Buchi
-nested fixpoint over the agent's attractor and the controllable
-predecessor, with a memory index cycling through the recurrence atoms.
+times.  Each game is solved from the target's side first: its attractor
+to the unsafe states, then traps away from a recurrence atom (each the
+complement of the agent's attractor to the atom) and the attractors to
+them, until its region is closed.  The rest is the agent's region, and
+one round of the generalized-Buchi fixpoint on it (the controllable
+predecessor and the agent's attractor to each recurrence atom) gives the
+agent's controller, with a memory index cycling through the atoms.
 """
 
 from __future__ import annotations
@@ -139,9 +140,11 @@ class _Index:
         start, cset, replies = arena.choice_off, arena.choice_set, arena.replies
         self.degree = _widths(start)
         self.width = width = _widths(arena.reply_off)
-        # choices with replies before each state's first choice
-        before = array("i", accumulate(map(bool, map(width.__getitem__, cset)), initial=0))
-        self.answered = _widths(array("i", map(before.__getitem__, start)))
+        self.answered = self.degree
+        if 0 in width:
+            # choices with replies before each state's first choice
+            before = array("i", accumulate(map(bool, map(width.__getitem__, cset)), initial=0))
+            self.answered = _widths(array("i", map(before.__getitem__, start)))
         self.owner = array("i", chain.from_iterable(map(repeat, range(n), self.degree)))
         self.user_off, self.users = _group(cset, len(width), range(len(cset)))
         set_of_member = chain.from_iterable(map(repeat, range(len(width)), width))
@@ -332,31 +335,42 @@ def _canonical_reply(i, replies, allowed):
 def solve(arena: Arena, objective: Objective) -> SolveResult:
     """Solve the arena for the objective and build the winner's strategy.
 
+    The target's region comes first, by the iterated-attractor algorithm
+    for Buchi games (W. Thomas, STACS 1995) in :func:`_target_strategy`,
+    seeded with the states it wins at once: the unsafe ones, and those
+    where it has a choice without replies.  ``Z`` is the rest.  If it
+    lacks the initial state, the layering is the target's strategy.
+    Otherwise one round of the generalized-Buchi fixpoint on ``Z`` ranks
+    the agent's states: per recurrence atom ``F_j``, its attractor in
+    ``Z`` to the core ``F_j & Z & cpre(Z)``, which must rank all of ``Z``.
+
+    The two regions need no cross-check.  The layering certifies that
+    the target wins outside ``Z``: its ranks fall until a trap or a seed,
+    and in a trap its choice keeps every reply in the trap or an earlier
+    layer, off one atom.  The round certifies that the agent wins in
+    ``Z``: it can force the play into each core inside ``Z``, and from a
+    core back into ``Z``.  Disjoint regions that cover the arena and are
+    each won by their player are exact, so ``Z`` is the greatest fixpoint
+    that the nested loop computed, and this is its last round: the
+    loop's attractors, run in the safe region, rank no state outside
+    ``Z``.  On an arena with reply-less choices, which :func:`make_arena`
+    rejects, the target's strategy does not force through them: it is
+    layered again from the unsafe states alone and must cover the
+    complement of ``Z``.  A failed check raises :class:`SolverError`.
+
     The agent's controller holds moves only for the ``(state, memory)``
     pairs reachable from ``(arena.initial, 0)``; ``winning_region`` is
     still the whole of ``Z``.
 
-    The agent's safe region is the complement of the target's attractor
-    to the states it wins at once: the unsafe ones, and those where it
-    has a choice without replies.  :func:`make_arena` rejects such
-    choices; the target strategy does not force through them, so on an
-    arena that has them the result can end in a :class:`SolverError`.
-
     On a game built for the objective's safety terms, an unsafe state has
     no choices.  The result is the same as on the full game, restricted
-    to the states the smaller game has:
-
-    * an unsafe state is a rank-0 seed of the target's attractor,
-      whatever its choices;
-    * every other state keeps its choices, and its attractor ranks, its
-      first winning choice in canonical order, its trap membership, its
-      Buchi ranks and its membership in the controllable predecessor
-      depend only on the states reachable from it through safe states;
-    * the agent's winning region ``Z`` lies inside the safe states, so
-      the controller is the same.
-
-    Only ``TargetStrategyData.choice`` of an unsafe state differs: it is
-    None where it was the state's first choice.
+    to the states the smaller game has: an unsafe state is a seed
+    whatever its choices; every other state's attractor ranks, first
+    winning choice, trap membership, Buchi ranks and membership in the
+    controllable predecessor depend only on the states reachable from it
+    through safe states; and ``Z`` lies inside the safe states.  Only
+    ``TargetStrategyData.choice`` of an unsafe state differs: it is None
+    where it was the state's first choice.
     """
     ix = _Index(arena)
     n = len(arena)
@@ -364,43 +378,48 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
     safe = everything
     for atom in objective.safety_terms:
         safe &= arena.atom_sets[atom]
+    unsafe = everything - safe
     won = bytearray(map(lt, ix.answered, ix.degree))
-    # without reply-less choices the seeds are the unsafe states alone,
-    # and this attractor is the first layer of the target strategy
+    # without reply-less choices the layering is the target's strategy
     total = not any(won)
-    for i in everything - safe:
+    for i in unsafe:
         won[i] = 1
-    missing = array("i", ix.width)
-    layer = _target_attractor(ix, won, list(compress(range(n), won)), missing, 0)
-    domain = bytearray(map(not_, won))
-    w_safe = frozenset(compress(range(n), domain))
-
-    # without recurrence terms the loop is skipped: the one core is
-    # w_safe, which lies inside its own cpre, and no rank is read
-    Z, cores, ranks = w_safe, [w_safe], [None]
-    targets = [arena.atom_sets[a] & w_safe for a in objective.recurrence_terms]
-    while targets:
+    mode, choice = _target_strategy(
+        ix, arena, objective, unsafe, won, list(compress(range(n), won))
+    )
+    Z = frozenset(compress(range(n), map(not_, won)))
+    if arena.initial not in Z:
+        if not total:
+            won = bytearray(map(unsafe.__contains__, range(n)))
+            mode, choice = _target_strategy(ix, arena, objective, unsafe, won, list(unsafe))
+            if mode.keys() != everything - Z:
+                raise SolverError(
+                    "determinacy check failed: target region does not match the "
+                    "complement of the agent's winning region"
+                )
+        tstrat = TargetStrategyData(frozenset(mode), choice, mode)
+        return SolveResult(False, Z, target_strategy=tstrat)
+    # without recurrence terms the one core is Z, which lies inside its
+    # own cpre, and no rank is read
+    cores, ranks = [Z], [None]
+    if objective.recurrence_terms:
         cpre_z = ix.cpre(Z)
-        cores = [F & cpre_z for F in targets]
+        cores = [arena.atom_sets[a] & Z & cpre_z for a in objective.recurrence_terms]
+        domain = bytes(map(not_, won))
         ranks = [_attractor(ix, core, domain) for core in cores]
-        Z2 = w_safe
-        for rank in ranks:
-            Z2 = frozenset(i for i in Z2 if rank[i] != _UNRANKED)
-        if Z2 == Z:
-            break
-        Z = Z2
-    if arena.initial in Z:
-        strat = _buchi_strategy(arena, Z, cores, ranks)
-        return SolveResult(True, Z, agent_strategy=strat)
-    first = (won, missing, layer) if total else None
-    tstrat = _target_strategy(ix, arena, objective, Z, safe, first)
-    return SolveResult(False, Z, target_strategy=tstrat)
+        # the ranked states lie in Z, so each attractor must rank |Z|
+        if any(rank.count(_UNRANKED) != n - len(Z) for rank in ranks):
+            raise SolverError(
+                "determinacy check failed: the Buchi round on the complement "
+                "of the target's region does not return it"
+            )
+    return SolveResult(True, Z, agent_strategy=_buchi_strategy(arena, Z, cores, ranks))
 
 
 def _buchi_strategy(arena, Z, cores, ranks) -> StrategyData:
-    """Controller from the final round of the Buchi fixpoint, built only
-    for the ``(state, memory)`` pairs that a run from ``(arena.initial,
-    0)`` reaches.
+    """Controller from the Buchi round of :func:`solve`, built only for
+    the ``(state, memory)`` pairs that a run from ``(arena.initial, 0)``
+    reaches.
 
     The walk pops a pair and writes the move for each choice of its
     state: in memory ``j``, inside ``cores[j]`` the canonical reply in
@@ -444,34 +463,22 @@ def _buchi_strategy(arena, Z, cores, ranks) -> StrategyData:
     return StrategyData(m, Z, moves)
 
 
-def _target_strategy(
-    ix, arena, objective, agent_win, safe, first=None
-) -> TargetStrategyData:
-    """Layered positional strategy on the complement of the agent region.
+def _target_strategy(ix, arena, objective, unsafe, won, seeds) -> tuple[dict, dict]:
+    """The target's layered positional strategy, as ``(mode, choice)``
+    of :class:`TargetStrategyData`, on a region it extends ``won`` to.
 
-    The unsafe core and its target attractor come first; then traps in
-    which the target confines the play away from one recurrence atom,
-    iterated with further attractors until the region is closed.  The
-    layering keeps ranks well-founded, so counterexample trees stay
-    finite and every cycle lies inside a single trap.  ``first`` is the
-    first layer when :func:`solve` already has it: the ``won`` mask, the
-    ``missing`` counts and the states of the attractor from the unsafe
-    states, as :func:`_target_attractor` leaves them.
+    ``won`` marks the ``seeds``, states the target wins at once; of them
+    only the ``unsafe`` ones get a mode.  The attractor to the seeds
+    comes first; then traps in which the target confines the play away
+    from one recurrence atom, iterated with further attractors until the
+    region is closed.  The layering keeps ranks well-founded, so
+    counterexample trees stay finite and every cycle lies in one trap.
     """
-    everything = frozenset(range(len(arena)))
-    complement = everything - agent_win
-    unsafe = everything - safe
+    # members of each reply set outside ``won``
+    missing = array("i", ix.width)
+    layer = _target_attractor(ix, won, seeds, missing, 0)
     mode: dict[int, tuple] = {}
     choice: dict = {}
-    if first is None:
-        won = bytearray(len(arena))
-        for i in unsafe:
-            won[i] = 1
-        # members of each reply set outside ``won``
-        missing = array("i", ix.width)
-        layer = _target_attractor(ix, won, list(unsafe), missing, 0)
-    else:
-        won, missing, layer = first
     for i in unsafe:
         mode[i] = ("unsafe",)
         choice[i] = ix.start[i] if ix.degree[i] else None
@@ -491,15 +498,8 @@ def _target_strategy(
                 fresh.append(i)
                 grown = True
         if not grown:
-            break
+            return mode, choice
         layer = _target_attractor(ix, won, fresh, missing, top)
-    region = frozenset(mode)
-    if region != complement:
-        raise SolverError(
-            "determinacy check failed: target region does not match the "
-            "complement of the agent's winning region"
-        )
-    return TargetStrategyData(region, choice, mode)
 
 
 @dataclass

@@ -9,6 +9,7 @@ import reference_export
 import reference_game
 import reference_solver
 from conftest import choice_labels, choices
+import surveil.cegar
 from surveil import (
     SolverError,
     SurveillanceGameStructure,
@@ -358,11 +359,11 @@ def _solve_or_error(solver, arena, obj):
         return None
 
 
-@settings(max_examples=400, deadline=None)
-@given(random_games())
-def test_solver_matches_naive_reference(game):
-    arena, obj = game
-    flat = _flat(arena)
+def check_against_reference(flat, arena, obj):
+    """``solve`` on the flat arena and the reference solver on the same
+    arena as tuples agree: both fail, or they give the same winner and
+    region, the same reachable controller, or the same target region,
+    modes and choices."""
     got = _solve_or_error(solve, flat, obj)
     want = _solve_or_error(reference_solver.solve, arena, obj)
     if want is None:
@@ -379,6 +380,63 @@ def test_solver_matches_naive_reference(game):
         assert got.target_strategy.region == want.target_strategy.region
         assert choice_labels(flat, got.target_strategy) == want.target_strategy.choice
         assert got.target_strategy.mode == want.target_strategy.mode
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_games())
+def test_solver_matches_naive_reference(game):
+    arena, obj = game
+    check_against_reference(_flat(arena), arena, obj)
+
+
+# the specs of the benchmark's paper-oracle workload, whose goal is the
+# agent standing on cell 0 as in ``goal_pred``
+PAPER_ORACLE_SPECS = (
+    [f"G p<={k}" for k in range(1, 7)]
+    + [f"GF p<={k}" for k in range(1, 7)]
+    + ["G p<=5 & GF p<=2", "GF p<=1 & GF goal"]
+)
+
+
+@pytest.mark.parametrize("spec", PAPER_ORACLE_SPECS)
+def test_cegar_games_match_naive_reference(monkeypatch, game5, goal_pred, spec):
+    """Every abstract game that the CEGAR loop solves on paper5x5 gets the
+    reference solver's solution."""
+    arenas = []
+
+    def recorded(arena, objective):
+        arenas.append(arena)
+        return solve(arena, objective)
+
+    monkeypatch.setattr(surveil.cegar, "solve", recorded)
+    obj = parse_spec(spec)
+    cegar_loop(game5, obj, predicates=goal_pred if "goal" in spec else None)
+    assert arenas
+    for arena in arenas:
+        check_against_reference(arena, reference_game.from_flat(arena), obj)
+
+
+@pytest.mark.parametrize(
+    "spec, verdict, calls",
+    [("GF p<=1 & GF goal", "unrealizable", 0), ("GF p<=2", "realizable", 1)],
+)
+def test_only_the_game_the_agent_wins_runs_cpre(monkeypatch, game5, goal_pred, spec, verdict, calls):
+    """A game the target wins is solved by its layered region alone, and
+    one the agent wins by one Buchi round on the rest: over a whole CEGAR
+    loop, whose last game alone can be won by the agent, the controllable
+    predecessor runs once for a realizable recurrence spec and never for
+    an unrealizable one."""
+    cpre = _Index.cpre
+    runs = []
+
+    def counted(ix, W):
+        runs.append(W)
+        return cpre(ix, W)
+
+    monkeypatch.setattr(_Index, "cpre", counted)
+    preds = goal_pred if "goal" in spec else None
+    assert cegar_loop(game5, parse_spec(spec), predicates=preds).verdict == verdict
+    assert len(runs) == calls
 
 
 @settings(max_examples=200, deadline=None)
