@@ -2,8 +2,9 @@
 
 Starts from a deliberately coarse two-block partition of the target
 locations, extracts the target's spoiling strategy in the abstract game,
-propagates exact beliefs along it to show it is spurious, and refines
-the partition just enough to rule it out.  Then runs the complete loop
+pairs each of its states with the exact belief propagated forward along
+it to show it is spurious, and refines the partition just enough to
+rule it out.  Then runs the complete loop
 and prints its transcript.
 """
 
@@ -14,9 +15,10 @@ from surveil import (
     VisionConfig,
     annotate_tree,
     build_abstract_game,
+    build_analysis_graph,
     build_game_structure,
     cegar_loop,
-    extract_cex_tree,
+    extract_cex_graph,
     make_arena,
     parse_grid,
     parse_spec,
@@ -39,14 +41,15 @@ def main():
     result = solve(arena, obj)
     print(f"coarse partition ({len(Q)} blocks): agent wins = {result.agent_wins}")
 
-    tree = extract_cex_tree(arena, result, obj)
-    path = annotate_tree(G, Q, tree)
+    D = build_analysis_graph(G, Q, extract_cex_graph(arena, result))
+    path = annotate_tree(G, D, obj.safety_terms)
     assert path is not CONCRETIZABLE
-    print("exact beliefs along the spurious counterexample path:")
-    for node in path:
-        print(f"  agent {node.state[0]:2d}: belief {sorted(node.annotation)}")
+    print(f"exact beliefs along the spurious counterexample path ({len(D)} nodes):")
+    for i in path:
+        l_a, belief = D.beliefs[i]
+        print(f"  agent {l_a:2d}: belief {sorted(belief)}")
 
-    refined = refine_safety(G, Q, path)
+    refined = refine_safety(G, Q, D, path)
     print(f"refined to {len(refined)} blocks:")
     for cells in sorted(refined.blocks.values(), key=sorted):
         print(f"  {sorted(cells)}")

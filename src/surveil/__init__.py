@@ -72,7 +72,6 @@ from .solver import (
     StrategyData,
     export_strategy,
     extract_cex_graph,
-    extract_cex_tree,
     make_arena,
     solve,
 )

@@ -202,8 +202,7 @@ def build_abstract_game(
       order, traps, Buchi ranks and the controllable predecessor)
       depends only on the states reachable from it through safe states,
       and those keep their choices;
-    * :func:`~surveil.solver.extract_cex_tree` stops at unsafe leaves,
-      and :func:`~surveil.solver.extract_cex_graph` makes unsafe nodes
+    * :func:`~surveil.solver.extract_cex_graph` makes unsafe nodes
       sinks;
     * the controller lives in the agent's winning region, which lies
       inside the safe states.

@@ -1,11 +1,12 @@
 """Counterexample analysis, partition refinement, and the main loop.
 
-Safety counterexamples are trees: forward belief propagation either
-concretizes them or yields a spurious path, which drives backward
-partition splitting.  Liveness counterexamples are graphs: an analysis
-graph pairs each abstract node with the exact forward-propagated belief,
-and a lasso whose cycle contains a precise-enough belief witnesses
-spuriousness.
+Every counterexample is the target's strategy closed under the agent's
+replies, a graph.  The analysis graph pairs each of its abstract nodes
+with the exact forward-propagated belief.  For safety the graph is
+acyclic, and a sink whose exact belief is safe gives a spurious path,
+which drives backward partition splitting; when there is none the
+counterexample is concrete.  For recurrence, a lasso whose cycle
+contains a precise-enough belief witnesses spuriousness.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from .objective import Objective
 from .solver import (
     Arena,
     CounterexampleGraph,
-    CounterexampleTree,
     check_predicates,
     extract_cex_graph,
-    extract_cex_tree,
     make_arena,
     solve,
 )
@@ -46,7 +45,8 @@ def _belief_step(G, Q):
     invisible landing cells that lie under the label.  The step keeps
     one :class:`~surveil.belief.BeliefMoves` record per belief, one cell
     mask per label and one belief per mask, which the steps to it share,
-    for as long as it lives.
+    for as long as it lives.  With ``Q`` None the labels are the exact
+    game's cell sets.
     """
     records: dict = {}
     masks: dict = {}
@@ -63,7 +63,7 @@ def _belief_step(G, Q):
             moves = records[belief] = belief_moves(G, belief)
         mask = masks.get(label)
         if mask is None:
-            mask = masks[label] = cell_mask(Q.gamma(label))
+            mask = masks[label] = cell_mask(concretize(label, Q))
         unseen = landing_cells(G, l_a, moves)[1] & mask
         out = beliefs.get(unseen)
         if out is None:
@@ -71,47 +71,6 @@ def _belief_step(G, Q):
         return out
 
     return step
-
-
-def annotate_tree(
-    G: SurveillanceGameStructure,
-    Q: Partition,
-    tree: CounterexampleTree,
-    predicates: Optional[dict[str, PredicateDef]] = None,
-):
-    """Forward belief propagation over an abstract counterexample tree.
-
-    Returns the first (canonical order) root-to-leaf path whose leaf's
-    exact belief satisfies the safety conjunction, or CONCRETIZABLE when
-    every leaf's exact belief genuinely violates it.
-    """
-    predicates = predicates or {}
-    l_a0, l_t0 = G.initial
-    tree.root.annotation = frozenset({l_t0})
-    step = _belief_step(G, Q)
-    good_path = None
-
-    def walk(node, path):
-        nonlocal good_path
-        if good_path is not None:
-            return
-        l_a, _ = node.state
-        if not node.children:
-            if all(
-                atom_holds(G, l_a, node.annotation, a, predicates)
-                for a in tree.safety
-            ):
-                good_path = list(path)
-            return
-        for child in node.children:
-            l_a2, label = child.state
-            child.annotation = step(l_a, node.annotation, label)
-            walk(child, path + [child])
-
-    walk(tree.root, [tree.root])
-    if good_path is not None:
-        return good_path
-    return CONCRETIZABLE
 
 
 def split_along(G: SurveillanceGameStructure, Q: Partition, pairs) -> Partition:
@@ -160,17 +119,6 @@ def _grown(Q: Partition, refined: Partition, pairs) -> Optional[Partition]:
         return None
     if not refines(refined, Q):
         raise RefinementError("refined partition does not refine its parent")
-    return refined
-
-
-def refine_safety(G: SurveillanceGameStructure, Q: Partition, path) -> Partition:
-    """Refine ``Q`` to eliminate a spurious safety counterexample path."""
-    if any(node.annotation is None for node in path):
-        raise RefinementError("path is not annotated")
-    pairs = [(node.state[0], node.state[1], node.annotation) for node in path]
-    refined = _grown(Q, split_along(G, Q, pairs), pairs)
-    if refined is None:
-        raise RefinementError("safety refinement produced no new blocks")
     return refined
 
 
@@ -246,6 +194,37 @@ def build_analysis_graph(
             out.append(index[key2])
         edges[i] = tuple(out)
     return AnalysisGraphD(beliefs, cex_states, modes, edges, parent, gamma)
+
+
+@dataclass
+class CexTreeNode:
+    """An abstract state of a safety counterexample, the target's choice
+    (None at a sink), the replies' nodes and the exact belief."""
+
+    state: tuple
+    choice: object
+    children: list
+    annotation: frozenset
+
+
+@dataclass
+class CounterexampleTree:
+    root: CexTreeNode
+
+
+def counterexample_tree(D: AnalysisGraphD, cex: CounterexampleGraph) -> CounterexampleTree:
+    """The safety counterexample ``D`` of ``cex`` as a tree, with one node
+    per ``D`` node, which the parents of that node share."""
+    nodes = [
+        CexTreeNode(v, None, [], belief)
+        for v, (_, belief) in zip(D.cex_states, D.beliefs)
+    ]
+    for i, node in enumerate(nodes):
+        out = D.edges[i]
+        if out:
+            node.choice = cex.choice[node.state]
+            node.children = [nodes[j] for j in out]
+    return CounterexampleTree(nodes[D.initial])
 
 
 def _shortest_path(edges, sources, goals, allowed=None):
@@ -371,6 +350,61 @@ def _d_pairs(D: AnalysisGraphD, indices):
     return out
 
 
+def annotate_tree(
+    G: SurveillanceGameStructure,
+    D: AnalysisGraphD,
+    safety,
+    predicates: Optional[dict[str, PredicateDef]] = None,
+):
+    """The first root-to-sink path of the safety counterexample ``D``, as
+    node indices, whose sink's exact belief satisfies every ``safety``
+    atom; CONCRETIZABLE when every sink's belief genuinely violates one.
+
+    The walk is depth first in edge order and never re-enters a node:
+    what lies below a node depends only on its state and belief, and a
+    node it has left holds no such sink.  So the path is the first one
+    of ``D`` unfolded into a tree.  That needs ``D`` acyclic, as falling
+    reach ranks make it; a node met on its own path raises
+    :class:`RefinementError`.
+    """
+    predicates = predicates or {}
+    mark = bytearray(len(D))  # 1 while on the path, 2 once left
+    path: list[int] = []
+    work = [iter((D.initial,))]
+    while work:
+        for j in work[-1]:
+            if mark[j] == 1:
+                raise RefinementError("safety counterexample has a cycle")
+            if mark[j]:
+                continue
+            if D.edges[j]:
+                mark[j] = 1
+                path.append(j)
+                work.append(iter(D.edges[j]))
+                break
+            mark[j] = 2
+            l_a, belief = D.beliefs[j]
+            if all(atom_holds(G, l_a, belief, a, predicates) for a in safety):
+                return path + [j]
+        else:
+            work.pop()
+            if path:
+                mark[path.pop()] = 2
+    return CONCRETIZABLE
+
+
+def refine_safety(
+    G: SurveillanceGameStructure, Q: Partition, D: AnalysisGraphD, path
+) -> Partition:
+    """Refine ``Q`` to eliminate a spurious safety counterexample path of
+    ``D`` node indices, as :func:`annotate_tree` returns it."""
+    pairs = _d_pairs(D, path)
+    refined = _grown(Q, split_along(G, Q, pairs), pairs)
+    if refined is None:
+        raise RefinementError("safety refinement produced no new blocks")
+    return refined
+
+
 def refine_liveness(
     G: SurveillanceGameStructure, Q: Partition, D: AnalysisGraphD, lasso
 ) -> Partition:
@@ -483,22 +517,22 @@ def cegar_loop(
                 "realizable", iteration, Q, transcript,
                 strategy=result.agent_strategy, arena=arena,
             )
-        # ``cex`` is the counterexample, ``refined`` the next partition or
-        # CONCRETIZABLE when the counterexample is real
+        # ``refined`` is the next partition, or CONCRETIZABLE when the
+        # counterexample is real
+        cex = extract_cex_graph(arena, result)
+        D = build_analysis_graph(G, Q, cex)
         if objective.recurrence_terms:
-            cex = build_analysis_graph(G, Q, extract_cex_graph(arena, result))
-            refined = analyze_general(G, Q, cex, objective, predicates)
+            refined = analyze_general(G, Q, D, objective, predicates)
         else:
-            cex = extract_cex_tree(arena, result, objective)
-            path = annotate_tree(G, Q, cex, predicates)
-            refined = path if path == CONCRETIZABLE else refine_safety(G, Q, path)
+            path = annotate_tree(G, D, objective.safety_terms, predicates)
+            refined = path if path == CONCRETIZABLE else refine_safety(G, Q, D, path)
         if refined == CONCRETIZABLE:
             transcript.append(
                 f"iter={iteration} blocks={len(Q)} verdict=unrealizable action=stop"
             )
             return CegarOutcome(
-                "unrealizable", iteration, Q, transcript,
-                arena=arena, counterexample=cex,
+                "unrealizable", iteration, Q, transcript, arena=arena,
+                counterexample=D if objective.recurrence_terms else counterexample_tree(D, cex),
             )
         transcript.append(
             f"iter={iteration} blocks={len(Q)} verdict=continue "

@@ -152,18 +152,24 @@ def cmd_synth(args) -> int:
 def _counterexample_json(outcome) -> dict:
     """JSON dump of the concrete counterexample behind an unrealizable
     verdict: a target strategy tree (safety) or a belief-annotated graph
-    (recurrence objectives)."""
+    (recurrence objectives).  A tree node that several parents share is
+    one JSON object, written out once per parent."""
     cex = outcome.counterexample
     if hasattr(cex, "root"):  # tree
-        def node_json(n):
-            return {
-                "state": [n.state[0], label_json(n.state[1])],
-                "choice": None if n.choice is None else label_json(n.choice),
-                "belief": None if n.annotation is None else sorted(n.annotation),
-                "children": [node_json(c) for c in n.children],
-            }
-
-        body = {"kind": "tree", "root": node_json(cex.root)}
+        objs = {}  # id of a node -> (node, its JSON object)
+        stack = [cex.root]
+        while stack:
+            n = stack.pop()
+            if id(n) not in objs:
+                objs[id(n)] = n, {
+                    "state": [n.state[0], label_json(n.state[1])],
+                    "choice": None if n.choice is None else label_json(n.choice),
+                    "belief": sorted(n.annotation),
+                }
+                stack.extend(n.children)
+        for n, obj in objs.values():
+            obj["children"] = [objs[id(c)][1] for c in n.children]
+        body = {"kind": "tree", "root": objs[id(cex.root)][1]}
     else:  # analysis graph
         nodes = [
             {"agent": l_a, "belief": sorted(b), "mode": list(cex.modes[i])}
@@ -263,14 +269,13 @@ def _add_common(p, spec_required=True, oracle=False):
         default=2_000_000 if oracle else 1_000_000,
         help=f"state budget of {game} (default: %(default)s)",
     )
-    p.add_argument(
-        "--max-iters",
-        type=_at_least(1),
-        default=200,
-        help="not used: the oracle does not refine"
-        if oracle
-        else "refinement iteration budget (default: %(default)s)",
-    )
+    if not oracle:
+        p.add_argument(
+            "--max-iters",
+            type=_at_least(1),
+            default=200,
+            help="refinement iteration budget (default: %(default)s)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -471,8 +471,8 @@ def _target_strategy(ix, arena, objective, unsafe, won, seeds) -> tuple[dict, di
     only the ``unsafe`` ones get a mode.  The attractor to the seeds
     comes first; then traps in which the target confines the play away
     from one recurrence atom, iterated with further attractors until the
-    region is closed.  The layering keeps ranks well-founded, so
-    counterexample trees stay finite and every cycle lies in one trap.
+    region is closed.  The layering keeps ranks well-founded, so a
+    safety counterexample is acyclic and every cycle lies in one trap.
     """
     # members of each reply set outside ``won``
     missing = array("i", ix.width)
@@ -500,47 +500,6 @@ def _target_strategy(ix, arena, objective, unsafe, won, seeds) -> tuple[dict, di
         if not grown:
             return mode, choice
         layer = _target_attractor(ix, won, fresh, missing, top)
-
-
-@dataclass
-class CexTreeNode:
-    state: tuple
-    choice: object = None
-    children: list = field(default_factory=list)
-    annotation: Optional[frozenset] = None
-
-
-@dataclass
-class CounterexampleTree:
-    root: CexTreeNode
-    safety: frozenset[Atom]
-
-
-def extract_cex_tree(arena: Arena, result: SolveResult, objective: Objective) -> CounterexampleTree:
-    """Unfold the target's safety-spoiling strategy into a finite tree.
-
-    Internal nodes apply the target's positional choice and branch over
-    all agent replies; a node is a leaf exactly when its state violates
-    the safety conjunction.
-    """
-    if result.target_strategy is None:
-        raise SolverError("no target strategy to extract a counterexample from")
-    ts = result.target_strategy
-    safety = objective.safety_terms
-
-    def build(i, depth):
-        node = CexTreeNode(state=arena.states[i])
-        if any(i not in arena.atom_sets[a] for a in safety):
-            return node
-        if depth > len(arena) + 1:
-            raise SolverError("counterexample tree extraction did not terminate")
-        c = ts.choice[i]
-        node.choice = arena.labels[arena.choice_label[c]]
-        node.children = [build(r, depth + 1) for r in arena.replies_of(c)]
-        return node
-
-    root = build(arena.initial, 0)
-    return CounterexampleTree(root, frozenset(safety))
 
 
 @dataclass

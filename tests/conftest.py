@@ -182,36 +182,37 @@ def choice_labels(arena, target_strategy) -> dict:
     }
 
 
-def tree_eliminated(G, Qold, Qnew, tree, predicates=None) -> bool:
-    """Structural check of counterexample elimination for trees.
+def tree_eliminated(G, Qold, Qnew, cex, safety, predicates=None) -> bool:
+    """Structural check of counterexample elimination for safety.
 
-    Replays the old tree's target choices in the game refined from
-    ``Qold`` to ``Qnew``; the old counterexample survives only if the
-    replay keeps every new abstract belief gamma-contained in the old
-    one, reproduces the branching, and still violates the safety
-    conjunction at every leaf.  Returns True when it is eliminated.
+    Replays the target choices of the old counterexample graph ``cex``,
+    unfolded into a tree, in the game refined from ``Qold`` to ``Qnew``;
+    the old counterexample survives only if the replay keeps every new
+    abstract belief gamma-contained in the old one, reproduces the
+    branching, and still violates the ``safety`` conjunction at every
+    sink.  Returns True when it is eliminated.
     """
     predicates = predicates or {}
 
-    def walk(node, new_state):
-        if not node.children:
+    def walk(v, new_state):
+        if not cex.edges[v]:
             l_a, label = new_state
             locs = concretize(label, Qnew)
-            return all(atom_holds(G, l_a, locs, a, predicates) for a in tree.safety)
+            return all(atom_holds(G, l_a, locs, a, predicates) for a in safety)
         choices = dict(abstract_successors(G, Qnew, new_state))
-        new_label = _replayed_label(choices, node.choice)
+        new_label = _replayed_label(choices, cex.choice[v])
         if new_label is None:
             return True
-        old_child_label = node.children[0].state[1]
+        old_child_label = cex.edges[v][0][1]
         if not Qnew.gamma(new_label) <= Qold.gamma(old_child_label):
             return True
         replies = set(choices[new_label])
-        old_replies = {ch.state[0] for ch in node.children}
+        old_replies = {v2[0] for v2 in cex.edges[v]}
         if replies != old_replies:
             return True
-        return any(walk(ch, (ch.state[0], new_label)) for ch in node.children)
+        return any(walk(v2, (v2[0], new_label)) for v2 in cex.edges[v])
 
-    return walk(tree.root, G.initial)
+    return walk(cex.initial, G.initial)
 
 
 def graph_eliminated(G, Qold, Qnew, cex) -> bool:

@@ -23,7 +23,7 @@ from surveil import (
     build_belief_game,
     build_game_structure,
     cegar_loop,
-    extract_cex_tree,
+    extract_cex_graph,
     find_good_lasso,
     make_arena,
     parse_config,
@@ -75,11 +75,11 @@ def test_criterion_2_safety_analysis_and_refinement(game5, two_col_partition):
     arena = make_arena(game, game5, obj, partition=two_col_partition)
     result = solve(arena, obj)
     assert not result.agent_wins
-    tree = extract_cex_tree(arena, result, obj)
-    path = annotate_tree(game5, two_col_partition, tree)
+    D = build_analysis_graph(game5, two_col_partition, extract_cex_graph(arena, result))
+    path = annotate_tree(game5, D, obj.safety_terms)
     assert path is not CONCRETIZABLE
-    assert sorted(path[-1].annotation) == [16, 18, 22, 24]
-    refined = refine_safety(game5, two_col_partition, path)
+    assert sorted(D.beliefs[path[-1]][1]) == [16, 18, 22, 24]
+    refined = refine_safety(game5, two_col_partition, D, path)
     q1, q2 = sorted(two_col_partition.blocks.values(), key=min)
     # exactly two splits: the leaf belief out of each block, no backward
     # splits beyond that

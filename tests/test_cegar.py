@@ -4,7 +4,9 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference_cex_tree
 import reference_lasso
+import surveil.cegar
 from conftest import build_hide_reveal_cex, graph_eliminated, tree_eliminated
 from surveil import (
     CONCRETIZABLE,
@@ -12,54 +14,79 @@ from surveil import (
     CegarOutcome,
     IterationBudgetExceeded,
     PredicateDef,
+    RefinementError,
     SolverError,
     SurvAtom,
     annotate_tree,
     build_abstract_game,
     build_analysis_graph,
     build_belief_game,
+    build_game_structure,
     cegar_loop,
     extract_cex_graph,
-    extract_cex_tree,
     find_good_lasso,
     initial_partition,
     invisible_count,
     make_arena,
+    parse_config,
+    parse_grid,
     parse_spec,
+    predicates_from_grid,
     refine_liveness,
     refine_safety,
     refines,
     solve,
 )
-from surveil.cegar import AnalysisGraphD
+from surveil.cegar import AnalysisGraphD, _d_pairs
+from surveil.cli import bundled_map
 from surveil.objective import TaskAtom
 
 
-@pytest.fixture(scope="module")
-def safety_tree(game5, two_col_partition):
-    """Spurious counterexample tree for G p<=5 on the two-column split."""
-    obj = parse_spec("G p<=5")
-    game = build_abstract_game(game5, two_col_partition)
-    arena = make_arena(game, game5, obj, partition=two_col_partition)
+def _safety_cex(G, Q, obj):
+    """The solver's counterexample for the safety spec ``obj`` on ``Q``
+    and its analysis graph."""
+    game = build_abstract_game(G, Q)
+    arena = make_arena(game, G, obj, partition=Q)
     result = solve(arena, obj)
     assert not result.agent_wins
-    return extract_cex_tree(arena, result, obj)
+    cex = extract_cex_graph(arena, result)
+    return cex, build_analysis_graph(G, Q, cex)
 
 
-def test_annotate_tree_returns_expected_path(game5, two_col_partition, safety_tree):
-    path = annotate_tree(game5, two_col_partition, safety_tree)
+def _distinct_nodes(tree) -> list:
+    """The node objects of a counterexample tree, each once."""
+    seen, stack = {}, [tree.root]
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen[id(n)] = n
+            stack.extend(n.children)
+    return list(seen.values())
+
+
+@pytest.fixture(scope="module")
+def safety_cex(game5, two_col_partition):
+    """Spurious counterexample for G p<=5 on the two-column split, with
+    its analysis graph."""
+    return _safety_cex(game5, two_col_partition, parse_spec("G p<=5"))
+
+
+def test_annotate_tree_returns_expected_path(game5, two_col_partition, safety_cex):
+    _, D = safety_cex
+    path = annotate_tree(game5, D, parse_spec("G p<=5").safety_terms)
     assert path is not CONCRETIZABLE
-    assert [sorted(n.annotation) for n in path] == [
+    assert [sorted(D.beliefs[i][1]) for i in path] == [
         [18],
         [17, 23],
         [16, 18, 22, 24],
     ]
 
 
-def test_refine_safety_splits_both_blocks(game5, two_col_partition, safety_tree):
+def test_refine_safety_splits_both_blocks(game5, two_col_partition, safety_cex):
     q1, q2 = sorted(two_col_partition.blocks.values(), key=min)
-    path = annotate_tree(game5, two_col_partition, safety_tree)
-    refined = refine_safety(game5, two_col_partition, path)
+    _, D = safety_cex
+    path = annotate_tree(game5, D, parse_spec("G p<=5").safety_terms)
+    refined = refine_safety(game5, two_col_partition, D, path)
     # the leaf belief is split out of each block; nothing else moves
     assert set(refined.blocks.values()) == {
         frozenset({16}),
@@ -70,19 +97,124 @@ def test_refine_safety_splits_both_blocks(game5, two_col_partition, safety_tree)
     assert refines(refined, two_col_partition)
 
 
-def test_refine_safety_eliminates_tree(game5, two_col_partition, safety_tree):
-    path = annotate_tree(game5, two_col_partition, safety_tree)
-    refined = refine_safety(game5, two_col_partition, path)
-    assert tree_eliminated(game5, two_col_partition, refined, safety_tree)
+def test_refine_safety_eliminates_tree(game5, two_col_partition, safety_cex):
+    cex, D = safety_cex
+    safety = parse_spec("G p<=5").safety_terms
+    path = annotate_tree(game5, D, safety)
+    refined = refine_safety(game5, two_col_partition, D, path)
+    assert tree_eliminated(game5, two_col_partition, refined, cex, safety)
 
 
 def test_concrete_tree_is_not_spurious(game5):
     """On the final partition of an unrealizable run, annotation confirms
     the counterexample: every leaf belief genuinely violates safety."""
-    out = cegar_loop(game5, parse_spec("G p<=2"))
+    obj = parse_spec("G p<=2")
+    out = cegar_loop(game5, obj)
     assert out.verdict == "unrealizable"
-    result = annotate_tree(game5, out.final_partition, out.counterexample)
+    _, D = _safety_cex(game5, out.final_partition, obj)
+    result = annotate_tree(game5, D, obj.safety_terms)
     assert result is CONCRETIZABLE
+    # the outcome's tree carries those beliefs, one node per graph node
+    nodes = _distinct_nodes(out.counterexample)
+    assert len(nodes) == len(D)
+    for n in nodes:
+        if not n.children:
+            assert invisible_count(game5, n.state[0], n.annotation) > 2
+
+
+def test_annotate_tree_rejects_a_cycle(game5, two_col_partition, safety_cex):
+    """A cycle above the sinks would make the memo unsound: the walk
+    refuses it instead of looping."""
+    _, D = safety_cex
+    safety = parse_spec("G p<=5").safety_terms
+    path = annotate_tree(game5, D, safety)
+    looped = AnalysisGraphD(
+        D.beliefs, D.cex_states, D.modes,
+        {**D.edges, path[1]: (path[0],) + D.edges[path[1]]}, D.parent, D.gamma,
+    )
+    with pytest.raises(RefinementError):
+        annotate_tree(game5, looped, safety)
+
+
+def _bundled_problem(name):
+    grid = parse_grid(bundled_map(f"{name}.txt"))
+    G = build_game_structure(grid, *parse_config(bundled_map(f"{name}.cfg")))
+    return G, predicates_from_grid(grid)
+
+
+@pytest.mark.parametrize(
+    "name, spec",
+    [("paper5x5", f"G p<={k}") for k in range(1, 9)]
+    + [("bigroom", f"G p<={k}") for k in range(1, 7)],
+)
+def test_safety_walk_matches_tree_reference(monkeypatch, name, spec):
+    """On every game the CEGAR loop loses to the target, the walk over
+    the analysis graph finds the reference tree walk's path, or its
+    CONCRETIZABLE verdict."""
+    G, predicates = _bundled_problem(name)
+    obj = parse_spec(spec)
+    partitions, lost = [], []
+    build = surveil.cegar.build_abstract_game
+
+    def built(G, Q, *args, **kwargs):
+        partitions.append(Q)
+        return build(G, Q, *args, **kwargs)
+
+    def solved(arena, objective):
+        result = solve(arena, objective)
+        if not result.agent_wins:
+            lost.append((partitions[-1], arena, result))
+        return result
+
+    monkeypatch.setattr(surveil.cegar, "build_abstract_game", built)
+    monkeypatch.setattr(surveil.cegar, "solve", solved)
+    cegar_loop(G, obj, predicates=predicates)
+    assert lost
+    for Q, arena, result in lost:
+        root = reference_cex_tree.unfold(arena, result, obj)
+        want = reference_cex_tree.first_good_path(G, Q, root, obj.safety_terms, predicates)
+        D = build_analysis_graph(G, Q, extract_cex_graph(arena, result))
+        got = annotate_tree(G, D, obj.safety_terms, predicates)
+        if want is CONCRETIZABLE:
+            assert got is CONCRETIZABLE
+        else:
+            assert _d_pairs(D, got) == want
+
+
+def test_analysis_graph_bounds_the_safety_analysis(monkeypatch):
+    """liveness10x15 ``G p<=12``, whose tree unfolding has millions of
+    nodes, is decided with small analysis graphs."""
+    G, predicates = _bundled_problem("liveness10x15")
+    sizes = []
+    build = surveil.cegar.build_analysis_graph
+
+    def built(*args):
+        D = build(*args)
+        sizes.append(len(D))
+        return D
+
+    monkeypatch.setattr(surveil.cegar, "build_analysis_graph", built)
+    out = cegar_loop(G, parse_spec("G p<=12"), predicates=predicates)
+    assert (out.verdict, out.iterations) == ("realizable", 8)
+    assert sizes and max(sizes) <= 10_000
+
+
+def test_counterexample_tree_shares_its_nodes():
+    """The unrealizable tree of bigroom ``G p<=3`` has no more distinct
+    nodes than its analysis graph, and unfolds to the reference tree."""
+    G, predicates = _bundled_problem("bigroom")
+    obj = parse_spec("G p<=3")
+    out = cegar_loop(G, obj, predicates=predicates)
+    assert out.verdict == "unrealizable"
+    result = solve(out.arena, obj)
+    D = build_analysis_graph(G, out.final_partition, extract_cex_graph(out.arena, result))
+    assert len(_distinct_nodes(out.counterexample)) <= len(D)
+    want = reference_cex_tree.unfold(out.arena, result, obj)
+    reference_cex_tree.first_good_path(G, out.final_partition, want, obj.safety_terms)
+    pairs = zip(reference_cex_tree.nodes(want), reference_cex_tree.nodes(out.counterexample.root))
+    for a, b in pairs:
+        assert (a.state, a.choice, a.annotation) == (b.state, b.choice, b.annotation)
+        assert len(a.children) == len(b.children)
 
 
 def test_hide_reveal_graph_is_a_valid_counterexample(game5, two_col_partition):

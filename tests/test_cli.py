@@ -489,6 +489,14 @@ def test_impossible_counts_are_usage_errors(paths, capsys, argv, message):
     assert f"error: {message}\n" in err
 
 
+def test_oracle_has_no_iteration_budget(paths, capsys):
+    """The oracle does not refine, so it takes no ``--max-iters``."""
+    with pytest.raises(SystemExit) as exc:
+        run(["oracle", "--map", paths["map"], "--spec", paths["p3"], "--max-iters", "1"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --max-iters 1" in capsys.readouterr().err
+
+
 def test_zero_steps_simulate_only_the_start(paths, capsys):
     assert run(["simulate", "--map", paths["map"], "--spec", paths["p3"],
                 "--steps", "0"]) == 0

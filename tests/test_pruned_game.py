@@ -18,13 +18,13 @@ from reference_game import tuple_moves
 from surveil import (
     atom_holds,
     build_abstract_game,
+    build_analysis_graph,
     build_belief_game,
     build_game_structure,
     cegar_loop,
     concretize,
     export_strategy,
     extract_cex_graph,
-    extract_cex_tree,
     initial_partition,
     make_arena,
     parse_config,
@@ -34,6 +34,7 @@ from surveil import (
     solve,
 )
 from surveil.belief import belief_key, label_json
+from surveil.cegar import counterexample_tree
 from surveil.cli import bundled_map
 
 # the specs of acceptance criterion 5
@@ -52,6 +53,7 @@ def _tree_json(node):
     return {
         "state": _state_json(node.state),
         "choice": None if node.choice is None else label_json(node.choice),
+        "belief": sorted(node.annotation),
         "children": [_tree_json(c) for c in node.children],
     }
 
@@ -121,12 +123,14 @@ def assert_pruned_equivalent(G, objective, predicates, partition=None):
     ts = got.target_strategy
     for i, c in ts.choice.items():
         assert (c is None) == (ts.mode[i] == ("unsafe",))
-    if not objective.recurrence_terms:
-        tree_p = extract_cex_tree(arena_p, got, objective)
-        tree_f = extract_cex_tree(arena_f, want, objective)
-        assert _tree_json(tree_p.root) == _tree_json(tree_f.root)
     graph_p = extract_cex_graph(arena_p, got)
     graph_f = extract_cex_graph(arena_f, want)
+    if not objective.recurrence_terms:
+        tree_p, tree_f = (
+            counterexample_tree(build_analysis_graph(G, partition, g), g)
+            for g in (graph_p, graph_f)
+        )
+        assert _tree_json(tree_p.root) == _tree_json(tree_f.root)
     assert all(graph_p.choice[s] is None for s, m in graph_p.mode.items() if m == ("unsafe",))
     assert _graph_json(graph_p, True) == _graph_json(graph_f, True)
 

@@ -14,17 +14,18 @@ from surveil import (
     SolverError,
     SurveillanceGameStructure,
     build_abstract_game,
+    build_analysis_graph,
     build_belief_game,
     cegar_loop,
     export_strategy,
     extract_cex_graph,
-    extract_cex_tree,
     make_arena,
     parse_spec,
     solve,
     validate_assumptions,
 )
 from surveil.belief import label_json
+from surveil.cegar import counterexample_tree
 from surveil.objective import Objective, TaskAtom
 from surveil.solver import Arena, _Index
 
@@ -188,7 +189,8 @@ def test_cex_tree_leaves_violate_safety(game5, two_col_partition):
     arena = make_arena(game, game5, obj, partition=two_col_partition)
     result = solve(arena, obj)
     assert not result.agent_wins
-    tree = extract_cex_tree(arena, result, obj)
+    cex = extract_cex_graph(arena, result)
+    tree = counterexample_tree(build_analysis_graph(game5, two_col_partition, cex), cex)
     index = {s: i for i, s in enumerate(arena.states)}
     leaves = [n for n in _tree_nodes(tree) if not n.children]
     assert leaves
@@ -222,7 +224,7 @@ def test_no_target_strategy_error(exact_arena_factory):
     obj, arena = exact_arena_factory("G p<=3")
     result = solve(arena, obj)
     with pytest.raises(SolverError):
-        extract_cex_tree(arena, result, obj)
+        extract_cex_graph(arena, result)
 
 
 def test_make_arena_rejects_choice_without_reply():

@@ -31,13 +31,15 @@ def _load_tracing():
 @contextlib.contextmanager
 def _traced(label):
     """The tracer installed for one case; yields the tracer and the case,
-    and restores every rebound function on the way out."""
+    and restores every rebound function on the way out.  A target that
+    the library no longer has is left out, as the tracer leaves it."""
     tracing = _load_tracing()
     bound = [
         (module, attr, getattr(module, attr))
         for module, attr in {
             (importlib.import_module(name), attr) for name, attr, *_ in tracing.TARGETS
         }
+        if hasattr(module, attr)
     ]
     tracer = tracing.Tracer()
     try:
@@ -96,6 +98,23 @@ def test_traced_liveness_run_counts_analysis_nodes():
         outcome = _synth("GF p<=2")
     assert outcome.verdict == "realizable"
     assert tracer.absent == set()
+    assert case.counts["cegar.analysis_nodes"] > 0
+
+
+def test_traced_safety_run_times_its_analysis():
+    """A safety spec is analysed on the analysis graph too: its walk and
+    its refinement are timed by name, and its nodes are counted."""
+    with _traced("paper5x5 G p<=3") as (tracer, case):
+        outcome = _synth("G p<=3")
+    assert outcome.verdict == "realizable"
+    assert tracer.absent == set()
+    spans = {name for name, *_ in case.spans}
+    assert {
+        "solver.extract_cex",
+        "cegar.build_analysis_graph",
+        "cegar.annotate_tree",
+        "cegar.refine_safety",
+    } <= spans
     assert case.counts["cegar.analysis_nodes"] > 0
 
 
