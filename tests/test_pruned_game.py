@@ -126,6 +126,9 @@ def assert_pruned_equivalent(G, objective, predicates, partition=None):
     graph_p = extract_cex_graph(arena_p, got)
     graph_f = extract_cex_graph(arena_f, want)
     if not objective.recurrence_terms:
+        # the reported tree is a function of the analysis graph, so this
+        # holds once the graphs match; it also runs the analysis on the
+        # exact game, where ``partition`` is None
         tree_p, tree_f = (
             counterexample_tree(build_analysis_graph(G, partition, g), g)
             for g in (graph_p, graph_f)
