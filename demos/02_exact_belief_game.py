@@ -1,20 +1,23 @@
 """Solve the explicit belief-set game as a ground-truth oracle.
 
 Builds every reachable belief state of the 5x5 arena and solves a few
-objectives directly, without any abstraction.  This only works on tiny
-maps; the abstraction loop in demo 03 exists precisely because this
-construction blows up elsewhere.
+objectives directly.  The exact game is the abstract game under the
+finest partition, one block per cell, whose block-set labels are the
+beliefs themselves.  This only works on tiny maps; the abstraction loop
+in demo 03 exists precisely because this construction blows up
+elsewhere.
 """
 
 from surveil import (
     MotionConfig,
     VisionConfig,
-    belief_successors,
-    build_belief_game,
+    abstract_successors,
+    build_abstract_game,
     build_game_structure,
     make_arena,
     parse_grid,
     parse_spec,
+    singletons,
     solve,
 )
 from surveil.cli import bundled_map
@@ -23,20 +26,24 @@ from surveil.cli import bundled_map
 def main():
     grid = parse_grid(bundled_map("paper5x5.txt"))
     G = build_game_structure(grid, MotionConfig(), VisionConfig())
+    Q = singletons(G)
 
-    print("belief successors of the initial belief state (4, {18}):")
-    for B, replies in belief_successors(G, (4, frozenset({18}))):
-        kind = "seen at" if len(B) == 1 and G.vis(4, next(iter(B))) else "hidden in"
-        print(f"  {kind} {sorted(B)}, agent replies {sorted(replies)}")
+    print("belief successors of the initial state (agent 4, target seen at 18):")
+    for B, replies in abstract_successors(G, Q, G.initial):
+        # a seen target is its cell; an unseen one is the set it may be in
+        kind = "seen at" if isinstance(B, int) else "hidden in"
+        print(f"  {kind} {sorted(Q.gamma(B))}, agent replies {sorted(replies)}")
     print()
 
-    game = build_belief_game(G)
-    print(f"reachable belief states: {len(game)}")
+    game = build_abstract_game(G, Q)
+    beliefs = {(l_a, Q.gamma(b)) for l_a, b in game.states}
+    print(f"reachable belief states: {len(game)}, "
+          f"{len(beliefs)} distinct (agent cell, belief) pairs")
     print()
 
     for spec in ("G p<=2", "G p<=3", "GF p<=1"):
         obj = parse_spec(spec)
-        arena = make_arena(game, G, obj)
+        arena = make_arena(game, G, obj, partition=Q)
         result = solve(arena, obj)
         verdict = "realizable" if result.agent_wins else "unrealizable"
         print(f"  {spec:10s} -> {verdict}")

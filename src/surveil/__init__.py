@@ -12,8 +12,10 @@ from .abstraction import (
     PartitionError,
     abstract_successors,
     build_abstract_game,
+    build_belief_game,
     initial_partition,
     refines,
+    singletons,
 )
 from .belief import (
     BudgetExceeded,
@@ -21,7 +23,6 @@ from .belief import (
     PredicateError,
     atom_holds,
     belief_successors,
-    build_belief_game,
     check_observable,
     concretize,
     invisible_count,

@@ -3,7 +3,8 @@
 A partition groups target locations into blocks; abstract beliefs are
 sets of block ids (or a concrete location while the target is visible).
 Coarser partitions give smaller games at the price of over-approximated
-beliefs.
+beliefs.  The finest partition, :func:`singletons`, gives the exact
+belief game, the oracle that the abstraction is checked against.
 
 The abstract game is built for a specification's safety terms: a state
 whose concretized belief breaks one of them is a sink without choices,
@@ -12,14 +13,17 @@ and is not expanded (:func:`build_abstract_game` gives the reason).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from .belief import (
+    BudgetExceeded,
     PredicateDef,
     TurnGame,
-    _explore,
+    belief_key,
     belief_moves,
     safety_test,
     target_moves,
@@ -151,6 +155,14 @@ def initial_partition(
     return Partition(blocks, frozenset(G.target_locations))
 
 
+def singletons(G: SurveillanceGameStructure) -> Partition:
+    """The partition with one block per target location, whose id is the
+    location.  Under it a block-set label is the exact belief itself, and
+    :func:`build_abstract_game` builds the exact belief game."""
+    cells = frozenset(G.target_locations)
+    return Partition({c: frozenset({c}) for c in sorted(cells)}, cells)
+
+
 def abstract_successors(G: SurveillanceGameStructure, Q: Partition, state, records=None):
     """Abstract choices and agent replies from an abstract state.
 
@@ -172,6 +184,90 @@ def abstract_successors(G: SurveillanceGameStructure, Q: Partition, state, recor
         unseen, replies = invisible
         visible.append((Q.alpha_mask(unseen), replies))
     return visible
+
+
+def _explore(initial, successors, max_states) -> TurnGame:
+    """Enumerate the game reachable from ``initial`` breadth first.
+
+    A state gets a number when it is first found, and each distinct
+    belief is interned once.  Each distinct pair of a belief and a tuple
+    of agent cells is interned once too, as a reply set, whose members
+    are numbered and appended to one flat array.  One permutation at the
+    end puts states and beliefs in canonical order and renumbers the set
+    members; choices keep the order ``successors`` gives them, and sets
+    keep the order they were found in.  Every set belongs to one belief,
+    so a choice's belief is read off its set.
+    """
+    l_a0, label0 = initial
+    labels = [label0]
+    label_id = {label0: 0}
+    # per belief id: agent cell -> number of the state (cell, belief),
+    # and agent-cell tuple -> reply set id
+    numbered = [{l_a0: 0}]
+    set_ids = [{}]
+    found = [initial]
+    found_label = array("i", [0])
+    # per reply set: its belief id and its width
+    set_label, widths = array("i"), array("i")
+    n_choices, choice_set, replies = array("i"), array("i"), array("i")
+    get_label, add_choice, add_reply = label_id.get, choice_set.append, replies.append
+    # ``found`` is its own queue: the loop reaches the states it appends
+    for state in found:
+        out = successors(state)
+        n_choices.append(len(out))
+        for label, agent_cells in out:
+            lid = get_label(label)
+            if lid is None:
+                lid = label_id[label] = len(labels)
+                labels.append(label)
+                numbered.append({})
+                set_ids.append({})
+            sets = set_ids[lid]
+            s = sets.get(agent_cells)
+            if s is None:
+                s = sets[agent_cells] = len(widths)
+                set_label.append(lid)
+                widths.append(len(agent_cells))
+                # the interned object, which the new states share
+                label, at = labels[lid], numbered[lid]
+                for l_a2 in agent_cells:
+                    j = at.get(l_a2)
+                    if j is None:
+                        if len(found) >= max_states:
+                            raise BudgetExceeded(f"state budget of {max_states} exceeded")
+                        j = at[l_a2] = len(found)
+                        found.append((l_a2, label))
+                        found_label.append(lid)
+                    add_reply(j)
+            add_choice(s)
+
+    # canonical order: beliefs by belief_key, states by (cell, belief)
+    n_labels = len(labels)
+    by_key = sorted(range(n_labels), key=lambda k: belief_key(labels[k]))
+    rank = [0] * n_labels
+    for r, k in enumerate(by_key):
+        rank[k] = r
+    keys = [s[0] * n_labels + rank[k] for s, k in zip(found, found_label)]
+    order = sorted(range(len(found)), key=keys.__getitem__)
+    number = [0] * len(order)
+    for i, d in enumerate(order):
+        number[d] = i
+    set_rank = list(map(rank.__getitem__, set_label))
+    choice_at = array("i", accumulate(n_choices, initial=0))
+    sets_out = array("i")
+    for d in order:
+        sets_out += choice_set[choice_at[d] : choice_at[d + 1]]
+    # an array fills about twice as fast from a list as from an iterator
+    return TurnGame(
+        [found[d] for d in order],
+        number[0],
+        [labels[k] for k in by_key],
+        array("i", accumulate(map(n_choices.__getitem__, order), initial=0)),
+        array("i", list(map(set_rank.__getitem__, sets_out))),
+        sets_out,
+        array("i", accumulate(widths, initial=0)),
+        array("i", list(map(number.__getitem__, replies))),
+    )
 
 
 def build_abstract_game(
@@ -199,8 +295,8 @@ def build_abstract_game(
       whatever its choices are;
     * for every other state, each quantity :func:`~surveil.solver.solve`
       computes (attractor ranks, the first winning choice in canonical
-      order, traps, Buchi ranks and the controllable predecessor)
-      depends only on the states reachable from it through safe states,
+      order, traps and Buchi ranks) depends only on the states reachable
+      from it through safe states,
       and those keep their choices;
     * :func:`~surveil.solver.extract_cex_graph` makes unsafe nodes
       sinks;
@@ -228,3 +324,9 @@ def build_abstract_game(
         return ()
 
     return _explore(G.initial, successors, max_states)
+
+
+def build_belief_game(G, max_states=2_000_000, safety=frozenset(), predicates=None) -> TurnGame:
+    """The exact belief game: :func:`build_abstract_game` under
+    :func:`singletons`."""
+    return build_abstract_game(G, singletons(G), max_states, safety, predicates)

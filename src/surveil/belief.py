@@ -1,13 +1,14 @@
-"""Exact belief-set game construction and predicate evaluation.
+"""Beliefs, their successor kernel, predicates and the flat turn game.
 
-The belief game is the oracle semantics: agent location paired with the
-set of target locations considered possible.  After every transition a
-belief is either a visible singleton or a set of all-invisible locations.
-
-A game built for a specification's safety terms does not expand a state
-that breaks one of them: the target has won every play through it, so
-the state stays a sink without choices, and whatever is reachable only
-through such states is never built.
+A belief is the set of target locations the agent considers possible.
+After every target move it is either a location the agent sees or the
+set of locations the target may have landed on unseen.  The kernel here
+(:func:`belief_moves`, :func:`landing_cells`, :func:`target_moves`)
+expands beliefs for every game the package builds.  The exact belief
+game, the oracle semantics, is the abstract game under the partition
+into one block per location (:func:`~surveil.abstraction.singletons`),
+whose block-set labels are the beliefs themselves; there is no second
+builder for it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .objective import SurvAtom
 from .structure import SurveillanceGameStructure
@@ -71,11 +72,10 @@ def check_observable(G: SurveillanceGameStructure, pred: PredicateDef) -> None:
 
 
 def concretize(belief, partition=None) -> frozenset[int]:
-    """Concrete target locations denoted by a belief.
-
-    With a partition, frozenset beliefs are block-id sets and are expanded
-    through it; without one they are already concrete location sets.
-    """
+    """Concrete target locations denoted by a label: a seen location is
+    itself, and a block-id set is expanded through ``partition``.
+    Without one the block ids are taken as locations, which they are
+    under :func:`~surveil.abstraction.singletons`."""
     if isinstance(belief, int):
         return frozenset({belief})
     if partition is not None:
@@ -179,8 +179,8 @@ def target_moves(G: SurveillanceGameStructure, l_a: int, belief: BeliefMoves):
     replies)`` for the mask of all invisible successors, or None when
     there are none.  Its replies come from one representative move, the
     first invisible one in sorted-belief order, which is enough under
-    invisible-independence.  Both the exact and the abstract game expand
-    their states through this function.
+    invisible-independence.  Every game expands its states through this
+    function.
     """
     seen, unseen = landing_cells(G, l_a, belief)
     masks = G.masks
@@ -209,38 +209,22 @@ def target_moves(G: SurveillanceGameStructure, l_a: int, belief: BeliefMoves):
     return moves, (unseen, replies.get(first, ball))
 
 
-def belief_successors(G: SurveillanceGameStructure, state, records=None, beliefs=None):
-    """Target belief choices and agent replies from an exact belief state.
+def belief_successors(G: SurveillanceGameStructure, state):
+    """Target belief choices and agent replies from an exact belief state
+    ``(l_a, belief)``, with each belief a set of locations.
 
-    Returns a list of ``(new_belief, replies)`` pairs: one visible
-    singleton per observable successor location, plus at most one
-    all-invisible set.  Sorted canonically (visible by location, invisible
-    set last).  ``records`` maps beliefs to their :class:`BeliefMoves`
-    records, and ``beliefs`` maps a cell mask (a visible move's bit, or
-    the invisible cells) to its belief; a missing entry is made and added
-    to them.
+    Returns a list of ``(new_belief, replies)`` pairs: one singleton per
+    location the agent sees the target land on, by location, then at
+    most one set of all the unseen ones.  No game is built from it; the
+    benchmark's output checks and the tests' reference game read the
+    target's moves through it.
     """
     l_a, belief = state
-    if records is None:
-        records = {}
-    if beliefs is None:
-        beliefs = {}
-    moves = records.get(belief)
-    if moves is None:
-        moves = records[belief] = belief_moves(G, belief)
-    visible, invisible = target_moves(G, l_a, moves)
-    choices = []
-    for l_t2, replies in visible:
-        out = beliefs.get(1 << l_t2)
-        if out is None:
-            out = beliefs[1 << l_t2] = frozenset({l_t2})
-        choices.append((out, replies))
+    visible, invisible = target_moves(G, l_a, belief_moves(G, belief))
+    choices = [(frozenset({l_t2}), replies) for l_t2, replies in visible]
     if invisible is not None:
         unseen, replies = invisible
-        out = beliefs.get(unseen)
-        if out is None:
-            out = beliefs[unseen] = G.cells_of(unseen)
-        choices.append((out, replies))
+        choices.append((G.cells_of(unseen), replies))
     return choices
 
 
@@ -322,125 +306,3 @@ def belief_key(belief):
 def label_json(label):
     """A belief as JSON: a cell stays an int, a set becomes a sorted list."""
     return label if isinstance(label, int) else sorted(label)
-
-
-def _explore(initial, successors, max_states) -> TurnGame:
-    """Enumerate the game reachable from ``initial`` breadth first.
-
-    A state gets a number when it is first found, and each distinct
-    belief is interned once.  Each distinct pair of a belief and a tuple
-    of agent cells is interned once too, as a reply set, whose members
-    are numbered and appended to one flat array.  One permutation at the
-    end puts states and beliefs in canonical order and renumbers the set
-    members; choices keep the order ``successors`` gives them, and sets
-    keep the order they were found in.  Every set belongs to one belief,
-    so a choice's belief is read off its set.
-    """
-    l_a0, label0 = initial
-    labels = [label0]
-    label_id = {label0: 0}
-    # per belief id: agent cell -> number of the state (cell, belief),
-    # and agent-cell tuple -> reply set id
-    numbered = [{l_a0: 0}]
-    set_ids = [{}]
-    found = [initial]
-    found_label = array("i", [0])
-    # per reply set: its belief id and its width
-    set_label, widths = array("i"), array("i")
-    n_choices, choice_set, replies = array("i"), array("i"), array("i")
-    get_label, add_choice, add_reply = label_id.get, choice_set.append, replies.append
-    # ``found`` is its own queue: the loop reaches the states it appends
-    for state in found:
-        out = successors(state)
-        n_choices.append(len(out))
-        for label, agent_cells in out:
-            lid = get_label(label)
-            if lid is None:
-                lid = label_id[label] = len(labels)
-                labels.append(label)
-                numbered.append({})
-                set_ids.append({})
-            sets = set_ids[lid]
-            s = sets.get(agent_cells)
-            if s is None:
-                s = sets[agent_cells] = len(widths)
-                set_label.append(lid)
-                widths.append(len(agent_cells))
-                # the interned object, which the new states share
-                label, at = labels[lid], numbered[lid]
-                for l_a2 in agent_cells:
-                    j = at.get(l_a2)
-                    if j is None:
-                        if len(found) >= max_states:
-                            raise BudgetExceeded(f"state budget of {max_states} exceeded")
-                        j = at[l_a2] = len(found)
-                        found.append((l_a2, label))
-                        found_label.append(lid)
-                    add_reply(j)
-            add_choice(s)
-
-    # canonical order: beliefs by belief_key, states by (cell, belief)
-    n_labels = len(labels)
-    by_key = sorted(range(n_labels), key=lambda k: belief_key(labels[k]))
-    rank = [0] * n_labels
-    for r, k in enumerate(by_key):
-        rank[k] = r
-    keys = [s[0] * n_labels + rank[k] for s, k in zip(found, found_label)]
-    order = sorted(range(len(found)), key=keys.__getitem__)
-    number = [0] * len(order)
-    for i, d in enumerate(order):
-        number[d] = i
-    set_rank = list(map(rank.__getitem__, set_label))
-    choice_at = array("i", accumulate(n_choices, initial=0))
-    sets_out = array("i")
-    for d in order:
-        sets_out += choice_set[choice_at[d] : choice_at[d + 1]]
-    # an array fills about twice as fast from a list as from an iterator
-    return TurnGame(
-        [found[d] for d in order],
-        number[0],
-        [labels[k] for k in by_key],
-        array("i", accumulate(map(n_choices.__getitem__, order), initial=0)),
-        array("i", list(map(set_rank.__getitem__, sets_out))),
-        sets_out,
-        array("i", accumulate(widths, initial=0)),
-        array("i", list(map(number.__getitem__, replies))),
-    )
-
-
-def build_belief_game(
-    G: SurveillanceGameStructure,
-    max_states: int = 2_000_000,
-    safety: frozenset = frozenset(),
-    predicates: Optional[dict[str, PredicateDef]] = None,
-) -> TurnGame:
-    """Enumerate the reachable exact belief game (the oracle).
-
-    A state whose belief breaks one of the ``safety`` atoms is not
-    expanded (see :func:`~surveil.abstraction.build_abstract_game` for
-    why no verdict or strategy changes); without them every state is
-    expanded.  ``predicates`` must declare each task atom of ``safety``.
-    Raises :class:`BudgetExceeded` past ``max_states``; the
-    exponential blow-up of the construction is the reason the
-    abstraction exists.
-    """
-    l_a0, l_t0 = G.initial
-    initial = (l_a0, frozenset({l_t0}))
-    # one BeliefMoves record per belief and one belief per invisible
-    # mask, for the whole exploration
-    records: dict = {}
-    beliefs: dict = {}
-
-    test = safety_test(G, safety, predicates)
-
-    def successors(state):
-        l_a, belief = state
-        holds = test(belief)
-        if holds is not None and not holds(l_a):
-            return ()
-        # an invisible set can sort before a visible singleton
-        return sorted(
-            belief_successors(G, state, records, beliefs), key=lambda cr: belief_key(cr[0])
-        )
-
-    return _explore(initial, successors, max_states)

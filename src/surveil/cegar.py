@@ -17,7 +17,7 @@ from itertools import compress
 from typing import Optional
 
 from .abstraction import Partition, build_abstract_game, initial_partition, refines
-from .belief import PredicateDef, atom_holds, belief_moves, concretize, landing_cells
+from .belief import PredicateDef, atom_holds, belief_moves, landing_cells
 from .objective import Objective
 from .solver import (
     Arena,
@@ -45,8 +45,7 @@ def _belief_step(G, Q):
     invisible landing cells that lie under the label.  The step keeps
     one :class:`~surveil.belief.BeliefMoves` record per belief, one cell
     mask per label and one belief per mask, which the steps to it share,
-    for as long as it lives.  With ``Q`` None the labels are the exact
-    game's cell sets.
+    for as long as it lives.
     """
     records: dict = {}
     masks: dict = {}
@@ -63,7 +62,7 @@ def _belief_step(G, Q):
             moves = records[belief] = belief_moves(G, belief)
         mask = masks.get(label)
         if mask is None:
-            mask = masks[label] = cell_mask(concretize(label, Q))
+            mask = masks[label] = cell_mask(Q.gamma(label))
         unseen = landing_cells(G, l_a, moves)[1] & mask
         out = beliefs.get(unseen)
         if out is None:
@@ -84,7 +83,7 @@ def split_along(G: SurveillanceGameStructure, Q: Partition, pairs) -> Partition:
     location's invisible successors are the unseen landing cells of its
     singleton belief, as a mask.
     """
-    gammas = [concretize(label, Q) for _, label, _ in pairs]
+    gammas = [Q.gamma(label) for _, label, _ in pairs]
     n = len(pairs) - 1
     l_a_n, label_n, belief_n = pairs[n]
     result = Q
@@ -163,7 +162,7 @@ def build_analysis_graph(
     """
     labels = {v[1] for v in cex.edges}.union(cex.choice.values())
     labels.discard(None)
-    gamma = {label: concretize(label, Q) for label in labels}
+    gamma = {label: Q.gamma(label) for label in labels}
     step = _belief_step(G, Q)
     l_a0, l_t0 = G.initial
     d0 = ((l_a0, frozenset({l_t0})), cex.initial)

@@ -14,11 +14,10 @@ import json
 import sys
 from importlib import resources
 
-from .abstraction import PartitionError
+from .abstraction import PartitionError, build_abstract_game, singletons
 from .belief import (
     BudgetExceeded,
     PredicateError,
-    build_belief_game,
     check_observable,
     label_json,
     predicates_from_grid,
@@ -192,15 +191,15 @@ def _counterexample_json(outcome) -> dict:
 def cmd_oracle(args) -> int:
     grid, G, objective, predicates, digest = _load_problem(args)
     check_predicates(objective, predicates)
-    game = build_belief_game(
-        G, args.max_states, objective.safety_terms, predicates
-    )
-    arena = make_arena(game, G, objective, predicates)
+    # the exact belief game is the abstract game under the finest partition
+    Q = singletons(G)
+    game = build_abstract_game(G, Q, args.max_states, objective.safety_terms, predicates)
+    arena = make_arena(game, G, objective, predicates, Q)
     result = solve(arena, objective)
     print(f"states={len(arena)} realizable={result.agent_wins}")
     if result.agent_wins:
         if args.out:
-            payload = export_strategy(arena, result.agent_strategy, digest)
+            payload = export_strategy(arena, result.agent_strategy, digest, Q)
             _write_out(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return EXIT_OK
     return EXIT_UNREALIZABLE

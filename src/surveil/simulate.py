@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .abstraction import Partition
-from .belief import belief_moves, concretize, label_json, landing_cells
+from .belief import belief_moves, label_json, landing_cells
 from .grid import GridWorld
 from .solver import Arena, StrategyData
 from .structure import SurveillanceGameStructure
@@ -29,18 +29,18 @@ class SimulationError(RuntimeError):
 class StrategyRunner:
     """Steps a finite-memory controller along observed target moves.
 
-    ``set_move[i]`` is the controller's block-set move in state ``i``,
-    which it plays while the agent does not see the target; a controller
-    with two block-set moves in one state is rejected.  Without a
-    partition the controller is one of the exact game, where every move
-    is a set: the singleton of a cell that the agent sees is that cell's
-    visible move.
+    A move labelled by a location is played when the agent sees the
+    target land there.  ``set_move[i]`` is the controller's block-set
+    move in state ``i`` under ``partition``, which it plays while the
+    agent does not see the target; a controller with two block-set moves
+    in one state is rejected.  An exact-game controller is one under
+    :func:`~surveil.abstraction.singletons`, and reads the same way.
     """
 
     G: SurveillanceGameStructure
     arena: Arena
     strategy: StrategyData
-    partition: Optional[Partition] = None
+    partition: Partition
     state: int = field(init=False)
     memory: int = field(init=False)
     set_move: dict = field(init=False, repr=False)
@@ -52,17 +52,8 @@ class StrategyRunner:
             raise SimulationError("initial state is not in the winning region")
         self.set_move = {}
         for i, _, c in self.strategy.moves:
-            if not self._visible(i, c) and self.set_move.setdefault(i, c) != c:
+            if not isinstance(c, int) and self.set_move.setdefault(i, c) != c:
                 raise SimulationError(f"controller has two block-set moves in state {i}")
-
-    def _visible(self, i: int, c) -> bool:
-        """Whether the move ``c`` of state ``i`` is a visible move."""
-        if isinstance(c, int):
-            return True
-        if self.partition is not None or len(c) != 1:
-            return False
-        (cell,) = c
-        return self.G.vis(self.arena.states[i][0], cell)
 
     @property
     def abstract_state(self):
@@ -72,7 +63,7 @@ class StrategyRunner:
         """Feed the target's observation; returns the agent's next cell."""
         l_a, _ = self.arena.states[self.state]
         if self.G.vis(l_a, target_loc):
-            choice = target_loc if self.partition is not None else frozenset({target_loc})
+            choice = target_loc
         else:
             choice = self.set_move.get(self.state)
             if choice is None:
@@ -98,14 +89,20 @@ def load_runner(
     winning region or moves name a state index it does not list, whose
     ``memory_count`` is not a positive int, whose moves use a memory
     outside ``range(memory_count)``, whose states name a cell or block id
-    the map or its partition lacks, or whose partition does not cover
-    exactly the map's target cells.
+    the map or its partition lacks, or whose ``blocks``, the partition
+    its block-set labels refer to, is missing or does not cover exactly
+    the map's target cells.
     """
     if not isinstance(payload, dict):
         raise SimulationError("strategy file must hold a JSON object")
     if expected_digest is not None and payload.get("digest") != expected_digest:
         raise SimulationError(
             "strategy file was synthesized for a different map or config"
+        )
+    if not isinstance(payload.get("blocks"), dict):
+        raise SimulationError(
+            'strategy file has no partition: "blocks" must map block ids to '
+            "cells; export the controller again"
         )
     try:
         states = [
@@ -140,13 +137,10 @@ def load_runner(
             raise SimulationError(
                 f"strategy file uses memory {bad[0]!r}, but has memory_count {count}"
             )
-        partition = None
-        if payload.get("blocks"):
-            blocks = {
-                int(bid): frozenset(cells)
-                for bid, cells in payload["blocks"].items()
-            }
-            partition = Partition(blocks, G.target_locations)
+        blocks = {
+            int(bid): frozenset(cells) for bid, cells in payload["blocks"].items()
+        }
+        partition = Partition(blocks, G.target_locations)
         _check_cells(G, states, partition)
     except (KeyError, TypeError, ValueError) as exc:
         raise SimulationError(f"malformed strategy file: {exc}") from exc
@@ -154,14 +148,11 @@ def load_runner(
     return StrategyRunner(G, arena, strategy, partition)
 
 
-def _check_cells(G: SurveillanceGameStructure, states, partition) -> None:
+def _check_cells(G: SurveillanceGameStructure, states, partition: Partition) -> None:
     """Every state's agent and target cells must be cells of ``G``, and
-    every block-set label must name blocks of ``partition`` (target
-    cells of ``G`` without one)."""
+    every block-set label must name blocks of ``partition``."""
     agents, targets = G.agent_locations, G.target_locations
-    ids, kind = targets, "target cells of the map"
-    if partition is not None:
-        ids, kind = frozenset(partition.blocks), "blocks of its partition"
+    ids = frozenset(partition.blocks)
     for i, (l_a, label) in enumerate(states):
         if l_a not in agents:
             raise SimulationError(
@@ -177,7 +168,7 @@ def _check_cells(G: SurveillanceGameStructure, states, partition) -> None:
         elif not label <= ids:
             raise SimulationError(
                 f"strategy file state {i} names {sorted(label - ids)}, "
-                f"which are not {kind}"
+                "which are not blocks of its partition"
             )
 
 
@@ -311,7 +302,7 @@ def simulate(
         label = runner.abstract_state[1]
         if l_t2 not in belief:
             raise SimulationError("true target location left the exact belief")
-        if not belief <= concretize(label, runner.partition):
+        if not belief <= runner.partition.gamma(label):
             raise SimulationError("exact belief left the abstract belief")
         l_a, l_t = l_a2, l_t2
         trace.append(TraceStep(n, l_t, l_a, belief, label))

@@ -8,9 +8,9 @@ times.  Each game is solved from the target's side first: its attractor
 to the unsafe states, then traps away from a recurrence atom (each the
 complement of the agent's attractor to the atom) and the attractors to
 them, until its region is closed.  The rest is the agent's region, and
-one round of the generalized-Buchi fixpoint on it (the controllable
-predecessor and the agent's attractor to each recurrence atom) gives the
-agent's controller, with a memory index cycling through the atoms.
+one round of the generalized-Buchi fixpoint on it (the agent's
+attractor to each recurrence atom) gives the agent's controller, with a
+memory index cycling through the atoms.
 """
 
 from __future__ import annotations
@@ -75,7 +75,9 @@ def make_arena(
     predicates: Optional[dict[str, PredicateDef]] = None,
     partition=None,
 ) -> Arena:
-    """Evaluate the objective's atoms on a belief or abstract game.
+    """Evaluate the objective's atoms on the abstract game for
+    ``partition``.  Without one, block ids are read as cells, which they
+    are under :func:`~surveil.abstraction.singletons`.
 
     The arena shares the game's arrays.  Raises :class:`SolverError` for
     an undeclared task predicate (:func:`check_predicates`) and for a
@@ -158,20 +160,6 @@ class _Index:
 
     def users_of(self, k: int) -> array:
         return self.users[self.user_off[k] : self.user_off[k + 1]]
-
-    def cpre(self, W) -> frozenset[int]:
-        """States where, whatever the target picks, some agent reply
-        stays in W."""
-        hit = bytearray(len(self.width))
-        for j in W:
-            for k in self.preds_of(j):
-                hit[k] = 1
-        # per choice: whether its set is hit
-        hit = bytes(map(hit.__getitem__, self.cset))
-        start = self.start
-        return frozenset(
-            i for i in range(self.n) if hit.find(0, start[i], start[i + 1]) < 0
-        )
 
 
 def _attractor(ix: _Index, target, domain: bytearray, covered=None) -> array:
@@ -342,7 +330,11 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
     lacks the initial state, the layering is the target's strategy.
     Otherwise one round of the generalized-Buchi fixpoint on ``Z`` ranks
     the agent's states: per recurrence atom ``F_j``, its attractor in
-    ``Z`` to the core ``F_j & Z & cpre(Z)``, which must rank all of ``Z``.
+    ``Z`` to the core ``F_j & Z``, which must rank all of ``Z``.  The
+    fixpoint's core is ``F_j & Z & cpre(Z)``, with ``cpre`` the agent's
+    controllable predecessor, but ``Z`` lies inside ``cpre(Z)``: every
+    choice of a ``Z`` state has replies, and one whose replies all left
+    ``Z`` would have put its state in the target's attractor.
 
     The two regions need no cross-check.  The layering certifies that
     the target wins outside ``Z``: its ranks fall until a trap or a seed,
@@ -366,9 +358,9 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
     no choices.  The result is the same as on the full game, restricted
     to the states the smaller game has: an unsafe state is a seed
     whatever its choices; every other state's attractor ranks, first
-    winning choice, trap membership, Buchi ranks and membership in the
-    controllable predecessor depend only on the states reachable from it
-    through safe states; and ``Z`` lies inside the safe states.  Only
+    winning choice, trap membership and Buchi ranks depend only on the
+    states reachable from it through safe states; and ``Z`` lies inside
+    the safe states.  Only
     ``TargetStrategyData.choice`` of an unsafe state differs: it is None
     where it was the state's first choice.
     """
@@ -399,12 +391,10 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
                 )
         tstrat = TargetStrategyData(frozenset(mode), choice, mode)
         return SolveResult(False, Z, target_strategy=tstrat)
-    # without recurrence terms the one core is Z, which lies inside its
-    # own cpre, and no rank is read
+    # without recurrence terms the one core is Z, and no rank is read
     cores, ranks = [Z], [None]
     if objective.recurrence_terms:
-        cpre_z = ix.cpre(Z)
-        cores = [arena.atom_sets[a] & Z & cpre_z for a in objective.recurrence_terms]
+        cores = [arena.atom_sets[a] & Z for a in objective.recurrence_terms]
         domain = bytes(map(not_, won))
         ranks = [_attractor(ix, core, domain) for core in cores]
         # the ranked states lie in Z, so each attractor must rank |Z|
@@ -540,16 +530,15 @@ def extract_cex_graph(arena: Arena, result: SolveResult) -> CounterexampleGraph:
     return CounterexampleGraph(arena.states[arena.initial], choice, edges, mode)
 
 
-def export_strategy(
-    arena: Arena, strat: StrategyData, digest: str = "", partition=None
-) -> dict:
+def export_strategy(arena: Arena, strat: StrategyData, digest: str, partition) -> dict:
     """JSON-ready dump of a finite-memory controller whose moves cover
     the ``(state, memory)`` pairs that a run from ``(arena.initial, 0)``
     can reach, as :func:`solve` builds them.
 
     Only the states those pairs use are written, renumbered in increasing
     arena order, and ``winning_region`` lists them all; moves are sorted
-    by state, memory and the choice's canonical rank.  Raises
+    by state, memory and the choice's canonical rank.  ``blocks`` is the
+    arena's ``partition``, which the block-set labels refer to.  Raises
     :class:`SolverError` when ``(initial, 0)`` or a pair that a move
     leads to lacks a move for one of its state's choices.
     """
@@ -575,11 +564,7 @@ def export_strategy(
         [new[i], mem, label_json(labels[k]), new[r], mem2]
         for (i, mem, k), (r, mem2) in sorted(reached.items())
     ]
-    blocks = None
-    if partition is not None:
-        blocks = {
-            str(bid): sorted(cells) for bid, cells in partition.blocks.items()
-        }
+    blocks = {str(bid): sorted(cells) for bid, cells in partition.blocks.items()}
     return {
         "digest": digest,
         "memory_count": strat.memory_count,

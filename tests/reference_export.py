@@ -13,7 +13,7 @@ from reference_solver import reached_pairs
 from surveil.belief import label_json
 
 
-def export_strategy(arena, strat, digest="", partition=None) -> dict:
+def export_strategy(arena, strat, digest, partition) -> dict:
     states = [[s[0], label_json(s[1])] for s in arena.states]
     # the arena's labels are in canonical (belief_key) order
     rank = {c: k for k, c in enumerate(arena.labels)}
@@ -22,11 +22,7 @@ def export_strategy(arena, strat, digest="", partition=None) -> dict:
         strat.moves.items(), key=lambda kv: (kv[0][0], kv[0][1], rank[kv[0][2]])
     ):
         moves.append([i, mem, label_json(c), r, mem2])
-    blocks = None
-    if partition is not None:
-        blocks = {
-            str(bid): sorted(cells) for bid, cells in partition.blocks.items()
-        }
+    blocks = {str(bid): sorted(cells) for bid, cells in partition.blocks.items()}
     return {
         "digest": digest,
         "memory_count": strat.memory_count,

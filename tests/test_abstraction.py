@@ -8,9 +8,10 @@ from surveil import (
     PredicateDef,
     abstract_successors,
     build_abstract_game,
-    build_belief_game,
+    concretize,
     initial_partition,
     refines,
+    singletons,
 )
 
 
@@ -110,7 +111,7 @@ def test_check_uniform_rejects(game5, rows_partition):
 def test_abstract_game_overapproximates(game5, rows_partition):
     """Joint BFS: every reachable exact belief is gamma-contained in a
     reachable abstract belief with the same agent location."""
-    exact = build_belief_game(game5)
+    exact = build_abstract_game(game5, singletons(game5))
     abstract = build_abstract_game(game5, rows_partition)
     # pair exact and abstract states along matched transitions
     seen = set()
@@ -123,12 +124,11 @@ def test_abstract_game_overapproximates(game5, rows_partition):
         (l_a, B), (l_a2, A) = queue.pop(0)
         assert l_a == l_a2
         gamma = rows_partition.gamma(A)
-        assert B <= gamma, ((l_a, B), (l_a2, A))
+        assert concretize(B) <= gamma, ((l_a, B), (l_a2, A))
         amoves = dict(abstract_moves[(l_a2, A)])
         for B2, replies in exact_moves[(l_a, B)]:
-            if len(B2) == 1 and game5.vis(l_a, next(iter(B2))):
-                (loc,) = B2
-                key = loc
+            if isinstance(B2, int):
+                key = B2
             else:
                 key = next(k for k in amoves if not isinstance(k, int))
             for r in replies:
@@ -138,8 +138,18 @@ def test_abstract_game_overapproximates(game5, rows_partition):
                     queue.append(pair)
 
 
+def test_singletons_labels_are_beliefs(game5):
+    """One block per target location, whose id is the location, so a
+    block-set label concretizes to itself."""
+    Q = singletons(game5)
+    assert Q.blocks == {c: frozenset({c}) for c in game5.target_locations}
+    assert refines(Q, initial_partition(game5))
+    assert Q.alpha({17, 23}) == {17, 23} == Q.gamma(frozenset({17, 23}))
+    assert Q.split(Q.universe, frozenset({17})) is Q
+
+
 def test_abstract_game_smaller_than_exact(game5, two_col_partition):
-    exact = build_belief_game(game5)
+    exact = build_abstract_game(game5, singletons(game5))
     abstract = build_abstract_game(game5, two_col_partition)
     assert len(abstract) < len(exact)
 

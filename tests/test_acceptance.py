@@ -20,7 +20,7 @@ from surveil import (
     belief_successors,
     build_abstract_game,
     build_analysis_graph,
-    build_belief_game,
+    concretize,
     build_game_structure,
     cegar_loop,
     extract_cex_graph,
@@ -33,6 +33,7 @@ from surveil import (
     refine_liveness,
     refine_safety,
     refines,
+    singletons,
     solve,
     trace_jsonl,
 )
@@ -111,7 +112,8 @@ def test_criterion_4_verdict_reproduction(game5):
 
 
 def test_criterion_5_oracle_equivalence(game5, goal_pred):
-    exact = build_belief_game(game5)
+    Q = singletons(game5)
+    exact = build_abstract_game(game5, Q)
     specs = (
         [f"G p<={k}" for k in range(1, 7)]
         + [f"GF p<={k}" for k in range(1, 7)]
@@ -120,7 +122,7 @@ def test_criterion_5_oracle_equivalence(game5, goal_pred):
     for spec in specs:
         obj = parse_spec(spec)
         preds = goal_pred if "goal" in spec else None
-        arena = make_arena(exact, game5, obj, preds)
+        arena = make_arena(exact, game5, obj, preds, Q)
         oracle = solve(arena, obj).agent_wins
         out = cegar_loop(game5, obj, predicates=preds)
         assert (out.verdict == "realizable") == oracle, spec
@@ -143,8 +145,9 @@ def test_criterion_5_oracle_equivalence_beyond_paper5x5(problem, spec):
     G = build_game_structure(grid, *parse_config(cfg_text))
     preds = predicates_from_grid(grid)
     obj = parse_spec(spec)
-    exact = build_belief_game(G, safety=obj.safety_terms, predicates=preds)
-    oracle = solve(make_arena(exact, G, obj, preds), obj).agent_wins
+    Q = singletons(G)
+    exact = build_abstract_game(G, Q, safety=obj.safety_terms, predicates=preds)
+    oracle = solve(make_arena(exact, G, obj, preds, Q), obj).agent_wins
     out = cegar_loop(G, obj, predicates=preds)
     assert (out.verdict == "realizable") == oracle
 
@@ -162,16 +165,15 @@ def test_criterion_6_invariant_suites(game5, grid5, rows_partition):
         finer = rows_partition.split(rows_partition.universe, sep)
         assert refines(finer, rows_partition)
         assert cells <= finer.gamma(finer.alpha(cells)) <= over
-    # belief shape on every reachable exact state: a visible singleton or
-    # a set formed entirely of cells invisible from the forming location
-    exact = build_belief_game(game5)
+    # belief shape on every reachable exact state: a visible location or
+    # the set of all cells the target lands on unseen from the belief
+    exact = build_abstract_game(game5, singletons(game5))
     for (l_a, B), moves in tuple_moves(exact).items():
         for B2, _ in moves:
-            if len(B2) > 1:
-                assert all(not game5.vis(l_a, l) for l in B2)
+            if isinstance(B2, int):
+                assert game5.vis(l_a, B2)
             else:
-                (loc,) = B2
-                assert game5.vis(l_a, loc) or B2 == invisible_succ(game5, l_a, B)
+                assert B2 == invisible_succ(game5, l_a, concretize(B))
     # replay soundness and byte determinism
     from surveil import RandomPolicy, StrategyRunner, simulate
 
@@ -206,4 +208,4 @@ def test_criterion_7_scale_sanity():
     set_beliefs = {s[1] for s in game.states if not isinstance(s[1], int)}
     assert len(agents) + len(set_beliefs) <= 150 + 2**7
     with pytest.raises(BudgetExceeded):
-        build_belief_game(G, max_states=50_000)
+        build_abstract_game(G, singletons(G), max_states=50_000)

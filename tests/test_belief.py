@@ -12,11 +12,13 @@ from surveil import (
     TaskAtom,
     atom_holds,
     belief_successors,
+    build_abstract_game,
     build_belief_game,
     check_observable,
     concretize,
     invisible_count,
     predicates_from_grid,
+    singletons,
 )
 
 
@@ -88,37 +90,51 @@ def test_belief_successors_match_oracle(game5):
 
 
 def test_belief_game_states_match_oracle(game5):
-    game = build_belief_game(game5)
-    assert set(game.states) == oracle_belief_reach(game5)
+    """The exact game is the abstract game under the singletons partition;
+    with its labels read as location sets, its states are the oracle's."""
+    game = build_abstract_game(game5, singletons(game5))
+    assert {(l_a, concretize(b)) for l_a, b in game.states} == oracle_belief_reach(game5)
 
 
 def test_belief_game_state_count_regression(game5):
-    # size of the oracle enumeration, pinned for regression
-    assert len(build_belief_game(game5)) == 444
+    """Sizes pinned for regression: a location the agent sees (label
+    ``c``) and the same location left as a one-cell unseen belief (label
+    ``{c}``) are two states of the exact game, one of the oracle."""
+    game = build_abstract_game(game5, singletons(game5))
+    assert len(game) == 473
+    assert len({(l_a, concretize(b)) for l_a, b in game.states}) == 444
+
+
+def test_build_belief_game_is_the_singletons_game(game5):
+    """The name the benchmark builds its oracle by."""
+    game, want = build_belief_game(game5), build_abstract_game(game5, singletons(game5))
+    assert game.states == want.states and tuple_moves(game) == tuple_moves(want)
 
 
 def test_belief_shape_invariant(game5):
-    """Multi-element beliefs were all-invisible from the agent location
-    they were formed at."""
-    game = build_belief_game(game5)
+    """A block-set move's cells were all invisible from the agent
+    location it was made at; a location the agent sees is an int."""
+    game = build_abstract_game(game5, singletons(game5))
     moves = tuple_moves(game)
     for l_a, B in game.states:
-        assert B
+        assert B or isinstance(B, int)
         for choice, _ in moves[(l_a, B)]:
-            if len(choice) == 1:
-                continue
-            assert all(not game5.vis(l_a, l) for l in choice)
+            if isinstance(choice, int):
+                assert game5.vis(l_a, choice)
+            else:
+                assert all(not game5.vis(l_a, l) for l in choice)
 
 
 def test_budget_exceeded(game5):
     with pytest.raises(BudgetExceeded):
-        build_belief_game(game5, max_states=10)
+        build_abstract_game(game5, singletons(game5), max_states=10)
 
 
 def test_budget_counts_states_exactly(game5):
-    assert len(build_belief_game(game5, max_states=444)) == 444
-    with pytest.raises(BudgetExceeded, match="state budget of 443 exceeded"):
-        build_belief_game(game5, max_states=443)
+    Q = singletons(game5)
+    assert len(build_abstract_game(game5, Q, max_states=473)) == 473
+    with pytest.raises(BudgetExceeded, match="state budget of 472 exceeded"):
+        build_abstract_game(game5, Q, max_states=472)
 
 
 def test_surveillance_predicate(game5):

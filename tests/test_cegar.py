@@ -20,7 +20,6 @@ from surveil import (
     annotate_tree,
     build_abstract_game,
     build_analysis_graph,
-    build_belief_game,
     build_game_structure,
     cegar_loop,
     extract_cex_graph,
@@ -33,6 +32,7 @@ from surveil import (
     parse_spec,
     predicates_from_grid,
     refine_liveness,
+    singletons,
     refine_safety,
     refines,
     solve,
@@ -368,11 +368,12 @@ def test_verdicts(game5):
 
 
 def test_cegar_verdicts_match_exact_game(game5, goal_pred):
-    exact = build_belief_game(game5)
+    Q = singletons(game5)
+    exact = build_abstract_game(game5, Q)
     for spec in ("G p<=1", "G p<=4", "GF p<=1", "GF p<=1 & GF goal"):
         obj = parse_spec(spec)
         preds = goal_pred if "goal" in spec else None
-        arena = make_arena(exact, game5, obj, preds)
+        arena = make_arena(exact, game5, obj, preds, Q)
         oracle = solve(arena, obj).agent_wins
         out = cegar_loop(game5, obj, predicates=preds)
         assert (out.verdict == "realizable") == oracle, spec

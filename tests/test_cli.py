@@ -179,8 +179,9 @@ def test_synth_then_simulate_with_strategy_file(paths, capsys):
 
 @pytest.mark.parametrize("policy", ["random", "evasive"])
 def test_oracle_controller_replays(paths, capsys, policy):
-    """Every move of the exact game is a set; the runner plays the
-    singleton of a cell the agent sees as that cell's visible move."""
+    """The exact game is the abstract game under the singletons
+    partition: its controller carries that partition and plays a move
+    the agent sees by its cell, like any other controller."""
     strat = paths["tmp"] / "oracle.json"
     assert run(["oracle", "--map", paths["map"], "--spec", paths["live"],
                 "--out", str(strat)]) == 0
@@ -191,8 +192,34 @@ def test_oracle_controller_replays(paths, capsys, policy):
     lines = capsys.readouterr().out.strip().splitlines()
     recs = [json.loads(ln) for ln in lines if ln.startswith("{")]
     assert len(recs) == 31
-    # the exact game's label is the belief itself
-    assert all(r["abstract"] == r["belief"] for r in recs)
+    # the exact game's label, concretized, is the belief itself
+    for r in recs:
+        label = r["abstract"]
+        assert ([label] if isinstance(label, int) else label) == r["belief"]
+    payload = json.loads(strat.read_text())
+    assert payload["blocks"] == {str(c): [c] for c in range(25) if c not in (11, 12, 13)}
+
+
+@pytest.mark.parametrize("blocks", ["null", "missing"])
+def test_simulate_rejects_a_controller_without_blocks(paths, capsys, blocks):
+    """A controller file that carries no partition ends in an error
+    before the agent moves: its block-set labels name blocks of no
+    partition."""
+    strat = paths["tmp"] / "oracle.json"
+    assert run(["oracle", "--map", paths["map"], "--spec", paths["live"],
+                "--out", str(strat)]) == 0
+    payload = json.loads(strat.read_text())
+    if blocks == "null":
+        payload["blocks"] = None
+    else:
+        del payload["blocks"]
+    strat.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = run(["simulate", "--map", paths["map"], "--strategy", str(strat)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: strategy file has no partition")
 
 
 # the bundled map and config of each spec; paper5x5 by default

@@ -1,8 +1,12 @@
 """The flat game against the game as tuples (``tests/reference_game.py``).
 
 Both must give the same states, initial state, choices, replies and atom
-valuations, the same errors, and so the same solutions: for the exact
-belief game and for abstract games under initial and refined partitions.
+valuations, the same errors, and so the same solutions: for abstract
+games under initial and refined partitions, and under the singletons
+partition, which gives the exact belief game.  That game is also checked
+against the reference's own exact belief game, whose labels are location
+sets, through the quotient that merges a location seen and the same
+location left as a one-cell unseen belief.
 """
 
 import re
@@ -19,15 +23,16 @@ from surveil import (
     SolverError,
     SurveillanceGameStructure,
     build_abstract_game,
-    build_belief_game,
     build_game_structure,
     cegar_loop,
+    concretize,
     initial_partition,
     make_arena,
     parse_config,
     parse_grid,
     parse_spec,
     predicates_from_grid,
+    singletons,
     solve,
 )
 from surveil.cli import bundled_map
@@ -89,24 +94,83 @@ def assert_same_solution(arena, ref, objective):
 
 
 def assert_same_games(G, partitions, objectives, predicates, exact_states):
-    """The exact game, built up to ``exact_states`` states, and the
-    abstract game under each partition."""
-    assert_same_game(
-        G,
-        lambda: build_belief_game(G, max_states=exact_states),
-        lambda: reference_game.build_belief_game(G, max_states=exact_states),
-        objectives,
-        predicates,
-    )
-    for Q in partitions:
+    """The abstract game under each partition, and under
+    :func:`singletons`, the exact game, built up to ``exact_states``
+    states."""
+    budgets = [(singletons(G), exact_states)] + [(Q, 1_000_000) for Q in partitions]
+    for Q, budget in budgets:
         assert_same_game(
             G,
-            lambda: build_abstract_game(G, Q),
-            lambda: reference_game.build_abstract_game(G, Q),
+            lambda: build_abstract_game(G, Q, budget),
+            lambda: reference_game.build_abstract_game(G, Q, budget),
             objectives,
             predicates,
             Q,
         )
+
+
+def quotient(state):
+    """An exact game state as the reference's exact belief game keeps it:
+    the agent's cell and the belief as a set of locations.  A location
+    the agent sees and the same location left as a one-cell unseen
+    belief become one state."""
+    l_a, label = state
+    return l_a, concretize(label)
+
+
+def assert_quotient_is_reference(G, objectives, predicates, max_states):
+    """The exact game, the abstract game under :func:`singletons`, against
+    ``reference_game.build_belief_game``: the quotient of its states is
+    the reference's states, each state's choices concretized are the
+    choices of its quotient, and every objective's winning region is the
+    reference's under the quotient.  Skipped when the reference game does
+    not fit in ``max_states``; the exact game has at most two states per
+    reference state."""
+    ref = _outcome(reference_game.build_belief_game, G, max_states)
+    if isinstance(ref, tuple):
+        return
+    Q = singletons(G)
+    game = build_abstract_game(G, Q, 2 * max_states)
+    assert {quotient(s) for s in game.states} == set(ref.moves)
+    assert quotient(game.states[game.initial]) == ref.initial
+    for i, s in enumerate(game.states):
+        got = {
+            concretize(c): tuple(quotient(game.states[r]) for r in replies)
+            for c, replies in choices(game, i)
+        }
+        assert got == dict(ref.moves[quotient(s)]), s
+    for objective in objectives:
+        arena = _outcome(make_arena, game, G, objective, predicates, Q)
+        ref_arena = _outcome(reference_game.make_arena, ref, G, objective, predicates)
+        if isinstance(ref_arena, tuple):
+            # the error names the label in each game's own form
+            assert isinstance(arena, tuple) and arena[0] == ref_arena[0]
+            continue
+        got = _outcome(solve, arena, objective)
+        want = _outcome(reference_solver.solve, ref_arena, objective)
+        if isinstance(want, tuple) or isinstance(got, tuple):
+            assert isinstance(got, tuple) and isinstance(want, tuple)
+            continue
+        assert got.agent_wins == want.agent_wins
+        assert {
+            i for i, s in enumerate(arena.states)
+            if ref_arena.index[quotient(s)] in want.winning_region
+        } == got.winning_region
+
+
+def test_exact_game_quotient_is_reference_on_paper5x5(game5, goal_pred):
+    objectives = [parse_spec(s) for s in SPECS]
+    assert_quotient_is_reference(game5, objectives, goal_pred, 10_000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_problems(), st.data())
+def test_exact_game_quotient_is_reference_on_random_problems(problem, data):
+    G = build_game_structure(*problem)
+    goal = data.draw(st.frozensets(st.sampled_from(sorted(G.agent_locations)), min_size=1))
+    predicates = {"goal": PredicateDef("goal", goal)}
+    objectives = [parse_spec(s) for s in data.draw(st.lists(st.sampled_from(SPECS), min_size=1, max_size=3))]
+    assert_quotient_is_reference(G, objectives, predicates, 1_000)
 
 
 @st.composite

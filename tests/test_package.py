@@ -74,6 +74,35 @@ def test_no_unreferenced_private_helpers():
     assert found == []
 
 
+# exported names that no module of the package uses: the benchmark's
+# oracle, its output checks, and helpers kept for library callers
+UNUSED_EXPORTS = {"build_belief_game", "belief_successors", "line_of_sight", "ScriptedPolicy"}
+
+
+def test_exports_unused_by_the_package_are_listed():
+    """A name that ``surveil`` exports but none of its modules uses is
+    there only for callers outside the package, and is named in
+    ``UNUSED_EXPORTS``, so a new test-only or benchmark-only export fails
+    here until it is justified."""
+    init = ast.parse((SRC / "surveil" / "__init__.py").read_text())
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(init)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = set()
+    for path in sorted((SRC / "surveil").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert exported - used == UNUSED_EXPORTS
+
+
 def test_no_runtime_dependencies():
     """The package runs on the standard library alone."""
     lines = (ROOT / "pyproject.toml").read_text().splitlines()

@@ -1,11 +1,11 @@
 """Games built for a spec's safety terms against the full games.
 
-``build_abstract_game`` and ``build_belief_game`` leave a state that
-breaks a safety term unexpanded.  These tests build the pruned and the
-full game at every partition a CEGAR run visits and check that the
-pruned game is the full one cut at its unsafe states, and that solving
-either gives the same verdict, winning region, controller and
-counterexample.
+``build_abstract_game`` leaves a state that breaks a safety term
+unexpanded.  These tests build the pruned and the full game at every
+partition a CEGAR run visits, and under the singletons partition, which
+gives the exact belief game, and check that the pruned game is the full
+one cut at its unsafe states, and that solving either gives the same
+verdict, winning region, controller and counterexample.
 """
 
 import json
@@ -19,7 +19,6 @@ from surveil import (
     atom_holds,
     build_abstract_game,
     build_analysis_graph,
-    build_belief_game,
     build_game_structure,
     cegar_loop,
     concretize,
@@ -31,6 +30,7 @@ from surveil import (
     parse_grid,
     parse_spec,
     predicates_from_grid,
+    singletons,
     solve,
 )
 from surveil.belief import belief_key, label_json
@@ -75,18 +75,13 @@ def _graph_json(graph, drop_unsafe_choices=False):
     return json.dumps({"initial": _state_json(graph.initial), "nodes": nodes})
 
 
-def assert_pruned_equivalent(G, objective, predicates, partition=None):
+def assert_pruned_equivalent(G, objective, predicates, partition):
     """The pruned game against the full one, for one objective, under
-    ``partition`` (the exact game without one)."""
+    ``partition``."""
     safety = objective.safety_terms
-    if partition is None:
-        ref = reference_game.build_belief_game(G)
-        full = build_belief_game(G)
-        pruned = build_belief_game(G, safety=safety, predicates=predicates)
-    else:
-        ref = reference_game.build_abstract_game(G, partition)
-        full = build_abstract_game(G, partition)
-        pruned = build_abstract_game(G, partition, safety=safety, predicates=predicates)
+    ref = reference_game.build_abstract_game(G, partition)
+    full = build_abstract_game(G, partition)
+    pruned = build_abstract_game(G, partition, safety=safety, predicates=predicates)
     assert len(full) == len(ref)
     assert set(pruned.states) <= set(ref.moves)
     assert pruned.states[pruned.initial] == ref.initial
@@ -127,8 +122,7 @@ def assert_pruned_equivalent(G, objective, predicates, partition=None):
     graph_f = extract_cex_graph(arena_f, want)
     if not objective.recurrence_terms:
         # the reported tree is a function of the analysis graph, so this
-        # holds once the graphs match; it also runs the analysis on the
-        # exact game, where ``partition`` is None
+        # holds once the graphs match
         tree_p, tree_f = (
             counterexample_tree(build_analysis_graph(G, partition, g), g)
             for g in (graph_p, graph_f)
@@ -164,7 +158,7 @@ def test_pruned_game_equals_full_game_on_paper5x5(monkeypatch, game5, goal_pred,
 
 @pytest.mark.parametrize("spec", [s for s in PAPER_SPECS if s.startswith("G ")])
 def test_pruned_belief_game_equals_full_game_on_paper5x5(game5, spec):
-    assert_pruned_equivalent(game5, parse_spec(spec), {})
+    assert_pruned_equivalent(game5, parse_spec(spec), {}, singletons(game5))
 
 
 @pytest.mark.parametrize("spec", ["bigroom_liveness.spec", "bigroom_safety.spec"])

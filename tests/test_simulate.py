@@ -72,6 +72,21 @@ def test_controller_with_out_of_range_state_index_rejected(game5, controller, ta
         load_runner(game5, payload, expected_digest="d")
 
 
+@pytest.mark.parametrize("blocks", [None, "missing"])
+def test_controller_without_blocks_rejected(game5, controller, blocks):
+    """A controller whose block-set labels name no partition is refused
+    when the file loads."""
+    payload = export_strategy(
+        controller.arena, controller.strategy, "d", controller.final_partition
+    )
+    if blocks is None:
+        payload["blocks"] = None
+    else:
+        del payload["blocks"]
+    with pytest.raises(SimulationError, match="strategy file has no partition"):
+        load_runner(game5, payload, expected_digest="d")
+
+
 def _list_memory(payload):
     for move in payload["moves"]:
         move[4] = [0]

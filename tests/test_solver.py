@@ -10,24 +10,26 @@ import reference_game
 import reference_solver
 from conftest import choice_labels, choices
 import surveil.cegar
+import surveil.solver
 from surveil import (
+    Partition,
     SolverError,
     SurveillanceGameStructure,
     build_abstract_game,
     build_analysis_graph,
-    build_belief_game,
     cegar_loop,
     export_strategy,
     extract_cex_graph,
     make_arena,
     parse_spec,
+    singletons,
     solve,
     validate_assumptions,
 )
 from surveil.belief import label_json
 from surveil.cegar import counterexample_tree
 from surveil.objective import Objective, TaskAtom
-from surveil.solver import Arena, _Index
+from surveil.solver import Arena
 
 
 def _tree_nodes(tree):
@@ -104,11 +106,14 @@ def verify_target_strategy(arena, objective, result):
 
 @pytest.fixture(scope="module")
 def exact_arena_factory(game5):
-    game = build_belief_game(game5)
+    """Arenas of the exact belief game, the abstract game under the
+    singletons partition."""
+    Q = singletons(game5)
+    game = build_abstract_game(game5, Q)
 
     def make(spec, predicates=None):
         obj = parse_spec(spec)
-        return obj, make_arena(game, game5, obj, predicates)
+        return obj, make_arena(game, game5, obj, predicates, Q)
 
     return make
 
@@ -134,10 +139,8 @@ def test_buchi_realizable_verified(exact_arena_factory):
     verify_agent_strategy(arena, obj, result.agent_strategy)
 
 
-def test_conjunction_verified(game5, goal_pred):
-    game = build_belief_game(game5)
-    obj = parse_spec("G p<=4 & GF p<=1 & GF goal")
-    arena = make_arena(game, game5, obj, goal_pred)
+def test_conjunction_verified(exact_arena_factory, goal_pred):
+    obj, arena = exact_arena_factory("G p<=4 & GF p<=1 & GF goal", goal_pred)
     result = solve(arena, obj)
     if result.agent_wins:
         verify_agent_strategy(arena, obj, result.agent_strategy)
@@ -145,10 +148,8 @@ def test_conjunction_verified(game5, goal_pred):
         verify_target_strategy(arena, obj, result)
 
 
-def test_mixed_conjunction_with_goal(game5, goal_pred):
-    game = build_belief_game(game5)
-    obj = parse_spec("GF p<=1 & GF goal")
-    arena = make_arena(game, game5, obj, goal_pred)
+def test_mixed_conjunction_with_goal(exact_arena_factory, goal_pred):
+    obj, arena = exact_arena_factory("GF p<=1 & GF goal", goal_pred)
     result = solve(arena, obj)
     if result.agent_wins:
         verify_agent_strategy(arena, obj, result.agent_strategy)
@@ -163,24 +164,6 @@ def test_winning_regions_partition_states(exact_arena_factory):
         if not result.agent_wins:
             ts = result.target_strategy
             assert ts.region == frozenset(range(len(arena))) - result.winning_region
-
-
-def test_cpre_definition(exact_arena_factory):
-    obj, arena = exact_arena_factory("G p<=3")
-    W = arena.atom_sets[next(iter(obj.safety_terms))]
-    got = _Index(arena).cpre(W)
-    for i in range(len(arena)):
-        expected = all(
-            any(r in W for r in replies) for _, replies in choices(arena, i)
-        )
-        assert (i in got) == expected
-
-
-def test_cpre_monotone(exact_arena_factory):
-    obj, arena = exact_arena_factory("G p<=3")
-    small = frozenset(range(0, len(arena), 3))
-    large = small | frozenset(range(0, len(arena), 2))
-    assert _Index(arena).cpre(small) <= _Index(arena).cpre(large)
 
 
 def test_cex_tree_leaves_violate_safety(game5, two_col_partition):
@@ -239,30 +222,32 @@ def test_make_arena_rejects_choice_without_reply():
         visibility={0: frozenset({1, 2})},
     )
     assert not validate_assumptions(G).total
-    game = build_belief_game(G)
-    msg = "choice frozenset({2}) of state (0, frozenset({1})) has no agent reply"
+    game = build_abstract_game(G, singletons(G))
+    # a move the agent sees is labelled by its location, in the exact game too
+    msg = "choice 2 of state (0, 1) has no agent reply"
     with pytest.raises(SolverError, match=re.escape(msg)):
         make_arena(game, G, parse_spec("G p<=1"))
 
 
 def test_make_arena_rejects_undeclared_predicate(game5):
-    game = build_belief_game(game5)
+    game = build_abstract_game(game5, singletons(game5))
     with pytest.raises(SolverError, match="undeclared task predicate 'goal'"):
         make_arena(game, game5, parse_spec("GF goal"))
 
 
-def test_export_strategy_deterministic(exact_arena_factory):
+def test_export_strategy_deterministic(game5, exact_arena_factory):
     obj, arena = exact_arena_factory("GF p<=2")
+    Q = singletons(game5)
     a = json.dumps(
-        export_strategy(arena, solve(arena, obj).agent_strategy, "d"), sort_keys=True
+        export_strategy(arena, solve(arena, obj).agent_strategy, "d", Q), sort_keys=True
     )
     b = json.dumps(
-        export_strategy(arena, solve(arena, obj).agent_strategy, "d"), sort_keys=True
+        export_strategy(arena, solve(arena, obj).agent_strategy, "d", Q), sort_keys=True
     )
     assert a == b
 
 
-def check_export(arena, objective, strat, partition=None):
+def check_export(arena, objective, strat, partition):
     """The export equals the full reference export of the reference
     solver's controller, which has every move, restricted to the pairs
     reachable from ``(initial, 0)`` and renumbered; its states lie in the
@@ -301,15 +286,15 @@ def test_export_is_the_reachable_part_of_the_reference(game5, exact_arena_factor
     obj, arena = exact_arena_factory(spec)
     result = solve(arena, obj)
     assert result.agent_wins
-    check_export(arena, obj, result.agent_strategy)
+    check_export(arena, obj, result.agent_strategy, singletons(game5))
 
 
-def test_export_of_a_reached_pair_without_a_move_fails(exact_arena_factory):
+def test_export_of_a_reached_pair_without_a_move_fails(game5, exact_arena_factory):
     obj, arena = exact_arena_factory("G p<=3")
     strat = solve(arena, obj).agent_strategy
     del strat.moves[next(k for k in strat.moves if k[:2] == (arena.initial, 0))]
     with pytest.raises(SolverError, match=f"no move in state {arena.initial}, memory 0"):
-        export_strategy(arena, strat)
+        export_strategy(arena, strat, "d", singletons(game5))
 
 
 @st.composite
@@ -422,20 +407,22 @@ def test_cegar_games_match_naive_reference(monkeypatch, game5, goal_pred, spec):
     "spec, verdict, calls",
     [("GF p<=1 & GF goal", "unrealizable", 0), ("GF p<=2", "realizable", 1)],
 )
-def test_only_the_game_the_agent_wins_runs_cpre(monkeypatch, game5, goal_pred, spec, verdict, calls):
+def test_only_the_game_the_agent_wins_runs_the_buchi_round(
+    monkeypatch, game5, goal_pred, spec, verdict, calls
+):
     """A game the target wins is solved by its layered region alone, and
     one the agent wins by one Buchi round on the rest: over a whole CEGAR
-    loop, whose last game alone can be won by the agent, the controllable
-    predecessor runs once for a realizable recurrence spec and never for
-    an unrealizable one."""
-    cpre = _Index.cpre
+    loop, whose last game alone can be won by the agent, the round and
+    the controller built from it run once for a realizable recurrence
+    spec and never for an unrealizable one."""
+    buchi = surveil.solver._buchi_strategy
     runs = []
 
-    def counted(ix, W):
-        runs.append(W)
-        return cpre(ix, W)
+    def counted(arena, Z, cores, ranks):
+        runs.append(Z)
+        return buchi(arena, Z, cores, ranks)
 
-    monkeypatch.setattr(_Index, "cpre", counted)
+    monkeypatch.setattr(surveil.solver, "_buchi_strategy", counted)
     preds = goal_pred if "goal" in spec else None
     assert cegar_loop(game5, parse_spec(spec), predicates=preds).verdict == verdict
     assert len(runs) == calls
@@ -495,12 +482,17 @@ def test_choices_without_replies_fail_as_in_the_reference():
         solve(_flat(arena), obj)
 
 
-@settings(max_examples=100, deadline=None)
-@given(random_games(), st.data())
-def test_cpre_matches_naive_reference(game, data):
-    arena, _ = game
-    W = data.draw(st.frozensets(st.integers(0, len(arena) - 1)))
-    assert _Index(_flat(arena)).cpre(W) == reference_solver.cpre(arena, W)
+@settings(max_examples=400, deadline=None)
+@given(random_games())
+def test_agent_region_lies_in_its_controllable_predecessor(game):
+    """``solve`` takes each recurrence atom's core as ``F_j & Z``, which
+    is ``F_j & Z & cpre(Z)`` only because ``Z`` lies inside
+    ``cpre(Z)``: every choice of a state of ``Z`` has a reply in ``Z``."""
+    arena, obj = game
+    result = _solve_or_error(solve, _flat(arena), obj)
+    if result is not None:
+        Z = result.winning_region
+        assert Z <= reference_solver.cpre(arena, Z)
 
 
 @settings(max_examples=200, deadline=None)
@@ -514,4 +506,5 @@ def test_export_matches_reference_on_random_games(game):
     )
     result = _solve_or_error(solve, flat, obj)
     if result is not None and result.agent_wins:
-        check_export(flat, obj, result.agent_strategy)
+        # every label is a cell, so no block is named
+        check_export(flat, obj, result.agent_strategy, Partition({}, frozenset()))
