@@ -58,7 +58,6 @@ from .simulate import (
     EvasivePolicy,
     GoalSeekingPolicy,
     RandomPolicy,
-    ScriptedPolicy,
     SimulationError,
     StrategyRunner,
     load_runner,

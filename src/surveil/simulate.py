@@ -88,10 +88,12 @@ def load_runner(
     can produce nonsense moves.  So is a controller whose initial state,
     winning region or moves name a state index it does not list, whose
     ``memory_count`` is not a positive int, whose moves use a memory
-    outside ``range(memory_count)``, whose states name a cell or block id
-    the map or its partition lacks, or whose ``blocks``, the partition
-    its block-set labels refer to, is missing or does not cover exactly
-    the map's target cells.
+    outside ``range(memory_count)``, whose states or move labels name a
+    cell or block id the map or its partition lacks, or whose ``blocks``,
+    the partition its block-set labels refer to, is missing or does not
+    cover exactly the map's target cells.  So is a move whose reply
+    state's label is not the move's label, or whose reply puts the agent
+    on a cell that is not a legal reply to the move.
     """
     if not isinstance(payload, dict):
         raise SimulationError("strategy file must hold a JSON object")
@@ -142,6 +144,7 @@ def load_runner(
         }
         partition = Partition(blocks, G.target_locations)
         _check_cells(G, states, partition)
+        _check_moves(G, states, moves, partition)
     except (KeyError, TypeError, ValueError) as exc:
         raise SimulationError(f"malformed strategy file: {exc}") from exc
     arena = Arena.from_moves(states, payload["initial"], [()] * n)
@@ -172,6 +175,33 @@ def _check_cells(G: SurveillanceGameStructure, states, partition: Partition) -> 
             )
 
 
+def _check_moves(G: SurveillanceGameStructure, states, moves, partition: Partition) -> None:
+    """Every move's label must name a target cell of ``G`` or blocks of
+    ``partition``, and its reply state must carry that label with the
+    agent on a legal reply: to a seen cell ``c``, one of ``G.succ_a(l_a,
+    c)``; to a block set, a move of ``G.agent_succ[l_a]`` or ``l_a``."""
+    targets, ids = G.target_locations, frozenset(partition.blocks)
+    for (i, _, c), (r, _) in moves.items():
+        where = f"strategy file move {label_json(c)} of state {i}"
+        if isinstance(c, int):
+            if c not in targets:
+                raise SimulationError(f"{where} is not a target cell of the map")
+        elif not c <= ids:
+            raise SimulationError(
+                f"{where} names {sorted(c - ids)}, which are not blocks of its partition"
+            )
+        l_a, (r_a, label) = states[i][0], states[r]
+        if label != c:
+            raise SimulationError(
+                f"{where} replies with state {r}, labelled {label_json(label)}"
+            )
+        legal = G.succ_a(l_a, c) if isinstance(c, int) else (*G.agent_succ[l_a], l_a)
+        if r_a not in legal:
+            raise SimulationError(
+                f"{where} moves the agent {l_a} -> {r_a}, which is illegal after it"
+            )
+
+
 class TargetPolicy:
     def choose(self, G: SurveillanceGameStructure, l_a: int, l_t: int) -> int:
         raise NotImplementedError
@@ -185,21 +215,6 @@ class RandomPolicy(TargetPolicy):
 
     def choose(self, G, l_a, l_t):
         return self.rng.choice(G.target_step(l_a, l_t))
-
-
-class ScriptedPolicy(TargetPolicy):
-    """Replays a fixed move list, validating each against the structure."""
-
-    def __init__(self, moves):
-        self.moves = deque(moves)
-
-    def choose(self, G, l_a, l_t):
-        if not self.moves:
-            raise SimulationError("scripted target ran out of moves")
-        l_t2 = self.moves.popleft()
-        if l_t2 not in G.target_step(l_a, l_t):
-            raise SimulationError(f"scripted move {l_t} -> {l_t2} is illegal")
-        return l_t2
 
 
 class EvasivePolicy(TargetPolicy):

@@ -1,16 +1,16 @@
 """Turn-based game solving for the supported objective fragment.
 
 Arenas are turn-expanded explicit games: in every state the target picks
-a belief-level choice, then the agent picks a reply.  The solver has two
-attractors, one per player, over a reverse-edge index of the arena; each
-is a counter-based worklist that touches every edge a bounded number of
-times.  Each game is solved from the target's side first: its attractor
-to the unsafe states, then traps away from a recurrence atom (each the
-complement of the agent's attractor to the atom) and the attractors to
-them, until its region is closed.  The rest is the agent's region, and
-one round of the generalized-Buchi fixpoint on it (the agent's
-attractor to each recurrence atom) gives the agent's controller, with a
-memory index cycling through the atoms.
+a belief-level choice, then the agent picks a reply; every choice has a
+reply.  The solver has two attractors, one per player, over a
+reverse-edge index of the arena; each is a counter-based worklist that
+touches every edge a bounded number of times.  Each game is solved in
+one layered pass from the target's side: its attractor to the unsafe
+states, then traps away from a recurrence atom (each the complement of
+the agent's attractor to the atom) and the attractors to them, until its
+region is closed.  The rest is the agent's region, which the last trap
+round's attractors rank toward each recurrence atom: they give the
+agent's controller, with a memory index cycling through the atoms.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, repeat
-from operator import lt, not_, sub
+from operator import not_, sub
 from typing import Optional
 
 from .belief import PredicateDef, TurnGame, atom_holds, concretize, label_json
@@ -57,6 +57,21 @@ def _group(keys: array, n: int, values) -> tuple[array, array]:
     return off, rows
 
 
+def _reply_widths(game: TurnGame) -> array:
+    """The sizes of the game's reply sets.  Raises :class:`SolverError`
+    when the game is not total, naming its first choice in canonical
+    order that has no agent reply."""
+    widths = _widths(game.reply_off)
+    if 0 in widths:
+        c = next(c for c, k in enumerate(game.choice_set) if not widths[k])
+        s = game.states[bisect_right(game.choice_off, c) - 1]
+        raise SolverError(
+            f"choice {game.labels[game.choice_label[c]]!r} of state {s!r} has "
+            "no agent reply: the game structure is not total"
+        )
+    return widths
+
+
 def check_predicates(
     objective: Objective, predicates: Optional[dict[str, PredicateDef]]
 ) -> None:
@@ -82,20 +97,11 @@ def make_arena(
     The arena shares the game's arrays.  Raises :class:`SolverError` for
     an undeclared task predicate (:func:`check_predicates`) and for a
     target choice without any agent reply, which a game structure that
-    is not total produces.
+    is not total produces and :func:`solve` does not take.
     """
     predicates = predicates or {}
     check_predicates(objective, predicates)
-    widths = _widths(game.reply_off)
-    if 0 in widths:
-        # the first choice in canonical order whose reply set is empty
-        empty = {k for k, w in enumerate(widths) if not w}
-        c = next(c for c, k in enumerate(game.choice_set) if k in empty)
-        s = game.states[bisect_right(game.choice_off, c) - 1]
-        raise SolverError(
-            f"choice {game.labels[game.choice_label[c]]!r} of state {s!r} has "
-            "no agent reply: the game structure is not total"
-        )
+    _reply_widths(game)
     # concretize each distinct label once; the initial state's label need
     # not be a choice's, so the labels are read off the states
     labels = {label for _, label in game.states}
@@ -126,9 +132,10 @@ class _Index:
     ``c`` and ``cset[c]`` its reply set.  Set ids are the arena's too:
     ``width[k]`` is the number of members of set ``k``, and
     ``users[user_off[k]:user_off[k + 1]]`` lists the choices whose set it
-    is, in increasing order.  ``answered[i]`` counts the choices of state
-    ``i`` that have replies, and ``sinks`` lists the states without such
-    a choice.  ``preds[pred_off[j]:pred_off[j + 1]]`` lists the ids of
+    is, in increasing order; no set is empty, and the index refuses an
+    arena that is not total with :class:`SolverError`.  ``degree[i]``
+    counts the choices of state ``i``, and ``sinks`` lists the states
+    without any.  ``preds[pred_off[j]:pred_off[j + 1]]`` lists the ids of
     the sets that hold ``j``, once per occurrence of ``j`` among their
     members, so every counter below counts a repeated reply as often as
     it occurs and reaches zero exactly when the last copy goes.  A set is
@@ -141,19 +148,14 @@ class _Index:
         n = len(arena)
         start, cset, replies = arena.choice_off, arena.choice_set, arena.replies
         self.degree = _widths(start)
-        self.width = width = _widths(arena.reply_off)
-        self.answered = self.degree
-        if 0 in width:
-            # choices with replies before each state's first choice
-            before = array("i", accumulate(map(bool, map(width.__getitem__, cset)), initial=0))
-            self.answered = _widths(array("i", map(before.__getitem__, start)))
+        self.width = width = _reply_widths(arena)
         self.owner = array("i", chain.from_iterable(map(repeat, range(n), self.degree)))
         self.user_off, self.users = _group(cset, len(width), range(len(cset)))
         set_of_member = chain.from_iterable(map(repeat, range(len(width)), width))
         self.pred_off, self.preds = _group(replies, n, set_of_member)
         self.n = n
         self.start, self.cset = start, cset
-        self.sinks = [i for i in range(n) if not self.answered[i]]
+        self.sinks = [i for i in range(n) if not self.degree[i]]
 
     def preds_of(self, j: int) -> array:
         return self.preds[self.pred_off[j] : self.pred_off[j + 1]]
@@ -162,23 +164,19 @@ class _Index:
         return self.users[self.user_off[k] : self.user_off[k + 1]]
 
 
-def _attractor(ix: _Index, target, domain: bytearray, covered=None) -> array:
+def _attractor(ix: _Index, target, domain: bytearray, covered: bytearray) -> array:
     """Agent attractor toward the ``target`` states inside the ``domain``
     mask.
 
     Returns each state's rank, the BFS level at which every target
-    choice with replies has a reply of lower rank (``_UNRANKED``
-    outside).  A reply set, and every choice that uses it, is covered
-    once one of its members is ranked; ``covered``, a zeroed mask over
-    the reply sets when given, is left marking those sets.  Choices
-    without replies are left out, so a domain state without a choice
-    that has replies joins at 1.
+    choice has a reply of lower rank (``_UNRANKED`` outside).  A reply
+    set, and every choice that uses it, is covered once one of its
+    members is ranked; ``covered``, a zeroed mask over the reply sets, is
+    left marking those sets.  A domain state without choices joins at 1.
     """
     owner = ix.owner
     rank = array("i", [_UNRANKED]) * ix.n
-    uncovered = array("i", ix.answered)
-    if covered is None:
-        covered = bytearray(len(ix.width))
+    uncovered = array("i", ix.degree)
     frontier = list(target)
     for i in frontier:
         rank[i] = 0
@@ -210,11 +208,11 @@ def _target_attractor(
     ``missing[k]`` counts the members of reply set ``k`` outside ``won``
     before the states of ``fresh`` joined it; the call brings the counts
     up to date.  A state joins at the first level where one of its
-    choices has all its (non-empty) replies attracted at lower levels;
-    it records the first such choice in canonical order.  Levels
-    continue after ``level``.  Returns ``[(state, rank, choice)]``.
+    choices has all its replies attracted at lower levels; it records
+    the first such choice in canonical order.  Levels continue after
+    ``level``.  Returns ``[(state, rank, choice)]``.
     """
-    start, cset, width = ix.start, ix.cset, ix.width
+    start, cset = ix.start, ix.cset
     owners = ix.owner.__getitem__
 
     def emptied(states):
@@ -235,8 +233,7 @@ def _target_attractor(
             if won[i]:
                 continue
             for c in range(start[i], start[i + 1]):
-                k = cset[c]
-                if width[k] and not missing[k]:
+                if not missing[cset[c]]:
                     break
             won[i] = 1
             added.append(i)
@@ -245,31 +242,30 @@ def _target_attractor(
     return out
 
 
-def _avoid_trap(ix: _Index, won: bytearray, avoid) -> list:
+def _avoid_trap(ix: _Index, won: bytearray, avoid) -> tuple[list, array]:
     """The target's trap away from the ``avoid`` states: the states
     outside ``won`` that the agent's attractor to ``avoid``, run outside
     ``won``, leaves unranked.
 
-    In each trap state the target has a choice with replies of which
-    none is ranked, so the play stays in the trap or in ``won``.  The
-    trap joins ``won``; returns ``[(state, choice)]`` by state, with the
-    first such choice in canonical order.
+    In each trap state the target has a choice of whose replies none is
+    ranked, so the play stays in the trap or in ``won``.  The trap joins
+    ``won``.  Returns ``[(state, choice)]`` by state, with the first such
+    choice in canonical order, and the attractor's ranks.
     """
-    start, cset, width = ix.start, ix.cset, ix.width
+    start, cset = ix.start, ix.cset
     domain = bytearray(map(not_, won))
     # a set is covered exactly when one of its members is ranked
-    covered = bytearray(len(width))
+    covered = bytearray(len(ix.width))
     rank = _attractor(ix, [i for i in avoid if domain[i]], domain, covered)
     out = []
     for i in compress(range(ix.n), domain):
         if rank[i] == _UNRANKED:
             for c in range(start[i], start[i + 1]):
-                k = cset[c]
-                if width[k] and not covered[k]:
+                if not covered[cset[c]]:
                     out.append((i, c))
                     won[i] = 1
                     break
-    return out
+    return out, rank
 
 
 @dataclass
@@ -323,32 +319,33 @@ def _canonical_reply(i, replies, allowed):
 def solve(arena: Arena, objective: Objective) -> SolveResult:
     """Solve the arena for the objective and build the winner's strategy.
 
+    The arena must be total, as :func:`make_arena` builds it: every
+    target choice has an agent reply, or :class:`SolverError` is raised.
+
     The target's region comes first, by the iterated-attractor algorithm
     for Buchi games (W. Thomas, STACS 1995) in :func:`_target_strategy`,
-    seeded with the states it wins at once: the unsafe ones, and those
-    where it has a choice without replies.  ``Z`` is the rest.  If it
-    lacks the initial state, the layering is the target's strategy.
-    Otherwise one round of the generalized-Buchi fixpoint on ``Z`` ranks
-    the agent's states: per recurrence atom ``F_j``, its attractor in
-    ``Z`` to the core ``F_j & Z``, which must rank all of ``Z``.  The
-    fixpoint's core is ``F_j & Z & cpre(Z)``, with ``cpre`` the agent's
-    controllable predecessor, but ``Z`` lies inside ``cpre(Z)``: every
-    choice of a ``Z`` state has replies, and one whose replies all left
-    ``Z`` would have put its state in the target's attractor.
+    seeded with the unsafe states.  ``Z`` is the rest.  If it lacks the
+    initial state, the layering is the target's strategy.  Otherwise the
+    last trap round, which found no trap, ranked the agent's states: per
+    recurrence atom ``F_j``, its attractor in ``Z`` to the core ``F_j &
+    Z``, one round of the generalized-Buchi fixpoint on ``Z``.  Each
+    ranks all of ``Z``: a state of ``Z`` left unranked has a choice whose
+    reply set is not covered, and the set has members, none ranked, so
+    the state would have joined a trap.  The fixpoint's core is ``F_j &
+    Z & cpre(Z)``, with ``cpre`` the agent's controllable predecessor,
+    but ``Z`` lies inside ``cpre(Z)``: a choice of a ``Z`` state whose
+    replies all left ``Z`` would have put its state in the target's
+    attractor.
 
     The two regions need no cross-check.  The layering certifies that
-    the target wins outside ``Z``: its ranks fall until a trap or a seed,
-    and in a trap its choice keeps every reply in the trap or an earlier
-    layer, off one atom.  The round certifies that the agent wins in
-    ``Z``: it can force the play into each core inside ``Z``, and from a
-    core back into ``Z``.  Disjoint regions that cover the arena and are
-    each won by their player are exact, so ``Z`` is the greatest fixpoint
-    that the nested loop computed, and this is its last round: the
-    loop's attractors, run in the safe region, rank no state outside
-    ``Z``.  On an arena with reply-less choices, which :func:`make_arena`
-    rejects, the target's strategy does not force through them: it is
-    layered again from the unsafe states alone and must cover the
-    complement of ``Z``.  A failed check raises :class:`SolverError`.
+    the target wins outside ``Z``: its ranks fall until a trap or an
+    unsafe state, and in a trap its choice keeps every reply in the trap
+    or an earlier layer, off one atom.  The ranks certify that the agent
+    wins in ``Z``: it can force the play into each core inside ``Z``,
+    and from a core back into ``Z``.  Disjoint regions that cover the
+    arena and are each won by their player are exact, so ``Z`` is the
+    greatest fixpoint that the nested loop computed, and the last trap
+    round is its last round.
 
     The agent's controller holds moves only for the ``(state, memory)``
     pairs reachable from ``(arena.initial, 0)``; ``winning_region`` is
@@ -360,9 +357,8 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
     whatever its choices; every other state's attractor ranks, first
     winning choice, trap membership and Buchi ranks depend only on the
     states reachable from it through safe states; and ``Z`` lies inside
-    the safe states.  Only
-    ``TargetStrategyData.choice`` of an unsafe state differs: it is None
-    where it was the state's first choice.
+    the safe states.  Only ``TargetStrategyData.choice`` of an unsafe
+    state differs: it is None where it was the state's first choice.
     """
     ix = _Index(arena)
     n = len(arena)
@@ -371,43 +367,21 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
     for atom in objective.safety_terms:
         safe &= arena.atom_sets[atom]
     unsafe = everything - safe
-    won = bytearray(map(lt, ix.answered, ix.degree))
-    # without reply-less choices the layering is the target's strategy
-    total = not any(won)
-    for i in unsafe:
-        won[i] = 1
-    mode, choice = _target_strategy(
-        ix, arena, objective, unsafe, won, list(compress(range(n), won))
-    )
+    won = bytearray(map(unsafe.__contains__, range(n)))
+    mode, choice, ranks = _target_strategy(ix, arena, objective, unsafe, won)
     Z = frozenset(compress(range(n), map(not_, won)))
     if arena.initial not in Z:
-        if not total:
-            won = bytearray(map(unsafe.__contains__, range(n)))
-            mode, choice = _target_strategy(ix, arena, objective, unsafe, won, list(unsafe))
-            if mode.keys() != everything - Z:
-                raise SolverError(
-                    "determinacy check failed: target region does not match the "
-                    "complement of the agent's winning region"
-                )
         tstrat = TargetStrategyData(frozenset(mode), choice, mode)
         return SolveResult(False, Z, target_strategy=tstrat)
-    # without recurrence terms the one core is Z, and no rank is read
-    cores, ranks = [Z], [None]
-    if objective.recurrence_terms:
-        cores = [arena.atom_sets[a] & Z for a in objective.recurrence_terms]
-        domain = bytes(map(not_, won))
-        ranks = [_attractor(ix, core, domain) for core in cores]
-        # the ranked states lie in Z, so each attractor must rank |Z|
-        if any(rank.count(_UNRANKED) != n - len(Z) for rank in ranks):
-            raise SolverError(
-                "determinacy check failed: the Buchi round on the complement "
-                "of the target's region does not return it"
-            )
+    cores = [arena.atom_sets[a] & Z for a in objective.recurrence_terms]
+    if not cores:
+        # without recurrence terms the one core is Z, and no rank is read
+        cores, ranks = [Z], [None]
     return SolveResult(True, Z, agent_strategy=_buchi_strategy(arena, Z, cores, ranks))
 
 
 def _buchi_strategy(arena, Z, cores, ranks) -> StrategyData:
-    """Controller from the Buchi round of :func:`solve`, built only for
+    """Controller from the Buchi ranks of :func:`solve`, built only for
     the ``(state, memory)`` pairs that a run from ``(arena.initial, 0)``
     reaches.
 
@@ -453,20 +427,22 @@ def _buchi_strategy(arena, Z, cores, ranks) -> StrategyData:
     return StrategyData(m, Z, moves)
 
 
-def _target_strategy(ix, arena, objective, unsafe, won, seeds) -> tuple[dict, dict]:
+def _target_strategy(ix, arena, objective, unsafe, won) -> tuple[dict, dict, list]:
     """The target's layered positional strategy, as ``(mode, choice)``
-    of :class:`TargetStrategyData`, on a region it extends ``won`` to.
+    of :class:`TargetStrategyData`, on a region it extends ``won`` to,
+    and the ranks of the last round's agent attractors, one per
+    recurrence atom.
 
-    ``won`` marks the ``seeds``, states the target wins at once; of them
-    only the ``unsafe`` ones get a mode.  The attractor to the seeds
-    comes first; then traps in which the target confines the play away
-    from one recurrence atom, iterated with further attractors until the
-    region is closed.  The layering keeps ranks well-founded, so a
-    safety counterexample is acyclic and every cycle lies in one trap.
+    ``won`` marks the ``unsafe`` states, which the target wins at once.
+    The attractor to them comes first; then traps in which the target
+    confines the play away from one recurrence atom, iterated with
+    further attractors until a round adds nothing to ``won``.  The
+    layering keeps ranks well-founded, so a safety counterexample is
+    acyclic and every cycle lies in one trap.
     """
     # members of each reply set outside ``won``
     missing = array("i", ix.width)
-    layer = _target_attractor(ix, won, seeds, missing, 0)
+    layer = _target_attractor(ix, won, unsafe, missing, 0)
     mode: dict[int, tuple] = {}
     choice: dict = {}
     for i in unsafe:
@@ -480,15 +456,17 @@ def _target_strategy(ix, arena, objective, unsafe, won, seeds) -> tuple[dict, di
             choice[i] = c
             top = rank
             grown = True
-        fresh = []
+        fresh, ranks = [], []
         for j, atom in enumerate(objective.recurrence_terms):
-            for i, c in _avoid_trap(ix, won, arena.atom_sets[atom]):
+            trap, rank = _avoid_trap(ix, won, arena.atom_sets[atom])
+            ranks.append(rank)
+            for i, c in trap:
                 mode[i] = ("avoid", j)
                 choice[i] = c
                 fresh.append(i)
                 grown = True
         if not grown:
-            return mode, choice
+            return mode, choice, ranks
         layer = _target_attractor(ix, won, fresh, missing, top)
 
 

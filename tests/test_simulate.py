@@ -1,5 +1,7 @@
 import json
 import re
+from collections import deque
+from functools import partial
 
 import pytest
 
@@ -7,7 +9,6 @@ from surveil import (
     EvasivePolicy,
     GoalSeekingPolicy,
     RandomPolicy,
-    ScriptedPolicy,
     SimulationError,
     StrategyRunner,
     cegar_loop,
@@ -18,6 +19,22 @@ from surveil import (
     simulate,
     trace_jsonl,
 )
+from surveil.simulate import TargetPolicy
+
+
+class ScriptedPolicy(TargetPolicy):
+    """Replays a fixed move list, validating each against the structure."""
+
+    def __init__(self, moves):
+        self.moves = deque(moves)
+
+    def choose(self, G, l_a, l_t):
+        if not self.moves:
+            raise SimulationError("scripted target ran out of moves")
+        l_t2 = self.moves.popleft()
+        if l_t2 not in G.target_step(l_a, l_t):
+            raise SimulationError(f"scripted move {l_t} -> {l_t2} is illegal")
+        return l_t2
 
 
 @pytest.fixture(scope="module")
@@ -35,12 +52,17 @@ def make_runner(game5, controller):
 
 def test_tampered_controller_with_illegal_agent_move_rejected(game5, grid5):
     """A controller whose digest matches but whose state ``[4, [9]]``
-    puts the agent on cell 23, which no agent move reaches from cell 9."""
+    puts the agent on cell 23, which no agent move reaches from cell 9,
+    is refused when the file loads; a runner whose arena is changed so
+    after loading is stopped when the agent makes the move."""
     out = cegar_loop(game5, parse_spec("G p<=3"))
     payload = export_strategy(out.arena, out.strategy, "d", out.final_partition)
     i = payload["states"].index([4, [9]])
-    payload["states"][i][0] = 23
     runner = load_runner(game5, payload, expected_digest="d")
+    payload["states"][i][0] = 23
+    with pytest.raises(SimulationError, match="agent 23 -> .*, which is illegal after it"):
+        load_runner(game5, payload, expected_digest="d")
+    runner.arena.states[i] = (23, runner.arena.states[i][1])
     with pytest.raises(SimulationError, match="agent 9 -> 23"):
         simulate(game5, grid5, runner, RandomPolicy(1), 30)
 
@@ -121,13 +143,75 @@ def test_controller_with_bad_memory_rejected(game5, controller, tamper, message)
         load_runner(game5, payload, expected_digest="d")
 
 
+@pytest.fixture(scope="module")
+def gf2_payload(game5):
+    """The exported paper5x5 ``GF p<=2`` controller."""
+    out = cegar_loop(game5, parse_spec("GF p<=2"))
+    assert out.verdict == "realizable"
+    return export_strategy(out.arena, out.strategy, "d", out.final_partition)
+
+
+def _unknown_block(payload, G):
+    move = next(m for m in payload["moves"] if isinstance(m[2], list))
+    move[2] = [99]
+    return f"move [99] of state {move[0]} names [99], which are not blocks"
+
+
+def _unknown_cell(payload, G):
+    move = next(m for m in payload["moves"] if isinstance(m[2], int))
+    move[2] = 99
+    return f"move 99 of state {move[0]} is not a target cell of the map"
+
+
+def _mislabelled_reply(payload, G):
+    """The reply of the first move goes to a state with another label."""
+    move = payload["moves"][0]
+    r = next(r for r, (_, label) in enumerate(payload["states"]) if label != move[2])
+    move[3] = r
+    return f"move {move[2]} of state {move[0]} replies with state {r}, labelled"
+
+
+def _illegal_reply(payload, G, set_move):
+    """The reply of the first seen-cell or block-set move goes to a new
+    state with the move's label and the agent on a cell that the move
+    does not let it reach."""
+    move = next(m for m in payload["moves"] if isinstance(m[2], list) == set_move)
+    l_a = payload["states"][move[0]][0]
+    far = min(G.agent_locations - {*G.agent_succ[l_a], l_a})
+    move[3] = len(payload["states"])
+    payload["states"].append([far, move[2]])
+    payload["winning_region"].append(move[3])
+    return f"moves the agent {l_a} -> {far}, which is illegal after it"
+
+
+@pytest.mark.parametrize("tamper", [
+    pytest.param(_unknown_block, id="block"),
+    pytest.param(_unknown_cell, id="cell"),
+    pytest.param(_mislabelled_reply, id="label"),
+    pytest.param(partial(_illegal_reply, set_move=False), id="cell-reply"),
+    pytest.param(partial(_illegal_reply, set_move=True), id="set-reply"),
+])
+def test_controller_with_bad_move_rejected(game5, gf2_payload, tamper):
+    """A move whose label names a cell or block the file lacks, whose
+    reply state has another label, or whose reply puts the agent where
+    the move does not let it go is refused when the file loads, before
+    the agent moves."""
+    load_runner(game5, gf2_payload, expected_digest="d")
+    payload = json.loads(json.dumps(gf2_payload))
+    message = tamper(payload, game5)
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        load_runner(game5, payload, expected_digest="d")
+
+
 def test_controller_with_two_set_moves_in_one_state_rejected(game5, controller):
     payload = export_strategy(
         controller.arena, controller.strategy, "d", controller.final_partition
     )
     i, mem, c, r, mem2 = next(m for m in payload["moves"] if isinstance(m[2], list))
     other = next([int(b)] for b in payload["blocks"] if [int(b)] != c)
-    payload["moves"].append([i, mem, other, r, mem2])
+    # a reply state with the other move's label, so the move itself loads
+    payload["states"].append([payload["states"][r][0], other])
+    payload["moves"].append([i, mem, other, len(payload["states"]) - 1, mem2])
     with pytest.raises(SimulationError, match=f"two block-set moves in state {i}"):
         load_runner(game5, payload, expected_digest="d")
 

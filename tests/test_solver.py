@@ -3,7 +3,7 @@ import re
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference_export
 import reference_game
@@ -17,17 +17,22 @@ from surveil import (
     SurveillanceGameStructure,
     build_abstract_game,
     build_analysis_graph,
+    build_game_structure,
     cegar_loop,
     export_strategy,
     extract_cex_graph,
     make_arena,
+    parse_config,
+    parse_grid,
     parse_spec,
+    predicates_from_grid,
     singletons,
     solve,
     validate_assumptions,
 )
 from surveil.belief import label_json
 from surveil.cegar import counterexample_tree
+from surveil.cli import bundled_map
 from surveil.objective import Objective, TaskAtom
 from surveil.solver import Arena
 
@@ -298,15 +303,16 @@ def test_export_of_a_reached_pair_without_a_move_fails(game5, exact_arena_factor
 
 
 @st.composite
-def random_games(draw):
-    """Small arenas with sinks, choices without replies and repeated
-    replies, plus random safety and recurrence atoms."""
+def random_games(draw, total=True):
+    """Small total arenas with sinks and repeated replies, plus random
+    safety and recurrence atoms.  With ``total`` false, one choice in
+    sixteen has no reply at all, and about half the arenas are not
+    total."""
     n = draw(st.integers(1, 40))
     state = st.integers(0, n - 1)
 
     def replies():
-        # one choice in sixteen has no reply at all
-        empty = draw(st.integers(0, 15)) == 0
+        empty = not total and draw(st.integers(0, 15)) == 0
         return tuple(draw(st.lists(state, min_size=0 if empty else 1, max_size=4)))
 
     moves = [
@@ -337,25 +343,13 @@ def _flat(arena):
     )
 
 
-def _solve_or_error(solver, arena, obj):
-    # a choice without replies is lost by the agent but never forced by
-    # the target, so such arenas can fail the determinacy check
-    try:
-        return solver(arena, obj)
-    except SolverError:
-        return None
-
-
 def check_against_reference(flat, arena, obj):
     """``solve`` on the flat arena and the reference solver on the same
-    arena as tuples agree: both fail, or they give the same winner and
-    region, the same reachable controller, or the same target region,
-    modes and choices."""
-    got = _solve_or_error(solve, flat, obj)
-    want = _solve_or_error(reference_solver.solve, arena, obj)
-    if want is None:
-        assert got is None
-        return
+    arena as tuples agree: neither fails, and they give the same winner
+    and region, the same reachable controller, or the same target
+    region, modes and choices."""
+    got = solve(flat, obj)
+    want = reference_solver.solve(arena, obj)
     assert got.agent_wins == want.agent_wins
     assert got.winning_region == want.winning_region
     if want.agent_wins:
@@ -411,10 +405,10 @@ def test_only_the_game_the_agent_wins_runs_the_buchi_round(
     monkeypatch, game5, goal_pred, spec, verdict, calls
 ):
     """A game the target wins is solved by its layered region alone, and
-    one the agent wins by one Buchi round on the rest: over a whole CEGAR
-    loop, whose last game alone can be won by the agent, the round and
-    the controller built from it run once for a realizable recurrence
-    spec and never for an unrealizable one."""
+    one the agent wins also gets the controller built from the ranks of
+    the last trap round: over a whole CEGAR loop, whose last game alone
+    can be won by the agent, the controller is built once for a
+    realizable recurrence spec and never for an unrealizable one."""
     buchi = surveil.solver._buchi_strategy
     runs = []
 
@@ -428,6 +422,38 @@ def test_only_the_game_the_agent_wins_runs_the_buchi_round(
     assert len(runs) == calls
 
 
+@pytest.mark.parametrize(
+    "name, spec", [("paper5x5", "GF p<=2"), ("bigroom", "GF p<=10 & GF goal")]
+)
+def test_solve_runs_every_agent_attractor_in_a_trap_round(monkeypatch, name, spec):
+    """On the last game of a realizable CEGAR loop, the Buchi ranks are
+    those of the last trap round: every agent attractor that ``solve``
+    runs is run by ``_avoid_trap``, none by a separate Buchi round."""
+    grid = parse_grid(bundled_map(f"{name}.txt"))
+    G = build_game_structure(grid, *parse_config(bundled_map(f"{name}.cfg")))
+    obj = parse_spec(spec)
+    out = cegar_loop(G, obj, predicates=predicates_from_grid(grid))
+    assert out.verdict == "realizable"
+    attractor, avoid_trap = surveil.solver._attractor, surveil.solver._avoid_trap
+    in_trap, calls = [], []
+
+    def attractor_call(*args):
+        calls.append(bool(in_trap))
+        return attractor(*args)
+
+    def trap_round(*args):
+        in_trap.append(True)
+        try:
+            return avoid_trap(*args)
+        finally:
+            in_trap.pop()
+
+    monkeypatch.setattr(surveil.solver, "_attractor", attractor_call)
+    monkeypatch.setattr(surveil.solver, "_avoid_trap", trap_round)
+    assert solve(out.arena, obj).agent_wins
+    assert calls and all(calls)
+
+
 @settings(max_examples=200, deadline=None)
 @given(random_games())
 def test_moves_cover_exactly_the_reached_pairs(game):
@@ -436,8 +462,8 @@ def test_moves_cover_exactly_the_reached_pairs(game):
     every arena choice, and no move elsewhere; every reply is winning."""
     arena, obj = game
     flat = _flat(arena)
-    result = _solve_or_error(solve, flat, obj)
-    if result is None or not result.agent_wins:
+    result = solve(flat, obj)
+    if not result.agent_wins:
         return
     strat = result.agent_strategy
     labels_of = {}
@@ -450,13 +476,12 @@ def test_moves_cover_exactly_the_reached_pairs(game):
     assert {r for r, _ in strat.moves.values()} <= strat.winning_region
 
 
-def test_choices_without_replies_fail_as_in_the_reference():
-    """States 3, 4, 6 and 7 have a choice without replies, so they lie
-    outside the safe region, but the target strategy does not force
-    through such a choice and cannot cover them: both solvers fail the
-    determinacy check.  An agent attractor that counted reply-less
-    choices would return a target strategy here instead; the Hypothesis
-    test above took about 6,000 examples to find this arena."""
+def test_solve_refuses_an_arena_that_is_not_total():
+    """States 3, 4, 6 and 7 have a choice without replies.  The reference
+    solver puts them outside the safe region, but its target strategy
+    does not force through such a choice and cannot cover them, so it
+    fails its determinacy check; ``solve`` refuses the arena up front,
+    naming the first such choice."""
     moves = [
         [(0, (7,))],
         [],
@@ -478,7 +503,20 @@ def test_choices_without_replies_fail_as_in_the_reference():
     obj = Objective(frozenset(), (r0,))
     with pytest.raises(SolverError, match="determinacy check failed"):
         reference_solver.solve(arena, obj)
-    with pytest.raises(SolverError, match="determinacy check failed"):
+    msg = "choice 0 of state 3 has no agent reply"
+    with pytest.raises(SolverError, match=re.escape(msg)):
+        solve(_flat(arena), obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_games(total=False))
+def test_solve_refuses_every_arena_that_is_not_total(game):
+    arena, obj = game
+    empty = [(i, c) for i, out in enumerate(arena.moves) for c, r in out if not r]
+    assume(empty)
+    i, c = empty[0]
+    msg = f"choice {c} of state {i} has no agent reply"
+    with pytest.raises(SolverError, match=re.escape(msg)):
         solve(_flat(arena), obj)
 
 
@@ -489,10 +527,8 @@ def test_agent_region_lies_in_its_controllable_predecessor(game):
     is ``F_j & Z & cpre(Z)`` only because ``Z`` lies inside
     ``cpre(Z)``: every choice of a state of ``Z`` has a reply in ``Z``."""
     arena, obj = game
-    result = _solve_or_error(solve, _flat(arena), obj)
-    if result is not None:
-        Z = result.winning_region
-        assert Z <= reference_solver.cpre(arena, Z)
+    Z = solve(_flat(arena), obj).winning_region
+    assert Z <= reference_solver.cpre(arena, Z)
 
 
 @settings(max_examples=200, deadline=None)
@@ -504,7 +540,7 @@ def test_export_matches_reference_on_random_games(game):
         [(i, i) for i in arena.states], arena.initial, arena.moves,
         atom_sets=arena.atom_sets,
     )
-    result = _solve_or_error(solve, flat, obj)
-    if result is not None and result.agent_wins:
+    result = solve(flat, obj)
+    if result.agent_wins:
         # every label is a cell, so no block is named
         check_export(flat, obj, result.agent_strategy, Partition({}, frozenset()))
