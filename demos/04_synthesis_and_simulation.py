@@ -9,10 +9,11 @@ the agent still considers possible, # obstacles.
 from surveil import (
     EvasivePolicy,
     MotionConfig,
-    StrategyRunner,
     VisionConfig,
     build_game_structure,
     cegar_loop,
+    export_strategy,
+    load_runner,
     parse_grid,
     parse_spec,
     render_trace,
@@ -29,7 +30,8 @@ def main():
           f"{len(out.final_partition)} blocks")
     print()
 
-    runner = StrategyRunner(G, out.arena, out.strategy, out.final_partition)
+    # the runner plays the controller as synth exports it, checked on load
+    runner = load_runner(G, export_strategy(out.arena, out.strategy, "", out.final_partition))
     trace = simulate(G, grid, runner, EvasivePolicy(grid), steps=8)
     print(render_trace(trace, "text"))
 

@@ -60,6 +60,7 @@ from .simulate import (
     RandomPolicy,
     SimulationError,
     StrategyRunner,
+    export_strategy,
     load_runner,
     render_trace,
     simulate,
@@ -70,7 +71,6 @@ from .solver import (
     SolverError,
     SolveResult,
     StrategyData,
-    export_strategy,
     extract_cex_graph,
     make_arena,
     solve,

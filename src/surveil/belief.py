@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable
 
 from .objective import SurvAtom
@@ -265,36 +264,6 @@ class TurnGame:
         """The agent's replies to choice ``c``, as state numbers."""
         s = self.choice_set[c]
         return self.replies[self.reply_off[s] : self.reply_off[s + 1]]
-
-    @classmethod
-    def from_moves(cls, states, initial, moves, **fields):
-        """A flat game from ``moves[i]``, the ``(choice, replies)`` pairs
-        of state ``i`` in canonical order.  Choices with the same label
-        and equal replies share a reply set."""
-        labels = sorted({c for out in moves for c, _ in out}, key=belief_key)
-        label_id = {c: k for k, c in enumerate(labels)}
-        set_id = {}
-        choice_label, choice_set, widths, replies = (array("i") for _ in range(4))
-        for c, r in (cr for out in moves for cr in out):
-            key = (label_id[c], tuple(r))
-            s = set_id.get(key)
-            if s is None:
-                s = set_id[key] = len(set_id)
-                widths.append(len(r))
-                replies.extend(r)
-            choice_label.append(key[0])
-            choice_set.append(s)
-        return cls(
-            list(states),
-            initial,
-            labels,
-            array("i", accumulate(map(len, moves), initial=0)),
-            choice_label,
-            choice_set,
-            array("i", accumulate(widths, initial=0)),
-            replies,
-            **fields,
-        )
 
 
 def belief_key(belief):

@@ -30,19 +30,13 @@ from .simulate import (
     GoalSeekingPolicy,
     RandomPolicy,
     SimulationError,
-    StrategyRunner,
+    export_strategy,
     load_runner,
     render_trace,
     simulate,
     trace_jsonl,
 )
-from .solver import (
-    SolverError,
-    check_predicates,
-    export_strategy,
-    make_arena,
-    solve,
-)
+from .solver import SolverError, check_predicates, make_arena, solve
 from .structure import validate_assumptions
 
 EXIT_OK = 0
@@ -212,7 +206,6 @@ def _simulate_and_write(args, render) -> int:
     if args.strategy:
         with open(args.strategy) as fh:
             payload = json.load(fh)
-        runner = load_runner(G, payload, expected_digest=digest)
     elif objective is None:
         raise SimulationError("either --spec or --strategy is required")
     else:
@@ -220,9 +213,11 @@ def _simulate_and_write(args, render) -> int:
         if outcome.verdict != "realizable":
             print("unrealizable", file=sys.stderr)
             return EXIT_UNREALIZABLE
-        runner = StrategyRunner(
-            G, outcome.arena, outcome.strategy, outcome.final_partition
+        payload = export_strategy(
+            outcome.arena, outcome.strategy, digest, outcome.final_partition
         )
+    # a controller synthesized here is checked and played like a file's
+    runner = load_runner(G, payload, expected_digest=digest)
     if args.policy == "random":
         policy = RandomPolicy(args.seed)
     elif args.policy == "evasive":

@@ -1,9 +1,14 @@
-"""Closed-loop execution of a synthesized controller against a target.
+"""The controller file, and its closed-loop execution against a target.
 
-The runner keeps the abstract game state and the controller memory; the
-simulator additionally tracks the exact belief and the target's true
-location, checking on every step that the true location lies in the
-exact belief and the exact belief inside the concretized abstract one.
+This module owns the controller format: :func:`export_strategy` writes a
+solved controller as a JSON-ready dictionary, and :func:`load_runner`
+checks such a dictionary against the map and builds the only runner
+there is from it, whether the controller comes from a file or from a
+synthesis in the same process.  The runner keeps the controller state
+and memory; the simulator additionally tracks the exact belief and the
+target's true location, checking on every step that the true location
+lies in the exact belief and the exact belief inside the concretized
+abstract one.
 """
 
 from __future__ import annotations
@@ -15,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .abstraction import Partition
-from .belief import belief_moves, label_json, landing_cells
+from .belief import TurnGame, belief_moves, label_json, landing_cells
 from .grid import GridWorld
-from .solver import Arena, StrategyData
 from .structure import SurveillanceGameStructure
 
 
@@ -25,43 +29,92 @@ class SimulationError(RuntimeError):
     """A move outside the game structure, or a controller without a move."""
 
 
+def export_strategy(arena: TurnGame, strat, digest: str, partition: Partition) -> dict:
+    """JSON-ready dump of a finite-memory controller whose moves cover
+    the ``(state, memory)`` pairs that a run from ``(arena.initial, 0)``
+    can reach, as :func:`~surveil.solver.solve` builds them in its
+    ``StrategyData``.
+
+    Only the states those pairs use are written, renumbered in increasing
+    arena order, and ``winning_region`` lists them all; moves are sorted
+    by state, memory and the choice's canonical rank.  ``blocks`` is the
+    arena's ``partition``, which the block-set labels refer to.  Raises
+    :class:`SimulationError` when ``(initial, 0)`` or a pair that a move
+    leads to lacks a move for one of its state's choices.
+    """
+    labels, label, start = arena.labels, arena.choice_label, arena.choice_off
+    pairs = sorted({(arena.initial, 0), *strat.moves.values()})
+    # (state, memory, label id) -> (reply, memory'); label ids follow the
+    # arena's canonical (belief_key) order
+    reached = {}
+    for i, mem in pairs:
+        for c in range(start[i], start[i + 1]):
+            k = label[c]
+            move = strat.moves.get((i, mem, labels[k]))
+            if move is None:
+                raise SimulationError(
+                    f"controller has no move in state {i}, memory {mem} for "
+                    f"choice {label_json(labels[k])!r}"
+                )
+            reached[(i, mem, k)] = move
+    used = sorted({i for i, _ in pairs})
+    new = {i: n for n, i in enumerate(used)}
+    states = [[arena.states[i][0], label_json(arena.states[i][1])] for i in used]
+    moves = [
+        [new[i], mem, label_json(labels[k]), new[r], mem2]
+        for (i, mem, k), (r, mem2) in sorted(reached.items())
+    ]
+    blocks = {str(bid): sorted(cells) for bid, cells in partition.blocks.items()}
+    return {
+        "digest": digest,
+        "memory_count": strat.memory_count,
+        "initial": new[arena.initial],
+        "winning_region": list(range(len(used))),
+        "states": states,
+        "moves": moves,
+        "blocks": blocks,
+    }
+
+
 @dataclass
 class StrategyRunner:
-    """Steps a finite-memory controller along observed target moves.
+    """Steps an exported finite-memory controller, as :func:`load_runner`
+    reads it, along observed target moves.
 
-    A move labelled by a location is played when the agent sees the
-    target land there.  ``set_move[i]`` is the controller's block-set
-    move in state ``i`` under ``partition``, which it plays while the
-    agent does not see the target; a controller with two block-set moves
-    in one state is rejected.  An exact-game controller is one under
+    ``states[i]`` is the ``(agent cell, label)`` pair of controller state
+    ``i``, and ``moves[(i, memory, label)] = (reply, memory')``.  A move
+    labelled by a location is played when the agent sees the target land
+    there.  ``set_move[i]`` is the controller's block-set move in state
+    ``i`` under ``partition``, which it plays while the agent does not
+    see the target; a controller with two block-set moves in one state
+    is rejected.  An exact-game controller is one under
     :func:`~surveil.abstraction.singletons`, and reads the same way.
     """
 
     G: SurveillanceGameStructure
-    arena: Arena
-    strategy: StrategyData
+    states: list
+    initial: int
+    moves: dict
     partition: Partition
     state: int = field(init=False)
     memory: int = field(init=False)
     set_move: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.state = self.arena.initial
+        self.state = self.initial
         self.memory = 0
-        if self.state not in self.strategy.winning_region:
-            raise SimulationError("initial state is not in the winning region")
         self.set_move = {}
-        for i, _, c in self.strategy.moves:
+        for i, _, c in self.moves:
             if not isinstance(c, int) and self.set_move.setdefault(i, c) != c:
                 raise SimulationError(f"controller has two block-set moves in state {i}")
 
     @property
     def abstract_state(self):
-        return self.arena.states[self.state]
+        return self.states[self.state]
 
     def step(self, target_loc: int) -> int:
         """Feed the target's observation; returns the agent's next cell."""
-        l_a, _ = self.arena.states[self.state]
+        l_a, _ = self.states[self.state]
         if self.G.vis(l_a, target_loc):
             choice = target_loc
         else:
@@ -71,11 +124,10 @@ class StrategyRunner:
                     f"no invisible move available from state {self.state}"
                 )
         key = (self.state, self.memory, choice)
-        if key not in self.strategy.moves:
+        if key not in self.moves:
             raise SimulationError(f"controller has no move for {key}")
-        reply, self.memory = self.strategy.moves[key]
-        self.state = reply
-        return self.arena.states[reply][0]
+        self.state, self.memory = self.moves[key]
+        return self.states[self.state][0]
 
 
 def load_runner(
@@ -87,13 +139,15 @@ def load_runner(
     so a controller synthesized for a different map is rejected before it
     can produce nonsense moves.  So is a controller whose initial state,
     winning region or moves name a state index it does not list, whose
-    ``memory_count`` is not a positive int, whose moves use a memory
-    outside ``range(memory_count)``, whose states or move labels name a
-    cell or block id the map or its partition lacks, or whose ``blocks``,
-    the partition its block-set labels refer to, is missing or does not
-    cover exactly the map's target cells.  So is a move whose reply
-    state's label is not the move's label, or whose reply puts the agent
-    on a cell that is not a legal reply to the move.
+    initial state is outside its winning region or is not the map's start
+    ``G.initial``, that lists two moves for one ``(state, memory,
+    label)``, whose ``memory_count`` is not a positive int, whose moves
+    use a memory outside ``range(memory_count)``, whose states or move
+    labels name a cell or block id the map or its partition lacks, or
+    whose ``blocks``, the partition its block-set labels refer to, is
+    missing or does not cover exactly the map's target cells.  So is a
+    move whose reply state's label is not the move's label, or whose
+    reply puts the agent on a cell that is not a legal reply to the move.
     """
     if not isinstance(payload, dict):
         raise SimulationError("strategy file must hold a JSON object")
@@ -111,24 +165,25 @@ def load_runner(
             (l_a, label if isinstance(label, int) else frozenset(label))
             for l_a, label in payload["states"]
         ]
-        moves = {
-            (i, mem, c if isinstance(c, int) else frozenset(c)): (r, mem2)
-            for i, mem, c, r, mem2 in payload["moves"]
-        }
-        strategy = StrategyData(
-            memory_count=payload["memory_count"],
-            winning_region=frozenset(payload["winning_region"]),
-            moves=moves,
-        )
+        moves = {}
+        for i, mem, c, r, mem2 in payload["moves"]:
+            key = (i, mem, c if isinstance(c, int) else frozenset(c))
+            if key in moves:
+                raise SimulationError(
+                    f"strategy file lists two moves for state {i}, memory {mem} "
+                    f"and label {label_json(key[2])}"
+                )
+            moves[key] = (r, mem2)
+        initial, region = payload["initial"], payload["winning_region"]
         n = len(states)
-        used = [payload["initial"], *strategy.winning_region]
+        used = [initial, *region]
         used += [i for i, _, _ in moves] + [r for r, _ in moves.values()]
         bad = [i for i in used if not (isinstance(i, int) and 0 <= i < n)]
         if bad:
             raise SimulationError(
                 f"strategy file refers to state {bad[0]!r}, but lists {n} states"
             )
-        count = strategy.memory_count
+        count = payload["memory_count"]
         if not (isinstance(count, int) and count > 0):
             raise SimulationError(
                 f"strategy file has memory_count {count!r}, not a positive int"
@@ -145,10 +200,17 @@ def load_runner(
         partition = Partition(blocks, G.target_locations)
         _check_cells(G, states, partition)
         _check_moves(G, states, moves, partition)
+        if initial not in region:
+            raise SimulationError("initial state is not in the winning region")
+        if states[initial] != G.initial:
+            l_a, label = states[initial]
+            raise SimulationError(
+                f"strategy file starts in state {initial}, {[l_a, label_json(label)]}, "
+                f"not at the map's start {list(G.initial)}"
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise SimulationError(f"malformed strategy file: {exc}") from exc
-    arena = Arena.from_moves(states, payload["initial"], [()] * n)
-    return StrategyRunner(G, arena, strategy, partition)
+    return StrategyRunner(G, states, initial, moves, partition)
 
 
 def _check_cells(G: SurveillanceGameStructure, states, partition: Partition) -> None:

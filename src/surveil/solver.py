@@ -11,6 +11,9 @@ the agent's attractor to the atom) and the attractors to them, until its
 region is closed.  The rest is the agent's region, which the last trap
 round's attractors rank toward each recurrence atom: they give the
 agent's controller, with a memory index cycling through the atoms.
+The controller is a :class:`StrategyData` on arena states; its file
+format, written by :func:`~surveil.simulate.export_strategy`, belongs
+to :mod:`surveil.simulate`, which replays it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from itertools import accumulate, chain, compress, repeat
 from operator import not_, sub
 from typing import Optional
 
-from .belief import PredicateDef, TurnGame, atom_holds, concretize, label_json
+from .belief import PredicateDef, TurnGame, atom_holds, concretize
 from .objective import Atom, Objective, SurvAtom
 
 
@@ -507,48 +510,3 @@ def extract_cex_graph(arena: Arena, result: SolveResult) -> CounterexampleGraph:
                 queue.append(r)
     return CounterexampleGraph(arena.states[arena.initial], choice, edges, mode)
 
-
-def export_strategy(arena: Arena, strat: StrategyData, digest: str, partition) -> dict:
-    """JSON-ready dump of a finite-memory controller whose moves cover
-    the ``(state, memory)`` pairs that a run from ``(arena.initial, 0)``
-    can reach, as :func:`solve` builds them.
-
-    Only the states those pairs use are written, renumbered in increasing
-    arena order, and ``winning_region`` lists them all; moves are sorted
-    by state, memory and the choice's canonical rank.  ``blocks`` is the
-    arena's ``partition``, which the block-set labels refer to.  Raises
-    :class:`SolverError` when ``(initial, 0)`` or a pair that a move
-    leads to lacks a move for one of its state's choices.
-    """
-    labels, label, start = arena.labels, arena.choice_label, arena.choice_off
-    pairs = sorted({(arena.initial, 0), *strat.moves.values()})
-    # (state, memory, label id) -> (reply, memory'); label ids follow the
-    # arena's canonical (belief_key) order
-    reached = {}
-    for i, mem in pairs:
-        for c in range(start[i], start[i + 1]):
-            k = label[c]
-            move = strat.moves.get((i, mem, labels[k]))
-            if move is None:
-                raise SolverError(
-                    f"controller has no move in state {i}, memory {mem} for "
-                    f"choice {label_json(labels[k])!r}"
-                )
-            reached[(i, mem, k)] = move
-    used = sorted({i for i, _ in pairs})
-    new = {i: n for n, i in enumerate(used)}
-    states = [[arena.states[i][0], label_json(arena.states[i][1])] for i in used]
-    moves = [
-        [new[i], mem, label_json(labels[k]), new[r], mem2]
-        for (i, mem, k), (r, mem2) in sorted(reached.items())
-    ]
-    blocks = {str(bid): sorted(cells) for bid, cells in partition.blocks.items()}
-    return {
-        "digest": digest,
-        "memory_count": strat.memory_count,
-        "initial": new[arena.initial],
-        "winning_region": list(range(len(used))),
-        "states": states,
-        "moves": moves,
-        "blocks": blocks,
-    }

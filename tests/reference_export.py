@@ -1,5 +1,5 @@
 """Export of the whole controller, the reference for
-``surveil.solver.export_strategy``.
+``surveil.simulate.export_strategy``.
 
 Here every arena state and every move of the controller is written.
 Given the controller of ``reference_solver.solve``, which has a move for

@@ -7,8 +7,10 @@ game in one flat pass; both must give the same states, initial state,
 choices, replies and atom valuations, and so the same solutions.
 """
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 from conftest import choices
@@ -22,6 +24,7 @@ from surveil.belief import (
     concretize,
 )
 from surveil.objective import Atom, Objective, SurvAtom
+from surveil import solver
 from surveil.solver import SolverError
 
 
@@ -154,6 +157,37 @@ def from_flat(arena) -> Arena:
     ]
     index = {s: i for i, s in enumerate(arena.states)}
     return Arena(arena.states, index, moves, arena.initial, arena.atom_sets)
+
+
+def to_flat(arena, states=None) -> solver.Arena:
+    """The flat arena with the choices, replies and atom valuations of a
+    reference arena, and its states or ``states``.  Choices with the
+    same label and equal replies share a reply set, as in the flat game
+    that ``surveil`` builds."""
+    labels = sorted({c for out in arena.moves for c, _ in out}, key=belief_key)
+    label_id = {c: k for k, c in enumerate(labels)}
+    set_id = {}
+    choice_label, choice_set, widths, replies = (array("i") for _ in range(4))
+    for c, r in (cr for out in arena.moves for cr in out):
+        key = (label_id[c], tuple(r))
+        s = set_id.get(key)
+        if s is None:
+            s = set_id[key] = len(set_id)
+            widths.append(len(r))
+            replies.extend(r)
+        choice_label.append(key[0])
+        choice_set.append(s)
+    return solver.Arena(
+        list(arena.states if states is None else states),
+        arena.initial,
+        labels,
+        array("i", accumulate(map(len, arena.moves), initial=0)),
+        choice_label,
+        choice_set,
+        array("i", accumulate(widths, initial=0)),
+        replies,
+        arena.atom_sets,
+    )
 
 
 def tuple_moves(game) -> dict:

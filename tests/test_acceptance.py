@@ -175,16 +175,15 @@ def test_criterion_6_invariant_suites(game5, grid5, rows_partition):
             else:
                 assert B2 == invisible_succ(game5, l_a, concretize(B))
     # replay soundness and byte determinism
-    from surveil import RandomPolicy, StrategyRunner, simulate
+    from surveil import RandomPolicy, export_strategy, load_runner, simulate
 
     out = cegar_loop(game5, parse_spec("G p<=5"))
+    payload = export_strategy(out.arena, out.strategy, "", out.final_partition)
     outputs = []
     for attempt in range(2):
         lines = []
         for seed in range(100):
-            runner = StrategyRunner(
-                game5, out.arena, out.strategy, out.final_partition
-            )
+            runner = load_runner(game5, payload)
             trace = simulate(game5, grid5, runner, RandomPolicy(seed), steps=10)
             lines.append(trace_jsonl(trace))
         outputs.append("".join(lines))

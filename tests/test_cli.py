@@ -321,6 +321,40 @@ def test_simulate_rejects_out_of_range_state_index(paths, capsys):
     assert f"error: strategy file refers to state {bad}," in capsys.readouterr().err
 
 
+def _start_elsewhere(payload):
+    payload["initial"] = payload["states"].index([14, 18])
+
+
+def _second_move(payload):
+    """A second move for the first move's (state, memory, label), to
+    another state with its label."""
+    i, mem, c, r, mem2 = payload["moves"][0]
+    r2 = next(k for k, (_, label) in enumerate(payload["states"]) if label == c and k != r)
+    payload["moves"].append([i, mem, c, r2, mem2])
+
+
+@pytest.mark.parametrize("tamper, message", [
+    pytest.param(_start_elsewhere, "[14, 18], not at the map's start [4, 18]", id="start"),
+    pytest.param(_second_move, "lists two moves for state", id="duplicate"),
+])
+def test_simulate_rejects_a_bad_start_or_a_second_move(paths, capsys, tamper, message):
+    """A ``GF p<=2`` controller that starts away from the map's start, or
+    that lists two moves for one (state, memory, label), ends in an error
+    before the agent moves: no step is printed."""
+    strat = paths["tmp"] / "strat.json"
+    assert run(["synth", "--map", paths["map"], "--spec", paths["live"],
+                "--out", str(strat)]) == 0
+    payload = json.loads(strat.read_text())
+    tamper(payload)
+    strat.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = run(["simulate", "--map", paths["map"], "--strategy", str(strat),
+                "--seed", "0", "--steps", "60"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+
+
 def _labels_to_999(payload):
     for state in payload["states"]:
         if isinstance(state[1], list):

@@ -74,6 +74,22 @@ def test_no_unreferenced_private_helpers():
     assert found == []
 
 
+def test_runner_has_one_input_path():
+    """``surveil.simulate`` imports nothing from ``surveil.solver``: a
+    runner plays only an exported controller, read by ``load_runner``,
+    and never the solver's in-process objects."""
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "surveil" / "simulate.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import is resolved against the package
+            base = ".".join(filter(None, ["surveil" if node.level else "", node.module]))
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    assert "surveil.solver" not in imported
+
+
 # exported names that no module of the package uses: the benchmark's
 # oracle and its output checks use the first two, and the tests'
 # visibility reference the third

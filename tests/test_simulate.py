@@ -1,6 +1,7 @@
 import json
 import re
 from collections import deque
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -10,7 +11,6 @@ from surveil import (
     GoalSeekingPolicy,
     RandomPolicy,
     SimulationError,
-    StrategyRunner,
     cegar_loop,
     export_strategy,
     load_runner,
@@ -45,15 +45,17 @@ def controller(game5):
 
 
 def make_runner(game5, controller):
-    return StrategyRunner(
-        game5, controller.arena, controller.strategy, controller.final_partition
+    """A runner for the exported controller, loaded as a file is."""
+    payload = export_strategy(
+        controller.arena, controller.strategy, "d", controller.final_partition
     )
+    return load_runner(game5, payload, expected_digest="d")
 
 
 def test_tampered_controller_with_illegal_agent_move_rejected(game5, grid5):
     """A controller whose digest matches but whose state ``[4, [9]]``
     puts the agent on cell 23, which no agent move reaches from cell 9,
-    is refused when the file loads; a runner whose arena is changed so
+    is refused when the file loads; a runner whose states are changed so
     after loading is stopped when the agent makes the move."""
     out = cegar_loop(game5, parse_spec("G p<=3"))
     payload = export_strategy(out.arena, out.strategy, "d", out.final_partition)
@@ -62,7 +64,7 @@ def test_tampered_controller_with_illegal_agent_move_rejected(game5, grid5):
     payload["states"][i][0] = 23
     with pytest.raises(SimulationError, match="agent 23 -> .*, which is illegal after it"):
         load_runner(game5, payload, expected_digest="d")
-    runner.arena.states[i] = (23, runner.arena.states[i][1])
+    runner.states[i] = (23, runner.states[i][1])
     with pytest.raises(SimulationError, match="agent 9 -> 23"):
         simulate(game5, grid5, runner, RandomPolicy(1), 30)
 
@@ -184,7 +186,23 @@ def _illegal_reply(payload, G, set_move):
     return f"moves the agent {l_a} -> {far}, which is illegal after it"
 
 
+def _duplicate_move(payload, G):
+    """A second move for the ``(state, memory, label)`` of a seen-cell
+    move, to another state with the move's label and a legal agent cell,
+    so that either move alone would load."""
+    states = payload["states"]
+    for i, mem, c, r, mem2 in payload["moves"]:
+        if isinstance(c, int):
+            legal = G.succ_a(states[i][0], c)
+            for r2, (l_a, label) in enumerate(states):
+                if label == c and r2 != r and l_a in legal:
+                    payload["moves"].append([i, mem, c, r2, mem2])
+                    return f"lists two moves for state {i}, memory {mem} and label {c}"
+    raise AssertionError("no seen-cell move has a second legal reply")
+
+
 @pytest.mark.parametrize("tamper", [
+    pytest.param(_duplicate_move, id="duplicate"),
     pytest.param(_unknown_block, id="block"),
     pytest.param(_unknown_cell, id="cell"),
     pytest.param(_mislabelled_reply, id="label"),
@@ -192,13 +210,28 @@ def _illegal_reply(payload, G, set_move):
     pytest.param(partial(_illegal_reply, set_move=True), id="set-reply"),
 ])
 def test_controller_with_bad_move_rejected(game5, gf2_payload, tamper):
-    """A move whose label names a cell or block the file lacks, whose
-    reply state has another label, or whose reply puts the agent where
-    the move does not let it go is refused when the file loads, before
-    the agent moves."""
+    """A second move for one ``(state, memory, label)``, a move whose
+    label names a cell or block the file lacks, whose reply state has
+    another label, or whose reply puts the agent where the move does not
+    let it go is refused when the file loads, before the agent moves."""
     load_runner(game5, gf2_payload, expected_digest="d")
     payload = json.loads(json.dumps(gf2_payload))
     message = tamper(payload, game5)
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        load_runner(game5, payload, expected_digest="d")
+
+
+def test_controller_starting_away_from_the_map_start_rejected(game5, grid5, gf2_payload):
+    """A controller whose initial state is ``[14, 18]``, not the map's
+    start ``[4, 18]``, is refused when the file loads.  The simulator's
+    checks alone do not catch it: a runner started there gets through 60
+    rounds against the random target of seed 0."""
+    payload = json.loads(json.dumps(gf2_payload))
+    i = payload["states"].index([14, 18])
+    runner = replace(load_runner(game5, payload, expected_digest="d"), initial=i)
+    simulate(game5, grid5, runner, RandomPolicy(0), 60)
+    payload["initial"] = i
+    message = f"starts in state {i}, [14, 18], not at the map's start [4, 18]"
     with pytest.raises(SimulationError, match=re.escape(message)):
         load_runner(game5, payload, expected_digest="d")
 

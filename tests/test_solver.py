@@ -13,6 +13,7 @@ import surveil.cegar
 import surveil.solver
 from surveil import (
     Partition,
+    SimulationError,
     SolverError,
     SurveillanceGameStructure,
     build_abstract_game,
@@ -34,7 +35,6 @@ from surveil.belief import label_json
 from surveil.cegar import counterexample_tree
 from surveil.cli import bundled_map
 from surveil.objective import Objective, TaskAtom
-from surveil.solver import Arena
 
 
 def _tree_nodes(tree):
@@ -298,7 +298,7 @@ def test_export_of_a_reached_pair_without_a_move_fails(game5, exact_arena_factor
     obj, arena = exact_arena_factory("G p<=3")
     strat = solve(arena, obj).agent_strategy
     del strat.moves[next(k for k in strat.moves if k[:2] == (arena.initial, 0))]
-    with pytest.raises(SolverError, match=f"no move in state {arena.initial}, memory 0"):
+    with pytest.raises(SimulationError, match=f"no move in state {arena.initial}, memory 0"):
         export_strategy(arena, strat, "d", singletons(game5))
 
 
@@ -336,13 +336,6 @@ def random_games(draw, total=True):
     return arena, Objective(frozenset(safety), tuple(recurrence))
 
 
-def _flat(arena):
-    """The flat arena with the reference arena's moves."""
-    return Arena.from_moves(
-        arena.states, arena.initial, arena.moves, atom_sets=arena.atom_sets
-    )
-
-
 def check_against_reference(flat, arena, obj):
     """``solve`` on the flat arena and the reference solver on the same
     arena as tuples agree: neither fails, and they give the same winner
@@ -367,7 +360,7 @@ def check_against_reference(flat, arena, obj):
 @given(random_games())
 def test_solver_matches_naive_reference(game):
     arena, obj = game
-    check_against_reference(_flat(arena), arena, obj)
+    check_against_reference(reference_game.to_flat(arena), arena, obj)
 
 
 # the specs of the benchmark's paper-oracle workload, whose goal is the
@@ -461,7 +454,7 @@ def test_moves_cover_exactly_the_reached_pairs(game):
     memory)`` pair that its moves reach from ``(initial, 0)``, following
     every arena choice, and no move elsewhere; every reply is winning."""
     arena, obj = game
-    flat = _flat(arena)
+    flat = reference_game.to_flat(arena)
     result = solve(flat, obj)
     if not result.agent_wins:
         return
@@ -505,7 +498,7 @@ def test_solve_refuses_an_arena_that_is_not_total():
         reference_solver.solve(arena, obj)
     msg = "choice 0 of state 3 has no agent reply"
     with pytest.raises(SolverError, match=re.escape(msg)):
-        solve(_flat(arena), obj)
+        solve(reference_game.to_flat(arena), obj)
 
 
 @settings(max_examples=200, deadline=None)
@@ -517,7 +510,7 @@ def test_solve_refuses_every_arena_that_is_not_total(game):
     i, c = empty[0]
     msg = f"choice {c} of state {i} has no agent reply"
     with pytest.raises(SolverError, match=re.escape(msg)):
-        solve(_flat(arena), obj)
+        solve(reference_game.to_flat(arena), obj)
 
 
 @settings(max_examples=400, deadline=None)
@@ -527,7 +520,7 @@ def test_agent_region_lies_in_its_controllable_predecessor(game):
     is ``F_j & Z & cpre(Z)`` only because ``Z`` lies inside
     ``cpre(Z)``: every choice of a state of ``Z`` has a reply in ``Z``."""
     arena, obj = game
-    Z = solve(_flat(arena), obj).winning_region
+    Z = solve(reference_game.to_flat(arena), obj).winning_region
     assert Z <= reference_solver.cpre(arena, Z)
 
 
@@ -536,10 +529,7 @@ def test_agent_region_lies_in_its_controllable_predecessor(game):
 def test_export_matches_reference_on_random_games(game):
     arena, obj = game
     # the reference arena's states are bare numbers; export needs pairs
-    flat = Arena.from_moves(
-        [(i, i) for i in arena.states], arena.initial, arena.moves,
-        atom_sets=arena.atom_sets,
-    )
+    flat = reference_game.to_flat(arena, [(i, i) for i in arena.states])
     result = solve(flat, obj)
     if result.agent_wins:
         # every label is a cell, so no block is named
