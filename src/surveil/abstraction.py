@@ -23,7 +23,6 @@ from .belief import (
     BudgetExceeded,
     PredicateDef,
     TurnGame,
-    belief_key,
     belief_moves,
     safety_test,
     target_moves,
@@ -189,14 +188,13 @@ def abstract_successors(G: SurveillanceGameStructure, Q: Partition, state, recor
 def _explore(initial, successors, max_states) -> TurnGame:
     """Enumerate the game reachable from ``initial`` breadth first.
 
-    A state gets a number when it is first found, and each distinct
-    belief is interned once.  Each distinct pair of a belief and a tuple
-    of agent cells is interned once too, as a reply set, whose members
-    are numbered and appended to one flat array.  One permutation at the
-    end puts states and beliefs in canonical order and renumbers the set
-    members; choices keep the order ``successors`` gives them, and sets
-    keep the order they were found in.  Every set belongs to one belief,
-    so a choice's belief is read off its set.
+    States are numbered as they are found, so ``initial`` is state 0,
+    and each distinct belief is interned once, in the order it is found.
+    Each distinct pair of a belief and a tuple of agent cells is interned
+    once too, as a reply set, whose members are numbered and appended to
+    one flat array.  Choices keep the order ``successors`` gives them,
+    and sets keep the order they were found in.  Every set belongs to one
+    belief, so a choice's belief is read off its set.
     """
     l_a0, label0 = initial
     labels = [label0]
@@ -206,7 +204,6 @@ def _explore(initial, successors, max_states) -> TurnGame:
     numbered = [{l_a0: 0}]
     set_ids = [{}]
     found = [initial]
-    found_label = array("i", [0])
     # per reply set: its belief id and its width
     set_label, widths = array("i"), array("i")
     n_choices, choice_set, replies = array("i"), array("i"), array("i")
@@ -237,36 +234,19 @@ def _explore(initial, successors, max_states) -> TurnGame:
                             raise BudgetExceeded(f"state budget of {max_states} exceeded")
                         j = at[l_a2] = len(found)
                         found.append((l_a2, label))
-                        found_label.append(lid)
                     add_reply(j)
             add_choice(s)
 
-    # canonical order: beliefs by belief_key, states by (cell, belief)
-    n_labels = len(labels)
-    by_key = sorted(range(n_labels), key=lambda k: belief_key(labels[k]))
-    rank = [0] * n_labels
-    for r, k in enumerate(by_key):
-        rank[k] = r
-    keys = [s[0] * n_labels + rank[k] for s, k in zip(found, found_label)]
-    order = sorted(range(len(found)), key=keys.__getitem__)
-    number = [0] * len(order)
-    for i, d in enumerate(order):
-        number[d] = i
-    set_rank = list(map(rank.__getitem__, set_label))
-    choice_at = array("i", accumulate(n_choices, initial=0))
-    sets_out = array("i")
-    for d in order:
-        sets_out += choice_set[choice_at[d] : choice_at[d + 1]]
     # an array fills about twice as fast from a list as from an iterator
     return TurnGame(
-        [found[d] for d in order],
-        number[0],
-        [labels[k] for k in by_key],
-        array("i", accumulate(map(n_choices.__getitem__, order), initial=0)),
-        array("i", list(map(set_rank.__getitem__, sets_out))),
-        sets_out,
+        found,
+        0,
+        labels,
+        array("i", accumulate(n_choices, initial=0)),
+        array("i", list(map(set_label.__getitem__, choice_set))),
+        choice_set,
         array("i", accumulate(widths, initial=0)),
-        array("i", list(map(number.__getitem__, replies))),
+        replies,
     )
 
 

@@ -231,17 +231,18 @@ def belief_successors(G: SurveillanceGameStructure, state):
 class TurnGame:
     """Explicit reachable game with target-then-agent turn structure.
 
-    The game is flat.  States are numbered in canonical order (agent
-    cell, then :func:`belief_key`), and ``initial`` is a state number.
-    The target's choices in state ``i`` have the ids ``choice_off[i]`` up
-    to ``choice_off[i + 1]``, in canonical order.  Choice ``c`` moves the
+    The game is flat.  A built game numbers its states as exploration
+    finds them, so ``initial``, a state number, is 0 there; a hand-built
+    arena may use any numbering.  The target's choices in state ``i``
+    have the ids ``choice_off[i]`` up to ``choice_off[i + 1]``, in
+    canonical order (:func:`belief_key`).  Choice ``c`` moves the
     target to the belief ``labels[choice_label[c]]``, and the agent's
     replies to it are the members of the reply set ``choice_set[c]``.
     Reply set ``s`` holds the states ``replies[reply_off[s]:reply_off[s +
     1]]``; choices with the same label and the same replies (in the
     abstract game, the same agent cells after the same target move) share
     one set, stored once.  ``labels`` holds each distinct belief once, in
-    canonical order, and the states share these objects.
+    the order it was found, and the states share these objects.
 
     A state may have no choices: a state of a game built for safety
     atoms that breaks one of them is not expanded, although it has its

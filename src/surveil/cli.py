@@ -203,6 +203,12 @@ def _simulate_and_write(args, render) -> int:
     """Body of ``simulate`` and ``render``, which differ only in how
     ``render`` turns the trace into text."""
     grid, G, objective, predicates, digest = _load_problem(args)
+    if args.policy == "random":
+        policy = RandomPolicy(args.seed)
+    elif args.policy == "evasive":
+        policy = EvasivePolicy(grid)
+    else:
+        policy = GoalSeekingPolicy(grid)
     if args.strategy:
         with open(args.strategy) as fh:
             payload = json.load(fh)
@@ -218,12 +224,6 @@ def _simulate_and_write(args, render) -> int:
         )
     # a controller synthesized here is checked and played like a file's
     runner = load_runner(G, payload, expected_digest=digest)
-    if args.policy == "random":
-        policy = RandomPolicy(args.seed)
-    elif args.policy == "evasive":
-        policy = EvasivePolicy(grid)
-    else:
-        policy = GoalSeekingPolicy(grid)
     _write_out(args, render(simulate(G, grid, runner, policy, args.steps)))
     return EXIT_OK
 

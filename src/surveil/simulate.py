@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .abstraction import Partition
-from .belief import TurnGame, belief_moves, label_json, landing_cells
+from .belief import TurnGame, belief_key, belief_moves, label_json, landing_cells
 from .grid import GridWorld
 from .structure import SurveillanceGameStructure
 
@@ -35,42 +35,44 @@ def export_strategy(arena: TurnGame, strat, digest: str, partition: Partition) -
     can reach, as :func:`~surveil.solver.solve` builds them in its
     ``StrategyData``.
 
-    Only the states those pairs use are written, renumbered in increasing
-    arena order, and ``winning_region`` lists them all; moves are sorted
-    by state, memory and the choice's canonical rank.  ``blocks`` is the
-    arena's ``partition``, which the block-set labels refer to.  Raises
+    The arena numbers its states as they were found; the file does not
+    depend on that numbering.  Only the states the pairs use are
+    written, renumbered in canonical order (agent cell, then
+    :func:`~surveil.belief.belief_key` of the label), and
+    ``winning_region`` lists them all; moves are sorted by state, memory
+    and the canonical order of their labels.  ``blocks`` is the arena's
+    ``partition``, which the block-set labels refer to.  Raises
     :class:`SimulationError` when ``(initial, 0)`` or a pair that a move
     leads to lacks a move for one of its state's choices.
     """
     labels, label, start = arena.labels, arena.choice_label, arena.choice_off
-    pairs = sorted({(arena.initial, 0), *strat.moves.values()})
-    # (state, memory, label id) -> (reply, memory'); label ids follow the
-    # arena's canonical (belief_key) order
-    reached = {}
+    states = arena.states
+    pairs = sorted(
+        {(arena.initial, 0), *strat.moves.values()},
+        key=lambda p: (states[p[0]][0], belief_key(states[p[0]][1]), p[1]),
+    )
+    new = {}
+    for i, _ in pairs:
+        new.setdefault(i, len(new))
+    moves = []
     for i, mem in pairs:
-        for c in range(start[i], start[i + 1]):
-            k = label[c]
-            move = strat.moves.get((i, mem, labels[k]))
+        choices = {labels[label[c]] for c in range(start[i], start[i + 1])}
+        for choice in sorted(choices, key=belief_key):
+            move = strat.moves.get((i, mem, choice))
             if move is None:
                 raise SimulationError(
                     f"controller has no move in state {i}, memory {mem} for "
-                    f"choice {label_json(labels[k])!r}"
+                    f"choice {label_json(choice)!r}"
                 )
-            reached[(i, mem, k)] = move
-    used = sorted({i for i, _ in pairs})
-    new = {i: n for n, i in enumerate(used)}
-    states = [[arena.states[i][0], label_json(arena.states[i][1])] for i in used]
-    moves = [
-        [new[i], mem, label_json(labels[k]), new[r], mem2]
-        for (i, mem, k), (r, mem2) in sorted(reached.items())
-    ]
+            r, mem2 = move
+            moves.append([new[i], mem, label_json(choice), new[r], mem2])
     blocks = {str(bid): sorted(cells) for bid, cells in partition.blocks.items()}
     return {
         "digest": digest,
         "memory_count": strat.memory_count,
         "initial": new[arena.initial],
-        "winning_region": list(range(len(used))),
-        "states": states,
+        "winning_region": list(range(len(new))),
+        "states": [[states[i][0], label_json(states[i][1])] for i in new],
         "moves": moves,
         "blocks": blocks,
     }
@@ -135,22 +137,30 @@ def load_runner(
 ) -> StrategyRunner:
     """Rebuild a runner from an exported controller dictionary.
 
-    With ``expected_digest`` the payload's embedded map digest must match,
-    so a controller synthesized for a different map is rejected before it
-    can produce nonsense moves.  So is a controller whose initial state,
-    winning region or moves name a state index it does not list, whose
-    initial state is outside its winning region or is not the map's start
-    ``G.initial``, that lists two moves for one ``(state, memory,
-    label)``, whose ``memory_count`` is not a positive int, whose moves
-    use a memory outside ``range(memory_count)``, whose states or move
-    labels name a cell or block id the map or its partition lacks, or
-    whose ``blocks``, the partition its block-set labels refer to, is
-    missing or does not cover exactly the map's target cells.  So is a
-    move whose reply state's label is not the move's label, or whose
-    reply puts the agent on a cell that is not a legal reply to the move.
+    A counterexample dump, which ``synth`` writes for an unrealizable
+    specification and marks ``"verdict": "unrealizable"``, is refused
+    first.  With ``expected_digest`` the payload's embedded map digest
+    must match, so a controller synthesized for a different map is
+    rejected before it can produce nonsense moves.  So is a controller
+    whose initial state, winning region or moves name a state index it
+    does not list, whose initial state is outside its winning region or
+    is not the map's start ``G.initial``, that lists two moves for one
+    ``(state, memory, label)``, whose ``memory_count`` is not a positive
+    int, whose moves use a memory outside ``range(memory_count)``, whose
+    states or move labels name a cell or block id the map or its
+    partition lacks, or whose ``blocks``, the partition its block-set
+    labels refer to, is missing or does not cover exactly the map's
+    target cells.  So is a move whose reply state's label is not the
+    move's label, or whose reply puts the agent on a cell that is not a
+    legal reply to the move.
     """
     if not isinstance(payload, dict):
         raise SimulationError("strategy file must hold a JSON object")
+    if payload.get("verdict") == "unrealizable":
+        raise SimulationError(
+            "strategy file holds a counterexample, not a controller: "
+            "its specification is unrealizable"
+        )
     if expected_digest is not None and payload.get("digest") != expected_digest:
         raise SimulationError(
             "strategy file was synthesized for a different map or config"

@@ -26,7 +26,7 @@ from itertools import accumulate, chain, compress, repeat
 from operator import not_, sub
 from typing import Optional
 
-from .belief import PredicateDef, TurnGame, atom_holds, concretize
+from .belief import PredicateDef, TurnGame, atom_holds, belief_key, concretize
 from .objective import Atom, Objective, SurvAtom
 
 
@@ -63,11 +63,20 @@ def _group(keys: array, n: int, values) -> tuple[array, array]:
 def _reply_widths(game: TurnGame) -> array:
     """The sizes of the game's reply sets.  Raises :class:`SolverError`
     when the game is not total, naming its first choice in canonical
-    order that has no agent reply."""
+    order that has no agent reply: by the state's agent cell and
+    :func:`~surveil.belief.belief_key` of its label, then in the order
+    the state lists its choices.  A state that is not such a pair, as in
+    a hand-built arena, is ordered by itself."""
     widths = _widths(game.reply_off)
     if 0 in widths:
-        c = next(c for c, k in enumerate(game.choice_set) if not widths[k])
-        s = game.states[bisect_right(game.choice_off, c) - 1]
+        states, off = game.states, game.choice_off
+
+        def key(c):
+            s = states[bisect_right(off, c) - 1]
+            return ((s[0], belief_key(s[1])) if isinstance(s, tuple) else s), c
+
+        c = min((c for c, k in enumerate(game.choice_set) if not widths[k]), key=key)
+        s = states[bisect_right(off, c) - 1]
         raise SolverError(
             f"choice {game.labels[game.choice_label[c]]!r} of state {s!r} has "
             "no agent reply: the game structure is not total"

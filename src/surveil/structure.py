@@ -99,17 +99,6 @@ class SurveillanceGameStructure:
         # a frozenset copied from a set is sized for its contents, not for its growth
         return frozenset(set(compress(self.masks.cell, bits)))
 
-    def succ_t(self, l_a: int, belief: Iterable[int]) -> frozenset[int]:
-        """Union of target successors over all locations in the belief."""
-        target_succ = self.target_succ
-        out = frozenset().union(*[target_succ[l_t] for l_t in belief])
-        if l_a not in out:
-            return out
-        # the cells that could move onto the agent step around it instead
-        return (out - {l_a}).union(
-            *[self.target_step(l_a, l_t) for l_t in belief if l_a in target_succ[l_t]]
-        )
-
 
 @dataclass(frozen=True)
 class SuccessorReport:
@@ -142,53 +131,6 @@ def reachable_states(G: SurveillanceGameStructure) -> list[tuple[int, int]]:
     return order
 
 
-def _reached_cells(G: SurveillanceGameStructure) -> dict[int, set[int]]:
-    """The reachable states grouped by agent cell: ``l_a`` -> the target
-    cells of the reachable states ``(l_a, l_t)``.
-
-    Target cells travel in sets.  Every landing cell outside the agent's
-    move ball gets that whole ball as replies, so those cells move on
-    together; only the few inside it are looked up one by one.
-    """
-    l_a0, l_t0 = G.initial
-    reached = {l_a0: {l_t0}}
-    pending = {l_a0: {l_t0}}
-    while pending:
-        l_a, cells = pending.popitem()
-        landing = G.succ_t(l_a, cells)
-        ball = G.agent_succ[l_a]
-        steps = [(ball, landing.difference(ball))]
-        steps += [(G.succ_a(l_a, l_t2), {l_t2}) for l_t2 in landing.intersection(ball)]
-        for replies, targets in steps:
-            for l_a2 in replies:
-                known = reached.setdefault(l_a2, set())
-                new = targets - known
-                if new:
-                    known |= new
-                    pending.setdefault(l_a2, set()).update(new)
-    return reached
-
-
-def _replies_agree(G: SurveillanceGameStructure, l_a: int, cells) -> bool:
-    """From the agent cell ``l_a`` and the target cells ``cells``: every
-    landing cell has a reply, and the invisible ones all get the same.
-
-    With a nonempty ball a reply is never empty, and ``succ_a`` gives a
-    landing cell outside the ball the whole ball, and one inside it the
-    ball without that cell, or ``(l_a,)`` when that leaves nothing.  No
-    landing cell is ``l_a``: the target never moves onto the agent, and
-    the agent never onto the target.  So two inside cells get different
-    replies, and an inside cell's reply differs from the whole ball:
-    the replies agree exactly when at most one cell is invisible or no
-    invisible cell lies in the ball.
-    """
-    ball = G.agent_succ[l_a]
-    if not ball:
-        return False
-    invisible = G.succ_t(l_a, cells) - G.visibility[l_a]
-    return len(invisible) <= 1 or invisible.isdisjoint(ball)
-
-
 def _balls_visible(G: SurveillanceGameStructure) -> bool:
     """Every target cell has a move, and every agent cell a nonempty
     ball, inside the cells it sees."""
@@ -204,32 +146,19 @@ def validate_assumptions(G: SurveillanceGameStructure) -> SuccessorReport:
     Invisible-independence: for a fixed agent location, the agent's reply
     set may not depend on which invisible successor the target chose.
 
-    The check runs in tiers, each only when the one before cannot tell:
-
-    1. When every target cell has a move and every agent cell's ball is
-       nonempty and lies inside the cells it sees, both hold without a
-       walk.  ``target_step`` and ``succ_a`` fall back to the mover's own
-       cell rather than return ``()`` from a nonempty table, so every
-       state has a move and every move a reply.  An invisible landing
-       cell then lies outside the ball, and ``succ_a`` gives it the whole
-       ball: the replies to invisible moves are all the same.  Every
-       bundled map passes here: a neighbour is visible whenever the
-       vision range is at least 1, and ``restrict_agent_to_visible``
-       confines a ball to visible cells.
-    2. Otherwise the reachable states are grouped by agent cell.  A reply
-       depends on the agent cell and the target's new cell only, so each
-       reached target cell and each agent cell with its reached target
-       cells is checked once (see :func:`_replies_agree`).
-    3. The reachable states are walked one by one only to name the
-       violations, when there are some.
+    When every target cell has a move and every agent cell's ball is
+    nonempty and lies inside the cells it sees, both hold without a walk.
+    ``target_step`` and ``succ_a`` fall back to the mover's own cell
+    rather than return ``()`` from a nonempty table, so every state has a
+    move and every move a reply.  An invisible landing cell then lies
+    outside the ball, and ``succ_a`` gives it the whole ball: the replies
+    to invisible moves are all the same.  Every bundled map passes here:
+    a neighbour is visible whenever the vision range is at least 1, and
+    ``restrict_agent_to_visible`` confines a ball to visible cells.
+    Otherwise the reachable states are walked one by one, and each
+    violation is named (:func:`_name_violations`).
     """
     if _balls_visible(G):
-        return SuccessorReport(True, True)
-    reached = _reached_cells(G)
-    target_cells = set().union(*reached.values())
-    if all(G.target_succ[l_t] for l_t in target_cells) and all(
-        _replies_agree(G, l_a, cells) for l_a, cells in reached.items()
-    ):
         return SuccessorReport(True, True)
     return _name_violations(G)
 

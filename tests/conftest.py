@@ -157,9 +157,21 @@ def _replayed_label(choices, old_choice):
     return set_choice(choices)
 
 
+def succ_t(G, l_a: int, belief) -> frozenset:
+    """Union of target successors over all locations in the belief."""
+    target_succ = G.target_succ
+    out = frozenset().union(*[target_succ[l_t] for l_t in belief])
+    if l_a not in out:
+        return out
+    # the cells that could move onto the agent step around it instead
+    return (out - {l_a}).union(
+        *[G.target_step(l_a, l_t) for l_t in belief if l_a in target_succ[l_t]]
+    )
+
+
 def invisible_succ(G, l_a: int, belief) -> frozenset:
     """Target successors of the belief that are invisible from ``l_a``."""
-    return G.succ_t(l_a, belief) - G.visibility[l_a]
+    return succ_t(G, l_a, belief) - G.visibility[l_a]
 
 
 def choices(game, i: int) -> list:

@@ -10,16 +10,14 @@ builds.
 """
 
 from reference_solver import reached_pairs
-from surveil.belief import label_json
+from surveil.belief import belief_key, label_json
 
 
 def export_strategy(arena, strat, digest, partition) -> dict:
     states = [[s[0], label_json(s[1])] for s in arena.states]
-    # the arena's labels are in canonical (belief_key) order
-    rank = {c: k for k, c in enumerate(arena.labels)}
     moves = []
     for (i, mem, c), (r, mem2) in sorted(
-        strat.moves.items(), key=lambda kv: (kv[0][0], kv[0][1], rank[kv[0][2]])
+        strat.moves.items(), key=lambda kv: (kv[0][0], kv[0][1], belief_key(kv[0][2]))
     ):
         moves.append([i, mem, label_json(c), r, mem2])
     blocks = {str(bid): sorted(cells) for bid, cells in partition.blocks.items()}
@@ -37,23 +35,30 @@ def export_strategy(arena, strat, digest, partition) -> dict:
 def restrict_to_reachable(payload) -> dict:
     """The payload cut down to the ``(state, memory)`` pairs that its own
     moves reach from ``(initial, 0)``, with the states they use
-    renumbered in increasing order."""
+    renumbered in canonical order: by agent cell, then by the
+    ``belief_key`` of the JSON label.  On an arena numbered in that
+    order, this keeps the states in increasing order.  The moves are
+    sorted by new state, memory and ``belief_key`` of the label."""
     # keyed by position, since JSON labels are lists
     moves = {
         (i, mem, n): (r, mem2)
         for n, (i, mem, c, r, mem2) in enumerate(payload["moves"])
     }
     seen = reached_pairs(moves, payload["initial"])
-    used = sorted({i for i, _ in seen})
+    states = payload["states"]
+    used = sorted({i for i, _ in seen}, key=lambda i: (states[i][0], belief_key(states[i][1])))
     new = {i: n for n, i in enumerate(used)}
     return {
         **payload,
         "initial": new[payload["initial"]],
         "winning_region": list(range(len(used))),
-        "states": [payload["states"][i] for i in used],
-        "moves": [
-            [new[i], mem, c, new[r], mem2]
-            for i, mem, c, r, mem2 in payload["moves"]
-            if (i, mem) in seen
-        ],
+        "states": [states[i] for i in used],
+        "moves": sorted(
+            (
+                [new[i], mem, c, new[r], mem2]
+                for i, mem, c, r, mem2 in payload["moves"]
+                if (i, mem) in seen
+            ),
+            key=lambda m: (m[0], m[1], belief_key(m[2])),
+        ),
     }

@@ -3,8 +3,9 @@
 ``_explore`` builds a dict from each state to its ``(choice, reply
 states)`` pairs, and ``make_arena`` sorts every state and re-indexes it
 into lists of ``(choice, reply numbers)``.  ``surveil`` builds the same
-game in one flat pass; both must give the same states, initial state,
-choices, replies and atom valuations, and so the same solutions.
+game in one flat pass, numbering the states as it finds them; both must
+give the same states, initial state, choices, replies and atom
+valuations, up to that numbering, and so the same solutions.
 """
 
 from array import array

@@ -446,6 +446,30 @@ def test_nan_vision_range_exit_one(paths, capsys):
     assert capsys.readouterr().err == "error: vision range must be positive\n"
 
 
+def test_goal_policy_without_goal_cells_exits_before_synthesis(paths, capsys):
+    """The target policy is built before the controller, so a map without
+    goal cells is refused at once, not after an unrealizable synthesis."""
+    code = run(["simulate", "--map", "bundled:paper5x5.txt", "--config",
+                "bundled:paper5x5.cfg", "--spec", paths["p1"], "--policy", "goal"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: no goal cells to seek\n")
+
+
+def test_simulate_refuses_a_counterexample_dump(paths, capsys):
+    """An unrealizable synthesis writes a counterexample, which has no
+    digest; it is named as such, not as a controller for another map."""
+    dump = paths["tmp"] / "cex.json"
+    assert run(["synth", "--map", paths["map"], "--spec", paths["p1"],
+                "--out", str(dump)]) == 10
+    capsys.readouterr()
+    code = run(["simulate", "--map", paths["map"], "--strategy", str(dump)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: strategy file holds a counterexample, not a controller: "
+        "its specification is unrealizable\n"
+    )
+
+
 def test_strategy_file_not_an_object_exit_one(paths, capsys):
     strat = paths["tmp"] / "list.json"
     strat.write_text("[]")

@@ -1,12 +1,13 @@
 """The flat game against the game as tuples (``tests/reference_game.py``).
 
 Both must give the same states, initial state, choices, replies and atom
-valuations, the same errors, and so the same solutions: for abstract
-games under initial and refined partitions, and under the singletons
-partition, which gives the exact belief game.  That game is also checked
-against the reference's own exact belief game, whose labels are location
-sets, through the quotient that merges a location seen and the same
-location left as a one-cell unseen belief.
+valuations, up to the numbering of the states, the same errors, and so
+the same solutions: for abstract games under initial and refined
+partitions, and under the singletons partition, which gives the exact
+belief game.  That game is also checked against the reference's own
+exact belief game, whose labels are location sets, through the quotient
+that merges a location seen and the same location left as a one-cell
+unseen belief.
 """
 
 import re
@@ -51,7 +52,9 @@ def _outcome(fn, *args, **kwargs):
 
 def assert_same_game(G, build, ref_build, objectives, predicates, partition=None):
     """Build the game both ways; then for every objective require the
-    same arena (or the same error) and the same solution."""
+    same arena (or the same error) and the same solution.  The flat game
+    numbers its states as they are found, the reference in canonical
+    order, so state numbers are compared through :func:`renumbering`."""
     game = _outcome(build)
     ref_game = _outcome(ref_build)
     if isinstance(ref_game, tuple):
@@ -64,33 +67,51 @@ def assert_same_game(G, build, ref_build, objectives, predicates, partition=None
         if isinstance(ref, tuple):
             assert arena == ref
             continue
-        assert arena.states == ref.states
-        assert arena.initial == ref.initial
-        assert [
-            [(c, tuple(replies)) for c, replies in choices(arena, i)]
-            for i in range(len(arena))
-        ] == ref.moves
-        assert arena.atom_sets == ref.atom_sets
-        assert_same_solution(arena, ref, objective)
+        to_ref = renumbering(arena, ref)
+        assert [ref.states[k] for k in to_ref] == arena.states
+        assert to_ref[arena.initial] == ref.initial
+        for i in range(len(arena)):
+            assert [
+                (c, tuple(to_ref[r] for r in replies)) for c, replies in choices(arena, i)
+            ] == ref.moves[to_ref[i]]
+        assert {
+            atom: frozenset(to_ref[i] for i in states)
+            for atom, states in arena.atom_sets.items()
+        } == ref.atom_sets
+        assert_same_solution(arena, ref, objective, to_ref)
 
 
-def assert_same_solution(arena, ref, objective):
+def renumbering(arena, ref) -> list:
+    """Each arena state's number in the reference arena ``ref``: a
+    bijection onto ``range(len(ref))``."""
+    to_ref = [ref.index[s] for s in arena.states]
+    assert sorted(to_ref) == list(range(len(ref)))
+    return to_ref
+
+
+def assert_same_solution(arena, ref, objective, to_ref):
+    """The same solution of ``arena`` and ``ref``, with the arena's state
+    numbers translated through ``to_ref``."""
     got = _outcome(solve, arena, objective)
     want = _outcome(reference_solver.solve, ref, objective)
     if isinstance(want, tuple) or isinstance(got, tuple):
         assert isinstance(got, tuple) and isinstance(want, tuple)
         return
     assert got.agent_wins == want.agent_wins
-    assert got.winning_region == want.winning_region
+    assert {to_ref[i] for i in got.winning_region} == want.winning_region
     if want.agent_wins:
         assert got.agent_strategy.memory_count == want.agent_strategy.memory_count
-        assert got.agent_strategy.moves == reference_solver.reachable_moves(
-            want.agent_strategy, ref.initial
-        )
+        assert {
+            (to_ref[i], mem, c): (to_ref[r], mem2)
+            for (i, mem, c), (r, mem2) in got.agent_strategy.moves.items()
+        } == reference_solver.reachable_moves(want.agent_strategy, ref.initial)
     else:
-        assert got.target_strategy.region == want.target_strategy.region
-        assert choice_labels(arena, got.target_strategy) == want.target_strategy.choice
-        assert got.target_strategy.mode == want.target_strategy.mode
+        target = got.target_strategy
+        assert {to_ref[i] for i in target.region} == want.target_strategy.region
+        assert {
+            to_ref[i]: c for i, c in choice_labels(arena, target).items()
+        } == want.target_strategy.choice
+        assert {to_ref[i]: m for i, m in target.mode.items()} == want.target_strategy.mode
 
 
 def assert_same_games(G, partitions, objectives, predicates, exact_states):

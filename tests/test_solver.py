@@ -1,5 +1,8 @@
 import json
+import random
 import re
+from array import array
+from itertools import accumulate
 
 import networkx as nx
 import pytest
@@ -35,6 +38,7 @@ from surveil.belief import label_json
 from surveil.cegar import counterexample_tree
 from surveil.cli import bundled_map
 from surveil.objective import Objective, TaskAtom
+from surveil.solver import StrategyData
 
 
 def _tree_nodes(tree):
@@ -534,3 +538,61 @@ def test_export_matches_reference_on_random_games(game):
     if result.agent_wins:
         # every label is a cell, so no block is named
         check_export(flat, obj, result.agent_strategy, Partition({}, frozenset()))
+
+
+def renumbered(arena, strat, order, label_order):
+    """The arena and its controller with state ``order[k]`` numbered
+    ``k`` and label ``label_order[k]`` given id ``k``; choices and reply
+    sets keep their order within a state and a set."""
+    new = {old: k for k, old in enumerate(order)}
+    new_label = {old: k for k, old in enumerate(label_order)}
+    off = arena.choice_off
+    ids = [c for i in order for c in range(off[i], off[i + 1])]
+    flat = surveil.solver.Arena(
+        [arena.states[i] for i in order],
+        new[arena.initial],
+        [arena.labels[k] for k in label_order],
+        array("i", accumulate((off[i + 1] - off[i] for i in order), initial=0)),
+        array("i", [new_label[arena.choice_label[c]] for c in ids]),
+        array("i", [arena.choice_set[c] for c in ids]),
+        arena.reply_off,
+        array("i", [new[r] for r in arena.replies]),
+        {atom: frozenset(map(new.get, s)) for atom, s in arena.atom_sets.items()},
+    )
+    moves = {
+        (new[i], mem, c): (new[r], mem2) for (i, mem, c), (r, mem2) in strat.moves.items()
+    }
+    region = frozenset(map(new.get, strat.winning_region))
+    return flat, StrategyData(strat.memory_count, region, moves)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_games(), st.data())
+def test_export_does_not_depend_on_the_numbering(game, data):
+    """The controller file is the same whatever numbers the arena gives
+    its states and labels: ``export_strategy`` orders what it writes by
+    cell and label."""
+    arena, obj = game
+    flat = reference_game.to_flat(arena, [(i, i) for i in arena.states])
+    result = solve(flat, obj)
+    if not result.agent_wins:
+        return
+    strat, none = result.agent_strategy, Partition({}, frozenset())
+    order = data.draw(st.permutations(range(len(flat))))
+    label_order = data.draw(st.permutations(range(len(flat.labels))))
+    assert export_strategy(*renumbered(flat, strat, order, label_order), "d", none) == (
+        export_strategy(flat, strat, "d", none)
+    )
+
+
+def test_exact_export_does_not_depend_on_the_numbering(game5, exact_arena_factory):
+    obj, arena = exact_arena_factory("GF p<=2")
+    strat = solve(arena, obj).agent_strategy
+    Q = singletons(game5)
+    want = export_strategy(arena, strat, "d", Q)
+    rng = random.Random(0)
+    for _ in range(3):
+        order, label_order = list(range(len(arena))), list(range(len(arena.labels)))
+        rng.shuffle(order)
+        rng.shuffle(label_order)
+        assert export_strategy(*renumbered(arena, strat, order, label_order), "d", Q) == want

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_structure
-from conftest import invisible_succ, pillar_problem, random_problems
+from conftest import invisible_succ, pillar_problem, random_problems, succ_t
 from surveil import (
     MotionConfig,
     SurveillanceGameStructure,
@@ -40,8 +40,8 @@ def test_visibility_from_initial(game5):
 
 
 def test_succ_t_is_union(game5):
-    assert game5.succ_t(4, {18}) == {17, 19, 23}
-    both = game5.succ_t(4, {17, 23})
+    assert succ_t(game5, 4, {18}) == {17, 19, 23}
+    both = succ_t(game5, 4, {17, 23})
     assert both == set(game5.target_step(4, 17)) | set(game5.target_step(4, 23))
 
 
@@ -220,8 +220,8 @@ def test_bundled_structures_match_reference_builder(name):
 @pytest.mark.parametrize("n", [12, 16, 20])
 def test_pillar_structures_match_reference_builder(n, seed):
     """perfbench's scale-gen maps: every ball is visible, so the report
-    comes from the first tier without a walk, and it and the tables are
-    the reference builder's."""
+    comes without a walk, and it and the tables are the reference
+    builder's."""
     map_text, cfg_text = pillar_problem(n, seed)
     grid = parse_grid(map_text)
     motion, vision = parse_config(cfg_text)
@@ -242,10 +242,10 @@ TWO_ROOMS = "A..#....\n.#.#...T\n...#....\n"
 )
 def test_fallback_tiers_match_the_walk(text, cfg):
     """A ball of radius 2 reaches cells behind an obstacle, and a range
-    below 1 hides every neighbour, so the first tier does not apply: the
-    grouped check gives the report of the walk over every reachable
-    state and of the reference.  In the two rooms the target never lands
-    in the agent's ball, so the grouped check passes on its own."""
+    below 1 hides every neighbour, so the check without a walk does not
+    apply: the report is the walk's over every reachable state, and the
+    reference's.  In the two rooms the target never lands in the agent's
+    ball, so the walk finds no violation."""
     grid = parse_grid(text)
     motion, vision = parse_config(cfg)
     G = build_game_structure(grid, motion, vision)
