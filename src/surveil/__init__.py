@@ -24,7 +24,6 @@ from .belief import (
     atom_holds,
     belief_successors,
     check_observable,
-    concretize,
     invisible_count,
     predicates_from_grid,
 )
@@ -48,7 +47,6 @@ from .grid import (
     MotionConfig,
     VisionConfig,
     build_game_structure,
-    line_of_sight,
     parse_config,
     parse_grid,
     reachable_moves,

@@ -72,14 +72,10 @@ class Partition:
         :func:`~surveil.structure.cell_mask`)."""
         return {bid: cell_mask(cells) for bid, cells in sorted(self.blocks.items())}
 
-    def alpha(self, locs: Iterable[int]) -> frozenset[int]:
-        """Abstract a set of locations to the set of blocks touching it."""
-        return self.alpha_mask(cell_mask(locs))
-
     def alpha_mask(self, mask: int) -> frozenset[int]:
-        """:meth:`alpha` of the cells of a mask.  Each mask's blocks are
-        found once for as long as the partition lives, which in the CEGAR
-        loop is one game."""
+        """Abstract the cells of a mask to the ids of the blocks touching
+        them.  Each mask's blocks are found once for as long as the
+        partition lives, which in the CEGAR loop is one game."""
         out = self._alphas.get(mask)
         if out is None:
             out = self._alphas[mask] = frozenset(

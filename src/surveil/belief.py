@@ -70,18 +70,6 @@ def check_observable(G: SurveillanceGameStructure, pred: PredicateDef) -> None:
             )
 
 
-def concretize(belief, partition=None) -> frozenset[int]:
-    """Concrete target locations denoted by a label: a seen location is
-    itself, and a block-id set is expanded through ``partition``.
-    Without one the block ids are taken as locations, which they are
-    under :func:`~surveil.abstraction.singletons`."""
-    if isinstance(belief, int):
-        return frozenset({belief})
-    if partition is not None:
-        return partition.gamma(belief)
-    return belief
-
-
 def invisible_count(G: SurveillanceGameStructure, l_a: int, locs: Iterable[int]) -> int:
     return len(frozenset(locs) - G.visibility[l_a])
 
@@ -90,8 +78,9 @@ def atom_holds(G, l_a: int, locs, atom, predicates) -> bool:
     """A spec atom on the agent cell ``l_a`` and a concrete set of target
     cells: ``p<=k`` bounds the number of invisible cells, and a task
     predicate must hold for every cell.  Abstract labels are turned into
-    cells with :func:`concretize` first.  A set of at most ``k`` cells
-    satisfies ``p<=k`` whatever the agent sees, so it is not counted."""
+    cells with :meth:`~surveil.abstraction.Partition.gamma` first.  A set
+    of at most ``k`` cells satisfies ``p<=k`` whatever the agent sees, so
+    it is not counted."""
     if isinstance(atom, SurvAtom):
         if atom.k < 1:
             raise ValueError("surveillance threshold k must be >= 1")

@@ -195,45 +195,54 @@ def build_analysis_graph(
     return AnalysisGraphD(beliefs, cex_states, modes, edges, parent, gamma)
 
 
-@dataclass
+# nodes are shared, and a recurrence counterexample's nodes form cycles:
+# they compare by identity and are not printed field by field
+@dataclass(eq=False, repr=False)
 class CexTreeNode:
-    """An abstract state of a safety counterexample, the target's choice
-    (None at a sink), the replies' nodes and the exact belief."""
+    """An abstract state of a counterexample, the target's choice (None
+    at a sink), the replies' nodes, the exact belief and the state's
+    winning mode."""
 
     state: tuple
     choice: object
     children: list
     annotation: frozenset
+    mode: tuple
 
 
 @dataclass
 class CounterexampleTree:
+    """A counterexample rooted at ``root``; ``nodes`` lists every node
+    once, in the order of the analysis graph it was made from."""
+
     root: CexTreeNode
+    nodes: list
 
 
 def counterexample_tree(D: AnalysisGraphD, cex: CounterexampleGraph) -> CounterexampleTree:
-    """The safety counterexample ``D`` of ``cex`` as a tree, with one node
-    per ``D`` node, which the parents of that node share."""
+    """The counterexample ``D`` of ``cex`` as linked nodes, one per ``D``
+    node, which the parents of that node share.  A safety counterexample
+    is acyclic, so it reads as a tree."""
     nodes = [
-        CexTreeNode(v, None, [], belief)
-        for v, (_, belief) in zip(D.cex_states, D.beliefs)
+        CexTreeNode(v, None, [], belief, mode)
+        for v, (_, belief), mode in zip(D.cex_states, D.beliefs, D.modes)
     ]
     for i, node in enumerate(nodes):
         out = D.edges[i]
         if out:
             node.choice = cex.choice[node.state]
             node.children = [nodes[j] for j in out]
-    return CounterexampleTree(nodes[D.initial])
+    return CounterexampleTree(nodes[D.initial], nodes)
 
 
-def _shortest_path(edges, sources, goals, allowed=None):
+def _shortest_path(edges, sources, goals, allowed):
     """Shortest path from one of ``sources`` into ``goals``, breadth first
-    in canonical neighbour order, through nodes of ``allowed`` only when
-    it is given.  Returns the node list, or None."""
+    in canonical neighbour order, through nodes of ``allowed`` only.
+    Returns the node list, or None."""
     prev = {}
     queue = deque()
     for s in sources:
-        if allowed is not None and s not in allowed:
+        if s not in allowed:
             continue
         if s in goals:
             return [s]
@@ -243,7 +252,7 @@ def _shortest_path(edges, sources, goals, allowed=None):
     while queue:
         i = queue.popleft()
         for j in edges.get(i, ()):
-            if allowed is not None and j not in allowed:
+            if j not in allowed:
                 continue
             if j in goals:
                 path = [j, i]
@@ -256,11 +265,10 @@ def _shortest_path(edges, sources, goals, allowed=None):
     return None
 
 
-def _on_cycle(edges, n: int, allowed=None) -> bytearray:
-    """Mask of the nodes of ``range(n)`` that lie on a cycle of the graph
-    ``edges``, or of its subgraph induced by ``allowed`` when that is
-    given: the nodes whose strongly connected component has more than
-    one node, or a self-loop.
+def _on_cycle(edges, n: int, allowed) -> bytearray:
+    """Mask of the nodes of ``range(n)`` that lie on a cycle of the
+    subgraph of ``edges`` induced by ``allowed``: the nodes whose strongly
+    connected component there has more than one node, or a self-loop.
 
     Tarjan's algorithm, with an explicit stack in place of recursion,
     which the depth of these graphs would overflow.
@@ -272,7 +280,7 @@ def _on_cycle(edges, n: int, allowed=None) -> bytearray:
     stack: list[int] = []
     count = 0
     for root in range(n):
-        if order[root] or (allowed is not None and root not in allowed):
+        if order[root] or root not in allowed:
             continue
         count += 1
         order[root] = low[root] = count
@@ -282,7 +290,7 @@ def _on_cycle(edges, n: int, allowed=None) -> bytearray:
         while work:
             v, succs = work[-1]
             for w in succs:
-                if allowed is not None and w not in allowed:
+                if w not in allowed:
                     continue
                 if not order[w]:
                     count += 1
@@ -317,8 +325,8 @@ def find_good_lasso(
     G: SurveillanceGameStructure,
     D: AnalysisGraphD,
     atom,
+    mode,
     predicates: Optional[dict[str, PredicateDef]] = None,
-    restrict_mode=None,
 ):
     """Search for a lasso whose cycle contains a belief satisfying ``atom``.
 
@@ -326,12 +334,10 @@ def find_good_lasso(
     at the good node (the stem ends there, the cycle returns there), or
     None when no such lasso exists and D is a concrete counterexample.
     The good node is the first, by index, that lies on a cycle through
-    nodes of mode ``restrict_mode`` (of any mode when it is None), and
-    the cycle is the shortest one back to it, breadth first.
+    nodes of mode ``mode``, and the cycle is the shortest one back to
+    it, breadth first.
     """
-    allowed = None
-    if restrict_mode is not None:
-        allowed = {i for i, m in enumerate(D.modes) if m == restrict_mode}
+    allowed = {i for i, m in enumerate(D.modes) if m == mode}
     for g in compress(range(len(D)), _on_cycle(D.edges, len(D), allowed)):
         l_a, b = D.beliefs[g]
         if atom_holds(G, l_a, b, atom, predicates):
@@ -451,7 +457,7 @@ def analyze_general(
             if refined is not None:
                 return refined
     for j, atom in enumerate(objective.recurrence_terms):
-        lasso = find_good_lasso(G, D, atom, predicates, restrict_mode=("avoid", j))
+        lasso = find_good_lasso(G, D, atom, ("avoid", j), predicates)
         if lasso is not None:
             return refine_liveness(G, Q, D, lasso)
     for i in range(len(D)):
@@ -531,7 +537,7 @@ def cegar_loop(
             )
             return CegarOutcome(
                 "unrealizable", iteration, Q, transcript, arena=arena,
-                counterexample=D if objective.recurrence_terms else counterexample_tree(D, cex),
+                counterexample=counterexample_tree(D, cex),
             )
         transcript.append(
             f"iter={iteration} blocks={len(Q)} verdict=continue "

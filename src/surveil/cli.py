@@ -19,7 +19,6 @@ from .belief import (
     BudgetExceeded,
     PredicateError,
     check_observable,
-    label_json,
     predicates_from_grid,
 )
 from .cegar import IterationBudgetExceeded, RefinementError, cegar_loop
@@ -144,42 +143,27 @@ def cmd_synth(args) -> int:
 
 def _counterexample_json(outcome) -> dict:
     """JSON dump of the concrete counterexample behind an unrealizable
-    verdict: a target strategy tree (safety) or a belief-annotated graph
-    (recurrence objectives).  A tree node that several parents share is
-    one JSON object, written out once per parent."""
+    verdict: its nodes, each with the agent's cell, the exact belief and
+    the target's winning mode, and the edges between them."""
     cex = outcome.counterexample
-    if hasattr(cex, "root"):  # tree
-        objs = {}  # id of a node -> (node, its JSON object)
-        stack = [cex.root]
-        while stack:
-            n = stack.pop()
-            if id(n) not in objs:
-                objs[id(n)] = n, {
-                    "state": [n.state[0], label_json(n.state[1])],
-                    "choice": None if n.choice is None else label_json(n.choice),
-                    "belief": sorted(n.annotation),
-                }
-                stack.extend(n.children)
-        for n, obj in objs.values():
-            obj["children"] = [objs[id(c)][1] for c in n.children]
-        body = {"kind": "tree", "root": objs[id(cex.root)][1]}
-    else:  # analysis graph
-        nodes = [
-            {"agent": l_a, "belief": sorted(b), "mode": list(cex.modes[i])}
-            for i, (l_a, b) in enumerate(cex.beliefs)
-        ]
-        body = {
-            "kind": "graph",
-            "initial": cex.initial,
-            "nodes": nodes,
-            "edges": {str(i): sorted(js) for i, js in cex.edges.items()},
-        }
-    body["verdict"] = "unrealizable"
-    body["blocks"] = {
-        str(bid): sorted(cells)
-        for bid, cells in outcome.final_partition.blocks.items()
+    index = {id(n): i for i, n in enumerate(cex.nodes)}
+    return {
+        "kind": "graph",
+        "verdict": "unrealizable",
+        "initial": index[id(cex.root)],
+        "nodes": [
+            {"agent": n.state[0], "belief": sorted(n.annotation), "mode": list(n.mode)}
+            for n in cex.nodes
+        ],
+        "edges": {
+            str(i): sorted(index[id(c)] for c in n.children)
+            for i, n in enumerate(cex.nodes)
+        },
+        "blocks": {
+            str(bid): sorted(cells)
+            for bid, cells in outcome.final_partition.blocks.items()
+        },
     }
-    return body
 
 
 def cmd_oracle(args) -> int:

@@ -228,37 +228,12 @@ def _occluded(r0: int, c0: int, r1: int, c1: int, obstacles) -> bool:
     return False
 
 
-def line_of_sight(g: GridWorld, v: VisionConfig, src: int, dst: int) -> bool:
-    """True iff ``dst`` is visible from ``src``.
-
-    Visibility requires (a) centre distance within the vision range, if
-    one is set, and (b) the straight segment between cell centres not
-    being occluded by any obstacle cell (see :func:`_occluded`).  The
-    distance is tested on the integer row and column offsets, which are
-    exactly the differences of the centres.
-    """
-    if src == dst:
-        return True
-    r0, c0 = g.rc(src)
-    r1, c1 = g.rc(dst)
-    dr, dc = r1 - r0, c1 - c0
-    if v.range is not None and dr * dr + dc * dc > v.range**2:
-        return False
-    return not _occluded(r0, c0, r1, c1, map(g.rc, g.obstacles))
-
-
-def reachable_moves(
-    g: GridWorld,
-    start: int,
-    radius: int,
-    allow_stay: bool,
-    forbidden: frozenset[int] | set[int] = frozenset(),
-) -> frozenset[int]:
+def reachable_moves(g: GridWorld, start: int, radius: int, allow_stay: bool) -> frozenset[int]:
     """Cells reachable in at most ``radius`` unit steps through free cells.
 
-    ``forbidden`` cells are removed from the result (not from the paths),
-    as is ``start`` unless ``allow_stay``.  Falls back to ``{start}`` when
-    the result would be empty, so transitions stay total.
+    ``start`` is left out unless ``allow_stay``.  Falls back to
+    ``{start}`` when the result would be empty, so transitions stay
+    total.
     """
     if not g.is_free(start):
         raise MapError(f"reachable_moves from non-free cell {start}")
@@ -272,17 +247,21 @@ def reachable_moves(
                     seen.add(n)
                     nxt.append(n)
         frontier = nxt
-    result = seen - set(forbidden)
     if not allow_stay:
-        result.discard(start)
-    if not result:
+        seen.discard(start)
+    if not seen:
         return frozenset({start})
-    return frozenset(result)
+    return frozenset(seen)
 
 
 def _visible_sets(g: GridWorld, v: VisionConfig) -> dict[int, frozenset[int]]:
-    """Per free cell, the free cells visible from it (itself included),
-    as :func:`line_of_sight` decides.
+    """Per free cell, the free cells visible from it (itself included).
+
+    A cell sees another when their centres lie within the vision range,
+    if one is set, and the straight segment between the centres is not
+    occluded by any obstacle cell (see :func:`_occluded`).  The distance
+    is tested on the integer row and column offsets, which are exactly
+    the differences of the centres.
 
     Each unordered pair of free cells inside the vision range's bounding
     box is tested once, from its lower-numbered cell, since line of sight

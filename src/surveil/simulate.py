@@ -308,8 +308,8 @@ class EvasivePolicy(TargetPolicy):
 class GoalSeekingPolicy(TargetPolicy):
     """Greedy descent of the BFS distance field toward the goal cells."""
 
-    def __init__(self, grid: GridWorld, goal_cells=None):
-        goals = frozenset(goal_cells if goal_cells is not None else grid.goal_cells)
+    def __init__(self, grid: GridWorld):
+        goals = grid.goal_cells
         if not goals:
             raise SimulationError("no goal cells to seek")
         dist = {g: 0 for g in goals}
@@ -429,9 +429,10 @@ def _render_text(trace: Trace) -> str:
     return "\n\n".join(frames) + "\n"
 
 
-def _render_svg(trace: Trace, cell: int = 20) -> str:
+def _render_svg(trace: Trace) -> str:
     """One SVG per run: the final frame plus the agent/target paths."""
     g = trace.grid
+    cell = 20  # pixels per grid cell
     w, h = g.cols * cell, g.rows * cell
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '

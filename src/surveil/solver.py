@@ -26,7 +26,8 @@ from itertools import accumulate, chain, compress, repeat
 from operator import not_, sub
 from typing import Optional
 
-from .belief import PredicateDef, TurnGame, atom_holds, belief_key, concretize
+from .abstraction import singletons
+from .belief import PredicateDef, TurnGame, atom_holds, belief_key
 from .objective import Atom, Objective, SurvAtom
 
 
@@ -103,8 +104,8 @@ def make_arena(
     partition=None,
 ) -> Arena:
     """Evaluate the objective's atoms on the abstract game for
-    ``partition``.  Without one, block ids are read as cells, which they
-    are under :func:`~surveil.abstraction.singletons`.
+    ``partition``, by default :func:`~surveil.abstraction.singletons`,
+    under which the game is the exact belief game.
 
     The arena shares the game's arrays.  Raises :class:`SolverError` for
     an undeclared task predicate (:func:`check_predicates`) and for a
@@ -114,10 +115,12 @@ def make_arena(
     predicates = predicates or {}
     check_predicates(objective, predicates)
     _reply_widths(game)
+    if partition is None:
+        partition = singletons(structure)
     # concretize each distinct label once; the initial state's label need
     # not be a choice's, so the labels are read off the states
     labels = {label for _, label in game.states}
-    cells = {label: concretize(label, partition) for label in labels}
+    cells = {label: partition.gamma(label) for label in labels}
     atom_sets = {}
     for atom in objective.atoms:
         atom_sets[atom] = frozenset(
@@ -291,7 +294,6 @@ class StrategyData:
     """
 
     memory_count: int
-    winning_region: frozenset[int]
     moves: dict
 
 
@@ -308,7 +310,6 @@ class TargetStrategyData:
     of a game built for the safety terms.
     """
 
-    region: frozenset[int]
     choice: dict
     mode: dict
 
@@ -360,8 +361,8 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
     round is its last round.
 
     The agent's controller holds moves only for the ``(state, memory)``
-    pairs reachable from ``(arena.initial, 0)``; ``winning_region`` is
-    still the whole of ``Z``.
+    pairs reachable from ``(arena.initial, 0)``; the result's
+    ``winning_region`` is still the whole of ``Z``.
 
     On a game built for the objective's safety terms, an unsafe state has
     no choices.  The result is the same as on the full game, restricted
@@ -383,7 +384,7 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
     mode, choice, ranks = _target_strategy(ix, arena, objective, unsafe, won)
     Z = frozenset(compress(range(n), map(not_, won)))
     if arena.initial not in Z:
-        tstrat = TargetStrategyData(frozenset(mode), choice, mode)
+        tstrat = TargetStrategyData(choice, mode)
         return SolveResult(False, Z, target_strategy=tstrat)
     cores = [arena.atom_sets[a] & Z for a in objective.recurrence_terms]
     if not cores:
@@ -436,7 +437,7 @@ def _buchi_strategy(arena, Z, cores, ranks) -> StrategyData:
             if move not in seen:
                 seen.add(move)
                 stack.append(move)
-    return StrategyData(m, Z, moves)
+    return StrategyData(m, moves)
 
 
 def _target_strategy(ix, arena, objective, unsafe, won) -> tuple[dict, dict, list]:

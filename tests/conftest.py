@@ -15,10 +15,10 @@ from surveil import (
     abstract_successors,
     atom_holds,
     build_game_structure,
-    concretize,
     parse_grid,
 )
 from surveil.solver import CounterexampleGraph
+from surveil.structure import cell_mask
 
 # 5x5 arena: agent top-right, target bottom middle, a wall of three
 # obstacles in the middle row
@@ -157,6 +157,12 @@ def _replayed_label(choices, old_choice):
     return set_choice(choices)
 
 
+def alpha(Q, locs) -> frozenset:
+    """Abstract a set of locations to the ids of the blocks of ``Q``
+    touching it."""
+    return Q.alpha_mask(cell_mask(locs))
+
+
 def succ_t(G, l_a: int, belief) -> frozenset:
     """Union of target successors over all locations in the belief."""
     target_succ = G.target_succ
@@ -209,7 +215,7 @@ def tree_eliminated(G, Qold, Qnew, cex, safety, predicates=None) -> bool:
     def walk(v, new_state):
         if not cex.edges[v]:
             l_a, label = new_state
-            locs = concretize(label, Qnew)
+            locs = Qnew.gamma(label)
             return all(atom_holds(G, l_a, locs, a, predicates) for a in safety)
         choices = dict(abstract_successors(G, Qnew, new_state))
         new_label = _replayed_label(choices, cex.choice[v])

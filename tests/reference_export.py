@@ -25,7 +25,6 @@ def export_strategy(arena, strat, digest, partition) -> dict:
         "digest": digest,
         "memory_count": strat.memory_count,
         "initial": arena.initial,
-        "winning_region": sorted(strat.winning_region),
         "states": states,
         "moves": moves,
         "blocks": blocks,
@@ -38,7 +37,8 @@ def restrict_to_reachable(payload) -> dict:
     renumbered in canonical order: by agent cell, then by the
     ``belief_key`` of the JSON label.  On an arena numbered in that
     order, this keeps the states in increasing order.  The moves are
-    sorted by new state, memory and ``belief_key`` of the label."""
+    sorted by new state, memory and ``belief_key`` of the label, and
+    ``winning_region`` lists the kept states."""
     # keyed by position, since JSON labels are lists
     moves = {
         (i, mem, n): (r, mem2)

@@ -15,14 +15,13 @@ from itertools import accumulate
 from typing import Optional
 
 from conftest import choices
-from surveil.abstraction import abstract_successors
+from surveil.abstraction import abstract_successors, singletons
 from surveil.belief import (
     BudgetExceeded,
     PredicateDef,
     atom_holds,
     belief_key,
     belief_successors,
-    concretize,
 )
 from surveil.objective import Atom, Objective, SurvAtom
 from surveil import solver
@@ -118,9 +117,12 @@ def make_arena(
 
     Raises :class:`SolverError` for an undeclared task predicate and for
     a target choice without any agent reply, which a game structure that
-    is not total produces.
+    is not total produces.  Without a ``partition`` the labels are read
+    as cells, under :func:`~surveil.abstraction.singletons`.
     """
     predicates = predicates or {}
+    if partition is None:
+        partition = singletons(structure)
     states = game.states
     index = {s: i for i, s in enumerate(states)}
     moves = []
@@ -143,7 +145,7 @@ def make_arena(
             i
             for i, (l_a, label) in enumerate(states)
             if atom_holds(
-                structure, l_a, concretize(label, partition), atom, predicates
+                structure, l_a, partition.gamma(label), atom, predicates
             )
         )
     return Arena(states, index, moves, index[game.initial], atom_sets)

@@ -11,16 +11,13 @@ from surveil.belief import atom_holds
 from surveil.cegar import _shortest_path
 
 
-def find_good_lasso(G, D, atom, predicates=None, restrict_mode=None):
+def find_good_lasso(G, D, atom, mode, predicates=None):
+    allowed = {i for i, m in enumerate(D.modes) if m == mode}
     good = {
         i
         for i, (l_a, b) in enumerate(D.beliefs)
-        if atom_holds(G, l_a, b, atom, predicates)
+        if i in allowed and atom_holds(G, l_a, b, atom, predicates)
     }
-    allowed = None
-    if restrict_mode is not None:
-        allowed = {i for i, m in enumerate(D.modes) if m == restrict_mode}
-        good = good & allowed
     for g in sorted(good):
         # a cycle through g is a path from g's successors back to g
         back = _shortest_path(D.edges, D.edges.get(g, ()), {g}, allowed)

@@ -118,7 +118,7 @@ def solve(arena, objective):
                 for i in w_safe
                 for c, replies in arena.moves[i]
             }
-            return SolveResult(True, w_safe, agent_strategy=StrategyData(1, w_safe, moves))
+            return SolveResult(True, w_safe, agent_strategy=StrategyData(1, moves))
         return SolveResult(
             False, w_safe, target_strategy=_target_strategy(arena, objective, w_safe, safe)
         )
@@ -146,7 +146,7 @@ def solve(arena, objective):
                 else:
                     lower = {s for s, v in rank.items() if v < rank[i]}
                     moves[(i, j, c)] = (_first(replies, lower), j)
-    return SolveResult(True, Z, agent_strategy=StrategyData(m, Z, moves))
+    return SolveResult(True, Z, agent_strategy=StrategyData(m, moves))
 
 
 def _target_strategy(arena, objective, agent_win, safe):
@@ -193,4 +193,4 @@ def _target_strategy(arena, objective, agent_win, safe):
             break
     if frozenset(info) != everything - agent_win:
         raise SolverError("determinacy check failed")
-    return TargetStrategyData(frozenset(info), choice, mode)
+    return TargetStrategyData(choice, mode)

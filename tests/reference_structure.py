@@ -14,8 +14,27 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from surveil.grid import GridWorld, MotionConfig, VisionConfig, line_of_sight, reachable_moves
+from surveil.grid import GridWorld, MotionConfig, VisionConfig, _occluded, reachable_moves
 from surveil.structure import SuccessorReport
+
+
+def line_of_sight(g: GridWorld, v: VisionConfig, src: int, dst: int) -> bool:
+    """True iff ``dst`` is visible from ``src``.
+
+    Visibility requires (a) centre distance within the vision range, if
+    one is set, and (b) the straight segment between cell centres not
+    being occluded by any obstacle cell (see :func:`_occluded`).  The
+    distance is tested on the integer row and column offsets, which are
+    exactly the differences of the centres.
+    """
+    if src == dst:
+        return True
+    r0, c0 = g.rc(src)
+    r1, c1 = g.rc(dst)
+    dr, dc = r1 - r0, c1 - c0
+    if v.range is not None and dr * dr + dc * dc > v.range**2:
+        return False
+    return not _occluded(r0, c0, r1, c1, map(g.rc, g.obstacles))
 
 
 @dataclass(frozen=True)
@@ -119,7 +138,9 @@ def build_game_structure(g: GridWorld, m: MotionConfig, v: VisionConfig):
 
     @lru_cache(maxsize=None)
     def moves(start: int, radius: int, forbid: int) -> frozenset[int]:
-        return reachable_moves(g, start, radius, m.allow_stay, {forbid})
+        # the forbidden cell leaves the result, which falls back to {start}
+        # when that empties it
+        return reachable_moves(g, start, radius, m.allow_stay) - {forbid} or frozenset({start})
 
     target_succ: dict[tuple[int, int], tuple[int, ...]] = {}
     agent_succ: dict[tuple[int, int, int], tuple[int, ...]] = {}

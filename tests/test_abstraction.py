@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import alpha
 from reference_game import tuple_moves
 from surveil import (
     Partition,
@@ -8,7 +9,6 @@ from surveil import (
     PredicateDef,
     abstract_successors,
     build_abstract_game,
-    concretize,
     initial_partition,
     refines,
     singletons,
@@ -39,9 +39,9 @@ def test_partition_validation(game5):
 
 
 def test_alpha_gamma(rows_partition):
-    assert rows_partition.alpha({17}) == {3}
-    assert rows_partition.alpha({23}) == {4}
-    got = rows_partition.gamma(rows_partition.alpha({17, 23}))
+    assert alpha(rows_partition, {17}) == {3}
+    assert alpha(rows_partition, {23}) == {4}
+    got = rows_partition.gamma(alpha(rows_partition, {17, 23}))
     assert got == {15, 16, 17, 18, 19, 20, 21, 22, 23, 24}
     assert rows_partition.gamma(17) == {17}
 
@@ -49,7 +49,7 @@ def test_alpha_gamma(rows_partition):
 def test_abstract_successors_from_initial(game5, rows_partition):
     """The four abstract successor states of (4, 18) under the row
     partition: visible 19 and the block pair for rows 4 and 5."""
-    blocks = rows_partition.alpha({17, 23})
+    blocks = alpha(rows_partition, {17, 23})
     succs = abstract_successors(game5, rows_partition, game5.initial)
     states = {(l_a2, A) for A, replies in succs for l_a2 in replies}
     assert states == {(3, 19), (9, 19), (3, blocks), (9, blocks)}
@@ -91,7 +91,7 @@ def test_refines_is_a_preorder(rows_partition, two_col_partition):
 def test_initial_partition_trivial(game5):
     q = initial_partition(game5)
     assert len(q) == 1
-    assert q.gamma(q.alpha({17})) == game5.target_locations
+    assert q.gamma(alpha(q, {17})) == game5.target_locations
 
 
 def test_initial_partition_predicate_uniform(game5):
@@ -111,7 +111,8 @@ def test_check_uniform_rejects(game5, rows_partition):
 def test_abstract_game_overapproximates(game5, rows_partition):
     """Joint BFS: every reachable exact belief is gamma-contained in a
     reachable abstract belief with the same agent location."""
-    exact = build_abstract_game(game5, singletons(game5))
+    Q = singletons(game5)
+    exact = build_abstract_game(game5, Q)
     abstract = build_abstract_game(game5, rows_partition)
     # pair exact and abstract states along matched transitions
     seen = set()
@@ -124,7 +125,7 @@ def test_abstract_game_overapproximates(game5, rows_partition):
         (l_a, B), (l_a2, A) = queue.pop(0)
         assert l_a == l_a2
         gamma = rows_partition.gamma(A)
-        assert concretize(B) <= gamma, ((l_a, B), (l_a2, A))
+        assert Q.gamma(B) <= gamma, ((l_a, B), (l_a2, A))
         amoves = dict(abstract_moves[(l_a2, A)])
         for B2, replies in exact_moves[(l_a, B)]:
             if isinstance(B2, int):
@@ -144,7 +145,7 @@ def test_singletons_labels_are_beliefs(game5):
     Q = singletons(game5)
     assert Q.blocks == {c: frozenset({c}) for c in game5.target_locations}
     assert refines(Q, initial_partition(game5))
-    assert Q.alpha({17, 23}) == {17, 23} == Q.gamma(frozenset({17, 23}))
+    assert alpha(Q, {17, 23}) == {17, 23} == Q.gamma(frozenset({17, 23}))
     assert Q.split(Q.universe, frozenset({17})) is Q
 
 
@@ -160,7 +161,7 @@ def test_gamma_alpha_overapproximates(game5, rows_partition, cells):
     locs = frozenset(cells) & game5.target_locations
     if not locs:
         return
-    assert locs <= rows_partition.gamma(rows_partition.alpha(locs))
+    assert locs <= rows_partition.gamma(alpha(rows_partition, locs))
 
 
 @settings(max_examples=200, deadline=None)
@@ -177,6 +178,6 @@ def test_refinement_monotonicity(game5, rows_partition, cells, sep):
         return
     refined = rows_partition.split(rows_partition.universe, separator)
     assert refines(refined, rows_partition)
-    before = rows_partition.gamma(rows_partition.alpha(locs))
-    after = refined.gamma(refined.alpha(locs))
+    before = rows_partition.gamma(alpha(rows_partition, locs))
+    after = refined.gamma(alpha(refined, locs))
     assert locs <= after <= before

@@ -8,7 +8,13 @@ import random
 
 import pytest
 
-from conftest import build_hide_reveal_cex, graph_eliminated, invisible_succ, pillar_problem
+from conftest import (
+    alpha,
+    build_hide_reveal_cex,
+    graph_eliminated,
+    invisible_succ,
+    pillar_problem,
+)
 from reference_game import tuple_moves
 from surveil import (
     CONCRETIZABLE,
@@ -20,7 +26,6 @@ from surveil import (
     belief_successors,
     build_abstract_game,
     build_analysis_graph,
-    concretize,
     build_game_structure,
     cegar_loop,
     extract_cex_graph,
@@ -59,7 +64,7 @@ def test_criterion_1_fixture_fidelity(game5, rows_partition):
         (9, frozenset({17, 23})),
     }
     # abstract successors under the one-block-per-row partition
-    blocks = rows_partition.alpha({17, 23})
+    blocks = alpha(rows_partition, {17, 23})
     asucc = abstract_successors(game5, rows_partition, (4, 18))
     astates = {(l_a2, A) for A, replies in asucc for l_a2 in replies}
     assert astates == {(3, 19), (9, 19), (3, blocks), (9, blocks)}
@@ -96,7 +101,7 @@ def test_criterion_3_liveness_analysis_and_refinement(game5, two_col_partition):
     cex = build_hide_reveal_cex(game5, two_col_partition)
     D = build_analysis_graph(game5, two_col_partition, cex)
     assert (19, frozenset({10})) in D.beliefs
-    lasso = find_good_lasso(game5, D, SurvAtom(2))
+    lasso = find_good_lasso(game5, D, SurvAtom(2), ("avoid", 0))
     assert lasso is not None
     refined = refine_liveness(game5, two_col_partition, D, lasso)
     assert graph_eliminated(game5, two_col_partition, refined, cex)
@@ -159,21 +164,22 @@ def test_criterion_6_invariant_suites(game5, grid5, rows_partition):
     # never coarsens
     for _ in range(1000):
         cells = frozenset(rng.sample(locs, rng.randint(1, len(locs))))
-        over = rows_partition.gamma(rows_partition.alpha(cells))
+        over = rows_partition.gamma(alpha(rows_partition, cells))
         assert cells <= over
         sep = frozenset(rng.sample(locs, rng.randint(1, len(locs))))
         finer = rows_partition.split(rows_partition.universe, sep)
         assert refines(finer, rows_partition)
-        assert cells <= finer.gamma(finer.alpha(cells)) <= over
+        assert cells <= finer.gamma(alpha(finer, cells)) <= over
     # belief shape on every reachable exact state: a visible location or
     # the set of all cells the target lands on unseen from the belief
-    exact = build_abstract_game(game5, singletons(game5))
+    Q = singletons(game5)
+    exact = build_abstract_game(game5, Q)
     for (l_a, B), moves in tuple_moves(exact).items():
         for B2, _ in moves:
             if isinstance(B2, int):
                 assert game5.vis(l_a, B2)
             else:
-                assert B2 == invisible_succ(game5, l_a, concretize(B))
+                assert B2 == invisible_succ(game5, l_a, Q.gamma(B))
     # replay soundness and byte determinism
     from surveil import RandomPolicy, export_strategy, load_runner, simulate
 

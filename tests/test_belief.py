@@ -15,7 +15,6 @@ from surveil import (
     build_abstract_game,
     build_belief_game,
     check_observable,
-    concretize,
     invisible_count,
     predicates_from_grid,
     singletons,
@@ -92,17 +91,19 @@ def test_belief_successors_match_oracle(game5):
 def test_belief_game_states_match_oracle(game5):
     """The exact game is the abstract game under the singletons partition;
     with its labels read as location sets, its states are the oracle's."""
-    game = build_abstract_game(game5, singletons(game5))
-    assert {(l_a, concretize(b)) for l_a, b in game.states} == oracle_belief_reach(game5)
+    Q = singletons(game5)
+    game = build_abstract_game(game5, Q)
+    assert {(l_a, Q.gamma(b)) for l_a, b in game.states} == oracle_belief_reach(game5)
 
 
 def test_belief_game_state_count_regression(game5):
     """Sizes pinned for regression: a location the agent sees (label
     ``c``) and the same location left as a one-cell unseen belief (label
     ``{c}``) are two states of the exact game, one of the oracle."""
-    game = build_abstract_game(game5, singletons(game5))
+    Q = singletons(game5)
+    game = build_abstract_game(game5, Q)
     assert len(game) == 473
-    assert len({(l_a, concretize(b)) for l_a, b in game.states}) == 444
+    assert len({(l_a, Q.gamma(b)) for l_a, b in game.states}) == 444
 
 
 def test_build_belief_game_is_the_singletons_game(game5):
@@ -161,10 +162,13 @@ def test_task_predicate_universal_over_belief(game5):
     assert atom_holds(game5, 0, frozenset({17}), zone, preds)
 
 
-def test_concretize_with_partition(two_col_partition):
-    assert concretize(17) == {17}
-    assert concretize(frozenset({17, 23})) == {17, 23}
-    assert concretize(frozenset({0}), two_col_partition) == two_col_partition.blocks[0]
+def test_concretize_with_partition(game5, two_col_partition):
+    # a seen location is itself; under the singletons partition the block
+    # ids are the cells
+    Q = singletons(game5)
+    assert Q.gamma(17) == two_col_partition.gamma(17) == {17}
+    assert Q.gamma(frozenset({17, 23})) == {17, 23}
+    assert two_col_partition.gamma(frozenset({0})) == two_col_partition.blocks[0]
 
 
 def test_predicates_from_grid():

@@ -1,3 +1,4 @@
+import json
 import re
 
 import networkx as nx
@@ -38,7 +39,7 @@ from surveil import (
     solve,
 )
 from surveil.cegar import AnalysisGraphD, _d_pairs
-from surveil.cli import bundled_map
+from surveil.cli import bundled_map, main
 from surveil.objective import TaskAtom
 
 
@@ -217,6 +218,44 @@ def test_counterexample_tree_shares_its_nodes():
         assert len(a.children) == len(b.children)
 
 
+@pytest.mark.parametrize(
+    "name, spec", [("paper5x5", "G p<=1"), ("paper5x5", "G p<=2"), ("bigroom", "G p<=3")]
+)
+def test_safety_dump_unfolds_to_the_reference_tree(tmp_path, name, spec):
+    """The unrealizable safety dump, a graph, unfolded from its initial
+    node along its edges is the reference tree of the target's strategy
+    annotated with exact beliefs: node by node, the same agent cell,
+    belief and number of children."""
+    (tmp_path / "spec.txt").write_text(spec + "\n")
+    out = tmp_path / "cex.json"
+    code = main(["synth", "--map", f"bundled:{name}.txt", "--config", f"bundled:{name}.cfg",
+                 "--spec", str(tmp_path / "spec.txt"), "--out", str(out)])
+    assert code == 10
+    dump = json.loads(out.read_text())
+    assert dump["kind"] == "graph"
+    G, predicates = _bundled_problem(name)
+    obj = parse_spec(spec)
+    outcome = cegar_loop(G, obj, predicates=predicates)
+    root = reference_cex_tree.unfold(outcome.arena, solve(outcome.arena, obj), obj)
+    annotated = reference_cex_tree.first_good_path(
+        G, outcome.final_partition, root, obj.safety_terms, predicates
+    )
+    # no leaf's belief is safe, so the walk annotated every node
+    assert annotated is CONCRETIZABLE
+    nodes, edges = dump["nodes"], dump["edges"]
+    stack = [(root, dump["initial"])]
+    while stack:
+        want, i = stack.pop()
+        got, out_edges = nodes[i], edges[str(i)]
+        assert (got["agent"], got["belief"], len(out_edges)) == (
+            want.state[0], sorted(want.annotation), len(want.children)
+        )
+        # the replies to one target move put the agent on distinct cells
+        child_of = {nodes[j]["agent"]: j for j in out_edges}
+        assert sorted(child_of) == sorted(c.state[0] for c in want.children)
+        stack.extend((c, child_of[c.state[0]]) for c in want.children)
+
+
 def test_hide_reveal_graph_is_a_valid_counterexample(game5, two_col_partition):
     """Every cycle reachable in the hand-built graph stays imprecise: no
     node on a cycle has at most two invisible belief cells."""
@@ -256,7 +295,7 @@ def test_analysis_graph_beliefs_contained_in_labels(game5, two_col_partition):
 def test_good_lasso_and_liveness_refinement(game5, two_col_partition):
     cex = build_hide_reveal_cex(game5, two_col_partition)
     D = build_analysis_graph(game5, two_col_partition, cex)
-    lasso = find_good_lasso(game5, D, SurvAtom(2))
+    lasso = find_good_lasso(game5, D, SurvAtom(2), ("avoid", 0))
     assert lasso is not None
     stem, cycle = lasso
     assert stem[0] == D.initial
@@ -290,7 +329,7 @@ def _graph(beliefs, edges, modes=None):
 
 @st.composite
 def lasso_problems(draw):
-    """A random analysis graph, an atom and a restricting mode or None.
+    """A random analysis graph, an atom and a restricting mode.
     A node's edges may be missing, empty, repeated or a self-loop."""
     n = draw(st.integers(1, 9))
     cells = st.sampled_from(CELLS)
@@ -304,45 +343,46 @@ def lasso_problems(draw):
     parent = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
     D = AnalysisGraphD(beliefs, list(beliefs), modes, edges, parent, {})
     atom = draw(st.sampled_from((SurvAtom(1), SurvAtom(2), TaskAtom("top"))))
-    return D, atom, draw(st.sampled_from((None, *MODES)))
+    return D, atom, draw(st.sampled_from(MODES))
 
 
 @settings(max_examples=500, deadline=None)
 @given(problem=lasso_problems())
-@example(problem=(_graph([TOP], {0: (0,)}), TaskAtom("top"), None))
+@example(problem=(_graph([TOP], {0: (0,)}), TaskAtom("top"), ("avoid", 0)))
 @example(problem=(_graph([TOP] * 3, {}), TaskAtom("top"), ("avoid", 0)))
 @example(
     problem=(
         _graph([TOP, SIDE, SIDE], {0: (1,), 1: (2,), 2: (1,)}),
         TaskAtom("top"),
-        None,
+        ("avoid", 0),
     )
 )
 def test_find_good_lasso_matches_per_node_search(game5, problem):
     """One pass over the strongly connected components finds exactly the
     lasso that one breadth-first search per good node finds."""
     D, atom, mode = problem
-    want = reference_lasso.find_good_lasso(game5, D, atom, ON_TOP, mode)
-    assert find_good_lasso(game5, D, atom, ON_TOP, mode) == want
+    want = reference_lasso.find_good_lasso(game5, D, atom, mode, ON_TOP)
+    assert find_good_lasso(game5, D, atom, mode, ON_TOP) == want
 
 
 def test_find_good_lasso_cases(game5):
+    top, avoid0 = TaskAtom("top"), ("avoid", 0)
     # a self-loop is a cycle of one node
     D = _graph([SIDE, TOP], {0: (1,), 1: (1,)})
-    assert find_good_lasso(game5, D, TaskAtom("top"), ON_TOP) == ([0, 1], [1, 1])
+    assert find_good_lasso(game5, D, top, avoid0, ON_TOP) == ([0, 1], [1, 1])
     # nodes without edges lie on no cycle
-    assert find_good_lasso(game5, _graph([TOP, TOP], {}), TaskAtom("top"), ON_TOP) is None
+    assert find_good_lasso(game5, _graph([TOP, TOP], {}), top, avoid0, ON_TOP) is None
     # the cycle holds no good node; the good node leads into it
     D = _graph([TOP, SIDE, SIDE], {0: (1,), 1: (2,), 2: (1,)})
-    assert find_good_lasso(game5, D, TaskAtom("top"), ON_TOP) is None
+    assert find_good_lasso(game5, D, top, avoid0, ON_TOP) is None
     # the first good node on a cycle, and the shortest way back to it
     D = _graph([SIDE, TOP, TOP, SIDE], {0: (1,), 1: (2,), 2: (3, 1), 3: (1, 2)})
-    assert find_good_lasso(game5, D, TaskAtom("top"), ON_TOP) == ([0, 1], [1, 2, 1])
+    assert find_good_lasso(game5, D, top, avoid0, ON_TOP) == ([0, 1], [1, 2, 1])
     # a cycle through a node of another mode does not count under a mode
     modes = [("avoid", 0), ("avoid", 0), ("avoid", 1)]
     D = _graph([SIDE, TOP, SIDE], {0: (1,), 1: (2,), 2: (1,)}, modes)
-    assert find_good_lasso(game5, D, TaskAtom("top"), ON_TOP) == ([0, 1], [1, 2, 1])
-    assert find_good_lasso(game5, D, TaskAtom("top"), ON_TOP, ("avoid", 0)) is None
+    assert find_good_lasso(game5, D, top, avoid0, ON_TOP) is None
+    assert find_good_lasso(game5, D, top, ("avoid", 1), ON_TOP) is None
 
 
 def test_extracted_liveness_counterexample_also_refines(game5, two_col_partition):
@@ -355,7 +395,7 @@ def test_extracted_liveness_counterexample_also_refines(game5, two_col_partition
     assert not result.agent_wins
     cex = extract_cex_graph(arena, result)
     D = build_analysis_graph(game5, two_col_partition, cex)
-    lasso = find_good_lasso(game5, D, SurvAtom(2))
+    lasso = find_good_lasso(game5, D, SurvAtom(2), ("avoid", 0))
     assert lasso is not None
     refined = refine_liveness(game5, two_col_partition, D, lasso)
     assert graph_eliminated(game5, two_col_partition, refined, cex)
@@ -424,6 +464,18 @@ def test_unrealizable_outcome_carries_counterexample(game5):
     out = cegar_loop(game5, parse_spec("G p<=2"))
     assert out.strategy is None
     assert out.counterexample is not None
+
+
+def test_recurrence_counterexample_nodes_compare_by_identity(game5, goal_pred):
+    """The nodes of a recurrence counterexample form cycles: comparing
+    or printing them does not walk the graph."""
+    obj = parse_spec("GF p<=1 & GF goal")
+    out = cegar_loop(game5, obj, predicates=goal_pred)
+    again = cegar_loop(game5, obj, predicates=goal_pred)
+    assert out.verdict == again.verdict == "unrealizable"
+    assert out.counterexample.root == out.counterexample.root
+    assert out.counterexample.root != again.counterexample.root
+    assert len(repr(out.counterexample.root)) < 100
 
 
 def test_outcome_rejects_unknown_verdict(game5):

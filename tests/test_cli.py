@@ -71,8 +71,8 @@ def test_synth_unrealizable_exit_ten_with_dump(paths):
     assert code == 10
     dump = json.loads(out.read_text())
     assert dump["verdict"] == "unrealizable"
-    assert dump["kind"] == "tree"
-    assert dump["root"]["belief"] == [18]
+    assert dump["kind"] == "graph"
+    assert dump["nodes"][dump["initial"]]["belief"] == [18]
 
 
 def test_synth_missing_map_exit_one(paths):
@@ -544,7 +544,7 @@ GOLDEN = {
     "G p<=5 & GF p<=2": (
         0, "ea1057b169b38f373150cd7767440ebad7ff87311bbb946388a60b73fa33e769"
     ),
-    "G p<=2": (10, "9b9ed1d2a76a9b8818f02f76bdfd4cb6fd43086014100581575fc1d4069f8aff"),
+    "G p<=2": (10, "d22c1fb47492daac9e5f1c511cef1bd09da430714a8b0588eeb3313aa3d3342d"),
 }
 
 
@@ -557,6 +557,21 @@ def test_synth_output_golden_digest(spec, tmp_path, capsys):
                 "--config", "bundled:paper5x5.cfg",
                 "--spec", str(spec_file), "--out", str(out)])
     assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == GOLDEN[spec]
+
+
+def test_recurrence_dump_golden_digest(tmp_path):
+    """The dump of an unrealizable recurrence spec, on paper5x5 with a
+    goal on cell 0, pinned byte for byte as the safety dump is in
+    ``GOLDEN``."""
+    (tmp_path / "map.txt").write_text("G" + MAP[1:])
+    (tmp_path / "spec.txt").write_text("GF p<=1 & GF goal\n")
+    out = tmp_path / "out.json"
+    code = run(["synth", "--map", str(tmp_path / "map.txt"),
+                "--config", "bundled:paper5x5.cfg",
+                "--spec", str(tmp_path / "spec.txt"), "--out", str(out)])
+    assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == (
+        10, "762119e47160832c64d6e23c3fc733d138c489a00312d465b9adfccce5ede29a"
+    )
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -91,9 +91,8 @@ def test_runner_has_one_input_path():
 
 
 # exported names that no module of the package uses: the benchmark's
-# oracle and its output checks use the first two, and the tests'
-# visibility reference the third
-UNUSED_EXPORTS = {"build_belief_game", "belief_successors", "line_of_sight"}
+# oracle and its output checks use them
+UNUSED_EXPORTS = {"build_belief_game", "belief_successors"}
 
 
 def test_exports_unused_by_the_package_are_listed():

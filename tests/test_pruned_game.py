@@ -21,7 +21,6 @@ from surveil import (
     build_analysis_graph,
     build_game_structure,
     cegar_loop,
-    concretize,
     export_strategy,
     extract_cex_graph,
     initial_partition,
@@ -88,7 +87,7 @@ def assert_pruned_equivalent(G, objective, predicates, partition):
 
     def unsafe(state):
         l_a, label = state
-        cells = concretize(label, partition)
+        cells = partition.gamma(label)
         return not all(atom_holds(G, l_a, cells, a, predicates) for a in safety)
 
     moves = tuple_moves(pruned)

@@ -285,7 +285,8 @@ def test_scripted_target_exhaustion(game5, grid5, controller):
 
 def test_goal_seeking_target_reaches_goal(game5, grid5, controller):
     runner = make_runner(game5, controller)
-    policy = GoalSeekingPolicy(grid5, goal_cells={0})
+    # the same map with its top-left cell marked as a goal
+    policy = GoalSeekingPolicy(replace(grid5, goal_cells=frozenset({0})))
     trace = simulate(game5, grid5, runner, policy, steps=15)
     assert any(ts.target == 0 for ts in trace.steps)
 

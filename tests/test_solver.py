@@ -172,7 +172,7 @@ def test_winning_regions_partition_states(exact_arena_factory):
         result = solve(arena, obj)
         if not result.agent_wins:
             ts = result.target_strategy
-            assert ts.region == frozenset(range(len(arena))) - result.winning_region
+            assert frozenset(ts.mode) == frozenset(range(len(arena))) - result.winning_region
 
 
 def test_cex_tree_leaves_violate_safety(game5, two_col_partition):
@@ -244,6 +244,19 @@ def test_make_arena_rejects_undeclared_predicate(game5):
         make_arena(game, game5, parse_spec("GF goal"))
 
 
+@pytest.mark.parametrize("spec", ["G p<=2", "GF p<=1", "G p<=5 & GF goal"])
+def test_make_arena_reads_labels_under_singletons_by_default(game5, goal_pred, spec):
+    """The benchmark's oracle makes the exact game's arena without a
+    partition: its atoms are those under the singletons partition."""
+    obj = parse_spec(spec)
+    Q = singletons(game5)
+    game = build_abstract_game(game5, Q)
+    want = make_arena(game, game5, obj, goal_pred, Q).atom_sets
+    assert make_arena(game, game5, obj, goal_pred).atom_sets == want
+    # each atom holds on some states and fails on others
+    assert all(0 < len(states) < len(game) for states in want.values())
+
+
 def test_export_strategy_deterministic(game5, exact_arena_factory):
     obj, arena = exact_arena_factory("GF p<=2")
     Q = singletons(game5)
@@ -269,7 +282,7 @@ def check_export(arena, objective, strat, partition):
     assert got == reference_export.restrict_to_reachable(want)
     index = {json.dumps([l_a, label_json(b)]): i for i, (l_a, b) in enumerate(arena.states)}
     exported = [index[json.dumps(s)] for s in got["states"]]
-    assert set(exported) <= strat.winning_region
+    assert set(exported) <= full.winning_region
     labels_of = {(got["initial"], 0): []}
     for i, mem, c, r, mem2 in got["moves"]:
         labels_of.setdefault((i, mem), []).append(c)
@@ -355,7 +368,6 @@ def check_against_reference(flat, arena, obj):
             want.agent_strategy, arena.initial
         )
     else:
-        assert got.target_strategy.region == want.target_strategy.region
         assert choice_labels(flat, got.target_strategy) == want.target_strategy.choice
         assert got.target_strategy.mode == want.target_strategy.mode
 
@@ -470,7 +482,7 @@ def test_moves_cover_exactly_the_reached_pairs(game):
     assert set(labels_of) == {(i, mem) for i, mem in reached if choices(flat, i)}
     for i, mem in reached:
         assert sorted(labels_of.get((i, mem), [])) == [c for c, _ in choices(flat, i)]
-    assert {r for r, _ in strat.moves.values()} <= strat.winning_region
+    assert {r for r, _ in strat.moves.values()} <= result.winning_region
 
 
 def test_solve_refuses_an_arena_that_is_not_total():
@@ -562,8 +574,7 @@ def renumbered(arena, strat, order, label_order):
     moves = {
         (new[i], mem, c): (new[r], mem2) for (i, mem, c), (r, mem2) in strat.moves.items()
     }
-    region = frozenset(map(new.get, strat.winning_region))
-    return flat, StrategyData(strat.memory_count, region, moves)
+    return flat, StrategyData(strat.memory_count, moves)
 
 
 @settings(max_examples=200, deadline=None)
