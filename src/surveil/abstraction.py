@@ -45,10 +45,12 @@ class Partition:
     blocks: dict[int, frozenset[int]]
     universe: frozenset[int]
     next_id: int = 0
-    # cell mask -> the ids of the blocks it touches, see alpha_mask
+    # cell mask -> the ids of the blocks it touches, see alpha_mask, and
+    # each distinct id set -> itself, the one object those masks share
     _alphas: dict[int, frozenset[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _blocksets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         covered: set[int] = set()
@@ -75,13 +77,20 @@ class Partition:
     def alpha_mask(self, mask: int) -> frozenset[int]:
         """Abstract the cells of a mask to the ids of the blocks touching
         them.  Each mask's blocks are found once for as long as the
-        partition lives, which in the CEGAR loop is one game."""
+        partition lives, which in the CEGAR loop is one game, and masks
+        that touch the same blocks share one set."""
         out = self._alphas.get(mask)
         if out is None:
-            out = self._alphas[mask] = frozenset(
-                [bid for bid, block in self.masks.items() if block & mask]
-            )
+            out = frozenset([bid for bid, block in self.masks.items() if block & mask])
+            out = self._alphas[mask] = self._blocksets.setdefault(out, out)
         return out
+
+    def gamma_mask(self, abstract) -> int:
+        """:meth:`gamma` as a bit mask of cells."""
+        if isinstance(abstract, int):
+            return 1 << abstract
+        # the blocks are disjoint, so their masks add up to their union
+        return sum(map(self.masks.__getitem__, abstract))
 
     def gamma(self, abstract) -> frozenset[int]:
         """Concretize an abstract belief (block-id set or location)."""
@@ -200,12 +209,14 @@ def _explore(initial, successors, max_states) -> TurnGame:
     numbered = [{l_a0: 0}]
     set_ids = [{}]
     found = [initial]
+    # the reverse tables of TurnGame, filled as choices and members come
+    owners, holders = [], [[]]
     # per reply set: its belief id and its width
     set_label, widths = array("i"), array("i")
     n_choices, choice_set, replies = array("i"), array("i"), array("i")
     get_label, add_choice, add_reply = label_id.get, choice_set.append, replies.append
     # ``found`` is its own queue: the loop reaches the states it appends
-    for state in found:
+    for i, state in enumerate(found):
         out = successors(state)
         n_choices.append(len(out))
         for label, agent_cells in out:
@@ -221,6 +232,7 @@ def _explore(initial, successors, max_states) -> TurnGame:
                 s = sets[agent_cells] = len(widths)
                 set_label.append(lid)
                 widths.append(len(agent_cells))
+                owners.append([i])
                 # the interned object, which the new states share
                 label, at = labels[lid], numbered[lid]
                 for l_a2 in agent_cells:
@@ -230,7 +242,12 @@ def _explore(initial, successors, max_states) -> TurnGame:
                             raise BudgetExceeded(f"state budget of {max_states} exceeded")
                         j = at[l_a2] = len(found)
                         found.append((l_a2, label))
+                        holders.append([s])
+                    else:
+                        holders[j].append(s)
                     add_reply(j)
+            else:
+                owners[s].append(i)
             add_choice(s)
 
     # an array fills about twice as fast from a list as from an iterator
@@ -243,6 +260,8 @@ def _explore(initial, successors, max_states) -> TurnGame:
         choice_set,
         array("i", accumulate(widths, initial=0)),
         replies,
+        owners,
+        holders,
     )
 
 
@@ -294,7 +313,7 @@ def build_abstract_game(
         if label in tests:
             holds = tests[label]
         else:
-            holds = tests[label] = test(Q.gamma(label))
+            holds = tests[label] = test(Q.gamma_mask(label))
         if holds is None or holds(l_a):
             return abstract_successors(G, Q, state, records)
         return ()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .objective import SurvAtom
-from .structure import SurveillanceGameStructure
+from .structure import SurveillanceGameStructure, cell_mask
 
 
 class BudgetExceeded(RuntimeError):
@@ -74,35 +74,48 @@ def invisible_count(G: SurveillanceGameStructure, l_a: int, locs: Iterable[int])
     return len(frozenset(locs) - G.visibility[l_a])
 
 
-def atom_holds(G, l_a: int, locs, atom, predicates) -> bool:
-    """A spec atom on the agent cell ``l_a`` and a concrete set of target
-    cells: ``p<=k`` bounds the number of invisible cells, and a task
-    predicate must hold for every cell.  Abstract labels are turned into
-    cells with :meth:`~surveil.abstraction.Partition.gamma` first.  A set
-    of at most ``k`` cells satisfies ``p<=k`` whatever the agent sees, so
-    it is not counted."""
+def atom_test(G: SurveillanceGameStructure, atom, predicates):
+    """A spec atom as a test ``(l_a, mask) -> bool`` of the agent cell and
+    a :func:`~surveil.structure.cell_mask` of target cells: ``p<=k``
+    bounds the number of cells that ``l_a`` does not see, and holds on at
+    most ``k`` cells outright; a task predicate must hold for every cell,
+    so an empty mask satisfies every atom.  Labels become masks through
+    :meth:`~surveil.abstraction.Partition.gamma_mask`."""
     if isinstance(atom, SurvAtom):
-        if atom.k < 1:
+        k = atom.k
+        if k < 1:
             raise ValueError("surveillance threshold k must be >= 1")
-        return len(locs) <= atom.k or invisible_count(G, l_a, locs) <= atom.k
+        visible = G.masks.visible
+        return lambda l_a, m: m.bit_count() <= k or (m & ~visible[l_a]).bit_count() <= k
     pred = predicates[atom.name]
-    return all(pred.holds(l_a, l_t) for l_t in locs)
+    if pred.on_target:
+        outside = ~cell_mask(pred.cells)
+        return lambda l_a, m: not m & outside
+    cells = pred.cells
+    return lambda l_a, m: not m or l_a in cells
+
+
+def atom_holds(G, l_a: int, locs, atom, predicates) -> bool:
+    """:func:`atom_test` on the agent cell ``l_a`` and a set of target
+    cells."""
+    return atom_test(G, atom, predicates)(l_a, cell_mask(locs))
 
 
 def safety_test(G, safety, predicates=None):
-    """The conjunction of the ``safety`` atoms, one set of target cells at
-    a time: ``test(cells)`` is None when it holds on ``cells`` whatever
+    """The conjunction of the ``safety`` atoms, one mask of target cells
+    at a time: ``test(mask)`` is None when it holds on the mask whatever
     the agent's cell, and otherwise a test ``l_a -> bool`` through
-    :func:`atom_holds`.  Only ``p<=k`` atoms on at most ``k`` cells are
+    :func:`atom_test`.  Only ``p<=k`` atoms on at most ``k`` cells are
     taken to hold outright, so without atoms ``test`` is always None.
     ``predicates`` must declare each task atom of ``safety``."""
-    predicates = predicates or {}
     atoms = sorted(safety, key=str)
+    tests = [atom_test(G, a, predicates or {}) for a in atoms]
+    bound = min((a.k if isinstance(a, SurvAtom) else -1 for a in atoms), default=None)
 
-    def test(cells):
-        if all(isinstance(a, SurvAtom) and len(cells) <= a.k for a in atoms):
+    def test(mask):
+        if bound is None or mask.bit_count() <= bound:
             return None
-        return lambda l_a: all(atom_holds(G, l_a, cells, a, predicates) for a in atoms)
+        return lambda l_a: all(t(l_a, mask) for t in tests)
 
     return test
 
@@ -231,7 +244,12 @@ class TurnGame:
     1]]``; choices with the same label and the same replies (in the
     abstract game, the same agent cells after the same target move) share
     one set, stored once.  ``labels`` holds each distinct belief once, in
-    the order it was found, and the states share these objects.
+    the order it was found, and the states share these objects.  The
+    reverse tables, which exploration fills as it adds each choice and
+    member, let the solver walk the game backwards: ``owners[s]`` lists
+    the state of each choice whose set is ``s``, by choice id, and
+    ``holders[j]`` each set that holds state ``j``, once per occurrence,
+    by set id.
 
     A state may have no choices: a state of a game built for safety
     atoms that breaks one of them is not expanded, although it has its
@@ -246,6 +264,8 @@ class TurnGame:
     choice_set: array
     reply_off: array
     replies: array
+    owners: list
+    holders: list
 
     def __len__(self) -> int:
         return len(self.states)

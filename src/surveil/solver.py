@@ -2,32 +2,34 @@
 
 Arenas are turn-expanded explicit games: in every state the target picks
 a belief-level choice, then the agent picks a reply; every choice has a
-reply.  The solver has two attractors, one per player, over a
-reverse-edge index of the arena; each is a counter-based worklist that
-touches every edge a bounded number of times.  Each game is solved in
-one layered pass from the target's side: its attractor to the unsafe
-states, then traps away from a recurrence atom (each the complement of
-the agent's attractor to the atom) and the attractors to them, until its
-region is closed.  The rest is the agent's region, which the last trap
-round's attractors rank toward each recurrence atom: they give the
-agent's controller, with a memory index cycling through the atoms.
-The controller is a :class:`StrategyData` on arena states; its file
-format, written by :func:`~surveil.simulate.export_strategy`, belongs
-to :mod:`surveil.simulate`, which replays it.
+reply.  Atom valuations and regions are masks over states, a
+``bytearray`` with 1 at each member.  The solver has two attractors, one
+per player, over the reverse tables that exploration records in the
+game; each is a counter-based worklist that touches every edge a bounded
+number of times.  Each game is solved in one layered pass from the
+target's side: its attractor to the unsafe states, then traps away from
+a recurrence atom (each the complement of the agent's attractor to the
+atom) and the attractors to them, until its region is closed.  The rest
+is the agent's region, which the last trap round's attractors rank
+toward each recurrence atom: they give the agent's controller, with a
+memory index cycling through the atoms.  The controller is a
+:class:`StrategyData` on arena states; its file format, written by
+:func:`~surveil.simulate.export_strategy`, belongs to
+:mod:`surveil.simulate`, which replays it.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, repeat
-from operator import not_, sub
+from itertools import compress
+from operator import sub
 from typing import Optional
 
 from .abstraction import singletons
-from .belief import PredicateDef, TurnGame, atom_holds, belief_key
+from .belief import PredicateDef, TurnGame, atom_test, belief_key
 from .objective import Atom, Objective, SurvAtom
 
 
@@ -38,27 +40,24 @@ class SolverError(RuntimeError):
 @dataclass
 class Arena(TurnGame):
     """A flat turn game plus atom valuations: ``atom_sets`` maps each
-    objective atom to the set of state numbers satisfying it."""
+    objective atom to the mask of the states satisfying it."""
 
-    atom_sets: dict[Atom, frozenset[int]] = field(default_factory=dict)
+    atom_sets: dict[Atom, bytearray] = field(default_factory=dict)
+
+
+# bytes 0 and 1 swapped: the complement of a mask
+_NOT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _meet(a, b) -> bytearray:
+    """The states in both masks: with bytes 0 and 1, the and of their ints."""
+    both = int.from_bytes(a, "little") & int.from_bytes(b, "little")
+    return bytearray(both.to_bytes(len(a), "little"))
 
 
 def _widths(off: array) -> array:
     """Lengths of the ranges that the offsets ``off`` delimit."""
     return array("i", map(sub, off[1:], off))
-
-
-def _group(keys: array, n: int, values) -> tuple[array, array]:
-    """``values`` grouped by their ``keys``, which lie in ``range(n)``:
-    a CSR table whose row ``k`` lists, in their order, the values whose
-    key is ``k``.  Returns the offsets and the rows."""
-    off = array("i", accumulate(map(Counter(keys).get, range(n), repeat(0)), initial=0))
-    fill = array("i", off)
-    rows = array("i", [0]) * len(keys)
-    for k, v in zip(keys, values):
-        rows[fill[k]] = v
-        fill[k] += 1
-    return off, rows
 
 
 def _reply_widths(game: TurnGame) -> array:
@@ -117,22 +116,13 @@ def make_arena(
     _reply_widths(game)
     if partition is None:
         partition = singletons(structure)
-    # concretize each distinct label once; the initial state's label need
-    # not be a choice's, so the labels are read off the states
-    labels = {label for _, label in game.states}
-    cells = {label: partition.gamma(label) for label in labels}
+    # concretize each distinct label once, as a mask
+    masks = {label: partition.gamma_mask(label) for label in game.labels}
     atom_sets = {}
     for atom in objective.atoms:
-        atom_sets[atom] = frozenset(
-            i
-            for i, (l_a, label) in enumerate(game.states)
-            if atom_holds(structure, l_a, cells[label], atom, predicates)
-        )
-    return Arena(
-        game.states, game.initial, game.labels, game.choice_off,
-        game.choice_label, game.choice_set, game.reply_off, game.replies,
-        atom_sets,
-    )
+        test = atom_test(structure, atom, predicates)
+        atom_sets[atom] = bytearray([test(l_a, masks[label]) for l_a, label in game.states])
+    return Arena(**vars(game), atom_sets=atom_sets)
 
 
 # rank of a state outside an attractor; above every real rank
@@ -140,43 +130,31 @@ _UNRANKED = 2**31 - 1
 
 
 class _Index:
-    """Reverse-edge index of an arena, built once per :func:`solve` call.
+    """What :func:`solve` reads of an arena, gathered once per call.
 
     Choice ids are the arena's: the choices of state ``i`` run from
-    ``start[i]`` to ``start[i + 1]``; ``owner[c]`` is the state of choice
-    ``c`` and ``cset[c]`` its reply set.  Set ids are the arena's too:
-    ``width[k]`` is the number of members of set ``k``, and
-    ``users[user_off[k]:user_off[k + 1]]`` lists the choices whose set it
-    is, in increasing order; no set is empty, and the index refuses an
+    ``start[i]`` to ``start[i + 1]``, and ``cset[c]`` is the reply set of
+    choice ``c``.  Set ids are the arena's too: ``width[k]`` is the number
+    of members of set ``k``; no set is empty, and the index refuses an
     arena that is not total with :class:`SolverError`.  ``degree[i]``
     counts the choices of state ``i``, and ``sinks`` lists the states
-    without any.  ``preds[pred_off[j]:pred_off[j + 1]]`` lists the ids of
-    the sets that hold ``j``, once per occurrence of ``j`` among their
-    members, so every counter below counts a repeated reply as often as
-    it occurs and reaches zero exactly when the last copy goes.  A set is
-    covered or emptied once, whatever the number of choices that use it.
-    The tables are flat ``array('i')``, and every attractor below touches
+    without any.  ``owners`` and ``holders`` are the reverse tables that
+    exploration recorded in the arena (:class:`~surveil.belief.TurnGame`);
+    as a state is held once per occurrence, every counter below counts a
+    repeated reply as often as it occurs and reaches zero exactly when
+    the last copy goes.  A set is covered or emptied once, whatever the
+    number of choices that use it, and every attractor below touches
     each set member and each choice a bounded number of times.
     """
 
     def __init__(self, arena: Arena):
         n = len(arena)
-        start, cset, replies = arena.choice_off, arena.choice_set, arena.replies
-        self.degree = _widths(start)
-        self.width = width = _reply_widths(arena)
-        self.owner = array("i", chain.from_iterable(map(repeat, range(n), self.degree)))
-        self.user_off, self.users = _group(cset, len(width), range(len(cset)))
-        set_of_member = chain.from_iterable(map(repeat, range(len(width)), width))
-        self.pred_off, self.preds = _group(replies, n, set_of_member)
+        self.degree = _widths(arena.choice_off)
+        self.width = _reply_widths(arena)
+        self.owners, self.holders = arena.owners, arena.holders
         self.n = n
-        self.start, self.cset = start, cset
+        self.start, self.cset = arena.choice_off, arena.choice_set
         self.sinks = [i for i in range(n) if not self.degree[i]]
-
-    def preds_of(self, j: int) -> array:
-        return self.preds[self.pred_off[j] : self.pred_off[j + 1]]
-
-    def users_of(self, k: int) -> array:
-        return self.users[self.user_off[k] : self.user_off[k + 1]]
 
 
 def _attractor(ix: _Index, target, domain: bytearray, covered: bytearray) -> array:
@@ -189,7 +167,7 @@ def _attractor(ix: _Index, target, domain: bytearray, covered: bytearray) -> arr
     members is ranked; ``covered``, a zeroed mask over the reply sets, is
     left marking those sets.  A domain state without choices joins at 1.
     """
-    owner = ix.owner
+    owners, holders = ix.owners, ix.holders
     rank = array("i", [_UNRANKED]) * ix.n
     uncovered = array("i", ix.degree)
     frontier = list(target)
@@ -199,11 +177,10 @@ def _attractor(ix: _Index, target, domain: bytearray, covered: bytearray) -> arr
     level = 1
     while True:
         for j in frontier:
-            for k in ix.preds_of(j):
+            for k in holders[j]:
                 if not covered[k]:
                     covered[k] = 1
-                    for c in ix.users_of(k):
-                        i = owner[c]
+                    for i in owners[k]:
                         uncovered[i] -= 1
                         if not uncovered[i] and domain[i] and rank[i] == _UNRANKED:
                             added.append(i)
@@ -228,15 +205,15 @@ def _target_attractor(
     ``level``.  Returns ``[(state, rank, choice)]``.
     """
     start, cset = ix.start, ix.cset
-    owners = ix.owner.__getitem__
+    owners, holders = ix.owners, ix.holders
 
     def emptied(states):
         out = []
         for j in states:
-            for k in ix.preds_of(j):
+            for k in holders[j]:
                 missing[k] -= 1
                 if not missing[k]:
-                    out.extend(map(owners, ix.users_of(k)))
+                    out.extend(owners[k])
         return out
 
     candidates = emptied(fresh)
@@ -257,10 +234,10 @@ def _target_attractor(
     return out
 
 
-def _avoid_trap(ix: _Index, won: bytearray, avoid) -> tuple[list, array]:
-    """The target's trap away from the ``avoid`` states: the states
-    outside ``won`` that the agent's attractor to ``avoid``, run outside
-    ``won``, leaves unranked.
+def _avoid_trap(ix: _Index, won: bytearray, avoid: bytearray) -> tuple[list, array]:
+    """The target's trap away from the ``avoid`` mask: the states outside
+    ``won`` that the agent's attractor to ``avoid``, run outside ``won``,
+    leaves unranked.
 
     In each trap state the target has a choice of whose replies none is
     ranked, so the play stays in the trap or in ``won``.  The trap joins
@@ -268,10 +245,10 @@ def _avoid_trap(ix: _Index, won: bytearray, avoid) -> tuple[list, array]:
     choice in canonical order, and the attractor's ranks.
     """
     start, cset = ix.start, ix.cset
-    domain = bytearray(map(not_, won))
+    domain = won.translate(_NOT)
     # a set is covered exactly when one of its members is ranked
     covered = bytearray(len(ix.width))
-    rank = _attractor(ix, [i for i in avoid if domain[i]], domain, covered)
+    rank = _attractor(ix, compress(range(ix.n), _meet(avoid, domain)), domain, covered)
     out = []
     for i in compress(range(ix.n), domain):
         if rank[i] == _UNRANKED:
@@ -317,14 +294,14 @@ class TargetStrategyData:
 @dataclass
 class SolveResult:
     agent_wins: bool
-    winning_region: frozenset[int]
+    winning_region: bytearray
     agent_strategy: Optional[StrategyData] = None
     target_strategy: Optional[TargetStrategyData] = None
 
 
-def _canonical_reply(i, replies, allowed):
+def _canonical_reply(i, replies, allowed: bytearray):
     for r in replies:
-        if r in allowed:
+        if allowed[r]:
             return r
     raise SolverError(f"no winning reply from state {i}")
 
@@ -375,18 +352,17 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
     """
     ix = _Index(arena)
     n = len(arena)
-    everything = frozenset(range(n))
-    safe = everything
+    safe = bytearray(b"\x01") * n
     for atom in objective.safety_terms:
-        safe &= arena.atom_sets[atom]
-    unsafe = everything - safe
-    won = bytearray(map(unsafe.__contains__, range(n)))
+        safe = _meet(safe, arena.atom_sets[atom])
+    won = safe.translate(_NOT)
+    unsafe = list(compress(range(n), won))
     mode, choice, ranks = _target_strategy(ix, arena, objective, unsafe, won)
-    Z = frozenset(compress(range(n), map(not_, won)))
-    if arena.initial not in Z:
+    Z = won.translate(_NOT)
+    if not Z[arena.initial]:
         tstrat = TargetStrategyData(choice, mode)
         return SolveResult(False, Z, target_strategy=tstrat)
-    cores = [arena.atom_sets[a] & Z for a in objective.recurrence_terms]
+    cores = [_meet(arena.atom_sets[a], Z) for a in objective.recurrence_terms]
     if not cores:
         # without recurrence terms the one core is Z, and no rank is read
         cores, ranks = [Z], [None]
@@ -415,11 +391,11 @@ def _buchi_strategy(arena, Z, cores, ranks) -> StrategyData:
     stack = [(arena.initial, 0)]
     while stack:
         i, j = stack.pop()
-        if i not in Z:
+        if not Z[i]:
             raise SolverError(f"controller reaches state {i} outside the winning region")
         # one move per label; a later choice with the same label overrides
         out = {}
-        if i in cores[j]:
+        if cores[j][i]:
             for c in range(start[i], start[i + 1]):
                 out[labels[label[c]]] = (_canonical_reply(i, replies_of(c), Z), (j + 1) % m)
         else:
@@ -446,7 +422,8 @@ def _target_strategy(ix, arena, objective, unsafe, won) -> tuple[dict, dict, lis
     and the ranks of the last round's agent attractors, one per
     recurrence atom.
 
-    ``won`` marks the ``unsafe`` states, which the target wins at once.
+    ``won`` marks the ``unsafe`` states, listed in increasing order,
+    which the target wins at once.
     The attractor to them comes first; then traps in which the target
     confines the play away from one recurrence atom, iterated with
     further attractors until a round adds nothing to ``won``.  The

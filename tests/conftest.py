@@ -1,6 +1,7 @@
 import importlib.util
 import sys
 from collections import deque
+from itertools import compress
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,12 @@ def _replayed_label(choices, old_choice):
     if isinstance(old_choice, int):
         return old_choice if old_choice in choices else None
     return set_choice(choices)
+
+
+def members(mask) -> frozenset:
+    """The state numbers that a mask over states, a ``bytearray`` of 0s
+    and 1s such as ``Arena.atom_sets`` holds, marks with 1."""
+    return frozenset(compress(range(len(mask)), mask))
 
 
 def alpha(Q, locs) -> frozenset:

@@ -37,7 +37,7 @@ def unfold(arena, result, objective) -> Node:
 
     def build(i, depth):
         node = Node(state=arena.states[i])
-        if any(i not in arena.atom_sets[a] for a in safety):
+        if any(not arena.atom_sets[a][i] for a in safety):
             return node
         if depth > len(arena) + 1:
             raise SolverError("counterexample tree extraction did not terminate")

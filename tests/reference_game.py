@@ -14,18 +14,30 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional
 
-from conftest import choices
+from conftest import choices, members
 from surveil.abstraction import abstract_successors, singletons
 from surveil.belief import (
     BudgetExceeded,
     PredicateDef,
-    atom_holds,
     belief_key,
     belief_successors,
 )
 from surveil.objective import Atom, Objective, SurvAtom
 from surveil import solver
 from surveil.solver import SolverError
+
+
+def atom_holds(G, l_a: int, locs, atom, predicates) -> bool:
+    """A spec atom on the agent cell ``l_a`` and a set of target cells, by
+    its definition on sets: ``p<=k`` holds on at most ``k`` cells or when
+    at most ``k`` of them are invisible from ``l_a``, and a task predicate
+    must hold for every cell."""
+    if isinstance(atom, SurvAtom):
+        if atom.k < 1:
+            raise ValueError("surveillance threshold k must be >= 1")
+        return len(locs) <= atom.k or len(frozenset(locs) - G.visibility[l_a]) <= atom.k
+    pred = predicates[atom.name]
+    return all(pred.holds(l_a, l_t) for l_t in locs)
 
 
 @dataclass
@@ -159,7 +171,41 @@ def from_flat(arena) -> Arena:
         for i in range(len(arena))
     ]
     index = {s: i for i, s in enumerate(arena.states)}
-    return Arena(arena.states, index, moves, arena.initial, arena.atom_sets)
+    atom_sets = {atom: members(mask) for atom, mask in arena.atom_sets.items()}
+    return Arena(arena.states, index, moves, arena.initial, atom_sets)
+
+
+def _group(keys, n: int, values) -> list:
+    """``values`` grouped by their ``keys``, which lie in ``range(n)``:
+    row ``k`` lists, in their order, the values whose key is ``k``."""
+    rows = [[] for _ in range(n)]
+    for k, v in zip(keys, values):
+        rows[k].append(v)
+    return rows
+
+
+def reverse_tables(game) -> tuple[list, list]:
+    """A flat game's ``owners`` and ``holders``, regrouped from its
+    forward arrays: each set's owner states in choice order, and each
+    state's holding sets, once per occurrence, in set order."""
+    n, n_sets = len(game.states), len(game.reply_off) - 1
+    off, reply_off = game.choice_off, game.reply_off
+    owner = [i for i in range(n) for _ in range(off[i], off[i + 1])]
+    holder = [k for k in range(n_sets) for _ in range(reply_off[k], reply_off[k + 1])]
+    return _group(game.choice_set, n_sets, owner), _group(game.replies, n, holder)
+
+
+def flat_arena(
+    states, initial, labels, choice_off, choice_label, choice_set, reply_off, replies, atom_sets
+) -> solver.Arena:
+    """A hand-built flat arena, with the reverse tables that exploration
+    records in a built one regrouped from its forward arrays."""
+    arena = solver.Arena(
+        states, initial, labels, choice_off, choice_label, choice_set, reply_off, replies,
+        None, None, atom_sets,
+    )
+    arena.owners, arena.holders = reverse_tables(arena)
+    return arena
 
 
 def to_flat(arena, states=None) -> solver.Arena:
@@ -180,7 +226,8 @@ def to_flat(arena, states=None) -> solver.Arena:
             replies.extend(r)
         choice_label.append(key[0])
         choice_set.append(s)
-    return solver.Arena(
+    n = len(arena)
+    return flat_arena(
         list(arena.states if states is None else states),
         arena.initial,
         labels,
@@ -189,7 +236,7 @@ def to_flat(arena, states=None) -> solver.Arena:
         choice_set,
         array("i", accumulate(widths, initial=0)),
         replies,
-        arena.atom_sets,
+        {a: bytearray(i in s for i in range(n)) for a, s in arena.atom_sets.items()},
     )
 
 

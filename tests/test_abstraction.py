@@ -2,17 +2,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import alpha
-from reference_game import tuple_moves
+from reference_game import reverse_tables, tuple_moves
 from surveil import (
     Partition,
     PartitionError,
     PredicateDef,
     abstract_successors,
     build_abstract_game,
+    build_game_structure,
+    cegar_loop,
     initial_partition,
+    parse_config,
+    parse_grid,
+    parse_spec,
+    predicates_from_grid,
     refines,
     singletons,
 )
+from surveil.abstraction import _explore
+from surveil.cli import bundled_map
 
 
 def check_uniform(partition, predicates):
@@ -181,3 +189,46 @@ def test_refinement_monotonicity(game5, rows_partition, cells, sep):
     before = rows_partition.gamma(alpha(rows_partition, locs))
     after = refined.gamma(alpha(refined, locs))
     assert locs <= after <= before
+
+
+def assert_recorded_tables(game):
+    """The reverse tables that exploration records are the ones regrouped
+    from the game's forward arrays."""
+    owners, holders = reverse_tables(game)
+    assert game.owners == owners
+    assert game.holders == holders
+
+
+def test_recorded_tables_match_regrouping_on_paper5x5(game5):
+    initial = initial_partition(game5)
+    refined = cegar_loop(game5, parse_spec("GF p<=2")).final_partition
+    assert len(refined) > len(initial)
+    for Q in (initial, refined, singletons(game5)):
+        assert_recorded_tables(build_abstract_game(game5, Q))
+    # a game built for a safety term has states without choices
+    game = build_abstract_game(game5, singletons(game5), safety=parse_spec("G p<=2").safety_terms)
+    assert any(not out for out in tuple_moves(game).values())
+    assert_recorded_tables(game)
+
+
+def test_recorded_tables_match_regrouping_on_bigroom():
+    grid = parse_grid(bundled_map("bigroom.txt"))
+    G = build_game_structure(grid, *parse_config(bundled_map("bigroom.cfg")))
+    Q = initial_partition(G, predicates_from_grid(grid).values())
+    assert_recorded_tables(build_abstract_game(G, Q))
+
+
+def test_recorded_tables_count_a_repeated_reply_per_occurrence():
+    """Both choices of state 0 use one set, which holds state 1 twice:
+    the set lists its owner once per choice, and state 1 lists the set
+    once per occurrence."""
+    moves = {
+        (0, "a"): [("b", (1, 1)), ("b", (1, 1))],
+        (1, "b"): [("a", (0,)), ("b", (1,))],
+    }
+    game = _explore((0, "a"), moves.__getitem__, 10)
+    assert game.states == [(0, "a"), (1, "b")]
+    assert list(game.replies) == [1, 1, 0, 1]
+    assert game.owners == [[0, 0], [1], [1]]
+    assert game.holders == [[1], [0, 0, 2]]
+    assert_recorded_tables(game)

@@ -3,6 +3,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_game
 from reference_game import tuple_moves
 from surveil import (
     BudgetExceeded,
@@ -14,11 +15,17 @@ from surveil import (
     belief_successors,
     build_abstract_game,
     build_belief_game,
+    build_game_structure,
     check_observable,
     invisible_count,
+    parse_config,
+    parse_grid,
     predicates_from_grid,
     singletons,
 )
+from surveil.belief import atom_test
+from surveil.cli import bundled_map
+from surveil.structure import cell_mask
 
 
 def oracle_belief_transitions(G, state):
@@ -144,6 +151,38 @@ def test_surveillance_predicate(game5):
     assert atom_holds(game5, 4, frozenset({17, 23}), SurvAtom(2), {})
     with pytest.raises(ValueError):
         atom_holds(game5, 4, frozenset({19}), SurvAtom(0), {})
+
+
+@pytest.fixture(scope="module")
+def structures(game5):
+    grid = parse_grid(bundled_map("bigroom.txt"))
+    return [game5, build_game_structure(grid, *parse_config(bundled_map("bigroom.cfg")))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mask_evaluator_matches_the_set_definition(structures, data):
+    """``atom_test`` on a cell mask, and ``atom_holds`` on a set, agree
+    with the definition on sets for ``p<=1..4`` and for a target-kind and
+    an agent-kind predicate, on any belief, the empty one included."""
+    G = data.draw(st.sampled_from(structures))
+    l_a = data.draw(st.sampled_from(sorted(G.agent_locations)))
+    cells = st.sampled_from(sorted(G.target_locations))
+    belief = data.draw(st.frozensets(cells))
+    predicates = {
+        "zone": PredicateDef("zone", data.draw(st.frozensets(cells)), on_target=True),
+        "goal": PredicateDef("goal", data.draw(st.frozensets(cells))),
+    }
+    for atom in [SurvAtom(k) for k in range(1, 5)] + [TaskAtom("zone"), TaskAtom("goal")]:
+        want = reference_game.atom_holds(G, l_a, belief, atom, predicates)
+        assert atom_test(G, atom, predicates)(l_a, cell_mask(belief)) == want, atom
+        assert atom_holds(G, l_a, belief, atom, predicates) == want, atom
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_mask_evaluator_refuses_a_threshold_below_one(game5, k):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        atom_test(game5, SurvAtom(k), {})
 
 
 def test_invisible_count(game5):

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_game
 import reference_solver
-from conftest import choice_labels, choices, random_problems
+from conftest import choice_labels, choices, members, random_problems
 from surveil import (
     BudgetExceeded,
     PredicateDef,
@@ -60,6 +60,7 @@ def assert_same_game(G, build, ref_build, objectives, predicates, partition=None
         assert game == ref_game
         return
     assert len(game) == len(ref_game)
+    assert (game.owners, game.holders) == reference_game.reverse_tables(game)
     for objective in objectives:
         arena = _outcome(make_arena, game, G, objective, predicates, partition)
         ref = _outcome(reference_game.make_arena, ref_game, G, objective, predicates, partition)
@@ -74,8 +75,8 @@ def assert_same_game(G, build, ref_build, objectives, predicates, partition=None
                 (c, tuple(to_ref[r] for r in replies)) for c, replies in choices(arena, i)
             ] == ref.moves[to_ref[i]]
         assert {
-            atom: frozenset(to_ref[i] for i in states)
-            for atom, states in arena.atom_sets.items()
+            atom: frozenset(to_ref[i] for i in members(mask))
+            for atom, mask in arena.atom_sets.items()
         } == ref.atom_sets
         assert_same_solution(arena, ref, objective, to_ref)
 
@@ -97,7 +98,7 @@ def assert_same_solution(arena, ref, objective, to_ref):
         assert isinstance(got, tuple) and isinstance(want, tuple)
         return
     assert got.agent_wins == want.agent_wins
-    assert {to_ref[i] for i in got.winning_region} == want.winning_region
+    assert {to_ref[i] for i in members(got.winning_region)} == want.winning_region
     if want.agent_wins:
         assert got.agent_strategy.memory_count == want.agent_strategy.memory_count
         assert {
@@ -174,7 +175,7 @@ def assert_quotient_is_reference(G, objectives, predicates, max_states):
         assert {
             i for i, s in enumerate(arena.states)
             if ref_arena.index[quotient(s)] in want.winning_region
-        } == got.winning_region
+        } == members(got.winning_region)
 
 
 def test_exact_game_quotient_is_reference_on_paper5x5(game5, goal_pred):

@@ -14,6 +14,7 @@ import pytest
 
 import reference_game
 import surveil.cegar
+from conftest import members
 from reference_game import tuple_moves
 from surveil import (
     atom_holds,
@@ -100,14 +101,14 @@ def assert_pruned_equivalent(G, objective, predicates, partition):
 
     arena_p = make_arena(pruned, G, objective, predicates, partition)
     arena_f = make_arena(full, G, objective, predicates, partition)
-    for atom, states in arena_p.atom_sets.items():
-        assert {arena_p.states[i] for i in states} == {
-            arena_f.states[i] for i in arena_f.atom_sets[atom]
+    for atom, mask in arena_p.atom_sets.items():
+        assert {arena_p.states[i] for i in members(mask)} == {
+            arena_f.states[i] for i in members(arena_f.atom_sets[atom])
         } & set(pruned.states)
     got, want = solve(arena_p, objective), solve(arena_f, objective)
     assert got.agent_wins == want.agent_wins
-    assert {arena_p.states[i] for i in got.winning_region} == {
-        arena_f.states[i] for i in want.winning_region
+    assert {arena_p.states[i] for i in members(got.winning_region)} == {
+        arena_f.states[i] for i in members(want.winning_region)
     } & set(pruned.states)
     if want.agent_wins:
         assert export_strategy(arena_p, got.agent_strategy, "d", partition) == export_strategy(

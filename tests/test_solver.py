@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 import reference_export
 import reference_game
 import reference_solver
-from conftest import choice_labels, choices
+from conftest import choice_labels, choices, members
 import surveil.cegar
 import surveil.solver
 from surveil import (
@@ -74,11 +74,11 @@ def verify_agent_strategy(arena, objective, strat):
     g = _product_graph(arena, strat)
     safe = set(range(len(arena)))
     for atom in objective.safety_terms:
-        safe &= arena.atom_sets[atom]
+        safe &= members(arena.atom_sets[atom])
     for i, _ in g.nodes:
         assert i in safe, f"strategy reaches unsafe state {i}"
     for atom in objective.recurrence_terms:
-        hit = arena.atom_sets[atom]
+        hit = members(arena.atom_sets[atom])
         avoiders = [n for n in g.nodes if n[0] not in hit]
         sub = g.subgraph(avoiders)
         assert nx.is_directed_acyclic_graph(sub), (
@@ -92,7 +92,7 @@ def verify_target_strategy(arena, objective, result):
     index = {s: i for i, s in enumerate(arena.states)}
     safe = set(range(len(arena)))
     for atom in objective.safety_terms:
-        safe &= arena.atom_sets[atom]
+        safe &= members(arena.atom_sets[atom])
     g = nx.DiGraph()
     for s, succs in cex.edges.items():
         for s2 in succs:
@@ -110,7 +110,7 @@ def verify_target_strategy(arena, objective, result):
         j = mode[1]
         atom = objective.recurrence_terms[j]
         for s in scc:
-            assert index[s] not in arena.atom_sets[atom]
+            assert not arena.atom_sets[atom][index[s]]
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +172,9 @@ def test_winning_regions_partition_states(exact_arena_factory):
         result = solve(arena, obj)
         if not result.agent_wins:
             ts = result.target_strategy
-            assert frozenset(ts.mode) == frozenset(range(len(arena))) - result.winning_region
+            assert frozenset(ts.mode) == frozenset(range(len(arena))) - members(
+                result.winning_region
+            )
 
 
 def test_cex_tree_leaves_violate_safety(game5, two_col_partition):
@@ -188,7 +190,7 @@ def test_cex_tree_leaves_violate_safety(game5, two_col_partition):
     assert leaves
     for leaf in leaves:
         i = index[leaf.state]
-        assert any(i not in arena.atom_sets[a] for a in obj.safety_terms)
+        assert any(not arena.atom_sets[a][i] for a in obj.safety_terms)
     # internal nodes branch over every reply of the chosen move
     for n in _tree_nodes(tree):
         if n.children:
@@ -254,7 +256,7 @@ def test_make_arena_reads_labels_under_singletons_by_default(game5, goal_pred, s
     want = make_arena(game, game5, obj, goal_pred, Q).atom_sets
     assert make_arena(game, game5, obj, goal_pred).atom_sets == want
     # each atom holds on some states and fails on others
-    assert all(0 < len(states) < len(game) for states in want.values())
+    assert all(0 < len(members(mask)) < len(game) for mask in want.values())
 
 
 def test_export_strategy_deterministic(game5, exact_arena_factory):
@@ -361,7 +363,7 @@ def check_against_reference(flat, arena, obj):
     got = solve(flat, obj)
     want = reference_solver.solve(arena, obj)
     assert got.agent_wins == want.agent_wins
-    assert got.winning_region == want.winning_region
+    assert members(got.winning_region) == want.winning_region
     if want.agent_wins:
         assert got.agent_strategy.memory_count == want.agent_strategy.memory_count
         assert got.agent_strategy.moves == reference_solver.reachable_moves(
@@ -482,7 +484,7 @@ def test_moves_cover_exactly_the_reached_pairs(game):
     assert set(labels_of) == {(i, mem) for i, mem in reached if choices(flat, i)}
     for i, mem in reached:
         assert sorted(labels_of.get((i, mem), [])) == [c for c, _ in choices(flat, i)]
-    assert {r for r, _ in strat.moves.values()} <= result.winning_region
+    assert {r for r, _ in strat.moves.values()} <= members(result.winning_region)
 
 
 def test_solve_refuses_an_arena_that_is_not_total():
@@ -536,7 +538,7 @@ def test_agent_region_lies_in_its_controllable_predecessor(game):
     is ``F_j & Z & cpre(Z)`` only because ``Z`` lies inside
     ``cpre(Z)``: every choice of a state of ``Z`` has a reply in ``Z``."""
     arena, obj = game
-    Z = solve(reference_game.to_flat(arena), obj).winning_region
+    Z = members(solve(reference_game.to_flat(arena), obj).winning_region)
     assert Z <= reference_solver.cpre(arena, Z)
 
 
@@ -560,7 +562,7 @@ def renumbered(arena, strat, order, label_order):
     new_label = {old: k for k, old in enumerate(label_order)}
     off = arena.choice_off
     ids = [c for i in order for c in range(off[i], off[i + 1])]
-    flat = surveil.solver.Arena(
+    flat = reference_game.flat_arena(
         [arena.states[i] for i in order],
         new[arena.initial],
         [arena.labels[k] for k in label_order],
@@ -569,7 +571,7 @@ def renumbered(arena, strat, order, label_order):
         array("i", [arena.choice_set[c] for c in ids]),
         arena.reply_off,
         array("i", [new[r] for r in arena.replies]),
-        {atom: frozenset(map(new.get, s)) for atom, s in arena.atom_sets.items()},
+        {atom: bytearray(map(mask.__getitem__, order)) for atom, mask in arena.atom_sets.items()},
     )
     moves = {
         (new[i], mem, c): (new[r], mem2) for (i, mem, c), (r, mem2) in strat.moves.items()
