@@ -47,7 +47,7 @@ def main():
     print(f"exact beliefs along the spurious counterexample path ({len(D)} nodes):")
     for i in path:
         l_a, belief = D.beliefs[i]
-        print(f"  agent {l_a:2d}: belief {sorted(belief)}")
+        print(f"  agent {l_a:2d}: belief {sorted(G.cells_of(belief))}")
 
     refined = refine_safety(G, Q, D, path)
     print(f"refined to {len(refined)} blocks:")

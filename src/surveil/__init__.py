@@ -21,7 +21,6 @@ from .belief import (
     BudgetExceeded,
     PredicateDef,
     PredicateError,
-    atom_holds,
     belief_successors,
     check_observable,
     invisible_count,

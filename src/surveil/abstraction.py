@@ -182,7 +182,7 @@ def abstract_successors(G: SurveillanceGameStructure, Q: Partition, state, recor
         records = {}
     moves = records.get(label)
     if moves is None:
-        moves = records[label] = belief_moves(G, Q.gamma(label))
+        moves = records[label] = belief_moves(G, Q.gamma_mask(label))
     visible, invisible = target_moves(G, l_a, moves)
     if invisible is not None:
         unseen, replies = invisible

@@ -2,13 +2,13 @@
 
 A belief is the set of target locations the agent considers possible.
 After every target move it is either a location the agent sees or the
-set of locations the target may have landed on unseen.  The kernel here
-(:func:`belief_moves`, :func:`landing_cells`, :func:`target_moves`)
-expands beliefs for every game the package builds.  The exact belief
-game, the oracle semantics, is the abstract game under the partition
-into one block per location (:func:`~surveil.abstraction.singletons`),
-whose block-set labels are the beliefs themselves; there is no second
-builder for it.
+set of locations the target may have landed on unseen; in the CEGAR
+loop it is a cell mask.  The kernel here (:func:`belief_moves`,
+:func:`landing_cells`, :func:`target_moves`) expands beliefs for every
+game the package builds.  The exact belief game, the oracle semantics,
+is the abstract game under the partition into one block per location
+(:func:`~surveil.abstraction.singletons`), whose block-set labels are
+the beliefs themselves; there is no second builder for it.
 """
 
 from __future__ import annotations
@@ -95,12 +95,6 @@ def atom_test(G: SurveillanceGameStructure, atom, predicates):
     return lambda l_a, m: not m or l_a in cells
 
 
-def atom_holds(G, l_a: int, locs, atom, predicates) -> bool:
-    """:func:`atom_test` on the agent cell ``l_a`` and a set of target
-    cells."""
-    return atom_test(G, atom, predicates)(l_a, cell_mask(locs))
-
-
 def safety_test(G, safety, predicates=None):
     """The conjunction of the ``safety`` atoms, one mask of target cells
     at a time: ``test(mask)`` is None when it holds on the mask whatever
@@ -136,11 +130,12 @@ class BeliefMoves:
     stuck: dict[int, int]
 
 
-def belief_moves(G: SurveillanceGameStructure, belief: Iterable[int]) -> BeliefMoves:
-    """The :class:`BeliefMoves` record of a nonempty set of target cells."""
-    cells = tuple(sorted(belief))
-    if not cells:
+def belief_moves(G: SurveillanceGameStructure, mask: int) -> BeliefMoves:
+    """The :class:`BeliefMoves` record of a nonempty
+    :func:`~surveil.structure.cell_mask` of target cells."""
+    if not mask:
         raise ValueError("empty belief")
+    cells = tuple(G.cells_in(mask))
     target_succ, moves = G.target_succ, G.masks.moves
     union = 0
     stuck: dict[int, int] = {}
@@ -221,7 +216,7 @@ def belief_successors(G: SurveillanceGameStructure, state):
     target's moves through it.
     """
     l_a, belief = state
-    visible, invisible = target_moves(G, l_a, belief_moves(G, belief))
+    visible, invisible = target_moves(G, l_a, belief_moves(G, cell_mask(belief)))
     choices = [(frozenset({l_t2}), replies) for l_t2, replies in visible]
     if invisible is not None:
         unseen, replies = invisible

@@ -2,11 +2,12 @@
 
 Every counterexample is the target's strategy closed under the agent's
 replies, a graph.  The analysis graph pairs each of its abstract nodes
-with the exact forward-propagated belief.  For safety the graph is
-acyclic, and a sink whose exact belief is safe gives a spurious path,
-which drives backward partition splitting; when there is none the
-counterexample is concrete.  For recurrence, a lasso whose cycle
-contains a precise-enough belief witnesses spuriousness.
+with the exact forward-propagated belief, a cell mask until it leaves
+the loop in a partition split or a returned counterexample.  For safety
+the graph is acyclic, and a sink whose exact belief is safe gives a
+spurious path, which drives backward partition splitting; when there is
+none the counterexample is concrete.  For recurrence, a lasso whose
+cycle contains a precise-enough belief witnesses spuriousness.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import compress
 from typing import Optional
 
 from .abstraction import Partition, build_abstract_game, initial_partition, refines
-from .belief import PredicateDef, atom_holds, belief_moves, landing_cells
+from .belief import PredicateDef, atom_test, belief_moves, landing_cells, safety_test
 from .objective import Objective
 from .solver import (
     Arena,
@@ -38,36 +39,26 @@ class RefinementError(RuntimeError):
 
 def _belief_step(G, Q):
     """The exact belief step of counterexample analysis, as a function
-    ``(l_a, belief, label) -> belief'``: the target's abstract move
-    ``label`` from ``belief`` with the agent on ``l_a``.
+    ``(l_a, belief, label) -> belief'`` on cell masks: the target's
+    abstract move ``label`` from ``belief`` with the agent on ``l_a``.
 
     A visible move gives its cell; a block-set move gives the belief's
     invisible landing cells that lie under the label.  The step keeps
-    one :class:`~surveil.belief.BeliefMoves` record per belief, one cell
-    mask per label and one belief per mask, which the steps to it share,
-    for as long as it lives.
+    one :class:`~surveil.belief.BeliefMoves` record per belief for as
+    long as it lives.
     """
     records: dict = {}
-    masks: dict = {}
-    beliefs: dict = {}
 
     def step(l_a, belief, label):
         if isinstance(label, int):
-            return frozenset({label})
+            return 1 << label
         if not belief:
             # a spurious move can empty a belief, which then stays empty
             return belief
         moves = records.get(belief)
         if moves is None:
             moves = records[belief] = belief_moves(G, belief)
-        mask = masks.get(label)
-        if mask is None:
-            mask = masks[label] = cell_mask(Q.gamma(label))
-        unseen = landing_cells(G, l_a, moves)[1] & mask
-        out = beliefs.get(unseen)
-        if out is None:
-            out = beliefs[unseen] = G.cells_of(unseen)
-        return out
+        return landing_cells(G, l_a, moves)[1] & Q.gamma_mask(label)
 
     return step
 
@@ -76,44 +67,43 @@ def split_along(G: SurveillanceGameStructure, Q: Partition, pairs) -> Partition:
     """Backward partition splitting along an annotated path.
 
     ``pairs`` is a list of ``(l_a, abstract_label, exact_belief)`` from
-    the root to a node whose exact belief is to be made expressible.
-    Splits the final node's blocks against its belief, then walks
-    backward separating the locations whose invisible successors stay
-    inside the precise region, stopping at concrete labels.  A
-    location's invisible successors are the unseen landing cells of its
-    singleton belief, as a mask.
+    the root to a node whose exact belief, a cell mask, is to be made
+    expressible.  Splits the final node's blocks against its belief,
+    then walks backward separating the locations whose invisible
+    successors stay inside the precise region, stopping at concrete
+    labels.  A location's invisible successors are the unseen landing
+    cells of its singleton belief, as a mask.
     """
-    gammas = [Q.gamma(label) for _, label, _ in pairs]
     n = len(pairs) - 1
-    l_a_n, label_n, belief_n = pairs[n]
+    l_a_n, label_n, precise = pairs[n]
     result = Q
     if not isinstance(label_n, int):
-        result = result.split(gammas[n], belief_n)
-    precise = belief_n
+        result = result.split(Q.gamma(label_n), G.cells_of(precise))
     for j in range(n - 1, -1, -1):
         l_a_j, label_j, _ = pairs[j]
         if isinstance(label_j, int):
             break
         # the cells the next label holds beyond the precise region
-        outside = cell_mask(gammas[j + 1] - precise)
+        outside = Q.gamma_mask(pairs[j + 1][1]) & ~precise
+        scope = Q.gamma(label_j)
         keep = frozenset(
             l
-            for l in gammas[j]
-            if not landing_cells(G, l_a_j, belief_moves(G, (l,)))[1] & outside
+            for l in scope
+            if not landing_cells(G, l_a_j, belief_moves(G, 1 << l))[1] & outside
         )
-        result = result.split(gammas[j], keep)
-        precise = keep
+        result = result.split(scope, keep)
+        precise = cell_mask(keep)
     return result
 
 
-def _grown(Q: Partition, refined: Partition, pairs) -> Optional[Partition]:
+def _grown(G, Q: Partition, refined: Partition, pairs) -> Optional[Partition]:
     """``refined`` if it has more blocks than ``Q``; else, as a fallback,
     ``refined`` with every abstract label along ``pairs`` split against
     its exact belief.  None when that adds no block either."""
     if len(refined) <= len(Q):
         for l_a, label, belief in pairs:
             if not isinstance(label, int):
-                refined = refined.split(Q.gamma(label), belief)
+                refined = refined.split(Q.gamma(label), G.cells_of(belief))
     if len(refined) <= len(Q):
         return None
     if not refines(refined, Q):
@@ -125,11 +115,11 @@ def _grown(Q: Partition, refined: Partition, pairs) -> Optional[Partition]:
 class AnalysisGraphD:
     """Counterexample graph paired with exact forward beliefs.
 
-    Node ``i`` carries the belief state, the abstract counterexample
-    state it tracks, and that state's winning mode.  Nodes are numbered
-    breadth first from ``initial``, and ``parent[i]`` is the node whose
-    expansion found node ``i`` (None for the root).  ``gamma`` maps every
-    abstract label of the counterexample graph to its cells.
+    Node ``i`` carries the belief state ``(l_a, mask)``, with the exact
+    belief as a cell mask, the abstract counterexample state it tracks,
+    and that state's winning mode.  Nodes are numbered breadth first
+    from ``initial``, and ``parent[i]`` is the node whose expansion found
+    node ``i`` (None for the root).
     """
 
     beliefs: list
@@ -137,7 +127,6 @@ class AnalysisGraphD:
     modes: list
     edges: dict
     parent: list
-    gamma: dict
     initial: int = 0
 
     def __len__(self):
@@ -157,15 +146,12 @@ def build_analysis_graph(
 ) -> AnalysisGraphD:
     """Close the counterexample graph under exact belief propagation.
 
-    Each label is concretized once, and each belief expanded from one
-    :class:`~surveil.belief.BeliefMoves` record, for the whole walk.
+    Each belief is expanded from one
+    :class:`~surveil.belief.BeliefMoves` record for the whole walk.
     """
-    labels = {v[1] for v in cex.edges}.union(cex.choice.values())
-    labels.discard(None)
-    gamma = {label: Q.gamma(label) for label in labels}
     step = _belief_step(G, Q)
     l_a0, l_t0 = G.initial
-    d0 = ((l_a0, frozenset({l_t0})), cex.initial)
+    d0 = ((l_a0, 1 << l_t0), cex.initial)
     beliefs, cex_states, modes = [d0[0]], [d0[1]], [cex.mode[cex.initial]]
     parent = [None]
     index = {d0: 0}
@@ -192,7 +178,7 @@ def build_analysis_graph(
                 queue.append(key2)
             out.append(index[key2])
         edges[i] = tuple(out)
-    return AnalysisGraphD(beliefs, cex_states, modes, edges, parent, gamma)
+    return AnalysisGraphD(beliefs, cex_states, modes, edges, parent)
 
 
 # nodes are shared, and a recurrence counterexample's nodes form cycles:
@@ -219,13 +205,15 @@ class CounterexampleTree:
     nodes: list
 
 
-def counterexample_tree(D: AnalysisGraphD, cex: CounterexampleGraph) -> CounterexampleTree:
+def counterexample_tree(G, D: AnalysisGraphD, cex: CounterexampleGraph) -> CounterexampleTree:
     """The counterexample ``D`` of ``cex`` as linked nodes, one per ``D``
     node, which the parents of that node share.  A safety counterexample
-    is acyclic, so it reads as a tree."""
+    is acyclic, so it reads as a tree.  Each node's annotation is its
+    exact belief as a set, one per distinct belief."""
+    cells = {mask: G.cells_of(mask) for mask in {mask for _, mask in D.beliefs}}
     nodes = [
-        CexTreeNode(v, None, [], belief, mode)
-        for v, (_, belief), mode in zip(D.cex_states, D.beliefs, D.modes)
+        CexTreeNode(v, None, [], cells[mask], mode)
+        for v, (_, mask), mode in zip(D.cex_states, D.beliefs, D.modes)
     ]
     for i, node in enumerate(nodes):
         out = D.edges[i]
@@ -337,10 +325,10 @@ def find_good_lasso(
     nodes of mode ``mode``, and the cycle is the shortest one back to
     it, breadth first.
     """
+    test = atom_test(G, atom, predicates or {})
     allowed = {i for i, m in enumerate(D.modes) if m == mode}
     for g in compress(range(len(D)), _on_cycle(D.edges, len(D), allowed)):
-        l_a, b = D.beliefs[g]
-        if atom_holds(G, l_a, b, atom, predicates):
+        if test(*D.beliefs[g]):
             back = _shortest_path(D.edges, D.edges.get(g, ()), {g}, allowed)
             return D.stem(g), [g] + back
     return None
@@ -372,7 +360,7 @@ def annotate_tree(
     reach ranks make it; a node met on its own path raises
     :class:`RefinementError`.
     """
-    predicates = predicates or {}
+    test = safety_test(G, safety, predicates)
     mark = bytearray(len(D))  # 1 while on the path, 2 once left
     path: list[int] = []
     work = [iter((D.initial,))]
@@ -389,7 +377,8 @@ def annotate_tree(
                 break
             mark[j] = 2
             l_a, belief = D.beliefs[j]
-            if all(atom_holds(G, l_a, belief, a, predicates) for a in safety):
+            holds = test(belief)
+            if holds is None or holds(l_a):
                 return path + [j]
         else:
             work.pop()
@@ -404,7 +393,7 @@ def refine_safety(
     """Refine ``Q`` to eliminate a spurious safety counterexample path of
     ``D`` node indices, as :func:`annotate_tree` returns it."""
     pairs = _d_pairs(D, path)
-    refined = _grown(Q, split_along(G, Q, pairs), pairs)
+    refined = _grown(G, Q, split_along(G, Q, pairs), pairs)
     if refined is None:
         raise RefinementError("safety refinement produced no new blocks")
     return refined
@@ -418,7 +407,7 @@ def refine_liveness(
     stem, cycle = lasso
     pairs = _d_pairs(D, stem + cycle[1:])
     prefix = split_along(G, Q, _d_pairs(D, stem))
-    refined = _grown(Q, split_along(G, Q, pairs).meet(prefix), pairs)
+    refined = _grown(G, Q, split_along(G, Q, pairs).meet(prefix), pairs)
     if refined is None:
         raise RefinementError("liveness refinement produced no new blocks")
     return refined
@@ -439,20 +428,19 @@ def analyze_general(
     (liveness refinement); any node whose exact belief is a strict subset
     of the abstract one.  Returns a refined partition, or CONCRETIZABLE.
     """
-    predicates = predicates or {}
-    safety = sorted(objective.safety_terms, key=str)
+    test = safety_test(G, objective.safety_terms, predicates)
 
-    def holds(l_a, locs):
-        return all(atom_holds(G, l_a, locs, a, predicates) for a in safety)
+    def holds(l_a, mask):
+        t = test(mask)
+        return t is None or t(l_a)
 
     def refine_to(i):
         pairs = _d_pairs(D, D.stem(i))
-        return _grown(Q, split_along(G, Q, pairs), pairs)
+        return _grown(G, Q, split_along(G, Q, pairs), pairs)
 
-    gamma = D.gamma
-    for i in range(len(D) if safety else 0):
+    for i in range(len(D) if objective.safety_terms else 0):
         l_a, belief = D.beliefs[i]
-        if not holds(l_a, gamma[D.cex_states[i][1]]) and holds(l_a, belief):
+        if not holds(l_a, Q.gamma_mask(D.cex_states[i][1])) and holds(l_a, belief):
             refined = refine_to(i)
             if refined is not None:
                 return refined
@@ -464,7 +452,8 @@ def analyze_general(
         label = D.cex_states[i][1]
         if isinstance(label, int):
             continue
-        if D.beliefs[i][1] < gamma[label]:
+        b, g = D.beliefs[i][1], Q.gamma_mask(label)
+        if b != g and not b & ~g:
             refined = refine_to(i)
             if refined is not None:
                 return refined
@@ -537,7 +526,7 @@ def cegar_loop(
             )
             return CegarOutcome(
                 "unrealizable", iteration, Q, transcript, arena=arena,
-                counterexample=counterexample_tree(D, cex),
+                counterexample=counterexample_tree(G, D, cex),
             )
         transcript.append(
             f"iter={iteration} blocks={len(Q)} verdict=continue "

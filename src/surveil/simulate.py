@@ -360,10 +360,10 @@ def simulate(
     :class:`SimulationError` otherwise.
     """
     l_a, l_t = G.initial
-    belief = frozenset({l_t})
-    trace = [TraceStep(0, l_t, l_a, belief, runner.abstract_state[1])]
-    # for the whole run: one BeliefMoves record per belief, and one
-    # belief per unseen mask, which the steps with that belief share
+    mask = 1 << l_t
+    trace = [TraceStep(0, l_t, l_a, frozenset({l_t}), runner.abstract_state[1])]
+    # for the whole run, per belief mask: one BeliefMoves record, and one
+    # belief set, which the steps with that belief share
     records: dict = {}
     beliefs: dict = {}
     for n in range(1, steps + 1):
@@ -371,15 +371,15 @@ def simulate(
         if l_t2 not in G.target_step(l_a, l_t):
             raise SimulationError(f"target move {l_t} -> {l_t2} is illegal")
         if G.vis(l_a, l_t2):
-            belief = frozenset({l_t2})
+            mask = 1 << l_t2
         else:
-            moves = records.get(belief)
+            moves = records.get(mask)
             if moves is None:
-                moves = records[belief] = belief_moves(G, belief)
-            unseen = landing_cells(G, l_a, moves)[1]
-            belief = beliefs.get(unseen)
-            if belief is None:
-                belief = beliefs[unseen] = G.cells_of(unseen)
+                moves = records[mask] = belief_moves(G, mask)
+            mask = landing_cells(G, l_a, moves)[1]
+        belief = beliefs.get(mask)
+        if belief is None:
+            belief = beliefs[mask] = G.cells_of(mask)
         l_a2 = runner.step(l_t2)
         if l_a2 not in G.succ_a(l_a, l_t2):
             raise SimulationError(
@@ -389,7 +389,7 @@ def simulate(
         label = runner.abstract_state[1]
         if l_t2 not in belief:
             raise SimulationError("true target location left the exact belief")
-        if not belief <= runner.partition.gamma(label):
+        if mask & ~runner.partition.gamma_mask(label):
             raise SimulationError("exact belief left the abstract belief")
         l_a, l_t = l_a2, l_t2
         trace.append(TraceStep(n, l_t, l_a, belief, label))

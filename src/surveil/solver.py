@@ -129,37 +129,9 @@ def make_arena(
 _UNRANKED = 2**31 - 1
 
 
-class _Index:
-    """What :func:`solve` reads of an arena, gathered once per call.
-
-    Choice ids are the arena's: the choices of state ``i`` run from
-    ``start[i]`` to ``start[i + 1]``, and ``cset[c]`` is the reply set of
-    choice ``c``.  Set ids are the arena's too: ``width[k]`` is the number
-    of members of set ``k``; no set is empty, and the index refuses an
-    arena that is not total with :class:`SolverError`.  ``degree[i]``
-    counts the choices of state ``i``, and ``sinks`` lists the states
-    without any.  ``owners`` and ``holders`` are the reverse tables that
-    exploration recorded in the arena (:class:`~surveil.belief.TurnGame`);
-    as a state is held once per occurrence, every counter below counts a
-    repeated reply as often as it occurs and reaches zero exactly when
-    the last copy goes.  A set is covered or emptied once, whatever the
-    number of choices that use it, and every attractor below touches
-    each set member and each choice a bounded number of times.
-    """
-
-    def __init__(self, arena: Arena):
-        n = len(arena)
-        self.degree = _widths(arena.choice_off)
-        self.width = _reply_widths(arena)
-        self.owners, self.holders = arena.owners, arena.holders
-        self.n = n
-        self.start, self.cset = arena.choice_off, arena.choice_set
-        self.sinks = [i for i in range(n) if not self.degree[i]]
-
-
-def _attractor(ix: _Index, target, domain: bytearray, covered: bytearray) -> array:
+def _attractor(arena: Arena, degree, target, domain: bytearray, covered: bytearray) -> array:
     """Agent attractor toward the ``target`` states inside the ``domain``
-    mask.
+    mask; ``degree[i]`` counts the choices of state ``i``.
 
     Returns each state's rank, the BFS level at which every target
     choice has a reply of lower rank (``_UNRANKED`` outside).  A reply
@@ -167,13 +139,13 @@ def _attractor(ix: _Index, target, domain: bytearray, covered: bytearray) -> arr
     members is ranked; ``covered``, a zeroed mask over the reply sets, is
     left marking those sets.  A domain state without choices joins at 1.
     """
-    owners, holders = ix.owners, ix.holders
-    rank = array("i", [_UNRANKED]) * ix.n
-    uncovered = array("i", ix.degree)
+    owners, holders, n = arena.owners, arena.holders, len(arena)
+    rank = array("i", [_UNRANKED]) * n
+    uncovered = array("i", degree)
     frontier = list(target)
     for i in frontier:
         rank[i] = 0
-    added = [i for i in ix.sinks if domain[i] and rank[i] == _UNRANKED]
+    added = [i for i in compress(range(n), domain) if not degree[i] and rank[i] == _UNRANKED]
     level = 1
     while True:
         for j in frontier:
@@ -193,7 +165,7 @@ def _attractor(ix: _Index, target, domain: bytearray, covered: bytearray) -> arr
 
 
 def _target_attractor(
-    ix: _Index, won: bytearray, fresh: list, missing: array, level: int
+    arena: Arena, won: bytearray, fresh: list, missing: array, level: int
 ) -> list:
     """Target attractor toward the ``won`` mask, which it extends.
 
@@ -204,8 +176,8 @@ def _target_attractor(
     the first such choice in canonical order.  Levels continue after
     ``level``.  Returns ``[(state, rank, choice)]``.
     """
-    start, cset = ix.start, ix.cset
-    owners, holders = ix.owners, ix.holders
+    start, cset = arena.choice_off, arena.choice_set
+    owners, holders = arena.owners, arena.holders
 
     def emptied(states):
         out = []
@@ -234,7 +206,7 @@ def _target_attractor(
     return out
 
 
-def _avoid_trap(ix: _Index, won: bytearray, avoid: bytearray) -> tuple[list, array]:
+def _avoid_trap(arena: Arena, degree, won: bytearray, avoid: bytearray) -> tuple[list, array]:
     """The target's trap away from the ``avoid`` mask: the states outside
     ``won`` that the agent's attractor to ``avoid``, run outside ``won``,
     leaves unranked.
@@ -244,13 +216,14 @@ def _avoid_trap(ix: _Index, won: bytearray, avoid: bytearray) -> tuple[list, arr
     ``won``.  Returns ``[(state, choice)]`` by state, with the first such
     choice in canonical order, and the attractor's ranks.
     """
-    start, cset = ix.start, ix.cset
+    start, cset = arena.choice_off, arena.choice_set
+    states = range(len(arena))
     domain = won.translate(_NOT)
     # a set is covered exactly when one of its members is ranked
-    covered = bytearray(len(ix.width))
-    rank = _attractor(ix, compress(range(ix.n), _meet(avoid, domain)), domain, covered)
+    covered = bytearray(len(arena.reply_off) - 1)
+    rank = _attractor(arena, degree, compress(states, _meet(avoid, domain)), domain, covered)
     out = []
-    for i in compress(range(ix.n), domain):
+    for i in compress(states, domain):
         if rank[i] == _UNRANKED:
             for c in range(start[i], start[i + 1]):
                 if not covered[cset[c]]:
@@ -312,6 +285,14 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
     The arena must be total, as :func:`make_arena` builds it: every
     target choice has an agent reply, or :class:`SolverError` is raised.
 
+    The attractors walk the arena's reverse tables with counters started
+    from ``degree`` (choices per state) and ``width`` (members per reply
+    set).  A state is held once per occurrence, so a counter counts a
+    repeated reply as often as it occurs and reaches zero exactly when
+    the last copy goes; a set is covered or emptied once, whatever the
+    number of choices that use it, so each attractor touches each set
+    member and each choice a bounded number of times.
+
     The target's region comes first, by the iterated-attractor algorithm
     for Buchi games (W. Thomas, STACS 1995) in :func:`_target_strategy`,
     seeded with the unsafe states.  ``Z`` is the rest.  If it lacks the
@@ -350,14 +331,15 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
     the safe states.  Only ``TargetStrategyData.choice`` of an unsafe
     state differs: it is None where it was the state's first choice.
     """
-    ix = _Index(arena)
+    width = _reply_widths(arena)
+    degree = _widths(arena.choice_off)
     n = len(arena)
     safe = bytearray(b"\x01") * n
     for atom in objective.safety_terms:
         safe = _meet(safe, arena.atom_sets[atom])
     won = safe.translate(_NOT)
     unsafe = list(compress(range(n), won))
-    mode, choice, ranks = _target_strategy(ix, arena, objective, unsafe, won)
+    mode, choice, ranks = _target_strategy(arena, degree, width, objective, unsafe, won)
     Z = won.translate(_NOT)
     if not Z[arena.initial]:
         tstrat = TargetStrategyData(choice, mode)
@@ -416,7 +398,7 @@ def _buchi_strategy(arena, Z, cores, ranks) -> StrategyData:
     return StrategyData(m, moves)
 
 
-def _target_strategy(ix, arena, objective, unsafe, won) -> tuple[dict, dict, list]:
+def _target_strategy(arena, degree, width, objective, unsafe, won) -> tuple[dict, dict, list]:
     """The target's layered positional strategy, as ``(mode, choice)``
     of :class:`TargetStrategyData`, on a region it extends ``won`` to,
     and the ranks of the last round's agent attractors, one per
@@ -431,13 +413,13 @@ def _target_strategy(ix, arena, objective, unsafe, won) -> tuple[dict, dict, lis
     acyclic and every cycle lies in one trap.
     """
     # members of each reply set outside ``won``
-    missing = array("i", ix.width)
-    layer = _target_attractor(ix, won, unsafe, missing, 0)
+    missing = array("i", width)
+    layer = _target_attractor(arena, won, unsafe, missing, 0)
     mode: dict[int, tuple] = {}
     choice: dict = {}
     for i in unsafe:
         mode[i] = ("unsafe",)
-        choice[i] = ix.start[i] if ix.degree[i] else None
+        choice[i] = arena.choice_off[i] if degree[i] else None
     top = 0
     while True:
         grown = False
@@ -448,7 +430,7 @@ def _target_strategy(ix, arena, objective, unsafe, won) -> tuple[dict, dict, lis
             grown = True
         fresh, ranks = [], []
         for j, atom in enumerate(objective.recurrence_terms):
-            trap, rank = _avoid_trap(ix, won, arena.atom_sets[atom])
+            trap, rank = _avoid_trap(arena, degree, won, arena.atom_sets[atom])
             ranks.append(rank)
             for i, c in trap:
                 mode[i] = ("avoid", j)
@@ -457,7 +439,7 @@ def _target_strategy(ix, arena, objective, unsafe, won) -> tuple[dict, dict, lis
                 grown = True
         if not grown:
             return mode, choice, ranks
-        layer = _target_attractor(ix, won, fresh, missing, top)
+        layer = _target_attractor(arena, won, fresh, missing, top)
 
 
 @dataclass

@@ -92,12 +92,14 @@ class SurveillanceGameStructure:
             replies[l_a] = {l_t2: self.succ_a(l_a, l_t2) for l_t2 in out}
         return CellMasks(cell, visible, moves, ball, replies)
 
+    def cells_in(self, mask: int):
+        """The target cells of a mask, as the structure's own ints, in ascending order."""
+        return compress(self.masks.cell, bin(mask)[:1:-1].encode().translate(_BITS))
+
     def cells_of(self, mask: int) -> frozenset[int]:
-        """The target cells of a mask, as the structure's own ints: a
-        belief that leaves the kernel is made here."""
-        bits = bin(mask)[:1:-1].encode().translate(_BITS)
+        """:meth:`cells_in` as a set: a belief that leaves the CEGAR loop is made here."""
         # a frozenset copied from a set is sized for its contents, not for its growth
-        return frozenset(set(compress(self.masks.cell, bits)))
+        return frozenset(set(self.cells_in(mask)))
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ from surveil import (
     PredicateDef,
     VisionConfig,
     abstract_successors,
-    atom_holds,
     build_game_structure,
     parse_grid,
 )
+from surveil.belief import atom_test
 from surveil.solver import CounterexampleGraph
 from surveil.structure import cell_mask
 
@@ -156,6 +156,11 @@ def _replayed_label(choices, old_choice):
     if isinstance(old_choice, int):
         return old_choice if old_choice in choices else None
     return set_choice(choices)
+
+
+def atom_holds(G, l_a: int, locs, atom, predicates) -> bool:
+    """``atom_test`` on the agent cell ``l_a`` and a set of target cells."""
+    return atom_test(G, atom, predicates)(l_a, cell_mask(locs))
 
 
 def members(mask) -> frozenset:

@@ -6,15 +6,17 @@ over every agent reply, and a recursive walk annotates it with exact
 beliefs until it meets the first leaf, in child order, whose belief
 satisfies the safety conjunction.  ``annotate_tree`` walks the merged
 (abstract state, exact belief) graph instead and must find the same
-path.  The tree grows exponentially with the counterexample's depth, so
-only small games are checked against it.
+path.  The beliefs are sets, stepped by the set-based reference
+``reference_analysis.belief_step``.  The tree grows exponentially with
+the counterexample's depth, so only small games are checked against it.
 """
 
 from dataclasses import dataclass, field
 from typing import Optional
 
-from surveil.belief import atom_holds
-from surveil.cegar import CONCRETIZABLE, _belief_step
+from reference_analysis import belief_step
+from reference_game import atom_holds
+from surveil.cegar import CONCRETIZABLE
 from surveil.solver import SolverError
 
 
@@ -56,7 +58,6 @@ def first_good_path(G, Q, root: Node, safety, predicates=None):
     predicates = predicates or {}
     l_a0, l_t0 = G.initial
     root.annotation = frozenset({l_t0})
-    step = _belief_step(G, Q)
 
     def walk(node, path):
         l_a, _ = node.state
@@ -65,7 +66,7 @@ def first_good_path(G, Q, root: Node, safety, predicates=None):
                 return path
             return None
         for child in node.children:
-            child.annotation = step(l_a, node.annotation, child.state[1])
+            child.annotation = belief_step(G, Q, l_a, node.annotation, child.state[1])
             found = walk(child, path + [child])
             if found is not None:
                 return found

@@ -7,7 +7,7 @@ over the strongly connected components and searches from one node only.
 Both must return the same lasso.
 """
 
-from surveil.belief import atom_holds
+from reference_game import atom_holds
 from surveil.cegar import _shortest_path
 
 
@@ -16,7 +16,7 @@ def find_good_lasso(G, D, atom, mode, predicates=None):
     good = {
         i
         for i, (l_a, b) in enumerate(D.beliefs)
-        if i in allowed and atom_holds(G, l_a, b, atom, predicates)
+        if i in allowed and atom_holds(G, l_a, G.cells_of(b), atom, predicates)
     }
     for g in sorted(good):
         # a cycle through g is a path from g's successors back to g

@@ -84,7 +84,7 @@ def test_criterion_2_safety_analysis_and_refinement(game5, two_col_partition):
     D = build_analysis_graph(game5, two_col_partition, extract_cex_graph(arena, result))
     path = annotate_tree(game5, D, obj.safety_terms)
     assert path is not CONCRETIZABLE
-    assert sorted(D.beliefs[path[-1]][1]) == [16, 18, 22, 24]
+    assert sorted(game5.cells_of(D.beliefs[path[-1]][1])) == [16, 18, 22, 24]
     refined = refine_safety(game5, two_col_partition, D, path)
     q1, q2 = sorted(two_col_partition.blocks.values(), key=min)
     # exactly two splits: the leaf belief out of each block, no backward
@@ -100,7 +100,7 @@ def test_criterion_2_safety_analysis_and_refinement(game5, two_col_partition):
 def test_criterion_3_liveness_analysis_and_refinement(game5, two_col_partition):
     cex = build_hide_reveal_cex(game5, two_col_partition)
     D = build_analysis_graph(game5, two_col_partition, cex)
-    assert (19, frozenset({10})) in D.beliefs
+    assert (19, 1 << 10) in D.beliefs
     lasso = find_good_lasso(game5, D, SurvAtom(2), ("avoid", 0))
     assert lasso is not None
     refined = refine_liveness(game5, two_col_partition, D, lasso)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_game
+from conftest import atom_holds
 from reference_game import tuple_moves
 from surveil import (
     BudgetExceeded,
@@ -11,7 +12,6 @@ from surveil import (
     PredicateError,
     SurvAtom,
     TaskAtom,
-    atom_holds,
     belief_successors,
     build_abstract_game,
     build_belief_game,
@@ -162,9 +162,9 @@ def structures(game5):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_mask_evaluator_matches_the_set_definition(structures, data):
-    """``atom_test`` on a cell mask, and ``atom_holds`` on a set, agree
-    with the definition on sets for ``p<=1..4`` and for a target-kind and
-    an agent-kind predicate, on any belief, the empty one included."""
+    """``atom_test`` on a cell mask agrees with the definition on sets
+    for ``p<=1..4`` and for a target-kind and an agent-kind predicate, on
+    any belief, the empty one included."""
     G = data.draw(st.sampled_from(structures))
     l_a = data.draw(st.sampled_from(sorted(G.agent_locations)))
     cells = st.sampled_from(sorted(G.target_locations))
@@ -176,7 +176,6 @@ def test_mask_evaluator_matches_the_set_definition(structures, data):
     for atom in [SurvAtom(k) for k in range(1, 5)] + [TaskAtom("zone"), TaskAtom("goal")]:
         want = reference_game.atom_holds(G, l_a, belief, atom, predicates)
         assert atom_test(G, atom, predicates)(l_a, cell_mask(belief)) == want, atom
-        assert atom_holds(G, l_a, belief, atom, predicates) == want, atom
 
 
 @pytest.mark.parametrize("k", [0, -1])

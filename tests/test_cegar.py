@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference_analysis
 import reference_cex_tree
 import reference_lasso
 import surveil.cegar
@@ -41,6 +42,7 @@ from surveil import (
 from surveil.cegar import AnalysisGraphD, _d_pairs
 from surveil.cli import bundled_map, main
 from surveil.objective import TaskAtom
+from surveil.structure import cell_mask
 
 
 def _safety_cex(G, Q, obj):
@@ -76,7 +78,7 @@ def test_annotate_tree_returns_expected_path(game5, two_col_partition, safety_ce
     _, D = safety_cex
     path = annotate_tree(game5, D, parse_spec("G p<=5").safety_terms)
     assert path is not CONCRETIZABLE
-    assert [sorted(D.beliefs[i][1]) for i in path] == [
+    assert [sorted(game5.cells_of(D.beliefs[i][1])) for i in path] == [
         [18],
         [17, 23],
         [16, 18, 22, 24],
@@ -131,7 +133,7 @@ def test_annotate_tree_rejects_a_cycle(game5, two_col_partition, safety_cex):
     path = annotate_tree(game5, D, safety)
     looped = AnalysisGraphD(
         D.beliefs, D.cex_states, D.modes,
-        {**D.edges, path[1]: (path[0],) + D.edges[path[1]]}, D.parent, D.gamma,
+        {**D.edges, path[1]: (path[0],) + D.edges[path[1]]}, D.parent,
     )
     with pytest.raises(RefinementError):
         annotate_tree(game5, looped, safety)
@@ -143,17 +145,9 @@ def _bundled_problem(name):
     return G, predicates_from_grid(grid)
 
 
-@pytest.mark.parametrize(
-    "name, spec",
-    [("paper5x5", f"G p<={k}") for k in range(1, 9)]
-    + [("bigroom", f"G p<={k}") for k in range(1, 7)],
-)
-def test_safety_walk_matches_tree_reference(monkeypatch, name, spec):
-    """On every game the CEGAR loop loses to the target, the walk over
-    the analysis graph finds the reference tree walk's path, or its
-    CONCRETIZABLE verdict."""
-    G, predicates = _bundled_problem(name)
-    obj = parse_spec(spec)
+def _lost_games(monkeypatch, G, obj, predicates):
+    """``(partition, arena, result)`` of every game that the CEGAR loop
+    loses to the target on ``obj``."""
     partitions, lost = [], []
     build = surveil.cegar.build_abstract_game
 
@@ -170,6 +164,21 @@ def test_safety_walk_matches_tree_reference(monkeypatch, name, spec):
     monkeypatch.setattr(surveil.cegar, "build_abstract_game", built)
     monkeypatch.setattr(surveil.cegar, "solve", solved)
     cegar_loop(G, obj, predicates=predicates)
+    return lost
+
+
+@pytest.mark.parametrize(
+    "name, spec",
+    [("paper5x5", f"G p<={k}") for k in range(1, 9)]
+    + [("bigroom", f"G p<={k}") for k in range(1, 7)],
+)
+def test_safety_walk_matches_tree_reference(monkeypatch, name, spec):
+    """On every game the CEGAR loop loses to the target, the walk over
+    the analysis graph finds the reference tree walk's path, or its
+    CONCRETIZABLE verdict."""
+    G, predicates = _bundled_problem(name)
+    obj = parse_spec(spec)
+    lost = _lost_games(monkeypatch, G, obj, predicates)
     assert lost
     for Q, arena, result in lost:
         root = reference_cex_tree.unfold(arena, result, obj)
@@ -179,7 +188,32 @@ def test_safety_walk_matches_tree_reference(monkeypatch, name, spec):
         if want is CONCRETIZABLE:
             assert got is CONCRETIZABLE
         else:
-            assert _d_pairs(D, got) == want
+            got = [(l_a, label, G.cells_of(b)) for l_a, label, b in _d_pairs(D, got)]
+            assert got == want
+
+
+@pytest.mark.parametrize(
+    "name, spec, games",
+    [("paper5x5", f"G p<={k}", None) for k in range(1, 4)]
+    + [("paper5x5", f"GF p<={k}", None) for k in range(1, 4)]
+    + [("paper5x5", "G p<=5 & GF p<=2", None), ("bigroom", "GF p<=10 & GF goal", 1)],
+)
+def test_analysis_graph_matches_set_reference(monkeypatch, name, spec, games):
+    """The analysis graph of every game the loop loses (of the first
+    ``games`` of them, if given), with beliefs as cell masks, is the
+    set-based reference graph node by node: the same beliefs, states,
+    modes, edges and parents."""
+    G, predicates = _bundled_problem(name)
+    lost = _lost_games(monkeypatch, G, parse_spec(spec), predicates)[:games]
+    assert lost
+    for Q, arena, result in lost:
+        cex = extract_cex_graph(arena, result)
+        D = build_analysis_graph(G, Q, cex)
+        want = reference_analysis.build_analysis_graph(G, Q, cex)
+        assert [(l_a, G.cells_of(b)) for l_a, b in D.beliefs] == want.beliefs
+        assert (D.cex_states, D.modes, D.edges, D.parent) == (
+            want.cex_states, want.modes, want.edges, want.parent
+        )
 
 
 def test_analysis_graph_bounds_the_safety_analysis(monkeypatch):
@@ -278,7 +312,7 @@ def test_analysis_graph_narrows_belief_to_single_cell(game5, two_col_partition):
     19 is exactly {10}."""
     cex = build_hide_reveal_cex(game5, two_col_partition)
     D = build_analysis_graph(game5, two_col_partition, cex)
-    assert (19, frozenset({10})) in D.beliefs
+    assert (19, 1 << 10) in D.beliefs
 
 
 def test_analysis_graph_beliefs_contained_in_labels(game5, two_col_partition):
@@ -287,9 +321,9 @@ def test_analysis_graph_beliefs_contained_in_labels(game5, two_col_partition):
     for (l_a, belief), (l_a2, label, _) in zip(D.beliefs, D.cex_states):
         assert l_a == l_a2
         if isinstance(label, int):
-            assert belief <= {label}
+            assert game5.cells_of(belief) <= {label}
         else:
-            assert belief <= two_col_partition.gamma(label)
+            assert game5.cells_of(belief) <= two_col_partition.gamma(label)
 
 
 def test_good_lasso_and_liveness_refinement(game5, two_col_partition):
@@ -300,7 +334,8 @@ def test_good_lasso_and_liveness_refinement(game5, two_col_partition):
     stem, cycle = lasso
     assert stem[0] == D.initial
     assert stem[-1] == cycle[0] == cycle[-1]
-    good = [i for i in cycle if invisible_count(game5, *D.beliefs[i]) <= 2]
+    beliefs = [(l_a, game5.cells_of(b)) for l_a, b in D.beliefs]
+    good = [i for i in cycle if invisible_count(game5, *beliefs[i]) <= 2]
     assert good
     refined = refine_liveness(game5, two_col_partition, D, lasso)
     assert len(refined) == 10
@@ -315,7 +350,7 @@ MODES = (("avoid", 0), ("avoid", 1), ("reach", 1))
 # a task atom that holds on agent cells 0 and 4; it holds vacuously on
 # an empty belief, so the beliefs of TOP and SIDE are not empty
 ON_TOP = {"top": PredicateDef("top", frozenset({0, 4}))}
-TOP, SIDE = (0, frozenset({18})), (16, frozenset({18}))
+TOP, SIDE = (0, 1 << 18), (16, 1 << 18)
 
 
 def _graph(beliefs, edges, modes=None):
@@ -324,7 +359,7 @@ def _graph(beliefs, edges, modes=None):
     ``modes`` says otherwise."""
     n = len(beliefs)
     modes = modes or [("avoid", 0)] * n
-    return AnalysisGraphD(beliefs, list(beliefs), modes, edges, [None, *range(n - 1)], {})
+    return AnalysisGraphD(beliefs, list(beliefs), modes, edges, [None, *range(n - 1)])
 
 
 @st.composite
@@ -333,7 +368,7 @@ def lasso_problems(draw):
     A node's edges may be missing, empty, repeated or a self-loop."""
     n = draw(st.integers(1, 9))
     cells = st.sampled_from(CELLS)
-    beliefs = [(draw(cells), draw(st.frozensets(cells, max_size=4))) for _ in range(n)]
+    beliefs = [(draw(cells), cell_mask(draw(st.frozensets(cells, max_size=4)))) for _ in range(n)]
     modes = draw(st.lists(st.sampled_from(MODES), min_size=n, max_size=n))
     edges = {}
     for i in range(n):
@@ -341,7 +376,7 @@ def lasso_problems(draw):
         if out is not None:
             edges[i] = tuple(out)
     parent = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
-    D = AnalysisGraphD(beliefs, list(beliefs), modes, edges, parent, {})
+    D = AnalysisGraphD(beliefs, list(beliefs), modes, edges, parent)
     atom = draw(st.sampled_from((SurvAtom(1), SurvAtom(2), TaskAtom("top"))))
     return D, atom, draw(st.sampled_from(MODES))
 

@@ -559,6 +559,37 @@ def test_synth_output_golden_digest(spec, tmp_path, capsys):
     assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == GOLDEN[spec]
 
 
+@pytest.mark.parametrize("spec, want", [
+    # the counterexample graph dump
+    ("G p<=3", (10, "dd85ef02c6ed845d3c093076966f2b62a2383088ee9933c4d881217242200bde")),
+    ("GF p<=10 & GF goal", (0, "4a768d20775cb3dcf79adf07ecf9c89e622b4df73769c17a5b583926a575ed6f")),
+])
+def test_bigroom_output_golden_digest(tmp_path, spec, want):
+    """bigroom outputs, pinned byte for byte as ``GOLDEN`` pins paper5x5's."""
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(spec + "\n")
+    out = tmp_path / "out.json"
+    code = run(["synth", "--map", "bundled:bigroom.txt", "--config", "bundled:bigroom.cfg",
+                "--spec", str(spec_file), "--out", str(out)])
+    assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == want
+
+
+@pytest.mark.parametrize("spec, want", [
+    ("GF p<=2", "9f92d080b8b6cda6aa6e1b2cec9c85d5ed2b507243409e4b18ca3befecb1c828"),
+    ("G p<=5 & GF p<=2", "d3fc7d44cea0f7296a38cd31ead770c5ac6295ad41580f6ae895ff41bdf2dbd9"),
+])
+def test_dump_partition_golden_digest(tmp_path, capsys, spec, want):
+    """The transcript and final partition that ``--dump-partition``
+    prints on paper5x5, pinned byte for byte: refinement must split the
+    same blocks in the same order."""
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(spec + "\n")
+    code = run(["synth", "--map", "bundled:paper5x5.txt", "--config", "bundled:paper5x5.cfg",
+                "--spec", str(spec_file), "--out", str(tmp_path / "out.json"),
+                "--dump-partition"])
+    assert (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()) == (0, want)
+
+
 def test_recurrence_dump_golden_digest(tmp_path):
     """The dump of an unrealizable recurrence spec, on paper5x5 with a
     goal on cell 0, pinned byte for byte as the safety dump is in

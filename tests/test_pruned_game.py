@@ -14,10 +14,9 @@ import pytest
 
 import reference_game
 import surveil.cegar
-from conftest import members
+from conftest import atom_holds, members
 from reference_game import tuple_moves
 from surveil import (
-    atom_holds,
     build_abstract_game,
     build_analysis_graph,
     build_game_structure,
@@ -124,7 +123,7 @@ def assert_pruned_equivalent(G, objective, predicates, partition):
         # the reported tree is a function of the analysis graph, so this
         # holds once the graphs match
         tree_p, tree_f = (
-            counterexample_tree(build_analysis_graph(G, partition, g), g)
+            counterexample_tree(G, build_analysis_graph(G, partition, g), g)
             for g in (graph_p, graph_f)
         )
         assert _tree_json(tree_p.root) == _tree_json(tree_f.root)

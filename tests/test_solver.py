@@ -184,7 +184,7 @@ def test_cex_tree_leaves_violate_safety(game5, two_col_partition):
     result = solve(arena, obj)
     assert not result.agent_wins
     cex = extract_cex_graph(arena, result)
-    tree = counterexample_tree(build_analysis_graph(game5, two_col_partition, cex), cex)
+    tree = counterexample_tree(game5, build_analysis_graph(game5, two_col_partition, cex), cex)
     index = {s: i for i, s in enumerate(arena.states)}
     leaves = [n for n in _tree_nodes(tree) if not n.children]
     assert leaves

@@ -18,7 +18,7 @@ from surveil import (
 )
 from surveil.belief import belief_moves, target_moves
 from surveil.cli import bundled_map
-from surveil.structure import SuccessorReport, _balls_visible, _name_violations
+from surveil.structure import SuccessorReport, _balls_visible, _name_violations, cell_mask
 
 
 def test_transitions_from_initial_state(game5):
@@ -164,11 +164,11 @@ def test_structure_matches_reference_builder(problem, data):
     belief = data.draw(
         st.frozensets(st.sampled_from(sorted(G.target_locations - {l_a})), min_size=1)
     )
-    assert kernel_moves(G, l_a, belief_moves(G, belief)) == reference_structure.target_moves(
-        R, l_a, belief
-    )
+    assert kernel_moves(
+        G, l_a, belief_moves(G, cell_mask(belief))
+    ) == reference_structure.target_moves(R, l_a, belief)
     shared = data.draw(st.frozensets(st.sampled_from(sorted(G.target_locations)), min_size=1))
-    record = belief_moves(G, shared)
+    record = belief_moves(G, cell_mask(shared))
     for l_a in sorted(G.agent_locations):
         assert kernel_moves(G, l_a, record) == reference_structure.target_moves(
             R, l_a, shared
@@ -278,10 +278,10 @@ def test_option_combinations_match_reference_builder(text):
         G = build_game_structure(grid, motion, vision)
         R = reference_structure.build_game_structure(grid, motion, vision)
         assert_same_structure(G, R)
-        everywhere = belief_moves(G, G.target_locations)
+        everywhere = belief_moves(G, cell_mask(G.target_locations))
         for l_a in sorted(G.agent_locations):
             belief = G.target_locations - {l_a}
-            assert kernel_moves(G, l_a, belief_moves(G, belief)) == (
+            assert kernel_moves(G, l_a, belief_moves(G, cell_mask(belief))) == (
                 reference_structure.target_moves(R, l_a, belief)
             ), (motion, vision, l_a)
             assert kernel_moves(G, l_a, everywhere) == reference_structure.target_moves(
@@ -341,7 +341,7 @@ def test_kernel_matches_reference_builder_on_wide_masks():
     own = {id(l_t) for l_t in G.target_succ}
     invisible_moves = 0
     for belief in beliefs:
-        record = belief_moves(G, belief)
+        record = belief_moves(G, cell_mask(belief))
         for l_a in sorted(G.agent_locations):
             visible, invisible = kernel_moves(G, l_a, record)
             assert (visible, invisible) == reference_structure.target_moves(
