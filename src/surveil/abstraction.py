@@ -101,35 +101,35 @@ class Partition:
             out |= self.blocks[bid]
         return frozenset(out)
 
-    def split(self, scope: frozenset[int], separator: frozenset[int]) -> "Partition":
-        """Split every block inside ``scope`` against ``separator``.
+    def split(self, scope: int, separator: int) -> "Partition":
+        """Split every block inside the cell mask ``scope`` against the
+        cell mask ``separator``; a scope of ``-1`` holds every cell.
 
         Blocks not contained in ``scope`` are untouched.  Returns self if
         nothing splits.
         """
         new_blocks = dict(self.blocks)
         nid = self.next_id
-        changed = False
-        for bid in sorted(self.blocks):
-            cells = self.blocks[bid]
-            if not cells <= scope:
+        for bid, mask in self.masks.items():
+            inter = mask & separator
+            if mask & ~scope or not inter or inter == mask:
                 continue
-            inter, diff = cells & separator, cells - separator
-            if inter and diff:
-                del new_blocks[bid]
-                new_blocks[nid] = inter
-                new_blocks[nid + 1] = diff
-                nid += 2
-                changed = True
-        if not changed:
+            cells = new_blocks.pop(bid)
+            new_blocks[nid] = part = frozenset([l for l in cells if inter >> l & 1])
+            new_blocks[nid + 1] = cells - part
+            nid += 2
+        if nid == self.next_id:
             return self
         return Partition(new_blocks, self.universe, nid)
 
     def meet(self, other: "Partition") -> "Partition":
-        """Coarsest common refinement of two partitions of the same set."""
+        """Coarsest common refinement of two partitions of the same set,
+        split against ``other``'s blocks in the order of their sorted
+        cells."""
         result = self
-        for cells in sorted(other.blocks.values(), key=sorted):
-            result = result.split(result.universe, cells)
+        # disjoint blocks sort by their sorted cells as by their lowest cell
+        for mask in sorted(other.masks.values(), key=lambda m: m & -m):
+            result = result.split(-1, mask)
         return result
 
 

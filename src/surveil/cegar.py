@@ -12,7 +12,6 @@ cycle contains a precise-enough belief witnesses spuriousness.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import compress
 from typing import Optional
@@ -28,39 +27,13 @@ from .solver import (
     make_arena,
     solve,
 )
-from .structure import SurveillanceGameStructure, cell_mask
+from .structure import SurveillanceGameStructure
 
 CONCRETIZABLE = "CONCRETIZABLE"
 
 
 class RefinementError(RuntimeError):
     """Refinement failed to make progress (internal invariant violation)."""
-
-
-def _belief_step(G, Q):
-    """The exact belief step of counterexample analysis, as a function
-    ``(l_a, belief, label) -> belief'`` on cell masks: the target's
-    abstract move ``label`` from ``belief`` with the agent on ``l_a``.
-
-    A visible move gives its cell; a block-set move gives the belief's
-    invisible landing cells that lie under the label.  The step keeps
-    one :class:`~surveil.belief.BeliefMoves` record per belief for as
-    long as it lives.
-    """
-    records: dict = {}
-
-    def step(l_a, belief, label):
-        if isinstance(label, int):
-            return 1 << label
-        if not belief:
-            # a spurious move can empty a belief, which then stays empty
-            return belief
-        moves = records.get(belief)
-        if moves is None:
-            moves = records[belief] = belief_moves(G, belief)
-        return landing_cells(G, l_a, moves)[1] & Q.gamma_mask(label)
-
-    return step
 
 
 def split_along(G: SurveillanceGameStructure, Q: Partition, pairs) -> Partition:
@@ -75,35 +48,40 @@ def split_along(G: SurveillanceGameStructure, Q: Partition, pairs) -> Partition:
     cells of its singleton belief, as a mask.
     """
     n = len(pairs) - 1
-    l_a_n, label_n, precise = pairs[n]
+    _, label_n, precise = pairs[n]
     result = Q
     if not isinstance(label_n, int):
-        result = result.split(Q.gamma(label_n), G.cells_of(precise))
+        result = result.split(Q.gamma_mask(label_n), precise)
     for j in range(n - 1, -1, -1):
         l_a_j, label_j, _ = pairs[j]
         if isinstance(label_j, int):
             break
         # the cells the next label holds beyond the precise region
         outside = Q.gamma_mask(pairs[j + 1][1]) & ~precise
-        scope = Q.gamma(label_j)
-        keep = frozenset(
-            l
-            for l in scope
+        scope = Q.gamma_mask(label_j)
+        precise = sum(
+            1 << l
+            for l in G.cells_in(scope)
             if not landing_cells(G, l_a_j, belief_moves(G, 1 << l))[1] & outside
         )
-        result = result.split(scope, keep)
-        precise = cell_mask(keep)
+        result = result.split(scope, precise)
     return result
 
 
-def _grown(G, Q: Partition, refined: Partition, pairs) -> Optional[Partition]:
-    """``refined`` if it has more blocks than ``Q``; else, as a fallback,
-    ``refined`` with every abstract label along ``pairs`` split against
-    its exact belief.  None when that adds no block either."""
+def _refine_along(G, Q: Partition, D: AnalysisGraphD, path, stem: int = 0) -> Optional[Partition]:
+    """``Q`` split along the path of ``D`` node indices ``path``, met
+    with the split along its first ``stem`` nodes when ``stem`` is
+    nonzero.  If that adds no block, it is further split against the
+    exact belief of every abstract label along ``path``.  None when that
+    adds no block either."""
+    pairs = [(D.beliefs[i][0], D.cex_states[i][1], D.beliefs[i][1]) for i in path]
+    refined = split_along(G, Q, pairs)
+    if stem:
+        refined = refined.meet(split_along(G, Q, pairs[:stem]))
     if len(refined) <= len(Q):
         for l_a, label, belief in pairs:
             if not isinstance(label, int):
-                refined = refined.split(Q.gamma(label), G.cells_of(belief))
+                refined = refined.split(Q.gamma_mask(label), belief)
     if len(refined) <= len(Q):
         return None
     if not refines(refined, Q):
@@ -117,17 +95,16 @@ class AnalysisGraphD:
 
     Node ``i`` carries the belief state ``(l_a, mask)``, with the exact
     belief as a cell mask, the abstract counterexample state it tracks,
-    and that state's winning mode.  Nodes are numbered breadth first
-    from ``initial``, and ``parent[i]`` is the node whose expansion found
-    node ``i`` (None for the root).
+    that state's winning mode and its successors ``edges[i]``.  Nodes
+    are numbered breadth first from the root, node 0, and ``parent[i]``
+    is the node whose expansion found node ``i`` (None for the root).
     """
 
     beliefs: list
     cex_states: list
     modes: list
-    edges: dict
+    edges: list
     parent: list
-    initial: int = 0
 
     def __len__(self):
         return len(self.beliefs)
@@ -146,38 +123,42 @@ def build_analysis_graph(
 ) -> AnalysisGraphD:
     """Close the counterexample graph under exact belief propagation.
 
-    Each belief is expanded from one
-    :class:`~surveil.belief.BeliefMoves` record for the whole walk.
+    A node is a counterexample state with the exact belief, a cell mask,
+    that reaches it.  The target's abstract move at a node gives all its
+    successors one belief: a visible move its cell, a block-set move the
+    node's invisible landing cells under the label.  A spurious move can
+    empty a belief, which then stays empty.  Each belief is expanded
+    from one :class:`~surveil.belief.BeliefMoves` record for the whole
+    walk.
     """
-    step = _belief_step(G, Q)
     l_a0, l_t0 = G.initial
-    d0 = ((l_a0, 1 << l_t0), cex.initial)
-    beliefs, cex_states, modes = [d0[0]], [d0[1]], [cex.mode[cex.initial]]
-    parent = [None]
-    index = {d0: 0}
-    edges: dict[int, tuple[int, ...]] = {}
-    queue = deque([d0])
-    while queue:
-        key = queue.popleft()
-        (l_a, belief), v = key
-        i = index[key]
+    beliefs, cex_states = [(l_a0, 1 << l_t0)], [cex.initial]
+    modes, parent, edges = [cex.mode[cex.initial]], [None], []
+    index = {(cex.initial, 1 << l_t0): 0}
+    records: dict = {}
+    # ``cex_states`` is its own queue: the loop reaches the nodes it appends
+    for i, v in enumerate(cex_states):
+        l_a, belief = beliefs[i]
         succs = cex.edges[v]
-        if not succs:
-            edges[i] = ()
-            continue
-        belief2 = step(l_a, belief, cex.choice[v])
+        label = cex.choice[v]
+        if isinstance(label, int):
+            belief = 1 << label
+        elif succs and belief:
+            moves = records.get(belief)
+            if moves is None:
+                moves = records[belief] = belief_moves(G, belief)
+            belief = landing_cells(G, l_a, moves)[1] & Q.gamma_mask(label)
         out = []
         for v2 in succs:
-            key2 = ((v2[0], belief2), v2)
-            if key2 not in index:
-                index[key2] = len(beliefs)
-                beliefs.append(key2[0])
+            j = index.get((v2, belief))
+            if j is None:
+                j = index[v2, belief] = len(beliefs)
+                beliefs.append((v2[0], belief))
                 cex_states.append(v2)
                 modes.append(cex.mode[v2])
                 parent.append(i)
-                queue.append(key2)
-            out.append(index[key2])
-        edges[i] = tuple(out)
+            out.append(j)
+        edges.append(tuple(out))
     return AnalysisGraphD(beliefs, cex_states, modes, edges, parent)
 
 
@@ -215,52 +196,44 @@ def counterexample_tree(G, D: AnalysisGraphD, cex: CounterexampleGraph) -> Count
         CexTreeNode(v, None, [], cells[mask], mode)
         for v, (_, mask), mode in zip(D.cex_states, D.beliefs, D.modes)
     ]
-    for i, node in enumerate(nodes):
-        out = D.edges[i]
+    for node, out in zip(nodes, D.edges):
         if out:
             node.choice = cex.choice[node.state]
             node.children = [nodes[j] for j in out]
-    return CounterexampleTree(nodes[D.initial], nodes)
+    return CounterexampleTree(nodes[0], nodes)
 
 
-def _shortest_path(edges, sources, goals, allowed):
-    """Shortest path from one of ``sources`` into ``goals``, breadth first
-    in canonical neighbour order, through nodes of ``allowed`` only.
-    Returns the node list, or None."""
-    prev = {}
-    queue = deque()
-    for s in sources:
-        if s not in allowed:
-            continue
-        if s in goals:
-            return [s]
-        if s not in prev:
-            prev[s] = None
-            queue.append(s)
-    while queue:
-        i = queue.popleft()
-        for j in edges.get(i, ()):
+def _cycle(edges, g: int, allowed) -> list:
+    """The shortest cycle from node ``g`` back to itself through nodes of
+    ``allowed``, breadth first in canonical neighbour order, as a node
+    list from ``g`` to ``g``.  ``g`` must lie on such a cycle."""
+    prev: dict[int, int] = {}
+    # ``order`` is its own queue: the loop reaches the nodes it appends
+    order = [g]
+    for i in order:
+        for j in edges[i]:
             if j not in allowed:
                 continue
-            if j in goals:
-                path = [j, i]
-                while prev[path[-1]] is not None:
-                    path.append(prev[path[-1]])
-                return path[::-1]
+            if j == g:
+                cycle = [g, i]
+                while i != g:
+                    i = prev[i]
+                    cycle.append(i)
+                return cycle[::-1]
             if j not in prev:
                 prev[j] = i
-                queue.append(j)
-    return None
+                order.append(j)
 
 
-def _on_cycle(edges, n: int, allowed) -> bytearray:
-    """Mask of the nodes of ``range(n)`` that lie on a cycle of the
-    subgraph of ``edges`` induced by ``allowed``: the nodes whose strongly
-    connected component there has more than one node, or a self-loop.
+def _on_cycle(edges, allowed) -> bytearray:
+    """Mask of the nodes that lie on a cycle of the subgraph of ``edges``
+    induced by ``allowed``: the nodes whose strongly connected component
+    there has more than one node, or a self-loop.
 
     Tarjan's algorithm, with an explicit stack in place of recursion,
     which the depth of these graphs would overflow.
     """
+    n = len(edges)
     order = [0] * n  # discovery number from 1; 0 while unvisited
     low = [0] * n
     on_stack = bytearray(n)
@@ -274,7 +247,7 @@ def _on_cycle(edges, n: int, allowed) -> bytearray:
         order[root] = low[root] = count
         stack.append(root)
         on_stack[root] = 1
-        work = [(root, iter(edges.get(root, ())))]
+        work = [(root, iter(edges[root]))]
         while work:
             v, succs = work[-1]
             for w in succs:
@@ -285,7 +258,7 @@ def _on_cycle(edges, n: int, allowed) -> bytearray:
                     order[w] = low[w] = count
                     stack.append(w)
                     on_stack[w] = 1
-                    work.append((w, iter(edges.get(w, ()))))
+                    work.append((w, iter(edges[w])))
                     break
                 if on_stack[w]:
                     if w == v:
@@ -327,20 +300,10 @@ def find_good_lasso(
     """
     test = atom_test(G, atom, predicates or {})
     allowed = {i for i, m in enumerate(D.modes) if m == mode}
-    for g in compress(range(len(D)), _on_cycle(D.edges, len(D), allowed)):
+    for g in compress(range(len(D)), _on_cycle(D.edges, allowed)):
         if test(*D.beliefs[g]):
-            back = _shortest_path(D.edges, D.edges.get(g, ()), {g}, allowed)
-            return D.stem(g), [g] + back
+            return D.stem(g), _cycle(D.edges, g, allowed)
     return None
-
-
-def _d_pairs(D: AnalysisGraphD, indices):
-    """(agent, abstract label, exact belief) triples for D node indices."""
-    out = []
-    for i in indices:
-        l_a, belief = D.beliefs[i]
-        out.append((l_a, D.cex_states[i][1], belief))
-    return out
 
 
 def annotate_tree(
@@ -363,7 +326,7 @@ def annotate_tree(
     test = safety_test(G, safety, predicates)
     mark = bytearray(len(D))  # 1 while on the path, 2 once left
     path: list[int] = []
-    work = [iter((D.initial,))]
+    work = [iter((0,))]
     while work:
         for j in work[-1]:
             if mark[j] == 1:
@@ -392,8 +355,7 @@ def refine_safety(
 ) -> Partition:
     """Refine ``Q`` to eliminate a spurious safety counterexample path of
     ``D`` node indices, as :func:`annotate_tree` returns it."""
-    pairs = _d_pairs(D, path)
-    refined = _grown(G, Q, split_along(G, Q, pairs), pairs)
+    refined = _refine_along(G, Q, D, path)
     if refined is None:
         raise RefinementError("safety refinement produced no new blocks")
     return refined
@@ -405,9 +367,7 @@ def refine_liveness(
     """Refine along a spurious lasso: split along stem+cycle and along the
     stem alone, then take the common refinement of the two results."""
     stem, cycle = lasso
-    pairs = _d_pairs(D, stem + cycle[1:])
-    prefix = split_along(G, Q, _d_pairs(D, stem))
-    refined = _grown(G, Q, split_along(G, Q, pairs).meet(prefix), pairs)
+    refined = _refine_along(G, Q, D, stem + cycle[1:], len(stem))
     if refined is None:
         raise RefinementError("liveness refinement produced no new blocks")
     return refined
@@ -434,14 +394,10 @@ def analyze_general(
         t = test(mask)
         return t is None or t(l_a)
 
-    def refine_to(i):
-        pairs = _d_pairs(D, D.stem(i))
-        return _grown(G, Q, split_along(G, Q, pairs), pairs)
-
     for i in range(len(D) if objective.safety_terms else 0):
         l_a, belief = D.beliefs[i]
         if not holds(l_a, Q.gamma_mask(D.cex_states[i][1])) and holds(l_a, belief):
-            refined = refine_to(i)
+            refined = _refine_along(G, Q, D, D.stem(i))
             if refined is not None:
                 return refined
     for j, atom in enumerate(objective.recurrence_terms):
@@ -454,7 +410,7 @@ def analyze_general(
             continue
         b, g = D.beliefs[i][1], Q.gamma_mask(label)
         if b != g and not b & ~g:
-            refined = refine_to(i)
+            refined = _refine_along(G, Q, D, D.stem(i))
             if refined is not None:
                 return refined
     return CONCRETIZABLE
@@ -532,8 +488,6 @@ def cegar_loop(
             f"iter={iteration} blocks={len(Q)} verdict=continue "
             f"action=refine->{len(refined)}"
         )
-        if len(refined) <= len(Q):
-            raise RefinementError("no refinement progress")
         Q = refined
     raise IterationBudgetExceeded(f"no verdict after {max_iters} iterations")
 

@@ -14,7 +14,7 @@ import json
 import sys
 from importlib import resources
 
-from .abstraction import PartitionError, build_abstract_game, singletons
+from .abstraction import PartitionError, build_belief_game, singletons
 from .belief import (
     BudgetExceeded,
     PredicateError,
@@ -169,15 +169,13 @@ def _counterexample_json(outcome) -> dict:
 def cmd_oracle(args) -> int:
     grid, G, objective, predicates, digest = _load_problem(args)
     check_predicates(objective, predicates)
-    # the exact belief game is the abstract game under the finest partition
-    Q = singletons(G)
-    game = build_abstract_game(G, Q, args.max_states, objective.safety_terms, predicates)
-    arena = make_arena(game, G, objective, predicates, Q)
+    game = build_belief_game(G, args.max_states, objective.safety_terms, predicates)
+    arena = make_arena(game, G, objective, predicates)
     result = solve(arena, objective)
     print(f"states={len(arena)} realizable={result.agent_wins}")
     if result.agent_wins:
         if args.out:
-            payload = export_strategy(arena, result.agent_strategy, digest, Q)
+            payload = export_strategy(arena, result.agent_strategy, digest, singletons(G))
             _write_out(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return EXIT_OK
     return EXIT_UNREALIZABLE

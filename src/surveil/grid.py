@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .structure import SurveillanceGameStructure
+
 
 class MapError(ValueError):
     """Malformed map or config file."""
@@ -309,8 +311,6 @@ def build_game_structure(g: GridWorld, m: MotionConfig, v: VisionConfig):
     visible from its current location.  The structure applies the rule
     that neither player may move onto the other's cell on lookup.
     """
-    from .structure import SurveillanceGameStructure
-
     free = sorted(g.free_cells)
     visibility = _visible_sets(g, v)
     target_succ, agent_succ = {}, {}

@@ -29,14 +29,14 @@ def build_analysis_graph(G, Q, cex) -> AnalysisGraphD:
     beliefs, cex_states, modes = [d0[0]], [d0[1]], [cex.mode[cex.initial]]
     parent = [None]
     index = {d0: 0}
-    edges = {}
+    edges = []
     queue = deque([d0])
     while queue:
         key = queue.popleft()
         (l_a, belief), v = key
         i = index[key]
         if not cex.edges[v]:
-            edges[i] = ()
+            edges.append(())
             continue
         belief2 = belief_step(G, Q, l_a, belief, cex.choice[v])
         out = []
@@ -50,5 +50,5 @@ def build_analysis_graph(G, Q, cex) -> AnalysisGraphD:
                 parent.append(i)
                 queue.append(key2)
             out.append(index[key2])
-        edges[i] = tuple(out)
+        edges.append(tuple(out))
     return AnalysisGraphD(beliefs, cex_states, modes, edges, parent)

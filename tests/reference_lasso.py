@@ -7,8 +7,33 @@ over the strongly connected components and searches from one node only.
 Both must return the same lasso.
 """
 
+from collections import deque
+
 from reference_game import atom_holds
-from surveil.cegar import _shortest_path
+
+
+def shortest_path(edges, sources, goal, allowed):
+    """Shortest path from one of ``sources`` to ``goal``, breadth first in
+    canonical neighbour order, through nodes of ``allowed`` only; the
+    node list, or None."""
+    prev = {}
+    queue = deque()
+    for s in sources:
+        if s in allowed and s not in prev:
+            prev[s] = None
+            queue.append(s)
+    while queue:
+        i = queue.popleft()
+        if i == goal:
+            path = [i]
+            while prev[path[-1]] is not None:
+                path.append(prev[path[-1]])
+            return path[::-1]
+        for j in edges[i]:
+            if j in allowed and j not in prev:
+                prev[j] = i
+                queue.append(j)
+    return None
 
 
 def find_good_lasso(G, D, atom, mode, predicates=None):
@@ -20,7 +45,7 @@ def find_good_lasso(G, D, atom, mode, predicates=None):
     }
     for g in sorted(good):
         # a cycle through g is a path from g's successors back to g
-        back = _shortest_path(D.edges, D.edges.get(g, ()), {g}, allowed)
+        back = shortest_path(D.edges, D.edges[g], g, allowed)
         if back is not None:
             return D.stem(g), [g] + back
     return None

@@ -21,6 +21,7 @@ from surveil import (
 )
 from surveil.abstraction import _explore
 from surveil.cli import bundled_map
+from surveil.structure import cell_mask
 
 
 def check_uniform(partition, predicates):
@@ -65,7 +66,7 @@ def test_abstract_successors_from_initial(game5, rows_partition):
 
 def test_split_retires_ids(rows_partition):
     scope = rows_partition.blocks[3]
-    refined = rows_partition.split(scope, frozenset({17}))
+    refined = rows_partition.split(cell_mask(scope), 1 << 17)
     assert 3 not in refined.blocks
     assert frozenset({17}) in refined.blocks.values()
     assert scope - {17} in refined.blocks.values()
@@ -73,7 +74,7 @@ def test_split_retires_ids(rows_partition):
 
 
 def test_split_noop_returns_self(rows_partition):
-    assert rows_partition.split(rows_partition.blocks[0], frozenset()) is rows_partition
+    assert rows_partition.split(rows_partition.masks[0], 0) is rows_partition
 
 
 def test_meet(game5, rows_partition, two_col_partition):
@@ -154,7 +155,7 @@ def test_singletons_labels_are_beliefs(game5):
     assert Q.blocks == {c: frozenset({c}) for c in game5.target_locations}
     assert refines(Q, initial_partition(game5))
     assert alpha(Q, {17, 23}) == {17, 23} == Q.gamma(frozenset({17, 23}))
-    assert Q.split(Q.universe, frozenset({17})) is Q
+    assert Q.split(-1, 1 << 17) is Q
 
 
 def test_abstract_game_smaller_than_exact(game5, two_col_partition):
@@ -184,7 +185,7 @@ def test_refinement_monotonicity(game5, rows_partition, cells, sep):
     separator = frozenset(sep) & game5.target_locations
     if not locs or not separator:
         return
-    refined = rows_partition.split(rows_partition.universe, separator)
+    refined = rows_partition.split(-1, cell_mask(separator))
     assert refines(refined, rows_partition)
     before = rows_partition.gamma(alpha(rows_partition, locs))
     after = refined.gamma(alpha(refined, locs))

@@ -43,6 +43,7 @@ from surveil import (
     trace_jsonl,
 )
 from surveil.cli import bundled_map
+from surveil.structure import cell_mask
 
 
 def test_criterion_1_fixture_fidelity(game5, rows_partition):
@@ -167,7 +168,7 @@ def test_criterion_6_invariant_suites(game5, grid5, rows_partition):
         over = rows_partition.gamma(alpha(rows_partition, cells))
         assert cells <= over
         sep = frozenset(rng.sample(locs, rng.randint(1, len(locs))))
-        finer = rows_partition.split(rows_partition.universe, sep)
+        finer = rows_partition.split(-1, cell_mask(sep))
         assert refines(finer, rows_partition)
         assert cells <= finer.gamma(alpha(finer, cells)) <= over
     # belief shape on every reachable exact state: a visible location or

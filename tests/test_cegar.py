@@ -39,7 +39,7 @@ from surveil import (
     refines,
     solve,
 )
-from surveil.cegar import AnalysisGraphD, _d_pairs
+from surveil.cegar import AnalysisGraphD
 from surveil.cli import bundled_map, main
 from surveil.objective import TaskAtom
 from surveil.structure import cell_mask
@@ -131,10 +131,9 @@ def test_annotate_tree_rejects_a_cycle(game5, two_col_partition, safety_cex):
     _, D = safety_cex
     safety = parse_spec("G p<=5").safety_terms
     path = annotate_tree(game5, D, safety)
-    looped = AnalysisGraphD(
-        D.beliefs, D.cex_states, D.modes,
-        {**D.edges, path[1]: (path[0],) + D.edges[path[1]]}, D.parent,
-    )
+    edges = list(D.edges)
+    edges[path[1]] = (path[0],) + edges[path[1]]
+    looped = AnalysisGraphD(D.beliefs, D.cex_states, D.modes, edges, D.parent)
     with pytest.raises(RefinementError):
         annotate_tree(game5, looped, safety)
 
@@ -188,7 +187,7 @@ def test_safety_walk_matches_tree_reference(monkeypatch, name, spec):
         if want is CONCRETIZABLE:
             assert got is CONCRETIZABLE
         else:
-            got = [(l_a, label, G.cells_of(b)) for l_a, label, b in _d_pairs(D, got)]
+            got = [(D.beliefs[i][0], D.cex_states[i][1], G.cells_of(D.beliefs[i][1])) for i in got]
             assert got == want
 
 
@@ -332,7 +331,7 @@ def test_good_lasso_and_liveness_refinement(game5, two_col_partition):
     lasso = find_good_lasso(game5, D, SurvAtom(2), ("avoid", 0))
     assert lasso is not None
     stem, cycle = lasso
-    assert stem[0] == D.initial
+    assert stem[0] == 0
     assert stem[-1] == cycle[0] == cycle[-1]
     beliefs = [(l_a, game5.cells_of(b)) for l_a, b in D.beliefs]
     good = [i for i in cycle if invisible_count(game5, *beliefs[i]) <= 2]
@@ -365,16 +364,12 @@ def _graph(beliefs, edges, modes=None):
 @st.composite
 def lasso_problems(draw):
     """A random analysis graph, an atom and a restricting mode.
-    A node's edges may be missing, empty, repeated or a self-loop."""
+    A node's edges may be empty, repeated or a self-loop."""
     n = draw(st.integers(1, 9))
     cells = st.sampled_from(CELLS)
     beliefs = [(draw(cells), cell_mask(draw(st.frozensets(cells, max_size=4)))) for _ in range(n)]
     modes = draw(st.lists(st.sampled_from(MODES), min_size=n, max_size=n))
-    edges = {}
-    for i in range(n):
-        out = draw(st.none() | st.lists(st.integers(0, n - 1), max_size=3))
-        if out is not None:
-            edges[i] = tuple(out)
+    edges = [tuple(draw(st.lists(st.integers(0, n - 1), max_size=3))) for _ in range(n)]
     parent = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
     D = AnalysisGraphD(beliefs, list(beliefs), modes, edges, parent)
     atom = draw(st.sampled_from((SurvAtom(1), SurvAtom(2), TaskAtom("top"))))
@@ -383,11 +378,11 @@ def lasso_problems(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(problem=lasso_problems())
-@example(problem=(_graph([TOP], {0: (0,)}), TaskAtom("top"), ("avoid", 0)))
-@example(problem=(_graph([TOP] * 3, {}), TaskAtom("top"), ("avoid", 0)))
+@example(problem=(_graph([TOP], [(0,)]), TaskAtom("top"), ("avoid", 0)))
+@example(problem=(_graph([TOP] * 3, [()] * 3), TaskAtom("top"), ("avoid", 0)))
 @example(
     problem=(
-        _graph([TOP, SIDE, SIDE], {0: (1,), 1: (2,), 2: (1,)}),
+        _graph([TOP, SIDE, SIDE], [(1,), (2,), (1,)]),
         TaskAtom("top"),
         ("avoid", 0),
     )
@@ -403,19 +398,22 @@ def test_find_good_lasso_matches_per_node_search(game5, problem):
 def test_find_good_lasso_cases(game5):
     top, avoid0 = TaskAtom("top"), ("avoid", 0)
     # a self-loop is a cycle of one node
-    D = _graph([SIDE, TOP], {0: (1,), 1: (1,)})
+    D = _graph([SIDE, TOP], [(1,), (1,)])
     assert find_good_lasso(game5, D, top, avoid0, ON_TOP) == ([0, 1], [1, 1])
     # nodes without edges lie on no cycle
-    assert find_good_lasso(game5, _graph([TOP, TOP], {}), top, avoid0, ON_TOP) is None
+    assert find_good_lasso(game5, _graph([TOP, TOP], [(), ()]), top, avoid0, ON_TOP) is None
     # the cycle holds no good node; the good node leads into it
-    D = _graph([TOP, SIDE, SIDE], {0: (1,), 1: (2,), 2: (1,)})
+    D = _graph([TOP, SIDE, SIDE], [(1,), (2,), (1,)])
     assert find_good_lasso(game5, D, top, avoid0, ON_TOP) is None
     # the first good node on a cycle, and the shortest way back to it
-    D = _graph([SIDE, TOP, TOP, SIDE], {0: (1,), 1: (2,), 2: (3, 1), 3: (1, 2)})
+    D = _graph([SIDE, TOP, TOP, SIDE], [(1,), (2,), (3, 1), (1, 2)])
     assert find_good_lasso(game5, D, top, avoid0, ON_TOP) == ([0, 1], [1, 2, 1])
+    # of two shortest cycles, the one through the first neighbour
+    D = _graph([TOP, SIDE, SIDE], [(1, 2), (0,), (0,)])
+    assert find_good_lasso(game5, D, top, avoid0, ON_TOP) == ([0], [0, 1, 0])
     # a cycle through a node of another mode does not count under a mode
     modes = [("avoid", 0), ("avoid", 0), ("avoid", 1)]
-    D = _graph([SIDE, TOP, SIDE], {0: (1,), 1: (2,), 2: (1,)}, modes)
+    D = _graph([SIDE, TOP, SIDE], [(1,), (2,), (1,)], modes)
     assert find_good_lasso(game5, D, top, avoid0, ON_TOP) is None
     assert find_good_lasso(game5, D, top, ("avoid", 1), ON_TOP) is None
 

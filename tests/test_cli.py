@@ -590,6 +590,32 @@ def test_dump_partition_golden_digest(tmp_path, capsys, spec, want):
     assert (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()) == (0, want)
 
 
+@pytest.mark.parametrize("spec, stdout, out", [
+    # the bundled spec: 19 iterations through the general analysis's
+    # safety step, lassos and the meet of two splits
+    ("bundled:bigroom_safety.spec",
+     "823bba4caff1e3110f5210339abd94c410fc372c774dbaf972366cef7f629d9f",
+     "91be53741e1545f7fba15221429ac1646935bfd7a7def1f48de555b2c398ef2a"),
+    # 17 iterations through the safety walk and its refinement
+    ("G p<=4",
+     "eeca90a895660bda3348ebec5b8aff43e6b07db9e311a691fcac314be3f478de",
+     "c4551dd2990ef3a2899f5c295bb1395e0c332986d8681033b4c3c768f2bb9c93"),
+])
+def test_bigroom_refinement_golden_digest(tmp_path, capsys, spec, stdout, out):
+    """bigroom's ``--dump-partition`` transcript and controller, pinned
+    byte for byte over long refinement runs."""
+    if not spec.startswith("bundled:"):
+        (tmp_path / "spec.txt").write_text(spec + "\n")
+        spec = str(tmp_path / "spec.txt")
+    code = run(["synth", "--map", "bundled:bigroom.txt", "--config", "bundled:bigroom.cfg",
+                "--spec", spec, "--out", str(tmp_path / "out.json"), "--dump-partition"])
+    assert (
+        code,
+        hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+        hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest(),
+    ) == (0, stdout, out)
+
+
 def test_recurrence_dump_golden_digest(tmp_path):
     """The dump of an unrealizable recurrence spec, on paper5x5 with a
     goal on cell 0, pinned byte for byte as the safety dump is in

@@ -36,6 +36,7 @@ from surveil import (
     solve,
 )
 from surveil.cli import bundled_map
+from surveil.structure import cell_mask
 
 SPECS = ("G p<=1", "G p<=2", "GF p<=1", "G p<=3 & GF p<=1", "GF p<=2 & GF goal")
 
@@ -216,11 +217,9 @@ def test_flat_game_matches_reference_on_random_problems(problem, data):
     goal = data.draw(st.frozensets(st.sampled_from(sorted(G.agent_locations)), min_size=1))
     predicates = {"goal": PredicateDef("goal", goal)}
     Q = initial_partition(G, predicates.values())
-    refined = Q.split(Q.universe, data.draw(st.frozensets(st.sampled_from(cells))))
-    refined = refined.split(
-        data.draw(st.frozensets(st.sampled_from(cells))),
-        data.draw(st.frozensets(st.sampled_from(cells))),
-    )
+    masks = st.frozensets(st.sampled_from(cells)).map(cell_mask)
+    refined = Q.split(-1, data.draw(masks))
+    refined = refined.split(data.draw(masks), data.draw(masks))
     objectives = [parse_spec(s) for s in data.draw(st.lists(st.sampled_from(SPECS), min_size=1, max_size=3))]
     assert_same_games(G, [Q, refined], objectives, predicates, exact_states=1_000)
 
