@@ -14,7 +14,6 @@ from .abstraction import (
     build_abstract_game,
     build_belief_game,
     initial_partition,
-    refines,
     singletons,
 )
 from .belief import (

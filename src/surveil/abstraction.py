@@ -133,16 +133,6 @@ class Partition:
         return result
 
 
-def refines(finer: Partition, coarser: Partition) -> bool:
-    """True iff every block of ``finer`` lies inside a block of ``coarser``."""
-    if finer.universe != coarser.universe:
-        return False
-    return all(
-        any(cells <= other for other in coarser.blocks.values())
-        for cells in finer.blocks.values()
-    )
-
-
 def initial_partition(
     G: SurveillanceGameStructure, predicates: Iterable[PredicateDef] = ()
 ) -> Partition:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Optional
 
-from .abstraction import Partition, build_abstract_game, initial_partition, refines
+from .abstraction import Partition, build_abstract_game, initial_partition
 from .belief import PredicateDef, atom_test, belief_moves, landing_cells, safety_test
 from .objective import Objective
 from .solver import (
@@ -40,18 +40,16 @@ def split_along(G: SurveillanceGameStructure, Q: Partition, pairs) -> Partition:
     """Backward partition splitting along an annotated path.
 
     ``pairs`` is a list of ``(l_a, abstract_label, exact_belief)`` from
-    the root to a node whose exact belief, a cell mask, is to be made
-    expressible.  Splits the final node's blocks against its belief,
-    then walks backward separating the locations whose invisible
-    successors stay inside the precise region, stopping at concrete
-    labels.  A location's invisible successors are the unseen landing
-    cells of its singleton belief, as a mask.
+    the root to a node whose label is a block set and whose exact belief,
+    a cell mask, is to be made expressible.  Splits the final node's
+    blocks against its belief, then walks backward separating the
+    locations whose invisible successors stay inside the precise region,
+    stopping at concrete labels.  A location's invisible successors are
+    the unseen landing cells of its singleton belief, as a mask.
     """
     n = len(pairs) - 1
     _, label_n, precise = pairs[n]
-    result = Q
-    if not isinstance(label_n, int):
-        result = result.split(Q.gamma_mask(label_n), precise)
+    result = Q.split(Q.gamma_mask(label_n), precise)
     for j in range(n - 1, -1, -1):
         l_a_j, label_j, _ = pairs[j]
         if isinstance(label_j, int):
@@ -68,24 +66,35 @@ def split_along(G: SurveillanceGameStructure, Q: Partition, pairs) -> Partition:
     return result
 
 
-def _refine_along(G, Q: Partition, D: AnalysisGraphD, path, stem: int = 0) -> Optional[Partition]:
+def _refine_along(G, Q: Partition, D: AnalysisGraphD, path, stem: int = 0) -> Partition:
     """``Q`` split along the path of ``D`` node indices ``path``, met
     with the split along its first ``stem`` nodes when ``stem`` is
-    nonzero.  If that adds no block, it is further split against the
-    exact belief of every abstract label along ``path``.  None when that
-    adds no block either."""
+    nonzero.
+
+    The split always adds a block.  Every witness path ends at a node
+    ``n`` whose label is a block set and whose exact belief ``E_n`` is a
+    strict subset of the label's cells.  The four kinds of witness are
+    :func:`annotate_tree`'s spurious sink, the spurious sink of
+    :func:`analyze_general`'s safety step, a strict-subset node, and a
+    good lasso node, whose atom fails on the label and holds on ``E_n``.
+    A node reached by a seen cell ``c`` has exact belief ``{c}``, all of
+    its label, so it is never a witness.  :func:`split_along` walks back
+    from ``n`` to the first seen-cell label, at the root at the latest.
+    Were no block split, each precise set on the walk would be a union
+    of whole blocks of its label.  The first one after the seen cell
+    ``c`` holds the unseen landing cells of ``c``, which touch every
+    block of that label, so it is the whole label; each later label
+    abstracts the landing cells of the label before it, so each later
+    precise set is its whole label too, and at ``n`` ``E_n`` would be
+    all of the label.  A partition that does not grow is thus a broken
+    invariant, and raises :class:`RefinementError`.
+    """
     pairs = [(D.beliefs[i][0], D.cex_states[i][1], D.beliefs[i][1]) for i in path]
     refined = split_along(G, Q, pairs)
     if stem:
         refined = refined.meet(split_along(G, Q, pairs[:stem]))
     if len(refined) <= len(Q):
-        for l_a, label, belief in pairs:
-            if not isinstance(label, int):
-                refined = refined.split(Q.gamma_mask(label), belief)
-    if len(refined) <= len(Q):
-        return None
-    if not refines(refined, Q):
-        raise RefinementError("refined partition does not refine its parent")
+        raise RefinementError("refinement produced no new blocks")
     return refined
 
 
@@ -355,10 +364,7 @@ def refine_safety(
 ) -> Partition:
     """Refine ``Q`` to eliminate a spurious safety counterexample path of
     ``D`` node indices, as :func:`annotate_tree` returns it."""
-    refined = _refine_along(G, Q, D, path)
-    if refined is None:
-        raise RefinementError("safety refinement produced no new blocks")
-    return refined
+    return _refine_along(G, Q, D, path)
 
 
 def refine_liveness(
@@ -367,10 +373,7 @@ def refine_liveness(
     """Refine along a spurious lasso: split along stem+cycle and along the
     stem alone, then take the common refinement of the two results."""
     stem, cycle = lasso
-    refined = _refine_along(G, Q, D, stem + cycle[1:], len(stem))
-    if refined is None:
-        raise RefinementError("liveness refinement produced no new blocks")
-    return refined
+    return _refine_along(G, Q, D, stem + cycle[1:], len(stem))
 
 
 def analyze_general(
@@ -382,24 +385,22 @@ def analyze_general(
 ):
     """Counterexample-graph analysis for conjunctions.
 
-    Tries, in order: a node where a safety atom fails abstractly but the
+    Tries, in order: a sink, where a safety atom fails abstractly, whose
     exact belief is fine (safety-style path refinement); a lasso trapped
     away from a recurrence atom whose cycle holds a precise-enough belief
     (liveness refinement); any node whose exact belief is a strict subset
     of the abstract one.  Returns a refined partition, or CONCRETIZABLE.
+    A node has no edges exactly when its state breaks a safety atom:
+    such a state has no choices and is a sink of the counterexample,
+    while in a total arena every other state has a choice with a reply.
     """
     test = safety_test(G, objective.safety_terms, predicates)
-
-    def holds(l_a, mask):
-        t = test(mask)
-        return t is None or t(l_a)
-
-    for i in range(len(D) if objective.safety_terms else 0):
-        l_a, belief = D.beliefs[i]
-        if not holds(l_a, Q.gamma_mask(D.cex_states[i][1])) and holds(l_a, belief):
-            refined = _refine_along(G, Q, D, D.stem(i))
-            if refined is not None:
-                return refined
+    for i, (l_a, belief) in enumerate(D.beliefs):
+        if D.edges[i]:
+            continue
+        holds = test(belief)
+        if holds is None or holds(l_a):
+            return _refine_along(G, Q, D, D.stem(i))
     for j, atom in enumerate(objective.recurrence_terms):
         lasso = find_good_lasso(G, D, atom, ("avoid", j), predicates)
         if lasso is not None:
@@ -410,9 +411,7 @@ def analyze_general(
             continue
         b, g = D.beliefs[i][1], Q.gamma_mask(label)
         if b != g and not b & ~g:
-            refined = _refine_along(G, Q, D, D.stem(i))
-            if refined is not None:
-                return refined
+            return _refine_along(G, Q, D, D.stem(i))
     return CONCRETIZABLE
 
 

@@ -163,6 +163,16 @@ def atom_holds(G, l_a: int, locs, atom, predicates) -> bool:
     return atom_test(G, atom, predicates)(l_a, cell_mask(locs))
 
 
+def refines(finer: Partition, coarser: Partition) -> bool:
+    """True iff every block of ``finer`` lies inside a block of ``coarser``."""
+    if finer.universe != coarser.universe:
+        return False
+    return all(
+        any(cells <= other for other in coarser.blocks.values())
+        for cells in finer.blocks.values()
+    )
+
+
 def members(mask) -> frozenset:
     """The state numbers that a mask over states, a ``bytearray`` of 0s
     and 1s such as ``Arena.atom_sets`` holds, marks with 1."""

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import alpha
+from conftest import alpha, refines
 from reference_game import reverse_tables, tuple_moves
 from surveil import (
     Partition,
@@ -16,7 +16,6 @@ from surveil import (
     parse_grid,
     parse_spec,
     predicates_from_grid,
-    refines,
     singletons,
 )
 from surveil.abstraction import _explore

@@ -14,6 +14,7 @@ from conftest import (
     graph_eliminated,
     invisible_succ,
     pillar_problem,
+    refines,
 )
 from reference_game import tuple_moves
 from surveil import (
@@ -37,7 +38,6 @@ from surveil import (
     predicates_from_grid,
     refine_liveness,
     refine_safety,
-    refines,
     singletons,
     solve,
     trace_jsonl,

@@ -1,5 +1,6 @@
 import json
 import re
+from itertools import compress
 
 import networkx as nx
 import pytest
@@ -9,7 +10,13 @@ import reference_analysis
 import reference_cex_tree
 import reference_lasso
 import surveil.cegar
-from conftest import build_hide_reveal_cex, graph_eliminated, tree_eliminated
+from conftest import (
+    build_hide_reveal_cex,
+    graph_eliminated,
+    random_problems,
+    refines,
+    tree_eliminated,
+)
 from surveil import (
     CONCRETIZABLE,
     BudgetExceeded,
@@ -36,9 +43,11 @@ from surveil import (
     refine_liveness,
     singletons,
     refine_safety,
-    refines,
     solve,
+    split_along,
+    validate_assumptions,
 )
+from surveil.belief import atom_test
 from surveil.cegar import AnalysisGraphD
 from surveil.cli import bundled_map, main
 from surveil.objective import TaskAtom
@@ -432,6 +441,58 @@ def test_extracted_liveness_counterexample_also_refines(game5, two_col_partition
     assert lasso is not None
     refined = refine_liveness(game5, two_col_partition, D, lasso)
     assert graph_eliminated(game5, two_col_partition, refined, cex)
+
+
+# every spec has a recurrence term, so lasso witnesses turn up
+WITNESS_SPECS = ("GF goal", "GF p<=1", "GF p<=1 & GF goal", "G p<=2 & GF goal", "G p<=1 & GF p<=2")
+
+
+# an example's cost grows with its counterexample graph, which varies
+# widely between draws; a fixed draw keeps the test's time fixed
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(random_problems(), st.data())
+def test_every_witness_splits_a_block(problem, data):
+    """The progress lemma of ``_refine_along``: on a random split of the
+    initial partition, the backward split along the stem of every
+    strict-subset node, and along stem + cycle of every good lasso,
+    adds a block."""
+    G = build_game_structure(*problem)
+    if not validate_assumptions(G).ok:
+        return
+    cells = sorted(G.target_locations)
+    goal = data.draw(st.frozensets(st.sampled_from(sorted(G.agent_locations)), min_size=1))
+    predicates = {"goal": PredicateDef("goal", goal)}
+    masks = st.frozensets(st.sampled_from(cells)).map(cell_mask)
+    Q = initial_partition(G, predicates.values()).split(-1, data.draw(masks))
+    Q = Q.split(data.draw(masks), data.draw(masks))
+    obj = parse_spec(data.draw(st.sampled_from(WITNESS_SPECS)))
+    game = build_abstract_game(G, Q, 100_000, obj.safety_terms, predicates)
+    arena = make_arena(game, G, obj, predicates, partition=Q)
+    result = solve(arena, obj)
+    if result.agent_wins:
+        return
+    D = build_analysis_graph(G, Q, extract_cex_graph(arena, result))
+
+    def splits(path):
+        pairs = [(D.beliefs[i][0], D.cex_states[i][1], D.beliefs[i][1]) for i in path]
+        return len(split_along(G, Q, pairs)) > len(Q)
+
+    for i, (_, belief) in enumerate(D.beliefs):
+        label = D.cex_states[i][1]
+        if isinstance(label, int):
+            continue
+        g = Q.gamma_mask(label)
+        if belief != g and not belief & ~g:
+            assert splits(D.stem(i))
+    for j, atom in enumerate(obj.recurrence_terms):
+        test = atom_test(G, atom, predicates)
+        allowed = {i for i, m in enumerate(D.modes) if m == ("avoid", j)}
+        for g in compress(range(len(D)), surveil.cegar._on_cycle(D.edges, allowed)):
+            l_a, belief = D.beliefs[g]
+            if test(l_a, belief):
+                assert not test(l_a, Q.gamma_mask(D.cex_states[g][1]))
+                cycle = surveil.cegar._cycle(D.edges, g, allowed)
+                assert splits(D.stem(g) + cycle[1:])
 
 
 def test_verdicts(game5):

@@ -12,9 +12,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
-# demo 05 synthesizes on bigroom and takes tens of seconds; its imports
-# are still checked below
-QUICK_DEMOS = [d for d in DEMOS if not d.name.startswith("05")]
 
 
 def test_no_assert_statements_in_package():
@@ -164,7 +161,7 @@ def test_demo_imports_resolve(demo):
                 assert hasattr(module, alias.name), (node.module, alias.name)
 
 
-@pytest.mark.parametrize("demo", QUICK_DEMOS, ids=lambda d: d.name)
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
 def test_demo_runs(demo):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
