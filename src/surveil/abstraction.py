@@ -51,6 +51,10 @@ class Partition:
         default_factory=dict, init=False, repr=False, compare=False
     )
     _blocksets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # block-id set -> the mask of its cells, see gamma_mask
+    _gammas: dict[frozenset[int], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         covered: set[int] = set()
@@ -86,11 +90,16 @@ class Partition:
         return out
 
     def gamma_mask(self, abstract) -> int:
-        """:meth:`gamma` as a bit mask of cells."""
+        """:meth:`gamma` as a bit mask of cells.  Each block-id set's mask
+        is summed once for as long as the partition lives, as
+        :meth:`alpha_mask` finds each mask's blocks once."""
         if isinstance(abstract, int):
             return 1 << abstract
-        # the blocks are disjoint, so their masks add up to their union
-        return sum(map(self.masks.__getitem__, abstract))
+        out = self._gammas.get(abstract)
+        if out is None:
+            # the blocks are disjoint, so their masks add up to their union
+            out = self._gammas[abstract] = sum(map(self.masks.__getitem__, abstract))
+        return out
 
     def gamma(self, abstract) -> frozenset[int]:
         """Concretize an abstract belief (block-id set or location)."""

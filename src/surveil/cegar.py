@@ -45,11 +45,13 @@ def split_along(G: SurveillanceGameStructure, Q: Partition, pairs) -> Partition:
     blocks against its belief, then walks backward separating the
     locations whose invisible successors stay inside the precise region,
     stopping at concrete labels.  A location's invisible successors are
-    the unseen landing cells of its singleton belief, as a mask.
+    the unseen landing cells of its singleton belief, as a mask; each
+    location's belief record is made once per walk.
     """
     n = len(pairs) - 1
     _, label_n, precise = pairs[n]
     result = Q.split(Q.gamma_mask(label_n), precise)
+    records = {}
     for j in range(n - 1, -1, -1):
         l_a_j, label_j, _ = pairs[j]
         if isinstance(label_j, int):
@@ -57,11 +59,13 @@ def split_along(G: SurveillanceGameStructure, Q: Partition, pairs) -> Partition:
         # the cells the next label holds beyond the precise region
         outside = Q.gamma_mask(pairs[j + 1][1]) & ~precise
         scope = Q.gamma_mask(label_j)
-        precise = sum(
-            1 << l
-            for l in G.cells_in(scope)
-            if not landing_cells(G, l_a_j, belief_moves(G, 1 << l))[1] & outside
-        )
+        precise = 0
+        for l in G.cells_in(scope):
+            record = records.get(l)
+            if record is None:
+                record = records[l] = belief_moves(G, 1 << l)
+            if not landing_cells(G, l_a_j, record)[1] & outside:
+                precise |= 1 << l
         result = result.split(scope, precise)
     return result
 
@@ -487,6 +491,8 @@ def cegar_loop(
             f"iter={iteration} blocks={len(Q)} verdict=continue "
             f"action=refine->{len(refined)}"
         )
+        # free this iteration's game and analysis before the next is built
+        del game, arena, result, cex, D
         Q = refined
     raise IterationBudgetExceeded(f"no verdict after {max_iters} iterations")
 

@@ -8,8 +8,9 @@ target start, ``G`` goal cell, and lowercase letters for labelled cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
-from .structure import SurveillanceGameStructure
+from .structure import _BITS, SurveillanceGameStructure
 
 
 class MapError(ValueError):
@@ -201,35 +202,6 @@ def _segment_hits_box(px, py, qx, qy, x0, y0, x1, y1, closed=False) -> bool:
     return t0 < t1
 
 
-def _occluded(r0: int, c0: int, r1: int, c1: int, obstacles) -> bool:
-    """True iff an obstacle blocks the sight line between the centres of
-    the cells at ``(r0, c0)`` and ``(r1, c1)``.
-
-    ``obstacles`` holds ``(row, col)`` pairs.  Only those inside the
-    rows and columns the segment spans are tested: the segment keeps
-    half a cell away from every other row and column.  Passing through
-    the interior of an obstacle square always occludes.  A segment that
-    merely grazes an obstacle corner occludes only when the sight line
-    runs at exactly 45 degrees: such a line steps corner-to-corner
-    between diagonal cells, and sight may not cut an obstacle corner,
-    whereas a line at any other slope passes the touched corner on its
-    way between different cells.
-    """
-    px, py = c0 + 0.5, r0 + 0.5
-    qx, qy = c1 + 0.5, r1 + 0.5
-    diagonal = abs(r1 - r0) == abs(c1 - c0)
-    lo_r, hi_r = (r0, r1) if r0 <= r1 else (r1, r0)
-    lo_c, hi_c = (c0, c1) if c0 <= c1 else (c1, c0)
-    for orr, oc in obstacles:
-        if (
-            lo_r <= orr <= hi_r
-            and lo_c <= oc <= hi_c
-            and _segment_hits_box(px, py, qx, qy, oc, orr, oc + 1.0, orr + 1.0, closed=diagonal)
-        ):
-            return True
-    return False
-
-
 def reachable_moves(g: GridWorld, start: int, radius: int, allow_stay: bool) -> frozenset[int]:
     """Cells reachable in at most ``radius`` unit steps through free cells.
 
@@ -261,45 +233,64 @@ def _visible_sets(g: GridWorld, v: VisionConfig) -> dict[int, frozenset[int]]:
 
     A cell sees another when their centres lie within the vision range,
     if one is set, and the straight segment between the centres is not
-    occluded by any obstacle cell (see :func:`_occluded`).  The distance
-    is tested on the integer row and column offsets, which are exactly
-    the differences of the centres.
+    occluded by any obstacle cell.  The distance is tested on the
+    integer row and column offsets, which are exactly the differences of
+    the centres.  Passing through the interior of an obstacle square
+    always occludes.  A segment that merely grazes an obstacle corner
+    occludes only when the sight line runs at exactly 45 degrees: such a
+    line steps corner-to-corner between diagonal cells, and sight may not
+    cut an obstacle corner, whereas a line at any other slope passes the
+    touched corner on its way between different cells.
 
-    Each unordered pair of free cells inside the vision range's bounding
-    box is tested once, from its lower-numbered cell, since line of sight
-    is symmetric.  Without a range the box is the whole grid.  Each
-    source cell tests its pairs against the obstacles inside the part of
-    the box that its pairs span, collected once: no other obstacle can
-    touch one of its sight lines.
+    Occlusion depends only on the offset ``(dr, dc)`` from one cell to
+    the other and on which cells of the box they span hold obstacles, so
+    each offset is tested for every source cell at once, on int bit
+    masks.  Cell ``(r, c)`` is bit ``r*W + c``, where the row stride
+    ``W`` leaves ``rc`` empty columns after each row, as many as the
+    widest column offset, so that no shift by an offset or a box cell
+    wraps from one row into a real cell of another.  Each unordered pair
+    is tested once, from its lower-numbered cell (sight is symmetric),
+    and only the box cells that hold an obstacle for some source still
+    in play get the exact segment test, in coordinates relative to the
+    source's corner.  Centres are half-integers and box edges integers,
+    so every difference the test forms is the same exact number it would
+    be in absolute coordinates.
     """
-    free = sorted(g.free_cells)
-    visible = {a: {a} for a in free}
+    rows, cols = g.rows, g.cols
     # a missing or infinite range cuts nothing off
-    reach = g.rows + g.cols
+    reach = rows + cols
     limit = None
     if v.range is not None:
         reach = int(min(v.range, reach))
         limit = v.range**2
-    cols = g.cols
-    obstacles = list(map(g.rc, g.obstacles))
-    for a in free:
-        r0, c0 = g.rc(a)
-        lo_c, hi_c = max(0, c0 - reach), min(cols, c0 + reach + 1)
-        hi_r = min(g.rows, r0 + reach + 1)
-        near = [
-            (orr, oc)
-            for orr, oc in obstacles
-            if r0 <= orr < hi_r and lo_c <= oc < hi_c
-        ]
-        for r in range(r0, hi_r):
-            dr2 = (r - r0) ** 2
-            for c in range(c0 + 1 if r == r0 else lo_c, hi_c):
-                t = r * cols + c
-                if t not in visible or limit is not None and dr2 + (c - c0) ** 2 > limit:
-                    continue
-                if not _occluded(r0, c0, r, c, near):
-                    visible[a].add(t)
-                    visible[t].add(a)
+    rc = min(reach, cols - 1)
+    W = cols + rc
+    free = sorted(g.free_cells)
+    F = sum(1 << (c // cols * W + c % cols) for c in free)
+    O = sum(1 << (c // cols * W + c % cols) for c in g.obstacles)
+    # the cell at each bit, padding bits included: no mask sets those
+    cell_at = [p // W * cols + p % W for p in range(rows * W)]
+    visible = {a: {a} for a in free}
+    for dr in range(min(reach, rows - 1) + 1):
+        for dc in range(1 if dr == 0 else -rc, rc + 1):
+            if limit is not None and dr * dr + dc * dc > limit:
+                continue
+            S = F & (F >> (dr * W + dc))
+            closed = dr == abs(dc)
+            for i in range(dr + 1):
+                if not S:
+                    break
+                for j in range(min(0, dc), max(0, dc) + 1):
+                    k = i * W + j
+                    M = S & (O >> k if k >= 0 else O << -k)
+                    if M and _segment_hits_box(
+                        0.5, 0.5, dc + 0.5, dr + 0.5, j, i, j + 1, i + 1, closed=closed
+                    ):
+                        S ^= M
+            d = dr * cols + dc
+            for a in compress(cell_at, bin(S)[:1:-1].encode().translate(_BITS)):
+                visible[a].add(a + d)
+                visible[a + d].add(a)
     return {a: frozenset(cells) for a, cells in visible.items()}
 
 

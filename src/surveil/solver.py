@@ -116,12 +116,11 @@ def make_arena(
     _reply_widths(game)
     if partition is None:
         partition = singletons(structure)
-    # concretize each distinct label once, as a mask
-    masks = {label: partition.gamma_mask(label) for label in game.labels}
+    gamma_mask = partition.gamma_mask
     atom_sets = {}
     for atom in objective.atoms:
         test = atom_test(structure, atom, predicates)
-        atom_sets[atom] = bytearray([test(l_a, masks[label]) for l_a, label in game.states])
+        atom_sets[atom] = bytearray([test(l_a, gamma_mask(label)) for l_a, label in game.states])
     return Arena(**vars(game), atom_sets=atom_sets)
 
 

@@ -14,8 +14,36 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from surveil.grid import GridWorld, MotionConfig, VisionConfig, _occluded, reachable_moves
+from surveil.grid import GridWorld, MotionConfig, VisionConfig, _segment_hits_box, reachable_moves
 from surveil.structure import SuccessorReport
+
+
+def _occluded(r0: int, c0: int, r1: int, c1: int, obstacles) -> bool:
+    """True iff an obstacle blocks the sight line between the centres of
+    the cells at ``(r0, c0)`` and ``(r1, c1)``, one pair at a time: the
+    reference for ``surveil.grid._visible_sets``, which tests each sight
+    offset for every source cell at once.
+
+    ``obstacles`` holds ``(row, col)`` pairs.  Only those inside the
+    rows and columns the segment spans are tested: the segment keeps
+    half a cell away from every other row and column.  Passing through
+    the interior of an obstacle square always occludes.  A segment that
+    merely grazes an obstacle corner occludes only when the sight line
+    runs at exactly 45 degrees.
+    """
+    px, py = c0 + 0.5, r0 + 0.5
+    qx, qy = c1 + 0.5, r1 + 0.5
+    diagonal = abs(r1 - r0) == abs(c1 - c0)
+    lo_r, hi_r = (r0, r1) if r0 <= r1 else (r1, r0)
+    lo_c, hi_c = (c0, c1) if c0 <= c1 else (c1, c0)
+    for orr, oc in obstacles:
+        if (
+            lo_r <= orr <= hi_r
+            and lo_c <= oc <= hi_c
+            and _segment_hits_box(px, py, qx, qy, oc, orr, oc + 1.0, orr + 1.0, closed=diagonal)
+        ):
+            return True
+    return False
 
 
 def line_of_sight(g: GridWorld, v: VisionConfig, src: int, dst: int) -> bool:

@@ -8,12 +8,36 @@ from surveil import (
     MapError,
     MotionConfig,
     VisionConfig,
+    build_game_structure,
     parse_config,
     parse_grid,
     reachable_moves,
 )
 from conftest import PAPER5X5, random_problems
 from reference_structure import line_of_sight
+
+
+@st.composite
+def sight_problems(draw):
+    """A grid of up to 12x12 cells, one column wide included, with
+    obstacles at a drawn density and a vision range that is none, inside
+    the grid or beyond it; a whole range puts cells exactly on its
+    circle."""
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(1 if rows > 1 else 2, 12))
+    cells = list(range(rows * cols))
+    agent, target = draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2, unique=True))
+    density = draw(st.floats(0.0, 0.6))
+    rng = draw(st.randoms(use_true_random=False))
+    obstacles = frozenset(c for c in cells if c not in (agent, target) and rng.random() < density)
+    vision_range = draw(
+        st.none()
+        | st.floats(0.5, 15.0)
+        | st.integers(1, 15).map(float)
+        | st.floats(17.0, 1e9)
+        | st.just(math.inf)
+    )
+    return GridWorld(rows, cols, obstacles, agent, target), VisionConfig(range=vision_range)
 
 
 def test_parse_basic(grid5):
@@ -210,6 +234,21 @@ def test_visibility_symmetric_under_range(problem):
     for a in free:
         for b in free:
             assert line_of_sight(g, v, a, b) == line_of_sight(g, v, b, a), (a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sight_problems())
+def test_visibility_table_matches_line_of_sight(problem):
+    """The structure's visibility, which tests each sight offset for
+    every source cell at once, is the pairwise line of sight on every
+    ordered pair of free cells: long offsets, one-column grids and
+    ranges past the grid included."""
+    g, v = problem
+    visibility = build_game_structure(g, MotionConfig(), v).visibility
+    free = sorted(g.free_cells)
+    assert sorted(visibility) == free
+    for a in free:
+        assert visibility[a] == {b for b in free if line_of_sight(g, v, a, b)}, a
 
 
 def test_motion_config_validation():

@@ -216,15 +216,23 @@ def test_bundled_structures_match_reference_builder(name):
     )
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("n", [12, 16, 20])
-def test_pillar_structures_match_reference_builder(n, seed):
-    """perfbench's scale-gen maps: every ball is visible, so the report
-    comes without a walk, and it and the tables are the reference
-    builder's."""
+@pytest.mark.parametrize(
+    "n, seed, ranged",
+    [
+        *(pytest.param(n, seed, True, id=f"{n}-{seed}") for n in (12, 16, 20) for seed in (1, 2)),
+        pytest.param(16, 1, False, id="16-1-no_range"),
+    ],
+)
+def test_pillar_structures_match_reference_builder(n, seed, ranged):
+    """perfbench's scale-gen maps, and one without its vision range, so
+    that every offset across the map is in range: every ball is visible,
+    so the report comes without a walk, and it and the tables are the
+    reference builder's."""
     map_text, cfg_text = pillar_problem(n, seed)
     grid = parse_grid(map_text)
     motion, vision = parse_config(cfg_text)
+    if not ranged:
+        vision = VisionConfig()
     G = build_game_structure(grid, motion, vision)
     assert _balls_visible(G)
     assert_same_structure(G, reference_structure.build_game_structure(grid, motion, vision))
