@@ -20,6 +20,7 @@ from surveil import (
     singletons,
     solve,
 )
+from surveil.belief import target_moves
 from surveil.cli import bundled_map
 
 
@@ -29,10 +30,16 @@ def main():
     Q = singletons(G)
 
     print("belief successors of the initial state (agent 4, target seen at 18):")
-    for B, replies in abstract_successors(G, Q, G.initial):
-        # a seen target is its cell; an unseen one is the set it may be in
-        kind = "seen at" if isinstance(B, int) else "hidden in"
-        print(f"  {kind} {sorted(Q.gamma(B))}, agent replies {sorted(replies)}")
+    # the target's moves from the initial belief's record: a seen target
+    # is its cell, an unseen one the set of cells it may be in
+    l_a = G.initial[0]
+    _, _, moves = abstract_successors(G, Q, G.initial)
+    visible, invisible = target_moves(G, l_a, moves)
+    for cell, replies in visible:
+        print(f"  seen at {[cell]}, agent replies {sorted(replies)}")
+    if invisible is not None:
+        unseen, replies = invisible
+        print(f"  hidden in {sorted(G.cells_of(unseen))}, agent replies {sorted(replies)}")
     print()
 
     game = build_abstract_game(G, Q)

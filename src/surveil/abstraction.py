@@ -16,7 +16,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable, Optional
 
 from .belief import (
@@ -24,8 +23,10 @@ from .belief import (
     PredicateDef,
     TurnGame,
     belief_moves,
+    invisible_replies,
+    landing_cells,
+    move_replies,
     safety_test,
-    target_moves,
 )
 from .structure import SurveillanceGameStructure, cell_mask
 
@@ -167,14 +168,18 @@ def singletons(G: SurveillanceGameStructure) -> Partition:
 
 
 def abstract_successors(G: SurveillanceGameStructure, Q: Partition, state, records=None):
-    """Abstract choices and agent replies from an abstract state.
+    """The landing split of an abstract state ``(l_a, label)``.
 
-    The target moves of the concretized belief: one concrete choice per
-    visible successor, plus at most one block-set choice covering all
-    invisible successors, read off their mask with
-    :meth:`Partition.alpha_mask`.  ``records`` maps labels to the
-    :class:`~surveil.belief.BeliefMoves` records of their concretizations;
-    a missing record is made and added to it.
+    Returns ``(seen, unseen, moves)``: the masks of the cells the target
+    can land on that the agent on ``l_a`` sees and does not see (see
+    :func:`~surveil.belief.landing_cells`), and ``moves``, the
+    :class:`~surveil.belief.BeliefMoves` record of the concretized label.
+    The state's choices are one per seen cell, with the replies that
+    :func:`~surveil.belief.move_replies` gives, then at most one
+    covering ``unseen``, labelled ``Q.alpha_mask(unseen)``, with the
+    replies that :func:`~surveil.belief.invisible_replies` picks; this
+    is :func:`~surveil.belief.target_moves` on ``moves``.  ``records`` maps
+    labels to their records; a missing record is made and added to it.
     """
     l_a, label = state
     if records is None:
@@ -182,86 +187,8 @@ def abstract_successors(G: SurveillanceGameStructure, Q: Partition, state, recor
     moves = records.get(label)
     if moves is None:
         moves = records[label] = belief_moves(G, Q.gamma_mask(label))
-    visible, invisible = target_moves(G, l_a, moves)
-    if invisible is not None:
-        unseen, replies = invisible
-        visible.append((Q.alpha_mask(unseen), replies))
-    return visible
-
-
-def _explore(initial, successors, max_states) -> TurnGame:
-    """Enumerate the game reachable from ``initial`` breadth first.
-
-    States are numbered as they are found, so ``initial`` is state 0,
-    and each distinct belief is interned once, in the order it is found.
-    Each distinct pair of a belief and a tuple of agent cells is interned
-    once too, as a reply set, whose members are numbered and appended to
-    one flat array.  Choices keep the order ``successors`` gives them,
-    and sets keep the order they were found in.  Every set belongs to one
-    belief, so a choice's belief is read off its set.
-    """
-    l_a0, label0 = initial
-    labels = [label0]
-    label_id = {label0: 0}
-    # per belief id: agent cell -> number of the state (cell, belief),
-    # and agent-cell tuple -> reply set id
-    numbered = [{l_a0: 0}]
-    set_ids = [{}]
-    found = [initial]
-    # the reverse tables of TurnGame, filled as choices and members come
-    owners, holders = [], [[]]
-    # per reply set: its belief id and its width
-    set_label, widths = array("i"), array("i")
-    n_choices, choice_set, replies = array("i"), array("i"), array("i")
-    get_label, add_choice, add_reply = label_id.get, choice_set.append, replies.append
-    # ``found`` is its own queue: the loop reaches the states it appends
-    for i, state in enumerate(found):
-        out = successors(state)
-        n_choices.append(len(out))
-        for label, agent_cells in out:
-            lid = get_label(label)
-            if lid is None:
-                lid = label_id[label] = len(labels)
-                labels.append(label)
-                numbered.append({})
-                set_ids.append({})
-            sets = set_ids[lid]
-            s = sets.get(agent_cells)
-            if s is None:
-                s = sets[agent_cells] = len(widths)
-                set_label.append(lid)
-                widths.append(len(agent_cells))
-                owners.append([i])
-                # the interned object, which the new states share
-                label, at = labels[lid], numbered[lid]
-                for l_a2 in agent_cells:
-                    j = at.get(l_a2)
-                    if j is None:
-                        if len(found) >= max_states:
-                            raise BudgetExceeded(f"state budget of {max_states} exceeded")
-                        j = at[l_a2] = len(found)
-                        found.append((l_a2, label))
-                        holders.append([s])
-                    else:
-                        holders[j].append(s)
-                    add_reply(j)
-            else:
-                owners[s].append(i)
-            add_choice(s)
-
-    # an array fills about twice as fast from a list as from an iterator
-    return TurnGame(
-        found,
-        0,
-        labels,
-        array("i", accumulate(n_choices, initial=0)),
-        array("i", list(map(set_label.__getitem__, choice_set))),
-        choice_set,
-        array("i", accumulate(widths, initial=0)),
-        replies,
-        owners,
-        holders,
-    )
+    seen, unseen = landing_cells(G, l_a, moves)
+    return seen, unseen, moves
 
 
 def build_abstract_game(
@@ -271,7 +198,24 @@ def build_abstract_game(
     safety: frozenset = frozenset(),
     predicates: Optional[dict[str, PredicateDef]] = None,
 ) -> TurnGame:
-    """Enumerate the reachable abstract game for partition ``Q``.
+    """Enumerate the reachable abstract game for partition ``Q``, breadth
+    first from ``G.initial``.
+
+    States are numbered as they are found, so the initial state is 0,
+    and each distinct label is interned once, in the order it is found.
+    Each distinct pair of a label and a tuple of agent cells is interned
+    once too, as a reply set, whose members are numbered and appended to
+    one flat array.  Each expanded state makes one call of
+    :func:`abstract_successors`, and its choices are read off the
+    landing split that call returns, in the order given there; sets keep
+    the order they were found in.  Every set belongs to one label, so a
+    choice's label is read off its set.
+
+    A visible move, and an invisible one whose replies are the whole
+    ball, has one reply set per agent cell and seen cell (or block-set
+    label): a row per agent cell, kept for this game only, maps each to
+    its set id, so such a move costs one probe of the row once an
+    earlier state on the same agent cell has met it.
 
     Each label's safety test is made once per game.  When a state with
     the label is first expanded, the label's moves are collected into
@@ -306,18 +250,114 @@ def build_abstract_game(
     test = safety_test(G, safety, predicates)
     # per label: its safety test of the agent's cell, None when it needs none
     tests: dict = {}
+    masks = G.masks
+    cell, ball = masks.cell, masks.ball
+    alpha_mask, gamma_mask = Q.alpha_mask, Q.gamma_mask
+    # per agent cell: seen cell, or block-set label of a move whose
+    # replies are the whole ball -> reply set id
+    rows = [{} for _ in cell]
 
-    def successors(state):
+    l_a0, label0 = G.initial
+    labels = [label0]
+    label_id = {label0: 0}
+    # per label id: agent cell -> number of the state (cell, label),
+    # and agent-cell tuple -> reply set id
+    numbered = [{l_a0: 0}]
+    set_ids = [{}]
+    found = [G.initial]
+    # the reverse tables of TurnGame, filled as choices and members come
+    owners, holders = [], [[]]
+    # per reply set: its label id
+    set_label = array("i")
+    choice_off, choice_set = array("i", [0]), array("i")
+    reply_off, replies = array("i", [0]), array("i")
+    get_label, add_choice, add_reply = label_id.get, choice_set.append, replies.append
+
+    def intern(i, label, agent_cells) -> int:
+        """The reply set of ``label`` and ``agent_cells``, made on first
+        sight with its new states numbered, with state ``i`` recorded as
+        the owner of one more choice."""
+        lid = get_label(label)
+        if lid is None:
+            lid = label_id[label] = len(labels)
+            labels.append(label)
+            numbered.append({})
+            set_ids.append({})
+        sets = set_ids[lid]
+        s = sets.get(agent_cells)
+        if s is not None:
+            owners[s].append(i)
+            return s
+        s = sets[agent_cells] = len(set_label)
+        set_label.append(lid)
+        owners.append([i])
+        # the interned object, which the new states share
+        label, at = labels[lid], numbered[lid]
+        for l_a2 in agent_cells:
+            j = at.get(l_a2)
+            if j is None:
+                if len(found) >= max_states:
+                    raise BudgetExceeded(f"state budget of {max_states} exceeded")
+                j = at[l_a2] = len(found)
+                found.append((l_a2, label))
+                holders.append([s])
+            else:
+                holders[j].append(s)
+            add_reply(j)
+        reply_off.append(len(replies))
+        return s
+
+    # ``found`` is its own queue: the loop reaches the states it appends
+    for i, state in enumerate(found):
         l_a, label = state
         if label in tests:
             holds = tests[label]
         else:
-            holds = tests[label] = test(Q.gamma_mask(label))
+            holds = tests[label] = test(gamma_mask(label))
         if holds is None or holds(l_a):
-            return abstract_successors(G, Q, state, records)
-        return ()
+            seen, unseen, moves = abstract_successors(G, Q, state, records)
+            row = rows[l_a]
+            # the seen cells in ascending order, lowest bit first
+            while seen:
+                low = seen & -seen
+                l_t2 = cell[low.bit_length() - 1]
+                s = row.get(l_t2)
+                if s is None:
+                    s = row[l_t2] = intern(i, l_t2, move_replies(G, l_a, l_t2))
+                else:
+                    owners[s].append(i)
+                add_choice(s)
+                seen ^= low
+            if unseen:
+                label2 = alpha_mask(unseen)
+                # the replies are the whole ball, which the row may keep,
+                # unless an unseen cell lies in the ball
+                key = None if unseen & ball[l_a] else label2
+                s = row.get(key)
+                if s is None:
+                    s = intern(i, label2, invisible_replies(G, l_a, moves, unseen))
+                    if key is not None:
+                        row[key] = s
+                else:
+                    owners[s].append(i)
+                add_choice(s)
+        choice_off.append(len(choice_set))
 
-    return _explore(G.initial, successors, max_states)
+    # free the rows before the last array is made, the build's memory peak
+    del rows
+    # an array fills about twice as fast from a list as from an iterator
+    return TurnGame(
+        found,
+        0,
+        labels,
+        choice_off,
+        array("i", list(map(set_label.__getitem__, choice_set))),
+        choice_set,
+        reply_off,
+        replies,
+        owners,
+        holders,
+    )
 
 
 def build_belief_game(G, max_states=2_000_000, safety=frozenset(), predicates=None) -> TurnGame:

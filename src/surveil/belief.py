@@ -4,11 +4,13 @@ A belief is the set of target locations the agent considers possible.
 After every target move it is either a location the agent sees or the
 set of locations the target may have landed on unseen; in the CEGAR
 loop it is a cell mask.  The kernel here (:func:`belief_moves`,
-:func:`landing_cells`, :func:`target_moves`) expands beliefs for every
-game the package builds.  The exact belief game, the oracle semantics,
-is the abstract game under the partition into one block per location
-(:func:`~surveil.abstraction.singletons`), whose block-set labels are
-the beliefs themselves; there is no second builder for it.
+:func:`landing_cells`, :func:`move_replies`,
+:func:`invisible_replies`) expands beliefs for every game the package
+builds, and :func:`target_moves` lists a belief's moves with their
+replies through the same functions.  The exact belief game, the oracle
+semantics, is the abstract game under the partition into one block per
+location (:func:`~surveil.abstraction.singletons`), whose block-set
+labels are the beliefs themselves; there is no second builder for it.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ class BeliefMoves:
     cells ``stuck`` on it, whose only move is onto it (an agent there
     blocks them, so they stay put).  A game keeps one record per belief
     and expands every state with that belief from it through
-    :func:`target_moves`."""
+    :func:`landing_cells`."""
 
     cells: tuple[int, ...]
     union: int
@@ -173,27 +175,43 @@ def target_moves(G: SurveillanceGameStructure, l_a: int, belief: BeliefMoves):
     ``visible`` lists ``(location, replies)`` for every successor the
     agent on ``l_a`` sees, by location; ``invisible`` is ``(unseen,
     replies)`` for the mask of all invisible successors, or None when
-    there are none.  Its replies come from one representative move, the
-    first invisible one in sorted-belief order, which is enough under
-    invisible-independence.  Every game expands its states through this
-    function.
+    there are none.  The replies are those :func:`move_replies` and
+    :func:`invisible_replies` give, which
+    :func:`~surveil.abstraction.build_abstract_game` reads too.
     """
     seen, unseen = landing_cells(G, l_a, belief)
-    masks = G.masks
-    cell, replies = masks.cell, masks.replies[l_a]
-    ball = G.agent_succ[l_a]
+    cell = G.masks.cell
     moves = []
     # the seen cells in ascending order, lowest bit first
     while seen:
         low = seen & -seen
         l_t2 = cell[low.bit_length() - 1]
-        moves.append((l_t2, replies.get(l_t2, ball)))
+        moves.append((l_t2, move_replies(G, l_a, l_t2)))
         seen ^= low
     if not unseen:
         return moves, None
+    return moves, (unseen, invisible_replies(G, l_a, belief, unseen))
+
+
+def move_replies(G: SurveillanceGameStructure, l_a: int, l_t2: int):
+    """The agent's replies on ``l_a`` to a target move onto ``l_t2``:
+    the structure's table of restricted replies, or the whole ball where
+    the table has no entry."""
+    return G.masks.replies[l_a].get(l_t2, G.agent_succ[l_a])
+
+
+def invisible_replies(G: SurveillanceGameStructure, l_a: int, belief: BeliefMoves, unseen: int):
+    """The agent's replies on ``l_a`` to the target's moves from a belief
+    onto the nonempty mask ``unseen`` of the cells it may land on unseen.
+
+    They come from one representative move, the first invisible one in
+    sorted-belief order, which is enough under invisible-independence.
+    When no unseen cell lies in the agent's ball, every invisible move,
+    the first one too, gets the whole ball.
+    """
+    masks = G.masks
     if not unseen & masks.ball[l_a]:
-        # every invisible move, the first one too, gets the whole ball
-        return moves, (unseen, ball)
+        return G.agent_succ[l_a]
     visible = masks.visible[l_a]
     target_step = G.target_step
     first = next(
@@ -202,7 +220,7 @@ def target_moves(G: SurveillanceGameStructure, l_a: int, belief: BeliefMoves):
         for l_t2 in target_step(l_a, l_t)
         if not visible >> l_t2 & 1
     )
-    return moves, (unseen, replies.get(first, ball))
+    return move_replies(G, l_a, first)
 
 
 def belief_successors(G: SurveillanceGameStructure, state):
@@ -212,8 +230,8 @@ def belief_successors(G: SurveillanceGameStructure, state):
     Returns a list of ``(new_belief, replies)`` pairs: one singleton per
     location the agent sees the target land on, by location, then at
     most one set of all the unseen ones.  No game is built from it; the
-    benchmark's output checks and the tests' reference game read the
-    target's moves through it.
+    benchmark's output checks and the belief tests read the target's
+    moves through it.
     """
     l_a, belief = state
     visible, invisible = target_moves(G, l_a, belief_moves(G, cell_mask(belief)))

@@ -17,7 +17,7 @@ from surveil import (
     build_game_structure,
     parse_grid,
 )
-from surveil.belief import atom_test
+from surveil.belief import atom_test, target_moves
 from surveil.solver import CounterexampleGraph
 from surveil.structure import cell_mask
 
@@ -110,6 +110,19 @@ def random_problems(draw):
     return grid, motion, VisionConfig(range=vision_range)
 
 
+def abstract_choices(G, Q, state) -> list:
+    """The choices of an abstract state as ``(label, replies)`` pairs:
+    ``target_moves`` on the record that ``abstract_successors`` returns,
+    one per seen cell, by cell, then the block-set choice of the unseen
+    cells, if any."""
+    _, _, moves = abstract_successors(G, Q, state)
+    visible, invisible = target_moves(G, state[0], moves)
+    if invisible is not None:
+        unseen, replies = invisible
+        visible.append((Q.alpha_mask(unseen), replies))
+    return visible
+
+
 def set_choice(choices):
     """The block-set choice among abstract choices, or None.  The target
     has at most one: all invisible successors form a single move."""
@@ -136,7 +149,7 @@ def build_hide_reveal_cex(game, partition):
         if v in choice:
             continue
         l_a, label, phase = v
-        moves = dict(abstract_successors(game, partition, (l_a, label)))
+        moves = dict(abstract_choices(game, partition, (l_a, label)))
         if phase == "hide" and l_a == 19 and label == full:
             lab, phase2 = 15, "settle"
         else:
@@ -239,7 +252,7 @@ def tree_eliminated(G, Qold, Qnew, cex, safety, predicates=None) -> bool:
             l_a, label = new_state
             locs = Qnew.gamma(label)
             return all(atom_holds(G, l_a, locs, a, predicates) for a in safety)
-        choices = dict(abstract_successors(G, Qnew, new_state))
+        choices = dict(abstract_choices(G, Qnew, new_state))
         new_label = _replayed_label(choices, cex.choice[v])
         if new_label is None:
             return True
@@ -269,7 +282,7 @@ def graph_eliminated(G, Qold, Qnew, cex) -> bool:
     while queue:
         v = queue.popleft()
         state = (v[0], new_label_of[v])
-        choices = dict(abstract_successors(G, Qnew, state))
+        choices = dict(abstract_choices(G, Qnew, state))
         new_label = _replayed_label(choices, cex.choice[v])
         if new_label is None:
             return True

@@ -1,9 +1,11 @@
 """The game as tuples, the reference for the flat game of ``surveil``.
 
 ``_explore`` builds a dict from each state to its ``(choice, reply
-states)`` pairs, and ``make_arena`` sorts every state and re-indexes it
-into lists of ``(choice, reply numbers)``.  ``surveil`` builds the same
-game in one flat pass, numbering the states as it finds them; both must
+states)`` pairs, with the target's moves read off sets by
+:func:`target_moves` rather than through the package's successor
+kernel, and ``make_arena`` sorts every state and re-indexes it into
+lists of ``(choice, reply numbers)``.  ``surveil`` builds the same game
+in one flat pass, numbering the states as it finds them; both must
 give the same states, initial state, choices, replies and atom
 valuations, up to that numbering, and so the same solutions.
 """
@@ -14,14 +16,9 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional
 
-from conftest import choices, members
-from surveil.abstraction import abstract_successors, singletons
-from surveil.belief import (
-    BudgetExceeded,
-    PredicateDef,
-    belief_key,
-    belief_successors,
-)
+from conftest import alpha, choices, members
+from surveil.abstraction import singletons
+from surveil.belief import BudgetExceeded, PredicateDef, belief_key
 from surveil.objective import Atom, Objective, SurvAtom
 from surveil import solver
 from surveil.solver import SolverError
@@ -86,14 +83,50 @@ def _explore(initial, successors, max_states):
     return game
 
 
+def target_moves(G, l_a: int, belief):
+    """The target's moves from a set of cells while the agent stands on
+    ``l_a``, on sets and by the structure's own ``target_step``,
+    ``succ_a`` and ``visibility``: ``(visible, invisible)``, where
+    ``visible`` lists ``(cell, replies)`` for each landing cell the agent
+    sees, by cell, and ``invisible`` is the set of the unseen landing
+    cells with the replies to the first invisible move in sorted-belief
+    order, or None when there are none."""
+    seen = G.visibility[l_a]
+    landing, first = set(), None
+    for l_t in sorted(belief):
+        for l_t2 in G.target_step(l_a, l_t):
+            landing.add(l_t2)
+            if first is None and l_t2 not in seen:
+                first = l_t2
+    visible = [(l_t2, G.succ_a(l_a, l_t2)) for l_t2 in sorted(landing & seen)]
+    if first is None:
+        return visible, None
+    return visible, (frozenset(landing - seen), G.succ_a(l_a, first))
+
+
 def build_belief_game(G, max_states: int = 2_000_000) -> TurnGame:
+    def successors(state):
+        l_a, belief = state
+        visible, invisible = target_moves(G, l_a, belief)
+        out = [(frozenset({l_t2}), replies) for l_t2, replies in visible]
+        return out if invisible is None else out + [invisible]
+
     l_a0, l_t0 = G.initial
-    initial = (l_a0, frozenset({l_t0}))
-    return _explore(initial, lambda s: belief_successors(G, s), max_states)
+    return _explore((l_a0, frozenset({l_t0})), successors, max_states)
 
 
 def build_abstract_game(G, Q, max_states: int = 1_000_000) -> TurnGame:
-    return _explore(G.initial, lambda s: abstract_successors(G, Q, s), max_states)
+    """The abstract game: each label concretized through ``Q.gamma``, and
+    the invisible moves abstracted with ``conftest.alpha``."""
+    def successors(state):
+        l_a, label = state
+        visible, invisible = target_moves(G, l_a, Q.gamma(label))
+        if invisible is None:
+            return visible
+        unseen, replies = invisible
+        return visible + [(alpha(Q, unseen), replies)]
+
+    return _explore(G.initial, successors, max_states)
 
 
 @dataclass

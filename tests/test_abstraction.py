@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import alpha, refines
+from conftest import abstract_choices, alpha, refines
 from reference_game import reverse_tables, tuple_moves
 from surveil import (
     Partition,
@@ -18,9 +18,8 @@ from surveil import (
     predicates_from_grid,
     singletons,
 )
-from surveil.abstraction import _explore
 from surveil.cli import bundled_map
-from surveil.structure import cell_mask
+from surveil.structure import SurveillanceGameStructure, cell_mask
 
 
 def check_uniform(partition, predicates):
@@ -58,7 +57,9 @@ def test_abstract_successors_from_initial(game5, rows_partition):
     """The four abstract successor states of (4, 18) under the row
     partition: visible 19 and the block pair for rows 4 and 5."""
     blocks = alpha(rows_partition, {17, 23})
-    succs = abstract_successors(game5, rows_partition, game5.initial)
+    seen, unseen, _ = abstract_successors(game5, rows_partition, game5.initial)
+    assert (seen, unseen) == (1 << 19, cell_mask({17, 23}))
+    succs = abstract_choices(game5, rows_partition, game5.initial)
     states = {(l_a2, A) for A, replies in succs for l_a2 in replies}
     assert states == {(3, 19), (9, 19), (3, blocks), (9, blocks)}
 
@@ -219,16 +220,21 @@ def test_recorded_tables_match_regrouping_on_bigroom():
 
 
 def test_recorded_tables_count_a_repeated_reply_per_occurrence():
-    """Both choices of state 0 use one set, which holds state 1 twice:
-    the set lists its owner once per choice, and state 1 lists the set
-    once per occurrence."""
-    moves = {
-        (0, "a"): [("b", (1, 1)), ("b", (1, 1))],
-        (1, "b"): [("a", (0,)), ("b", (1,))],
-    }
-    game = _explore((0, "a"), moves.__getitem__, 10)
-    assert game.states == [(0, "a"), (1, "b")]
-    assert list(game.replies) == [1, 1, 0, 1]
-    assert game.owners == [[0, 0], [1], [1]]
-    assert game.holders == [[1], [0, 0, 2]]
+    """The agent on cell 0 sees nothing and its ball lists cell 1 twice,
+    so the target's hidden move from {5} to {6} gets one set that holds
+    state 1 twice.  States 0 and 2 both make that move, the second
+    through the agent cell's row: the set lists each owner once per
+    choice, and state 1 lists the set once per occurrence."""
+    G = SurveillanceGameStructure(
+        initial=(0, 5),
+        target_succ={5: (6,), 6: (5,)},
+        agent_succ={0: (1, 1), 1: (0,)},
+        visibility={0: frozenset(), 1: frozenset()},
+    )
+    game = build_abstract_game(G, singletons(G))
+    assert game.states == [(0, 5), (1, frozenset({6})), (0, frozenset({5}))]
+    assert list(game.choice_set) == [0, 1, 0]
+    assert list(game.replies) == [1, 1, 2]
+    assert game.owners == [[0, 2], [1]]
+    assert game.holders == [[], [0, 0], [1]]
     assert_recorded_tables(game)

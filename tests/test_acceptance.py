@@ -9,6 +9,7 @@ import random
 import pytest
 
 from conftest import (
+    abstract_choices,
     alpha,
     build_hide_reveal_cex,
     graph_eliminated,
@@ -22,7 +23,6 @@ from surveil import (
     BudgetExceeded,
     Partition,
     SurvAtom,
-    abstract_successors,
     annotate_tree,
     belief_successors,
     build_abstract_game,
@@ -66,7 +66,7 @@ def test_criterion_1_fixture_fidelity(game5, rows_partition):
     }
     # abstract successors under the one-block-per-row partition
     blocks = alpha(rows_partition, {17, 23})
-    asucc = abstract_successors(game5, rows_partition, (4, 18))
+    asucc = abstract_choices(game5, rows_partition, (4, 18))
     astates = {(l_a2, A) for A, replies in asucc for l_a2 in replies}
     assert astates == {(3, 19), (9, 19), (3, blocks), (9, blocks)}
     # visibility of the relevant cells from the initial agent cell

@@ -17,12 +17,14 @@ from hypothesis import given, settings, strategies as st
 
 import reference_game
 import reference_solver
-from conftest import choice_labels, choices, members, random_problems
+from conftest import TWO_COLUMNS, choice_labels, choices, members, random_problems
 from surveil import (
     BudgetExceeded,
     PredicateDef,
     SolverError,
     SurveillanceGameStructure,
+    VisionConfig,
+    abstract_successors,
     build_abstract_game,
     build_game_structure,
     cegar_loop,
@@ -262,6 +264,30 @@ def test_flat_game_matches_reference_on_bundled_maps(name):
     # the exact game fits on paper5x5 only; elsewhere both builds stop at
     # the same budget
     assert_same_games(G, [Q, refined], [parse_spec(s) for s in specs], predicates, 5_000)
+
+
+def test_flat_game_matches_reference_where_unseen_cells_meet_the_ball():
+    """On paper5x5 with a vision range of 0.5 the agent sees only its own
+    cell.  The target then lands unseen inside the agent's ball from some
+    states, where the hidden move's replies are those to its
+    representative move, and only outside it from others, where they are
+    the whole ball that the agent cell's row keeps.  No bundled map
+    reaches the first case."""
+    grid = parse_grid(bundled_map("paper5x5.txt"))
+    motion, _ = parse_config(bundled_map("paper5x5.cfg"))
+    G = build_game_structure(grid, motion, VisionConfig(range=0.5))
+    predicates = {"goal": PredicateDef("goal", frozenset({0}))}
+    Q = initial_partition(G, predicates.values())
+    columns = Q.split(-1, cell_mask(TWO_COLUMNS[0]))
+    for partition in (Q, columns, singletons(G)):
+        meets = set()
+        for state in build_abstract_game(G, partition).states:
+            _, unseen, _ = abstract_successors(G, partition, state)
+            if unseen:
+                meets.add(bool(unseen & G.masks.ball[state[0]]))
+        assert meets == {False, True}
+    objectives = [parse_spec(s) for s in SPECS]
+    assert_same_games(G, [Q, columns], objectives, predicates, exact_states=1_000)
 
 
 def _reply_sets(game):
