@@ -14,8 +14,11 @@ and is not expanded (:func:`build_abstract_game` gives the reason).
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, repeat
+from operator import sub
 from typing import Iterable, Optional
 
 from .belief import (
@@ -191,12 +194,97 @@ def abstract_successors(G: SurveillanceGameStructure, Q: Partition, state, recor
     return seen, unseen, moves
 
 
+def _where(values: list, x, base: int) -> list:
+    """The positions of ``x`` in ``values``, each plus ``base``."""
+    out, p = [], -1
+    try:
+        while True:
+            p = values.index(x, p + 1)
+            out.append(base + p)
+    except ValueError:
+        return out
+
+
+class _Reach:
+    """The target's attractor to the unsafe states of a game that
+    :func:`build_abstract_game` explores, on the part explored so far.
+
+    A state is in it when it is unsafe, or when one of its choices has
+    every reply in it.  Exploration only adds states and choices, so the
+    attractor only grows; :meth:`update` takes in what was added since
+    the last call.  ``won`` flags its states and ``missing`` counts each
+    reply set's members outside it; ``states``, ``sets`` and ``choices``
+    count how many of each are taken in.  Nothing is kept before the
+    first unsafe state.  The object holds the game's tables under the
+    arena's names, so the solver's attractor runs on it too.
+    """
+
+    def __init__(self, unsafe, choice_off, choice_set, reply_off, replies, owners, holders):
+        self.unsafe = unsafe
+        self.choice_off, self.choice_set = choice_off, choice_set
+        self.reply_off, self.replies = reply_off, replies
+        self.owners, self.holders = owners, holders
+        self.won, self.missing = bytearray(), []
+        self.states = self.sets = self.choices = 0
+
+    def update(self) -> bool:
+        """Take in the states, reply sets and choices made since the last
+        call; True when the initial state is in the attractor."""
+        unsafe, won, missing = self.unsafe, self.won, self.missing
+        if not won and 1 not in unsafe:
+            return False
+        reply_off, owners, holders = self.reply_off, self.owners, self.holders
+        n, start = len(unsafe), self.states
+        won.extend(bytes(n - start))
+        # the new sets' widths, less their members already in
+        s0, r0 = self.sets, reply_off[self.sets]
+        missing.extend(map(sub, reply_off[s0 + 1 :], reply_off[s0:-1]))
+        for p in _where(list(map(won.__getitem__, self.replies[r0:])), 1, r0):
+            missing[bisect_right(reply_off, p) - 1] -= 1
+        # the new unsafe states, and the owners of new choices whose sets
+        # have no member outside
+        joined = list(compress(range(start, n), unsafe[start:]))
+        c0 = self.choices
+        for c in _where(list(map(missing.__getitem__, self.choice_set[c0:])), 0, c0):
+            joined.append(bisect_right(self.choice_off, c) - 1)
+        self.states, self.sets, self.choices = n, len(reply_off) - 1, len(self.choice_set)
+        queue = []
+        push = queue.append
+        for i in joined:
+            if not won[i]:
+                won[i] = 1
+                push(i)
+        # ``queue`` is its own worklist: the loop reaches the states it appends
+        for j in queue:
+            for k in holders[j]:
+                m = missing[k] = missing[k] - 1
+                if not m:
+                    for i in owners[k]:
+                        if not won[i]:
+                            won[i] = 1
+                            push(i)
+        return bool(won[0])
+
+    def initial_rank(self) -> int:
+        """The initial state's rank in the attractor, by the solver's
+        level-by-level attractor on the part explored so far."""
+        # imported here: the solver imports this module
+        from .solver import _target_attractor
+
+        won = bytearray(self.unsafe)
+        missing = array("i", map(sub, self.reply_off[1:], self.reply_off))
+        layer = _target_attractor(self, won, list(compress(range(len(won)), won)), missing, 0)
+        return next(rank for i, rank, _ in layer if i == 0)
+
+
 def build_abstract_game(
     G: SurveillanceGameStructure,
     Q: Partition,
     max_states: int = 1_000_000,
     safety: frozenset = frozenset(),
     predicates: Optional[dict[str, PredicateDef]] = None,
+    *,
+    cut: bool = False,
 ) -> TurnGame:
     """Enumerate the reachable abstract game for partition ``Q``, breadth
     first from ``G.initial``.
@@ -217,9 +305,10 @@ def build_abstract_game(
     its set id, so such a move costs one probe of the row once an
     earlier state on the same agent cell has met it.
 
-    Each label's safety test is made once per game.  When a state with
-    the label is first expanded, the label's moves are collected into
-    one :class:`~surveil.belief.BeliefMoves` record, kept for this
+    Each label's safety test is made once per game, when the label is
+    found, and each state is tested when it is numbered.  When a state
+    with the label is first expanded, the label's moves are collected
+    into one :class:`~surveil.belief.BeliefMoves` record, kept for this
     exploration only; every state with that label is expanded from it.
 
     A state where the conjunction of the ``safety`` atoms fails on the
@@ -245,11 +334,49 @@ def build_abstract_game(
     game; only state numbers and reply-set ids differ.  Without safety
     atoms every state is expanded.  ``predicates`` must declare each
     task atom of ``safety``.
+
+    With ``cut``, a game the target wins by reaching an unsafe state is
+    built only as deep as its counterexample reads.  From the first
+    unsafe state on, the builder keeps the target's attractor to the
+    unsafe states up to date (:class:`_Reach`) at each breadth-first
+    depth boundary ``d``, where every state of depth at most ``d`` is
+    expanded and every state of depth ``d + 1`` numbered and tested.  At
+    the first boundary ``D`` where the attractor holds the initial
+    state, the builder takes that state's rank ``R`` there, stops the
+    bookkeeping, and expands no state deeper than ``D* = max(D, R - 1)``:
+    the states found after that keep their numbers but get no choices.
+    The game records ``D*`` as its ``cut_depth``, and only its states
+    count against ``max_states``.
+
+    The cut is exact for a lost game's counterexample.  An expanded
+    state keeps all its choices, and a state without choices joins the
+    target's attractor only when it is unsafe; more choices never take a
+    state out of the attractor or raise its rank.  So the cut game's
+    attractor lies inside the full game's, each rank at least as high,
+    and the part explored at ``D`` has no choice the cut game lacks: the
+    initial state is in the cut game's attractor with rank at most
+    ``R``, the agent never wins a cut game, and the initial state's
+    full-game rank ``R0`` is at most ``R <= D* + 1``.  A state of depth
+    ``d`` whose full-game rank ``r`` has ``d + r <= D* + 1`` has the
+    same rank and the same first winning choice in both games, since a
+    shortest certificate of rank ``r`` from depth ``d`` uses only states
+    of depth at most ``d + r``.  By induction on ``r``: an unsafe state
+    of depth at most ``D* + 1`` is numbered and tested; a state of rank
+    ``r >= 1`` lies at depth at most ``D*``, so it is expanded; the
+    replies of its first winning choice lie at depth at most ``d + 1``
+    with full-game ranks below ``r``, which they keep in the cut game;
+    and a choice before it in canonical order has a reply whose
+    full-game rank, and so its rank in the cut game, is at least ``r``.
+    A counterexample state ``m`` steps from the initial state, with
+    ranks falling along the way, has depth ``d <= m`` and rank ``r <= R0
+    - m``, so ``d + r <= R0 <= D* + 1``.  So every counterexample state
+    has the same rank, first winning choice and mode (the attractor to
+    the unsafe states comes before any trap) as in the full game, and
+    the counterexample, its analysis, the refinement and the verdict are
+    the same.
     """
     records: dict = {}
     test = safety_test(G, safety, predicates)
-    # per label: its safety test of the agent's cell, None when it needs none
-    tests: dict = {}
     masks = G.masks
     cell, ball = masks.cell, masks.ball
     alpha_mask, gamma_mask = Q.alpha_mask, Q.gamma_mask
@@ -260,11 +387,15 @@ def build_abstract_game(
     l_a0, label0 = G.initial
     labels = [label0]
     label_id = {label0: 0}
-    # per label id: agent cell -> number of the state (cell, label),
-    # and agent-cell tuple -> reply set id
+    # per label id: its safety test of the agent's cell, None when it
+    # needs none; agent cell -> number of the state (cell, label); and
+    # agent-cell tuple -> reply set id
+    tests = [test(gamma_mask(label0))]
     numbered = [{l_a0: 0}]
     set_ids = [{}]
     found = [G.initial]
+    # per state: 1 when it breaks a safety atom
+    unsafe = bytearray([tests[0] is not None and not tests[0](l_a0)])
     # the reverse tables of TurnGame, filled as choices and members come
     owners, holders = [], [[]]
     # per reply set: its label id
@@ -272,6 +403,7 @@ def build_abstract_game(
     choice_off, choice_set = array("i", [0]), array("i")
     reply_off, replies = array("i", [0]), array("i")
     get_label, add_choice, add_reply = label_id.get, choice_set.append, replies.append
+    add_unsafe = unsafe.append
 
     def intern(i, label, agent_cells) -> int:
         """The reply set of ``label`` and ``agent_cells``, made on first
@@ -281,6 +413,7 @@ def build_abstract_game(
         if lid is None:
             lid = label_id[label] = len(labels)
             labels.append(label)
+            tests.append(test(gamma_mask(label)))
             numbered.append({})
             set_ids.append({})
         sets = set_ids[lid]
@@ -292,7 +425,7 @@ def build_abstract_game(
         set_label.append(lid)
         owners.append([i])
         # the interned object, which the new states share
-        label, at = labels[lid], numbered[lid]
+        label, holds, at = labels[lid], tests[lid], numbered[lid]
         for l_a2 in agent_cells:
             j = at.get(l_a2)
             if j is None:
@@ -301,20 +434,32 @@ def build_abstract_game(
                 j = at[l_a2] = len(found)
                 found.append((l_a2, label))
                 holders.append([s])
+                add_unsafe(holds is not None and not holds(l_a2))
             else:
                 holders[j].append(s)
             add_reply(j)
         reply_off.append(len(replies))
         return s
 
+    reach = None
+    if cut:
+        reach = _Reach(unsafe, choice_off, choice_set, reply_off, replies, owners, holders)
+    # the depth being expanded, the end of its states in ``found``, and
+    # once the cut is set, the deepest depth to expand
+    depth, level_end, cut_depth = 0, 1, None
     # ``found`` is its own queue: the loop reaches the states it appends
     for i, state in enumerate(found):
-        l_a, label = state
-        if label in tests:
-            holds = tests[label]
-        else:
-            holds = tests[label] = test(gamma_mask(label))
-        if holds is None or holds(l_a):
+        if i == level_end:
+            # every state of depth ``depth`` or less is expanded
+            if reach is not None and reach.update():
+                cut_depth = max(depth, reach.initial_rank() - 1)
+                reach = None
+            if cut_depth == depth:
+                choice_off.extend(repeat(len(choice_set), len(found) - i))
+                break
+            depth, level_end = depth + 1, len(found)
+        if not unsafe[i]:
+            l_a = state[0]
             seen, unseen, moves = abstract_successors(G, Q, state, records)
             row = rows[l_a]
             # the seen cells in ascending order, lowest bit first
@@ -344,7 +489,7 @@ def build_abstract_game(
         choice_off.append(len(choice_set))
 
     # free the rows before the last array is made, the build's memory peak
-    del rows
+    del rows, reach
     # an array fills about twice as fast from a list as from an iterator
     return TurnGame(
         found,
@@ -357,6 +502,7 @@ def build_abstract_game(
         replies,
         owners,
         holders,
+        cut_depth=cut_depth,
     )
 
 

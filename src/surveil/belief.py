@@ -16,8 +16,8 @@ labels are the beliefs themselves; there is no second builder for it.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Iterable, Optional
 
 from .objective import SurvAtom
 from .structure import SurveillanceGameStructure, cell_mask
@@ -107,6 +107,17 @@ def safety_test(G, safety, predicates=None):
     atoms = sorted(safety, key=str)
     tests = [atom_test(G, a, predicates or {}) for a in atoms]
     bound = min((a.k if isinstance(a, SurvAtom) else -1 for a in atoms), default=None)
+
+    if len(tests) == 1:
+        # one atom: the atom's own test, with no conjunction around it
+        (one,) = tests
+
+        def test(mask):
+            if mask.bit_count() <= bound:
+                return None
+            return lambda l_a: one(l_a, mask)
+
+        return test
 
     def test(mask):
         if bound is None or mask.bit_count() <= bound:
@@ -266,7 +277,11 @@ class TurnGame:
 
     A state may have no choices: a state of a game built for safety
     atoms that breaks one of them is not expanded, although it has its
-    number and counts against the state budget.
+    number and counts against the state budget.  So is every state
+    deeper than ``cut_depth``, the breadth-first depth at which a game
+    that the target wins was cut (see
+    :func:`~surveil.abstraction.build_abstract_game`); it is None for a
+    game built whole.
     """
 
     states: list
@@ -279,6 +294,7 @@ class TurnGame:
     replies: array
     owners: list
     holders: list
+    cut_depth: Optional[int] = field(default=None, kw_only=True)
 
     def __len__(self) -> int:
         return len(self.states)

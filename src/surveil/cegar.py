@@ -22,6 +22,7 @@ from .objective import Objective
 from .solver import (
     Arena,
     CounterexampleGraph,
+    SolverError,
     check_predicates,
     extract_cex_graph,
     make_arena,
@@ -421,6 +422,12 @@ def analyze_general(
 
 @dataclass
 class CegarOutcome:
+    """The verdict of :func:`cegar_loop` and what backs it: the agent's
+    controller on the last game's arena when realizable, the
+    counterexample tree when not.  The arena of an unrealizable outcome
+    may be cut (see :func:`~surveil.abstraction.build_abstract_game`):
+    its states stop at the depth the counterexample reads."""
+
     verdict: str  # "realizable" | "unrealizable"
     iterations: int
     final_partition: Partition
@@ -438,6 +445,20 @@ class IterationBudgetExceeded(RuntimeError):
     pass
 
 
+def _check_cut(arena: Arena, result) -> None:
+    """Raise :class:`~surveil.solver.SolverError` unless the target wins
+    the cut arena from an initial state of rank at most its cut depth
+    plus one, as the cut's proof in
+    :func:`~surveil.abstraction.build_abstract_game` promises."""
+    if result.agent_wins:
+        raise SolverError(f"the agent wins a game cut at depth {arena.cut_depth}")
+    mode = result.target_strategy.mode[arena.initial]
+    if mode[0] != "reach" or mode[1] > arena.cut_depth + 1:
+        raise SolverError(
+            f"the initial state of a game cut at depth {arena.cut_depth} has mode {mode}"
+        )
+
+
 def cegar_loop(
     G: SurveillanceGameStructure,
     objective: Objective,
@@ -450,6 +471,11 @@ def cegar_loop(
 
     Terminates because every refinement strictly grows the partition,
     which is bounded by the partition into singletons.
+
+    Each game is built with ``cut``, so a game the target wins stops at
+    the depth its counterexample reads, and ``max_states`` bounds the
+    states of that cut game.  :func:`_check_cut` holds the solver's
+    report on a cut game to what the cut promises.
     """
     predicates = predicates or {}
     check_predicates(objective, predicates)
@@ -458,10 +484,12 @@ def cegar_loop(
     transcript: list[str] = []
     for iteration in range(1, max_iters + 1):
         game = build_abstract_game(
-            G, Q, max_states, objective.safety_terms, predicates
+            G, Q, max_states, objective.safety_terms, predicates, cut=True
         )
         arena = make_arena(game, G, objective, predicates, partition=Q)
         result = solve(arena, objective)
+        if arena.cut_depth is not None:
+            _check_cut(arena, result)
         if result.agent_wins:
             transcript.append(
                 f"iter={iteration} blocks={len(Q)} verdict=realizable action=stop"

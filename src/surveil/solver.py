@@ -329,6 +329,13 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
     states reachable from it through safe states; and ``Z`` lies inside
     the safe states.  Only ``TargetStrategyData.choice`` of an unsafe
     state differs: it is None where it was the state's first choice.
+
+    A game cut at a depth (``cut_depth`` is not None, see
+    :func:`~surveil.abstraction.build_abstract_game`) is solved as it
+    stands, and its states past the cut, which have no choices, are won
+    by the agent there.  So its ``winning_region`` is not the full
+    game's; what carries over is the target's win and its strategy on
+    the counterexample's states.
     """
     width = _reply_widths(arena)
     degree = _widths(arena.choice_off)
