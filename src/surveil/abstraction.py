@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
-from operator import sub
+from operator import not_, sub
 from typing import Iterable, Optional
 
 from .belief import (
@@ -194,17 +194,6 @@ def abstract_successors(G: SurveillanceGameStructure, Q: Partition, state, recor
     return seen, unseen, moves
 
 
-def _where(values: list, x, base: int) -> list:
-    """The positions of ``x`` in ``values``, each plus ``base``."""
-    out, p = [], -1
-    try:
-        while True:
-            p = values.index(x, p + 1)
-            out.append(base + p)
-    except ValueError:
-        return out
-
-
 class _Reach:
     """The target's attractor to the unsafe states of a game that
     :func:`build_abstract_game` explores, on the part explored so far.
@@ -213,10 +202,11 @@ class _Reach:
     every reply in it.  Exploration only adds states and choices, so the
     attractor only grows; :meth:`update` takes in what was added since
     the last call.  ``won`` flags its states and ``missing`` counts each
-    reply set's members outside it; ``states``, ``sets`` and ``choices``
-    count how many of each are taken in.  Nothing is kept before the
-    first unsafe state.  The object holds the game's tables under the
-    arena's names, so the solver's attractor runs on it too.
+    reply set's members outside it.  Until the first unsafe state
+    nothing is kept, and each state's flag is scanned once.  The object
+    holds the game's tables under the arena's names, so the solver's
+    attractor rule (:func:`~surveil.solver._emptied`) and its
+    level-by-level attractor run on it.
     """
 
     def __init__(self, unsafe, choice_off, choice_set, reply_off, replies, owners, holders):
@@ -225,44 +215,53 @@ class _Reach:
         self.reply_off, self.replies = reply_off, replies
         self.owners, self.holders = owners, holders
         self.won, self.missing = bytearray(), []
-        self.states = self.sets = self.choices = 0
+        # states scanned for the first unsafe one, and states whose
+        # choices are taken in
+        self.scanned = self.expanded = 0
 
-    def update(self) -> bool:
-        """Take in the states, reply sets and choices made since the last
-        call; True when the initial state is in the attractor."""
+    def update(self, expanded: int) -> bool:
+        """Take in the states and reply sets made since the last call, and
+        the choices of the states before ``expanded``; True when the
+        initial state is in the attractor."""
+        # imported here: the solver imports this module
+        from .solver import _emptied
+
         unsafe, won, missing = self.unsafe, self.won, self.missing
-        if not won and 1 not in unsafe:
+        n = len(unsafe)
+        if not won and unsafe.find(1, self.scanned) < 0:
+            self.scanned = n
             return False
-        reply_off, owners, holders = self.reply_off, self.owners, self.holders
-        n, start = len(unsafe), self.states
+        reply_off, replies = self.reply_off, self.replies
+        choice_off, choice_set = self.choice_off, self.choice_set
+        start = len(won)
         won.extend(bytes(n - start))
-        # the new sets' widths, less their members already in
-        s0, r0 = self.sets, reply_off[self.sets]
+        # the new sets' widths, less their members already in: one flat
+        # scan and a search per hit cost less than a loop per set
+        s0, r0 = len(missing), reply_off[len(missing)]
         missing.extend(map(sub, reply_off[s0 + 1 :], reply_off[s0:-1]))
-        for p in _where(list(map(won.__getitem__, self.replies[r0:])), 1, r0):
-            missing[bisect_right(reply_off, p) - 1] -= 1
+        hits = bytes(map(won.__getitem__, replies[r0:]))
+        p = hits.find(1)
+        while p >= 0:
+            missing[bisect_right(reply_off, r0 + p) - 1] -= 1
+            p = hits.find(1, p + 1)
         # the new unsafe states, and the owners of new choices whose sets
         # have no member outside
         joined = list(compress(range(start, n), unsafe[start:]))
-        c0 = self.choices
-        for c in _where(list(map(missing.__getitem__, self.choice_set[c0:])), 0, c0):
-            joined.append(bisect_right(self.choice_off, c) - 1)
-        self.states, self.sets, self.choices = n, len(reply_off) - 1, len(self.choice_set)
-        queue = []
-        push = queue.append
-        for i in joined:
-            if not won[i]:
-                won[i] = 1
-                push(i)
-        # ``queue`` is its own worklist: the loop reaches the states it appends
-        for j in queue:
-            for k in holders[j]:
-                m = missing[k] = missing[k] - 1
-                if not m:
-                    for i in owners[k]:
-                        if not won[i]:
-                            won[i] = 1
-                            push(i)
+        c0 = choice_off[self.expanded]
+        hits = bytes(map(not_, map(missing.__getitem__, choice_set[c0:])))
+        p = hits.find(1)
+        while p >= 0:
+            joined.append(bisect_right(choice_off, c0 + p) - 1)
+            p = hits.find(1, p + 1)
+        self.expanded = expanded
+        # the solver's attractor rule, without its levels
+        while joined:
+            fresh = []
+            for i in joined:
+                if not won[i]:
+                    won[i] = 1
+                    fresh.append(i)
+            joined = _emptied(self, missing, fresh)
         return bool(won[0])
 
     def initial_rank(self) -> int:
@@ -451,7 +450,7 @@ def build_abstract_game(
     for i, state in enumerate(found):
         if i == level_end:
             # every state of depth ``depth`` or less is expanded
-            if reach is not None and reach.update():
+            if reach is not None and reach.update(i):
                 cut_depth = max(depth, reach.initial_rank() - 1)
                 reach = None
             if cut_depth == depth:

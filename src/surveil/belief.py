@@ -108,21 +108,13 @@ def safety_test(G, safety, predicates=None):
     tests = [atom_test(G, a, predicates or {}) for a in atoms]
     bound = min((a.k if isinstance(a, SurvAtom) else -1 for a in atoms), default=None)
 
-    if len(tests) == 1:
-        # one atom: the atom's own test, with no conjunction around it
-        (one,) = tests
-
-        def test(mask):
-            if mask.bit_count() <= bound:
-                return None
-            return lambda l_a: one(l_a, mask)
-
-        return test
+    # one atom is its own test, with no conjunction built on every call
+    holds = tests[0] if len(tests) == 1 else (lambda l_a, m: all(t(l_a, m) for t in tests))
 
     def test(mask):
         if bound is None or mask.bit_count() <= bound:
             return None
-        return lambda l_a: all(t(l_a, mask) for t in tests)
+        return lambda l_a: holds(l_a, mask)
 
     return test
 

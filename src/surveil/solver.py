@@ -163,6 +163,21 @@ def _attractor(arena: Arena, degree, target, domain: bytearray, covered: bytearr
         level += 1
 
 
+def _emptied(arena: Arena, missing: array, states) -> list:
+    """Take the ``states`` out of the ``missing`` counts of the reply sets
+    they belong to.  Returns the owners of each set whose count reaches
+    0, once per choice onto the set: each has a choice whose replies are
+    all in now.  The target's attractor grows by this rule alone."""
+    owners, holders = arena.owners, arena.holders
+    out = []
+    for j in states:
+        for k in holders[j]:
+            m = missing[k] = missing[k] - 1
+            if not m:
+                out.extend(owners[k])
+    return out
+
+
 def _target_attractor(
     arena: Arena, won: bytearray, fresh: list, missing: array, level: int
 ) -> list:
@@ -176,18 +191,7 @@ def _target_attractor(
     ``level``.  Returns ``[(state, rank, choice)]``.
     """
     start, cset = arena.choice_off, arena.choice_set
-    owners, holders = arena.owners, arena.holders
-
-    def emptied(states):
-        out = []
-        for j in states:
-            for k in holders[j]:
-                missing[k] -= 1
-                if not missing[k]:
-                    out.extend(owners[k])
-        return out
-
-    candidates = emptied(fresh)
+    candidates = _emptied(arena, missing, fresh)
     out = []
     while candidates:
         level += 1
@@ -201,7 +205,7 @@ def _target_attractor(
             won[i] = 1
             added.append(i)
             out.append((i, level, c))
-        candidates = emptied(added)
+        candidates = _emptied(arena, missing, added)
     return out
 
 

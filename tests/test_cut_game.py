@@ -16,7 +16,6 @@ from conftest import choices
 from surveil import (
     BudgetExceeded,
     SolverError,
-    SurvAtom,
     build_abstract_game,
     build_analysis_graph,
     build_game_structure,
@@ -30,7 +29,6 @@ from surveil import (
     predicates_from_grid,
     solve,
 )
-from surveil.belief import atom_test, safety_test
 from surveil.cegar import counterexample_tree
 from surveil.cli import bundled_map, main
 from surveil.solver import SolveResult, TargetStrategyData
@@ -254,15 +252,3 @@ def test_cegar_loop_refuses_a_cut_game_report_the_cut_rules_out(monkeypatch, rep
     with pytest.raises(SolverError, match="cut at depth"):
         cegar_loop(G, parse_spec("G p<=3"), predicates=predicates)
 
-
-def test_one_atom_safety_test_is_the_atoms_own_test():
-    G, _ = _problem("paper5x5")
-    atom = SurvAtom(2)
-    test, own = safety_test(G, {atom}), atom_test(G, atom, {})
-    for mask in (0, 0b111, 0b1111 << 10, (1 << 25) - 1):
-        holds = test(mask)
-        if holds is None:
-            assert mask.bit_count() <= 2
-            continue
-        for l_a in G.agent_locations:
-            assert holds(l_a) == own(l_a, mask)
