@@ -14,11 +14,10 @@ and is not expanded (:func:`build_abstract_game` gives the reason).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
-from operator import not_, sub
+from itertools import compress
+from operator import sub
 from typing import Iterable, Optional
 
 from .belief import (
@@ -194,86 +193,211 @@ def abstract_successors(G: SurveillanceGameStructure, Q: Partition, state, recor
     return seen, unseen, moves
 
 
-class _Reach:
-    """The target's attractor to the unsafe states of a game that
-    :func:`build_abstract_game` explores, on the part explored so far.
+def _on_demand(
+    found, unsafe, expanded, choice_off, choice_set, reply_off, replies, owners, holders, recurrence
+):
+    """The states :func:`build_abstract_game` expands with ``cut``, as
+    ``(number, state)`` pairs, in the order the answer at the initial
+    state reads them.  A generator over the builder's tables, which it
+    reads again each time it resumes.  It records in ``expanded`` each
+    state's place in that order, so that the ``e``-th state's choices
+    are the reply sets ``choice_set[choice_off[e]:choice_off[e + 1]]``.
+    The proof that the answer is exact is in the builder's docstring.
 
-    A state is in it when it is unsafe, or when one of its choices has
-    every reply in it.  Exploration only adds states and choices, so the
-    attractor only grows; :meth:`update` takes in what was added since
-    the last call.  ``won`` flags its states and ``missing`` counts each
-    reply set's members outside it.  Until the first unsafe state
-    nothing is kept, and each state's flag is scanned once.  The object
-    holds the game's tables under the arena's names, so the solver's
-    attractor rule (:func:`~surveil.solver._emptied`) and its
-    level-by-level attractor run on it.
+    Phase A expands depth first along the agent's picks.  ``won`` marks
+    the target's attractor to the unsafe states on the explored part,
+    grown by the solver's rule (:func:`~surveil.solver._emptied`) over
+    ``missing``, each reply set's members outside it; ``pick`` is the
+    position of the first of them, the set's pick.  The sets of each
+    state expanded outside the attractor are stacked, and when a member
+    joins, each set that picked it moves its pick on and is stacked
+    again; a set popped from the stack has its pick expanded, unless
+    the pick is expanded already or every owner of the set has joined.
+    So every pick of an expanded state outside the attractor is
+    expanded or stacked.  The phase ends when the attractor holds the
+    initial state, or when the stack runs dry.
+
+    Phase B, in a game the target wins, walks the counterexample from
+    the initial state: each state's rank in the target's attractor and
+    its first winning choice, through bounded queries (``at_most``) that
+    expand states as they read them.  ``upper`` and ``lower`` bound each
+    rank; the attractor's levels on the part phase A explored give the
+    first upper bounds, so a state whose rank is its level there needs
+    one refuted query.
+
+    Phase C, in a game the agent wins, runs only for a spec with
+    recurrence terms, which needs the whole game: the remaining states
+    in number order.  Every game ends in :func:`_laid_out`, which lays
+    the choices out in state order and runs phase C as it goes.
     """
+    # imported here: the solver imports this module
+    from .solver import _UNRANKED, _emptied
 
-    def __init__(self, unsafe, choice_off, choice_set, reply_off, replies, owners, holders):
-        self.unsafe = unsafe
-        self.choice_off, self.choice_set = choice_off, choice_set
-        self.reply_off, self.replies = reply_off, replies
-        self.owners, self.holders = owners, holders
-        self.won, self.missing = bytearray(), []
-        # states scanned for the first unsafe one, and states whose
-        # choices are taken in
-        self.scanned = self.expanded = 0
-
-    def update(self, expanded: int) -> bool:
-        """Take in the states and reply sets made since the last call, and
-        the choices of the states before ``expanded``; True when the
-        initial state is in the attractor."""
-        # imported here: the solver imports this module
-        from .solver import _emptied
-
-        unsafe, won, missing = self.unsafe, self.won, self.missing
-        n = len(unsafe)
-        if not won and unsafe.find(1, self.scanned) < 0:
-            self.scanned = n
-            return False
-        reply_off, replies = self.reply_off, self.replies
-        choice_off, choice_set = self.choice_off, self.choice_set
-        start = len(won)
-        won.extend(bytes(n - start))
-        # the new sets' widths, less their members already in: one flat
-        # scan and a search per hit cost less than a loop per set
-        s0, r0 = len(missing), reply_off[len(missing)]
-        missing.extend(map(sub, reply_off[s0 + 1 :], reply_off[s0:-1]))
-        hits = bytes(map(won.__getitem__, replies[r0:]))
-        p = hits.find(1)
-        while p >= 0:
-            missing[bisect_right(reply_off, r0 + p) - 1] -= 1
-            p = hits.find(1, p + 1)
-        # the new unsafe states, and the owners of new choices whose sets
-        # have no member outside
-        joined = list(compress(range(start, n), unsafe[start:]))
-        c0 = choice_off[self.expanded]
-        hits = bytes(map(not_, map(missing.__getitem__, choice_set[c0:])))
-        p = hits.find(1)
-        while p >= 0:
-            joined.append(bisect_right(choice_off, c0 + p) - 1)
-            p = hits.find(1, p + 1)
-        self.expanded = expanded
-        # the solver's attractor rule, without its levels
-        while joined:
+    won = bytearray(unsafe)
+    missing, pick = array("i"), array("i")
+    # reply sets whose picks are to be expanded while the set has an
+    # owner outside the attractor
+    stack, i = [], 0
+    while not won[0]:
+        expanded[i] = len(expanded)
+        n = len(found)
+        yield i, found[i]
+        won += unsafe[n:]
+        # each new set of the state gets its members outside and the
+        # first of them; a set without one puts the state in the attractor
+        fresh, sets = [], []
+        for k in choice_set[choice_off[-2] :]:
+            if k == len(pick):
+                p, end = reply_off[k], reply_off[k + 1]
+                while p < end and won[replies[p]]:
+                    p += 1
+                pick.append(p)
+                missing.append(end - p - sum(map(won.__getitem__, replies[p:end])))
+            if not missing[k]:
+                fresh = [i]
+            elif replies[pick[k]] not in expanded:
+                sets.append(k)
+        if not fresh:
+            # the last choice's set on top: the move out of sight, which
+            # comes last, is the target's likeliest win, and following it
+            # first keeps the search of a lost game short
+            stack += sets
+        else:
+            won[i] = 1
+        while fresh:
+            joined = _emptied(owners, holders, missing, fresh)
+            for j in fresh:
+                for k in holders[j]:
+                    if missing[k] and replies[pick[k]] == j:
+                        p = pick[k] + 1
+                        while won[replies[p]]:
+                            p += 1
+                        pick[k] = p
+                        if replies[p] not in expanded:
+                            stack.append(k)
             fresh = []
-            for i in joined:
-                if not won[i]:
-                    won[i] = 1
-                    fresh.append(i)
-            joined = _emptied(self, missing, fresh)
-        return bool(won[0])
+            for j in joined:
+                if not won[j]:
+                    won[j] = 1
+                    fresh.append(j)
+        i = None
+        while stack:
+            k = stack.pop()
+            if (
+                missing[k]
+                and replies[pick[k]] not in expanded
+                and not all(map(won.__getitem__, owners[k]))
+            ):
+                i = replies[pick[k]]
+                break
+        if i is None:
+            break
+    if not won[0]:
+        yield from _laid_out(found, unsafe, expanded, choice_off, choice_set, recurrence)
+        return
+    del won, missing, pick, stack
 
-    def initial_rank(self) -> int:
-        """The initial state's rank in the attractor, by the solver's
-        level-by-level attractor on the part explored so far."""
-        # imported here: the solver imports this module
-        from .solver import _target_attractor
+    # the attractor's levels on the explored part: no rank is higher
+    upper = array("i", [_UNRANKED]) * len(found)
+    fresh = list(compress(range(len(found)), unsafe))
+    for j in fresh:
+        upper[j] = 0
+    widths = array("i", map(sub, reply_off[1:], reply_off))
+    level = 0
+    while fresh:
+        level += 1
+        joined, fresh = _emptied(owners, holders, widths, fresh), []
+        for j in joined:
+            if upper[j] == _UNRANKED:
+                upper[j] = level
+                fresh.append(j)
+    # a safe state's rank is above 0
+    lower = array("i", [0]) * len(found)
 
-        won = bytearray(self.unsafe)
-        missing = array("i", map(sub, self.reply_off[1:], self.reply_off))
-        layer = _target_attractor(self, won, list(compress(range(len(won)), won)), missing, 0)
-        return next(rank for i, rank, _ in layer if i == 0)
+    def expand(s):
+        expanded[s] = len(expanded)
+        n = len(found)
+        yield s, found[s]
+        for u in unsafe[n:]:
+            upper.append(0 if u else _UNRANKED)
+            lower.append(0)
+
+    def at_most(s0, k0):
+        """Whether state ``s0`` has rank at most ``k0``.  Depth first with
+        a frame per open query, ``[state, bound, choice, reply position]``;
+        a finished query sets its state's bound, which its parent reads."""
+        if upper[s0] <= k0 or lower[s0] >= k0:
+            return upper[s0] <= k0
+        frames = [[s0, k0, 0, -1]]
+        while frames:
+            f = frames[-1]
+            s, k, c, q = f
+            if s not in expanded:
+                yield from expand(s)
+            e = expanded[s]
+            start, b = choice_off[e], k - 1
+            while start + c < choice_off[e + 1]:
+                k2 = choice_set[start + c]
+                end = reply_off[k2 + 1]
+                if q < 0:
+                    q = reply_off[k2]
+                while q < end and upper[replies[q]] <= b:
+                    q += 1
+                if q == end:
+                    upper[s] = k
+                    frames.pop()
+                    break
+                if lower[replies[q]] < b:
+                    f[2], f[3] = c, q
+                    frames.append([replies[q], b, 0, -1])
+                    break
+                c, q = c + 1, -1
+            else:
+                lower[s] = k
+                frames.pop()
+        return upper[s0] <= k0
+
+    order, seen = [0], {0}
+    for s in order:
+        if unsafe[s]:
+            continue
+        rank = upper[s]
+        while (yield from at_most(s, rank - 1)):
+            rank = upper[s]
+        # the first choice whose replies all rank below ``rank``
+        e = expanded[s]
+        for k in choice_set[choice_off[e] : choice_off[e + 1]]:
+            members = replies[reply_off[k] : reply_off[k + 1]]
+            for r in members:
+                if not (yield from at_most(r, rank - 1)):
+                    break
+            else:
+                break
+        for r in members:
+            if r not in seen:
+                seen.add(r)
+                order.append(r)
+    yield from _laid_out(found, unsafe, expanded, choice_off, choice_set, False)
+
+
+def _laid_out(found, unsafe, expanded, choice_off, choice_set, rest):
+    """Lay the choices of the states :func:`_on_demand` expanded out in
+    state order, in place, and with ``rest`` expand the other safe
+    states too, as ``(number, state)`` pairs in number order; their
+    choices land in state order as the builder appends them.  An unsafe
+    state, and without ``rest`` a state not expanded, has no choices."""
+    # each expanded state's place in the order expanded, and its choices
+    place, sets, ends = dict(expanded), choice_set[:], choice_off[:]
+    del choice_set[:], choice_off[1:]
+    for i, state in enumerate(found):
+        e = place.get(i)
+        if e is not None:
+            choice_set += sets[ends[e] : ends[e + 1]]
+        elif rest and not unsafe[i]:
+            expanded[i] = len(expanded)
+            yield i, state
+            continue
+        choice_off.append(len(choice_set))
 
 
 def build_abstract_game(
@@ -284,9 +408,11 @@ def build_abstract_game(
     predicates: Optional[dict[str, PredicateDef]] = None,
     *,
     cut: bool = False,
+    recurrence: bool = False,
 ) -> TurnGame:
     """Enumerate the reachable abstract game for partition ``Q``, breadth
-    first from ``G.initial``.
+    first from ``G.initial``, or with ``cut`` only as far as the answer
+    at the initial state reads.
 
     States are numbered as they are found, so the initial state is 0,
     and each distinct label is interned once, in the order it is found.
@@ -296,7 +422,10 @@ def build_abstract_game(
     :func:`abstract_successors`, and its choices are read off the
     landing split that call returns, in the order given there; sets keep
     the order they were found in.  Every set belongs to one label, so a
-    choice's label is read off its set.
+    choice's label is read off its set.  The choices' sets are appended
+    to one array state by state, in the order the states are expanded,
+    and with ``cut`` laid out in state order at the end;
+    ``owners`` lists each set's owners in the order they were expanded.
 
     A visible move, and an invisible one whose replies are the whole
     ball, has one reply set per agent cell and seen cell (or block-set
@@ -334,45 +463,54 @@ def build_abstract_game(
     atoms every state is expanded.  ``predicates`` must declare each
     task atom of ``safety``.
 
-    With ``cut``, a game the target wins by reaching an unsafe state is
-    built only as deep as its counterexample reads.  From the first
-    unsafe state on, the builder keeps the target's attractor to the
-    unsafe states up to date (:class:`_Reach`) at each breadth-first
-    depth boundary ``d``, where every state of depth at most ``d`` is
-    expanded and every state of depth ``d + 1`` numbered and tested.  At
-    the first boundary ``D`` where the attractor holds the initial
-    state, the builder takes that state's rank ``R`` there, stops the
-    bookkeeping, and expands no state deeper than ``D* = max(D, R - 1)``:
-    the states found after that keep their numbers but get no choices.
-    The game records ``D*`` as its ``cut_depth``, and only its states
-    count against ``max_states``.
+    With ``cut``, the safety game is solved on the fly, in the manner of
+    the local fixpoint algorithms of Liu and Smolka (ICALP 1998) and of
+    Cassez, David, Fleury, Larsen and Lime (CONCUR 2005): states are
+    expanded in the order :func:`_on_demand` reads them, and a game the
+    target wins, or that the agent wins when ``recurrence`` is false (the
+    spec has no recurrence term), is left ``partial``: some safe states
+    it numbered have no choices.  Only its states count against
+    ``max_states``.  The controller or the counterexample read off it is
+    the whole game's.  Call the whole game's target attractor to the
+    unsafe states ``A``, ``rank(s)`` the level at which ``s`` joins it,
+    and ``Z`` the rest, the agent's winning region for the safety terms;
+    ``A'`` and ``rank'`` are the same on a part of the game, in which the
+    expanded states have all their choices and the others none.  A state
+    without choices joins only when it is unsafe, and more choices never
+    take a state out or raise its rank, so ``A'`` lies inside ``A`` and
+    ``rank'`` is never below ``rank``.
 
-    The cut is exact for a lost game's counterexample.  An expanded
-    state keeps all its choices, and a state without choices joins the
-    target's attractor only when it is unsafe; more choices never take a
-    state out of the attractor or raise its rank.  So the cut game's
-    attractor lies inside the full game's, each rank at least as high,
-    and the part explored at ``D`` has no choice the cut game lacks: the
-    initial state is in the cut game's attractor with rank at most
-    ``R``, the agent never wins a cut game, and the initial state's
-    full-game rank ``R0`` is at most ``R <= D* + 1``.  A state of depth
-    ``d`` whose full-game rank ``r`` has ``d + r <= D* + 1`` has the
-    same rank and the same first winning choice in both games, since a
-    shortest certificate of rank ``r`` from depth ``d`` uses only states
-    of depth at most ``d + r``.  By induction on ``r``: an unsafe state
-    of depth at most ``D* + 1`` is numbered and tested; a state of rank
-    ``r >= 1`` lies at depth at most ``D*``, so it is expanded; the
-    replies of its first winning choice lie at depth at most ``d + 1``
-    with full-game ranks below ``r``, which they keep in the cut game;
-    and a choice before it in canonical order has a reply whose
-    full-game rank, and so its rank in the cut game, is at least ``r``.
-    A counterexample state ``m`` steps from the initial state, with
-    ranks falling along the way, has depth ``d <= m`` and rank ``r <= R0
-    - m``, so ``d + r <= R0 <= D* + 1``.  So every counterexample state
-    has the same rank, first winning choice and mode (the attractor to
-    the unsafe states comes before any trap) as in the full game, and
-    the counterexample, its analysis, the refinement and the verdict are
-    the same.
+    *Won.*  Phase A ends with the initial state outside ``A'`` and every
+    pick of an expanded state outside ``A'`` expanded.  So the states
+    that a walk from the initial state along the picks reaches are
+    expanded, safe and outside ``A'``, and each of their choices has a
+    reply among them, its pick: none of them lies in ``A`` (a first one
+    to join would need a choice whose replies all joined before), so
+    they lie in ``Z``.  The members before a pick are in ``A'``, hence
+    in ``A``, so each pick is the first reply in ``Z`` of its set, the
+    reply that :func:`~surveil.solver._buchi_strategy` chooses for a spec
+    without recurrence terms, on the whole game and on the partial one
+    (whose winning region is the complement of ``A'``) alike.  So both
+    walks from the initial state build the same controller.  A spec with
+    recurrence terms gets the whole game.
+
+    *Lost.*  Phase A ends with the initial state in ``A'``, so in ``A``:
+    the target wins, and every counterexample state lies in ``A``, with
+    mode ``("reach", rank)``.  A query ``rank(s) <= k`` answered yes is
+    backed by expanded states, so ``rank'(s) <= k``, and so ``rank(s) <=
+    k``.  One answered no is backed by the full game: ``s`` is expanded
+    with all its choices, each with a reply answered no at ``k - 1``
+    (or ``s`` is safe and ``k`` is 0), so ``rank(s) > k``, and so
+    ``rank'(s) > k``.  The first upper bounds, ``rank'`` on the part phase
+    A explored, stay upper bounds as exploration goes on.  Phase B gives
+    each counterexample state a rank ``R`` answered yes at ``R`` and no at
+    ``R - 1``, so ``rank'(s) = rank(s) = R``, and a choice whose replies
+    are all answered yes at ``R - 1``, each choice before it having a
+    reply answered no there: the first winning choice of both games.  So
+    the walk from the initial state along those choices reads the same
+    states, ranks, choices and modes in both games, and the
+    counterexample, its analysis, the refinement and the verdict are the
+    whole game's.
     """
     records: dict = {}
     test = safety_test(G, safety, predicates)
@@ -395,14 +533,16 @@ def build_abstract_game(
     found = [G.initial]
     # per state: 1 when it breaks a safety atom
     unsafe = bytearray([tests[0] is not None and not tests[0](l_a0)])
+    # the reply sets of the choices, state by state in the order the
+    # states are expanded, and where each state's sets end
+    choice_off, choice_set = array("i", [0]), array("i")
     # the reverse tables of TurnGame, filled as choices and members come
     owners, holders = [], [[]]
     # per reply set: its label id
     set_label = array("i")
-    choice_off, choice_set = array("i", [0]), array("i")
     reply_off, replies = array("i", [0]), array("i")
-    get_label, add_choice, add_reply = label_id.get, choice_set.append, replies.append
-    add_unsafe = unsafe.append
+    get_label, add_reply, add_unsafe = label_id.get, replies.append, unsafe.append
+    add_choice = choice_set.append
 
     def intern(i, label, agent_cells) -> int:
         """The reply set of ``label`` and ``agent_cells``, made on first
@@ -440,55 +580,53 @@ def build_abstract_game(
         reply_off.append(len(replies))
         return s
 
-    reach = None
+    # with ``cut``: each expanded state's place in the order expanded
+    expanded: dict = {}
     if cut:
-        reach = _Reach(unsafe, choice_off, choice_set, reply_off, replies, owners, holders)
-    # the depth being expanded, the end of its states in ``found``, and
-    # once the cut is set, the deepest depth to expand
-    depth, level_end, cut_depth = 0, 1, None
-    # ``found`` is its own queue: the loop reaches the states it appends
-    for i, state in enumerate(found):
-        if i == level_end:
-            # every state of depth ``depth`` or less is expanded
-            if reach is not None and reach.update(i):
-                cut_depth = max(depth, reach.initial_rank() - 1)
-                reach = None
-            if cut_depth == depth:
-                choice_off.extend(repeat(len(choice_set), len(found) - i))
-                break
-            depth, level_end = depth + 1, len(found)
-        if not unsafe[i]:
-            l_a = state[0]
-            seen, unseen, moves = abstract_successors(G, Q, state, records)
-            row = rows[l_a]
-            # the seen cells in ascending order, lowest bit first
-            while seen:
-                low = seen & -seen
-                l_t2 = cell[low.bit_length() - 1]
-                s = row.get(l_t2)
-                if s is None:
-                    s = row[l_t2] = intern(i, l_t2, move_replies(G, l_a, l_t2))
-                else:
-                    owners[s].append(i)
-                add_choice(s)
-                seen ^= low
-            if unseen:
-                label2 = alpha_mask(unseen)
-                # the replies are the whole ball, which the row may keep,
-                # unless an unseen cell lies in the ball
-                key = None if unseen & ball[l_a] else label2
-                s = row.get(key)
-                if s is None:
-                    s = intern(i, label2, invisible_replies(G, l_a, moves, unseen))
-                    if key is not None:
-                        row[key] = s
-                else:
-                    owners[s].append(i)
-                add_choice(s)
+        schedule = _on_demand(
+            found, unsafe, expanded, choice_off, choice_set,
+            reply_off, replies, owners, holders, recurrence,
+        )
+    else:
+        # ``found`` is its own queue: the loop reaches the states it appends
+        schedule = enumerate(found)
+    for i, state in schedule:
+        if unsafe[i]:
+            choice_off.append(len(choice_set))
+            continue
+        l_a = state[0]
+        seen, unseen, moves = abstract_successors(G, Q, state, records)
+        row = rows[l_a]
+        # the seen cells in ascending order, lowest bit first
+        while seen:
+            low = seen & -seen
+            l_t2 = cell[low.bit_length() - 1]
+            s = row.get(l_t2)
+            if s is None:
+                s = row[l_t2] = intern(i, l_t2, move_replies(G, l_a, l_t2))
+            else:
+                owners[s].append(i)
+            add_choice(s)
+            seen ^= low
+        if unseen:
+            label2 = alpha_mask(unseen)
+            # the replies are the whole ball, which the row may keep,
+            # unless an unseen cell lies in the ball
+            key = None if unseen & ball[l_a] else label2
+            s = row.get(key)
+            if s is None:
+                s = intern(i, label2, invisible_replies(G, l_a, moves, unseen))
+                if key is not None:
+                    row[key] = s
+            else:
+                owners[s].append(i)
+            add_choice(s)
         choice_off.append(len(choice_set))
 
-    # free the rows before the last array is made, the build's memory peak
-    del rows, reach
+    # free the rows before the last arrays are made, the build's memory peak
+    del rows, schedule
+    partial = cut and len(expanded) + unsafe.count(1) < len(found)
+    del expanded
     # an array fills about twice as fast from a list as from an iterator
     return TurnGame(
         found,
@@ -501,7 +639,7 @@ def build_abstract_game(
         replies,
         owners,
         holders,
-        cut_depth=cut_depth,
+        partial=partial,
     )
 
 

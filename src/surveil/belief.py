@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .objective import SurvAtom
 from .structure import SurveillanceGameStructure, cell_mask
@@ -263,17 +263,18 @@ class TurnGame:
     the order it was found, and the states share these objects.  The
     reverse tables, which exploration fills as it adds each choice and
     member, let the solver walk the game backwards: ``owners[s]`` lists
-    the state of each choice whose set is ``s``, by choice id, and
+    the state of each choice whose set is ``s``, in the order the states
+    were expanded (by choice id in a game built breadth first), and
     ``holders[j]`` each set that holds state ``j``, once per occurrence,
-    by set id.
+    by set id.  No solver result depends on either order.
 
     A state may have no choices: a state of a game built for safety
     atoms that breaks one of them is not expanded, although it has its
-    number and counts against the state budget.  So is every state
-    deeper than ``cut_depth``, the breadth-first depth at which a game
-    that the target wins was cut (see
-    :func:`~surveil.abstraction.build_abstract_game`); it is None for a
-    game built whole.
+    number and counts against the state budget.  So is a safe state of
+    a ``partial`` game, one solved on the fly that was explored only as
+    far as its answer at the initial state reads (see
+    :func:`~surveil.abstraction.build_abstract_game`); ``partial`` is
+    False for a game built whole.
     """
 
     states: list
@@ -286,7 +287,7 @@ class TurnGame:
     replies: array
     owners: list
     holders: list
-    cut_depth: Optional[int] = field(default=None, kw_only=True)
+    partial: bool = field(default=False, kw_only=True)
 
     def __len__(self) -> int:
         return len(self.states)

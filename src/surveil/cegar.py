@@ -424,9 +424,10 @@ def analyze_general(
 class CegarOutcome:
     """The verdict of :func:`cegar_loop` and what backs it: the agent's
     controller on the last game's arena when realizable, the
-    counterexample tree when not.  The arena of an unrealizable outcome
-    may be cut (see :func:`~surveil.abstraction.build_abstract_game`):
-    its states stop at the depth the counterexample reads."""
+    counterexample tree when not.  The arena may be ``partial`` (see
+    :func:`~surveil.abstraction.build_abstract_game`): it holds the
+    states that the controller or the counterexample reads, and others
+    without choices."""
 
     verdict: str  # "realizable" | "unrealizable"
     iterations: int
@@ -445,18 +446,26 @@ class IterationBudgetExceeded(RuntimeError):
     pass
 
 
-def _check_cut(arena: Arena, result) -> None:
-    """Raise :class:`~surveil.solver.SolverError` unless the target wins
-    the cut arena from an initial state of rank at most its cut depth
-    plus one, as the cut's proof in
-    :func:`~surveil.abstraction.build_abstract_game` promises."""
+def _check_partial(arena: Arena, result, objective: Objective) -> None:
+    """Raise :class:`~surveil.solver.SolverError` when the solver's report
+    on a partial arena is one that the proof in
+    :func:`~surveil.abstraction.build_abstract_game` rules out: the agent
+    winning a spec with recurrence terms, a controller reaching a state
+    without choices, or the target winning from an initial state outside
+    its attractor to the unsafe states."""
     if result.agent_wins:
-        raise SolverError(f"the agent wins a game cut at depth {arena.cut_depth}")
+        if objective.recurrence_terms:
+            raise SolverError("the agent wins a partial game of a spec with recurrence terms")
+        off = arena.choice_off
+        for i, _ in [(arena.initial, 0), *result.agent_strategy.moves.values()]:
+            if off[i] == off[i + 1]:
+                raise SolverError(
+                    f"the controller of a partial game reaches state {i}, which has no choices"
+                )
+        return
     mode = result.target_strategy.mode[arena.initial]
-    if mode[0] != "reach" or mode[1] > arena.cut_depth + 1:
-        raise SolverError(
-            f"the initial state of a game cut at depth {arena.cut_depth} has mode {mode}"
-        )
+    if mode[0] != "reach":
+        raise SolverError(f"the initial state of a lost partial game has mode {mode}")
 
 
 def cegar_loop(
@@ -472,10 +481,12 @@ def cegar_loop(
     Terminates because every refinement strictly grows the partition,
     which is bounded by the partition into singletons.
 
-    Each game is built with ``cut``, so a game the target wins stops at
-    the depth its counterexample reads, and ``max_states`` bounds the
-    states of that cut game.  :func:`_check_cut` holds the solver's
-    report on a cut game to what the cut promises.
+    Each game of a spec with safety terms is solved on the fly as it is
+    built (``cut``), so it is explored only as far as its controller or
+    counterexample reads, and ``max_states`` bounds the states of that
+    partial game.
+    :func:`_check_partial` holds the solver's report on a partial game
+    to what its proof promises.
     """
     predicates = predicates or {}
     check_predicates(objective, predicates)
@@ -484,12 +495,13 @@ def cegar_loop(
     transcript: list[str] = []
     for iteration in range(1, max_iters + 1):
         game = build_abstract_game(
-            G, Q, max_states, objective.safety_terms, predicates, cut=True
+            G, Q, max_states, objective.safety_terms, predicates,
+            cut=bool(objective.safety_terms), recurrence=bool(objective.recurrence_terms),
         )
         arena = make_arena(game, G, objective, predicates, partition=Q)
         result = solve(arena, objective)
-        if arena.cut_depth is not None:
-            _check_cut(arena, result)
+        if arena.partial:
+            _check_partial(arena, result, objective)
         if result.agent_wins:
             transcript.append(
                 f"iter={iteration} blocks={len(Q)} verdict=realizable action=stop"

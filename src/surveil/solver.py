@@ -163,12 +163,12 @@ def _attractor(arena: Arena, degree, target, domain: bytearray, covered: bytearr
         level += 1
 
 
-def _emptied(arena: Arena, missing: array, states) -> list:
+def _emptied(owners: list, holders: list, missing: array, states) -> list:
     """Take the ``states`` out of the ``missing`` counts of the reply sets
-    they belong to.  Returns the owners of each set whose count reaches
-    0, once per choice onto the set: each has a choice whose replies are
+    they belong to, read through a game's reverse tables ``owners`` and
+    ``holders``.  Returns the owners of each set whose count reaches 0,
+    once per choice onto the set: each has a choice whose replies are
     all in now.  The target's attractor grows by this rule alone."""
-    owners, holders = arena.owners, arena.holders
     out = []
     for j in states:
         for k in holders[j]:
@@ -191,7 +191,8 @@ def _target_attractor(
     ``level``.  Returns ``[(state, rank, choice)]``.
     """
     start, cset = arena.choice_off, arena.choice_set
-    candidates = _emptied(arena, missing, fresh)
+    owners, holders = arena.owners, arena.holders
+    candidates = _emptied(owners, holders, missing, fresh)
     out = []
     while candidates:
         level += 1
@@ -205,7 +206,7 @@ def _target_attractor(
             won[i] = 1
             added.append(i)
             out.append((i, level, c))
-        candidates = _emptied(arena, missing, added)
+        candidates = _emptied(owners, holders, missing, added)
     return out
 
 
@@ -334,12 +335,13 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
     the safe states.  Only ``TargetStrategyData.choice`` of an unsafe
     state differs: it is None where it was the state's first choice.
 
-    A game cut at a depth (``cut_depth`` is not None, see
+    A ``partial`` game (see
     :func:`~surveil.abstraction.build_abstract_game`) is solved as it
-    stands, and its states past the cut, which have no choices, are won
-    by the agent there.  So its ``winning_region`` is not the full
-    game's; what carries over is the target's win and its strategy on
-    the counterexample's states.
+    stands, and its safe states without choices are won by the agent
+    there.  So its ``winning_region`` is not the full game's; what
+    carries over is the agent's controller when it wins, and the
+    target's win and its strategy on the counterexample's states when
+    it loses.
     """
     width = _reply_widths(arena)
     degree = _widths(arena.choice_off)

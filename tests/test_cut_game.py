@@ -1,18 +1,20 @@
-"""Lost safety games cut at the target's forcing depth, against whole games.
+"""Safety games solved on the fly (``cut``), against whole games.
 
-With ``cut``, ``build_abstract_game`` stops exploring once the target's
-attractor to the unsafe states holds the initial state, at the depth
-that the game's counterexample reads.  These tests take every game a
-CEGAR run builds, build the whole game (pruned at its unsafe states,
-not cut) under the same partition, and check where the cut falls
-against a naive computation, and that the counterexample graph and the
-reported tree are those of the whole game.
+With ``cut``, ``build_abstract_game`` explores only the states that the
+controller or the counterexample at the initial state reads, and leaves
+the game ``partial``.  These tests take every game a CEGAR run builds,
+build the whole game (pruned at its unsafe states, not cut) under the
+same partition, and check that the counterexample graph and tree of a
+lost game, and the exported controller of a won one, are the whole
+game's.
 """
+
+import json
 
 import pytest
 
 import surveil.cegar
-from conftest import choices
+from conftest import choices, pillar_problem
 from surveil import (
     BudgetExceeded,
     SolverError,
@@ -20,6 +22,7 @@ from surveil import (
     build_analysis_graph,
     build_game_structure,
     cegar_loop,
+    export_strategy,
     extract_cex_graph,
     initial_partition,
     make_arena,
@@ -31,18 +34,27 @@ from surveil import (
 )
 from surveil.cegar import counterexample_tree
 from surveil.cli import bundled_map, main
-from surveil.solver import SolveResult, TargetStrategyData
+from surveil.solver import SolveResult, StrategyData, TargetStrategyData
 from test_pruned_game import _graph_json, _tree_json
 
 SAFETY_SPECS = {
     "paper5x5": [f"G p<={k}" for k in range(1, 9)] + ["G p<=5 & GF p<=2"],
-    "bigroom": [f"G p<={k}" for k in range(1, 7)] + ["bigroom_safety.spec"],
+    # the agent starts off its one ``goal`` cell: the initial state is unsafe
+    "bigroom": [f"G p<={k}" for k in range(1, 7)]
+    + ["bigroom_safety.spec", "G goal", "G goal & GF p<=3"],
+    "liveness10x15": ["G p<=6"],
+    # every free cell: the spec holds in every state
+    "pillars12": ["G p<=135"],
 }
 
 
 def _problem(name):
-    grid = parse_grid(bundled_map(f"{name}.txt"))
-    G = build_game_structure(grid, *parse_config(bundled_map(f"{name}.cfg")))
+    if name.startswith("pillars"):
+        map_text, cfg_text = pillar_problem(int(name[len("pillars"):]), 1)
+    else:
+        map_text, cfg_text = bundled_map(f"{name}.txt"), bundled_map(f"{name}.cfg")
+    grid = parse_grid(map_text)
+    G = build_game_structure(grid, *parse_config(cfg_text))
     return G, predicates_from_grid(grid)
 
 
@@ -64,147 +76,93 @@ def _recorded_run(monkeypatch, G, objective, predicates):
     return outcome, built
 
 
-def _depths(game) -> list:
-    """The breadth-first depth of each state of a game built whole,
-    whose states are numbered breadth first."""
-    depth = [None] * len(game)
-    depth[game.initial] = 0
-    for i in range(len(game)):
-        for _, replies in choices(game, i):
-            for j in replies:
-                if depth[j] is None:
-                    depth[j] = depth[i] + 1
-    return depth
+def _moves(game) -> dict:
+    """Each expanded state's choices, with the replies as states."""
+    states = game.states
+    return {
+        states[i]: [(label, [states[r] for r in replies]) for label, replies in out]
+        for i in range(len(game))
+        if (out := choices(game, i))
+    }
 
 
-def _initial_rank(game, depth, d):
-    """The initial state's rank in the target's attractor to the unsafe
-    states (the states without choices of a game built for the safety
-    terms) on the part of ``game`` that exploration to depth ``d``
-    builds: its states of depth at most ``d + 1``, with the choices of
-    those of depth at most ``d``.  None when it is not in the attractor.
-    Level by level, straight from the definition."""
-    moves = {i: choices(game, i) for i in range(len(game)) if depth[i] <= d + 1}
-    rank = {i: 0 for i, out in moves.items() if not out}
-    inner = [i for i, out in moves.items() if out and depth[i] <= d]
-    level = 0
-    while game.initial not in rank:
-        level += 1
-        added = [
-            i for i in inner
-            if i not in rank
-            and any(all(r in rank for r in replies) for _, replies in moves[i])
-        ]
-        if not added:
-            return None
-        for i in added:
-            rank[i] = level
-    return rank[game.initial]
-
-
-def _forcing_depth(game, depth):
-    """``(D, R)``: the first depth ``D`` at which :func:`_initial_rank`
-    holds the initial state, and its rank ``R`` there; None when no depth
-    does.  The attractor only grows with ``d``, so ``D`` is found by
-    bisection."""
-    top = max(depth)
-    if _initial_rank(game, depth, top) is None:
-        return None
-    lo, hi = 0, top
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _initial_rank(game, depth, mid) is None:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo, _initial_rank(game, depth, lo)
-
-
-def _counterexample(G, Q, game, objective, predicates):
-    """The counterexample graph and tree of a game the target wins, as
-    JSON text, for a spec with or without recurrence terms."""
+def _answer(G, Q, game, objective, predicates):
+    """The exported controller of a game the agent wins, as JSON text, or
+    the counterexample graph and tree of a game the target wins, for a
+    spec with or without recurrence terms."""
     arena = make_arena(game, G, objective, predicates, partition=Q)
     result = solve(arena, objective)
-    assert not result.agent_wins
+    if result.agent_wins:
+        payload = export_strategy(arena, result.agent_strategy, "digest", Q)
+        return "won", json.dumps(payload, sort_keys=True)
     graph = extract_cex_graph(arena, result)
     tree = counterexample_tree(G, build_analysis_graph(G, Q, graph), graph)
     if not objective.recurrence_terms:
-        return _graph_json(graph), _tree_json(tree.root)
+        return "lost", _graph_json(graph), _tree_json(tree.root)
     # a recurrence counterexample's tree may have cycles: list its nodes
     index = {id(node): k for k, node in enumerate(tree.nodes)}
     nodes = [
         (n.state, n.choice, sorted(n.annotation), n.mode, [index[id(c)] for c in n.children])
         for n in tree.nodes
     ]
-    return _graph_json(graph), nodes
+    return "lost", _graph_json(graph), nodes
 
 
 @pytest.mark.parametrize(
     "problem, spec", [(p, s) for p, specs in SAFETY_SPECS.items() for s in specs]
 )
 def test_cut_game_counterexample_equals_the_whole_games(monkeypatch, problem, spec):
-    """Every game the run loses is compared with the whole game: the
-    counterexample graph and the reported tree are the same.  A game the
-    agent wins is never cut, so a realizable run's last game is whole."""
+    """Every game the run builds is compared with the whole game: a lost
+    game's counterexample graph and tree, and a won game's exported
+    controller, are the same, and the cut game's states are whole-game
+    states.  A game of a spec with recurrence terms that the agent wins
+    the safety terms of is built whole."""
     G, predicates = _problem(problem)
     objective = _spec(spec)
     outcome, built = _recorded_run(monkeypatch, G, objective, predicates)
     for n, (Q, game) in enumerate(built):
         whole = build_abstract_game(G, Q, safety=objective.safety_terms, predicates=predicates)
-        if outcome.verdict == "realizable" and n == len(built) - 1:
-            assert game.cut_depth is None
-            assert outcome.arena.cut_depth is None
-            assert game.states == whole.states
-            continue
-        assert _counterexample(G, Q, game, objective, predicates) == _counterexample(
-            G, Q, whole, objective, predicates
-        ), n
-        if not objective.recurrence_terms:
-            # a lost safety game is always lost by reaching an unsafe state
-            assert game.cut_depth is not None
-        if game.cut_depth is None:
-            assert game.states == whole.states
+        assert not whole.partial
+        assert set(game.states) <= set(whole.states), n
+        moves, whole_moves = _moves(game), _moves(whole)
+        assert all(whole_moves[s] == out for s, out in moves.items()), n
+        answer = _answer(G, Q, game, objective, predicates)
+        assert answer == _answer(G, Q, whole, objective, predicates), n
+        if objective.recurrence_terms and not game.partial:
+            assert set(game.states) == set(whole.states), n
+        if answer[0] == "won" and objective.recurrence_terms:
+            assert not game.partial, n
+    assert outcome.arena.partial == built[-1][1].partial
 
 
-@pytest.mark.parametrize(
-    "problem, spec",
-    [("paper5x5", f"G p<={k}") for k in range(1, 9)]
-    + [("paper5x5", "G p<=5 & GF p<=2"), ("bigroom", "G p<=4")],
-)
-def test_cut_falls_at_the_forcing_depth(monkeypatch, problem, spec):
-    """Each game is cut at ``max(D, R - 1)``, where ``D`` is the first
-    depth whose explored part has the initial state in the target's
-    attractor and ``R`` its rank there.  The cut game is the whole game's
-    states up to one depth further, numbered alike, with the choices of
-    those up to the cut depth.  On bigroom ``G p<=4`` the attractor holds
-    the initial state before depth ``R - 1`` in some games, and the
-    builder keeps expanding."""
+@pytest.mark.parametrize("spec", ["G goal", "G goal & GF p<=3"])
+def test_cut_game_with_an_unsafe_initial_state_is_lost_at_once(spec):
+    """bigroom's agent starts off its one ``goal`` cell, so ``G goal``
+    fails in the initial state: the game is that one state, without
+    choices, and the target wins it in the first iteration."""
+    G, predicates = _problem("bigroom")
+    assert G.initial[0] not in predicates["goal"].cells
+    objective = parse_spec(spec)
+    Q = initial_partition(G, predicates.values())
+    game = build_abstract_game(G, Q, safety=objective.safety_terms, predicates=predicates, cut=True)
+    assert list(game.choice_off) == [0, 0] and not game.partial
+    outcome = cegar_loop(G, objective, predicates=predicates)
+    assert (outcome.verdict, outcome.iterations) == ("unrealizable", 1)
+    assert outcome.counterexample.root.mode == ("unsafe",)
+
+
+@pytest.mark.parametrize("problem, spec", [("paper5x5", "G p<=1"), ("pillars12", "G p<=135")])
+def test_cut_game_leaves_out_states_the_whole_game_has(problem, spec):
+    """A lost game (paper5x5 ``G p<=1``) and a won one (``pillars12`` with
+    every free cell allowed) are each built partial, with fewer states
+    than the whole game under the same partition."""
     G, predicates = _problem(problem)
-    objective = _spec(spec)
-    _, built = _recorded_run(monkeypatch, G, objective, predicates)
-    smaller = kept_expanding = 0
-    for Q, game in built:
-        whole = build_abstract_game(G, Q, safety=objective.safety_terms, predicates=predicates)
-        depth = _depths(whole)
-        forcing = _forcing_depth(whole, depth)
-        if forcing is None:
-            assert game.cut_depth is None
-            assert game.states == whole.states
-            continue
-        D, R = forcing
-        cut = max(D, R - 1)
-        assert game.cut_depth == cut
-        kept_expanding += D < cut
-        assert game.states == [s for s, d in zip(whole.states, depth) if d <= cut + 1]
-        for i in range(len(game)):
-            want = choices(whole, i) if depth[i] <= cut else []
-            assert [(c, list(r)) for c, r in choices(game, i)] == [
-                (c, list(r)) for c, r in want
-            ]
-        smaller += len(game) < len(whole)
-    assert smaller, "no game was cut short"
-    if problem == "bigroom":
-        assert kept_expanding
+    objective = parse_spec(spec)
+    Q = initial_partition(G, predicates.values())
+    game = build_abstract_game(G, Q, safety=objective.safety_terms, predicates=predicates, cut=True)
+    whole = build_abstract_game(G, Q, safety=objective.safety_terms, predicates=predicates)
+    assert game.partial
+    assert len(game) < len(whole)
 
 
 def test_state_budget_counts_the_states_of_the_cut_game(tmp_path, capsys):
@@ -227,28 +185,63 @@ def test_state_budget_counts_the_states_of_the_cut_game(tmp_path, capsys):
     assert capsys.readouterr() == unbudgeted
 
 
-@pytest.mark.parametrize("report", ["agent wins", "rank too high"])
+def test_state_budget_counts_the_states_of_a_cut_game_the_agent_wins(tmp_path):
+    """``pillars20`` (seed 1) with ``G p<=375``, every free cell: the whole
+    game has 12,532 states, but the cut game that the controller reads
+    fits in 2,000, so the run writes the unbudgeted controller."""
+    map_text, cfg_text = pillar_problem(20, 1)
+    files = {"map": map_text, "cfg": cfg_text, "spec": "G p<=375\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = ["synth", "--map", str(tmp_path / "map"), "--config", str(tmp_path / "cfg"),
+            "--spec", str(tmp_path / "spec")]
+    assert main(argv + ["--out", str(tmp_path / "whole.json")]) == 0
+    assert main(argv + ["--max-states", "2000", "--out", str(tmp_path / "cut.json")]) == 0
+    assert (tmp_path / "cut.json").read_text() == (tmp_path / "whole.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "report", ["agent wins", "choiceless controller state", "initial mode not reach"]
+)
 def test_cegar_loop_refuses_a_cut_game_report_the_cut_rules_out(monkeypatch, report):
-    """A solver report that the cut's proof rules out, the agent winning a
-    cut game or an initial rank above the cut depth plus one, is an
-    error of its own, not a wrong verdict."""
+    """A solver report on a partial game that the proof in
+    ``build_abstract_game`` rules out is an error of its own, not a
+    wrong verdict: the agent winning a spec with recurrence terms, a
+    controller that reaches a state without choices, and a lost game
+    whose initial state is outside the target's attractor to the
+    unsafe states.  paper5x5 builds partial games that the target wins
+    for ``G p<=5 & GF p<=2`` and partial games of both outcomes for
+    ``G p<=3``."""
     G, predicates = _problem("paper5x5")
+    spec = "G p<=5 & GF p<=2" if report == "agent wins" else "G p<=3"
     real_solve = surveil.cegar.solve
 
     def misreport(arena, objective):
         result = real_solve(arena, objective)
-        if arena.cut_depth is None:
+        if not arena.partial:
             return result
         if report == "agent wins":
             return SolveResult(True, result.winning_region)
+        if report == "choiceless controller state":
+            if not result.agent_wins:
+                return result
+            off = arena.choice_off
+            bare = next(i for i in range(len(arena)) if off[i] == off[i + 1]
+                        and result.winning_region[i])
+            moves = dict(result.agent_strategy.moves)
+            key = next(iter(moves))
+            moves[key] = (bare, 0)
+            return SolveResult(True, result.winning_region,
+                               agent_strategy=StrategyData(1, moves))
+        if result.agent_wins:
+            return result
         mode = dict(result.target_strategy.mode)
-        mode[arena.initial] = ("reach", arena.cut_depth + 2)
+        mode[arena.initial] = ("avoid", 0)
         return SolveResult(
             False, result.winning_region,
             target_strategy=TargetStrategyData(result.target_strategy.choice, mode),
         )
 
     monkeypatch.setattr(surveil.cegar, "solve", misreport)
-    with pytest.raises(SolverError, match="cut at depth"):
-        cegar_loop(G, parse_spec("G p<=3"), predicates=predicates)
-
+    with pytest.raises(SolverError, match="partial game"):
+        cegar_loop(G, parse_spec(spec), predicates=predicates)
