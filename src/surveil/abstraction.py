@@ -24,6 +24,7 @@ from .belief import (
     BudgetExceeded,
     PredicateDef,
     TurnGame,
+    atom_test,
     belief_moves,
     invisible_replies,
     landing_cells,
@@ -229,6 +230,12 @@ def _on_demand(
     recurrence terms, which needs the whole game: the remaining states
     in number order.  Every game ends in :func:`_laid_out`, which lays
     the choices out in state order and runs phase C as it goes.
+
+    Phases A and B serve a spec with safety terms.  Phase R, for a spec
+    with recurrence terms alone, is :func:`_trap_round`, which the
+    builder runs in their place: it reads the target's first trap round
+    on the explored part and walks its counterexample, and ends in
+    :func:`_laid_out` too.
     """
     # imported here: the solver imports this module
     from .solver import _UNRANKED, _emptied
@@ -380,6 +387,308 @@ def _on_demand(
     yield from _laid_out(found, unsafe, expanded, choice_off, choice_set, False)
 
 
+def _target_wins(
+    found, unsafe, expanded, choice_off, choice_set, reply_off, replies, owners, holders,
+    recurrence, tests, gamma_mask,
+):
+    """Whether the target wins the part explored so far as it stands, a
+    state not expanded without choices, in the solver's first trap round
+    (:func:`~surveil.solver._target_strategy`): the traps away from each
+    atom of ``recurrence`` and the attractor to them.  ``tests`` and
+    ``gamma_mask`` are :func:`_trap_round`'s.  A state without choices
+    joins every agent attractor, so only the expanded states' goals are
+    read."""
+    from .solver import Arena, _avoid_trap, _target_attractor, _widths
+
+    # laid out in state order by the builder's own layout, on copies;
+    # without ``rest`` it expands nothing, so it runs to its end at once
+    off, cset = choice_off[:], choice_set[:]
+    for _ in _laid_out(found, unsafe, expanded, off, cset, False):
+        pass
+    atom_sets = {}
+    for a, test in zip(recurrence, tests):
+        goal = atom_sets[a] = bytearray(len(found))
+        for s in expanded:
+            l_a, label = found[s]
+            goal[s] = test(l_a, gamma_mask(label))
+    game = Arena(
+        found, 0, [], off, array("i"), cset, reply_off, replies, owners, holders,
+        atom_sets=atom_sets,
+    )
+    degree = _widths(off)
+    won, traps = bytearray(len(found)), []
+    for a in recurrence:
+        traps += [i for i, _ in _avoid_trap(game, degree, won, atom_sets[a])[0]]
+    _target_attractor(game, won, traps, _widths(reply_off), 0)
+    return won[0]
+
+
+def _trap_round(
+    found, unsafe, expanded, choice_off, choice_set, reply_off, replies, owners, holders,
+    recurrence, tests, gamma_mask,
+):
+    """Phase R of :func:`_on_demand`, for a spec whose terms are the
+    recurrence atoms ``recurrence`` alone; ``tests`` holds each atom's
+    :func:`~surveil.belief.atom_test`, which ``gamma_mask`` gives the
+    labels' cells to.
+
+    *Facts.*  The count ``inside[s]`` is the number of atoms ``j`` whose
+    agent attractor, run outside the traps of the atoms before ``j``,
+    holds ``s`` on the explored part, where a state not expanded joins
+    only through goals: those of atom 0 up to the first one it misses.
+    A reply set's ``cover`` is its members' highest count, so it is
+    covered for atom ``j`` once a member's count passes ``j``.  A state
+    whose count is ``j`` joins when all its choices are covered for
+    ``j`` (``count[s]`` holds the others), or at once in the atom's
+    goal: the solver's rule, kept by counters as states are expanded,
+    for exploration only adds joins.  A state is *trapped* while its
+    count is below the number of atoms, and *attracted* once it is not.
+
+    *Walks.*  A walk reads, breadth first and a layer at a time, the
+    counterexample these facts give, and expands the states of each
+    layer it reaches before any of them chooses.  A trapped state with
+    count ``j`` follows its first choice not covered for ``j``.  An
+    attracted state follows its first choice whose members all lie
+    below it in the levels of the attractor to the trapped states, an
+    attracted state not expanded at level 1 (``levels``).  The levels
+    are read once per walk, and an attracted state expanded after that
+    is left to the next walk.  Walks repeat until one expands nothing and
+    leaves nothing: the game is left partial, the walk's reading being
+    the whole game's counterexample (the proof is in
+    :func:`build_abstract_game`).  A walk that finds the initial state
+    attracted at no level (it reads the levels there first, before it
+    expands anything) ends the phase with the rest expanded (phase C):
+    the target does not win the whole game's first trap round.  The
+    bookkeeping is incremental: no solve runs while the walks go on.
+
+    *Seed.*  An initial state attracted from its own expansion on is
+    where the walks add about one attractor layer each, and where a game
+    the agent wins would be explored at length before the levels rule it
+    out.  So its closure under each state's last choice, the target's
+    move out of sight, is expanded first, and the phase goes on only if
+    the target wins that part as it stands in its first trap round
+    (:func:`_target_wins`, a state not expanded having no choices); else
+    the rest is expanded at once.  Either way the answer is exact: phase
+    C builds the whole game."""
+    from .solver import _UNRANKED, _emptied
+
+    m = len(recurrence)
+    # per state: its count, its goal bits (an int, for any number of
+    # atoms), whether it is expanded, and its choices not covered for
+    # the atom its count names; per reply set, the number of atoms it is
+    # covered for, its members' highest count
+    inside, goal, done, count = array("i"), [], bytearray(), array("i")
+    cover = array("i")
+    # ``(j, s)``: ``s`` joined atom ``j``'s attractor, its sets not yet
+    # covered for ``j``
+    work = []
+
+    def join(s, j):
+        """``s``, with count ``j``, joins atom ``j``'s attractor, and the
+        next atoms' as far as its goals and choices take it."""
+        while True:
+            inside[s] = j + 1
+            work.append((j, s))
+            j += 1
+            if j == m:
+                return
+            if not goal[s] >> j & 1:
+                if not done[s]:
+                    return
+                e = expanded[s]
+                n = 0
+                for k in choice_set[choice_off[e] : choice_off[e + 1]]:
+                    if cover[k] <= j:
+                        n += 1
+                count[s] = n
+                if n:
+                    return
+
+    def settle():
+        while work:
+            j, s = work.pop()
+            # the joins of ``s`` may be taken out of order: a set is
+            # covered for every atom up to ``j`` at once
+            for k in holders[s]:
+                c = cover[k]
+                if c <= j:
+                    cover[k] = j + 1
+                    # an owner counts the set once per choice onto it,
+                    # and joins after all of them
+                    ready = []
+                    for o in owners[k]:
+                        i = inside[o]
+                        if c <= i <= j:
+                            count[o] -= 1
+                            if not count[o]:
+                                ready.append(o)
+                    for o in ready:
+                        join(o, inside[o])
+
+    def learn(states):
+        """Take in the expansions of ``states``, and the states and reply
+        sets numbered since the last call."""
+        size = len(inside)
+        if size < len(found):
+            more = max(len(found), 2 * size) - size
+            zeros = array("i", bytes(4 * more))
+            done.extend(bytes(more))
+            inside.extend(zeros)
+            count.extend(zeros)
+        start = len(goal)
+        if start < len(found):
+            new = found[start:]
+            masks = [gamma_mask(label) for _, label in new]
+            bits = [0] * len(new)
+            for j, test in enumerate(tests):
+                bit = 1 << j
+                bits = [
+                    b | bit if test(l_a, mask) else b
+                    for b, (l_a, _), mask in zip(bits, new, masks)
+                ]
+            goal.extend(bits)
+            for t, b in enumerate(bits, start):
+                # the goals of atom 0 up to the first one it misses
+                inside[t] = (b + 1 & ~b).bit_length() - 1
+        # a new set is covered by the members inside already
+        for k in range(len(cover), len(reply_off) - 1):
+            cover.append(max(map(inside.__getitem__, replies[reply_off[k] : reply_off[k + 1]])))
+        for s in states:
+            done[s] = 1
+            j, e = inside[s], expanded[s]
+            n = 0
+            for k in choice_set[choice_off[e] : choice_off[e + 1]]:
+                if cover[k] <= j:
+                    n += 1
+            count[s] = n
+        for s in states:
+            j = inside[s]
+            if j < m and not count[s]:
+                join(s, j)
+        settle()
+
+    def levels():
+        """Each state's level in the attractor to the trapped states, an
+        attracted state not expanded at level 1, grown by the solver's
+        rule (:func:`~surveil.solver._emptied`).  Only the sets of
+        attracted states are counted, by their attracted members."""
+        n = len(found)
+        level = array("i", bytes(4 * n))
+        sets = len(reply_off) - 1
+        missing, counted = array("i", bytes(4 * sets)), bytearray(sets)
+        fresh = []
+        for s in compress(range(n), map(m.__eq__, inside[:n])):
+            level[s] = _UNRANKED
+            if not done[s]:
+                level[s] = 1
+                fresh.append(s)
+                continue
+            e = expanded[s]
+            for k in choice_set[choice_off[e] : choice_off[e + 1]]:
+                if not counted[k]:
+                    counted[k] = 1
+                    members = replies[reply_off[k] : reply_off[k + 1]]
+                    missing[k] = list(map(inside.__getitem__, members)).count(m)
+                if not missing[k] and level[s] == _UNRANKED:
+                    level[s] = 1
+                    fresh.append(s)
+        depth = 1
+        while fresh:
+            depth += 1
+            # a set no attracted state owns counts below 0 and never empties
+            joined = _emptied(owners, holders, missing, fresh)
+            fresh = []
+            for o in joined:
+                if level[o] == _UNRANKED:
+                    level[o] = depth
+                    fresh.append(o)
+        return level
+
+    expanded[0] = 0
+    yield 0, found[0]
+    learn([0])
+    if inside[0] == m:
+        # the seed; its expansions are taken in only if the walks go on
+        seed, stack, met = [], [0], {0}
+        while stack:
+            s = stack.pop()
+            if s not in expanded:
+                expanded[s] = len(expanded)
+                yield s, found[s]
+                seed.append(s)
+            e = expanded[s]
+            if choice_off[e] < choice_off[e + 1]:
+                k = choice_set[choice_off[e + 1] - 1]
+                for t in replies[reply_off[k] : reply_off[k + 1]]:
+                    if t not in met:
+                        met.add(t)
+                        stack.append(t)
+        if not _target_wins(
+            found, unsafe, expanded, choice_off, choice_set, reply_off, replies, owners,
+            holders, recurrence, tests, gamma_mask,
+        ):
+            yield from _laid_out(found, unsafe, expanded, choice_off, choice_set, True)
+            return
+        learn(seed)
+        del seed, met
+    while True:
+        # ``start`` tells a walk that expands nothing, and ``whole`` one
+        # that reads every attracted state it reaches
+        level, start, whole = None, len(expanded), True
+        layer, seen = [0], {0}
+        while layer:
+            fresh = []
+            for s in layer:
+                if not done[s]:
+                    expanded[s] = len(expanded)
+                    yield s, found[s]
+                    fresh.append(s)
+            if fresh:
+                learn(fresh)
+            after = []
+            for s in layer:
+                j = inside[s]
+                if j < m:
+                    e = expanded[s]
+                    for c in range(choice_off[e], choice_off[e + 1]):
+                        k = choice_set[c]
+                        if cover[k] <= j:
+                            break
+                else:
+                    if level is None:
+                        level, known = levels(), len(expanded)
+                    e = expanded[s]
+                    if e >= known:
+                        whole = False
+                        continue
+                    r = level[s]
+                    if r == _UNRANKED:
+                        if not s:
+                            # the initial state, whose levels this walk
+                            # read before it expanded anything: phase C
+                            yield from _laid_out(
+                                found, unsafe, expanded, choice_off, choice_set, True
+                            )
+                            return
+                        # a state that joined since its parent chose:
+                        # the next walk reads it again
+                        whole = False
+                        continue
+                    for c in range(choice_off[e], choice_off[e + 1]):
+                        k = choice_set[c]
+                        members = replies[reply_off[k] : reply_off[k + 1]]
+                        if max(map(level.__getitem__, members)) < r:
+                            break
+                for t in replies[reply_off[k] : reply_off[k + 1]]:
+                    if t not in seen:
+                        seen.add(t)
+                        after.append(t)
+            layer = after
+        if whole and len(expanded) == start:
+            break
+    yield from _laid_out(found, unsafe, expanded, choice_off, choice_set, False)
+
+
 def _laid_out(found, unsafe, expanded, choice_off, choice_set, rest):
     """Lay the choices of the states :func:`_on_demand` expanded out in
     state order, in place, and with ``rest`` expand the other safe
@@ -408,7 +717,7 @@ def build_abstract_game(
     predicates: Optional[dict[str, PredicateDef]] = None,
     *,
     cut: bool = False,
-    recurrence: bool = False,
+    recurrence: tuple = (),
 ) -> TurnGame:
     """Enumerate the reachable abstract game for partition ``Q``, breadth
     first from ``G.initial``, or with ``cut`` only as far as the answer
@@ -460,17 +769,19 @@ def build_abstract_game(
 
     So verdicts, counterexamples and controllers are those of the full
     game; only state numbers and reply-set ids differ.  Without safety
-    atoms every state is expanded.  ``predicates`` must declare each
-    task atom of ``safety``.
+    atoms and without ``cut`` every state is expanded.  ``recurrence``
+    lists the spec's recurrence atoms in its order, and ``predicates``
+    must declare each task atom of ``safety`` and, with ``cut``, of
+    ``recurrence``.
 
-    With ``cut``, the safety game is solved on the fly, in the manner of
-    the local fixpoint algorithms of Liu and Smolka (ICALP 1998) and of
+    With ``cut``, the game is solved on the fly, in the manner of the
+    local fixpoint algorithms of Liu and Smolka (ICALP 1998) and of
     Cassez, David, Fleury, Larsen and Lime (CONCUR 2005): states are
-    expanded in the order :func:`_on_demand` reads them, and a game the
-    target wins, or that the agent wins when ``recurrence`` is false (the
-    spec has no recurrence term), is left ``partial``: some safe states
-    it numbered have no choices.  Only its states count against
-    ``max_states``.  The controller or the counterexample read off it is
+    expanded in the order :func:`_on_demand` reads them (or, for a spec
+    whose terms are the ``recurrence`` atoms alone, :func:`_trap_round`),
+    and a game the target wins, or a safety game the agent wins, is left
+    ``partial``: some safe states it numbered have no choices.  Only its
+    states count against ``max_states``.  The controller or the counterexample read off it is
     the whole game's.  Call the whole game's target attractor to the
     unsafe states ``A``, ``rank(s)`` the level at which ``s`` joins it,
     and ``Z`` the rest, the agent's winning region for the safety terms;
@@ -511,6 +822,58 @@ def build_abstract_game(
     states, ranks, choices and modes in both games, and the
     counterexample, its analysis, the refinement and the verdict are the
     whole game's.
+
+    *Recurrence alone.*  Without safety terms the solver's first trap
+    round decides the counterexample (in the manner of Stevens and
+    Stirling's local model checking games, TACAS 1998, the exploration
+    follows the target's candidate strategy).  On the whole game, call
+    ``D_j`` the states outside the traps of the atoms before ``j``,
+    ``A_j`` the agent attractor to atom ``j``'s goal run inside ``D_j``,
+    ``T_j = D_j - A_j`` atom ``j``'s trap, ``T`` their union and
+    ``level`` the target's attractor levels to ``T``; a state's whole
+    count ``inside_W`` is the number of atoms ``j`` with the state in
+    ``A_j``.  A state's mode is ``("avoid", j)`` in ``T_j``, with its
+    first choice no member of which is in ``A_j``, and ``("reach",
+    level)`` elsewhere in the round, with its first choice whose
+    members all lie lower.  A later round's levels continue from the top
+    level of the round before, a whole-game quantity, so only the first
+    round is read off a partial game.
+
+    - Every join of :func:`_trap_round`'s counts is a whole-game fact,
+      ``inside <= inside_W``: a join of atom ``j`` needs the state in
+      ``D_j`` (its count is ``j``) and in the goal, or expanded, with
+      all its choices, each covered by a member inside ``A_j``.  So a
+      state of ``T`` is trapped, and ``level`` is never below the walk's
+      levels, where a trapped state is at 0 and an attracted state not
+      expanded at 1 (it lies outside ``T``, at 1 or more in the whole
+      game).
+    - Take a walk that expands nothing and reads every attracted state
+      it reaches.  Its states are expanded.  For ``i`` from 0 up, the
+      trapped states it reads with count ``i`` form a set ``S_i`` none
+      of which is in atom ``i``'s goal, and each follows a choice whose
+      members have counts of ``i`` or less: those below ``i`` lie
+      outside ``D_i`` (by the claim for the smaller counts), the others
+      in ``S_i``.  A first state of ``S_i`` to join ``A_i`` would need
+      that choice covered by an earlier one: none joins, and each is in
+      ``T_i`` with count ``i``.  Its choices before the one it follows
+      are covered by members inside ``A_i``, and that one is not: the
+      mode and choice are the whole game's.
+    - An attracted state it reads, at level ``r``, follows a choice whose
+      members lie below ``r`` in the walk's levels, and so by induction
+      in the whole game's (a trapped one is in ``T``); every choice
+      before it has a member at ``r`` or higher, a lower bound for the
+      whole game too.  So ``level`` is ``r``, and the choice is the
+      whole game's.  A walk that finds the initial state at no level
+      has shown it outside the round, and the whole game is built.
+    - The partial game is then solved as it stands: a state without
+      choices joins the agent's attractors at rank 1 and never the
+      target's, so on it ``A_j`` can only grow and each trap and level
+      only shrink or rise.  Every state of the whole game's
+      counterexample is expanded, so its traps close on themselves in
+      the partial game as in the whole, and by the same induction the
+      solver reads the same modes, levels and choices there.  The
+      counterexample, its analysis, the refinement and the verdict are
+      the whole game's.
     """
     records: dict = {}
     test = safety_test(G, safety, predicates)
@@ -582,10 +945,15 @@ def build_abstract_game(
 
     # with ``cut``: each expanded state's place in the order expanded
     expanded: dict = {}
-    if cut:
+    if cut and recurrence and not safety:
+        schedule = _trap_round(
+            found, unsafe, expanded, choice_off, choice_set, reply_off, replies, owners, holders,
+            tuple(recurrence), [atom_test(G, a, predicates or {}) for a in recurrence], gamma_mask,
+        )
+    elif cut:
         schedule = _on_demand(
             found, unsafe, expanded, choice_off, choice_set,
-            reply_off, replies, owners, holders, recurrence,
+            reply_off, replies, owners, holders, bool(recurrence),
         )
     else:
         # ``found`` is its own queue: the loop reaches the states it appends

@@ -272,7 +272,9 @@ class TurnGame:
     atoms that breaks one of them is not expanded, although it has its
     number and counts against the state budget.  So is a safe state of
     a ``partial`` game, one solved on the fly that was explored only as
-    far as its answer at the initial state reads (see
+    far as its answer at the initial state reads: a safety game, or a
+    game of a spec with recurrence terms alone that the target wins in
+    the solver's first trap round (see
     :func:`~surveil.abstraction.build_abstract_game`); ``partial`` is
     False for a game built whole.
     """

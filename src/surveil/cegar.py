@@ -426,8 +426,9 @@ class CegarOutcome:
     controller on the last game's arena when realizable, the
     counterexample tree when not.  The arena may be ``partial`` (see
     :func:`~surveil.abstraction.build_abstract_game`): it holds the
-    states that the controller or the counterexample reads, and others
-    without choices."""
+    states that the controller of a safety spec, or the counterexample,
+    reads, and others without choices.  The arena of a spec with
+    recurrence terms that the agent wins is whole."""
 
     verdict: str  # "realizable" | "unrealizable"
     iterations: int
@@ -452,7 +453,8 @@ def _check_partial(arena: Arena, result, objective: Objective) -> None:
     :func:`~surveil.abstraction.build_abstract_game` rules out: the agent
     winning a spec with recurrence terms, a controller reaching a state
     without choices, or the target winning from an initial state outside
-    its attractor to the unsafe states."""
+    its attractor to the unsafe states (for a spec with safety terms) or
+    outside its traps and its attractor to them (for one without)."""
     if result.agent_wins:
         if objective.recurrence_terms:
             raise SolverError("the agent wins a partial game of a spec with recurrence terms")
@@ -464,7 +466,7 @@ def _check_partial(arena: Arena, result, objective: Objective) -> None:
                 )
         return
     mode = result.target_strategy.mode[arena.initial]
-    if mode[0] != "reach":
+    if mode[0] != "reach" and (objective.safety_terms or mode[0] != "avoid"):
         raise SolverError(f"the initial state of a lost partial game has mode {mode}")
 
 
@@ -481,9 +483,11 @@ def cegar_loop(
     Terminates because every refinement strictly grows the partition,
     which is bounded by the partition into singletons.
 
-    Each game of a spec with safety terms is solved on the fly as it is
-    built (``cut``), so it is explored only as far as its controller or
-    counterexample reads, and ``max_states`` bounds the states of that
+    Each game is solved on the fly as it is built (``cut``), so a safety
+    game is explored only as far as its controller or counterexample
+    reads, and a game of a spec with recurrence terms alone, when the
+    target wins it in its first trap round, only as far as its
+    counterexample reads; ``max_states`` bounds the states of that
     partial game.
     :func:`_check_partial` holds the solver's report on a partial game
     to what its proof promises.
@@ -496,7 +500,7 @@ def cegar_loop(
     for iteration in range(1, max_iters + 1):
         game = build_abstract_game(
             G, Q, max_states, objective.safety_terms, predicates,
-            cut=bool(objective.safety_terms), recurrence=bool(objective.recurrence_terms),
+            cut=True, recurrence=objective.recurrence_terms,
         )
         arena = make_arena(game, G, objective, predicates, partition=Q)
         result = solve(arena, objective)

@@ -338,10 +338,13 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
     A ``partial`` game (see
     :func:`~surveil.abstraction.build_abstract_game`) is solved as it
     stands, and its safe states without choices are won by the agent
-    there.  So its ``winning_region`` is not the full game's; what
-    carries over is the agent's controller when it wins, and the
+    there: such a state joins every agent attractor at rank 1 and never
+    the target's.  So its ``winning_region`` is not the full game's;
+    what carries over is the agent's controller when it wins, and the
     target's win and its strategy on the counterexample's states when
-    it loses.
+    it loses: states of the target's attractor to the unsafe states for
+    a spec with safety terms, and of the first trap round for a spec
+    with recurrence terms alone.
     """
     width = _reply_widths(arena)
     degree = _widths(arena.choice_off)

@@ -1,12 +1,13 @@
-"""Safety games solved on the fly (``cut``), against whole games.
+"""Games solved on the fly (``cut``), against whole games.
 
 With ``cut``, ``build_abstract_game`` explores only the states that the
 controller or the counterexample at the initial state reads, and leaves
-the game ``partial``.  These tests take every game a CEGAR run builds,
-build the whole game (pruned at its unsafe states, not cut) under the
-same partition, and check that the counterexample graph and tree of a
-lost game, and the exported controller of a won one, are the whole
-game's.
+the game ``partial``: a safety game either way, a game of a spec with
+recurrence terms alone when the target wins it in its first trap round.
+These tests take every game a CEGAR run builds, build the whole game
+(pruned at its unsafe states, not cut) under the same partition, and
+check that the counterexample graph and tree of a lost game, and the
+exported controller of a won one, are the whole game's.
 """
 
 import json
@@ -17,6 +18,7 @@ import surveil.cegar
 from conftest import choices, pillar_problem
 from surveil import (
     BudgetExceeded,
+    PredicateDef,
     SolverError,
     build_abstract_game,
     build_analysis_graph,
@@ -34,17 +36,32 @@ from surveil import (
 )
 from surveil.cegar import counterexample_tree
 from surveil.cli import bundled_map, main
-from surveil.solver import SolveResult, StrategyData, TargetStrategyData
+from surveil.solver import (
+    SolveResult,
+    StrategyData,
+    TargetStrategyData,
+    _avoid_trap,
+    _target_attractor,
+    _widths,
+)
 from test_pruned_game import _graph_json, _tree_json
 
-SAFETY_SPECS = {
-    "paper5x5": [f"G p<={k}" for k in range(1, 9)] + ["G p<=5 & GF p<=2"],
-    # the agent starts off its one ``goal`` cell: the initial state is unsafe
+# nine recurrence atoms: a state's goal bits need more than a byte
+NINE_ATOMS = " & ".join(f"GF p<={k}" for k in range(1, 10))
+
+SPECS = {
+    "paper5x5": [f"G p<={k}" for k in range(1, 9)]
+    + ["G p<=5 & GF p<=2"]
+    + [f"GF p<={k}" for k in range(1, 7)]
+    + ["GF p<=1 & GF goal", NINE_ATOMS],
+    # the agent starts off its one ``goal`` cell: the initial state is
+    # unsafe; ``GF p<=1``'s second game is lost only in a later trap round
     "bigroom": [f"G p<={k}" for k in range(1, 7)]
-    + ["bigroom_safety.spec", "G goal", "G goal & GF p<=3"],
+    + ["bigroom_safety.spec", "G goal", "G goal & GF p<=3", "bigroom_liveness.spec", "GF p<=1"],
     "liveness10x15": ["G p<=6"],
-    # every free cell: the spec holds in every state
-    "pillars12": ["G p<=135"],
+    # every free cell: the spec holds in every state, and the agent wins
+    # the recurrence spec's first game, built whole
+    "pillars12": ["G p<=135", "GF p<=135"],
 }
 
 
@@ -55,7 +72,11 @@ def _problem(name):
         map_text, cfg_text = bundled_map(f"{name}.txt"), bundled_map(f"{name}.cfg")
     grid = parse_grid(map_text)
     G = build_game_structure(grid, *parse_config(cfg_text))
-    return G, predicates_from_grid(grid)
+    predicates = predicates_from_grid(grid)
+    # paper5x5 has no goal cell: ``goal`` is the agent on cell 0, as in
+    # the oracle-equivalence tests
+    predicates.setdefault("goal", PredicateDef("goal", frozenset({0})))
+    return G, predicates
 
 
 def _spec(text):
@@ -109,7 +130,7 @@ def _answer(G, Q, game, objective, predicates):
 
 
 @pytest.mark.parametrize(
-    "problem, spec", [(p, s) for p, specs in SAFETY_SPECS.items() for s in specs]
+    "problem, spec", [(p, s) for p, specs in SPECS.items() for s in specs]
 )
 def test_cut_game_counterexample_equals_the_whole_games(monkeypatch, problem, spec):
     """Every game the run builds is compared with the whole game: a lost
@@ -133,6 +154,60 @@ def test_cut_game_counterexample_equals_the_whole_games(monkeypatch, problem, sp
         if answer[0] == "won" and objective.recurrence_terms:
             assert not game.partial, n
     assert outcome.arena.partial == built[-1][1].partial
+    if spec == NINE_ATOMS:
+        # its first game is lost, and cut
+        assert built[0][1].partial
+
+
+def _lost_in_the_first_trap_round(arena, objective) -> bool:
+    """Whether the solver's first trap round holds the initial state: a
+    trap away from one recurrence atom, or the attractor to the traps."""
+    won, traps = bytearray(len(arena)), []
+    degree = _widths(arena.choice_off)
+    for atom in objective.recurrence_terms:
+        traps += [i for i, _ in _avoid_trap(arena, degree, won, arena.atom_sets[atom])[0]]
+    _target_attractor(arena, won, traps, _widths(arena.reply_off), 0)
+    return bool(won[arena.initial])
+
+
+def test_cut_game_of_liveness10x15_first_game_equals_the_whole_game():
+    """liveness10x15's bundled spec never decides, so only its first game
+    is checked, and only its counterexample graph: the analysis of that
+    graph is what grows without bound.  The target wins the game in its
+    first trap round; the cut game numbers every state but expands fewer
+    than a tenth of them, and has the whole game's counterexample."""
+    G, predicates = _problem("liveness10x15")
+    objective = _spec("liveness10x15.spec")
+    assert not objective.safety_terms
+    Q = initial_partition(G, predicates.values())
+    game = build_abstract_game(
+        G, Q, predicates=predicates, cut=True, recurrence=objective.recurrence_terms
+    )
+    whole = build_abstract_game(G, Q, predicates=predicates)
+    assert game.partial and 10 * len(_moves(game)) < len(whole)
+    graphs = []
+    for g in (game, whole):
+        arena = make_arena(g, G, objective, predicates, partition=Q)
+        graphs.append(_graph_json(extract_cex_graph(arena, solve(arena, objective))))
+    assert graphs[0] == graphs[1]
+
+
+def test_cut_game_lost_in_a_later_trap_round_is_built_whole(monkeypatch):
+    """bigroom with ``GF p<=1``: the target wins the second game, but not
+    in its first trap round, whose levels alone a partial game can
+    certify; that game is built whole, and the first one, lost in its
+    first round, is partial."""
+    G, predicates = _problem("bigroom")
+    objective = parse_spec("GF p<=1")
+    _, built = _recorded_run(monkeypatch, G, objective, predicates)
+    rounds = []
+    for Q, game in built:
+        whole = build_abstract_game(G, Q, predicates=predicates)
+        arena = make_arena(whole, G, objective, predicates, partition=Q)
+        lost = not solve(arena, objective).agent_wins
+        rounds.append((lost, lost and _lost_in_the_first_trap_round(arena, objective)))
+        assert game.partial == rounds[-1][1]
+    assert rounds[:2] == [(True, True), (True, False)]
 
 
 @pytest.mark.parametrize("spec", ["G goal", "G goal & GF p<=3"])
@@ -185,6 +260,18 @@ def test_state_budget_counts_the_states_of_the_cut_game(tmp_path, capsys):
     assert capsys.readouterr() == unbudgeted
 
 
+def test_state_budget_counts_the_states_of_the_cut_recurrence_game(tmp_path):
+    """bigroom's README spec (``GF p<=10 & GF goal``): its second game,
+    lost, has 9,568 states whole and 3,390 cut, so a 5,000-state budget
+    that the whole game breaks holds the run, which writes the
+    unbudgeted controller."""
+    argv = ["synth", "--map", "bundled:bigroom.txt", "--config", "bundled:bigroom.cfg",
+            "--spec", "bundled:bigroom_liveness.spec"]
+    assert main(argv + ["--out", str(tmp_path / "whole.json")]) == 0
+    assert main(argv + ["--max-states", "5000", "--out", str(tmp_path / "cut.json")]) == 0
+    assert (tmp_path / "cut.json").read_text() == (tmp_path / "whole.json").read_text()
+
+
 def test_state_budget_counts_the_states_of_a_cut_game_the_agent_wins(tmp_path):
     """``pillars20`` (seed 1) with ``G p<=375``, every free cell: the whole
     game has 12,532 states, but the cut game that the controller reads
@@ -201,20 +288,29 @@ def test_state_budget_counts_the_states_of_a_cut_game_the_agent_wins(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "report", ["agent wins", "choiceless controller state", "initial mode not reach"]
+    "report, spec",
+    [
+        pytest.param("agent wins", "G p<=5 & GF p<=2", id="agent wins"),
+        pytest.param("choiceless controller state", "G p<=3", id="choiceless controller state"),
+        pytest.param("initial mode", "G p<=3", id="initial mode not reach"),
+        pytest.param("agent wins", "GF p<=2", id="agent wins a recurrence game"),
+        pytest.param("initial mode", "GF p<=2", id="initial mode neither avoid nor reach"),
+    ],
 )
-def test_cegar_loop_refuses_a_cut_game_report_the_cut_rules_out(monkeypatch, report):
+def test_cegar_loop_refuses_a_cut_game_report_the_cut_rules_out(monkeypatch, report, spec):
     """A solver report on a partial game that the proof in
     ``build_abstract_game`` rules out is an error of its own, not a
     wrong verdict: the agent winning a spec with recurrence terms, a
-    controller that reaches a state without choices, and a lost game
-    whose initial state is outside the target's attractor to the
-    unsafe states.  paper5x5 builds partial games that the target wins
-    for ``G p<=5 & GF p<=2`` and partial games of both outcomes for
-    ``G p<=3``."""
+    controller that reaches a state without choices, a lost game of a
+    spec with safety terms whose initial state is outside the target's
+    attractor to the unsafe states (faked as ``("avoid", 0)``), and one
+    of a spec without them whose initial state is neither trapped nor
+    attracted to the traps (faked as ``("unsafe",)``).  paper5x5 builds
+    partial games that the target wins for ``G p<=5 & GF p<=2`` and
+    ``GF p<=2``, and partial games of both outcomes for ``G p<=3``."""
     G, predicates = _problem("paper5x5")
-    spec = "G p<=5 & GF p<=2" if report == "agent wins" else "G p<=3"
     real_solve = surveil.cegar.solve
+    faked = ("avoid", 0) if parse_spec(spec).safety_terms else ("unsafe",)
 
     def misreport(arena, objective):
         result = real_solve(arena, objective)
@@ -236,7 +332,7 @@ def test_cegar_loop_refuses_a_cut_game_report_the_cut_rules_out(monkeypatch, rep
         if result.agent_wins:
             return result
         mode = dict(result.target_strategy.mode)
-        mode[arena.initial] = ("avoid", 0)
+        mode[arena.initial] = faked
         return SolveResult(
             False, result.winning_region,
             target_strategy=TargetStrategyData(result.target_strategy.choice, mode),

@@ -65,8 +65,10 @@ def _expanded(game) -> int:
 
 def test_traced_run_counts_every_successor_call(monkeypatch):
     """One successor call per expanded state.  A spec with a safety term
-    leaves the states that break it unexpanded; without one, every state
-    is expanded."""
+    leaves the states that break it unexpanded, and so does a lost game
+    of a spec with recurrence terms alone, explored only as far as its
+    counterexample reads (``GF p<=2``).  ``GF p<=22`` holds on every one
+    of paper5x5's 22 free cells: its one game is won, and built whole."""
     games = []
     build = surveil.cegar.build_abstract_game
 
@@ -76,7 +78,7 @@ def test_traced_run_counts_every_successor_call(monkeypatch):
 
     # installed before the tracer, which then wraps it
     monkeypatch.setattr(surveil.cegar, "build_abstract_game", recorded)
-    for spec, pruned in (("G p<=3", True), ("GF p<=2", False)):
+    for spec, pruned in (("G p<=3", True), ("GF p<=2", True), ("GF p<=22", False)):
         games.clear()
         with _traced(f"paper5x5 {spec}") as (tracer, case):
             outcome = _synth(spec)
