@@ -41,7 +41,7 @@ def main():
     result = solve(arena, obj)
     print(f"coarse partition ({len(Q)} blocks): agent wins = {result.agent_wins}")
 
-    D = build_analysis_graph(G, Q, extract_cex_graph(arena, result))
+    D = build_analysis_graph(G, Q, extract_cex_graph(arena, result.target_strategy))
     path = annotate_tree(G, D, obj.safety_terms)
     assert path is not CONCRETIZABLE
     print(f"exact beliefs along the spurious counterexample path ({len(D)} nodes):")

@@ -195,15 +195,19 @@ def abstract_successors(G: SurveillanceGameStructure, Q: Partition, state, recor
 
 
 def _on_demand(
-    found, unsafe, expanded, choice_off, choice_set, reply_off, replies, owners, holders, recurrence
+    found, unsafe, expanded, choice_off, choice_set, reply_off, replies, owners, holders,
+    recurrence, reading,
 ):
     """The states :func:`build_abstract_game` expands with ``cut``, as
     ``(number, state)`` pairs, in the order the answer at the initial
     state reads them.  A generator over the builder's tables, which it
     reads again each time it resumes.  It records in ``expanded`` each
     state's place in that order, so that the ``e``-th state's choices
-    are the reply sets ``choice_set[choice_off[e]:choice_off[e + 1]]``.
-    The proof that the answer is exact is in the builder's docstring.
+    are the reply sets ``choice_set[choice_off[e]:choice_off[e + 1]]``,
+    and in ``reading``, for a game the target wins, each counterexample
+    state's choice, by its place among the state's choices (None for an
+    unsafe state), and mode.  The proof that the answer is exact is in
+    the builder's docstring.
 
     Phase A expands depth first along the agent's picks.  ``won`` marks
     the target's attractor to the unsafe states on the explored part,
@@ -367,19 +371,21 @@ def _on_demand(
     order, seen = [0], {0}
     for s in order:
         if unsafe[s]:
+            reading[s] = None, ("unsafe",)
             continue
         rank = upper[s]
         while (yield from at_most(s, rank - 1)):
             rank = upper[s]
         # the first choice whose replies all rank below ``rank``
         e = expanded[s]
-        for k in choice_set[choice_off[e] : choice_off[e + 1]]:
+        for c, k in enumerate(choice_set[choice_off[e] : choice_off[e + 1]]):
             members = replies[reply_off[k] : reply_off[k + 1]]
             for r in members:
                 if not (yield from at_most(r, rank - 1)):
                     break
             else:
                 break
+        reading[s] = c, ("reach", rank)
         for r in members:
             if r not in seen:
                 seen.add(r)
@@ -388,16 +394,13 @@ def _on_demand(
 
 
 def _target_wins(
-    found, unsafe, expanded, choice_off, choice_set, reply_off, replies, owners, holders,
-    recurrence, tests, gamma_mask,
+    found, unsafe, expanded, choice_off, choice_set, reply_off, replies, owners, holders, goal, m
 ):
     """Whether the target wins the part explored so far as it stands, a
     state not expanded without choices, in the solver's first trap round
     (:func:`~surveil.solver._target_strategy`): the traps away from each
-    atom of ``recurrence`` and the attractor to them.  ``tests`` and
-    ``gamma_mask`` are :func:`_trap_round`'s.  A state without choices
-    joins every agent attractor, so only the expanded states' goals are
-    read."""
+    of the ``m`` recurrence atoms and the attractor to them.  ``goal`` is
+    :func:`_trap_round`'s, each state's goal bits."""
     from .solver import Arena, _avoid_trap, _target_attractor, _widths
 
     # laid out in state order by the builder's own layout, on copies;
@@ -405,32 +408,25 @@ def _target_wins(
     off, cset = choice_off[:], choice_set[:]
     for _ in _laid_out(found, unsafe, expanded, off, cset, False):
         pass
-    atom_sets = {}
-    for a, test in zip(recurrence, tests):
-        goal = atom_sets[a] = bytearray(len(found))
-        for s in expanded:
-            l_a, label = found[s]
-            goal[s] = test(l_a, gamma_mask(label))
-    game = Arena(
-        found, 0, [], off, array("i"), cset, reply_off, replies, owners, holders,
-        atom_sets=atom_sets,
-    )
+    game = Arena(found, 0, [], off, array("i"), cset, reply_off, replies, owners, holders)
     degree = _widths(off)
     won, traps = bytearray(len(found)), []
-    for a in recurrence:
-        traps += [i for i, _ in _avoid_trap(game, degree, won, atom_sets[a])[0]]
+    for j in range(m):
+        # a state without choices joins every agent attractor, goal or not
+        avoid = bytearray([b >> j & 1 for b in goal])
+        traps += [i for i, _ in _avoid_trap(game, degree, won, avoid)[0]]
     _target_attractor(game, won, traps, _widths(reply_off), 0)
     return won[0]
 
 
 def _trap_round(
     found, unsafe, expanded, choice_off, choice_set, reply_off, replies, owners, holders,
-    recurrence, tests, gamma_mask,
+    tests, gamma_mask, reading,
 ):
-    """Phase R of :func:`_on_demand`, for a spec whose terms are the
-    recurrence atoms ``recurrence`` alone; ``tests`` holds each atom's
+    """Phase R of :func:`_on_demand`, for a spec whose terms are
+    recurrence atoms alone; ``tests`` holds each atom's
     :func:`~surveil.belief.atom_test`, which ``gamma_mask`` gives the
-    labels' cells to.
+    labels' cells to, and ``reading`` is :func:`_on_demand`'s.
 
     *Facts.*  The count ``inside[s]`` is the number of atoms ``j`` whose
     agent attractor, run outside the traps of the atoms before ``j``,
@@ -455,11 +451,12 @@ def _trap_round(
     is left to the next walk.  Walks repeat until one expands nothing and
     leaves nothing: the game is left partial, the walk's reading being
     the whole game's counterexample (the proof is in
-    :func:`build_abstract_game`).  A walk that finds the initial state
-    attracted at no level (it reads the levels there first, before it
-    expands anything) ends the phase with the rest expanded (phase C):
-    the target does not win the whole game's first trap round.  The
-    bookkeeping is incremental: no solve runs while the walks go on.
+    :func:`build_abstract_game`), and ``reading`` holds it.  A walk that
+    finds the initial state attracted at no level (it reads the levels
+    there first, before it expands anything) ends the phase with the
+    rest expanded (phase C): the target does not win the whole game's
+    first trap round.  The bookkeeping is incremental: no solve runs
+    while the walks go on.
 
     *Seed.*  An initial state attracted from its own expansion on is
     where the walks add about one attractor layer each, and where a game
@@ -467,12 +464,13 @@ def _trap_round(
     out.  So its closure under each state's last choice, the target's
     move out of sight, is expanded first, and the phase goes on only if
     the target wins that part as it stands in its first trap round
-    (:func:`_target_wins`, a state not expanded having no choices); else
-    the rest is expanded at once.  Either way the answer is exact: phase
+    (:func:`_target_wins`, a state not expanded having no choices, on
+    the goal bits the walks go on with); else the rest is expanded at
+    once.  Either way the answer is exact: phase
     C builds the whole game."""
     from .solver import _UNRANKED, _emptied
 
-    m = len(recurrence)
+    m = len(tests)
     # per state: its count, its goal bits (an int, for any number of
     # atoms), whether it is expanded, and its choices not covered for
     # the atom its count names; per reply set, the number of atoms it is
@@ -525,9 +523,9 @@ def _trap_round(
                     for o in ready:
                         join(o, inside[o])
 
-    def learn(states):
-        """Take in the expansions of ``states``, and the states and reply
-        sets numbered since the last call."""
+    def number():
+        """Take in the states numbered since the last call: their goal
+        bits, and their counts from those."""
         size = len(inside)
         if size < len(found):
             more = max(len(found), 2 * size) - size
@@ -550,6 +548,11 @@ def _trap_round(
             for t, b in enumerate(bits, start):
                 # the goals of atom 0 up to the first one it misses
                 inside[t] = (b + 1 & ~b).bit_length() - 1
+
+    def learn(states):
+        """Take in the expansions of ``states``, and the states and reply
+        sets numbered since the last call."""
+        number()
         # a new set is covered by the members inside already
         for k in range(len(cover), len(reply_off) - 1):
             cover.append(max(map(inside.__getitem__, replies[reply_off[k] : reply_off[k + 1]])))
@@ -623,9 +626,11 @@ def _trap_round(
                     if t not in met:
                         met.add(t)
                         stack.append(t)
+        # the seed's goal bits, which its solve reads and ``learn`` keeps
+        number()
         if not _target_wins(
             found, unsafe, expanded, choice_off, choice_set, reply_off, replies, owners,
-            holders, recurrence, tests, gamma_mask,
+            holders, goal, m,
         ):
             yield from _laid_out(found, unsafe, expanded, choice_off, choice_set, True)
             return
@@ -636,6 +641,8 @@ def _trap_round(
         # that reads every attracted state it reaches
         level, start, whole = None, len(expanded), True
         layer, seen = [0], {0}
+        # only the last walk's reading is the answer
+        reading.clear()
         while layer:
             fresh = []
             for s in layer:
@@ -654,6 +661,7 @@ def _trap_round(
                         k = choice_set[c]
                         if cover[k] <= j:
                             break
+                    reading[s] = c - choice_off[e], ("avoid", j)
                 else:
                     if level is None:
                         level, known = levels(), len(expanded)
@@ -679,6 +687,7 @@ def _trap_round(
                         members = replies[reply_off[k] : reply_off[k + 1]]
                         if max(map(level.__getitem__, members)) < r:
                             break
+                    reading[s] = c - choice_off[e], ("reach", r)
                 for t in replies[reply_off[k] : reply_off[k + 1]]:
                     if t not in seen:
                         seen.add(t)
@@ -781,15 +790,17 @@ def build_abstract_game(
     whose terms are the ``recurrence`` atoms alone, :func:`_trap_round`),
     and a game the target wins, or a safety game the agent wins, is left
     ``partial``: some safe states it numbered have no choices.  Only its
-    states count against ``max_states``.  The controller or the counterexample read off it is
-    the whole game's.  Call the whole game's target attractor to the
-    unsafe states ``A``, ``rank(s)`` the level at which ``s`` joins it,
-    and ``Z`` the rest, the agent's winning region for the safety terms;
-    ``A'`` and ``rank'`` are the same on a part of the game, in which the
-    expanded states have all their choices and the others none.  A state
-    without choices joins only when it is unsafe, and more choices never
-    take a state out or raise its rank, so ``A'`` lies inside ``A`` and
-    ``rank'`` is never below ``rank``.
+    states count against ``max_states``.  The controller or the
+    counterexample read off it is the whole game's, and a game found
+    lost carries the counterexample as it was read, each state's mode
+    and choice id, as its ``reading``.  Call the whole game's target
+    attractor to the unsafe states ``A``, ``rank(s)`` the level at which
+    ``s`` joins it, and ``Z`` the rest, the agent's winning region for
+    the safety terms; ``A'`` and ``rank'`` are the same on a part of the
+    game, in which the expanded states have all their choices and the
+    others none.  A state without choices joins only when it is unsafe,
+    and more choices never take a state out or raise its rank, so ``A'``
+    lies inside ``A`` and ``rank'`` is never below ``rank``.
 
     *Won.*  Phase A ends with the initial state outside ``A'`` and every
     pick of an expanded state outside ``A'`` expanded.  So the states
@@ -821,7 +832,9 @@ def build_abstract_game(
     the walk from the initial state along those choices reads the same
     states, ranks, choices and modes in both games, and the
     counterexample, its analysis, the refinement and the verdict are the
-    whole game's.
+    whole game's.  Phase B's walk is that walk, and its reading (an
+    unsafe state's mode ``("unsafe",)`` and no choice) is the game's
+    ``reading``.
 
     *Recurrence alone.*  Without safety terms the solver's first trap
     round decides the counterexample (in the manner of Stevens and
@@ -865,15 +878,17 @@ def build_abstract_game(
       whole game too.  So ``level`` is ``r``, and the choice is the
       whole game's.  A walk that finds the initial state at no level
       has shown it outside the round, and the whole game is built.
-    - The partial game is then solved as it stands: a state without
-      choices joins the agent's attractors at rank 1 and never the
-      target's, so on it ``A_j`` can only grow and each trap and level
-      only shrink or rise.  Every state of the whole game's
-      counterexample is expanded, so its traps close on themselves in
-      the partial game as in the whole, and by the same induction the
-      solver reads the same modes, levels and choices there.  The
-      counterexample, its analysis, the refinement and the verdict are
-      the whole game's.
+    - So the last walk's reading, each state's mode and choice, is the
+      whole game's counterexample, and it is the game's ``reading``:
+      its analysis, the refinement and the verdict are the whole
+      game's, and the game need not be solved again.  Solved as it
+      stands it gives the same: a state without choices joins the
+      agent's attractors at rank 1 and never the target's, so on it
+      ``A_j`` can only grow and each trap and level only shrink or
+      rise; every state of the whole game's counterexample is
+      expanded, so its traps close on themselves in the partial game
+      as in the whole, and by the same induction the solver reads the
+      same modes, levels and choices there.
     """
     records: dict = {}
     test = safety_test(G, safety, predicates)
@@ -943,17 +958,20 @@ def build_abstract_game(
         reply_off.append(len(replies))
         return s
 
-    # with ``cut``: each expanded state's place in the order expanded
+    # with ``cut``: each expanded state's place in the order expanded, and
+    # the counterexample of a game found lost, by each state's place
+    # among its choices
     expanded: dict = {}
+    reading: dict = {}
     if cut and recurrence and not safety:
         schedule = _trap_round(
             found, unsafe, expanded, choice_off, choice_set, reply_off, replies, owners, holders,
-            tuple(recurrence), [atom_test(G, a, predicates or {}) for a in recurrence], gamma_mask,
+            [atom_test(G, a, predicates or {}) for a in recurrence], gamma_mask, reading,
         )
     elif cut:
         schedule = _on_demand(
             found, unsafe, expanded, choice_off, choice_set,
-            reply_off, replies, owners, holders, bool(recurrence),
+            reply_off, replies, owners, holders, bool(recurrence), reading,
         )
     else:
         # ``found`` is its own queue: the loop reaches the states it appends
@@ -995,6 +1013,9 @@ def build_abstract_game(
     del rows, schedule
     partial = cut and len(expanded) + unsafe.count(1) < len(found)
     del expanded
+    # the choices are laid out in state order now
+    choice = {s: None if c is None else choice_off[s] + c for s, (c, _) in reading.items()}
+    mode = {s: m for s, (_, m) in reading.items()}
     # an array fills about twice as fast from a list as from an iterator
     return TurnGame(
         found,
@@ -1008,6 +1029,7 @@ def build_abstract_game(
         owners,
         holders,
         partial=partial,
+        reading=(choice, mode) if reading else None,
     )
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .objective import SurvAtom
 from .structure import SurveillanceGameStructure, cell_mask
@@ -277,6 +277,11 @@ class TurnGame:
     the solver's first trap round (see
     :func:`~surveil.abstraction.build_abstract_game`); ``partial`` is
     False for a game built whole.
+
+    A game that the builder solved on the fly and found lost carries the
+    counterexample it read there as ``reading``: the ``(choice, mode)``
+    maps of a :class:`~surveil.solver.TargetStrategyData` over the states
+    the counterexample reads.  It is None for every other game.
     """
 
     states: list
@@ -290,6 +295,7 @@ class TurnGame:
     owners: list
     holders: list
     partial: bool = field(default=False, kw_only=True)
+    reading: Optional[tuple[dict, dict]] = field(default=None, kw_only=True)
 
     def __len__(self) -> int:
         return len(self.states)

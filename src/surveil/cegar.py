@@ -23,6 +23,7 @@ from .solver import (
     Arena,
     CounterexampleGraph,
     SolverError,
+    TargetStrategyData,
     check_predicates,
     extract_cex_graph,
     make_arena,
@@ -428,7 +429,9 @@ class CegarOutcome:
     :func:`~surveil.abstraction.build_abstract_game`): it holds the
     states that the controller of a safety spec, or the counterexample,
     reads, and others without choices.  The arena of a spec with
-    recurrence terms that the agent wins is whole."""
+    recurrence terms that the agent wins is whole.  An unrealizable
+    outcome's arena is a full :class:`~surveil.solver.Arena`, with its
+    atom valuations, which :func:`~surveil.solver.solve` takes again."""
 
     verdict: str  # "realizable" | "unrealizable"
     iterations: int
@@ -450,24 +453,72 @@ class IterationBudgetExceeded(RuntimeError):
 def _check_partial(arena: Arena, result, objective: Objective) -> None:
     """Raise :class:`~surveil.solver.SolverError` when the solver's report
     on a partial arena is one that the proof in
-    :func:`~surveil.abstraction.build_abstract_game` rules out: the agent
-    winning a spec with recurrence terms, a controller reaching a state
-    without choices, or the target winning from an initial state outside
-    its attractor to the unsafe states (for a spec with safety terms) or
-    outside its traps and its attractor to them (for one without)."""
-    if result.agent_wins:
-        if objective.recurrence_terms:
-            raise SolverError("the agent wins a partial game of a spec with recurrence terms")
-        off = arena.choice_off
-        for i, _ in [(arena.initial, 0), *result.agent_strategy.moves.values()]:
-            if off[i] == off[i + 1]:
+    :func:`~surveil.abstraction.build_abstract_game` rules out: a lost
+    game (the builder hands a lost cut game's counterexample over as its
+    ``reading``, and such a game is not solved again), the agent winning
+    a spec with recurrence terms, or a controller reaching a state
+    without choices."""
+    if not result.agent_wins:
+        raise SolverError("the target wins a partial game that came without its reading")
+    if objective.recurrence_terms:
+        raise SolverError("the agent wins a partial game of a spec with recurrence terms")
+    off = arena.choice_off
+    for i, _ in [(arena.initial, 0), *result.agent_strategy.moves.values()]:
+        if off[i] == off[i + 1]:
+            raise SolverError(
+                f"the controller of a partial game reaches state {i}, which has no choices"
+            )
+
+
+def _certified(G, Q: Partition, game, objective: Objective, predicates) -> TargetStrategyData:
+    """The ``reading`` of a lost cut game as the target's strategy, once it
+    is checked to be a winning one; :class:`~surveil.solver.SolverError`
+    otherwise.
+
+    The checks take each state read once: the initial state is read;
+    each state's choice is one of its own, and its replies are read; an
+    ``("unsafe",)`` state breaks the conjunction of the safety terms;
+    every reply of a ``("reach", r)`` state is at a lower reach rank, in
+    a trap or unsafe; an ``("avoid", j)`` state fails recurrence atom
+    ``j``, and its replies are all ``("avoid", i)`` with ``i <= j``.  A
+    state with choices has all of the whole game's, so along every play
+    from the initial state the reach ranks fall until a trap or an
+    unsafe state, and a play that stays in the traps ends up in one,
+    failing its atom for ever: the target wins the whole game."""
+    choice, mode = game.reading
+    if game.initial not in mode:
+        raise SolverError("the reading of a lost cut game misses the initial state")
+    off, states, gamma_mask = game.choice_off, game.states, Q.gamma_mask
+    replies_of, read = game.replies_of, mode.get
+    safety = safety_test(G, objective.safety_terms, predicates)
+    goals = [atom_test(G, a, predicates) for a in objective.recurrence_terms]
+    for i, m in mode.items():
+        l_a, label = states[i]
+        if m == ("unsafe",):
+            holds = safety(gamma_mask(label))
+            if holds is None or holds(l_a):
                 raise SolverError(
-                    f"the controller of a partial game reaches state {i}, which has no choices"
+                    f"state {i} of a lost cut game is read as unsafe and breaks no safety term"
                 )
-        return
-    mode = result.target_strategy.mode[arena.initial]
-    if mode[0] != "reach" and (objective.safety_terms or mode[0] != "avoid"):
-        raise SolverError(f"the initial state of a lost partial game has mode {mode}")
+            continue
+        c = choice.get(i)
+        if c is None or not off[i] <= c < off[i + 1]:
+            raise SolverError(f"the reading of a lost cut game picks {c} in state {i}")
+        # each distinct mode among the replies is checked once
+        below = set(map(read, replies_of(c)))
+        if None in below:
+            raise SolverError(f"a reply of state {i} of a lost cut game is not read")
+        if m[0] == "reach":
+            if any(r[0] == "reach" and r[1] >= m[1] for r in below):
+                raise SolverError(f"a reply of state {i} of a lost cut game does not descend")
+        elif m[0] == "avoid" and 0 <= m[1] < len(goals):
+            if goals[m[1]](l_a, gamma_mask(label)):
+                raise SolverError(f"state {i} of a lost cut game meets the atom it avoids")
+            if any(r[0] != "avoid" or r[1] > m[1] for r in below):
+                raise SolverError(f"a reply of state {i} of a lost cut game leaves its trap")
+        else:
+            raise SolverError(f"state {i} of a lost cut game has mode {m}")
+    return TargetStrategyData(choice, mode)
 
 
 def cegar_loop(
@@ -488,9 +539,12 @@ def cegar_loop(
     reads, and a game of a spec with recurrence terms alone, when the
     target wins it in its first trap round, only as far as its
     counterexample reads; ``max_states`` bounds the states of that
-    partial game.
-    :func:`_check_partial` holds the solver's report on a partial game
-    to what its proof promises.
+    partial game.  A game the builder found lost comes with the
+    counterexample it read (its ``reading``), which is checked by
+    :func:`_certified` and analysed as it is, without a second solve;
+    every other game is solved, and :func:`_check_partial` holds the
+    solver's report on a partial one to what the builder's proof
+    promises.  An unrealizable outcome's arena is made at that exit.
     """
     predicates = predicates or {}
     check_predicates(objective, predicates)
@@ -502,21 +556,26 @@ def cegar_loop(
             G, Q, max_states, objective.safety_terms, predicates,
             cut=True, recurrence=objective.recurrence_terms,
         )
-        arena = make_arena(game, G, objective, predicates, partition=Q)
-        result = solve(arena, objective)
-        if arena.partial:
-            _check_partial(arena, result, objective)
-        if result.agent_wins:
-            transcript.append(
-                f"iter={iteration} blocks={len(Q)} verdict=realizable action=stop"
-            )
-            return CegarOutcome(
-                "realizable", iteration, Q, transcript,
-                strategy=result.agent_strategy, arena=arena,
-            )
+        arena = result = None
+        if game.reading is not None:
+            strategy = _certified(G, Q, game, objective, predicates)
+        else:
+            arena = make_arena(game, G, objective, predicates, partition=Q)
+            result = solve(arena, objective)
+            if arena.partial:
+                _check_partial(arena, result, objective)
+            if result.agent_wins:
+                transcript.append(
+                    f"iter={iteration} blocks={len(Q)} verdict=realizable action=stop"
+                )
+                return CegarOutcome(
+                    "realizable", iteration, Q, transcript,
+                    strategy=result.agent_strategy, arena=arena,
+                )
+            strategy = result.target_strategy
         # ``refined`` is the next partition, or CONCRETIZABLE when the
         # counterexample is real
-        cex = extract_cex_graph(arena, result)
+        cex = extract_cex_graph(game, strategy)
         D = build_analysis_graph(G, Q, cex)
         if objective.recurrence_terms:
             refined = analyze_general(G, Q, D, objective, predicates)
@@ -527,6 +586,8 @@ def cegar_loop(
             transcript.append(
                 f"iter={iteration} blocks={len(Q)} verdict=unrealizable action=stop"
             )
+            if arena is None:
+                arena = make_arena(game, G, objective, predicates, partition=Q)
             return CegarOutcome(
                 "unrealizable", iteration, Q, transcript, arena=arena,
                 counterexample=counterexample_tree(G, D, cex),
@@ -536,7 +597,7 @@ def cegar_loop(
             f"action=refine->{len(refined)}"
         )
         # free this iteration's game and analysis before the next is built
-        del game, arena, result, cex, D
+        del game, arena, result, strategy, cex, D
         Q = refined
     raise IterationBudgetExceeded(f"no verdict after {max_iters} iterations")
 

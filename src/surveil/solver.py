@@ -344,7 +344,9 @@ def solve(arena: Arena, objective: Objective) -> SolveResult:
     target's win and its strategy on the counterexample's states when
     it loses: states of the target's attractor to the unsafe states for
     a spec with safety terms, and of the first trap round for a spec
-    with recurrence terms alone.
+    with recurrence terms alone.  The CEGAR loop solves only the
+    partial games the agent wins: a lost one comes with that strategy
+    on those states, the builder's ``reading``.
     """
     width = _reply_widths(arena)
     degree = _widths(arena.choice_off)
@@ -467,30 +469,34 @@ class CounterexampleGraph:
     mode: dict
 
 
-def extract_cex_graph(arena: Arena, result: SolveResult) -> CounterexampleGraph:
-    if result.target_strategy is None:
+def extract_cex_graph(game: TurnGame, ts: Optional[TargetStrategyData]) -> CounterexampleGraph:
+    """The target's strategy ``ts`` on ``game`` closed under the agent's
+    replies, breadth first from the initial state.  Only the game's
+    arrays are read, so ``game`` need not be an arena.  A missing
+    strategy (a won game's ``target_strategy``) raises
+    :class:`SolverError`."""
+    if ts is None:
         raise SolverError("no target strategy to extract a counterexample from")
-    ts = result.target_strategy
     choice, edges, mode = {}, {}, {}
-    queue = deque([arena.initial])
-    seen = {arena.initial}
+    queue = deque([game.initial])
+    seen = {game.initial}
     # every state reached lies in the target's region, where ``ts`` picks
     while queue:
         i = queue.popleft()
-        s = arena.states[i]
+        s = game.states[i]
         c = ts.choice[i]
-        choice[s] = None if c is None else arena.labels[arena.choice_label[c]]
+        choice[s] = None if c is None else game.labels[game.choice_label[c]]
         mode[s] = ts.mode[i]
         if mode[s] == ("unsafe",):
             # the safety violation already happened here; the play is
             # decided, so the node is a sink of the counterexample
             edges[s] = ()
             continue
-        out = arena.replies_of(c)
-        edges[s] = tuple(arena.states[r] for r in out)
+        out = game.replies_of(c)
+        edges[s] = tuple(game.states[r] for r in out)
         for r in out:
             if r not in seen:
                 seen.add(r)
                 queue.append(r)
-    return CounterexampleGraph(arena.states[arena.initial], choice, edges, mode)
+    return CounterexampleGraph(game.states[game.initial], choice, edges, mode)
 

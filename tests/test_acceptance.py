@@ -82,7 +82,8 @@ def test_criterion_2_safety_analysis_and_refinement(game5, two_col_partition):
     arena = make_arena(game, game5, obj, partition=two_col_partition)
     result = solve(arena, obj)
     assert not result.agent_wins
-    D = build_analysis_graph(game5, two_col_partition, extract_cex_graph(arena, result))
+    cex = extract_cex_graph(arena, result.target_strategy)
+    D = build_analysis_graph(game5, two_col_partition, cex)
     path = annotate_tree(game5, D, obj.safety_terms)
     assert path is not CONCRETIZABLE
     assert sorted(game5.cells_of(D.beliefs[path[-1]][1])) == [16, 18, 22, 24]

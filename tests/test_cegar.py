@@ -61,7 +61,7 @@ def _safety_cex(G, Q, obj):
     arena = make_arena(game, G, obj, partition=Q)
     result = solve(arena, obj)
     assert not result.agent_wins
-    cex = extract_cex_graph(arena, result)
+    cex = extract_cex_graph(arena, result.target_strategy)
     return cex, build_analysis_graph(G, Q, cex)
 
 
@@ -155,23 +155,23 @@ def _bundled_problem(name):
 
 def _lost_games(monkeypatch, G, obj, predicates):
     """``(partition, arena, result)`` of every game that the CEGAR loop
-    loses to the target on ``obj``."""
-    partitions, lost = [], []
+    loses to the target on ``obj``, each solved here: the loop does not
+    solve a game the builder found lost."""
+    built = []
     build = surveil.cegar.build_abstract_game
 
-    def built(G, Q, *args, **kwargs):
-        partitions.append(Q)
-        return build(G, Q, *args, **kwargs)
+    def recorded(G, Q, *args, **kwargs):
+        built.append((Q, build(G, Q, *args, **kwargs)))
+        return built[-1][1]
 
-    def solved(arena, objective):
-        result = solve(arena, objective)
-        if not result.agent_wins:
-            lost.append((partitions[-1], arena, result))
-        return result
-
-    monkeypatch.setattr(surveil.cegar, "build_abstract_game", built)
-    monkeypatch.setattr(surveil.cegar, "solve", solved)
+    monkeypatch.setattr(surveil.cegar, "build_abstract_game", recorded)
     cegar_loop(G, obj, predicates=predicates)
+    lost = []
+    for Q, game in built:
+        arena = make_arena(game, G, obj, predicates, partition=Q)
+        result = solve(arena, obj)
+        if not result.agent_wins:
+            lost.append((Q, arena, result))
     return lost
 
 
@@ -191,7 +191,7 @@ def test_safety_walk_matches_tree_reference(monkeypatch, name, spec):
     for Q, arena, result in lost:
         root = reference_cex_tree.unfold(arena, result, obj)
         want = reference_cex_tree.first_good_path(G, Q, root, obj.safety_terms, predicates)
-        D = build_analysis_graph(G, Q, extract_cex_graph(arena, result))
+        D = build_analysis_graph(G, Q, extract_cex_graph(arena, result.target_strategy))
         got = annotate_tree(G, D, obj.safety_terms, predicates)
         if want is CONCRETIZABLE:
             assert got is CONCRETIZABLE
@@ -215,7 +215,7 @@ def test_analysis_graph_matches_set_reference(monkeypatch, name, spec, games):
     lost = _lost_games(monkeypatch, G, parse_spec(spec), predicates)[:games]
     assert lost
     for Q, arena, result in lost:
-        cex = extract_cex_graph(arena, result)
+        cex = extract_cex_graph(arena, result.target_strategy)
         D = build_analysis_graph(G, Q, cex)
         want = reference_analysis.build_analysis_graph(G, Q, cex)
         assert [(l_a, G.cells_of(b)) for l_a, b in D.beliefs] == want.beliefs
@@ -250,7 +250,8 @@ def test_counterexample_tree_shares_its_nodes():
     out = cegar_loop(G, obj, predicates=predicates)
     assert out.verdict == "unrealizable"
     result = solve(out.arena, obj)
-    D = build_analysis_graph(G, out.final_partition, extract_cex_graph(out.arena, result))
+    cex = extract_cex_graph(out.arena, result.target_strategy)
+    D = build_analysis_graph(G, out.final_partition, cex)
     assert len(_distinct_nodes(out.counterexample)) <= len(D)
     want = reference_cex_tree.unfold(out.arena, result, obj)
     reference_cex_tree.first_good_path(G, out.final_partition, want, obj.safety_terms)
@@ -435,7 +436,7 @@ def test_extracted_liveness_counterexample_also_refines(game5, two_col_partition
     arena = make_arena(game, game5, obj, partition=two_col_partition)
     result = solve(arena, obj)
     assert not result.agent_wins
-    cex = extract_cex_graph(arena, result)
+    cex = extract_cex_graph(arena, result.target_strategy)
     D = build_analysis_graph(game5, two_col_partition, cex)
     lasso = find_good_lasso(game5, D, SurvAtom(2), ("avoid", 0))
     assert lasso is not None
@@ -471,7 +472,7 @@ def test_every_witness_splits_a_block(problem, data):
     result = solve(arena, obj)
     if result.agent_wins:
         return
-    D = build_analysis_graph(G, Q, extract_cex_graph(arena, result))
+    D = build_analysis_graph(G, Q, extract_cex_graph(arena, result.target_strategy))
 
     def splits(path):
         pairs = [(D.beliefs[i][0], D.cex_states[i][1], D.beliefs[i][1]) for i in path]

@@ -7,10 +7,14 @@ recurrence terms alone when the target wins it in its first trap round.
 These tests take every game a CEGAR run builds, build the whole game
 (pruned at its unsafe states, not cut) under the same partition, and
 check that the counterexample graph and tree of a lost game, and the
-exported controller of a won one, are the whole game's.
+exported controller of a won one, are the whole game's.  A game the
+builder found lost carries the counterexample it read, its ``reading``:
+that is checked against ``solve`` on the same game, and a mutated
+reading is refused by the loop's certificate.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -34,12 +38,12 @@ from surveil import (
     predicates_from_grid,
     solve,
 )
+from surveil.belief import atom_test
 from surveil.cegar import counterexample_tree
 from surveil.cli import bundled_map, main
 from surveil.solver import (
     SolveResult,
     StrategyData,
-    TargetStrategyData,
     _avoid_trap,
     _target_attractor,
     _widths,
@@ -116,7 +120,7 @@ def _answer(G, Q, game, objective, predicates):
     if result.agent_wins:
         payload = export_strategy(arena, result.agent_strategy, "digest", Q)
         return "won", json.dumps(payload, sort_keys=True)
-    graph = extract_cex_graph(arena, result)
+    graph = extract_cex_graph(arena, result.target_strategy)
     tree = counterexample_tree(G, build_analysis_graph(G, Q, graph), graph)
     if not objective.recurrence_terms:
         return "lost", _graph_json(graph), _tree_json(tree.root)
@@ -188,7 +192,8 @@ def test_cut_game_of_liveness10x15_first_game_equals_the_whole_game():
     graphs = []
     for g in (game, whole):
         arena = make_arena(g, G, objective, predicates, partition=Q)
-        graphs.append(_graph_json(extract_cex_graph(arena, solve(arena, objective))))
+        strategy = solve(arena, objective).target_strategy
+        graphs.append(_graph_json(extract_cex_graph(arena, strategy)))
     assert graphs[0] == graphs[1]
 
 
@@ -287,30 +292,122 @@ def test_state_budget_counts_the_states_of_a_cut_game_the_agent_wins(tmp_path):
     assert (tmp_path / "cut.json").read_text() == (tmp_path / "whole.json").read_text()
 
 
+def _mutated(game, Q, report, tests):
+    """``game`` with its reading mutated as ``report`` says, or ``game``
+    itself when the reading has no state that the mutation applies to;
+    ``tests`` are the spec's recurrence atoms' tests."""
+    choice, mode = dict(game.reading[0]), dict(game.reading[1])
+    states, off, i = game.states, game.choice_off, game.initial
+    cells = {i: Q.gamma_mask(states[i][1]) for i in mode}
+
+    def replies(i):
+        return game.replies_of(choice[i]) if mode[i] != ("unsafe",) else ()
+
+    if report == "initial mode":
+        mode[i] = ("unsafe",) if tests else ("avoid", 0)
+    elif report == "missing initial reading":
+        del choice[i], mode[i]
+    elif report == "choice outside its state":
+        choice[i] = off[i + 1]
+    elif report == "reply not read":
+        r = next(r for r in replies(i) if r != i)
+        del choice[r], mode[r]
+    elif report == "reach reply does not descend":
+        # a reach state with a reach reply takes that reply's rank
+        found = next(((i, mode[r]) for i, m in mode.items() if m[0] == "reach"
+                      for r in replies(i) if mode[r][0] == "reach"), None)
+        if found is None:
+            return game
+        mode[found[0]] = found[1]
+    elif report == "safe state read as unsafe":
+        mode[next(i for i, m in mode.items() if m[0] == "reach")] = ("unsafe",)
+    elif report == "avoid state meets its atom":
+        # a state that meets atom 0 claims to avoid it
+        i = next((i for i in mode if tests[0](states[i][0], cells[i])), None)
+        if i is None:
+            return game
+        mode[i] = ("avoid", 0)
+    elif report == "reply to a higher trap":
+        # a trapped reply of an ``("avoid", j)`` state moves to the trap
+        # of a later atom that it fails
+        found = next(
+            ((r, k) for i, m in mode.items() if m[0] == "avoid"
+             for r in replies(i) if mode[r][0] == "avoid"
+             for k in range(m[1] + 1, len(tests))
+             if not tests[k](states[r][0], cells[r])),
+            None,
+        )
+        if found is None:
+            return game
+        mode[found[0]] = ("avoid", found[1])
+    return replace(game, reading=(choice, mode))
+
+
 @pytest.mark.parametrize(
-    "report, spec",
+    "report, spec, error",
     [
-        pytest.param("agent wins", "G p<=5 & GF p<=2", id="agent wins"),
-        pytest.param("choiceless controller state", "G p<=3", id="choiceless controller state"),
-        pytest.param("initial mode", "G p<=3", id="initial mode not reach"),
-        pytest.param("agent wins", "GF p<=2", id="agent wins a recurrence game"),
-        pytest.param("initial mode", "GF p<=2", id="initial mode neither avoid nor reach"),
+        pytest.param("agent wins", "G p<=5 & GF p<=2", "the agent wins a partial game",
+                     id="agent wins"),
+        pytest.param("choiceless controller state", "G p<=3", "controller of a partial game",
+                     id="choiceless controller state"),
+        pytest.param("agent wins", "GF p<=2", "the agent wins a partial game",
+                     id="agent wins a recurrence game"),
+        pytest.param("no reading", "GF p<=2", "without its reading",
+                     id="lost partial game without its reading"),
+        pytest.param("initial mode", "G p<=3", "has mode", id="initial mode not reach"),
+        pytest.param("initial mode", "GF p<=2", "breaks no safety term",
+                     id="initial mode neither avoid nor reach"),
+        pytest.param("missing initial reading", "G p<=3", "misses the initial state",
+                     id="missing initial reading, G p<=3"),
+        pytest.param("missing initial reading", "GF p<=2", "misses the initial state",
+                     id="missing initial reading, GF p<=2"),
+        pytest.param("choice outside its state", "G p<=3", "picks .* in state",
+                     id="choice outside its state, G p<=3"),
+        pytest.param("choice outside its state", "GF p<=2", "picks .* in state",
+                     id="choice outside its state, GF p<=2"),
+        pytest.param("reply not read", "G p<=3", "is not read", id="reply not read, G p<=3"),
+        pytest.param("reply not read", "GF p<=2", "is not read", id="reply not read, GF p<=2"),
+        pytest.param("reach reply does not descend", "G p<=3", "does not descend",
+                     id="reach reply does not descend, G p<=3"),
+        pytest.param("reach reply does not descend", "GF p<=1 & GF goal", "does not descend",
+                     id="reach reply does not descend, GF p<=1 & GF goal"),
+        pytest.param("safe state read as unsafe", "G p<=3", "breaks no safety term",
+                     id="safe state read as unsafe, G p<=3"),
+        pytest.param("avoid state meets its atom", "GF p<=2", "meets the atom it avoids",
+                     id="avoid state meets its atom, GF p<=2"),
+        pytest.param("reply to a higher trap", "GF p<=1 & GF goal", "leaves its trap",
+                     id="reply to a higher trap, GF p<=1 & GF goal"),
     ],
 )
-def test_cegar_loop_refuses_a_cut_game_report_the_cut_rules_out(monkeypatch, report, spec):
-    """A solver report on a partial game that the proof in
-    ``build_abstract_game`` rules out is an error of its own, not a
-    wrong verdict: the agent winning a spec with recurrence terms, a
-    controller that reaches a state without choices, a lost game of a
-    spec with safety terms whose initial state is outside the target's
-    attractor to the unsafe states (faked as ``("avoid", 0)``), and one
-    of a spec without them whose initial state is neither trapped nor
-    attracted to the traps (faked as ``("unsafe",)``).  paper5x5 builds
-    partial games that the target wins for ``G p<=5 & GF p<=2`` and
-    ``GF p<=2``, and partial games of both outcomes for ``G p<=3``."""
+def test_cegar_loop_refuses_a_cut_game_report_the_cut_rules_out(
+    monkeypatch, report, spec, error
+):
+    """A report on a partial game that the proof in ``build_abstract_game``
+    rules out is an error of its own, named by ``error``, not a wrong
+    verdict.  The solver's reports: the agent winning a spec with
+    recurrence terms, and a controller that reaches a state without
+    choices.  The partial games that paper5x5 builds for ``G p<=5 & GF
+    p<=2`` and ``GF p<=2`` are lost, and come with the builder's
+    reading; for the agent-wins reports they come without it, so that
+    the loop solves them, and so does one for the report of a lost
+    partial game without its reading.  The builder's reports: a lost cut game's
+    reading mutated so that it no longer shows the target winning, in
+    the first lost cut game that the mutation applies to.  An initial
+    mode of ``("avoid", 0)`` in a safety game, or ``("unsafe",)`` in a
+    recurrence game, is one such mutant."""
     G, predicates = _problem("paper5x5")
+    objective = parse_spec(spec)
+    tests = [atom_test(G, a, predicates) for a in objective.recurrence_terms]
     real_solve = surveil.cegar.solve
-    faked = ("avoid", 0) if parse_spec(spec).safety_terms else ("unsafe",)
+    build = surveil.cegar.build_abstract_game
+
+    def reported(G, Q, *args, **kw):
+        game = build(G, Q, *args, **kw)
+        if game.reading is None:
+            return game
+        if report in ("agent wins", "no reading"):
+            return replace(game, reading=None)
+        return _mutated(game, Q, report, tests)
 
     def misreport(arena, objective):
         result = real_solve(arena, objective)
@@ -318,26 +415,61 @@ def test_cegar_loop_refuses_a_cut_game_report_the_cut_rules_out(monkeypatch, rep
             return result
         if report == "agent wins":
             return SolveResult(True, result.winning_region)
-        if report == "choiceless controller state":
-            if not result.agent_wins:
-                return result
-            off = arena.choice_off
-            bare = next(i for i in range(len(arena)) if off[i] == off[i + 1]
-                        and result.winning_region[i])
-            moves = dict(result.agent_strategy.moves)
-            key = next(iter(moves))
-            moves[key] = (bare, 0)
-            return SolveResult(True, result.winning_region,
-                               agent_strategy=StrategyData(1, moves))
-        if result.agent_wins:
+        if report != "choiceless controller state" or not result.agent_wins:
             return result
-        mode = dict(result.target_strategy.mode)
-        mode[arena.initial] = faked
-        return SolveResult(
-            False, result.winning_region,
-            target_strategy=TargetStrategyData(result.target_strategy.choice, mode),
-        )
+        off = arena.choice_off
+        bare = next(i for i in range(len(arena)) if off[i] == off[i + 1]
+                    and result.winning_region[i])
+        moves = dict(result.agent_strategy.moves)
+        key = next(iter(moves))
+        moves[key] = (bare, 0)
+        return SolveResult(True, result.winning_region, agent_strategy=StrategyData(1, moves))
 
+    monkeypatch.setattr(surveil.cegar, "build_abstract_game", reported)
     monkeypatch.setattr(surveil.cegar, "solve", misreport)
-    with pytest.raises(SolverError, match="partial game"):
-        cegar_loop(G, parse_spec(spec), predicates=predicates)
+    with pytest.raises(SolverError, match=error):
+        cegar_loop(G, objective, predicates=predicates)
+
+
+@pytest.mark.parametrize(
+    "problem, spec", [(p, s) for p, specs in SPECS.items() for s in specs]
+)
+def test_reading_of_a_lost_cut_game_is_the_solvers_strategy(monkeypatch, problem, spec):
+    """Every game of the run that the builder found lost carries, on every
+    state its counterexample reads, the mode and choice that ``solve``
+    gives on the same game.  The loop certifies each such reading and
+    does not solve that game; it solves every other game once, and no
+    partial game it solves is lost."""
+    G, predicates = _problem(problem)
+    objective = _spec(spec)
+    solved, certified = [], []
+    real_solve, certify = surveil.cegar.solve, surveil.cegar._certified
+
+    def counted_solve(arena, objective):
+        result = real_solve(arena, objective)
+        solved.append((arena.partial, result.agent_wins))
+        return result
+
+    def counted_certify(G, Q, game, *args):
+        certified.append(game)
+        return certify(G, Q, game, *args)
+
+    monkeypatch.setattr(surveil.cegar, "solve", counted_solve)
+    monkeypatch.setattr(surveil.cegar, "_certified", counted_certify)
+    _, built = _recorded_run(monkeypatch, G, objective, predicates)
+    read = [game for _, game in built if game.reading is not None]
+    assert [id(g) for g in certified] == [id(g) for g in read]
+    assert len(solved) == len(built) - len(read)
+    assert (True, False) not in solved
+    for Q, game in built:
+        if game.reading is None:
+            continue
+        result = real_solve(make_arena(game, G, objective, predicates, partition=Q), objective)
+        assert not result.agent_wins
+        choice, mode = game.reading
+        want = result.target_strategy
+        assert mode == {i: want.mode[i] for i in mode}
+        assert choice == {i: want.choice[i] for i in choice}
+        # the reading covers the counterexample's states and no others
+        graph = extract_cex_graph(game, want)
+        assert {game.states[i] for i in mode} == set(graph.mode)

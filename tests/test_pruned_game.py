@@ -117,8 +117,8 @@ def assert_pruned_equivalent(G, objective, predicates, partition):
     ts = got.target_strategy
     for i, c in ts.choice.items():
         assert (c is None) == (ts.mode[i] == ("unsafe",))
-    graph_p = extract_cex_graph(arena_p, got)
-    graph_f = extract_cex_graph(arena_f, want)
+    graph_p = extract_cex_graph(arena_p, got.target_strategy)
+    graph_f = extract_cex_graph(arena_f, want.target_strategy)
     if not objective.recurrence_terms:
         # the reported tree is a function of the analysis graph, so this
         # holds once the graphs match

@@ -88,7 +88,7 @@ def verify_agent_strategy(arena, objective, strat):
 
 def verify_target_strategy(arena, objective, result):
     """The extracted counterexample graph must defeat every agent play."""
-    cex = extract_cex_graph(arena, result)
+    cex = extract_cex_graph(arena, result.target_strategy)
     index = {s: i for i, s in enumerate(arena.states)}
     safe = set(range(len(arena)))
     for atom in objective.safety_terms:
@@ -183,7 +183,7 @@ def test_cex_tree_leaves_violate_safety(game5, two_col_partition):
     arena = make_arena(game, game5, obj, partition=two_col_partition)
     result = solve(arena, obj)
     assert not result.agent_wins
-    cex = extract_cex_graph(arena, result)
+    cex = extract_cex_graph(arena, result.target_strategy)
     tree = counterexample_tree(game5, build_analysis_graph(game5, two_col_partition, cex), cex)
     index = {s: i for i, s in enumerate(arena.states)}
     leaves = [n for n in _tree_nodes(tree) if not n.children]
@@ -204,7 +204,7 @@ def test_cex_graph_closed_under_replies(game5, two_col_partition):
     arena = make_arena(game, game5, obj, partition=two_col_partition)
     result = solve(arena, obj)
     assert not result.agent_wins
-    cex = extract_cex_graph(arena, result)
+    cex = extract_cex_graph(arena, result.target_strategy)
     index = {s: i for i, s in enumerate(arena.states)}
     for s, succs in cex.edges.items():
         i = index[s]
@@ -218,7 +218,7 @@ def test_no_target_strategy_error(exact_arena_factory):
     obj, arena = exact_arena_factory("G p<=3")
     result = solve(arena, obj)
     with pytest.raises(SolverError):
-        extract_cex_graph(arena, result)
+        extract_cex_graph(arena, result.target_strategy)
 
 
 def test_make_arena_rejects_choice_without_reply():
@@ -392,19 +392,23 @@ PAPER_ORACLE_SPECS = (
 
 @pytest.mark.parametrize("spec", PAPER_ORACLE_SPECS)
 def test_cegar_games_match_naive_reference(monkeypatch, game5, goal_pred, spec):
-    """Every abstract game that the CEGAR loop solves on paper5x5 gets the
-    reference solver's solution."""
-    arenas = []
+    """Every abstract game that the CEGAR loop builds on paper5x5, solved
+    here (the loop does not solve a game the builder found lost), gets
+    the reference solver's solution."""
+    built = []
+    build = surveil.cegar.build_abstract_game
 
-    def recorded(arena, objective):
-        arenas.append(arena)
-        return solve(arena, objective)
+    def recorded(G, Q, *args, **kwargs):
+        built.append((Q, build(G, Q, *args, **kwargs)))
+        return built[-1][1]
 
-    monkeypatch.setattr(surveil.cegar, "solve", recorded)
+    monkeypatch.setattr(surveil.cegar, "build_abstract_game", recorded)
     obj = parse_spec(spec)
-    cegar_loop(game5, obj, predicates=goal_pred if "goal" in spec else None)
-    assert arenas
-    for arena in arenas:
+    predicates = goal_pred if "goal" in spec else None
+    cegar_loop(game5, obj, predicates=predicates)
+    assert built
+    for Q, game in built:
+        arena = make_arena(game, game5, obj, predicates, partition=Q)
         check_against_reference(arena, reference_game.from_flat(arena), obj)
 
 
