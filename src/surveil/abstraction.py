@@ -16,6 +16,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from operator import sub
 from typing import Iterable, Optional
@@ -393,30 +394,126 @@ def _on_demand(
     yield from _laid_out(found, unsafe, expanded, choice_off, choice_set, False)
 
 
-def _target_wins(
-    found, unsafe, expanded, choice_off, choice_set, reply_off, replies, owners, holders, goal, m
-):
-    """Whether the target wins the part explored so far as it stands, a
-    state not expanded without choices, in the solver's first trap round
-    (:func:`~surveil.solver._target_strategy`): the traps away from each
-    of the ``m`` recurrence atoms and the attractor to them.  ``goal`` is
-    :func:`_trap_round`'s, each state's goal bits."""
-    from .solver import Arena, _avoid_trap, _target_attractor, _widths
+class _Levels:
+    """Phase R's levels: each state's level in the target's attractor to
+    the trapped states on the explored part, kept as it grows, and each
+    reply set's ``top``, its members' highest level.
 
-    # laid out in state order by the builder's own layout, on copies;
-    # without ``rest`` it expands nothing, so it runs to its end at once
-    off, cset = choice_off[:], choice_set[:]
-    for _ in _laid_out(found, unsafe, expanded, off, cset, False):
-        pass
-    game = Arena(found, 0, [], off, array("i"), cset, reply_off, replies, owners, holders)
-    degree = _widths(off)
-    won, traps = bytearray(len(found)), []
-    for j in range(m):
-        # a state without choices joins every agent attractor, goal or not
-        avoid = bytearray([b >> j & 1 for b in goal])
-        traps += [i for i, _ in _avoid_trap(game, degree, won, avoid)[0]]
-    _target_attractor(game, won, traps, _widths(reply_off), 0)
-    return won[0]
+    A trapped state is at 0 and an attracted state not expanded at 1;
+    an attracted state expanded is one above its choices' lowest
+    ``top``, the least such levels (the attractor's, grown by the
+    solver's rule, :func:`~surveil.solver._emptied`), or at no level
+    (``_UNRANKED``).  The tables are :func:`_trap_round`'s, shared: the
+    builder's, and ``inside`` and ``done``, the counts and expanded
+    marks, against ``m`` atoms.
+
+    No level falls.  On the explored part a trapped state can only
+    become attracted, from 0 to 1 or more; an attracted state expanded
+    rises from 1 to its choices' level; an expanded state's choices are
+    fixed when it is expanded, and a state numbered since is a member
+    only of new choices.  So the levels rise in place, in the manner of
+    Even and Shiloach's decremental breadth-first search (JACM 1981),
+    from the states whose own facts changed: :meth:`rise`."""
+
+    def __init__(self, inside, done, m, expanded, choice_off, choice_set, reply_off, replies,
+                 owners, holders):
+        self.level, self.top = array("i"), array("i")
+        self.inside, self.done, self.m = inside, done, m
+        self.expanded, self.choice_off, self.choice_set = expanded, choice_off, choice_set
+        self.reply_off, self.replies = reply_off, replies
+        self.owners, self.holders = owners, holders
+
+    def rise(self, risen, picks, later):
+        """Bring the levels up to date after the ``risen`` states, attracted
+        and expanded since their levels were read off their choices.
+
+        First the states that may rise: each risen state's reply sets are
+        *tainted*, and a state at level ``r`` is taken in once every
+        choice that holds it there (whose ``top`` is ``r - 1``) is
+        tainted; the others keep their levels, for none falls.  Then the
+        levels of the states taken in, lowest first, from the others'
+        and from each other's by a priority queue, as the attractor
+        grows; one never reached is at no level.  A state of ``picks``
+        whose level changed, or whose pick no longer lies below it,
+        loses its pick to ``later``."""
+        from .solver import _UNRANKED
+
+        level, top, owners, holders = self.level, self.top, self.owners, self.holders
+        expanded, off, cset = self.expanded, self.choice_off, self.choice_set
+        reply_off, replies = self.reply_off, self.replies
+        hit = set(risen)
+        stack = list(hit)
+        del risen[:]
+        # per state taken up: its holding choices not tainted yet; per
+        # pick that a tainted set may change: its state, set and level
+        tainted, left, picked = set(), {}, []
+        while stack:
+            for k in holders[stack.pop()]:
+                if k in tainted:
+                    continue
+                tainted.add(k)
+                r = top[k] + 1
+                for o in owners[k]:
+                    # a trapped owner is at 0, below every such ``r``
+                    if level[o] != r:
+                        continue
+                    if picks.get(o) == k:
+                        picked.append((o, k, r))
+                    if o in hit:
+                        continue
+                    n = left.get(o)
+                    if n is None:
+                        e = expanded[o]
+                        n = 0
+                        for k2 in cset[off[e] : off[e + 1]]:
+                            if top[k2] < r and k2 not in tainted:
+                                n += 1
+                    else:
+                        # an owner with two choices onto ``k`` may be
+                        # taken in early, which costs a level read only
+                        n -= 1
+                    left[o] = n
+                    if n <= 0:
+                        hit.add(o)
+                        stack.append(o)
+        # per set of a state taken in: its members taken in, not settled
+        pending, queue = {}, []
+        for o in hit:
+            e = expanded[o]
+            low = _UNRANKED
+            for k in cset[off[e] : off[e + 1]]:
+                p = pending.get(k)
+                if p is None:
+                    members = replies[reply_off[k] : reply_off[k + 1]]
+                    p = pending[k] = sum(map(hit.__contains__, members))
+                if not p and top[k] < low:
+                    low = top[k]
+            if low < _UNRANKED:
+                queue.append((low + 1, o))
+        heapify(queue)
+        while queue:
+            r, s = heappop(queue)
+            if s not in hit:
+                continue
+            hit.remove(s)
+            level[s] = r
+            for k in holders[s]:
+                if top[k] < r:
+                    top[k] = r
+                p = pending.get(k)
+                if p:
+                    pending[k] = p - 1
+                    if p == 1 and top[k] < _UNRANKED:
+                        for o in owners[k]:
+                            if o in hit:
+                                heappush(queue, (top[k] + 1, o))
+        for s in hit:
+            level[s] = _UNRANKED
+            for k in holders[s]:
+                top[k] = _UNRANKED
+        for o, k, r in picked:
+            if (level[o] != r or top[k] >= r) and picks.pop(o, None) is not None:
+                later.append(o)
 
 
 def _trap_round(
@@ -438,37 +535,41 @@ def _trap_round(
     ``j`` (``count[s]`` holds the others), or at once in the atom's
     goal: the solver's rule, kept by counters as states are expanded,
     for exploration only adds joins.  A state is *trapped* while its
-    count is below the number of atoms, and *attracted* once it is not.
+    count is below the number of atoms, and *attracted* once it is not;
+    attracted states have levels, kept by :class:`_Levels`, in which no
+    level falls.
 
     *Walks.*  A walk reads, breadth first and a layer at a time, the
     counterexample these facts give, and expands the states of each
     layer it reaches before any of them chooses.  A trapped state with
     count ``j`` follows its first choice not covered for ``j``.  An
     attracted state follows its first choice whose members all lie
-    below it in the levels of the attractor to the trapped states, an
-    attracted state not expanded at level 1 (``levels``).  The levels
-    are read once per walk, and an attracted state expanded after that
-    is left to the next walk.  Walks repeat until one expands nothing and
-    leaves nothing: the game is left partial, the walk's reading being
+    below it.  The levels are brought up to date once a walk, before it
+    reads its first attracted state, and an attracted state expanded
+    after that, or one at no level (it joined since its parent chose),
+    is left unread.  Walks repeat until one expands nothing and leaves
+    nothing unread: the game is left partial, the walk's reading being
     the whole game's counterexample (the proof is in
-    :func:`build_abstract_game`), and ``reading`` holds it.  A walk that
-    finds the initial state attracted at no level (it reads the levels
-    there first, before it expands anything) ends the phase with the
+    :func:`build_abstract_game`), and ``reading`` holds it.  A walk
+    that finds the initial state at no level ends the phase with the
     rest expanded (phase C): the target does not win the whole game's
-    first trap round.  The bookkeeping is incremental: no solve runs
-    while the walks go on.
+    first trap round.  No solve runs while the walks go on.
 
-    *Seed.*  An initial state attracted from its own expansion on is
-    where the walks add about one attractor layer each, and where a game
-    the agent wins would be explored at length before the levels rule it
-    out.  So its closure under each state's last choice, the target's
-    move out of sight, is expanded first, and the phase goes on only if
-    the target wins that part as it stands in its first trap round
-    (:func:`_target_wins`, a state not expanded having no choices, on
-    the goal bits the walks go on with); else the rest is expanded at
-    once.  Either way the answer is exact: phase
-    C builds the whole game."""
-    from .solver import _UNRANKED, _emptied
+    *Rounds.*  Each state's pick, the reply set it follows, is kept
+    between walks, and a walk reads only the states without one: new
+    ones, those left unread, and those whose facts changed since they
+    were read, which lose their picks as the facts change: a count that
+    rose, a pick covered for the state's count, a level that rose, or a
+    pick's ``top`` that reached its state's level.  The others follow
+    their picks without reading.  A walk that took no pick away and
+    left nothing unread is followed by a certifying walk, which reads
+    every state it reaches, with the reading and the picks cleared: the
+    walk that ends the phase is always one of those.
+
+    An initial state attracted from its own expansion on gets one walk
+    that leaves nothing unread, or phase C: there the walks would add
+    about one attractor layer each."""
+    from .solver import _UNRANKED
 
     m = len(tests)
     # per state: its count, its goal bits (an int, for any number of
@@ -477,18 +578,29 @@ def _trap_round(
     # covered for, its members' highest count
     inside, goal, done, count = array("i"), [], bytearray(), array("i")
     cover = array("i")
+    levels = _Levels(
+        inside, done, m, expanded, choice_off, choice_set, reply_off, replies, owners, holders
+    )
+    level, top = levels.level, levels.top
     # ``(j, s)``: ``s`` joined atom ``j``'s attractor, its sets not yet
     # covered for ``j``
     work = []
+    # the attracted states whose levels are to be read off their choices,
+    # each read state's pick, and the states that lost theirs or were
+    # left unread in the walk so far
+    risen, picks, later = [], {}, []
 
     def join(s, j):
         """``s``, with count ``j``, joins atom ``j``'s attractor, and the
         next atoms' as far as its goals and choices take it."""
+        if picks.pop(s, None) is not None:
+            later.append(s)
         while True:
             inside[s] = j + 1
             work.append((j, s))
             j += 1
             if j == m:
+                risen.append(s)
                 return
             if not goal[s] >> j & 1:
                 if not done[s]:
@@ -517,6 +629,9 @@ def _trap_round(
                     for o in owners[k]:
                         i = inside[o]
                         if c <= i <= j:
+                            if picks.get(o) == k:
+                                del picks[o]
+                                later.append(o)
                             count[o] -= 1
                             if not count[o]:
                                 ready.append(o)
@@ -525,7 +640,7 @@ def _trap_round(
 
     def number():
         """Take in the states numbered since the last call: their goal
-        bits, and their counts from those."""
+        bits, their counts from those, and their levels."""
         size = len(inside)
         if size < len(found):
             more = max(len(found), 2 * size) - size
@@ -533,6 +648,7 @@ def _trap_round(
             done.extend(bytes(more))
             inside.extend(zeros)
             count.extend(zeros)
+            level.extend(zeros)
         start = len(goal)
         if start < len(found):
             new = found[start:]
@@ -547,18 +663,26 @@ def _trap_round(
             goal.extend(bits)
             for t, b in enumerate(bits, start):
                 # the goals of atom 0 up to the first one it misses
-                inside[t] = (b + 1 & ~b).bit_length() - 1
+                inside[t] = j = (b + 1 & ~b).bit_length() - 1
+                if j == m:
+                    level[t] = 1
 
     def learn(states):
         """Take in the expansions of ``states``, and the states and reply
         sets numbered since the last call."""
         number()
-        # a new set is covered by the members inside already
+        # a new set is covered by the members inside already; only a set
+        # with an attracted member lies above level 0
         for k in range(len(cover), len(reply_off) - 1):
-            cover.append(max(map(inside.__getitem__, replies[reply_off[k] : reply_off[k + 1]])))
+            members = replies[reply_off[k] : reply_off[k + 1]]
+            c = max(map(inside.__getitem__, members))
+            cover.append(c)
+            top.append(max(map(level.__getitem__, members)) if c == m else 0)
         for s in states:
             done[s] = 1
             j, e = inside[s], expanded[s]
+            if j == m:
+                risen.append(s)
             n = 0
             for k in choice_set[choice_off[e] : choice_off[e + 1]]:
                 if cover[k] <= j:
@@ -570,79 +694,14 @@ def _trap_round(
                 join(s, j)
         settle()
 
-    def levels():
-        """Each state's level in the attractor to the trapped states, an
-        attracted state not expanded at level 1, grown by the solver's
-        rule (:func:`~surveil.solver._emptied`).  Only the sets of
-        attracted states are counted, by their attracted members."""
-        n = len(found)
-        level = array("i", bytes(4 * n))
-        sets = len(reply_off) - 1
-        missing, counted = array("i", bytes(4 * sets)), bytearray(sets)
-        fresh = []
-        for s in compress(range(n), map(m.__eq__, inside[:n])):
-            level[s] = _UNRANKED
-            if not done[s]:
-                level[s] = 1
-                fresh.append(s)
-                continue
-            e = expanded[s]
-            for k in choice_set[choice_off[e] : choice_off[e + 1]]:
-                if not counted[k]:
-                    counted[k] = 1
-                    members = replies[reply_off[k] : reply_off[k + 1]]
-                    missing[k] = list(map(inside.__getitem__, members)).count(m)
-                if not missing[k] and level[s] == _UNRANKED:
-                    level[s] = 1
-                    fresh.append(s)
-        depth = 1
-        while fresh:
-            depth += 1
-            # a set no attracted state owns counts below 0 and never empties
-            joined = _emptied(owners, holders, missing, fresh)
-            fresh = []
-            for o in joined:
-                if level[o] == _UNRANKED:
-                    level[o] = depth
-                    fresh.append(o)
-        return level
-
-    expanded[0] = 0
-    yield 0, found[0]
-    learn([0])
-    if inside[0] == m:
-        # the seed; its expansions are taken in only if the walks go on
-        seed, stack, met = [], [0], {0}
-        while stack:
-            s = stack.pop()
-            if s not in expanded:
-                expanded[s] = len(expanded)
-                yield s, found[s]
-                seed.append(s)
-            e = expanded[s]
-            if choice_off[e] < choice_off[e + 1]:
-                k = choice_set[choice_off[e + 1] - 1]
-                for t in replies[reply_off[k] : reply_off[k + 1]]:
-                    if t not in met:
-                        met.add(t)
-                        stack.append(t)
-        # the seed's goal bits, which its solve reads and ``learn`` keeps
-        number()
-        if not _target_wins(
-            found, unsafe, expanded, choice_off, choice_set, reply_off, replies, owners,
-            holders, goal, m,
-        ):
-            yield from _laid_out(found, unsafe, expanded, choice_off, choice_set, True)
-            return
-        learn(seed)
-        del seed, met
-    while True:
-        # ``start`` tells a walk that expands nothing, and ``whole`` one
-        # that reads every attracted state it reaches
-        level, start, whole = None, len(expanded), True
-        layer, seen = [0], {0}
-        # only the last walk's reading is the answer
-        reading.clear()
+    def walk(full):
+        """One walk from the initial state, which with ``full`` reads
+        every state it reaches.  Returns whether it left nothing unread,
+        or None when it finds the initial state at no level."""
+        whole, begin, layer, seen = True, None, [0], {0}
+        if full:
+            reading.clear()
+            picks.clear()
         while layer:
             fresh = []
             for s in layer:
@@ -652,50 +711,63 @@ def _trap_round(
                     fresh.append(s)
             if fresh:
                 learn(fresh)
+            if begin is None and any(inside[s] == m for s in layer):
+                begin = len(expanded)
+                if risen:
+                    levels.rise(risen, picks, later)
+                    if level[0] == _UNRANKED:
+                        return None
             after = []
             for s in layer:
-                j = inside[s]
-                if j < m:
-                    e = expanded[s]
-                    for c in range(choice_off[e], choice_off[e + 1]):
-                        k = choice_set[c]
-                        if cover[k] <= j:
-                            break
-                    reading[s] = c - choice_off[e], ("avoid", j)
-                else:
-                    if level is None:
-                        level, known = levels(), len(expanded)
-                    e = expanded[s]
-                    if e >= known:
-                        whole = False
-                        continue
-                    r = level[s]
-                    if r == _UNRANKED:
-                        if not s:
-                            # the initial state, whose levels this walk
-                            # read before it expanded anything: phase C
-                            yield from _laid_out(
-                                found, unsafe, expanded, choice_off, choice_set, True
-                            )
-                            return
-                        # a state that joined since its parent chose:
-                        # the next walk reads it again
-                        whole = False
-                        continue
-                    for c in range(choice_off[e], choice_off[e + 1]):
-                        k = choice_set[c]
-                        members = replies[reply_off[k] : reply_off[k + 1]]
-                        if max(map(level.__getitem__, members)) < r:
-                            break
-                    reading[s] = c - choice_off[e], ("reach", r)
+                k = picks.get(s)
+                if k is None:
+                    e, j = expanded[s], inside[s]
+                    if j < m:
+                        for c in range(choice_off[e], choice_off[e + 1]):
+                            k = choice_set[c]
+                            if cover[k] <= j:
+                                break
+                        reading[s] = c - choice_off[e], ("avoid", j)
+                    else:
+                        r = level[s]
+                        # at 0 is a state that joined after the levels
+                        # were brought up to date
+                        if e >= begin or not 0 < r < _UNRANKED:
+                            reading.pop(s, None)
+                            later.append(s)
+                            whole = False
+                            continue
+                        for c in range(choice_off[e], choice_off[e + 1]):
+                            k = choice_set[c]
+                            if top[k] < r:
+                                break
+                        reading[s] = c - choice_off[e], ("reach", r)
+                    picks[s] = k
                 for t in replies[reply_off[k] : reply_off[k + 1]]:
                     if t not in seen:
                         seen.add(t)
                         after.append(t)
             layer = after
-        if whole and len(expanded) == start:
+        return whole
+
+    expanded[0] = 0
+    yield 0, found[0]
+    learn([0])
+    eager, full = inside[0] == m, True
+    while True:
+        start = len(expanded)
+        whole = yield from walk(full)
+        if whole is None or eager and not whole:
             break
-    yield from _laid_out(found, unsafe, expanded, choice_off, choice_set, False)
+        if full and whole and len(expanded) == start:
+            yield from _laid_out(found, unsafe, expanded, choice_off, choice_set, False)
+            return
+        # a walk that expands nothing is followed by a certifying one
+        eager, full = False, not later or len(expanded) == start
+        del later[:]
+    # phase C
+    reading.clear()
+    yield from _laid_out(found, unsafe, expanded, choice_off, choice_set, True)
 
 
 def _laid_out(found, unsafe, expanded, choice_off, choice_set, rest):
@@ -856,12 +928,18 @@ def build_abstract_game(
       ``inside <= inside_W``: a join of atom ``j`` needs the state in
       ``D_j`` (its count is ``j``) and in the goal, or expanded, with
       all its choices, each covered by a member inside ``A_j``.  So a
-      state of ``T`` is trapped, and ``level`` is never below the walk's
-      levels, where a trapped state is at 0 and an attracted state not
-      expanded at 1 (it lies outside ``T``, at 1 or more in the whole
-      game).
-    - Take a walk that expands nothing and reads every attracted state
-      it reaches.  Its states are expanded.  For ``i`` from 0 up, the
+      state of ``T`` is trapped, and ``level`` is never below the levels
+      :class:`_Levels` keeps, which after each raise are the explored
+      part's, a trapped state at 0 and an attracted state not expanded
+      at 1 (it lies outside ``T``, at 1 or more in the whole game).
+    - Take the walk that ends the phase: it reads every state it reaches
+      afresh (no pick of an earlier walk is kept for it), expands
+      nothing and leaves nothing unread, so the facts stay as they are
+      while it goes, and the levels it reads are the explored part's,
+      raised before its first attracted state.  The picks kept between
+      the walks before it only decide what they explore, and enter no
+      reading that the phase ends with.  Its states are expanded.  For
+      ``i`` from 0 up, the
       trapped states it reads with count ``i`` form a set ``S_i`` none
       of which is in atom ``i``'s goal, and each follows a choice whose
       members have counts of ``i`` or less: those below ``i`` lie
@@ -876,7 +954,7 @@ def build_abstract_game(
       in the whole game's (a trapped one is in ``T``); every choice
       before it has a member at ``r`` or higher, a lower bound for the
       whole game too.  So ``level`` is ``r``, and the choice is the
-      whole game's.  A walk that finds the initial state at no level
+      whole game's.  A raise that puts the initial state at no level
       has shown it outside the round, and the whole game is built.
     - So the last walk's reading, each state's mode and choice, is the
       whole game's counterexample, and it is the game's ``reading``:

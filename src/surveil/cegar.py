@@ -470,21 +470,23 @@ def _check_partial(arena: Arena, result, objective: Objective) -> None:
             )
 
 
-def _certified(G, Q: Partition, game, objective: Objective, predicates) -> TargetStrategyData:
-    """The ``reading`` of a lost cut game as the target's strategy, once it
-    is checked to be a winning one; :class:`~surveil.solver.SolverError`
-    otherwise.
+def _certified(G, Q: Partition, game, objective: Objective, predicates) -> CounterexampleGraph:
+    """The counterexample graph of a lost cut game's ``reading``, once the
+    reading is checked to be a winning target strategy;
+    :class:`~surveil.solver.SolverError` otherwise.
 
-    The checks take each state read once: the initial state is read;
-    each state's choice is one of its own, and its replies are read; an
-    ``("unsafe",)`` state breaks the conjunction of the safety terms;
-    every reply of a ``("reach", r)`` state is at a lower reach rank, in
-    a trap or unsafe; an ``("avoid", j)`` state fails recurrence atom
-    ``j``, and its replies are all ``("avoid", i)`` with ``i <= j``.  A
-    state with choices has all of the whole game's, so along every play
-    from the initial state the reach ranks fall until a trap or an
-    unsafe state, and a play that stays in the traps ends up in one,
-    failing its atom for ever: the target wins the whole game."""
+    The checks take each state once, as
+    :func:`~surveil.solver.extract_cex_graph` reaches it from the initial
+    state, which is read: each state's choice is one of its own, and its
+    replies are read; an ``("unsafe",)`` state breaks the conjunction of
+    the safety terms; every reply of a ``("reach", r)`` state is at a
+    lower reach rank, in a trap or unsafe; an ``("avoid", j)`` state
+    fails recurrence atom ``j``, and its replies are all ``("avoid",
+    i)`` with ``i <= j``.  A state with choices has
+    all of the whole game's, so along every play from the initial state
+    the reach ranks fall until a trap or an unsafe state, and a play that
+    stays in the traps ends up in one, failing its atom for ever: the
+    target wins the whole game."""
     choice, mode = game.reading
     if game.initial not in mode:
         raise SolverError("the reading of a lost cut game misses the initial state")
@@ -492,7 +494,9 @@ def _certified(G, Q: Partition, game, objective: Objective, predicates) -> Targe
     replies_of, read = game.replies_of, mode.get
     safety = safety_test(G, objective.safety_terms, predicates)
     goals = [atom_test(G, a, predicates) for a in objective.recurrence_terms]
-    for i, m in mode.items():
+
+    def check(i):
+        m = mode[i]
         l_a, label = states[i]
         if m == ("unsafe",):
             holds = safety(gamma_mask(label))
@@ -500,7 +504,7 @@ def _certified(G, Q: Partition, game, objective: Objective, predicates) -> Targe
                 raise SolverError(
                     f"state {i} of a lost cut game is read as unsafe and breaks no safety term"
                 )
-            continue
+            return
         c = choice.get(i)
         if c is None or not off[i] <= c < off[i + 1]:
             raise SolverError(f"the reading of a lost cut game picks {c} in state {i}")
@@ -518,7 +522,8 @@ def _certified(G, Q: Partition, game, objective: Objective, predicates) -> Targe
                 raise SolverError(f"a reply of state {i} of a lost cut game leaves its trap")
         else:
             raise SolverError(f"state {i} of a lost cut game has mode {m}")
-    return TargetStrategyData(choice, mode)
+
+    return extract_cex_graph(game, TargetStrategyData(choice, mode), check)
 
 
 def cegar_loop(
@@ -540,8 +545,9 @@ def cegar_loop(
     target wins it in its first trap round, only as far as its
     counterexample reads; ``max_states`` bounds the states of that
     partial game.  A game the builder found lost comes with the
-    counterexample it read (its ``reading``), which is checked by
-    :func:`_certified` and analysed as it is, without a second solve;
+    counterexample it read (its ``reading``), which :func:`_certified`
+    checks in the walk that extracts its graph, and which is analysed as
+    it is, without a second solve;
     every other game is solved, and :func:`_check_partial` holds the
     solver's report on a partial one to what the builder's proof
     promises.  An unrealizable outcome's arena is made at that exit.
@@ -558,7 +564,7 @@ def cegar_loop(
         )
         arena = result = None
         if game.reading is not None:
-            strategy = _certified(G, Q, game, objective, predicates)
+            cex = _certified(G, Q, game, objective, predicates)
         else:
             arena = make_arena(game, G, objective, predicates, partition=Q)
             result = solve(arena, objective)
@@ -572,10 +578,9 @@ def cegar_loop(
                     "realizable", iteration, Q, transcript,
                     strategy=result.agent_strategy, arena=arena,
                 )
-            strategy = result.target_strategy
+            cex = extract_cex_graph(game, result.target_strategy)
         # ``refined`` is the next partition, or CONCRETIZABLE when the
         # counterexample is real
-        cex = extract_cex_graph(game, strategy)
         D = build_analysis_graph(G, Q, cex)
         if objective.recurrence_terms:
             refined = analyze_general(G, Q, D, objective, predicates)
@@ -597,7 +602,7 @@ def cegar_loop(
             f"action=refine->{len(refined)}"
         )
         # free this iteration's game and analysis before the next is built
-        del game, arena, result, strategy, cex, D
+        del game, arena, result, cex, D
         Q = refined
     raise IterationBudgetExceeded(f"no verdict after {max_iters} iterations")
 

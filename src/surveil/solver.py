@@ -469,12 +469,16 @@ class CounterexampleGraph:
     mode: dict
 
 
-def extract_cex_graph(game: TurnGame, ts: Optional[TargetStrategyData]) -> CounterexampleGraph:
+def extract_cex_graph(
+    game: TurnGame, ts: Optional[TargetStrategyData], check=None
+) -> CounterexampleGraph:
     """The target's strategy ``ts`` on ``game`` closed under the agent's
     replies, breadth first from the initial state.  Only the game's
     arrays are read, so ``game`` need not be an arena.  A missing
     strategy (a won game's ``target_strategy``) raises
-    :class:`SolverError`."""
+    :class:`SolverError`.  ``check``, when given, is called with each
+    state the walk reaches before its replies are followed, and may
+    raise to refuse the strategy."""
     if ts is None:
         raise SolverError("no target strategy to extract a counterexample from")
     choice, edges, mode = {}, {}, {}
@@ -483,6 +487,8 @@ def extract_cex_graph(game: TurnGame, ts: Optional[TargetStrategyData]) -> Count
     # every state reached lies in the target's region, where ``ts`` picks
     while queue:
         i = queue.popleft()
+        if check is not None:
+            check(i)
         s = game.states[i]
         c = ts.choice[i]
         choice[s] = None if c is None else game.labels[game.choice_label[c]]

@@ -15,9 +15,11 @@ reading is refused by the loop's certificate.
 
 import json
 from dataclasses import replace
+from operator import le
 
 import pytest
 
+import surveil.abstraction
 import surveil.cegar
 from conftest import choices, pillar_problem
 from surveil import (
@@ -42,6 +44,7 @@ from surveil.belief import atom_test
 from surveil.cegar import counterexample_tree
 from surveil.cli import bundled_map, main
 from surveil.solver import (
+    _UNRANKED,
     SolveResult,
     StrategyData,
     _avoid_trap,
@@ -61,7 +64,10 @@ SPECS = {
     # the agent starts off its one ``goal`` cell: the initial state is
     # unsafe; ``GF p<=1``'s second game is lost only in a later trap round
     "bigroom": [f"G p<={k}" for k in range(1, 7)]
-    + ["bigroom_safety.spec", "G goal", "G goal & GF p<=3", "bigroom_liveness.spec", "GF p<=1"],
+    + ["bigroom_safety.spec", "G goal", "G goal & GF p<=3", "bigroom_liveness.spec", "GF p<=1"]
+    # its third game, lost, reaches the initial state at level 11 through
+    # 80 reach states of a 4,283-state counterexample
+    + ["GF p<=5 & GF goal"],
     "liveness10x15": ["G p<=6"],
     # every free cell: the spec holds in every state, and the agent wins
     # the recurrence spec's first game, built whole
@@ -161,6 +167,78 @@ def test_cut_game_counterexample_equals_the_whole_games(monkeypatch, problem, sp
     if spec == NINE_ATOMS:
         # its first game is lost, and cut
         assert built[0][1].partial
+
+
+def _levels(lv) -> list:
+    """The levels that ``lv``, a :class:`surveil.abstraction._Levels`,
+    keeps, recomputed on its tables from scratch: the attractor to the
+    trapped states, an attracted state not expanded at 1, grown a level
+    at a time by the sets of the attracted states whose members are all
+    in."""
+    inside, done, m, off, cset = lv.inside, lv.done, lv.m, lv.choice_off, lv.choice_set
+    level = [0] * len(lv.level)
+    missing, fresh = {}, []
+    for s in range(len(level)):
+        if inside[s] != m:
+            continue
+        if not done[s]:
+            level[s] = 1
+            fresh.append(s)
+            continue
+        level[s] = _UNRANKED
+        e = lv.expanded[s]
+        for k in cset[off[e] : off[e + 1]]:
+            if k not in missing:
+                members = lv.replies[lv.reply_off[k] : lv.reply_off[k + 1]]
+                missing[k] = sum(inside[r] == m for r in members)
+            if not missing[k] and level[s] == _UNRANKED:
+                level[s] = 1
+                fresh.append(s)
+    depth = 1
+    while fresh:
+        depth, joined = depth + 1, []
+        for j in fresh:
+            for k in lv.holders[j]:
+                if k in missing:
+                    missing[k] -= 1
+                    if not missing[k]:
+                        joined += [o for o in lv.owners[k] if level[o] == _UNRANKED]
+        fresh = []
+        for o in joined:
+            if level[o] == _UNRANKED:
+                level[o] = depth
+                fresh.append(o)
+    return level
+
+
+@pytest.mark.parametrize(
+    "problem, spec",
+    [("paper5x5", "GF p<=1 & GF goal"), ("bigroom", "bigroom_liveness.spec"),
+     ("bigroom", "GF p<=5 & GF goal")],
+)
+def test_trap_round_raises_its_levels_in_place(monkeypatch, problem, spec):
+    """Phase R keeps its attractor levels as the explored part grows and
+    raises them in place: after every raise no level is lower than
+    before, each level is the one recomputed from scratch on the explored
+    part, and each reply set's ``top`` is its members' highest level."""
+    G, predicates = _problem(problem)
+    rise, raised = surveil.abstraction._Levels.rise, []
+
+    def checked(lv, risen, picks, later):
+        before = lv.level[:]
+        raised.append(len(risen))
+        rise(lv, risen, picks, later)
+        assert all(map(le, before, lv.level))
+        assert list(lv.level) == _levels(lv)
+        ends = lv.reply_off
+        assert all(
+            lv.top[k] == max(lv.level[r] for r in lv.replies[ends[k] : ends[k + 1]])
+            for k in range(len(lv.top))
+        )
+
+    monkeypatch.setattr(surveil.abstraction._Levels, "rise", checked)
+    cegar_loop(G, _spec(spec), predicates=predicates)
+    assert sum(raised) > 0
 
 
 def _lost_in_the_first_trap_round(arena, objective) -> bool:
