@@ -60,6 +60,10 @@ class Partition:
     _gammas: dict[frozenset[int], int] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # the structure the belief records serve and the table, see records
+    _records: list = field(
+        default_factory=lambda: [None, {}], init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         covered: set[int] = set()
@@ -115,6 +119,17 @@ class Partition:
             out |= self.blocks[bid]
         return frozenset(out)
 
+    def records(self, G: SurveillanceGameStructure) -> dict:
+        """Cell mask -> its :class:`~surveil.belief.BeliefMoves` record
+        under ``G``: one table, shared by this partition and every one
+        refined from it, so that a CEGAR run, whose partitions are refined
+        from its first, makes each distinct mask's record once.  A mask
+        means the same belief under every partition.  The table serves
+        one structure: one met after another starts a new table."""
+        if self._records[0] is not G:
+            self._records[:] = G, {}
+        return self._records[1]
+
     def split(self, scope: int, separator: int) -> "Partition":
         """Split every block inside the cell mask ``scope`` against the
         cell mask ``separator``; a scope of ``-1`` holds every cell.
@@ -122,29 +137,86 @@ class Partition:
         Blocks not contained in ``scope`` are untouched.  Returns self if
         nothing splits.
         """
-        new_blocks = dict(self.blocks)
-        nid = self.next_id
-        for bid, mask in self.masks.items():
-            inter = mask & separator
-            if mask & ~scope or not inter or inter == mask:
-                continue
-            cells = new_blocks.pop(bid)
-            new_blocks[nid] = part = frozenset([l for l in cells if inter >> l & 1])
-            new_blocks[nid + 1] = cells - part
-            nid += 2
-        if nid == self.next_id:
-            return self
-        return Partition(new_blocks, self.universe, nid)
+        return self.refine([(scope, separator)])
 
     def meet(self, other: "Partition") -> "Partition":
         """Coarsest common refinement of two partitions of the same set,
         split against ``other``'s blocks in the order of their sorted
         cells."""
-        result = self
-        # disjoint blocks sort by their sorted cells as by their lowest cell
-        for mask in sorted(other.masks.values(), key=lambda m: m & -m):
-            result = result.split(-1, mask)
-        return result
+        return self.refine(meeting(other.masks.values()))
+
+    def split_masks(self, steps) -> dict[int, int]:
+        """Block id -> cell mask of the blocks of :meth:`refine`, with no
+        partition built."""
+        table = dict(self.masks)
+        _split(table, {}, self.next_id, steps)
+        return table
+
+    def refine(self, steps) -> "Partition":
+        """This partition :meth:`split` by each ``(scope, separator)`` of
+        ``steps`` in turn, with one partition built at the end.
+
+        The splits run on a table of the blocks' masks, in id order, so
+        the ids, ``next_id`` and block order are those of one
+        :meth:`split` after another: a split block's parts get the next
+        two ids, its cells in the separator first.  A block not split
+        keeps its cells and mask, and a part's cells are read off the
+        block it was split from.  Returns self if nothing splits.
+        """
+        table, origin = dict(self.masks), {}
+        next_id = _split(table, origin, self.next_id, steps)
+        if next_id == self.next_id:
+            return self
+        blocks = {bid: cells for bid, cells in self.blocks.items() if bid in table}
+        for bid, old in origin.items():
+            mask = table[bid]
+            blocks[bid] = frozenset([l for l in self.blocks[old] if mask >> l & 1])
+        return self._refined(blocks, table, next_id)
+
+    def _refined(self, blocks, masks, next_id) -> "Partition":
+        """A partition refined from this one, with its blocks' ``masks``
+        in id order.  It is checked on the masks, in time linear in the
+        blocks, instead of on the cells: nonempty, disjoint and covering
+        this partition's cells.  It shares this partition's records."""
+        cover = 0
+        for mask in masks.values():
+            if not mask or cover & mask:
+                raise PartitionError("refined blocks are empty or not disjoint")
+            cover |= mask
+        if cover != sum(self.masks.values()):
+            raise PartitionError("refined blocks do not cover the target locations")
+        out = object.__new__(Partition)
+        for name, value in (
+            ("blocks", blocks), ("universe", self.universe), ("next_id", next_id),
+            ("masks", masks), ("_alphas", {}), ("_blocksets", {}), ("_gammas", {}),
+            ("_records", self._records),
+        ):
+            object.__setattr__(out, name, value)
+        return out
+
+
+def meeting(masks) -> list:
+    """The splits of a meet (see :meth:`Partition.refine`): against each
+    block of ``masks`` in the order of its sorted cells."""
+    # disjoint blocks sort by their sorted cells as by their lowest cell
+    return [(-1, mask) for mask in sorted(masks, key=lambda m: m & -m)]
+
+
+def _split(table: dict, origin: dict, next_id: int, steps) -> int:
+    """Apply :meth:`Partition.refine`'s ``steps`` to ``table``, block id ->
+    cell mask in id order, in place; ``origin`` maps each new block to the
+    block of the first table it was split from.  Returns the next id."""
+    for scope, separator in steps:
+        for bid, mask in list(table.items()):
+            inter = mask & separator
+            if mask & ~scope or not inter or inter == mask:
+                continue
+            # the new ids exceed every id, so the table stays in id order
+            del table[bid]
+            table[next_id], table[next_id + 1] = inter, mask ^ inter
+            origin[next_id] = origin[next_id + 1] = origin.pop(bid, bid)
+            next_id += 2
+    return next_id
 
 
 def initial_partition(
@@ -183,14 +255,21 @@ def abstract_successors(G: SurveillanceGameStructure, Q: Partition, state, recor
     covering ``unseen``, labelled ``Q.alpha_mask(unseen)``, with the
     replies that :func:`~surveil.belief.invisible_replies` picks; this
     is :func:`~surveil.belief.target_moves` on ``moves``.  ``records`` maps
-    labels to their records; a missing record is made and added to it.
+    labels to their records; a missing one is taken from the partition's
+    table of records by mask (:meth:`Partition.records`), made there if
+    it is missing too, and added to ``records``.
     """
     l_a, label = state
     if records is None:
         records = {}
     moves = records.get(label)
     if moves is None:
-        moves = records[label] = belief_moves(G, Q.gamma_mask(label))
+        mask = Q.gamma_mask(label)
+        shared = Q.records(G)
+        moves = shared.get(mask)
+        if moves is None:
+            moves = shared[mask] = belief_moves(G, mask)
+        records[label] = moves
     seen, unseen = landing_cells(G, l_a, moves)
     return seen, unseen, moves
 
@@ -825,9 +904,11 @@ def build_abstract_game(
 
     Each label's safety test is made once per game, when the label is
     found, and each state is tested when it is numbered.  When a state
-    with the label is first expanded, the label's moves are collected
-    into one :class:`~surveil.belief.BeliefMoves` record, kept for this
-    exploration only; every state with that label is expanded from it.
+    with the label is first expanded, the label's moves are read from
+    one :class:`~surveil.belief.BeliefMoves` record, kept by the label for
+    this exploration and by its cell mask for every game built under
+    ``Q`` and the partitions refined from it (:meth:`Partition.records`);
+    every state with that label is expanded from it.
 
     A state where the conjunction of the ``safety`` atoms fails on the
     concretized label is not expanded: it gets its number, its atom

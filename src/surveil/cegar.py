@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Optional
 
-from .abstraction import Partition, build_abstract_game, initial_partition
+from .abstraction import Partition, build_abstract_game, initial_partition, meeting
 from .belief import PredicateDef, atom_test, belief_moves, landing_cells, safety_test
 from .objective import Objective
 from .solver import (
@@ -38,7 +38,7 @@ class RefinementError(RuntimeError):
     """Refinement failed to make progress (internal invariant violation)."""
 
 
-def split_along(G: SurveillanceGameStructure, Q: Partition, pairs) -> Partition:
+def split_along(G: SurveillanceGameStructure, Q: Partition, pairs, stem: int = 0) -> Partition:
     """Backward partition splitting along an annotated path.
 
     ``pairs`` is a list of ``(l_a, abstract_label, exact_belief)`` from
@@ -46,30 +46,49 @@ def split_along(G: SurveillanceGameStructure, Q: Partition, pairs) -> Partition:
     a cell mask, is to be made expressible.  Splits the final node's
     blocks against its belief, then walks backward separating the
     locations whose invisible successors stay inside the precise region,
-    stopping at concrete labels.  A location's invisible successors are
-    the unseen landing cells of its singleton belief, as a mask; each
-    location's belief record is made once per walk.
+    stopping at concrete labels.  With a nonzero ``stem``, the result is
+    met with the split along the first ``stem`` pairs, whose partition
+    is not built.  :func:`_splits_along` gives the splits, and one
+    partition is built from them.
     """
+    steps = _splits_along(G, Q, pairs)
+    if stem:
+        steps += meeting(Q.split_masks(_splits_along(G, Q, pairs[:stem])).values())
+    return Q.refine(steps)
+
+
+def _splits_along(G: SurveillanceGameStructure, Q: Partition, pairs) -> list:
+    """The ``(scope, separator)`` splits of :func:`split_along`, in order,
+    for :meth:`~surveil.abstraction.Partition.refine`.
+
+    A location's invisible successors are the unseen landing cells of its
+    singleton belief (:func:`~surveil.belief.landing_cells`), read off
+    the structure's masks: its moves, none onto the agent's cell, where
+    a location whose only move that is stays put.
+    """
+    moves, visible = G.masks.moves, G.masks.visible
     n = len(pairs) - 1
     _, label_n, precise = pairs[n]
-    result = Q.split(Q.gamma_mask(label_n), precise)
-    records = {}
+    steps = [(Q.gamma_mask(label_n), precise)]
     for j in range(n - 1, -1, -1):
         l_a_j, label_j, _ = pairs[j]
         if isinstance(label_j, int):
             break
-        # the cells the next label holds beyond the precise region
-        outside = Q.gamma_mask(pairs[j + 1][1]) & ~precise
+        # the unseen cells the next label holds beyond the precise region
+        missed = Q.gamma_mask(pairs[j + 1][1]) & ~precise & ~visible[l_a_j]
         scope = Q.gamma_mask(label_j)
+        agent = 1 << l_a_j
         precise = 0
         for l in G.cells_in(scope):
-            record = records.get(l)
-            if record is None:
-                record = records[l] = belief_moves(G, 1 << l)
-            if not landing_cells(G, l_a_j, record)[1] & outside:
+            succs = moves[l]
+            if succs & agent:
+                succs ^= agent
+                if not succs:
+                    succs = 1 << l
+            if not succs & missed:
                 precise |= 1 << l
-        result = result.split(scope, precise)
-    return result
+        steps.append((scope, precise))
+    return steps
 
 
 def _refine_along(G, Q: Partition, D: AnalysisGraphD, path, stem: int = 0) -> Partition:
@@ -96,9 +115,7 @@ def _refine_along(G, Q: Partition, D: AnalysisGraphD, path, stem: int = 0) -> Pa
     invariant, and raises :class:`RefinementError`.
     """
     pairs = [(D.beliefs[i][0], D.cex_states[i][1], D.beliefs[i][1]) for i in path]
-    refined = split_along(G, Q, pairs)
-    if stem:
-        refined = refined.meet(split_along(G, Q, pairs[:stem]))
+    refined = split_along(G, Q, pairs, stem)
     if len(refined) <= len(Q):
         raise RefinementError("refinement produced no new blocks")
     return refined
@@ -143,14 +160,15 @@ def build_analysis_graph(
     successors one belief: a visible move its cell, a block-set move the
     node's invisible landing cells under the label.  A spurious move can
     empty a belief, which then stays empty.  Each belief is expanded
-    from one :class:`~surveil.belief.BeliefMoves` record for the whole
-    walk.
+    from one :class:`~surveil.belief.BeliefMoves` record, read from the
+    table that ``Q`` shares with the partitions of its CEGAR run
+    (:meth:`~surveil.abstraction.Partition.records`).
     """
     l_a0, l_t0 = G.initial
     beliefs, cex_states = [(l_a0, 1 << l_t0)], [cex.initial]
     modes, parent, edges = [cex.mode[cex.initial]], [None], []
     index = {(cex.initial, 1 << l_t0): 0}
-    records: dict = {}
+    records = Q.records(G)
     # ``cex_states`` is its own queue: the loop reaches the nodes it appends
     for i, v in enumerate(cex_states):
         l_a, belief = beliefs[i]
@@ -551,21 +569,66 @@ def cegar_loop(
     every other game is solved, and :func:`_check_partial` holds the
     solver's report on a partial one to what the builder's proof
     promises.  An unrealizable outcome's arena is made at that exit.
+
+    Every partition of the run is refined from the first, so the games
+    share one table of belief records by cell mask
+    (:meth:`~surveil.abstraction.Partition.records`), which lives as
+    long as the run's partitions.
+
+    *Refinement cannot enlarge the target's attractor to the unsafe
+    states.*  Let ``Q'`` be refined from ``Q`` (it only splits blocks),
+    and relate a state ``(l_a, L')`` of the ``Q'`` game to a state
+    ``(l_a, L)`` of the ``Q`` game on the same agent cell when both
+    labels are the same cell, or both are block sets with ``gamma(L')``
+    inside ``gamma(L)``; the initial states are related.  The landing
+    cells of a belief only grow with it (its moves, none onto ``l_a``,
+    and the cells stuck on ``l_a`` put back), so each visible move of
+    the ``Q'`` state is one of the ``Q`` state's, with the same replies
+    onto the same states, and the ``Q'`` state's unseen landing cells
+    are a subset of the ``Q`` state's.  So where the ``Q'`` state moves
+    out of sight, the ``Q`` state does too, and the labels are related:
+    a ``Q'`` block touching the smaller unseen set lies inside a ``Q``
+    block touching the larger.  The agent's replies are equal, as
+    invisible-independence makes every invisible move's, or, where the
+    fewer unseen cells miss the agent's ball, the ``Q'`` move gets the
+    whole ball, which holds the ``Q`` move's replies.  So each reply of
+    the ``Q`` choice is related from a reply of the ``Q'`` choice.
+    Every atom is antitone in the belief: ``p<=k`` bounds its cells
+    (all, or those unseen), a target predicate, uniform on blocks, holds
+    when no cell of the belief lies outside it, and an agent predicate
+    on an empty belief or on the agent's cell.  So the related ``Q``
+    state of an unsafe ``Q'`` state is unsafe, and, by induction on the
+    rank, the related ``Q`` state of a ``Q'`` state in that attractor at
+    rank ``r`` is in it at rank ``r`` or lower.  The initial states are
+    related, so an initial state outside the ``Q`` game's attractor lies
+    outside the attractor of every game refined from it.
+
+    A game of a spec with ``G`` and ``GF`` terms that comes back without
+    a ``reading`` is one whose phase A ran dry, the initial state lying
+    outside that attractor, and which phase C built whole (see
+    :func:`~surveil.abstraction.build_abstract_game`).  By the lemma,
+    phase A would run dry in every later game too, so those are built
+    whole at once, without ``cut``: the same states and choices, in
+    another order, which no output depends on.
     """
     predicates = predicates or {}
     check_predicates(objective, predicates)
     # uniform for every target-kind predicate by construction
     Q = initial_partition(G, predicates.values())
     transcript: list[str] = []
+    mixed = objective.safety_terms and objective.recurrence_terms
+    cut = True
     for iteration in range(1, max_iters + 1):
         game = build_abstract_game(
             G, Q, max_states, objective.safety_terms, predicates,
-            cut=True, recurrence=objective.recurrence_terms,
+            cut=cut, recurrence=objective.recurrence_terms,
         )
         arena = result = None
         if game.reading is not None:
             cex = _certified(G, Q, game, objective, predicates)
         else:
+            # the lemma above: phase A runs dry in every later game
+            cut = cut and not mixed
             arena = make_arena(game, G, objective, predicates, partition=Q)
             result = solve(arena, objective)
             if arena.partial:

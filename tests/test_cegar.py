@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import reference_analysis
 import reference_cex_tree
 import reference_lasso
+import reference_partition
 import surveil.cegar
 from conftest import (
     build_hide_reveal_cex,
@@ -22,6 +23,8 @@ from surveil import (
     BudgetExceeded,
     CegarOutcome,
     IterationBudgetExceeded,
+    Partition,
+    PartitionError,
     PredicateDef,
     RefinementError,
     SolverError,
@@ -494,6 +497,62 @@ def test_every_witness_splits_a_block(problem, data):
                 assert not test(l_a, Q.gamma_mask(D.cex_states[g][1]))
                 cycle = surveil.cegar._cycle(D.edges, g, allowed)
                 assert splits(D.stem(g) + cycle[1:])
+
+
+def _block_table(Q) -> tuple:
+    """A partition's blocks in order, with their ids, and its next id."""
+    return list(Q.blocks.items()), Q.next_id
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(random_problems(), st.data())
+def test_mask_refinement_equals_one_partition_per_split(problem, data):
+    """``Partition.split``, ``meet`` and ``split_along`` (with a stem met
+    in, as ``_refine_along`` refines) split a table of block masks and
+    build one partition at the end; ``reference_partition`` builds a
+    partition per split from frozensets.  On random partitions, scopes,
+    separators and witness paths both give the same blocks in the same
+    order, the same ids and the same ``next_id``."""
+    G = build_game_structure(*problem)
+    cells = sorted(G.target_locations)
+    masks = st.frozensets(st.sampled_from(cells)).map(cell_mask)
+    Q = initial_partition(G)
+    for _ in range(data.draw(st.integers(0, 3))):
+        scope, separator = data.draw(st.just(-1) | masks), data.draw(masks)
+        split = Q.split(scope, separator)
+        assert _block_table(split) == _block_table(reference_partition.split(Q, scope, separator))
+        assert split.masks == {b: cell_mask(c) for b, c in sorted(split.blocks.items())}
+        assert split == Partition(split.blocks, split.universe, split.next_id)
+        Q = split
+    other = initial_partition(G).split(-1, data.draw(masks)).split(-1, data.draw(masks))
+    assert _block_table(Q.meet(other)) == _block_table(reference_partition.meet(Q, other))
+    # a witness path: agent cells, labels (a cell, or a set of Q's blocks)
+    # and exact beliefs, the last label a block set
+    ids = sorted(Q.blocks)
+    labels = st.sampled_from(cells) | st.frozensets(st.sampled_from(ids), min_size=1)
+    pair = st.tuples(st.sampled_from(sorted(G.agent_locations)), labels, masks)
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=5))
+    last = data.draw(st.frozensets(st.sampled_from(ids), min_size=1))
+    pairs[-1] = (pairs[-1][0], last, pairs[-1][2])
+    stem = data.draw(st.integers(0, len(pairs) - 1))
+    assert _block_table(split_along(G, Q, pairs)) == _block_table(
+        reference_partition.split_along(G, Q, pairs)
+    )
+    expected = reference_partition.refine_along(G, Q, pairs, stem)
+    assert _block_table(split_along(G, Q, pairs, stem)) == _block_table(expected)
+
+
+def test_refined_partition_is_checked_on_its_masks(rows_partition):
+    """A refinement's blocks are checked on their masks: a table that
+    leaves a cell out, or holds it twice, raises ``PartitionError``."""
+    masks, blocks = rows_partition.masks, rows_partition.blocks
+    low = min(masks)
+    with pytest.raises(PartitionError, match="empty or not disjoint"):
+        rows_partition._refined(blocks, {**masks, 99: masks[low]}, 100)
+    with pytest.raises(PartitionError, match="empty or not disjoint"):
+        rows_partition._refined(blocks, {**masks, 99: 0}, 100)
+    with pytest.raises(PartitionError, match="do not cover"):
+        rows_partition._refined(blocks, {b: m for b, m in masks.items() if b != low}, 100)
 
 
 def test_verdicts(game5):

@@ -24,6 +24,7 @@ import surveil.cegar
 from conftest import choices, pillar_problem
 from surveil import (
     BudgetExceeded,
+    Partition,
     PredicateDef,
     SolverError,
     build_abstract_game,
@@ -48,6 +49,7 @@ from surveil.solver import (
     SolveResult,
     StrategyData,
     _avoid_trap,
+    _emptied,
     _target_attractor,
     _widths,
 )
@@ -551,3 +553,116 @@ def test_reading_of_a_lost_cut_game_is_the_solvers_strategy(monkeypatch, problem
         # the reading covers the counterexample's states and no others
         graph = extract_cex_graph(game, want)
         assert {game.states[i] for i in mode} == set(graph.mode)
+
+
+def _attracted_to_unsafe(G, Q, objective, predicates) -> bool:
+    """Whether the initial state of the whole game under ``Q`` lies in
+    the target's attractor to the states that break a safety term, the
+    states a game built whole leaves without choices."""
+    whole = build_abstract_game(G, Q, safety=objective.safety_terms, predicates=predicates)
+    off = whole.choice_off
+    fresh = [i for i in range(len(whole)) if off[i] == off[i + 1]]
+    won, missing = bytearray(len(whole)), _widths(whole.reply_off)
+    for i in fresh:
+        won[i] = 1
+    while fresh:
+        joined, fresh = _emptied(whole.owners, whole.holders, missing, fresh), []
+        for i in joined:
+            if not won[i]:
+                won[i] = 1
+                fresh.append(i)
+    return bool(won[whole.initial])
+
+
+@pytest.mark.parametrize(
+    "problem, spec",
+    [("paper5x5", "G p<=5 & GF p<=2"), ("paper5x5", "G p<=3 & GF goal"),
+     ("bigroom", "G p<=10 & GF goal")],
+)
+def test_refinement_keeps_the_initial_state_out_of_the_unsafe_attractor(
+    monkeypatch, problem, spec
+):
+    """The lemma in ``cegar_loop``'s docstring, on mixed specs: once the
+    initial state of a game, solved whole, lies outside the target's
+    attractor to the unsafe states, so does every later game's, and the
+    loop runs phase A (``_on_demand``) on none of those later games.
+    Every game before runs it, and its initial state lies inside."""
+    G, predicates = _problem(problem)
+    objective = _spec(spec)
+    searches, builds = [], []
+    on_demand, build = surveil.abstraction._on_demand, surveil.cegar.build_abstract_game
+
+    def counted(*args):
+        searches.append(args)
+        return on_demand(*args)
+
+    def recorded(G, Q, *args, **kw):
+        before = len(searches)
+        game = build(G, Q, *args, **kw)
+        builds.append((Q, len(searches) > before))
+        return game
+
+    monkeypatch.setattr(surveil.abstraction, "_on_demand", counted)
+    monkeypatch.setattr(surveil.cegar, "build_abstract_game", recorded)
+    cegar_loop(G, objective, predicates=predicates)
+    outside = [not _attracted_to_unsafe(G, Q, objective, predicates) for Q, _ in builds]
+    first = outside.index(True)
+    # later games exist, for the lemma to speak of
+    assert first < len(builds) - 1
+    assert outside == [False] * first + [True] * (len(builds) - first)
+    assert [searched for _, searched in builds] == [True] * (first + 1) + [False] * (
+        len(builds) - first - 1
+    )
+
+
+def _fresh(Q):
+    """A copy of ``Q`` with a table of belief records of its own."""
+    return Partition(dict(Q.blocks), Q.universe, Q.next_id)
+
+
+@pytest.mark.parametrize(
+    "problem, spec", [(p, s) for p, specs in SPECS.items() for s in specs]
+)
+def test_games_built_with_the_runs_belief_records_equal_games_built_without(
+    monkeypatch, problem, spec
+):
+    """Every game of a run reads its belief records from one table by cell
+    mask, carried from each partition to the one refined from it; each
+    game is field for field the one built under a copy of its partition
+    with a table of its own."""
+    G, predicates = _problem(problem)
+    objective = _spec(spec)
+    calls = []
+    build = surveil.cegar.build_abstract_game
+
+    def recorded(G, Q, *args, **kw):
+        calls.append((Q, args, kw, build(G, Q, *args, **kw)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(surveil.cegar, "build_abstract_game", recorded)
+    cegar_loop(G, objective, predicates=predicates)
+    table = calls[0][0].records(G)
+    # a game whose initial state is unsafe expands nothing
+    assert table or not any(game.choice_set for *_, game in calls)
+    for Q, args, kw, game in calls:
+        assert Q.records(G) is table
+        assert build(G, _fresh(Q), *args, **kw) == game
+
+
+def test_belief_records_never_serve_two_structures():
+    """paper5x5 with and without ``allow_stay`` has the same target cells,
+    so one partition serves both, but not the same moves: the games built
+    under one partition, in turn for each structure, are the games built
+    under fresh copies of it, and each structure gets its own table."""
+    grid = parse_grid(bundled_map("paper5x5.txt"))
+    cfg = bundled_map("paper5x5.cfg")
+    assert "allow_stay=false" in cfg
+    still = build_game_structure(grid, *parse_config(cfg))
+    stay = build_game_structure(grid, *parse_config(cfg.replace("allow_stay=false", "allow_stay=true")))
+    assert still.target_locations == stay.target_locations
+    Q = initial_partition(still)
+    games = [build_abstract_game(G, Q) for G in (still, stay, still)]
+    assert games == [build_abstract_game(G, _fresh(Q)) for G in (still, stay, still)]
+    assert games[0] != games[1]
+    table = Q.records(still)
+    assert table and Q.records(stay) is not table
